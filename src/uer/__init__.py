@@ -5,10 +5,9 @@ from .config import ConfigError, DatasetSpec, ExperimentConfig, build_dataset, \
 from .evaluation import StageMetrics, accuracy, average_accuracy, average_posterior, \
     bias_diagnostics, posterior_group_means, read_metrics, write_metrics
 from .logits import CosineScale, LogitMode, PredictorParams, cosine_logits, cross_entropy, \
-    dot_logits, loss_current, loss_dot, loss_replay, predict, predictor_grad_cos, \
+    dot_logits, loss_current, loss_dot, loss_replay, loss_rows, predict, predictor_grad_cos, \
     predictor_grad_dot, softmax
-from .memory import MemoryBuffer, StoredSample, buffer_retrieve, buffer_update, \
-    load_buffer, save_buffer
+from .memory import MemoryBuffer, buffer_retrieve, buffer_update, load_buffer, save_buffer
 from .net import FeatureExtractor, GradientTape, LayerParams, backward, forward, \
     init_extractor, load_checkpoint, save_checkpoint, sgd_step
 from .numeric import Rng, ShapeError, l2_norm, make_rng, matvec, rng_uniform

@@ -124,15 +124,24 @@ def cmd_run(args) -> int:
     return 2 if outcome.failures else 0
 
 
+def _parse_alphas(text: str) -> list[float]:
+    """The whole --alpha list, checked before any training starts."""
+    try:
+        alphas = [float(a) for a in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad --alpha list {text!r}") from None
+    bad = [a for a in alphas if not 0.0 <= a <= 1.0]  # nan fails too
+    if bad:
+        raise ConfigError(f"--alpha values must be finite and in [0, 1], got {bad[0]!r}")
+    return alphas
+
+
 def cmd_sweep_alpha(args) -> int:
     cfg = _apply_flag_overrides(parse_config(args.config), args)
     base = next((m for m in cfg.methods if m.name == "uer"), None)
     if base is None:
         raise ConfigError("sweep-alpha needs the uer method in run.methods")
-    try:
-        alphas = [float(a) for a in args.alpha.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad --alpha list {args.alpha!r}") from None
+    alphas = _parse_alphas(args.alpha)
     rows = []
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

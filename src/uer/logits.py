@@ -11,12 +11,15 @@ which is orthogonal to w and shrinks as ||w|| grows. The same expression
 with the roles of w and h swapped is the gradient with respect to h. Norms
 are floored at EPS_NORM so all-zero features or rows stay finite.
 
-The replay loss mixes the two cross-entropies per sample:
+Every training loss is one kernel, loss_rows, which mixes the two
+cross-entropies per sample with a per-row weight alpha:
 
     alpha * ce_dot + (1 - alpha) * ce_cos
 
-and the endpoints alpha in {0, 1} reduce bitwise to the pure losses because
-a zero-weighted branch is skipped rather than multiplied by zero.
+Both scores come from one product S = H W^T. The endpoints alpha in {0, 1}
+reduce bitwise to the pure losses because a branch no row weights is
+skipped rather than multiplied by zero. loss_dot, loss_current and
+loss_replay are its batch-mean forms.
 """
 
 from __future__ import annotations
@@ -133,13 +136,6 @@ def cross_entropy(p: np.ndarray, y: int) -> float:
     return float(-np.log(p[y]))
 
 
-def _ce_rows(L: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # stable -log softmax picked at the target row
-    m = L.max(axis=1)
-    lse = m + np.log(np.exp(L - m[:, None]).sum(axis=1))
-    return lse - L[np.arange(L.shape[0]), rows]
-
-
 def predictor_grad_dot(pp: PredictorParams, p: np.ndarray, h: np.ndarray, y: int,
                        tape, weight: float = 1.0) -> np.ndarray:
     """Accumulate d(ce_dot)/dW and d/db for one sample; return d(ce_dot)/dh."""
@@ -187,67 +183,109 @@ def _batch_targets(pp: PredictorParams, H: np.ndarray, rows) -> tuple[np.ndarray
     return H, rows
 
 
-def loss_dot(pp: PredictorParams, H: np.ndarray, rows, tape=None,
-             grad_weight: float = 1.0):
-    """Mean dot-score cross-entropy over a batch.
+def _softmax_ce(L: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax of L (the arithmetic of softmax_rows) and the stable
+    cross-entropy -log softmax at the picked entries, sharing one exp."""
+    m = L.max(axis=1, keepdims=True)
+    E = np.exp(L - m)
+    s = E.sum(axis=1, keepdims=True)
+    ce = (m[:, 0] + np.log(s[:, 0])) - L[pick]
+    return E / s, ce
 
-    When a tape is given, gradients of (grad_weight * mean ce) are added to
-    it and the matching d/dH block is returned; otherwise dH is None.
+
+def _per_row(value, n: int, what: str) -> np.ndarray:
+    v = np.asarray(value, dtype=np.float64)
+    if v.ndim and v.shape != (n,):
+        raise ShapeError(f"{n} samples but {what} has shape {v.shape}")
+    return v
+
+
+def _col(v: np.ndarray) -> np.ndarray:
+    return v[:, None] if v.ndim else v
+
+
+def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarray, rows,
+              weights, tape=None):
+    """Per-row mixed cross-entropy alpha_i * ce_dot_i + (1 - alpha_i) * ce_cos_i.
+
+    alpha and weights are scalars or one value per row. Returns the per-row
+    cross-entropies and, when a tape is given, adds the gradient of
+    sum_i weights_i * ce_i to it and returns the matching d/dH block
+    (otherwise dH is None). Both scores come from one product S = H W^T:
+    dot logits are S + b, cosine logits gamma * S / (||h|| ||w||). A branch
+    runs only if some row weights it (some alpha > 0 for dot, some
+    alpha < 1 for cosine), so all-one or all-zero alpha give the pure
+    losses exactly.
     """
     H, rows = _batch_targets(pp, H, rows)
-    L = dot_logits_batch(pp, H)
-    ce = _ce_rows(L, rows)
-    loss = float(ce.mean())
-    require_finite(np.asarray(loss), "dot cross-entropy")
+    n = rows.shape[0]
+    a = _per_row(alpha, n, "alpha")
+    lo, hi = a.min(), a.max()
+    if not (0.0 <= lo and hi <= 1.0):
+        raise ValueError(f"alpha out of [0,1]: {alpha}")
+    use_dot, use_cos = hi > 0.0, lo < 1.0
+    pick = (np.arange(n), rows)
+    S = H @ pp.W.T
+    if use_dot:
+        Pd, ce = _softmax_ce(S + pp.b, pick)
+    if use_cos:
+        if scale is None:
+            raise ValueError("cosine scoring needs a CosineScale")
+        # row norms as np.linalg.norm computes them, without its dispatch
+        hn = np.maximum(np.sqrt(np.add.reduce(H * H, axis=1)), EPS_NORM)
+        wn = np.maximum(np.sqrt(np.add.reduce(pp.W * pp.W, axis=1)), EPS_NORM)
+        den = hn[:, None] * wn
+        C = S / den
+        Pc, ce_cos = _softmax_ce(scale.gamma * C, pick)
+        ce = a * ce + (1.0 - a) * ce_cos if use_dot else ce_cos
+    require_finite(ce, "cross-entropy")
     if tape is None:
-        return loss, None
-    D = softmax_rows(L)
-    D[np.arange(len(rows)), rows] -= 1.0
-    D *= grad_weight / len(rows)
-    tape.pred_w += D.T @ H
-    tape.pred_b += D.sum(axis=0)
-    return loss, D @ pp.W
+        return ce, None
+    w = _per_row(weights, n, "weights")
+    if use_dot:
+        Pd[pick] -= 1.0
+        Pd *= _col(a * w)
+        tape.pred_b += Pd.sum(axis=0)
+        G = Pd
+    if use_cos:
+        # the closed form at module top, per row, with Q = Pc / (|h| |w|)
+        # and R = Pc * cos:
+        #   dW = Q^T H - colsum(R) / |w|^2 * W,  dH = Q W - rowsum(R) / |h|^2 * H
+        # Q joins the dot part, so each product runs once
+        Pc[pick] -= 1.0
+        Pc *= _col(scale.gamma * (1.0 - a) * w)
+        R = Pc * C
+        Q = Pc / den
+        G = Pd + Q if use_dot else Q
+    tape.pred_w += G.T @ H
+    dH = G @ pp.W
+    if use_cos:
+        tape.pred_w -= (R.sum(axis=0) / (wn * wn))[:, None] * pp.W
+        dH -= (R.sum(axis=1) / (hn * hn))[:, None] * H
+    return ce, dH
+
+
+def loss_dot(pp: PredictorParams, H: np.ndarray, rows, tape=None,
+             grad_weight: float = 1.0):
+    """Mean dot-score cross-entropy over a batch; with a tape, adds the
+    gradient of grad_weight * mean and returns d/dH (else dH is None)."""
+    # max(.., 1): loss_rows itself rejects an empty batch
+    ce, dH = loss_rows(pp, None, 1.0, H, rows, grad_weight / max(len(H), 1), tape)
+    return float(ce.mean()), dH
 
 
 def loss_current(pp: PredictorParams, scale: CosineScale, H: np.ndarray, rows,
                  tape=None, grad_weight: float = 1.0):
     """Mean cosine-score cross-entropy over a batch (the new-sample loss)."""
-    H, rows = _batch_targets(pp, H, rows)
-    hn = np.maximum(np.linalg.norm(H, axis=1), EPS_NORM)
-    wn = np.maximum(np.linalg.norm(pp.W, axis=1), EPS_NORM)
-    U = H / hn[:, None]
-    V = pp.W / wn[:, None]
-    C = U @ V.T
-    L = scale.gamma * C
-    ce = _ce_rows(L, rows)
-    loss = float(ce.mean())
-    require_finite(np.asarray(loss), "cosine cross-entropy")
-    if tape is None:
-        return loss, None
-    D = softmax_rows(L)
-    D[np.arange(len(rows)), rows] -= 1.0
-    D *= scale.gamma * grad_weight / len(rows)
-    tape.pred_w += (D.T @ U - (D * C).sum(axis=0)[:, None] * V) / wn[:, None]
-    dH = (D @ V - (D * C).sum(axis=1)[:, None] * U) / hn[:, None]
-    return loss, dH
+    ce, dH = loss_rows(pp, scale, 0.0, H, rows, grad_weight / max(len(H), 1), tape)
+    return float(ce.mean()), dH
 
 
 def loss_replay(pp: PredictorParams, scale: CosineScale, alpha: float,
                 H: np.ndarray, rows, tape=None):
     """Replayed-sample loss: alpha * ce_dot + (1 - alpha) * ce_cos, batch mean."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha out of [0,1]: {alpha}")
-    loss = 0.0
-    dH = None
-    if alpha > 0.0:
-        ld, dd = loss_dot(pp, H, rows, tape, grad_weight=alpha)
-        loss += alpha * ld
-        dH = dd
-    if alpha < 1.0:
-        lc, dc = loss_current(pp, scale, H, rows, tape, grad_weight=1.0 - alpha)
-        loss += (1.0 - alpha) * lc
-        dH = dc if dH is None else dH + dc
-    return loss, dH
+    ce, dH = loss_rows(pp, scale, alpha, H, rows, 1.0 / max(len(H), 1), tape)
+    return float(ce.mean()), dH
 
 
 def predict(pp: PredictorParams, h: np.ndarray) -> int:

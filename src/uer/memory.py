@@ -5,24 +5,20 @@ buffer is filling; afterwards a slot index j is drawn uniformly from
 [0, n) and the sample replaces slot j only when j < capacity. That keeps
 every offered sample in the buffer with probability capacity / n at all
 times. Retrieval is a uniform draw without replacement.
+
+The buffer is three preallocated arrays: features ``x`` (capacity, dim),
+labels ``y`` and stream positions ``pos`` (the 0-based index at which a
+sample was offered); the first ``size`` slots are filled. ``x`` is
+allocated at the first offer, once the feature dim is known.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .container import read_container, write_container
 from .numeric import Rng
-
-
-@dataclass
-class StoredSample:
-    x: np.ndarray
-    y: int
-    stream_position: int
+from .stream import LabeledData
 
 
 class MemoryBuffer:
@@ -30,38 +26,48 @@ class MemoryBuffer:
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
         self.capacity = int(capacity)
-        self.items: list[StoredSample] = []
+        self.x: np.ndarray | None = None
+        self.y = np.zeros(self.capacity, dtype=np.int64)
+        self.pos = np.zeros(self.capacity, dtype=np.int64)
+        self.size = 0
         self.seen = 0
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self.size
 
 
-def buffer_update(buf: MemoryBuffer, batch: Sequence[StoredSample], rng: Rng) -> None:
-    start = buf.seen
-    fill = 0
-    while fill < len(batch) and len(buf.items) < buf.capacity:
-        buf.items.append(batch[fill])
-        fill += 1
-    rest = batch[fill:]
-    if rest:
-        # one vectorized draw for the whole batch: j_i uniform on [0, n_i)
-        ns = np.arange(start + fill + 1, start + len(batch) + 1)
-        js = rng.integers(0, ns)
-        for sample, j in zip(rest, js):
+def buffer_update(buf: MemoryBuffer, batch: LabeledData, rng: Rng) -> None:
+    """Offer a batch in order; sample i gets stream position buf.seen + i."""
+    start, n = buf.seen, len(batch)
+    if buf.x is None:
+        buf.x = np.zeros((buf.capacity, batch.x.shape[1]))
+    fill = min(n, buf.capacity - buf.size)
+    if fill > 0:
+        s = buf.size
+        buf.x[s:s + fill] = batch.x[:fill]
+        buf.y[s:s + fill] = batch.y[:fill]
+        buf.pos[s:s + fill] = np.arange(start, start + fill)
+        buf.size += fill
+    if fill < n:
+        # one vectorized draw for the rest: j_i uniform on [0, n_i); slots
+        # are written in stream order so a later sample wins a shared slot
+        js = rng.integers(0, np.arange(start + fill + 1, start + n + 1))
+        for i, j in enumerate(js.tolist(), fill):
             if j < buf.capacity:
-                buf.items[j] = sample
-    buf.seen = start + len(batch)
+                buf.x[j] = batch.x[i]
+                buf.y[j] = batch.y[i]
+                buf.pos[j] = start + i
+    buf.seen = start + n
 
 
-def buffer_retrieve(buf: MemoryBuffer, k: int, rng: Rng) -> list[StoredSample]:
+def buffer_retrieve(buf: MemoryBuffer, k: int, rng: Rng) -> np.ndarray:
+    """Slot indices of min(k, size) distinct samples drawn uniformly."""
     if k < 0:
         raise ValueError(f"retrieval size must be non-negative, got {k}")
-    m = min(k, len(buf.items))
+    m = min(k, buf.size)
     if m == 0:
-        return []
-    idx = rng.choice(len(buf.items), size=m, replace=False)
-    return [buf.items[i] for i in idx]
+        return np.zeros(0, dtype=np.int64)
+    return rng.choice(buf.size, size=m, replace=False)
 
 
 SECTION_META = "BUFMETA"
@@ -70,12 +76,11 @@ SECTION_YPOS = "BUFYPOS"
 
 
 def save_buffer(path, buf: MemoryBuffer) -> None:
-    ys = np.array([s.y for s in buf.items], dtype=np.float64)
-    pos = np.array([s.stream_position for s in buf.items], dtype=np.float64)
+    n = buf.size
     sections = {
         SECTION_META: [(0, np.array([buf.capacity, buf.seen], dtype=np.float64))],
-        SECTION_X: [(i, s.x) for i, s in enumerate(buf.items)],
-        SECTION_YPOS: [(0, ys), (1, pos)],
+        SECTION_X: [(i, buf.x[i]) for i in range(n)],
+        SECTION_YPOS: [(0, buf.y[:n].astype(np.float64)), (1, buf.pos[:n].astype(np.float64))],
     }
     write_container(path, sections)
 
@@ -86,6 +91,12 @@ def load_buffer(path) -> MemoryBuffer:
     buf = MemoryBuffer(int(meta[0]))
     buf.seen = int(meta[1])
     (_, ys), (_, pos) = sections[SECTION_YPOS]
-    for (_, x), y, p in zip(sections[SECTION_X], ys, pos):
-        buf.items.append(StoredSample(x, int(y), int(p)))
+    rows = [x for _, x in sections[SECTION_X]]
+    n = len(rows)
+    if n:
+        buf.x = np.zeros((buf.capacity, rows[0].shape[0]))
+        buf.x[:n] = rows
+    buf.y[:n] = ys
+    buf.pos[:n] = pos
+    buf.size = n
     return buf

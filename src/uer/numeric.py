@@ -59,6 +59,6 @@ def rng_uniform(rng: Rng, lo: float, hi: float) -> float:
 
 
 def require_finite(arr: np.ndarray, what: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"{what} contains non-finite entries")
     return arr

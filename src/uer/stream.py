@@ -9,6 +9,7 @@ Gaussians in 20 dimensions whose means sit on a sphere of radius 3
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -171,8 +172,10 @@ def split_gauss_10(rng: Rng) -> Dataset:
 def load_csv_dataset(path, label_map: dict[int, int] | None = None) -> LabeledData:
     """Rows of "label,feat,feat,...". Labels are remapped to dense ids
     0..C-1 in order of first occurrence; every row must have the same
-    feature count. Pass the same label_map to several loads (train and
-    test files, say) to share one remapping across them."""
+    feature count, and every feature must be finite (nan and inf are
+    rejected with the line they are on). Pass the same label_map to
+    several loads (train and test files, say) to share one remapping
+    across them."""
     xs: list[list[float]] = []
     raw_labels: list[int] = []
     width = None
@@ -201,12 +204,23 @@ def load_csv_dataset(path, label_map: dict[int, int] | None = None) -> LabeledDa
             xs.append(feats)
     if not xs:
         raise CsvFormatError(f"{path}: dataset is empty")
+    x = np.array(xs, dtype=np.float64)
+    if not np.isfinite(x).all():
+        lineno = _data_lineno(path, int(np.argmin(np.isfinite(x).all(axis=1))))
+        raise CsvFormatError(f"{path}:{lineno}: non-finite feature value")
     remap = label_map if label_map is not None else {}
     for label in raw_labels:
         if label not in remap:
             remap[label] = len(remap)
     y = np.array([remap[label] for label in raw_labels], dtype=np.int64)
-    return LabeledData(np.array(xs, dtype=np.float64), y)
+    return LabeledData(x, y)
+
+
+def _data_lineno(path, row: int) -> int:
+    """1-based line number of the row-th (0-based) non-blank line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data_lines = (lineno for lineno, line in enumerate(fh, 1) if line.strip())
+        return next(itertools.islice(data_lines, row, None))
 
 
 def save_csv_dataset(path, data: LabeledData) -> None:

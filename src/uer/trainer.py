@@ -1,9 +1,9 @@
 """Single-pass training loop over a class-incremental stream.
 
 Each step follows the same order: register any labels not seen before,
-retrieve a replay batch from the buffer, score the incoming batch with the
-learn rule and the replayed batch with the replay rule, take one SGD step
-on the summed loss, and only then offer the incoming batch to the buffer.
+retrieve a replay batch from the buffer, score the incoming and replayed
+samples together, take one SGD step on the summed loss, and only then
+offer the incoming batch to the buffer.
 
 A method is a triple of scoring rules: how incoming samples are learned
 (dot or cosine), how replayed samples are learned (dot, cosine, or the
@@ -16,23 +16,33 @@ stock methods:
     lucir     cosine everywhere
     finetune  dot learn, replay disabled
 
-Losses are per-batch means; the reported total is loss_current +
-loss_replay. The er preset instead averages over the union of the two
-batches in a single term, and its reported pair is the per-batch partial
-sums of that one mean so the total still adds up exactly.
+A step runs one forward and one backward pass over the stacked batch
+[incoming; replayed] and scores it with one call of logits.loss_rows. Each
+row carries its own mix weight alpha (1 for dot learning, 0 for cosine
+learning, the replay rule's weight for replayed rows) and its own loss
+weight (1/n_incoming and 1/n_replayed, so each batch contributes its
+mean). The reported loss_current and loss_replay are the weighted
+cross-entropies summed over each part, and the total is their sum. The er
+preset instead weights every row 1/(n_incoming + n_replayed), one mean
+over the union scored with the learn rule, so its reported pair is the
+per-batch partial sums of that one mean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .evaluation import StageMetrics, accuracy, average_accuracy, average_posterior, \
     bias_diagnostics
+# loss_current, loss_dot and loss_replay are not called here: they stay
+# importable from this module because the perfbench span tracer wraps
+# them by this module's name
 from .logits import CosineScale, LogitMode, PredictorParams, loss_current, loss_dot, \
-    loss_replay
-from .memory import MemoryBuffer, StoredSample, buffer_retrieve, buffer_update
+    loss_replay, loss_rows  # noqa: F401
+from .memory import MemoryBuffer, buffer_retrieve, buffer_update
 from .net import FeatureExtractor, GradientTape, backward_batch, forward_batch, \
     init_extractor, sgd_step
 from .numeric import Rng, make_rng
@@ -179,12 +189,17 @@ class TrainState:
     predictor: PredictorParams
     buffer: MemoryBuffer
     tape: GradientTape
-    class_order: list[int] = field(default_factory=list)
-    label_to_row: dict[int, int] = field(default_factory=dict)
+    class_order: list[int] = field(default_factory=list)  # label of each scorer row
+    # dense label -> scorer row lookup, -1 for labels not registered
+    row_of_label: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     stage_baseline: PredictorParams | None = None
     step: int = 0
-    stream_position: int = 0
     consumed_in_stage: int = 0
+
+    @property
+    def label_to_row(self) -> dict[int, int]:
+        """Registered labels and their scorer rows, in registration order."""
+        return {label: row for row, label in enumerate(self.class_order)}
 
 
 @dataclass
@@ -213,17 +228,24 @@ def register_classes(state: TrainState, labels, rng: Rng) -> list[int]:
     Rows use the same uniform init as a single-output net layer over the
     feature dim; biases start at zero. The stage baseline is extended with
     the same initial values so parameter movement excludes initialization.
+    Labels must be non-negative integers.
     """
     added = []
     d = state.predictor.dim
     s = np.sqrt(6.0 / (d + 1))
-    for label in np.asarray(labels).ravel():
+    for label in np.asarray(labels).ravel().tolist():
         label = int(label)
-        if label in state.label_to_row:
+        if label < 0:
+            raise ValueError(f"labels must be non-negative, got {label}")
+        if label < len(state.row_of_label) and state.row_of_label[label] >= 0:
             continue
         row = rng.uniform(-s, s, size=d)
         idx = state.predictor.add_class(row, 0.0)
-        state.label_to_row[label] = idx
+        if label >= len(state.row_of_label):
+            grown = np.full(label + 1, -1, dtype=np.int64)
+            grown[:len(state.row_of_label)] = state.row_of_label
+            state.row_of_label = grown
+        state.row_of_label[label] = idx
         state.class_order.append(label)
         state.tape.add_class_rows(1)
         if state.stage_baseline is not None:
@@ -232,84 +254,52 @@ def register_classes(state: TrainState, labels, rng: Rng) -> list[int]:
     return added
 
 
-def _rows_for(state: TrainState, labels: np.ndarray) -> np.ndarray:
-    return np.array([state.label_to_row[int(y)] for y in labels], dtype=np.int64)
-
-
-def _batch_loss(mode: LogitMode, state: TrainState, scale: CosineScale,
-                H: np.ndarray, rows: np.ndarray, weight: float = 1.0):
-    if mode is LogitMode.DOT:
-        return loss_dot(state.predictor, H, rows, state.tape, grad_weight=weight)
-    return loss_current(state.predictor, scale, H, rows, state.tape, grad_weight=weight)
+@lru_cache(maxsize=64)
+def _row_mix(learn_alpha: float, replay_alpha: float, joint: bool,
+             n_cur: int, n_mem: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row mix weight alpha and loss weight for [incoming; replayed]."""
+    alpha = np.repeat([learn_alpha, learn_alpha if joint else replay_alpha], [n_cur, n_mem])
+    if joint:
+        weights = np.full(n_cur + n_mem, 1.0 / (n_cur + n_mem))
+    else:
+        weights = np.repeat([1.0 / n_cur, 1.0 / max(n_mem, 1)], [n_cur, n_mem])
+    alpha.flags.writeable = weights.flags.writeable = False
+    return alpha, weights
 
 
 def train_step(state: TrainState, x_batch: np.ndarray, y_batch: np.ndarray,
                method: MethodConfig, memory_batch_size: int, rng: Rng) -> StepRecord:
     register_classes(state, y_batch, rng)
-    scale = method.scale()
-    rows_cur = _rows_for(state, y_batch)
+    buf = state.buffer
+    n_cur = len(y_batch)
+    X, rows = x_batch, state.row_of_label[y_batch]
+    idx = buffer_retrieve(buf, memory_batch_size, rng) if method.replay_enabled else ()
+    n_mem = len(idx)
+    if n_mem:
+        X = np.concatenate([x_batch, buf.x[idx]])
+        rows = np.concatenate([rows, state.row_of_label[buf.y[idx]]])
+    learn_alpha = 1.0 if method.triple.learn is LogitMode.DOT else 0.0
+    alpha, weights = _row_mix(learn_alpha, method.triple.replay.effective_alpha(),
+                              method.joint_batch, n_cur, n_mem)
 
-    replayed: list[StoredSample] = []
-    if method.replay_enabled:
-        replayed = buffer_retrieve(state.buffer, memory_batch_size, rng)
-
-    if method.joint_batch:
-        # one mean over incoming + replayed, scored with the learn rule;
-        # report the per-batch partial sums so the pair still adds up
-        n_cur = len(y_batch)
-        if replayed:
-            X = np.concatenate([x_batch, np.stack([s.x for s in replayed])])
-            rows = np.concatenate([rows_cur,
-                                   _rows_for(state, np.array([s.y for s in replayed]))])
-        else:
-            X, rows = x_batch, rows_cur
+    # a diverging run overflows here; the finiteness checks in
+    # forward_batch and loss_rows raise, so NumPy's warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         H, cache = forward_batch(state.extractor, X)
-        if method.triple.learn is LogitMode.DOT:
-            _, dH = loss_dot(state.predictor, H, rows, state.tape)
-        else:
-            _, dH = loss_current(state.predictor, scale, H, rows, state.tape)
+        ce, dH = loss_rows(state.predictor, method.scale(), alpha, H, rows, weights,
+                           state.tape)
         backward_batch(state.extractor, cache, dH, state.tape)
-        l_c, l_p = _joint_partials(state, method, scale, H, rows, n_cur)
-    else:
-        H_cur, cache_cur = forward_batch(state.extractor, x_batch)
-        l_c, dH_cur = _batch_loss(method.triple.learn, state, scale, H_cur, rows_cur)
-        backward_batch(state.extractor, cache_cur, dH_cur, state.tape)
-        l_p = 0.0
-        if replayed:
-            X_mem = np.stack([s.x for s in replayed])
-            rows_mem = _rows_for(state, np.array([s.y for s in replayed]))
-            H_mem, cache_mem = forward_batch(state.extractor, X_mem)
-            l_p, dH_mem = loss_replay(state.predictor, scale,
-                                      method.triple.replay.effective_alpha(),
-                                      H_mem, rows_mem, state.tape)
-            backward_batch(state.extractor, cache_mem, dH_mem, state.tape)
+        sgd_step(state.extractor, state.predictor, state.tape, method.lr)
 
-    l_total = l_c + l_p
-    sgd_step(state.extractor, state.predictor, state.tape, method.lr)
-
+    part = ce * weights
+    l_c = float(part[:n_cur].sum())
+    l_p = float(part[n_cur:].sum())
     if method.replay_enabled:
-        offered = [StoredSample(x_batch[i].copy(), int(y_batch[i]), state.stream_position + i)
-                   for i in range(len(y_batch))]
-        buffer_update(state.buffer, offered, rng)
+        buffer_update(buf, LabeledData(x_batch, y_batch), rng)
 
-    state.stream_position += len(y_batch)
-    state.consumed_in_stage += len(y_batch)
+    state.consumed_in_stage += n_cur
     state.step += 1
-    return StepRecord(l_c, l_p, l_total)
-
-
-def _joint_partials(state, method, scale, H, rows, n_cur):
-    from .logits import _ce_rows, cosine_logits_batch, dot_logits_batch  # local reuse
-
-    if method.triple.learn is LogitMode.DOT:
-        L = dot_logits_batch(state.predictor, H)
-    else:
-        L = cosine_logits_batch(state.predictor, H, scale)
-    ce = _ce_rows(L, rows)
-    total = len(rows)
-    l_c = float(ce[:n_cur].sum() / total)
-    l_p = float(ce[n_cur:].sum() / total)
-    return l_c, l_p
+    return StepRecord(l_c, l_p, l_c + l_p)
 
 
 def _pooled(parts: list[LabeledData]) -> LabeledData:
@@ -324,10 +314,10 @@ def _collect_stage_metrics(state: TrainState, stages: list[Stage], t: int,
     row = [accuracy(state, stages[j].test, mode, scale) for j in range(t)]
     prev_sets = [stages[j].test for j in range(t - 1)]
     acc_prev = accuracy(state, _pooled(prev_sets), mode, scale) if prev_sets else None
-    prev_rows = [state.label_to_row[c] for j in range(t - 1) for c in stages[j].class_set
-                 if c in state.label_to_row]
-    curr_rows = [state.label_to_row[c] for c in stages[t - 1].class_set
-                 if c in state.label_to_row]
+    label_to_row = state.label_to_row
+    prev_rows = [label_to_row[c] for j in range(t - 1) for c in stages[j].class_set
+                 if c in label_to_row]
+    curr_rows = [label_to_row[c] for c in stages[t - 1].class_set if c in label_to_row]
     diag = bias_diagnostics(state.predictor, prev_rows, curr_rows, state.stage_baseline)
     posterior = average_posterior(state, _pooled([stages[j].test for j in range(t)]),
                                   mode, scale)
@@ -359,7 +349,9 @@ def run_experiment(dataset: Dataset, method: MethodConfig, stream_cfg: StreamCon
 
     The seed fully determines initialization, stage partition, batch order,
     retrieval, and buffer replacement, so identical calls produce identical
-    results bit for bit.
+    results bit for bit. A step whose values go non-finite raises
+    FloatingPointError naming the stage and the step (1-based, counted
+    over the whole run).
     """
     rng = make_rng([int(seed), 1])
     stages = build_stages(dataset, stream_cfg, rng)
@@ -370,7 +362,11 @@ def run_experiment(dataset: Dataset, method: MethodConfig, stream_cfg: StreamCon
         state.stage_baseline = state.predictor.copy()
         state.consumed_in_stage = 0
         for x_b, y_b in iterate_batches(stage, stream_cfg, rng):
-            steps.append(train_step(state, x_b, y_b, method,
-                                    stream_cfg.batch_size_memory, rng))
+            try:
+                steps.append(train_step(state, x_b, y_b, method,
+                                        stream_cfg.batch_size_memory, rng))
+            except FloatingPointError as err:
+                raise FloatingPointError(
+                    f"stage {t}, step {state.step + 1}: {err}") from err
         metrics.append(_collect_stage_metrics(state, stages, t, method))
     return ExperimentResult(method=method.name, seed=int(seed), metrics=metrics, steps=steps)

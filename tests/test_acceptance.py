@@ -34,10 +34,10 @@ from uer.config import parse_config_text
 from uer.evaluation import posterior_group_means, read_metrics
 from uer.logits import (CosineScale, cosine_logits, cross_entropy, loss_current,
                         loss_dot, loss_replay, predictor_grad_cos, softmax)
-from uer.memory import MemoryBuffer, StoredSample, buffer_update
+from uer.memory import MemoryBuffer, buffer_update
 from uer.net import GradientTape, forward, forward_batch, backward_batch
 from uer.numeric import make_rng
-from uer.stream import StreamConfig
+from uer.stream import LabeledData, StreamConfig
 from uer.trainer import (er_method, run_experiment, triple_method, uer_a_method,
                          uer_method)
 
@@ -122,17 +122,16 @@ def test_criterion_3_reservoir_inclusion_uniformity(capsys):
     # lands the worst item at 0.0088 with the fit statistic far from the
     # 0.001 rejection line
     rng = make_rng(123)
-    # position tags are all that matter; payloads are shared zeros
-    payload = np.zeros(1)
-    samples = [StoredSample(payload, 0, i) for i in range(stream_n)]
+    # position tags are all that matter; payloads are zeros. The buffer
+    # tags sample i of a fresh stream with position i
+    samples = LabeledData(np.zeros((stream_n, 1)), np.zeros(stream_n, dtype=np.int64))
     counts = np.zeros(stream_n, dtype=np.int64)
     t0 = time.perf_counter()
     for _ in range(trials):
         buf = MemoryBuffer(capacity)
         for lo in range(0, stream_n, 50):
-            buffer_update(buf, samples[lo:lo + 50], rng)
-        for kept in buf.items:
-            counts[kept.stream_position] += 1
+            buffer_update(buf, LabeledData(samples.x[lo:lo + 50], samples.y[lo:lo + 50]), rng)
+        counts[buf.pos[:len(buf)]] += 1
     elapsed = time.perf_counter() - t0
 
     freq = counts / trials

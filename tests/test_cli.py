@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,26 @@ def test_sweep_alpha_bad_list(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path)
     assert main(["sweep-alpha", "--config", str(cfg_path), "--alpha", "0,x"]) == 1
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alphas", ["0.5,2", "nan", "0.5,-0.1", "inf"])
+def test_sweep_alpha_out_of_range_is_usage_error_before_training(tmp_path, capsys, alphas):
+    # the valid 0.5 must not train and write files before the bad value
+    cfg_path, out = write_config(tmp_path, UER_ONLY)
+    assert main(["sweep-alpha", "--config", str(cfg_path), "--alpha", alphas]) == 1
+    assert "alpha" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_run_divergence_names_stage_and_step(tmp_path, capsys):
+    # the tiny synthetic configs above do not diverge (their ReLUs die)
+    text = ("dataset.kind = split-gauss-10\nstream.stages = 5\nstream.classes_per_stage = 2\n"
+            "run.methods = uer\nrun.seeds = 0\nrun.out = {out}\n"
+            "method.uer.hidden = 16\nmethod.uer.lr = 100\n")
+    cfg_path, out = write_config(tmp_path, text)
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"FAILED uer seed 0: stage \d+, step \d+: .*non-finite", err), err
 
 
 # --------------------------------------------------------------- table1

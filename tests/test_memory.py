@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uer.memory import (MemoryBuffer, StoredSample, buffer_retrieve,
-                        buffer_update, load_buffer, save_buffer)
+from uer.memory import (MemoryBuffer, buffer_retrieve, buffer_update, load_buffer,
+                        save_buffer)
 from uer.numeric import make_rng
+from uer.stream import LabeledData
 
 
 def samples(n, start=0, dim=2):
-    return [StoredSample(np.full(dim, float(start + i)), (start + i) % 3, start + i)
-            for i in range(n)]
+    # sample i carries its stream position start + i in every feature;
+    # callers pass start = samples offered so far, the position the buffer
+    # assigns
+    pos = np.arange(start, start + n)
+    return LabeledData(np.repeat(pos[:, None].astype(float), dim, axis=1), pos % 3)
 
 
 def positions(buf):
-    return sorted(s.stream_position for s in buf.items)
+    return sorted(buf.pos[:len(buf)].tolist())
 
 
 # ------------------------------------------------------------- size law
@@ -48,7 +52,7 @@ def test_fill_exactly_then_replace_within_capacity():
     buffer_update(buf, samples(10, start=4), make_rng(1))
     assert len(buf) == 4
     assert buf.seen == 14
-    assert all(0 <= s.stream_position < 14 for s in buf.items)
+    assert all(0 <= p < 14 for p in buf.pos[:len(buf)])
 
 
 @given(
@@ -67,7 +71,7 @@ def test_size_law_under_fuzzed_batches(chunks, capacity, seed):
         assert len(buf) == min(offered, capacity)
         assert buf.seen == offered
         # no duplicate stream positions can ever exist in the buffer
-        assert len({s.stream_position for s in buf.items}) == len(buf)
+        assert len(set(buf.pos[:len(buf)].tolist())) == len(buf)
 
 
 def test_batched_updates_match_one_by_one_distribution():
@@ -77,8 +81,8 @@ def test_batched_updates_match_one_by_one_distribution():
         rng = make_rng(99)
         items = samples(12)
         if split:
-            for s in items:
-                buffer_update(buf, [s], rng)
+            for i in range(len(items)):
+                buffer_update(buf, LabeledData(items.x[i:i + 1], items.y[i:i + 1]), rng)
         else:
             buffer_update(buf, items, rng)
         return positions(buf)
@@ -99,7 +103,7 @@ def test_reservoir_inclusion_frequency_small():
     for _ in range(trials):
         buf = MemoryBuffer(capacity)
         buffer_update(buf, items, rng)
-        counts[[s.stream_position for s in buf.items]] += 1
+        counts[buf.pos[:len(buf)]] += 1
     freq = counts / trials
     # sigma = sqrt(.2 * .8 / 4000) ~ 0.0063; allow 4 sigma
     assert np.all(np.abs(freq - capacity / stream) < 0.026)
@@ -112,11 +116,11 @@ def test_retrieve_underfilled_returns_everything():
     buf = MemoryBuffer(10)
     buffer_update(buf, samples(3), make_rng(0))
     got = buffer_retrieve(buf, 10, make_rng(5))
-    assert sorted(s.stream_position for s in got) == [0, 1, 2]
+    assert sorted(buf.pos[got].tolist()) == [0, 1, 2]
 
 
 def test_retrieve_empty_buffer_gives_empty_list():
-    assert buffer_retrieve(MemoryBuffer(10), 5, make_rng(0)) == []
+    assert buffer_retrieve(MemoryBuffer(10), 5, make_rng(0)).tolist() == []
 
 
 def test_retrieve_rejects_negative_k():
@@ -131,7 +135,7 @@ def test_retrieve_no_duplicates_and_right_size(n, k, seed):
     buffer_update(buf, samples(n), make_rng(0))
     got = buffer_retrieve(buf, k, make_rng(seed))
     assert len(got) == min(k, n)
-    pos = [s.stream_position for s in got]
+    pos = buf.pos[got].tolist()
     assert len(set(pos)) == len(pos)
 
 
@@ -144,8 +148,8 @@ def test_retrieve_uniform_frequency():
     rng = make_rng(777)
     counts = np.zeros(1000)
     for _ in range(trials):
-        for s in buffer_retrieve(buf, 10, rng):
-            counts[s.stream_position] += 1
+        for i in buffer_retrieve(buf, 10, rng):
+            counts[buf.pos[i]] += 1
     freq = counts / trials
     assert np.all(np.abs(freq - 0.01) < 0.002)
 
@@ -163,9 +167,9 @@ def test_snapshot_round_trip(tmp_path):
     assert back.capacity == buf.capacity
     assert back.seen == buf.seen
     assert len(back) == len(buf)
-    for a, b in zip(buf.items, back.items):
-        assert a.x.tobytes() == b.x.tobytes()
-        assert a.y == b.y and a.stream_position == b.stream_position
+    for i in range(len(buf)):
+        assert buf.x[i].tobytes() == back.x[i].tobytes()
+        assert buf.y[i] == back.y[i] and buf.pos[i] == back.pos[i]
 
 
 def test_snapshot_round_trip_continues_identically(tmp_path):

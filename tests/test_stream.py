@@ -242,6 +242,15 @@ def test_csv_errors_carry_line_numbers(tmp_path):
         load_csv_dataset(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_csv_non_finite_feature_rejected_with_line(tmp_path, bad):
+    # blank lines count toward the reported line number
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"0,1.0,2.0\n\n1,3.0,4.0\n0,5.0,{bad}\n")
+    with pytest.raises(CsvFormatError, match=r"nonfinite\.csv:4: non-finite feature"):
+        load_csv_dataset(path)
+
+
 def test_csv_blank_lines_skipped(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("0,1.0\n\n  \n1,2.0\n")

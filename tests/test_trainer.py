@@ -326,3 +326,12 @@ def test_experiment_steps_counted(gauss_datasets):
     result = run_experiment(ds, uer_method(hidden_dims=(16,)), STREAM_5x2, 7)
     assert len(result.steps) == 500  # 5 stages x 1000 samples / batch 10
     assert result.method == "uer" and result.seed == 7
+
+
+def test_divergence_names_stage_and_step_without_warnings(gauss_datasets, recwarn):
+    # lr = 100 overflows in stage 2; the finiteness check still raises, now
+    # with the stage and step, and NumPy's overflow warnings stay silent
+    with pytest.raises(FloatingPointError, match=r"^stage \d+, step \d+: .*non-finite"):
+        run_experiment(gauss_datasets[0], uer_method(lr=100.0, hidden_dims=(16,)),
+                       STREAM_5x2, 0)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
