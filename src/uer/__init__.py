@@ -2,8 +2,9 @@
 
 from .config import ConfigError, DatasetSpec, ExperimentConfig, build_dataset, \
     parse_config, parse_config_text, serialize_config
-from .evaluation import StageMetrics, accuracy, average_accuracy, average_posterior, \
-    bias_diagnostics, posterior_group_means, read_metrics, write_metrics
+from .evaluation import StageMetrics, StageScores, accuracy, average_accuracy, \
+    average_posterior, bias_diagnostics, posterior_group_means, read_metrics, score_stages, \
+    write_metrics
 from .logits import CosineScale, LogitMode, PredictorParams, cosine_logits, cross_entropy, \
     dot_logits, loss_current, loss_dot, loss_replay, loss_rows, predict, predictor_grad_cos, \
     predictor_grad_dot, softmax

@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, build_dataset, parse_config
+from .config import ConfigError, DatasetSpec, ExperimentConfig, build_dataset, parse_config
 from .evaluation import posterior_group_means, write_metrics
+from .stream import Dataset
 from .trainer import ExperimentResult, TABLE1_GRID, run_experiment, triple_method, uer_method
 
 
@@ -55,6 +56,25 @@ def _seed_std(values: list[float]) -> float:
     return float(np.std(values, ddof=1))
 
 
+def _datasets(spec: DatasetSpec):
+    """build_dataset for one invocation's runs, as a function of the seed.
+
+    csv data does not depend on the seed, so the first csv Dataset that
+    builds is reused by every later run; a build that raises is not kept,
+    so each run still reports its own failure. Other kinds build per seed.
+    """
+    built: list[Dataset] = []
+
+    def dataset_for(seed: int) -> Dataset:
+        if built:
+            return built[0]
+        dataset = build_dataset(spec, seed)
+        if spec.kind == "csv":
+            built.append(dataset)
+        return dataset
+    return dataset_for
+
+
 def run_config(cfg: ExperimentConfig, echo=print) -> RunOutcome:
     """Run methods x seeds, write metrics files, and collect the summary.
 
@@ -65,14 +85,14 @@ def run_config(cfg: ExperimentConfig, echo=print) -> RunOutcome:
     methods_summary: dict = {}
     failures: list[str] = []
     results: dict = {}
+    dataset_for = _datasets(cfg.dataset)
     for method in cfg.methods:
         seeds = method.seeds if method.seeds is not None else cfg.seeds
         per_seed: dict = {}
         files: list[str] = []
         for seed in seeds:
             try:
-                dataset = build_dataset(cfg.dataset, seed)
-                result = run_experiment(dataset, method, cfg.stream, seed)
+                result = run_experiment(dataset_for(seed), method, cfg.stream, seed)
             except Exception as err:  # noqa: BLE001 - isolate per-run failures
                 failures.append(f"{method.name} seed {seed}: {err}")
                 echo(f"FAILED {method.name} seed {seed}: {err}", file=sys.stderr)
@@ -146,6 +166,7 @@ def cmd_sweep_alpha(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = base.seeds if base.seeds is not None else cfg.seeds
+    dataset_for = _datasets(cfg.dataset)
     for alpha in alphas:
         method = uer_method(alpha=alpha, name=f"uer_alpha{alpha:g}",
                             gamma=base.gamma, lr=base.lr,
@@ -153,8 +174,7 @@ def cmd_sweep_alpha(args) -> int:
                             hidden_dims=base.hidden_dims)
         finals, prevs, currs = [], [], []
         for seed in seeds:
-            dataset = build_dataset(cfg.dataset, seed)
-            result = run_experiment(dataset, method, cfg.stream, seed)
+            result = run_experiment(dataset_for(seed), method, cfg.stream, seed)
             write_metrics(out / f"{method.name}_seed{seed}.metrics.jsonl", result.metrics)
             last = result.metrics[-1]
             finals.append(last.average_accuracy)
@@ -193,19 +213,22 @@ def cmd_table1(args) -> int:
         cfg = parse_config_text(_TABLE1_CONFIG)
     cfg = _apply_flag_overrides(cfg, args)
     buffer = args.buffer if args.buffer is not None else 200
+    # the grid keeps the configured uer method's network and step settings
+    base = next((m for m in cfg.methods if m.name == "uer"), None) or uer_method()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = (f"{'learn':<8} {'replay':<8} {'test':<8} {'A_all':>7} {'A_prev':>7} "
               f"{'A_curr':>7} {'|W_p|':>7} {'|W_c|':>7} {'w_p':>7} {'w_c':>7} "
               f"{'b_p':>7} {'b_c':>7}")
     print(header)
+    dataset_for = _datasets(cfg.dataset)
     for learn, replay, test in TABLE1_GRID:
         name = f"{learn}-{replay}-{test}"
-        method = triple_method(name, learn, replay, test, buffer_capacity=buffer)
+        method = triple_method(name, learn, replay, test, buffer_capacity=buffer,
+                               gamma=base.gamma, lr=base.lr, hidden_dims=base.hidden_dims)
         cols = []
         for seed in cfg.seeds:
-            dataset = build_dataset(cfg.dataset, seed)
-            result = run_experiment(dataset, method, cfg.stream, seed)
+            result = run_experiment(dataset_for(seed), method, cfg.stream, seed)
             write_metrics(out / f"{name}_seed{seed}.metrics.jsonl", result.metrics)
             m = result.metrics[-1]
             cols.append([m.average_accuracy, m.acc_previous, m.acc_current,

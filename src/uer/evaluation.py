@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .logits import CosineScale, LogitMode, PredictorParams, predict_batch, softmax_rows, \
-    cosine_logits_batch, dot_logits_batch
+from .logits import CosineScale, LogitMode, PredictorParams, cosine_logits_batch, \
+    dot_logits_batch, softmax_rows
 from .net import forward_batch
 from .stream import LabeledData
 
@@ -67,14 +67,48 @@ def _scores(state, test: LabeledData, mode: LogitMode, scale: CosineScale) -> np
     return cosine_logits_batch(state.predictor, H, scale)
 
 
+@dataclass
+class StageScores:
+    """What one scoring pass over the test rows of stages 1..t yields."""
+    accuracy_row: list[float]  # one accuracy per stage, in stage order
+    acc_previous: float | None  # stages 1..t-1 pooled; None when t = 1
+    avg_posterior: np.ndarray  # mean softmax over every row, indexed in class_order
+
+
+def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
+                 scale: CosineScale) -> StageScores:
+    """Score the test rows of stages 1..t with one forward pass.
+
+    test holds the stages' rows in stage order and ends[j] is the offset
+    where stage j+1's rows end, so ends[-1] == len(test). One score matrix
+    S gives the accuracy of each stage's slice of argmax(S), the accuracy
+    of every row before the last stage, and softmax_rows(S).mean(axis=0).
+    Every stage must hold at least one row.
+    """
+    ends = np.asarray(ends, dtype=np.int64)
+    if ends.ndim != 1 or not len(ends) or ends[-1] != len(test):
+        raise ValueError(f"stage ends {ends.tolist()} do not end at the "
+                         f"{len(test)} test rows")
+    starts = np.concatenate([[0], ends[:-1]])
+    if np.any(ends <= starts):
+        empty = int(np.argmax(ends <= starts)) + 1
+        raise ValueError(f"accuracy over an empty test set (stage {empty})")
+    if state.predictor.num_classes == 0:
+        raise ValueError("predict with no registered classes")
+    S = _scores(state, test, mode, scale)
+    labels = np.asarray(state.class_order, dtype=np.int64)[np.argmax(S, axis=1)]
+    # hits[i] counts the correct rows among the first i
+    hits = np.concatenate([[0], np.cumsum(labels == test.y)])
+    row = (hits[ends] - hits[starts]) / (ends - starts)
+    prev = int(starts[-1])
+    return StageScores(accuracy_row=row.tolist(),
+                       acc_previous=float(hits[prev] / prev) if prev else None,
+                       avg_posterior=softmax_rows(S).mean(axis=0))
+
+
 def accuracy(state, test: LabeledData, mode: LogitMode, scale: CosineScale) -> float:
     """Fraction of test samples whose argmax class matches the label."""
-    if len(test) == 0:
-        raise ValueError("accuracy over an empty test set")
-    H, _ = forward_batch(state.extractor, test.x)
-    rows = predict_batch(state.predictor, H, mode, scale)
-    labels = np.asarray(state.class_order, dtype=np.int64)[rows]
-    return float(np.mean(labels == test.y))
+    return score_stages(state, test, [len(test)], mode, scale).accuracy_row[0]
 
 
 def average_accuracy(row: Sequence[float]) -> float:
@@ -86,8 +120,7 @@ def average_accuracy(row: Sequence[float]) -> float:
 
 def average_posterior(state, test: LabeledData, mode: LogitMode, scale: CosineScale) -> np.ndarray:
     """Mean softmax vector over the test samples, indexed in class_order."""
-    P = softmax_rows(_scores(state, test, mode, scale))
-    return P.mean(axis=0)
+    return score_stages(state, test, [len(test)], mode, scale).avg_posterior
 
 
 def bias_diagnostics(predictor: PredictorParams, prev_rows: Sequence[int],

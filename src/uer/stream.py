@@ -92,7 +92,11 @@ class SyntheticSpec:
 
 
 def build_stages(dataset: Dataset, cfg: StreamConfig, rng: Rng) -> list[Stage]:
-    """Shuffle class ids, partition them, and slice the dataset per stage."""
+    """Shuffle class ids, partition them, and slice the dataset per stage.
+
+    A stage whose classes have no test rows is rejected here, before any
+    training: its accuracy would be undefined.
+    """
     total = cfg.stages * cfg.classes_per_stage
     if total != dataset.num_classes:
         raise ValueError(f"{cfg.stages} stages x {cfg.classes_per_stage} classes "
@@ -105,6 +109,9 @@ def build_stages(dataset: Dataset, cfg: StreamConfig, rng: Rng) -> list[Stage]:
                                                 (t + 1) * cfg.classes_per_stage])
         tr = np.isin(dataset.train.y, class_set)
         te = np.isin(dataset.test.y, class_set)
+        if not te.any():
+            raise ValueError(f"stage {t + 1} (classes {', '.join(map(str, class_set))}) "
+                             f"has no test rows")
         stages.append(Stage(
             index=t + 1,
             class_set=class_set,

@@ -35,11 +35,11 @@ from functools import lru_cache
 
 import numpy as np
 
+# accuracy, average_posterior, loss_current, loss_dot and loss_replay are
+# not called here: they stay importable from this module because the
+# perfbench span tracer wraps them by this module's name
 from .evaluation import StageMetrics, accuracy, average_accuracy, average_posterior, \
-    bias_diagnostics
-# loss_current, loss_dot and loss_replay are not called here: they stay
-# importable from this module because the perfbench span tracer wraps
-# them by this module's name
+    bias_diagnostics, score_stages  # noqa: F401
 from .logits import CosineScale, LogitMode, PredictorParams, loss_current, loss_dot, \
     loss_replay, loss_rows  # noqa: F401
 from .memory import MemoryBuffer, buffer_retrieve, buffer_update
@@ -302,32 +302,26 @@ def train_step(state: TrainState, x_batch: np.ndarray, y_batch: np.ndarray,
     return StepRecord(l_c, l_p, l_c + l_p)
 
 
-def _pooled(parts: list[LabeledData]) -> LabeledData:
-    return LabeledData(np.concatenate([p.x for p in parts]),
-                       np.concatenate([p.y for p in parts]))
-
-
 def _collect_stage_metrics(state: TrainState, stages: list[Stage], t: int,
-                           method: MethodConfig) -> StageMetrics:
-    scale = method.scale()
-    mode = method.triple.test
-    row = [accuracy(state, stages[j].test, mode, scale) for j in range(t)]
-    prev_sets = [stages[j].test for j in range(t - 1)]
-    acc_prev = accuracy(state, _pooled(prev_sets), mode, scale) if prev_sets else None
+                           method: MethodConfig, test: LabeledData,
+                           ends: np.ndarray) -> StageMetrics:
+    """Metrics after stage t; test holds every stage's test rows in stage
+    order and ends[j] is where stage j+1's rows end."""
+    seen = LabeledData(test.x[:ends[t - 1]], test.y[:ends[t - 1]])
+    scores = score_stages(state, seen, ends[:t], method.triple.test, method.scale())
+    row = scores.accuracy_row
     label_to_row = state.label_to_row
     prev_rows = [label_to_row[c] for j in range(t - 1) for c in stages[j].class_set
                  if c in label_to_row]
     curr_rows = [label_to_row[c] for c in stages[t - 1].class_set if c in label_to_row]
     diag = bias_diagnostics(state.predictor, prev_rows, curr_rows, state.stage_baseline)
-    posterior = average_posterior(state, _pooled([stages[j].test for j in range(t)]),
-                                  mode, scale)
     return StageMetrics(
         stage=t,
         class_order=list(state.class_order),
         current_classes=[int(c) for c in stages[t - 1].class_set],
         accuracy_row=row,
         average_accuracy=average_accuracy(row),
-        acc_previous=acc_prev,
+        acc_previous=scores.acc_previous,
         acc_current=row[-1],
         norm_prev=diag.norm_prev,
         norm_curr=diag.norm_curr,
@@ -338,7 +332,7 @@ def _collect_stage_metrics(state: TrainState, stages: list[Stage], t: int,
         mean_b_prev=diag.mean_b_prev,
         mean_b_curr=diag.mean_b_curr,
         accumulated_param_change=diag.accumulated_param_change,
-        avg_posterior=[float(v) for v in posterior],
+        avg_posterior=scores.avg_posterior.tolist(),
         consumed_samples=state.consumed_in_stage,
     )
 
@@ -355,6 +349,9 @@ def run_experiment(dataset: Dataset, method: MethodConfig, stream_cfg: StreamCon
     """
     rng = make_rng([int(seed), 1])
     stages = build_stages(dataset, stream_cfg, rng)
+    test = LabeledData(np.concatenate([s.test.x for s in stages]),
+                       np.concatenate([s.test.y for s in stages]))
+    ends = np.cumsum([len(s.test) for s in stages])
     state = init_state(method, dataset.input_dim, rng)
     metrics: list[StageMetrics] = []
     steps: list[StepRecord] = []
@@ -368,5 +365,5 @@ def run_experiment(dataset: Dataset, method: MethodConfig, stream_cfg: StreamCon
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"stage {t}, step {state.step + 1}: {err}") from err
-        metrics.append(_collect_stage_metrics(state, stages, t, method))
+        metrics.append(_collect_stage_metrics(state, stages, t, method, test, ends))
     return ExperimentResult(method=method.name, seed=int(seed), metrics=metrics, steps=steps)

@@ -8,12 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import uer
+import uer.cli
+import uer.config
 from uer.cli import _apply_flag_overrides, build_parser, main, run_config
 from uer.config import build_dataset, parse_config_text
 from uer.evaluation import read_metrics, stage_metrics_to_dict
+from uer.stream import LabeledData, save_csv_dataset
 from uer.trainer import TABLE1_GRID, run_experiment, triple_method
 
 SMALL = """\
@@ -46,6 +50,49 @@ run.out = {out}
 method.uer.hidden = 8
 method.uer.buffer = 50
 """
+
+
+CSV = """\
+dataset.kind = csv
+dataset.train_csv = {data}/train.csv
+dataset.test_csv = {data}/test.csv
+stream.stages = {stages}
+stream.classes_per_stage = {per_stage}
+run.methods = {methods}
+run.seeds = {seeds}
+run.out = {out}
+"""
+
+
+def write_csv_config(tmp_path, methods="uer,er", seeds="0,1", stages=2, name="csv.cfg",
+                     test_classes=(0, 1, 2, 3)):
+    """Four classes in 3 dimensions, 20 train and 5 test rows per class;
+    the test file holds only test_classes."""
+    rng = np.random.default_rng(5)
+    means = 3.0 * rng.standard_normal((4, 3))
+    for file, per_class, classes in (("train.csv", 20, range(4)),
+                                     ("test.csv", 5, test_classes)):
+        y = np.repeat(list(classes), per_class)
+        save_csv_dataset(tmp_path / file, LabeledData(means[y] + rng.standard_normal((len(y), 3)), y))
+    out = tmp_path / f"{name}.out"
+    path = tmp_path / name
+    path.write_text(CSV.format(data=tmp_path, stages=stages, per_stage=4 // stages,
+                               methods=methods, seeds=seeds, out=out)
+                    + "".join(f"method.{m}.hidden = 8\nmethod.{m}.buffer = 50\n"
+                              for m in methods.split(",")))
+    return path, out
+
+
+def count_calls(monkeypatch, module, attr):
+    """Wrap module.attr so every call is counted; returns the count list."""
+    calls = []
+    original = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def write_config(tmp_path, text=SMALL, name="exp.cfg"):
@@ -102,6 +149,65 @@ def test_run_failure_exit_code(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["methods"]["uer"]["mean"] is None
     assert summary["methods"]["uer"]["per_seed"] == {}
+
+
+def test_stage_without_test_rows_fails_before_training(tmp_path, capsys, monkeypatch):
+    # 4 stages x 1 class; the test file has no rows of class 2
+    cfg_path, out = write_csv_config(tmp_path, stages=4, test_classes=(0, 1, 3))
+    steps = count_calls(monkeypatch, uer.trainer, "train_step")
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    failed = [line for line in err.splitlines() if line.startswith("FAILED")]
+    assert len(failed) == 4, err
+    for line in failed:
+        assert re.search(r": stage \d \(classes 2\) has no test rows$", line), line
+    assert steps == []
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
+# ------------------------------------------------------------- csv reuse
+
+
+def test_csv_runs_in_one_invocation_match_separate_invocations(tmp_path):
+    cfg_path, out = write_csv_config(tmp_path)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    for method in ("uer", "er"):
+        for seed in (0, 1):
+            alone, alone_out = write_csv_config(tmp_path, methods=method, seeds=str(seed),
+                                                name=f"{method}{seed}.cfg")
+            assert main(["run", "--config", str(alone)]) == 0
+            name = f"{method}_seed{seed}.metrics.jsonl"
+            assert (out / name).read_bytes() == (alone_out / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep-alpha", "--alpha", "0,1"],
+                                     ["table1"]])
+def test_csv_input_is_parsed_once_per_invocation(tmp_path, monkeypatch, command):
+    cfg_path, _ = write_csv_config(tmp_path)
+    loads = count_calls(monkeypatch, uer.config, "load_csv_dataset")
+    assert main([command[0], "--config", str(cfg_path), *command[1:]]) == 0
+    assert [Path(args[0]).name for args in loads] == ["train.csv", "test.csv"]
+
+
+def test_synthetic_data_is_built_per_run(tmp_path, monkeypatch):
+    # synthetic data depends on the seed, so it is never reused
+    cfg_path, _ = write_config(tmp_path)
+    builds = count_calls(monkeypatch, uer.cli, "build_dataset")
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert [args[1] for args in builds] == [0, 1, 0, 1]
+
+
+def test_malformed_csv_fails_every_run(tmp_path, capsys, monkeypatch):
+    cfg_path, out = write_csv_config(tmp_path)
+    with open(tmp_path / "train.csv", "a", encoding="utf-8") as fh:
+        fh.write("1,0.5,oops,0.5\n")
+    loads = count_calls(monkeypatch, uer.config, "load_csv_dataset")
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("FAILED")]
+    assert len(failed) == 4
+    assert all("train.csv:81: invalid feature value" in line for line in failed)
+    assert len(loads) == 4  # a failed parse is not reused
 
 
 def test_run_config_collects_results(tmp_path):
@@ -222,6 +328,19 @@ def test_table1_prints_grid(tmp_path, capsys):
     for learn, replay, test in TABLE1_GRID:
         name = f"{learn}-{replay}-{test}"
         assert (out / f"{name}_seed0.metrics.jsonl").exists()
+
+
+def test_table1_uses_configured_uer_settings(tmp_path, monkeypatch, capsys):
+    text = UER_ONLY.replace("method.uer.hidden = 8", "method.uer.hidden = 5,3") \
+        + "method.uer.lr = 0.05\nmethod.uer.gamma = 4.0\n"
+    cfg_path, _ = write_config(tmp_path, text)
+    runs = count_calls(monkeypatch, uer.cli, "run_experiment")
+    assert main(["table1", "--config", str(cfg_path), "--buffer", "30"]) == 0
+    capsys.readouterr()
+    methods = [args[1] for args in runs]
+    assert [m.name for m in methods] == ["-".join(row) for row in TABLE1_GRID]
+    for m in methods:
+        assert (m.hidden_dims, m.lr, m.gamma, m.buffer_capacity) == ((5, 3), 0.05, 4.0, 30)
 
 
 # ----------------------------------------------------------------- diag

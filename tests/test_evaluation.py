@@ -8,7 +8,7 @@ import pytest
 
 from uer.evaluation import (StageMetrics, accuracy, average_accuracy,
                             average_posterior, bias_diagnostics,
-                            posterior_group_means, read_metrics,
+                            posterior_group_means, read_metrics, score_stages,
                             stage_metrics_to_dict, write_metrics)
 from uer.logits import CosineScale, LogitMode, PredictorParams
 from uer.net import FeatureExtractor, LayerParams
@@ -125,6 +125,35 @@ def test_average_posterior_sums_to_one():
         post = average_posterior(state, data, mode, SCALE)
         assert post.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(post > 0.0)
+
+
+# ------------------------------------------------- one-pass stage scoring
+
+
+def test_score_stages_slices_one_score_matrix_per_stage():
+    # scorer row 0 (label 5) wins for x[0] > x[1], row 1 (label 2) otherwise
+    state = FrozenState(np.eye(2), [0.0, 0.0], class_order=[5, 2])
+    x = np.array([[1.0, 0.0], [0.0, 1.0],                # stage 1: right, wrong
+                  [0.0, 2.0],                            # stage 2: right
+                  [3.0, 0.0], [3.0, 0.0], [0.0, 3.0]])   # stage 3: right, wrong, right
+    y = np.array([5, 5, 2, 5, 2, 2])
+    scores = score_stages(state, LabeledData(x, y), [2, 3, 6], LogitMode.DOT, SCALE)
+    assert scores.accuracy_row == [0.5, 1.0, 2 / 3]
+    assert scores.acc_previous == 2 / 3  # the first 3 rows
+    expected = average_posterior(state, LabeledData(x, y), LogitMode.DOT, SCALE)
+    assert scores.avg_posterior.tobytes() == expected.tobytes()
+    single = score_stages(state, LabeledData(x, y), [6], LogitMode.DOT, SCALE)
+    assert single.accuracy_row == [4 / 6] and single.acc_previous is None
+
+
+def test_score_stages_rejects_empty_stage_and_bad_ends():
+    state = FrozenState(np.eye(2), [0.0, 0.0])
+    data = LabeledData(np.eye(2), np.array([0, 1]))
+    with pytest.raises(ValueError, match="empty test set .stage 2"):
+        score_stages(state, data, [1, 1, 2], LogitMode.DOT, SCALE)
+    for ends in ([1], [1, 3], []):
+        with pytest.raises(ValueError, match="do not end"):
+            score_stages(state, data, ends, LogitMode.DOT, SCALE)
 
 
 def test_posterior_group_means_per_class_average():

@@ -67,6 +67,17 @@ def test_build_stages_rejects_class_mismatch():
         build_stages(ds, StreamConfig(stages=5, classes_per_stage=2), make_rng(0))
 
 
+def test_build_stages_rejects_stage_without_test_rows():
+    ds = toy_dataset(classes=4)
+    keep = ds.test.y != 3
+    ds.test = LabeledData(ds.test.x[keep], ds.test.y[keep])
+    cfg = StreamConfig(stages=4, classes_per_stage=1, shuffle_seed=0)
+    stage = 1 + [s.class_set for s in build_stages(toy_dataset(classes=4), cfg,
+                                                    make_rng(0))].index((3,))
+    with pytest.raises(ValueError, match=rf"^stage {stage} \(classes 3\) has no test rows$"):
+        build_stages(ds, cfg, make_rng(0))
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_stage_class_sets_always_disjoint(seed):
