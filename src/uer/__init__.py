@@ -11,11 +11,11 @@ from .logits import CosineScale, LogitMode, PredictorParams, cosine_logits, cros
 from .memory import MemoryBuffer, buffer_retrieve, buffer_update, load_buffer, save_buffer
 from .net import FeatureExtractor, GradientTape, LayerParams, backward, forward, \
     init_extractor, load_checkpoint, save_checkpoint, sgd_step
-from .numeric import Rng, ShapeError, l2_norm, make_rng, matvec, rng_uniform
-from .stream import Dataset, LabeledData, Stage, StreamConfig, SyntheticSpec, build_stages, \
-    gen_synthetic, iterate_batches, load_csv_dataset, split_gauss_10
-from .trainer import ExperimentResult, LogitTriple, MethodConfig, ReplayRule, TrainState, \
-    er_method, finetune_method, lucir_method, register_classes, run_experiment, \
-    train_step, triple_method, uer_a_method, uer_method
+from .numeric import NonFiniteError, Rng, ShapeError, l2_norm, make_rng, matvec, rng_uniform
+from .stream import Dataset, LabeledData, Stage, StageRows, StreamConfig, SyntheticSpec, \
+    build_stages, gen_synthetic, iterate_batches, load_csv_dataset, split_gauss_10, split_stages
+from .trainer import ExperimentResult, LogitTriple, MethodConfig, ReplayRule, SeedGroup, \
+    TrainState, er_method, finetune_method, lucir_method, register_classes, run_experiment, \
+    run_seed_group, train_step, triple_method, uer_a_method, uer_method
 
 __version__ = "0.1.0"

@@ -8,9 +8,11 @@ Subcommands:
     diag         per-stage bias diagnostics for the configured methods
 
 Exit codes: 0 success, 1 bad configuration or flags, 2 at least one run
-failed. Per-run metrics land in "<out>/<method>_seed<seed>.metrics.jsonl"
-with a "summary.json" next to them; reruns with the same config and seeds
-reproduce every output byte.
+failed. Every subcommand trains each method's seeds in lockstep as one
+seed group (run_grid); a failed run prints one "FAILED <method> seed <s>:
+<error>" line and the others go on. Per-run metrics land in
+"<out>/<method>_seed<seed>.metrics.jsonl" with a "summary.json" next to
+them; reruns with the same config and seeds reproduce every output byte.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ import numpy as np
 from .config import ConfigError, DatasetSpec, ExperimentConfig, build_dataset, parse_config
 from .evaluation import posterior_group_means, write_metrics
 from .stream import Dataset
-from .trainer import ExperimentResult, TABLE1_GRID, run_experiment, triple_method, uer_method
+# run_experiment is not called here: it stays importable from this module
+# because the perfbench span tracer wraps it by this module's name
+from .trainer import ExperimentResult, TABLE1_GRID, run_experiment, run_seed_group, \
+    triple_method, uer_method  # noqa: F401
 
 
 @dataclass
@@ -75,39 +80,55 @@ def _datasets(spec: DatasetSpec):
     return dataset_for
 
 
+def _metrics_path(out: Path, name: str, seed: int) -> Path:
+    return out / f"{name}_seed{seed}.metrics.jsonl"
+
+
+def run_grid(cfg: ExperimentConfig, jobs, echo=print):
+    """Train each (method, seeds) job as one seed group, in job order.
+
+    Writes every passing run's metrics file and prints one FAILED line per
+    failed run; yields (method, passing results, failure texts) per job,
+    results in seed order.
+    """
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    dataset_for = _datasets(cfg.dataset)
+    for method, seeds in jobs:
+        passed, failed = [], []
+        for seed, outcome in zip(seeds, run_seed_group(dataset_for, method, cfg.stream, seeds)):
+            if isinstance(outcome, Exception):
+                failed.append(f"{method.name} seed {seed}: {outcome}")
+                echo(f"FAILED {failed[-1]}", file=sys.stderr)
+            else:
+                write_metrics(_metrics_path(out, method.name, seed), outcome.metrics)
+                passed.append(outcome)
+        yield method, passed, failed
+
+
+def _mean_or_nan(values) -> float:
+    return float(np.mean([float("nan") if v is None else v for v in values]))
+
+
 def run_config(cfg: ExperimentConfig, echo=print) -> RunOutcome:
     """Run methods x seeds, write metrics files, and collect the summary.
 
     A failing run is reported and skipped; the remaining runs still go.
     """
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     methods_summary: dict = {}
     failures: list[str] = []
     results: dict = {}
-    dataset_for = _datasets(cfg.dataset)
-    for method in cfg.methods:
-        seeds = method.seeds if method.seeds is not None else cfg.seeds
-        per_seed: dict = {}
-        files: list[str] = []
-        for seed in seeds:
-            try:
-                result = run_experiment(dataset_for(seed), method, cfg.stream, seed)
-            except Exception as err:  # noqa: BLE001 - isolate per-run failures
-                failures.append(f"{method.name} seed {seed}: {err}")
-                echo(f"FAILED {method.name} seed {seed}: {err}", file=sys.stderr)
-                continue
-            path = out / f"{method.name}_seed{seed}.metrics.jsonl"
-            write_metrics(path, result.metrics)
-            results[(method.name, int(seed))] = result
-            per_seed[str(seed)] = _final_accuracy(result)
-            files.append(str(path))
-        values = list(per_seed.values())
+    jobs = [(m, m.seeds if m.seeds is not None else cfg.seeds) for m in cfg.methods]
+    for method, passed, failed in run_grid(cfg, jobs, echo):
+        failures += failed
+        results.update(((method.name, r.seed), r) for r in passed)
+        values = [_final_accuracy(r) for r in passed]
         methods_summary[method.name] = {
-            "per_seed": per_seed,
+            "per_seed": {str(r.seed): a for r, a in zip(passed, values)},
             "mean": float(np.mean(values)) if values else None,
             "std": _seed_std(values),
-            "files": files,
+            "files": [str(_metrics_path(out, method.name, r.seed)) for r in passed],
         }
     summary = RunSummary(methods=methods_summary)
     with open(out / "summary.json", "wb") as fh:
@@ -162,37 +183,29 @@ def cmd_sweep_alpha(args) -> int:
     if base is None:
         raise ConfigError("sweep-alpha needs the uer method in run.methods")
     alphas = _parse_alphas(args.alpha)
-    rows = []
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     seeds = base.seeds if base.seeds is not None else cfg.seeds
-    dataset_for = _datasets(cfg.dataset)
-    for alpha in alphas:
-        method = uer_method(alpha=alpha, name=f"uer_alpha{alpha:g}",
-                            gamma=base.gamma, lr=base.lr,
-                            buffer_capacity=base.buffer_capacity,
-                            hidden_dims=base.hidden_dims)
-        finals, prevs, currs = [], [], []
-        for seed in seeds:
-            result = run_experiment(dataset_for(seed), method, cfg.stream, seed)
-            write_metrics(out / f"{method.name}_seed{seed}.metrics.jsonl", result.metrics)
-            last = result.metrics[-1]
-            finals.append(last.average_accuracy)
-            prevs.append(last.acc_previous if last.acc_previous is not None else float("nan"))
-            currs.append(last.acc_current)
-        rows.append({
-            "alpha": alpha,
-            "mean_average_accuracy": float(np.mean(finals)),
-            "mean_acc_previous": float(np.mean(prevs)),
-            "mean_acc_current": float(np.mean(currs)),
-        })
-    with open(out / "alpha_sweep.json", "wb") as fh:
+    jobs = [(uer_method(alpha=alpha, name=f"uer_alpha{alpha:g}", gamma=base.gamma, lr=base.lr,
+                        buffer_capacity=base.buffer_capacity, hidden_dims=base.hidden_dims),
+             seeds) for alpha in alphas]
+    rows, failures = [], []
+    # a row averages the runs that passed; an alpha with none has no row
+    for alpha, (_, passed, failed) in zip(alphas, run_grid(cfg, jobs)):
+        failures += failed
+        last = [r.metrics[-1] for r in passed]
+        if last:
+            rows.append({
+                "alpha": alpha,
+                "mean_average_accuracy": _mean_or_nan(m.average_accuracy for m in last),
+                "mean_acc_previous": _mean_or_nan(m.acc_previous for m in last),
+                "mean_acc_current": _mean_or_nan(m.acc_current for m in last),
+            })
+    with open(Path(cfg.out_dir) / "alpha_sweep.json", "wb") as fh:
         fh.write((json.dumps(rows, indent=2) + "\n").encode("utf-8"))
     print(f"{'alpha':>6} {'A':>8} {'prev':>8} {'curr':>8}")
     for r in rows:
         print(f"{r['alpha']:>6g} {r['mean_average_accuracy']:>8.4f} "
               f"{r['mean_acc_previous']:>8.4f} {r['mean_acc_current']:>8.4f}")
-    return 0
+    return 2 if failures else 0
 
 
 _TABLE1_CONFIG = """
@@ -215,28 +228,26 @@ def cmd_table1(args) -> int:
     buffer = args.buffer if args.buffer is not None else 200
     # the grid keeps the configured uer method's network and step settings
     base = next((m for m in cfg.methods if m.name == "uer"), None) or uer_method()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     header = (f"{'learn':<8} {'replay':<8} {'test':<8} {'A_all':>7} {'A_prev':>7} "
               f"{'A_curr':>7} {'|W_p|':>7} {'|W_c|':>7} {'w_p':>7} {'w_c':>7} "
               f"{'b_p':>7} {'b_c':>7}")
     print(header)
-    dataset_for = _datasets(cfg.dataset)
-    for learn, replay, test in TABLE1_GRID:
-        name = f"{learn}-{replay}-{test}"
-        method = triple_method(name, learn, replay, test, buffer_capacity=buffer,
-                               gamma=base.gamma, lr=base.lr, hidden_dims=base.hidden_dims)
-        cols = []
-        for seed in cfg.seeds:
-            result = run_experiment(dataset_for(seed), method, cfg.stream, seed)
-            write_metrics(out / f"{name}_seed{seed}.metrics.jsonl", result.metrics)
-            m = result.metrics[-1]
-            cols.append([m.average_accuracy, m.acc_previous, m.acc_current,
-                         m.norm_prev, m.norm_curr, m.mean_w_prev, m.mean_w_curr,
-                         m.mean_b_prev, m.mean_b_curr])
+    jobs = [(triple_method(f"{learn}-{replay}-{test}", learn, replay, test,
+                           buffer_capacity=buffer, gamma=base.gamma, lr=base.lr,
+                           hidden_dims=base.hidden_dims), cfg.seeds)
+            for learn, replay, test in TABLE1_GRID]
+    failures = []
+    # a row averages the runs that passed; a triple with none has no row
+    for (learn, replay, test), (_, passed, failed) in zip(TABLE1_GRID, run_grid(cfg, jobs)):
+        failures += failed
+        if not passed:
+            continue
+        cols = [[m.average_accuracy, m.acc_previous, m.acc_current, m.norm_prev, m.norm_curr,
+                 m.mean_w_prev, m.mean_w_curr, m.mean_b_prev, m.mean_b_curr]
+                for m in (r.metrics[-1] for r in passed)]
         mean = np.mean(np.asarray(cols, dtype=np.float64), axis=0)
         print(f"{learn:<8} {replay:<8} {test:<8} " + " ".join(f"{v:>7.3f}" for v in mean))
-    return 0
+    return 2 if failures else 0
 
 
 def cmd_diag(args) -> int:

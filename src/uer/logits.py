@@ -19,13 +19,16 @@ cross-entropies per sample with a per-row weight alpha:
 Both scores come from one product S = H W^T. The endpoints alpha in {0, 1}
 reduce bitwise to the pure losses because a branch no row weights is
 skipped rather than multiplied by zero. loss_dot, loss_current and
-loss_replay are its batch-mean forms.
+loss_replay are its batch-mean forms. Like the network, loss_rows accepts
+a predictor and features stacked on a leading seed axis and computes each
+seed's slice exactly as the 2-d call would.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,7 +53,8 @@ class CosineScale:
 
 @dataclass
 class PredictorParams:
-    """Append-only class rows: W is (classes, dim), b is (classes,)."""
+    """Append-only class rows: W is (classes, dim), b is (classes,); stacked
+    over seeds, W is (seeds, classes, dim) and b (seeds, classes)."""
 
     W: np.ndarray
     b: np.ndarray
@@ -58,10 +62,11 @@ class PredictorParams:
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64)
-        if self.W.ndim != 2 or self.b.ndim != 1:
-            raise ShapeError(f"predictor wants 2-d W and 1-d b, got {self.W.shape}, {self.b.shape}")
-        if self.W.shape[0] != self.b.shape[0]:
-            raise ShapeError(f"W has {self.W.shape[0]} rows but b has {self.b.shape[0]}")
+        if self.W.ndim not in (2, 3) or self.b.ndim != self.W.ndim - 1:
+            raise ShapeError(f"predictor wants 2-d W and 1-d b (or both with a seed axis), "
+                             f"got {self.W.shape}, {self.b.shape}")
+        if self.W.shape[:-1] != self.b.shape:
+            raise ShapeError(f"W has {self.W.shape[-2]} rows but b has {self.b.shape[-1]}")
 
     @classmethod
     def empty(cls, dim: int) -> "PredictorParams":
@@ -69,11 +74,11 @@ class PredictorParams:
 
     @property
     def num_classes(self) -> int:
-        return self.W.shape[0]
+        return self.W.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.W.shape[1]
+        return self.W.shape[-1]
 
     def add_class(self, row: np.ndarray, bias: float = 0.0) -> int:
         row = as_vector(row)
@@ -172,24 +177,33 @@ def predictor_grad_cos(pp: PredictorParams, p: np.ndarray, h: np.ndarray,
 def _batch_targets(pp: PredictorParams, H: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     H = np.asarray(H, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
-    if H.ndim != 2 or H.shape[0] == 0:
+    if H.ndim != pp.W.ndim or H.shape[-2] == 0 or H.shape[:-2] != pp.W.shape[:-2]:
         raise ValueError(f"expected a non-empty (batch, dim) feature block, got shape {H.shape}")
-    if rows.shape != (H.shape[0],):
-        raise ShapeError(f"{H.shape[0]} samples but {rows.shape} labels")
-    if H.shape[1] != pp.dim:
-        raise ShapeError(f"feature dim {H.shape[1]} does not match predictor dim {pp.dim}")
+    if rows.shape != H.shape[:-1]:
+        raise ShapeError(f"{H.shape[-2]} samples but {rows.shape} labels")
+    if H.shape[-1] != pp.dim:
+        raise ShapeError(f"feature dim {H.shape[-1]} does not match predictor dim {pp.dim}")
     if rows.size and (rows.min() < 0 or rows.max() >= pp.num_classes):
         raise IndexError("label row outside registered classes")
     return H, rows
 
 
+@lru_cache(maxsize=64)
+def _grid(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Broadcasting index arrays over every axis of a (..., batch) block."""
+    grid = np.indices(shape, sparse=True)
+    for g in grid:
+        g.flags.writeable = False
+    return tuple(grid)
+
+
 def _softmax_ce(L: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
     """Row softmax of L (the arithmetic of softmax_rows) and the stable
     cross-entropy -log softmax at the picked entries, sharing one exp."""
-    m = L.max(axis=1, keepdims=True)
+    m = L.max(axis=-1, keepdims=True)
     E = np.exp(L - m)
-    s = E.sum(axis=1, keepdims=True)
-    ce = (m[:, 0] + np.log(s[:, 0])) - L[pick]
+    s = E.sum(axis=-1, keepdims=True)
+    ce = (m[..., 0] + np.log(s[..., 0])) - L[pick]
     return E / s, ce
 
 
@@ -216,36 +230,41 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     runs only if some row weights it (some alpha > 0 for dot, some
     alpha < 1 for cosine), so all-one or all-zero alpha give the pure
     losses exactly.
+
+    With a predictor stacked over seeds, H is (seeds, batch, dim) and rows
+    (seeds, batch); alpha and weights are shared by every seed, and the
+    per-row results come back as (seeds, batch).
     """
     H, rows = _batch_targets(pp, H, rows)
-    n = rows.shape[0]
+    n = rows.shape[-1]
     a = _per_row(alpha, n, "alpha")
     lo, hi = a.min(), a.max()
     if not (0.0 <= lo and hi <= 1.0):
         raise ValueError(f"alpha out of [0,1]: {alpha}")
     use_dot, use_cos = hi > 0.0, lo < 1.0
-    pick = (np.arange(n), rows)
-    S = H @ pp.W.T
+    pick = (*_grid(rows.shape), rows)
+    S = H @ pp.W.swapaxes(-1, -2)
     if use_dot:
-        Pd, ce = _softmax_ce(S + pp.b, pick)
+        Pd, ce = _softmax_ce(S + pp.b[..., None, :], pick)
     if use_cos:
         if scale is None:
             raise ValueError("cosine scoring needs a CosineScale")
         # row norms as np.linalg.norm computes them, without its dispatch
-        hn = np.maximum(np.sqrt(np.add.reduce(H * H, axis=1)), EPS_NORM)
-        wn = np.maximum(np.sqrt(np.add.reduce(pp.W * pp.W, axis=1)), EPS_NORM)
-        den = hn[:, None] * wn
+        hn = np.maximum(np.sqrt(np.add.reduce(H * H, axis=-1)), EPS_NORM)
+        wn = np.maximum(np.sqrt(np.add.reduce(pp.W * pp.W, axis=-1)), EPS_NORM)
+        den = hn[..., :, None] * wn[..., None, :]
         C = S / den
         Pc, ce_cos = _softmax_ce(scale.gamma * C, pick)
-        ce = a * ce + (1.0 - a) * ce_cos if use_dot else ce_cos
-    require_finite(ce, "cross-entropy")
+        a_cos = 1.0 - a
+        ce = a * ce + a_cos * ce_cos if use_dot else ce_cos
+    require_finite(ce, "cross-entropy", stacked=ce.ndim > 1)
     if tape is None:
         return ce, None
     w = _per_row(weights, n, "weights")
     if use_dot:
         Pd[pick] -= 1.0
         Pd *= _col(a * w)
-        tape.pred_b += Pd.sum(axis=0)
+        tape.pred_b += Pd.sum(axis=-2)
         G = Pd
     if use_cos:
         # the closed form at module top, per row, with Q = Pc / (|h| |w|)
@@ -253,15 +272,15 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
         #   dW = Q^T H - colsum(R) / |w|^2 * W,  dH = Q W - rowsum(R) / |h|^2 * H
         # Q joins the dot part, so each product runs once
         Pc[pick] -= 1.0
-        Pc *= _col(scale.gamma * (1.0 - a) * w)
+        Pc *= _col(scale.gamma * a_cos * w)
         R = Pc * C
         Q = Pc / den
         G = Pd + Q if use_dot else Q
-    tape.pred_w += G.T @ H
+    tape.pred_w += G.swapaxes(-1, -2) @ H
     dH = G @ pp.W
     if use_cos:
-        tape.pred_w -= (R.sum(axis=0) / (wn * wn))[:, None] * pp.W
-        dH -= (R.sum(axis=1) / (hn * hn))[:, None] * H
+        tape.pred_w -= (R.sum(axis=-2) / (wn * wn))[..., None] * pp.W
+        dH -= (R.sum(axis=-1) / (hn * hn))[..., None] * H
     return ce, dH
 
 

@@ -4,6 +4,13 @@ ReLU follows every layer, the last one included, so the feature vector
 handed to the scoring layer is elementwise non-negative. Updates are plain
 SGD; gradients accumulate in a GradientTape that mirrors the extractor
 layers and the class scorer, and the tape is zeroed after each step.
+
+Parameters may carry a leading seed axis: a weight (seeds, out, in) and a
+bias (seeds, out) hold one network per seed. forward_batch, backward_batch
+and sgd_step then take (seeds, batch, dim) blocks and run every seed with
+the same calls; each seed's slice is computed exactly as its 2-d call
+would compute it, because a stacked product or a reduction over the last
+two axes is the 2-d one per slice.
 """
 
 from __future__ import annotations
@@ -20,18 +27,20 @@ from .numeric import Rng, ShapeError, require_finite
 
 @dataclass
 class LayerParams:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
+    weight: np.ndarray  # (out, in), or (seeds, out, in)
+    bias: np.ndarray  # (out,), or (seeds, out)
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
+        if self.weight.ndim not in (2, 3) or self.bias.ndim != self.weight.ndim - 1:
             raise ShapeError(
-                f"layer wants 2-d weight and 1-d bias, got {self.weight.shape}, {self.bias.shape}")
-        if self.weight.shape[0] != self.bias.shape[0]:
+                f"layer wants 2-d weight and 1-d bias (or both with a seed axis), got "
+                f"{self.weight.shape}, {self.bias.shape}")
+        if self.weight.shape[:-1] != self.bias.shape:
             raise ShapeError(
-                f"weight has {self.weight.shape[0]} output rows but bias has {self.bias.shape[0]}")
+                f"weight has {self.weight.shape[-2]} output rows but bias has "
+                f"{self.bias.shape[-1]}")
 
 
 @dataclass
@@ -42,17 +51,19 @@ class FeatureExtractor:
         if not self.layers:
             raise ValueError("extractor needs at least one layer")
         for a, b in zip(self.layers, self.layers[1:]):
-            if b.weight.shape[1] != a.weight.shape[0]:
+            if b.weight.shape[-1] != a.weight.shape[-2]:
                 raise ShapeError(
-                    f"layer output {a.weight.shape[0]} feeds layer input {b.weight.shape[1]}")
+                    f"layer output {a.weight.shape[-2]} feeds layer input {b.weight.shape[-1]}")
+            if b.weight.shape[:-2] != a.weight.shape[:-2]:
+                raise ShapeError("layers disagree on the seed axis")
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+        return self.layers[0].weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
+        return self.layers[-1].weight.shape[-2]
 
 
 @dataclass
@@ -101,19 +112,23 @@ def init_extractor(dims: Sequence[int], rng: Rng) -> FeatureExtractor:
 
 
 def forward_batch(fe: FeatureExtractor, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Features of a (batch, dim) block, or of a (seeds, batch, dim) block
+    when the layers carry a seed axis."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError(f"expected (batch, dim) input, got shape {X.shape}")
-    if X.shape[1] != fe.in_dim:
-        raise ShapeError(f"input dim {X.shape[1]} does not match extractor dim {fe.in_dim}")
+    seeds = fe.layers[0].weight.shape[:-2]
+    if X.ndim != 2 + len(seeds) or X.shape[:-2] != seeds:
+        raise ShapeError(f"expected {'(seeds, batch, dim)' if seeds else '(batch, dim)'} "
+                         f"input, got shape {X.shape}")
+    if X.shape[-1] != fe.in_dim:
+        raise ShapeError(f"input dim {X.shape[-1]} does not match extractor dim {fe.in_dim}")
     inputs, preacts = [], []
     A = X
     for layer in fe.layers:
         inputs.append(A)
-        Z = A @ layer.weight.T + layer.bias
+        Z = A @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
         preacts.append(Z)
         A = np.maximum(Z, 0.0)
-    require_finite(A, "features")
+    require_finite(A, "features", stacked=bool(seeds))
     return A, ForwardCache(inputs, preacts)
 
 
@@ -127,6 +142,9 @@ def forward(fe: FeatureExtractor, x: np.ndarray) -> tuple[np.ndarray, ForwardCac
 
 def backward_batch(fe: FeatureExtractor, cache: ForwardCache, dH: np.ndarray,
                    tape: GradientTape) -> np.ndarray:
+    """Add every layer's weight and bias gradient to the tape and return the
+    first layer's pre-activation gradient; the gradient with respect to the
+    input itself is not formed (training never needs it)."""
     dH = np.asarray(dH, dtype=np.float64)
     if dH.shape != cache.preacts[-1].shape:
         raise ShapeError(f"upstream grad {dH.shape} does not match features "
@@ -134,15 +152,18 @@ def backward_batch(fe: FeatureExtractor, cache: ForwardCache, dH: np.ndarray,
     D = dH
     for k in range(len(fe.layers) - 1, -1, -1):
         Dz = D * (cache.preacts[k] > 0.0)
-        tape.layer_w[k] += Dz.T @ cache.inputs[k]
-        tape.layer_b[k] += Dz.sum(axis=0)
-        D = Dz @ fe.layers[k].weight
-    return D
+        tape.layer_w[k] += Dz.swapaxes(-1, -2) @ cache.inputs[k]
+        tape.layer_b[k] += Dz.sum(axis=-2)
+        if k:
+            D = Dz @ fe.layers[k].weight
+    return Dz
 
 
 def backward(fe: FeatureExtractor, cache: ForwardCache, dh: np.ndarray,
              tape: GradientTape) -> np.ndarray:
-    return backward_batch(fe, cache, np.asarray(dh, dtype=np.float64)[None, :], tape)[0]
+    """Single-sample backward pass; returns the gradient with respect to the input."""
+    dz = backward_batch(fe, cache, np.asarray(dh, dtype=np.float64)[None, :], tape)
+    return (dz @ fe.layers[0].weight)[0]
 
 
 def sgd_step(extractor: FeatureExtractor, predictor: PredictorParams,

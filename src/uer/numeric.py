@@ -20,6 +20,16 @@ class ShapeError(ValueError):
     """Operand dimensions do not line up."""
 
 
+class NonFiniteError(FloatingPointError):
+    """Values went non-finite. For a block stacked on a leading seed axis,
+    ``seeds`` lists the positions on that axis whose slices hold a
+    non-finite entry; otherwise it is None."""
+
+    def __init__(self, message: str, seeds: list[int] | None = None):
+        super().__init__(message)
+        self.seeds = seeds
+
+
 def make_rng(seed: int | Sequence[int]) -> Rng:
     """PCG64 generator; identical seeds give bit-identical draw streams."""
     return np.random.default_rng(seed)
@@ -58,7 +68,13 @@ def rng_uniform(rng: Rng, lo: float, hi: float) -> float:
     return float(rng.uniform(lo, hi))
 
 
-def require_finite(arr: np.ndarray, what: str = "array") -> np.ndarray:
+def require_finite(arr: np.ndarray, what: str = "array", stacked: bool = False) -> np.ndarray:
+    """Raise NonFiniteError unless every entry is finite; with stacked, the
+    error names the leading-axis slices that are not."""
     if not np.isfinite(arr).all():
-        raise FloatingPointError(f"{what} contains non-finite entries")
+        seeds = None
+        if stacked:
+            ok = np.isfinite(arr).reshape(len(arr), -1).all(axis=1)
+            seeds = np.flatnonzero(~ok).tolist()
+        raise NonFiniteError(f"{what} contains non-finite entries", seeds)
     return arr

@@ -55,6 +55,23 @@ class Stage:
 
 
 @dataclass
+class StageRows:
+    """A stage's classes and where its rows sit in the dataset; gathering
+    them gives the Stage."""
+    index: int  # 1-based
+    class_set: tuple[int, ...]
+    train_rows: np.ndarray  # (n,) int64 indices into dataset.train
+    test_rows: np.ndarray  # (m,) int64 indices into dataset.test
+
+    def gather(self, dataset: "Dataset") -> Stage:
+        return Stage(index=self.index, class_set=self.class_set,
+                     train=LabeledData(dataset.train.x[self.train_rows],
+                                       dataset.train.y[self.train_rows]),
+                     test=LabeledData(dataset.test.x[self.test_rows],
+                                      dataset.test.y[self.test_rows]))
+
+
+@dataclass
 class StreamConfig:
     stages: int = 5
     classes_per_stage: int = 2
@@ -92,7 +109,13 @@ class SyntheticSpec:
 
 
 def build_stages(dataset: Dataset, cfg: StreamConfig, rng: Rng) -> list[Stage]:
-    """Shuffle class ids, partition them, and slice the dataset per stage.
+    """Shuffle class ids, partition them, and slice the dataset per stage
+    (split_stages, each stage gathered)."""
+    return [rows.gather(dataset) for rows in split_stages(dataset, cfg, rng)]
+
+
+def split_stages(dataset: Dataset, cfg: StreamConfig, rng: Rng) -> list[StageRows]:
+    """Shuffle class ids, partition them, and find each stage's rows.
 
     A stage whose classes have no test rows is rejected here, before any
     training: its accuracy would be undefined.
@@ -107,17 +130,13 @@ def build_stages(dataset: Dataset, cfg: StreamConfig, rng: Rng) -> list[Stage]:
     for t in range(cfg.stages):
         class_set = tuple(int(c) for c in order[t * cfg.classes_per_stage:
                                                 (t + 1) * cfg.classes_per_stage])
-        tr = np.isin(dataset.train.y, class_set)
-        te = np.isin(dataset.test.y, class_set)
-        if not te.any():
+        te = np.flatnonzero(np.isin(dataset.test.y, class_set))
+        if not len(te):
             raise ValueError(f"stage {t + 1} (classes {', '.join(map(str, class_set))}) "
                              f"has no test rows")
-        stages.append(Stage(
-            index=t + 1,
-            class_set=class_set,
-            train=LabeledData(dataset.train.x[tr], dataset.train.y[tr]),
-            test=LabeledData(dataset.test.x[te], dataset.test.y[te]),
-        ))
+        stages.append(StageRows(index=t + 1, class_set=class_set,
+                                train_rows=np.flatnonzero(np.isin(dataset.train.y, class_set)),
+                                test_rows=te))
     return stages
 
 

@@ -1,11 +1,17 @@
-"""Test-only reference: the per-call training step the fused step replaced.
+"""Test-only references for the training step.
 
-This is the earlier implementation kept verbatim in behaviour, so the
-fused path in ``uer.trainer`` / ``uer.logits`` / ``uer.memory`` can be
-checked against it: a list-of-samples reservoir, three separate scoring
-losses, and a train step that runs one forward/backward for the incoming
-batch and a second one for the replayed batch. Nothing in ``src/`` imports
-this module.
+``legacy_train_step`` is the per-call step the fused step replaced, kept
+verbatim in behaviour, so the fused path in ``uer.trainer`` /
+``uer.logits`` / ``uer.memory`` can be checked against it: a
+list-of-samples reservoir, three separate scoring losses, and a train step
+that runs one forward/backward for the incoming batch and a second one for
+the replayed batch.
+
+``per_seed_train_step`` and ``per_seed_run`` are the fused step and the
+experiment loop as they ran before a method's seeds trained in lockstep:
+one seed at a time, on 2-d blocks, with every stage's rows copied out of
+the dataset. A seed trained in a seed group must match them byte for
+byte. Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -15,10 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from uer.logits import (CosineScale, EPS_NORM, LogitMode, _batch_targets,
-                        cosine_logits_batch, dot_logits_batch, softmax_rows)
+                        cosine_logits_batch, dot_logits_batch, loss_rows, softmax_rows)
+from uer.memory import buffer_retrieve, buffer_update
 from uer.net import backward_batch, forward_batch, sgd_step
-from uer.numeric import require_finite
-from uer.trainer import StepRecord, register_classes
+from uer.numeric import make_rng, require_finite
+from uer.stream import LabeledData, build_stages, iterate_batches
+from uer.trainer import (ExperimentResult, StepRecord, _collect_stage_metrics, _row_mix,
+                         init_state, register_classes)
 
 
 # ------------------------------------------------------------ list buffer
@@ -219,3 +228,59 @@ def legacy_train_step(state, x_batch, y_batch, method, memory_batch_size, rng,
     state.consumed_in_stage += len(y_batch)
     state.step += 1
     return StepRecord(l_c, l_p, l_total)
+
+
+# ------------------------------------------------------ one seed at a time
+
+
+def per_seed_train_step(state, x_batch, y_batch, method, memory_batch_size, rng) -> StepRecord:
+    """The fused step for one seed on 2-d blocks, as it ran before lockstep."""
+    register_classes(state, y_batch, rng)
+    buf = state.buffer
+    n_cur = len(y_batch)
+    X, rows = x_batch, state.row_of_label[y_batch]
+    idx = buffer_retrieve(buf, memory_batch_size, rng) if method.replay_enabled else ()
+    n_mem = len(idx)
+    if n_mem:
+        X = np.concatenate([x_batch, buf.x[idx]])
+        rows = np.concatenate([rows, state.row_of_label[buf.y[idx]]])
+    learn_alpha = 1.0 if method.triple.learn is LogitMode.DOT else 0.0
+    alpha, weights = _row_mix(learn_alpha, method.triple.replay.effective_alpha(),
+                              method.joint_batch, n_cur, n_mem)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        H, cache = forward_batch(state.extractor, X)
+        ce, dH = loss_rows(state.predictor, method.scale(), alpha, H, rows, weights,
+                           state.tape)
+        backward_batch(state.extractor, cache, dH, state.tape)
+        sgd_step(state.extractor, state.predictor, state.tape, method.lr)
+    part = ce * weights
+    l_c = float(part[:n_cur].sum())
+    l_p = float(part[n_cur:].sum())
+    if method.replay_enabled:
+        buffer_update(buf, LabeledData(x_batch, y_batch), rng)
+    state.consumed_in_stage += n_cur
+    state.step += 1
+    return StepRecord(l_c, l_p, l_c + l_p)
+
+
+def per_seed_run(dataset, method, stream_cfg, seed) -> ExperimentResult:
+    """run_experiment as it ran before lockstep: one seed, stage rows copied."""
+    rng = make_rng([int(seed), 1])
+    stages = build_stages(dataset, stream_cfg, rng)
+    test = LabeledData(np.concatenate([s.test.x for s in stages]),
+                       np.concatenate([s.test.y for s in stages]))
+    ends = np.cumsum([len(s.test) for s in stages])
+    state = init_state(method, dataset.input_dim, rng)
+    metrics, steps = [], []
+    for t, stage in enumerate(stages, 1):
+        state.stage_baseline = state.predictor.copy()
+        state.consumed_in_stage = 0
+        for x_b, y_b in iterate_batches(stage, stream_cfg, rng):
+            try:
+                steps.append(per_seed_train_step(state, x_b, y_b, method,
+                                                 stream_cfg.batch_size_memory, rng))
+            except FloatingPointError as err:
+                raise FloatingPointError(
+                    f"stage {t}, step {state.step + 1}: {err}") from err
+        metrics.append(_collect_stage_metrics(state, stages, t, method, test, ends))
+    return ExperimentResult(method=method.name, seed=int(seed), metrics=metrics, steps=steps)

@@ -303,6 +303,49 @@ def test_sweep_alpha_out_of_range_is_usage_error_before_training(tmp_path, capsy
     assert not out.exists() or not any(out.iterdir())
 
 
+def _append_malformed_row(tmp_path):
+    with open(tmp_path / "train.csv", "a", encoding="utf-8") as fh:
+        fh.write("1,0.5,oops,0.5\n")
+
+
+def _fail_seed_one(monkeypatch):
+    """Make building the data of seed 1 fail; seed 0 builds as usual."""
+    real = uer.cli.build_dataset
+
+    def build(spec, seed):
+        if seed == 1:
+            raise ValueError("no data for seed 1")
+        return real(spec, seed)
+    monkeypatch.setattr(uer.cli, "build_dataset", build)
+
+
+def test_sweep_alpha_reports_each_failed_run(tmp_path, capsys):
+    cfg_path, out = write_csv_config(tmp_path, methods="uer")
+    _append_malformed_row(tmp_path)
+    assert main(["sweep-alpha", "--config", str(cfg_path), "--alpha", "0,1"]) == 2
+    err = capsys.readouterr().err
+    failed = [line for line in err.splitlines() if line.startswith("FAILED")]
+    assert failed == [f"FAILED uer_alpha{a} seed {s}: {tmp_path / 'train.csv'}:81: "
+                      f"invalid feature value" for a in (0, 1) for s in (0, 1)]
+    assert "Traceback" not in err
+    assert json.loads((out / "alpha_sweep.json").read_text()) == []
+
+
+def test_sweep_alpha_averages_the_runs_that_passed(tmp_path, capsys, monkeypatch):
+    cfg_path, out = write_config(tmp_path, UER_ONLY.replace("run.seeds = 0", "run.seeds = 0,1"))
+    _fail_seed_one(monkeypatch)
+    assert main(["sweep-alpha", "--config", str(cfg_path), "--alpha", "0.5"]) == 2
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("FAILED")]
+    assert failed == ["FAILED uer_alpha0.5 seed 1: no data for seed 1"]
+    last = read_metrics(out / "uer_alpha0.5_seed0.metrics.jsonl")[-1]
+    (row,) = json.loads((out / "alpha_sweep.json").read_text())
+    assert row == {"alpha": 0.5, "mean_average_accuracy": last["average_accuracy"],
+                   "mean_acc_previous": last["acc_previous"],
+                   "mean_acc_current": last["acc_current"]}
+    assert not (out / "uer_alpha0.5_seed1.metrics.jsonl").exists()
+
+
 def test_run_divergence_names_stage_and_step(tmp_path, capsys):
     # the tiny synthetic configs above do not diverge (their ReLUs die)
     text = ("dataset.kind = split-gauss-10\nstream.stages = 5\nstream.classes_per_stage = 2\n"
@@ -334,13 +377,42 @@ def test_table1_uses_configured_uer_settings(tmp_path, monkeypatch, capsys):
     text = UER_ONLY.replace("method.uer.hidden = 8", "method.uer.hidden = 5,3") \
         + "method.uer.lr = 0.05\nmethod.uer.gamma = 4.0\n"
     cfg_path, _ = write_config(tmp_path, text)
-    runs = count_calls(monkeypatch, uer.cli, "run_experiment")
+    runs = count_calls(monkeypatch, uer.cli, "run_seed_group")
     assert main(["table1", "--config", str(cfg_path), "--buffer", "30"]) == 0
     capsys.readouterr()
     methods = [args[1] for args in runs]
     assert [m.name for m in methods] == ["-".join(row) for row in TABLE1_GRID]
     for m in methods:
         assert (m.hidden_dims, m.lr, m.gamma, m.buffer_capacity) == ((5, 3), 0.05, 4.0, 30)
+
+
+def test_table1_reports_each_failed_run(tmp_path, capsys):
+    cfg_path, _ = write_csv_config(tmp_path, methods="uer")
+    _append_malformed_row(tmp_path)
+    assert main(["table1", "--config", str(cfg_path), "--buffer", "30"]) == 2
+    captured = capsys.readouterr()
+    failed = [line for line in captured.err.splitlines() if line.startswith("FAILED")]
+    assert len(failed) == 2 * len(TABLE1_GRID)
+    assert all(line.endswith("train.csv:81: invalid feature value") for line in failed)
+    assert "Traceback" not in captured.err
+    lines = [line for line in captured.out.splitlines() if line.strip()]
+    assert len(lines) == 1 and lines[0].split()[:3] == ["learn", "replay", "test"]
+
+
+def test_table1_averages_the_runs_that_passed(tmp_path, capsys, monkeypatch):
+    cfg_path, out = write_config(tmp_path, UER_ONLY.replace("run.seeds = 0", "run.seeds = 0,1"))
+    _fail_seed_one(monkeypatch)
+    assert main(["table1", "--config", str(cfg_path), "--buffer", "30"]) == 2
+    captured = capsys.readouterr()
+    failed = [line for line in captured.err.splitlines() if line.startswith("FAILED")]
+    assert failed == [f"FAILED {'-'.join(row)} seed 1: no data for seed 1"
+                      for row in TABLE1_GRID]
+    lines = [line for line in captured.out.splitlines() if line.strip()][1:]
+    assert len(lines) == len(TABLE1_GRID)
+    for row, line in zip(TABLE1_GRID, lines):
+        m = read_metrics(out / f"{'-'.join(row)}_seed0.metrics.jsonl")[-1]
+        expected = [m["average_accuracy"], m["acc_previous"], m["acc_current"]]
+        assert line.split()[3:6] == [f"{v:.3f}" for v in expected]
 
 
 # ----------------------------------------------------------------- diag
