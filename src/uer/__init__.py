@@ -14,8 +14,9 @@ from .net import FeatureExtractor, GradientTape, LayerParams, backward, forward,
 from .numeric import NonFiniteError, Rng, ShapeError, l2_norm, make_rng, matvec, rng_uniform
 from .stream import Dataset, LabeledData, Stage, StageRows, StreamConfig, SyntheticSpec, \
     build_stages, gen_synthetic, iterate_batches, load_csv_dataset, split_gauss_10, split_stages
-from .trainer import ExperimentResult, LogitTriple, MethodConfig, ReplayRule, SeedGroup, \
-    TrainState, er_method, finetune_method, lucir_method, register_classes, run_experiment, \
-    run_seed_group, train_step, triple_method, uer_a_method, uer_method
+from .trainer import ExperimentResult, FeaturesCollapsed, LogitTriple, MethodConfig, \
+    ReplayRule, RunGroup, StreamState, TrainState, er_method, finetune_method, lucir_method, \
+    register_classes, run_experiment, run_trajectories, train_step, triple_method, \
+    uer_a_method, uer_method
 
 __version__ = "0.1.0"

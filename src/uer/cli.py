@@ -8,9 +8,11 @@ Subcommands:
     diag         per-stage bias diagnostics for the configured methods
 
 Exit codes: 0 success, 1 bad configuration or flags, 2 at least one run
-failed. Every subcommand trains each method's seeds in lockstep as one
-seed group (run_grid); a failed run prints one "FAILED <method> seed <s>:
-<error>" line and the others go on. Per-run metrics land in
+failed. Every subcommand trains its (method, seed) runs on shared
+trajectories (run_grid): the runs of one seed whose methods agree on the
+network widths, buffer capacity, replay switch and joint batch follow one
+stream and train in lockstep. A failed run prints one "FAILED <method>
+seed <s>: <error>" line and the others go on. Per-run metrics land in
 "<out>/<method>_seed<seed>.metrics.jsonl" with a "summary.json" next to
 them; reruns with the same config and seeds reproduce every output byte.
 """
@@ -31,8 +33,8 @@ from .evaluation import posterior_group_means, write_metrics
 from .stream import Dataset
 # run_experiment is not called here: it stays importable from this module
 # because the perfbench span tracer wraps it by this module's name
-from .trainer import ExperimentResult, TABLE1_GRID, run_experiment, run_seed_group, \
-    triple_method, uer_method  # noqa: F401
+from .trainer import ExperimentResult, MethodConfig, TABLE1_GRID, run_experiment, \
+    run_trajectories, trajectory_key, triple_method, uer_method  # noqa: F401
 
 
 @dataclass
@@ -66,7 +68,9 @@ def _datasets(spec: DatasetSpec):
 
     csv data does not depend on the seed, so the first csv Dataset that
     builds is reused by every later run; a build that raises is not kept,
-    so each run still reports its own failure. Other kinds build per seed.
+    so each run still reports its own failure. Other kinds build on each
+    call: run_trajectories calls once per seed of a round, and a round's
+    data is dropped when the round ends.
     """
     built: list[Dataset] = []
 
@@ -84,19 +88,46 @@ def _metrics_path(out: Path, name: str, seed: int) -> Path:
     return out / f"{name}_seed{seed}.metrics.jsonl"
 
 
-def run_grid(cfg: ExperimentConfig, jobs, echo=print):
-    """Train each (method, seeds) job as one seed group, in job order.
+def _round_key(method: MethodConfig) -> tuple:
+    """Jobs whose methods agree on this train in one round.
 
-    Writes every passing run's metrics file and prints one FAILED line per
-    failed run; yields (method, passing results, failure texts) per job,
-    results in seed order.
+    Within a round, the runs of one seed share a trajectory: the
+    trajectory key without the seed. The joint batch changes no draw, yet
+    it splits rounds, so an er-style method keeps streams and per-seed
+    data builds of its own: perfbench/test_perfbench.py's traced run of
+    one seed of uer and er still counts one stream per method (two data
+    builds, 16 batches, 160 offered samples).
+    """
+    return trajectory_key(method, 0)[1:] + (method.joint_batch,)
+
+
+def run_grid(cfg: ExperimentConfig, jobs, echo=print):
+    """Train (method, seeds) jobs on shared trajectories; yield per job.
+
+    The jobs of a round (_round_key) train together in one
+    run_trajectories call, each seed's runs on one stream; a round runs
+    when the first of its jobs is due, and its data is built per seed
+    then. Writes every passing run's metrics file and prints one FAILED
+    line per failed run; yields (method, passing results, failure texts)
+    per job in job order, results in seed order.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    jobs = list(jobs)
     dataset_for = _datasets(cfg.dataset)
-    for method, seeds in jobs:
+    rounds: dict[tuple, list[int]] = {}
+    for i, (method, _) in enumerate(jobs):
+        rounds.setdefault(_round_key(method), []).append(i)
+    outcomes: dict[int, list] = {}
+    for i, (method, seeds) in enumerate(jobs):
+        if i not in outcomes:
+            members = rounds[_round_key(method)]
+            done = iter(run_trajectories(dataset_for, [(jobs[j][0], seed) for j in members
+                                                       for seed in jobs[j][1]], cfg.stream))
+            for j in members:
+                outcomes[j] = [next(done) for _ in jobs[j][1]]
         passed, failed = [], []
-        for seed, outcome in zip(seeds, run_seed_group(dataset_for, method, cfg.stream, seeds)):
+        for seed, outcome in zip(seeds, outcomes.pop(i)):
             if isinstance(outcome, Exception):
                 failed.append(f"{method.name} seed {seed}: {outcome}")
                 echo(f"FAILED {failed[-1]}", file=sys.stderr)
@@ -177,19 +208,23 @@ def _parse_alphas(text: str) -> list[float]:
     return alphas
 
 
+def sweep_jobs(base: MethodConfig, cfg: ExperimentConfig, alphas) -> list[tuple]:
+    """sweep-alpha's (method, seeds) jobs: the uer method base at each alpha."""
+    seeds = base.seeds if base.seeds is not None else cfg.seeds
+    return [(uer_method(alpha=alpha, name=f"uer_alpha{alpha:g}", gamma=base.gamma, lr=base.lr,
+                        buffer_capacity=base.buffer_capacity, hidden_dims=base.hidden_dims),
+             seeds) for alpha in alphas]
+
+
 def cmd_sweep_alpha(args) -> int:
     cfg = _apply_flag_overrides(parse_config(args.config), args)
     base = next((m for m in cfg.methods if m.name == "uer"), None)
     if base is None:
         raise ConfigError("sweep-alpha needs the uer method in run.methods")
     alphas = _parse_alphas(args.alpha)
-    seeds = base.seeds if base.seeds is not None else cfg.seeds
-    jobs = [(uer_method(alpha=alpha, name=f"uer_alpha{alpha:g}", gamma=base.gamma, lr=base.lr,
-                        buffer_capacity=base.buffer_capacity, hidden_dims=base.hidden_dims),
-             seeds) for alpha in alphas]
     rows, failures = [], []
     # a row averages the runs that passed; an alpha with none has no row
-    for alpha, (_, passed, failed) in zip(alphas, run_grid(cfg, jobs)):
+    for alpha, (_, passed, failed) in zip(alphas, run_grid(cfg, sweep_jobs(base, cfg, alphas))):
         failures += failed
         last = [r.metrics[-1] for r in passed]
         if last:
@@ -218,6 +253,16 @@ run.out = results/table1
 """
 
 
+def table1_jobs(cfg: ExperimentConfig, buffer: int) -> list[tuple]:
+    """table1's (method, seeds) jobs, one per TABLE1_GRID triple. The grid
+    keeps the configured uer method's network and step settings."""
+    base = next((m for m in cfg.methods if m.name == "uer"), None) or uer_method()
+    return [(triple_method(f"{learn}-{replay}-{test}", learn, replay, test,
+                           buffer_capacity=buffer, gamma=base.gamma, lr=base.lr,
+                           hidden_dims=base.hidden_dims), cfg.seeds)
+            for learn, replay, test in TABLE1_GRID]
+
+
 def cmd_table1(args) -> int:
     if args.config:
         cfg = parse_config(args.config)
@@ -226,19 +271,14 @@ def cmd_table1(args) -> int:
         cfg = parse_config_text(_TABLE1_CONFIG)
     cfg = _apply_flag_overrides(cfg, args)
     buffer = args.buffer if args.buffer is not None else 200
-    # the grid keeps the configured uer method's network and step settings
-    base = next((m for m in cfg.methods if m.name == "uer"), None) or uer_method()
     header = (f"{'learn':<8} {'replay':<8} {'test':<8} {'A_all':>7} {'A_prev':>7} "
               f"{'A_curr':>7} {'|W_p|':>7} {'|W_c|':>7} {'w_p':>7} {'w_c':>7} "
               f"{'b_p':>7} {'b_c':>7}")
     print(header)
-    jobs = [(triple_method(f"{learn}-{replay}-{test}", learn, replay, test,
-                           buffer_capacity=buffer, gamma=base.gamma, lr=base.lr,
-                           hidden_dims=base.hidden_dims), cfg.seeds)
-            for learn, replay, test in TABLE1_GRID]
     failures = []
     # a row averages the runs that passed; a triple with none has no row
-    for (learn, replay, test), (_, passed, failed) in zip(TABLE1_GRID, run_grid(cfg, jobs)):
+    for (learn, replay, test), (_, passed, failed) in zip(TABLE1_GRID,
+                                                          run_grid(cfg, table1_jobs(cfg, buffer))):
         failures += failed
         if not passed:
             continue

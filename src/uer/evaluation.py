@@ -60,11 +60,11 @@ class StageMetrics:
     consumed_samples: int
 
 
-def _scores(state, test: LabeledData, mode: LogitMode, scale: CosineScale) -> np.ndarray:
-    H, _ = forward_batch(state.extractor, test.x)
+def _scores(predictor: PredictorParams, H: np.ndarray, mode: LogitMode,
+            scale: CosineScale) -> np.ndarray:
     if mode is LogitMode.DOT:
-        return dot_logits_batch(state.predictor, H)
-    return cosine_logits_batch(state.predictor, H, scale)
+        return dot_logits_batch(predictor, H)
+    return cosine_logits_batch(predictor, H, scale)
 
 
 @dataclass
@@ -73,6 +73,7 @@ class StageScores:
     accuracy_row: list[float]  # one accuracy per stage, in stage order
     acc_previous: float | None  # stages 1..t-1 pooled; None when t = 1
     avg_posterior: np.ndarray  # mean softmax over every row, indexed in class_order
+    collapsed: bool = False  # every row's features are zero: scores ignore the input
 
 
 def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
@@ -83,7 +84,9 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
     where stage j+1's rows end, so ends[-1] == len(test). One score matrix
     S gives the accuracy of each stage's slice of argmax(S), the accuracy
     of every row before the last stage, and softmax_rows(S).mean(axis=0).
-    Every stage must hold at least one row.
+    Every stage must hold at least one row. When every row's features are
+    zero (the extractor's ReLUs all died), the scores say nothing about the
+    input; collapsed reports that.
     """
     ends = np.asarray(ends, dtype=np.int64)
     if ends.ndim != 1 or not len(ends) or ends[-1] != len(test):
@@ -95,7 +98,10 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
         raise ValueError(f"accuracy over an empty test set (stage {empty})")
     if state.predictor.num_classes == 0:
         raise ValueError("predict with no registered classes")
-    S = _scores(state, test, mode, scale)
+    H = forward_batch(state.extractor, test.x)[0]  # the forward cache goes at once
+    collapsed = not H.any()
+    S = _scores(state.predictor, H, mode, scale)
+    del H  # before the softmax, which keeps a stage evaluation's peak memory down
     labels = np.asarray(state.class_order, dtype=np.int64)[np.argmax(S, axis=1)]
     # hits[i] counts the correct rows among the first i
     hits = np.concatenate([[0], np.cumsum(labels == test.y)])
@@ -103,7 +109,7 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
     prev = int(starts[-1])
     return StageScores(accuracy_row=row.tolist(),
                        acc_previous=float(hits[prev] / prev) if prev else None,
-                       avg_posterior=softmax_rows(S).mean(axis=0))
+                       avg_posterior=softmax_rows(S).mean(axis=0), collapsed=collapsed)
 
 
 def accuracy(state, test: LabeledData, mode: LogitMode, scale: CosineScale) -> float:

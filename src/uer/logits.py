@@ -20,8 +20,10 @@ Both scores come from one product S = H W^T. The endpoints alpha in {0, 1}
 reduce bitwise to the pure losses because a branch no row weights is
 skipped rather than multiplied by zero. loss_dot, loss_current and
 loss_replay are its batch-mean forms. Like the network, loss_rows accepts
-a predictor and features stacked on a leading seed axis and computes each
-seed's slice exactly as the 2-d call would.
+a predictor and features stacked on a leading axis, one slice per run, and
+computes each slice exactly as the 2-d call would; each slice may carry its
+own alpha and weight rows and its own gamma, as long as every slice takes
+the same branches.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ from .numeric import ShapeError, as_vector, require_finite
 
 EPS_NORM = 1e-12
 
+# the reductions behind ndarray.sum/min/max, called without the method
+# wrappers: the same arithmetic, less dispatch on the hot path
+_sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
+
 
 class LogitMode(enum.Enum):
     DOT = "dot"
@@ -44,17 +50,18 @@ class LogitMode(enum.Enum):
 
 @dataclass(frozen=True)
 class CosineScale:
-    gamma: float = 10.0
+    gamma: float | np.ndarray = 10.0  # or one gamma per slice of a stacked block
 
     def __post_init__(self):
-        if not self.gamma > 0:
+        if not np.all(np.asarray(self.gamma) > 0):
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 
 @dataclass
 class PredictorParams:
     """Append-only class rows: W is (classes, dim), b is (classes,); stacked
-    over seeds, W is (seeds, classes, dim) and b (seeds, classes)."""
+    over slices (one per run), W is (slices, classes, dim) and b (slices,
+    classes)."""
 
     W: np.ndarray
     b: np.ndarray
@@ -63,7 +70,7 @@ class PredictorParams:
         self.W = np.asarray(self.W, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64)
         if self.W.ndim not in (2, 3) or self.b.ndim != self.W.ndim - 1:
-            raise ShapeError(f"predictor wants 2-d W and 1-d b (or both with a seed axis), "
+            raise ShapeError(f"predictor wants 2-d W and 1-d b (or both with a slice axis), "
                              f"got {self.W.shape}, {self.b.shape}")
         if self.W.shape[:-1] != self.b.shape:
             raise ShapeError(f"W has {self.W.shape[-2]} rows but b has {self.b.shape[-1]}")
@@ -183,7 +190,8 @@ def _batch_targets(pp: PredictorParams, H: np.ndarray, rows) -> tuple[np.ndarray
         raise ShapeError(f"{H.shape[-2]} samples but {rows.shape} labels")
     if H.shape[-1] != pp.dim:
         raise ShapeError(f"feature dim {H.shape[-1]} does not match predictor dim {pp.dim}")
-    if rows.size and (rows.min() < 0 or rows.max() >= pp.num_classes):
+    # one reduction: a negative row reads as a huge unsigned one
+    if rows.size and _max(rows.view(np.uint64), None) >= pp.num_classes:
         raise IndexError("label row outside registered classes")
     return H, rows
 
@@ -200,22 +208,41 @@ def _grid(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 def _softmax_ce(L: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
     """Row softmax of L (the arithmetic of softmax_rows) and the stable
     cross-entropy -log softmax at the picked entries, sharing one exp."""
-    m = L.max(axis=-1, keepdims=True)
+    m = _max(L, -1, keepdims=True)
     E = np.exp(L - m)
-    s = E.sum(axis=-1, keepdims=True)
+    s = _sum(E, -1, keepdims=True)
     ce = (m[..., 0] + np.log(s[..., 0])) - L[pick]
     return E / s, ce
 
 
-def _per_row(value, n: int, what: str) -> np.ndarray:
+def _per_row(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A scalar, one value per row, or (stacked) one row of values per slice."""
     v = np.asarray(value, dtype=np.float64)
-    if v.ndim and v.shape != (n,):
-        raise ShapeError(f"{n} samples but {what} has shape {v.shape}")
+    if v.ndim and v.shape not in (shape, shape[-1:]):
+        raise ShapeError(f"{shape[-1]} samples but {what} has shape {v.shape}")
     return v
 
 
 def _col(v: np.ndarray) -> np.ndarray:
-    return v[:, None] if v.ndim else v
+    return v[..., None] if v.ndim else v
+
+
+def _branches(a: np.ndarray, alpha) -> tuple[bool, bool]:
+    """(use_dot, use_cos): some alpha > 0, some alpha < 1. Every slice of a
+    stacked alpha must agree, so that each slice runs the branches its own
+    2-d call would run (a pure-dot slice never meets 0 * cosine)."""
+    if a.ndim == 2:
+        lo, hi = _min(a, -1).tolist(), _max(a, -1).tolist()
+    else:
+        lo, hi = [_min(a, None)], [_max(a, None)]
+    # per-slice bounds, so a nan in any slice fails the check
+    if not (all(0.0 <= v for v in lo) and all(v <= 1.0 for v in hi)):
+        raise ValueError(f"alpha out of [0,1]: {alpha}")
+    use_dot, use_cos = hi[0] > 0.0, lo[0] < 1.0
+    if any((v > 0.0) != use_dot for v in hi) or any((v < 1.0) != use_cos for v in lo):
+        raise ValueError("the slices of a stacked alpha take different branches "
+                         "(some alpha > 0 for dot, some alpha < 1 for cosine)")
+    return use_dot, use_cos
 
 
 def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarray, rows,
@@ -231,17 +258,16 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     alpha < 1 for cosine), so all-one or all-zero alpha give the pure
     losses exactly.
 
-    With a predictor stacked over seeds, H is (seeds, batch, dim) and rows
-    (seeds, batch); alpha and weights are shared by every seed, and the
-    per-row results come back as (seeds, batch).
+    With a predictor stacked over slices (one per run), H is (slices,
+    batch, dim) and rows (slices, batch); alpha and weights are shared by
+    every slice or given as (slices, batch), scale.gamma is one value or
+    (slices,), and the per-row results come back as (slices, batch). The
+    slices must agree on which branches run (ValueError otherwise); each
+    slice is then computed exactly as its 2-d call would compute it.
     """
     H, rows = _batch_targets(pp, H, rows)
-    n = rows.shape[-1]
-    a = _per_row(alpha, n, "alpha")
-    lo, hi = a.min(), a.max()
-    if not (0.0 <= lo and hi <= 1.0):
-        raise ValueError(f"alpha out of [0,1]: {alpha}")
-    use_dot, use_cos = hi > 0.0, lo < 1.0
+    a = _per_row(alpha, rows.shape, "alpha")
+    use_dot, use_cos = _branches(a, alpha)
     pick = (*_grid(rows.shape), rows)
     S = H @ pp.W.swapaxes(-1, -2)
     if use_dot:
@@ -249,22 +275,28 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     if use_cos:
         if scale is None:
             raise ValueError("cosine scoring needs a CosineScale")
+        gamma = g_rows = scale.gamma
+        if np.ndim(gamma):
+            gamma = np.asarray(gamma, dtype=np.float64)
+            if H.ndim != 3 or gamma.shape != H.shape[:1]:
+                raise ShapeError(f"{len(H)} slices but gamma has shape {gamma.shape}")
+            g_rows, gamma = gamma[:, None], gamma[:, None, None]
         # row norms as np.linalg.norm computes them, without its dispatch
-        hn = np.maximum(np.sqrt(np.add.reduce(H * H, axis=-1)), EPS_NORM)
-        wn = np.maximum(np.sqrt(np.add.reduce(pp.W * pp.W, axis=-1)), EPS_NORM)
+        hn = np.maximum(np.sqrt(_sum(H * H, -1)), EPS_NORM)
+        wn = np.maximum(np.sqrt(_sum(pp.W * pp.W, -1)), EPS_NORM)
         den = hn[..., :, None] * wn[..., None, :]
         C = S / den
-        Pc, ce_cos = _softmax_ce(scale.gamma * C, pick)
+        Pc, ce_cos = _softmax_ce(gamma * C, pick)
         a_cos = 1.0 - a
         ce = a * ce + a_cos * ce_cos if use_dot else ce_cos
     require_finite(ce, "cross-entropy", stacked=ce.ndim > 1)
     if tape is None:
         return ce, None
-    w = _per_row(weights, n, "weights")
+    w = _per_row(weights, rows.shape, "weights")
     if use_dot:
         Pd[pick] -= 1.0
         Pd *= _col(a * w)
-        tape.pred_b += Pd.sum(axis=-2)
+        tape.pred_b += _sum(Pd, -2)
         G = Pd
     if use_cos:
         # the closed form at module top, per row, with Q = Pc / (|h| |w|)
@@ -272,15 +304,15 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
         #   dW = Q^T H - colsum(R) / |w|^2 * W,  dH = Q W - rowsum(R) / |h|^2 * H
         # Q joins the dot part, so each product runs once
         Pc[pick] -= 1.0
-        Pc *= _col(scale.gamma * a_cos * w)
+        Pc *= _col(g_rows * a_cos * w)
         R = Pc * C
         Q = Pc / den
         G = Pd + Q if use_dot else Q
     tape.pred_w += G.swapaxes(-1, -2) @ H
     dH = G @ pp.W
     if use_cos:
-        tape.pred_w -= (R.sum(axis=-2) / (wn * wn))[..., None] * pp.W
-        dH -= (R.sum(axis=-1) / (hn * hn))[..., None] * H
+        tape.pred_w -= (_sum(R, -2) / (wn * wn))[..., None] * pp.W
+        dH -= (_sum(R, -1) / (hn * hn))[..., None] * H
     return ce, dH
 
 

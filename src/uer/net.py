@@ -5,12 +5,13 @@ handed to the scoring layer is elementwise non-negative. Updates are plain
 SGD; gradients accumulate in a GradientTape that mirrors the extractor
 layers and the class scorer, and the tape is zeroed after each step.
 
-Parameters may carry a leading seed axis: a weight (seeds, out, in) and a
-bias (seeds, out) hold one network per seed. forward_batch, backward_batch
-and sgd_step then take (seeds, batch, dim) blocks and run every seed with
-the same calls; each seed's slice is computed exactly as its 2-d call
-would compute it, because a stacked product or a reduction over the last
-two axes is the 2-d one per slice.
+Parameters may carry a leading axis: a weight (slices, out, in) and a
+bias (slices, out) hold one network per slice (per run). forward_batch,
+backward_batch and sgd_step then take (slices, batch, dim) blocks and run
+every slice with the same calls; each slice is computed exactly as its
+2-d call would compute it, because a stacked product or a reduction over
+the last two axes is the 2-d one per slice. sgd_step takes one learning
+rate per slice.
 """
 
 from __future__ import annotations
@@ -27,15 +28,15 @@ from .numeric import Rng, ShapeError, require_finite
 
 @dataclass
 class LayerParams:
-    weight: np.ndarray  # (out, in), or (seeds, out, in)
-    bias: np.ndarray  # (out,), or (seeds, out)
+    weight: np.ndarray  # (out, in), or (slices, out, in)
+    bias: np.ndarray  # (out,), or (slices, out)
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
         if self.weight.ndim not in (2, 3) or self.bias.ndim != self.weight.ndim - 1:
             raise ShapeError(
-                f"layer wants 2-d weight and 1-d bias (or both with a seed axis), got "
+                f"layer wants 2-d weight and 1-d bias (or both with a slice axis), got "
                 f"{self.weight.shape}, {self.bias.shape}")
         if self.weight.shape[:-1] != self.bias.shape:
             raise ShapeError(
@@ -55,7 +56,7 @@ class FeatureExtractor:
                 raise ShapeError(
                     f"layer output {a.weight.shape[-2]} feeds layer input {b.weight.shape[-1]}")
             if b.weight.shape[:-2] != a.weight.shape[:-2]:
-                raise ShapeError("layers disagree on the seed axis")
+                raise ShapeError("layers disagree on the slice axis")
 
     @property
     def in_dim(self) -> int:
@@ -112,12 +113,12 @@ def init_extractor(dims: Sequence[int], rng: Rng) -> FeatureExtractor:
 
 
 def forward_batch(fe: FeatureExtractor, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Features of a (batch, dim) block, or of a (seeds, batch, dim) block
-    when the layers carry a seed axis."""
+    """Features of a (batch, dim) block, or of a (slices, batch, dim) block
+    when the layers carry a slice axis."""
     X = np.asarray(X, dtype=np.float64)
     seeds = fe.layers[0].weight.shape[:-2]
     if X.ndim != 2 + len(seeds) or X.shape[:-2] != seeds:
-        raise ShapeError(f"expected {'(seeds, batch, dim)' if seeds else '(batch, dim)'} "
+        raise ShapeError(f"expected {'(slices, batch, dim)' if seeds else '(batch, dim)'} "
                          f"input, got shape {X.shape}")
     if X.shape[-1] != fe.in_dim:
         raise ShapeError(f"input dim {X.shape[-1]} does not match extractor dim {fe.in_dim}")
@@ -153,7 +154,7 @@ def backward_batch(fe: FeatureExtractor, cache: ForwardCache, dH: np.ndarray,
     for k in range(len(fe.layers) - 1, -1, -1):
         Dz = D * (cache.preacts[k] > 0.0)
         tape.layer_w[k] += Dz.swapaxes(-1, -2) @ cache.inputs[k]
-        tape.layer_b[k] += Dz.sum(axis=-2)
+        tape.layer_b[k] += np.add.reduce(Dz, axis=-2)  # Dz.sum(axis=-2) without its wrapper
         if k:
             D = Dz @ fe.layers[k].weight
     return Dz
@@ -167,9 +168,19 @@ def backward(fe: FeatureExtractor, cache: ForwardCache, dh: np.ndarray,
 
 
 def sgd_step(extractor: FeatureExtractor, predictor: PredictorParams,
-             tape: GradientTape, lr: float) -> None:
-    """θ <- θ - lr * grad for every parameter, then zero the tape."""
-    if not lr > 0:
+             tape: GradientTape, lr) -> None:
+    """θ <- θ - lr * grad for every parameter, then zero the tape. With
+    parameters stacked over slices, lr is one value or one per slice."""
+    lr_w = lr_b = lr
+    if np.ndim(lr):
+        lr = np.asarray(lr, dtype=np.float64)
+        if predictor.W.ndim != 3 or lr.shape != predictor.W.shape[:1]:
+            raise ShapeError(f"{lr.shape} learning rates for predictor {predictor.W.shape}")
+        positive = bool((lr > 0).all())
+        lr_w, lr_b = lr[:, None, None], lr[:, None]  # against (slices, out, in) and (slices, out)
+    else:
+        positive = lr > 0
+    if not positive:
         raise ValueError(f"learning rate must be positive, got {lr}")
     if tape.pred_w.shape != predictor.W.shape:
         raise ShapeError(f"tape predictor block {tape.pred_w.shape} does not match "
@@ -177,10 +188,10 @@ def sgd_step(extractor: FeatureExtractor, predictor: PredictorParams,
     for layer, gw, gb in zip(extractor.layers, tape.layer_w, tape.layer_b):
         if gw.shape != layer.weight.shape:
             raise ShapeError(f"tape layer block {gw.shape} does not match {layer.weight.shape}")
-        layer.weight -= lr * gw
-        layer.bias -= lr * gb
-    predictor.W -= lr * tape.pred_w
-    predictor.b -= lr * tape.pred_b
+        layer.weight -= lr_w * gw
+        layer.bias -= lr_b * gb
+    predictor.W -= lr_w * tape.pred_w
+    predictor.b -= lr_b * tape.pred_b
     tape.zero()
 
 

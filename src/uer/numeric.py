@@ -21,9 +21,9 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """Values went non-finite. For a block stacked on a leading seed axis,
-    ``seeds`` lists the positions on that axis whose slices hold a
-    non-finite entry; otherwise it is None."""
+    """Values went non-finite. For a block stacked on a leading axis (one
+    slice per run), ``seeds`` lists the positions on that axis whose slices
+    hold a non-finite entry; otherwise it is None."""
 
     def __init__(self, message: str, seeds: list[int] | None = None):
         super().__init__(message)
@@ -71,7 +71,7 @@ def rng_uniform(rng: Rng, lo: float, hi: float) -> float:
 def require_finite(arr: np.ndarray, what: str = "array", stacked: bool = False) -> np.ndarray:
     """Raise NonFiniteError unless every entry is finite; with stacked, the
     error names the leading-axis slices that are not."""
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):  # .all() without its wrapper
         seeds = None
         if stacked:
             ok = np.isfinite(arr).reshape(len(arr), -1).all(axis=1)

@@ -9,9 +9,13 @@ not rebuild the same Gaussians over and over.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import uer
 from uer import DatasetSpec, build_dataset
 from uer.logits import PredictorParams
 from uer.net import FeatureExtractor, GradientTape, forward, init_extractor
@@ -156,3 +160,17 @@ def gauss_datasets():
     """split-gauss-10 instances for seeds 0..9, built once per session."""
     return {seed: build_dataset(DatasetSpec(kind="split-gauss-10"), seed)
             for seed in range(10)}
+
+
+# --------------------------------------------------------------------------
+# child processes
+
+
+def child_env() -> dict:
+    """The environment for a child Python that must import this uer: the
+    directory holding the imported package goes first on PYTHONPATH, as an
+    absolute path, so it resolves from any working directory (pytest's
+    own pythonpath setting reaches this process only)."""
+    package_root = str(Path(uer.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))

@@ -11,23 +11,33 @@ the replayed batch.
 experiment loop as they ran before a method's seeds trained in lockstep:
 one seed at a time, on 2-d blocks, with every stage's rows copied out of
 the dataset. A seed trained in a seed group must match them byte for
-byte. Nothing in ``src/`` imports this module.
+byte.
+
+``run_seed_group`` is the runner as it was before runs shared
+trajectories: one method's seeds in lockstep, each seed with a stream,
+buffer and scorer rows of its own (``seed_group_step`` is its step). A run
+on a shared trajectory must match it byte for byte. Nothing in ``src/``
+imports this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from uer.logits import (CosineScale, EPS_NORM, LogitMode, _batch_targets,
+from uer.evaluation import StageMetrics
+from uer.logits import (CosineScale, EPS_NORM, LogitMode, PredictorParams, _batch_targets,
                         cosine_logits_batch, dot_logits_batch, loss_rows, softmax_rows)
 from uer.memory import buffer_retrieve, buffer_update
-from uer.net import backward_batch, forward_batch, sgd_step
-from uer.numeric import make_rng, require_finite
-from uer.stream import LabeledData, build_stages, iterate_batches
-from uer.trainer import (ExperimentResult, StepRecord, _collect_stage_metrics, _row_mix,
-                         init_state, register_classes)
+from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch, forward_batch,
+                     sgd_step)
+from uer.numeric import NonFiniteError, make_rng, require_finite
+from uer.stream import Dataset, LabeledData, StreamConfig, build_stages, iterate_batches, \
+    split_stages
+from uer.trainer import (ExperimentResult, MethodConfig, StepRecord, TrainState,
+                         _collect_stage_metrics, _row_mix, init_state, register_classes)
 
 
 # ------------------------------------------------------------ list buffer
@@ -83,6 +93,29 @@ def list_buffer_from_arrays(buf) -> ListBuffer:
     twin.items = [StoredSample(buf.x[i].copy(), int(buf.y[i]), int(buf.pos[i]))
                   for i in range(len(buf))]
     return twin
+
+
+def loop_buffer_update(buf, batch, rng) -> None:
+    """``uer.memory.buffer_update`` as it wrote replacements: one accepted
+    draw at a time, in stream order, so a later sample wins a shared slot."""
+    start, n = buf.seen, len(batch)
+    if buf.x is None:
+        buf.x = np.zeros((buf.capacity, batch.x.shape[1]))
+    fill = min(n, buf.capacity - buf.size)
+    if fill > 0:
+        s = buf.size
+        buf.x[s:s + fill] = batch.x[:fill]
+        buf.y[s:s + fill] = batch.y[:fill]
+        buf.pos[s:s + fill] = np.arange(start, start + fill)
+        buf.size += fill
+    if fill < n:
+        js = rng.integers(0, np.arange(start + fill + 1, start + n + 1))
+        for i, j in enumerate(js.tolist(), fill):
+            if j < buf.capacity:
+                buf.x[j] = batch.x[i]
+                buf.y[j] = batch.y[i]
+                buf.pos[j] = start + i
+    buf.seen = start + n
 
 
 # ---------------------------------------------------------------- losses
@@ -245,8 +278,8 @@ def per_seed_train_step(state, x_batch, y_batch, method, memory_batch_size, rng)
         X = np.concatenate([x_batch, buf.x[idx]])
         rows = np.concatenate([rows, state.row_of_label[buf.y[idx]]])
     learn_alpha = 1.0 if method.triple.learn is LogitMode.DOT else 0.0
-    alpha, weights = _row_mix(learn_alpha, method.triple.replay.effective_alpha(),
-                              method.joint_batch, n_cur, n_mem)
+    alpha, weights, _ = _row_mix(learn_alpha, method.triple.replay.effective_alpha(),
+                                 method.joint_batch, n_cur, n_mem)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         H, cache = forward_batch(state.extractor, X)
         ce, dH = loss_rows(state.predictor, method.scale(), alpha, H, rows, weights,
@@ -284,3 +317,318 @@ def per_seed_run(dataset, method, stream_cfg, seed) -> ExperimentResult:
                     f"stage {t}, step {state.step + 1}: {err}") from err
         metrics.append(_collect_stage_metrics(state, stages, t, method, test, ends))
     return ExperimentResult(method=method.name, seed=int(seed), metrics=metrics, steps=steps)
+
+
+# ------------------------------------------- one method's seeds, per seed
+
+
+class _SeedPart:
+    """Seeds of a group that take their steps together.
+
+    With several seeds, the part keeps their parameters stacked on a
+    leading seed axis and each seed's TrainState holds views into them; a
+    part of one seed steps on that seed's own arrays. Each seed keeps its
+    own (zero) tape; a stacked part has one of its own.
+    """
+
+    def __init__(self, states: list[TrainState]):
+        self.states = states
+        if len(states) == 1:
+            state = states[0]
+            self.extractor, self.predictor, self.tape = \
+                state.extractor, state.predictor, state.tape
+            return
+        stacked = []
+        for k in range(len(states[0].extractor.layers)):
+            layers = [s.extractor.layers[k] for s in states]
+            both = LayerParams(np.stack([layer.weight for layer in layers]),
+                               np.stack([layer.bias for layer in layers]))
+            for i, layer in enumerate(layers):
+                layer.weight, layer.bias = both.weight[i], both.bias[i]
+            stacked.append(both)
+        self.extractor = FeatureExtractor(stacked)
+        self.stack_predictors()
+
+    def stack_predictors(self) -> None:
+        """Restack the seeds' class scorers (after registration grew them)."""
+        if len(self.states) == 1:
+            return  # the part shares the seed's own PredictorParams
+        self.predictor = PredictorParams(np.stack([s.predictor.W for s in self.states]),
+                                         np.stack([s.predictor.b for s in self.states]))
+        for i, s in enumerate(self.states):
+            s.predictor.W, s.predictor.b = self.predictor.W[i], self.predictor.b[i]
+        self.tape = GradientTape(self.extractor, self.predictor)
+
+    def without(self, gone: set[int]) -> "_SeedPart | None":
+        """The part minus the seeds whose id() is in gone, or None if empty."""
+        keep = [s for s in self.states if id(s) not in gone]
+        if len(keep) == len(self.states):
+            return self
+        return _SeedPart(keep) if keep else None
+
+    def split(self, keys: list[tuple]) -> list["_SeedPart"]:
+        """One part per distinct step shape, in order of first appearance."""
+        if len(set(keys)) > 1:
+            by_key: dict[tuple, list[TrainState]] = {}
+            for state, key in zip(self.states, keys):
+                by_key.setdefault(key, []).append(state)
+            return [_SeedPart(states) for states in by_key.values()]
+        if self.predictor.num_classes != keys[0][2]:
+            self.stack_predictors()
+        return [self]
+
+
+class SeedGroup:
+    """The seeds of one method, trained in lockstep.
+
+    Seeds whose next step has the same shape (batch length, replay count,
+    registered class count) step together in one part: one forward pass,
+    one loss_rows, one backward pass and one SGD step over parameters
+    stacked on a leading seed axis. When shapes diverge, a part splits by
+    shape and the pieces go on separately; they are not merged again. A
+    seed's bytes do not depend on which seeds share its part.
+    """
+
+    def __init__(self, states):
+        # seeds can only be stacked if their networks have the same shape
+        by_shape: dict[tuple, list[TrainState]] = {}
+        for state in states:
+            shape = tuple(layer.weight.shape for layer in state.extractor.layers)
+            by_shape.setdefault(shape, []).append(state)
+        self.parts = [_SeedPart(group) for group in by_shape.values()]
+
+    @property
+    def states(self) -> list[TrainState]:
+        """The seeds still stepping, in the order train_step takes them."""
+        return [s for part in self.parts for s in part.states]
+
+    def remove(self, states) -> None:
+        """Take seeds out of the group; the parts they leave restack."""
+        gone = {id(s) for s in states}
+        if gone:
+            self.parts = [p for p in (part.without(gone) for part in self.parts) if p]
+
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
+def seed_group_step(group, x_batch, y_batch, method: MethodConfig, memory_batch_size: int, rng):
+    """One training step of every seed in a SeedGroup.
+
+    x_batch, y_batch and rng hold one entry per seed, in group.states
+    order. Each seed registers new labels and draws its replay batch from
+    its own rng, the parts take their fused steps, and each seed then
+    offers its batch to its buffer. Returns, per seed, its StepRecord or
+    the NonFiniteError that ended it; such a seed leaves the group, and
+    the rest of its part redo the step's arithmetic without it from the
+    draws already made.
+
+    A lone TrainState is a group of one: pass its batch and rng directly,
+    and get its StepRecord back (or its error raised).
+    """
+    if isinstance(group, TrainState):
+        (record,) = _group_step(SeedGroup([group]), [x_batch], [y_batch], method,
+                                memory_batch_size, [rng])
+        if isinstance(record, Exception):
+            raise record
+        return record
+    return _group_step(group, x_batch, y_batch, method, memory_batch_size, rng)
+
+
+def _group_step(group: SeedGroup, x_batch, y_batch, method: MethodConfig,
+                memory_batch_size: int, rng) -> list:
+    states = group.states
+    if not len(states) == len(x_batch) == len(y_batch) == len(rng):
+        raise ValueError(f"{len(states)} seeds but {len(x_batch)} x batches, "
+                         f"{len(y_batch)} y batches and {len(rng)} rngs")
+    idx = []
+    for state, y, r in zip(states, y_batch, rng):
+        register_classes(state, y, r)
+        idx.append(buffer_retrieve(state.buffer, memory_batch_size, r)
+                   if method.replay_enabled else _NO_ROWS)
+    at = {id(s): i for i, s in enumerate(states)}
+    records: list = [None] * len(states)
+    parts = []
+    for part in group.parts:
+        keys = [(len(y_batch[i]), len(idx[i]), states[i].predictor.num_classes)
+                for i in (at[id(s)] for s in part.states)]
+        for piece in part.split(keys):
+            piece = _fused_step(piece, [at[id(s)] for s in piece.states], x_batch, y_batch,
+                                idx, method, records)
+            if piece is not None:
+                parts.append(piece)
+    group.parts = parts
+
+    for state, x, y, r, record in zip(states, x_batch, y_batch, rng, records):
+        if isinstance(record, StepRecord):
+            if method.replay_enabled:
+                buffer_update(state.buffer, LabeledData(x, y), r)
+            state.consumed_in_stage += len(y)
+            state.step += 1
+    return records
+
+
+def _fused_step(part: _SeedPart, members: list[int], x_batch, y_batch, idx,
+                method: MethodConfig, records: list) -> _SeedPart | None:
+    """The arithmetic of one part's step over [incoming; replayed]; fills
+    records at the members' positions and returns the part that survives."""
+    first = members[0]
+    n_cur, n_mem = len(y_batch[first]), len(idx[first])
+    learn_alpha = 1.0 if method.triple.learn is LogitMode.DOT else 0.0
+    alpha, weights, _ = _row_mix(learn_alpha, method.triple.replay.effective_alpha(),
+                                 method.joint_batch, n_cur, n_mem)
+    xs, labels = [], []
+    for state, i in zip(part.states, members):
+        xs.append(x_batch[i])
+        labels.append(state.row_of_label[y_batch[i]])
+        if n_mem:
+            buf = state.buffer
+            xs.append(buf.x[idx[i]])
+            labels.append(state.row_of_label[buf.y[idx[i]]])
+    # one seed steps on 2-d blocks, exactly as it would alone
+    lead = (len(members),) if len(members) > 1 else ()
+    X = np.concatenate(xs).reshape(*lead, n_cur + n_mem, -1)
+    rows = np.concatenate(labels).reshape(*lead, n_cur + n_mem)
+    while True:
+        try:
+            ce = _descend(part, X, rows, alpha, weights, method)
+            break
+        except NonFiniteError as err:
+            bad = set(range(len(members)) if err.seeds is None else err.seeds)
+            for j in bad:
+                records[members[j]] = err
+            part = part.without({id(part.states[j]) for j in bad})
+            if part is None:
+                return None
+            keep = [j for j in range(len(members)) if j not in bad]
+            members = [members[j] for j in keep]
+            X, rows = (X[keep], rows[keep]) if len(keep) > 1 else (X[keep[0]], rows[keep[0]])
+    part_ce = (ce * weights).reshape(len(members), -1)
+    l_c = part_ce[:, :n_cur].sum(axis=-1).tolist()
+    l_p = part_ce[:, n_cur:].sum(axis=-1).tolist()
+    for i, c, p in zip(members, l_c, l_p):
+        records[i] = StepRecord(c, p, c + p)
+    return part
+
+
+def _descend(part: _SeedPart, X: np.ndarray, rows: np.ndarray, alpha: np.ndarray,
+             weights: np.ndarray, method: MethodConfig) -> np.ndarray:
+    # a diverging run overflows here; the finiteness checks in
+    # forward_batch and loss_rows raise, so NumPy's warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        H, cache = forward_batch(part.extractor, X)
+        ce, dH = loss_rows(part.predictor, method.scale(), alpha, H, rows, weights, part.tape)
+        backward_batch(part.extractor, cache, dH, part.tape)
+        sgd_step(part.extractor, part.predictor, part.tape, method.lr)
+    return ce
+
+
+class _SeedRun:
+    """One seed's stream, state and results inside run_seed_group.
+
+    The seed's stages are row indices into its dataset (shared by every
+    seed for csv data): a stage's training rows are gathered when it
+    starts, and the test rows scored so far when it ends.
+    """
+
+    def __init__(self, dataset: Dataset, method: MethodConfig, stream_cfg: StreamConfig,
+                 seed: int):
+        self.seed = int(seed)
+        self.rng = make_rng([self.seed, 1])
+        self.dataset, self.method, self.stream_cfg = dataset, method, stream_cfg
+        self.stages = split_stages(dataset, stream_cfg, self.rng)
+        self.test_rows = np.concatenate([s.test_rows for s in self.stages])
+        self.ends = np.cumsum([len(s.test_rows) for s in self.stages])
+        self.state = init_state(method, dataset.input_dim, self.rng)
+        self.metrics: list[StageMetrics] = []
+        self.steps: list[StepRecord] = []
+        self.t = 0
+        self.batches = iter(())
+
+    def next_batch(self):
+        """The stream's next (x, y) batch, scoring each stage as it ends;
+        None once the last stage is scored."""
+        while (batch := next(self.batches, None)) is None:
+            if self.t:
+                rows = self.test_rows[:self.ends[self.t - 1]]
+                seen = LabeledData(self.dataset.test.x[rows], self.dataset.test.y[rows])
+                self.metrics.append(_collect_stage_metrics(
+                    self.state, self.stages, self.t, self.method, seen, self.ends))
+            if self.t == len(self.stages):
+                return None
+            self.t += 1
+            self.state.stage_baseline = self.state.predictor.copy()
+            self.state.consumed_in_stage = 0
+            self.batches = iterate_batches(self.stages[self.t - 1].gather(self.dataset),
+                                           self.stream_cfg, self.rng)
+        return batch
+
+    def result(self) -> ExperimentResult:
+        return ExperimentResult(method=self.method.name, seed=self.seed,
+                                metrics=self.metrics, steps=self.steps)
+
+
+def run_seed_group(dataset_for: Callable[[int], Dataset], method: MethodConfig,
+                   stream_cfg: StreamConfig, seeds: Sequence[int]) -> list:
+    """Train one method over several seeds in lockstep (a SeedGroup).
+
+    dataset_for(seed) gives each seed's dataset. Every seed's run is
+    exactly what it would be alone: its seed fully determines
+    initialization, stage partition, batch order, retrieval and buffer
+    replacement, and the stacked arithmetic computes each seed's slice
+    bitwise as its own 2-d step would. Returns, per seed in order, its
+    ExperimentResult or the exception that ended its run. A step whose
+    values go non-finite ends only that seed, with a FloatingPointError
+    naming the stage and the step (1-based, counted over the whole run).
+    """
+    outcomes: list = [None] * len(seeds)
+    live: dict[int, tuple[int, _SeedRun]] = {}  # id(run.state) -> (position, run)
+    for i, seed in enumerate(seeds):
+        try:
+            run = _SeedRun(dataset_for(seed), method, stream_cfg, seed)
+        except Exception as err:  # noqa: BLE001 - isolate per-seed failures
+            outcomes[i] = err
+        else:
+            live[id(run.state)] = i, run
+
+    def end(state: TrainState, outcome) -> None:
+        i, _ = live.pop(id(state))
+        outcomes[i] = outcome
+
+    group = SeedGroup([run.state for _, run in live.values()])
+    while group.parts:
+        ended, batches = [], []
+        for state in group.states:
+            run = live[id(state)][1]
+            try:
+                batch = run.next_batch()
+                if batch is None:
+                    end(state, run.result())
+            except Exception as err:  # noqa: BLE001 - e.g. a stage that cannot be scored
+                batch = None
+                end(state, err)
+            if batch is None:
+                ended.append(state)
+            else:
+                batches.append(batch)
+        group.remove(ended)
+        states = group.states
+        if not states:
+            break
+        try:
+            records = seed_group_step(group, [x for x, _ in batches], [y for _, y in batches],
+                                 method, stream_cfg.batch_size_memory,
+                                 [live[id(s)][1].rng for s in states])
+        except Exception as err:  # noqa: BLE001 - a fault no single seed owns
+            for state in states:
+                end(state, err)
+            break
+        for state, record in zip(states, records):
+            run = live[id(state)][1]
+            if isinstance(record, StepRecord):
+                run.steps.append(record)
+            else:
+                failure = FloatingPointError(f"stage {run.t}, step {state.step + 1}: {record}")
+                failure.__cause__ = record
+                end(state, failure)
+    return outcomes

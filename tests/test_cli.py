@@ -2,7 +2,6 @@
 
 import argparse
 import json
-import os
 import re
 import subprocess
 import sys
@@ -11,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import uer
 import uer.cli
 import uer.config
+from conftest import child_env
 from uer.cli import _apply_flag_overrides, build_parser, main, run_config
 from uer.config import build_dataset, parse_config_text
 from uer.evaluation import read_metrics, stage_metrics_to_dict
@@ -189,9 +188,12 @@ def test_csv_input_is_parsed_once_per_invocation(tmp_path, monkeypatch, command)
     assert [Path(args[0]).name for args in loads] == ["train.csv", "test.csv"]
 
 
-def test_synthetic_data_is_built_per_run(tmp_path, monkeypatch):
-    # synthetic data depends on the seed, so it is never reused
-    cfg_path, _ = write_config(tmp_path)
+def test_synthetic_data_is_built_once_per_stream(tmp_path, monkeypatch):
+    # synthetic data depends on the seed: uer and lucir share each seed's
+    # stream and its one build, finetune (no replay) has streams of its own
+    text = SMALL.replace("run.methods = uer,finetune", "run.methods = uer,lucir,finetune") \
+        + "method.lucir.hidden = 8\nmethod.lucir.buffer = 50\n"
+    cfg_path, _ = write_config(tmp_path, text)
     builds = count_calls(monkeypatch, uer.cli, "build_dataset")
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert [args[1] for args in builds] == [0, 1, 0, 1]
@@ -207,7 +209,7 @@ def test_malformed_csv_fails_every_run(tmp_path, capsys, monkeypatch):
               if line.startswith("FAILED")]
     assert len(failed) == 4
     assert all("train.csv:81: invalid feature value" in line for line in failed)
-    assert len(loads) == 4  # a failed parse is not reused
+    assert len(loads) == 4  # a failed parse is not reused: one attempt per stream
 
 
 def test_run_config_collects_results(tmp_path):
@@ -357,6 +359,30 @@ def test_run_divergence_names_stage_and_step(tmp_path, capsys):
     assert re.search(r"FAILED uer seed 0: stage \d+, step \d+: .*non-finite", err), err
 
 
+def test_collapsed_features_fail_the_run_and_spare_its_stream(tmp_path, capsys):
+    # with two hidden layers of 8, the step size 100 leaves uer with zero
+    # features on every stage-1 test row: its scores no longer depend on
+    # the input. (With one layer of 8 the features blow up instead, and
+    # never all reach zero.) lucir follows the same stream, untouched.
+    lucir = "method.lucir.hidden = 8,8\nmethod.lucir.buffer = 50\n"
+    text = UER_ONLY.replace("run.methods = uer", "run.methods = uer,lucir") \
+        .replace("method.uer.hidden = 8", "method.uer.hidden = 8,8") \
+        + "method.uer.lr = 100\n" + lucir
+    cfg_path, out = write_config(tmp_path, text)
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("FAILED")]
+    assert failed == ["FAILED uer seed 0: stage 1: features collapsed: all 20 scored test "
+                      "rows have zero features"]
+    assert not (out / "uer_seed0.metrics.jsonl").exists()
+    alone = UER_ONLY.split("method.")[0].replace("run.methods = uer", "run.methods = lucir")
+    alone_path, _ = write_config(tmp_path, alone + lucir, "alone.cfg")
+    alone_out = tmp_path / "alone"
+    assert main(["run", "--config", str(alone_path), "--out", str(alone_out)]) == 0
+    assert (out / "lucir_seed0.metrics.jsonl").read_bytes() == \
+        (alone_out / "lucir_seed0.metrics.jsonl").read_bytes()
+
+
 # --------------------------------------------------------------- table1
 
 
@@ -377,10 +403,10 @@ def test_table1_uses_configured_uer_settings(tmp_path, monkeypatch, capsys):
     text = UER_ONLY.replace("method.uer.hidden = 8", "method.uer.hidden = 5,3") \
         + "method.uer.lr = 0.05\nmethod.uer.gamma = 4.0\n"
     cfg_path, _ = write_config(tmp_path, text)
-    runs = count_calls(monkeypatch, uer.cli, "run_seed_group")
+    calls = count_calls(monkeypatch, uer.cli, "run_trajectories")
     assert main(["table1", "--config", str(cfg_path), "--buffer", "30"]) == 0
     capsys.readouterr()
-    methods = [args[1] for args in runs]
+    methods = [method for args in calls for method, _seed in args[1]]
     assert [m.name for m in methods] == ["-".join(row) for row in TABLE1_GRID]
     for m in methods:
         assert (m.hidden_dims, m.lr, m.gamma, m.buffer_capacity) == ((5, 3), 0.05, 4.0, 30)
@@ -463,12 +489,9 @@ def test_parser_rejects_unknown_flag():
 def test_console_entry_wiring(tmp_path):
     # entry() wires argv through main() and exits with its return code
     cfg_path, out = write_config(tmp_path)
-    # The child runs in tmp_path, where a relative PYTHONPATH (such as
-    # "src" in a source checkout) no longer resolves; put the directory
-    # that holds the imported package first, as an absolute path.
-    package_root = str(Path(uer.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    # the child runs in tmp_path, where a relative PYTHONPATH (such as
+    # "src" in a source checkout) no longer resolves
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-c", "from uer.cli import entry; entry()",
          "run", "--config", str(cfg_path)],

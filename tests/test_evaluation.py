@@ -156,6 +156,17 @@ def test_score_stages_rejects_empty_stage_and_bad_ends():
             score_stages(state, data, ends, LogitMode.DOT, SCALE)
 
 
+def test_score_stages_reports_all_zero_features():
+    # every row below the ReLU's kink: the scores are the biases alone
+    state = FrozenState(np.eye(2), [0.0, 1.0])
+    data = LabeledData(-np.ones((3, 2)), np.array([0, 1, 1]))
+    scores = score_stages(state, data, [1, 3], LogitMode.DOT, SCALE)
+    assert scores.collapsed and scores.accuracy_row == [0.0, 1.0]
+    data.x[2, 0] = 1.0  # one live row is enough
+    scores = score_stages(state, data, [1, 3], LogitMode.DOT, SCALE)
+    assert not scores.collapsed and scores.accuracy_row == [0.0, 0.5]
+
+
 def test_posterior_group_means_per_class_average():
     m = metrics_fixture()
     prev_mean, curr_mean = posterior_group_means(m)

@@ -2,11 +2,13 @@
 
 The premise: every kernel of the training step (forward_batch, loss_rows,
 backward_batch, sgd_step) computes each slice of a block stacked on a
-leading seed axis exactly as its 2-d call on that slice would, bit for
-bit. On top of it, a seed trained in a seed group must give the very same
-metrics bytes and StepRecords as legacy_step.per_seed_run, which trains it
-alone, whatever the other seeds do: split off at a class-count or batch
-mismatch, fall out of phase, or diverge.
+leading axis exactly as its 2-d call on that slice would, bit for bit,
+also when each slice carries its own alpha and weight rows, gamma and lr.
+On top of it, one method's seeds trained together (run_trajectories, one
+stream per seed) must give the very same metrics bytes and StepRecords as
+legacy_step.per_seed_run, which trains each alone, whatever the other
+seeds do: split off at a class-count or batch mismatch, fall out of
+phase, or diverge.
 """
 
 import json
@@ -26,7 +28,7 @@ from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch
                      forward_batch, sgd_step)
 from uer.numeric import NonFiniteError, make_rng
 from uer.stream import Dataset, LabeledData, StreamConfig, gen_synthetic, make_sphere_spec
-from uer.trainer import (er_method, finetune_method, lucir_method, run_seed_group,
+from uer.trainer import (er_method, finetune_method, lucir_method, run_trajectories,
                          uer_a_method, uer_method)
 
 
@@ -103,6 +105,96 @@ def test_stacked_kernels_equal_2d_calls_bitwise(seeds, n, dims, classes, alpha, 
         _same(pp.b[s], pp_s.b, "sgd_step class biases")
 
 
+@given(slices=st.integers(1, 4), n=st.integers(1, 24),
+       dims=st.lists(st.integers(1, 40), min_size=2, max_size=3),
+       classes=st.integers(1, 12), branches=st.sampled_from(["dot", "cosine", "both"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(slices=1, n=1, dims=[1, 1], classes=1, branches="both", seed=0)
+@example(slices=3, n=1, dims=[5, 1, 7], classes=3, branches="cosine", seed=1)
+@example(slices=4, n=20, dims=[20, 64], classes=10, branches="both", seed=2)
+@settings(max_examples=60, deadline=None)
+def test_per_slice_settings_equal_2d_calls_bitwise(slices, n, dims, classes, branches, seed):
+    # each slice is a run with its own alpha and weight rows, gamma and lr;
+    # all slices take the same loss branches, as the runs of a part do
+    rng = make_rng(seed)
+    weights = [rng.normal(size=(slices, o, i)) / np.sqrt(i) for i, o in zip(dims, dims[1:])]
+    biases = [rng.normal(scale=0.1, size=(slices, o)) for o in dims[1:]]
+    X = rng.normal(size=(slices, n, dims[0]))
+    W, b = rng.normal(size=(slices, classes, dims[-1])), rng.normal(size=(slices, classes))
+    rows = rng.integers(0, classes, size=(slices, n))
+    if branches == "dot":
+        a = np.ones((slices, n))
+    elif branches == "cosine":
+        a = np.zeros((slices, n))
+    else:  # a mixed first row makes every slice use both branches
+        a = rng.choice([0.0, 1.0, 0.5], size=(slices, n))
+        a[:, 0] = rng.uniform(0.05, 0.95, size=slices)
+    w = rng.uniform(0.05, 1.0, size=(slices, n))
+    gamma, lr = rng.uniform(1.0, 16.0, size=slices), rng.uniform(0.01, 0.5, size=slices)
+
+    fe = FeatureExtractor([LayerParams(wk.copy(), bk.copy()) for wk, bk in zip(weights, biases)])
+    pp = PredictorParams(W.copy(), b.copy())
+    tape = GradientTape(fe, pp)
+    H, cache = forward_batch(fe, X)
+    ce, dH = loss_rows(pp, CosineScale(gamma), a, H, rows, w, tape)
+    backward_batch(fe, cache, dH, tape)
+    grads = [g.copy() for g in (*tape.layer_w, *tape.layer_b, tape.pred_w, tape.pred_b)]
+    sgd_step(fe, pp, tape, lr)
+
+    for s in range(slices):
+        fe_s = FeatureExtractor([LayerParams(wk[s].copy(), bk[s].copy())
+                                 for wk, bk in zip(weights, biases)])
+        pp_s = PredictorParams(W[s].copy(), b[s].copy())
+        tape_s = GradientTape(fe_s, pp_s)
+        H_s, cache_s = forward_batch(fe_s, X[s])
+        ce_s, dH_s = loss_rows(pp_s, CosineScale(float(gamma[s])), a[s], H_s, rows[s], w[s],
+                               tape_s)
+        _same(ce[s], ce_s, "loss_rows cross-entropy")
+        _same(dH[s], dH_s, "loss_rows dH")
+        backward_batch(fe_s, cache_s, dH_s, tape_s)
+        grads_s = (*tape_s.layer_w, *tape_s.layer_b, tape_s.pred_w, tape_s.pred_b)
+        for k, (g, g_s) in enumerate(zip(grads, grads_s)):
+            _same(g[s], g_s, f"gradient block {k}")
+        sgd_step(fe_s, pp_s, tape_s, float(lr[s]))
+        for k, (layer, layer_s) in enumerate(zip(fe.layers, fe_s.layers)):
+            _same(layer.weight[s], layer_s.weight, f"sgd_step layer {k} weight")
+            _same(layer.bias[s], layer_s.bias, f"sgd_step layer {k} bias")
+        _same(pp.W[s], pp_s.W, "sgd_step class rows")
+        _same(pp.b[s], pp_s.b, "sgd_step class biases")
+
+
+@pytest.mark.parametrize("alpha", [[[1.0, 1.0], [1.0, 0.5]],  # pure dot next to mixed
+                                   [[0.0, 0.0], [0.5, 0.5]],  # pure cosine next to mixed
+                                   [[1.0, 1.0], [0.0, 0.0]]])
+def test_slices_that_take_different_branches_are_rejected(alpha):
+    # stepping them together would add 0 * cosine to a pure-dot slice (or
+    # 0 * dot to a pure-cosine one), which is not its 2-d arithmetic
+    rng = make_rng(0)
+    pp = PredictorParams(rng.normal(size=(2, 3, 4)), np.zeros((2, 3)))
+    H = np.abs(rng.normal(size=(2, 2, 4)))
+    with pytest.raises(ValueError, match="different branches"):
+        loss_rows(pp, CosineScale(np.array([10.0, 10.0])), np.array(alpha), H,
+                  np.zeros((2, 2), dtype=np.int64), 0.5)
+
+
+def test_per_slice_settings_are_checked():
+    rng = make_rng(0)
+    pp = PredictorParams(rng.normal(size=(2, 3, 4)), np.zeros((2, 3)))
+    H, rows = np.abs(rng.normal(size=(2, 2, 4))), np.zeros((2, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match="gamma has shape"):
+        loss_rows(pp, CosineScale(np.array([1.0, 2.0, 3.0])), 0.0, H, rows, 0.5)
+    with pytest.raises(ValueError, match="alpha has shape"):
+        loss_rows(pp, None, np.ones((3, 2)), H, rows, 0.5)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        CosineScale(np.array([1.0, 0.0]))
+    fe = FeatureExtractor([LayerParams(np.ones((2, 4, 4)), np.zeros((2, 4)))])
+    tape = GradientTape(fe, pp)
+    with pytest.raises(ValueError, match="learning rates"):
+        sgd_step(fe, pp, tape, np.array([0.1, 0.1, 0.1]))
+    with pytest.raises(ValueError, match="must be positive"):
+        sgd_step(fe, pp, tape, np.array([0.1, -0.1]))
+
+
 def test_stacked_finiteness_check_names_the_seed():
     fe = FeatureExtractor([LayerParams(np.ones((3, 2, 2)), np.zeros((3, 2)))])
     X = np.ones((3, 1, 2))
@@ -137,6 +229,11 @@ def _datasets(classes=6, train_per_class=40):
         out[seed] = gen_synthetic(make_sphere_spec(classes, 8, 3.0, 1.0, train_per_class, 10,
                                                    rng), rng)
     return out
+
+
+def run_seed_group(dataset_for, method, stream, seeds):
+    """One method's seeds in lockstep: a run per seed, each on its own stream."""
+    return run_trajectories(dataset_for, [(method, seed) for seed in seeds], stream)
 
 
 def _metrics_bytes(result) -> bytes:
@@ -271,7 +368,7 @@ def test_one_train_step_call_per_group_step(monkeypatch):
     real = uer.trainer.train_step
 
     def counted(group, *args):
-        calls.append(len(group.states))
+        calls.append(len(group.runs))
         return real(group, *args)
     monkeypatch.setattr(uer.trainer, "train_step", counted)
     outcomes = run_seed_group(datasets.__getitem__, method, STREAM, SEEDS)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legacy_step
 from uer.memory import (MemoryBuffer, buffer_retrieve, buffer_update, load_buffer,
                         save_buffer)
 from uer.numeric import make_rng
@@ -72,6 +73,38 @@ def test_size_law_under_fuzzed_batches(chunks, capacity, seed):
         assert buf.seen == offered
         # no duplicate stream positions can ever exist in the buffer
         assert len(set(buf.pos[:len(buf)].tolist())) == len(buf)
+
+
+@given(chunks=st.lists(st.integers(0, 60), min_size=1, max_size=10),
+       capacity=st.integers(0, 6),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_scatter_writes_what_the_per_row_loop_wrote(chunks, capacity, seed):
+    # a small buffer and long chunks: many draws land on one slot, and the
+    # last of them must win, as when the rows were written one at a time
+    scatter, loop = MemoryBuffer(capacity), MemoryBuffer(capacity)
+    rng_s, rng_l = make_rng(seed), make_rng(seed)
+    data = make_rng(seed + 1).normal(size=(sum(chunks), 3))
+    offered = 0
+    for n in chunks:
+        batch = LabeledData(data[offered:offered + n], np.arange(offered, offered + n) % 5)
+        buffer_update(scatter, batch, rng_s)
+        legacy_step.loop_buffer_update(loop, batch, rng_l)
+        offered += n
+        assert (scatter.size, scatter.seen) == (loop.size, loop.seen)
+        for a, b in ((scatter.x, loop.x), (scatter.y, loop.y), (scatter.pos, loop.pos)):
+            assert a.tobytes() == b.tobytes()
+        assert rng_s.bit_generator.state == rng_l.bit_generator.state
+
+
+def test_scatter_keeps_the_last_writer_of_a_shared_slot():
+    # capacity 1: after the first sample every accepted draw hits slot 0
+    buf = MemoryBuffer(1)
+    buffer_update(buf, samples(1), make_rng(3))
+    rng = make_rng(3)
+    js = make_rng(3).integers(0, np.arange(2, 42))
+    buffer_update(buf, samples(40, start=1), rng)
+    assert buf.pos[0] == 1 + int(np.flatnonzero(js < 1)[-1])
 
 
 def test_batched_updates_match_one_by_one_distribution():

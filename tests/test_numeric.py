@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import child_env
 from uer.numeric import (ShapeError, as_matrix, as_vector, l2_norm, make_rng,
                          matvec, require_finite, rng_uniform)
 
@@ -123,8 +124,8 @@ def test_rng_sequence_seed():
 def test_rng_identical_across_processes():
     code = ("from uer.numeric import make_rng; "
             "print(repr(make_rng(11).uniform(0, 1, size=4).tolist()))")
-    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
-                           text=True, check=True).stdout for _ in range(2)]
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env=child_env()).stdout for _ in range(2)]
     assert runs[0] == runs[1]
     here = repr(make_rng(11).uniform(0, 1, size=4).tolist()) + "\n"
     assert runs[0] == here

@@ -8,15 +8,18 @@ unchanged.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_eval
 from uer.evaluation import accuracy, average_posterior
 from uer.logits import CosineScale, LogitMode
+from uer.net import forward_batch
 from uer.numeric import make_rng
 from uer.stream import LabeledData, Stage, StreamConfig, iterate_batches
-from uer.trainer import _collect_stage_metrics, init_state, train_step, triple_method
+from uer.trainer import (FeaturesCollapsed, _collect_stage_metrics, init_state, train_step,
+                         triple_method)
 
 DIM = 6
 
@@ -57,6 +60,11 @@ def test_one_pass_matches_per_stage_passes(test_mode, learn, test_sizes, lr, see
         state.consumed_in_stage = 0
         for x_b, y_b in iterate_batches(stage, stream, rng):
             train_step(state, x_b, y_b, method, stream.batch_size_memory, rng)
+        if not forward_batch(state.extractor, test.x[:ends[t - 1]])[0].any():
+            # no live feature on any scored row: the run fails instead
+            with pytest.raises(FeaturesCollapsed, match=f"^stage {t}: features collapsed"):
+                _collect_stage_metrics(state, stages, t, method, test, ends)
+            return
         new = _collect_stage_metrics(state, stages, t, method, test, ends)
         old = legacy_eval.collect_stage_metrics(state, stages, t, method)
         assert new.accuracy_row == old.accuracy_row

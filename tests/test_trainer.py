@@ -5,11 +5,12 @@ import pytest
 
 from conftest import flat_params
 from uer.logits import LogitMode, dot_logits, loss_dot
-from uer.net import backward_batch, forward_batch, sgd_step
+from uer.memory import MemoryBuffer
+from uer.net import backward_batch, forward_batch, init_extractor, sgd_step
 from uer.numeric import make_rng
 from uer.stream import StreamConfig, SyntheticSpec, gen_synthetic
-from uer.trainer import (MethodConfig, TABLE1_GRID, er_method, finetune_method,
-                         init_state, lucir_method, register_classes,
+from uer.trainer import (MethodConfig, StreamState, TABLE1_GRID, _follow, er_method,
+                         finetune_method, init_state, lucir_method, register_classes,
                          run_experiment, train_step, triple_method, uer_a_method,
                          uer_method)
 
@@ -124,6 +125,43 @@ def test_register_extends_tape_and_baseline():
     assert state.stage_baseline.W.shape == state.predictor.W.shape
     # baseline carries the same fresh-row values, so registering is motionless
     np.testing.assert_array_equal(state.stage_baseline.W, state.predictor.W)
+
+
+@pytest.mark.parametrize("labels", [[3, 0, 3], [0], [5, 1], [7], [-1], [0, -2]])
+def test_register_classes_fast_path_agrees_with_the_loop(labels):
+    # a batch of known labels returns at once and draws nothing; anything
+    # else (new labels, labels past the lookup, negative labels) takes the
+    # per-label loop exactly as before
+    state = init_state(uer_method(hidden_dims=(4,)), input_dim=3, rng=make_rng(0))
+    register_classes(state, np.array([3, 0]), make_rng(1))
+    rng = make_rng(2)
+    before = rng.bit_generator.state
+    if min(labels) < 0:
+        with pytest.raises(ValueError, match="non-negative"):
+            register_classes(state, np.array(labels), rng)
+        return
+    added = register_classes(state, np.array(labels), rng)
+    new = [c for c in dict.fromkeys(labels) if c not in (3, 0)]
+    assert added == new
+    assert (rng.bit_generator.state == before) == (not new)
+    assert state.class_order == [3, 0, *new]
+    assert state.predictor.num_classes == len(state.class_order)
+
+
+def test_runs_on_one_stream_get_the_same_rows():
+    # the stream draws a new row once; every run's scorer and stage
+    # baseline catch up with the same values
+    stream = StreamState(MemoryBuffer(5), 4)
+    runs = [_follow(stream, init_extractor((3, 4), make_rng(k))) for k in range(2)]
+    assert register_classes(stream, np.array([2, 6]), make_rng(5)) == [2, 6]
+    lone = init_state(uer_method(hidden_dims=(4,)), input_dim=3, rng=make_rng(0))
+    register_classes(lone, np.array([2, 6]), make_rng(5))
+    for state in [*runs, _follow(stream, init_extractor((3, 4), make_rng(9)))]:
+        register_classes(state, np.array([6]), make_rng(7))  # known: only catches up
+        assert state.predictor.W.tobytes() == lone.predictor.W.tobytes()
+        assert state.stage_baseline.W.tobytes() == lone.predictor.W.tobytes()
+        assert state.tape.pred_w.shape == lone.predictor.W.shape
+        assert state.label_to_row == {2: 0, 6: 1}
 
 
 # ------------------------------------------------------------- train_step
