@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, DatasetSpec, ExperimentConfig, build_dataset, parse_config
+from .config import ConfigError, DatasetSpec, ExperimentConfig, build_dataset, parse_config, \
+    parse_seeds
 from .evaluation import posterior_group_means, write_metrics
 from .stream import Dataset
 # run_experiment is not called here: it stays importable from this module
@@ -176,13 +177,17 @@ def _print_summary(summary: RunSummary, echo=print) -> None:
 
 
 def _apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "seed", None):
-        seeds = tuple(int(s) for s in args.seed.split(","))
+    """The --seed, --out and --buffer overrides; a bad value raises
+    ConfigError naming its flag before any data is built."""
+    if getattr(args, "seed", None) is not None:
+        seeds = parse_seeds(args.seed, "--seed")
         cfg = replace(cfg, seeds=seeds,
                       methods=tuple(replace(m, seeds=None) for m in cfg.methods))
     if getattr(args, "out", None):
         cfg = replace(cfg, out_dir=args.out)
     if getattr(args, "buffer", None) is not None:
+        if args.buffer < 0:
+            raise ConfigError(f"--buffer: expected a non-negative capacity, got {args.buffer}")
         cfg = replace(cfg, methods=tuple(
             replace(m, buffer_capacity=args.buffer) if m.replay_enabled else m
             for m in cfg.methods))
@@ -362,3 +367,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

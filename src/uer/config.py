@@ -25,7 +25,7 @@ Scalars are parsed by the expected type of the key: int, float, bool
     stream.batch_memory       int (default 10)
     stream.shuffle_seed       int (default: derived from the run seed)
     run.methods               list of method names (required)
-    run.seeds                 list of ints (default 0)
+    run.seeds                 list of ints >= 0 (default 0)
     run.out                   output directory (default "results")
     method.NAME.learn         dot | cosine
     method.NAME.replay        dot | cosine | mixed
@@ -37,7 +37,7 @@ Scalars are parsed by the expected type of the key: int, float, bool
     method.NAME.replay_enabled  true | false
     method.NAME.joint_batch     true | false
     method.NAME.hidden        list of ints (default 64)
-    method.NAME.seeds         list of ints (default: run.seeds)
+    method.NAME.seeds         list of ints >= 0 (default: run.seeds)
 
 Method names appearing in run.methods are either stock presets (uer,
 uer-a, er, lucir, finetune) or custom names that must define learn,
@@ -108,7 +108,22 @@ def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
     return entries
 
 
+def parse_seeds(value: str, where: str) -> tuple[int, ...]:
+    """A comma-separated list of run seeds. A seed is a non-negative int
+    (NumPy's generators take no negative seed); where names the source,
+    e.g. "line 3: key run.seeds" or "--seed"."""
+    try:
+        seeds = tuple(int(v.strip()) for v in value.split(","))
+        if min(seeds) >= 0:
+            return seeds
+    except ValueError:
+        pass
+    raise ConfigError(f"{where}: expected non-negative integer seeds, got {value!r}")
+
+
 def _convert(key: str, lineno: int, value: str, kind: str):
+    if kind == "seeds":
+        return parse_seeds(value, f"line {lineno}: key {key}")
     try:
         if kind == "int":
             return int(value)
@@ -173,7 +188,7 @@ def _build_method(name: str, e: _Entries, run_seeds: tuple[int, ...]) -> MethodC
         overrides["joint_batch"] = v
     if (v := e.take(k("hidden"), "ints")) is not None:
         overrides["hidden_dims"] = v
-    if (v := e.take(k("seeds"), "ints")) is not None:
+    if (v := e.take(k("seeds"), "seeds")) is not None:
         overrides["seeds"] = v
 
     learn = e.take(k("learn"), "str")
@@ -238,7 +253,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if len(set(names)) != len(names):
         raise ConfigError(f"line {e.line_of('run.methods')}: key run.methods: "
                           f"duplicate method names")
-    seeds = e.take("run.seeds", "ints", (0,))
+    seeds = e.take("run.seeds", "seeds", (0,))
     out_dir = e.take("run.out", "str", "results")
     methods = tuple(_build_method(name, e, seeds) for name in names)
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .logits import CosineScale, LogitMode, PredictorParams, cosine_logits_batch, \
-    dot_logits_batch, softmax_rows
+    dot_logits_batch
 from .net import forward_batch
 from .stream import LabeledData
 
@@ -76,17 +76,42 @@ class StageScores:
     collapsed: bool = False  # every row's features are zero: scores ignore the input
 
 
+# Rows scored per block. 768 rows of width-64 activations take 384 KiB, so
+# a block's forward pass, scores and softmax stay in a core's L2 cache and
+# the allocator hands the next block the memory the last one freed (blocks
+# of 2048 rows page-faulted about ten times as often in a manystage-csv
+# run). Blocks start at multiples of BLOCK_ROWS and the last one takes the
+# tail, so no block is shorter than BLOCK_ROWS unless all the rows are:
+# OpenBLAS 0.3.31 takes a small-matrix kernel, which sums in another
+# order, for products of at most ~1200 entries, and a block's rows must
+# come out bitwise as the rows of one product over all rows
+# (tests/test_stage_scoring.py checks that premise).
+BLOCK_ROWS = 768
+
+
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """The [lo, hi) row ranges score_stages scores n rows in."""
+    starts = list(range(0, max(n - BLOCK_ROWS, 0) + 1, BLOCK_ROWS))
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
                  scale: CosineScale) -> StageScores:
-    """Score the test rows of stages 1..t with one forward pass.
+    """Score the test rows of stages 1..t in one pass over row blocks.
 
     test holds the stages' rows in stage order and ends[j] is the offset
-    where stage j+1's rows end, so ends[-1] == len(test). One score matrix
-    S gives the accuracy of each stage's slice of argmax(S), the accuracy
-    of every row before the last stage, and softmax_rows(S).mean(axis=0).
-    Every stage must hold at least one row. When every row's features are
-    zero (the extractor's ReLUs all died), the scores say nothing about the
-    input; collapsed reports that.
+    where stage j+1's rows end, so ends[-1] == len(test). Each block of
+    rows (row_blocks) goes through the forward pass, the scores, the argmax
+    and a softmax written in place into one (rows, classes) posterior
+    array; nothing else of full size is built. The accuracy of each
+    stage's slice of the argmax, the accuracy of every row before the last
+    stage, and the posterior's mean over the rows follow. Every step is a
+    per-row computation whose rows come out bitwise as from the whole
+    matrix at once, and the row max that the softmax subtracts is read off
+    at the argmax, which is the max itself; so the results equal one pass
+    over all rows, bit for bit. Every stage must hold at least one row.
+    When every row's features are zero (the extractor's ReLUs all died),
+    the scores say nothing about the input; collapsed reports that.
     """
     ends = np.asarray(ends, dtype=np.int64)
     if ends.ndim != 1 or not len(ends) or ends[-1] != len(test):
@@ -98,18 +123,28 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
         raise ValueError(f"accuracy over an empty test set (stage {empty})")
     if state.predictor.num_classes == 0:
         raise ValueError("predict with no registered classes")
-    H = forward_batch(state.extractor, test.x)[0]  # the forward cache goes at once
-    collapsed = not H.any()
-    S = _scores(state.predictor, H, mode, scale)
-    del H  # before the softmax, which keeps a stage evaluation's peak memory down
-    labels = np.asarray(state.class_order, dtype=np.int64)[np.argmax(S, axis=1)]
+    class_order = np.asarray(state.class_order, dtype=np.int64)
+    correct = np.empty(len(test), dtype=bool)
+    posterior = np.empty((len(test), state.predictor.num_classes))
+    collapsed = True
+    for lo, hi in row_blocks(len(test)):
+        H = forward_batch(state.extractor, test.x[lo:hi])[0]
+        collapsed = collapsed and not H.any()
+        S = _scores(state.predictor, H, mode, scale)
+        best = np.argmax(S, axis=1)
+        np.equal(class_order[best], test.y[lo:hi], out=correct[lo:hi])
+        P = posterior[lo:hi]
+        # logits.softmax_rows(S), written in place
+        np.subtract(S, S[np.arange(hi - lo), best][:, None], out=P)
+        np.exp(P, out=P)
+        P /= P.sum(axis=1, keepdims=True)
     # hits[i] counts the correct rows among the first i
-    hits = np.concatenate([[0], np.cumsum(labels == test.y)])
+    hits = np.concatenate([[0], np.cumsum(correct)])
     row = (hits[ends] - hits[starts]) / (ends - starts)
     prev = int(starts[-1])
     return StageScores(accuracy_row=row.tolist(),
                        acc_previous=float(hits[prev] / prev) if prev else None,
-                       avg_posterior=softmax_rows(S).mean(axis=0), collapsed=collapsed)
+                       avg_posterior=posterior.mean(axis=0), collapsed=collapsed)
 
 
 def accuracy(state, test: LabeledData, mode: LogitMode, scale: CosineScale) -> float:

@@ -119,7 +119,9 @@ def cosine_logits(pp: PredictorParams, h: np.ndarray, scale: CosineScale) -> np.
 
 
 def dot_logits_batch(pp: PredictorParams, H: np.ndarray) -> np.ndarray:
-    return H @ pp.W.T + pp.b
+    L = H @ pp.W.T
+    L += pp.b  # in place: one rows x classes temporary fewer
+    return L
 
 
 def cosine_logits_batch(pp: PredictorParams, H: np.ndarray, scale: CosineScale) -> np.ndarray:

@@ -126,7 +126,8 @@ def forward_batch(fe: FeatureExtractor, X: np.ndarray) -> tuple[np.ndarray, Forw
     A = X
     for layer in fe.layers:
         inputs.append(A)
-        Z = A @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
+        Z = A @ layer.weight.swapaxes(-1, -2)
+        Z += layer.bias[..., None, :]  # in place: one rows x width temporary fewer
         preacts.append(Z)
         A = np.maximum(Z, 0.0)
     require_finite(A, "features", stacked=bool(seeds))

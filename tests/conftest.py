@@ -174,3 +174,17 @@ def child_env() -> dict:
     package_root = str(Path(uer.__file__).resolve().parent.parent)
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+# --------------------------------------------------------------------------
+# bitwise premises
+
+
+def blas_versions() -> str:
+    """NumPy's version and its BLAS, for the message of a failed bitwise premise."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except Exception:  # noqa: BLE001 - older NumPy has no dict form
+        blas = "unknown"
+    return f"NumPy {np.__version__}, BLAS {blas}"

@@ -1,18 +1,21 @@
-"""Test-only reference: the per-stage evaluation the one-pass scoring replaced.
+"""Test-only references: the stage evaluations that score_stages replaced.
 
-This is the earlier implementation kept verbatim in behaviour, so
-``uer.trainer._collect_stage_metrics`` and ``uer.evaluation.score_stages``
-can be checked against it: one forward pass per stage for the accuracy
-row, one over the pooled earlier stages for ``acc_previous`` and one over
-every stage seen so far for the average posterior (t + 2 passes after
-stage t). Nothing in ``src/`` imports this module.
+collect_stage_metrics is the per-stage evaluation kept verbatim in
+behaviour, so ``uer.trainer._collect_stage_metrics`` and
+``uer.evaluation.score_stages`` can be checked against it: one forward
+pass per stage for the accuracy row, one over the pooled earlier stages
+for ``acc_previous`` and one over every stage seen so far for the average
+posterior (t + 2 passes after stage t). score_stages is the one-pass
+scoring that came next: one forward pass and one softmax over every row at
+once, with full-size temporaries; the row-blocked pass must match it bit
+for bit. Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from uer.evaluation import StageMetrics, average_accuracy, bias_diagnostics
+from uer.evaluation import StageMetrics, StageScores, average_accuracy, bias_diagnostics
 from uer.logits import LogitMode, cosine_logits_batch, dot_logits_batch, predict_batch, \
     softmax_rows
 from uer.net import forward_batch
@@ -78,3 +81,32 @@ def collect_stage_metrics(state, stages, t, method) -> StageMetrics:
         avg_posterior=[float(v) for v in posterior],
         consumed_samples=state.consumed_in_stage,
     )
+
+
+def score_stages(state, test, ends, mode, scale) -> StageScores:
+    """One forward pass over every row of stages 1..t, then one score
+    matrix S: each stage's slice of argmax(S) gives its accuracy, and
+    softmax_rows(S).mean(axis=0) the average posterior."""
+    ends = np.asarray(ends, dtype=np.int64)
+    if ends.ndim != 1 or not len(ends) or ends[-1] != len(test):
+        raise ValueError(f"stage ends {ends.tolist()} do not end at the "
+                         f"{len(test)} test rows")
+    starts = np.concatenate([[0], ends[:-1]])
+    if np.any(ends <= starts):
+        empty = int(np.argmax(ends <= starts)) + 1
+        raise ValueError(f"accuracy over an empty test set (stage {empty})")
+    if state.predictor.num_classes == 0:
+        raise ValueError("predict with no registered classes")
+    H = forward_batch(state.extractor, test.x)[0]
+    collapsed = not H.any()
+    if mode is LogitMode.DOT:
+        S = dot_logits_batch(state.predictor, H)
+    else:
+        S = cosine_logits_batch(state.predictor, H, scale)
+    labels = np.asarray(state.class_order, dtype=np.int64)[np.argmax(S, axis=1)]
+    hits = np.concatenate([[0], np.cumsum(labels == test.y)])
+    row = (hits[ends] - hits[starts]) / (ends - starts)
+    prev = int(starts[-1])
+    return StageScores(accuracy_row=row.tolist(),
+                       acc_previous=float(hits[prev] / prev) if prev else None,
+                       avg_posterior=softmax_rows(S).mean(axis=0), collapsed=collapsed)

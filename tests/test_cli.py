@@ -249,6 +249,34 @@ def test_seed_and_out_flags_drive_run(tmp_path):
     assert not out.exists()  # the configured directory was never used
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("run", "--seed", "a"), ("run", "--seed", "1,,2"), ("run", "--seed", "-1"),
+    ("run", "--buffer", "-5"), ("table1", "--buffer", "-5"), ("diag", "--seed", "")])
+def test_bad_flag_fails_early_with_exit_1(tmp_path, capsys, monkeypatch, command, flag, value):
+    # these used to end in a traceback and exit 2, or fail every run at its first draw
+    built = []
+    monkeypatch.setattr(uer.cli, "build_dataset", lambda *a: built.append(a))
+    cfg_path, out = write_config(tmp_path)
+    assert main([command, "--config", str(cfg_path), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert re.match(f"config error: {flag}: expected (a )?non-negative ", err), err
+    assert "Traceback" not in err
+    assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize("line", ["run.seeds = -1", "method.uer.seeds = 0,-2"])
+def test_negative_config_seed_fails_early_with_exit_1(tmp_path, capsys, monkeypatch, line):
+    built = []
+    monkeypatch.setattr(uer.cli, "build_dataset", lambda *a: built.append(a))
+    text = SMALL.replace("run.seeds = 0,1", "") + line + "\n"
+    lineno = text.rstrip("\n").count("\n") + 1
+    cfg_path, out = write_config(tmp_path, text)
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {lineno}: key {line.split()[0]}: "), err
+    assert built == [] and not out.exists()
+
+
 # ---------------------------------------------------------- sweep-alpha
 
 
@@ -503,3 +531,18 @@ def test_console_entry_wiring(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "sweep-alpha" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["uer", "uer.cli"])
+def test_python_dash_m_runs_the_command_line(tmp_path, module):
+    env = child_env()
+    proc = subprocess.run([sys.executable, "-m", module, "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "sweep-alpha" in proc.stdout
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("dataset.kind = split-gauss-10\nrun.methods = uer\nrun.seeds = -1\n")
+    proc = subprocess.run([sys.executable, "-m", module, "run", "--config", str(bad)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "config error: line 3: key run.seeds" in proc.stderr

@@ -165,6 +165,24 @@ def test_dataset_keys_rejected_for_fixed_kind():
         parse_config_text(MINIMAL + "dataset.train_per_class = 5\n")
 
 
+@pytest.mark.parametrize("value", ["-1", "0,-3", "1,,2", "a"])
+def test_bad_run_seeds_name_their_line(value):
+    # a negative seed parsed once, then failed every run at its first draw
+    text = MINIMAL.replace("run.seeds = 0", f"run.seeds = {value}")
+    with pytest.raises(ConfigError, match=rf"^line 5: key run.seeds: expected non-negative "
+                                          rf"integer seeds, got '{value}'$"):
+        parse_config_text(text)
+
+
+def test_bad_method_seeds_name_their_line():
+    text = MINIMAL + "method.uer.seeds = 2,-1\n"
+    lineno = text.rstrip("\n").count("\n") + 1
+    with pytest.raises(ConfigError, match=rf"^line {lineno}: key method.uer.seeds: "
+                                          "expected non-negative integer seeds"):
+        parse_config_text(text)
+    assert parse_config_text(MINIMAL + "method.uer.seeds = 0, 7\n").methods[0].seeds == (0, 7)
+
+
 def test_malformed_line_reported():
     with pytest.raises(ConfigError, match="line 1: expected"):
         parse_config_text("this is not a key value pair\n")
