@@ -81,6 +81,15 @@ class ExperimentConfig:
     out_dir: str
 
 
+# Value ranges, checked as each key is read so that a bad value is
+# reported with its line and key (MethodConfig and StreamConfig check the
+# same ranges for callers that build them directly)
+_ALPHA = (lambda v: 0.0 <= v <= 1.0, "alpha out of [0,1]")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+_DIMS = (lambda v: min(v) >= 1, "layer widths must be positive")
+
 _SYNTH_KEYS = {"classes", "input_dim", "radius", "stddev", "train_per_class", "test_per_class"}
 _CSV_KEYS = {"train_csv", "test_csv"}
 _METHOD_KEYS = {"learn", "replay", "test", "alpha", "gamma", "lr", "buffer",
@@ -147,12 +156,17 @@ class _Entries:
         self.entries = entries
         self.used: set[str] = set()
 
-    def take(self, key: str, kind: str, default=None):
+    def take(self, key: str, kind: str, default=None, valid=None):
+        """The key's value converted to kind, or default if it is not set;
+        valid, a (predicate, message) pair, rejects a value out of range."""
         if key not in self.entries:
             return default
         self.used.add(key)
-        lineno, value = self.entries[key]
-        return _convert(key, lineno, value, kind)
+        lineno, text = self.entries[key]
+        value = _convert(key, lineno, text, kind)
+        if valid is not None and not valid[0](value):
+            raise ConfigError(f"line {lineno}: key {key}: {valid[1]}, got {text!r}")
+        return value
 
     def require(self, key: str, kind: str):
         if key not in self.entries:
@@ -171,22 +185,19 @@ def _build_method(name: str, e: _Entries, run_seeds: tuple[int, ...]) -> MethodC
         return f"method.{name}.{suffix}"
 
     overrides = {}
-    if (v := e.take(k("alpha"), "float")) is not None:
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"line {e.line_of(k('alpha'))}: key {k('alpha')}: "
-                              f"alpha out of [0,1]: {v}")
+    if (v := e.take(k("alpha"), "float", valid=_ALPHA)) is not None:
         overrides["alpha"] = v
-    if (v := e.take(k("gamma"), "float")) is not None:
+    if (v := e.take(k("gamma"), "float", valid=_POSITIVE)) is not None:
         overrides["gamma"] = v
-    if (v := e.take(k("lr"), "float")) is not None:
+    if (v := e.take(k("lr"), "float", valid=_POSITIVE)) is not None:
         overrides["lr"] = v
-    if (v := e.take(k("buffer"), "int")) is not None:
+    if (v := e.take(k("buffer"), "int", valid=_NON_NEGATIVE)) is not None:
         overrides["buffer_capacity"] = v
     if (v := e.take(k("replay_enabled"), "bool")) is not None:
         overrides["replay_enabled"] = v
     if (v := e.take(k("joint_batch"), "bool")) is not None:
         overrides["joint_batch"] = v
-    if (v := e.take(k("hidden"), "ints")) is not None:
+    if (v := e.take(k("hidden"), "ints", valid=_DIMS)) is not None:
         overrides["hidden_dims"] = v
     if (v := e.take(k("seeds"), "seeds")) is not None:
         overrides["seeds"] = v
@@ -242,10 +253,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     dataset = DatasetSpec(**spec_kw)
 
     stream = StreamConfig(
-        stages=e.take("stream.stages", "int", 5),
-        classes_per_stage=e.take("stream.classes_per_stage", "int", 2),
-        batch_size_current=e.take("stream.batch_current", "int", 10),
-        batch_size_memory=e.take("stream.batch_memory", "int", 10),
+        stages=e.take("stream.stages", "int", 5, _AT_LEAST_1),
+        classes_per_stage=e.take("stream.classes_per_stage", "int", 2, _AT_LEAST_1),
+        batch_size_current=e.take("stream.batch_current", "int", 10, _AT_LEAST_1),
+        batch_size_memory=e.take("stream.batch_memory", "int", 10, _NON_NEGATIVE),
         shuffle_seed=e.take("stream.shuffle_seed", "int"),
     )
 

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numeric import ShapeError, as_vector, require_finite
+from .numeric import ShapeError, Workspace, as_vector, filled, fresh, require_finite
 
 EPS_NORM = 1e-12
 
@@ -199,22 +199,31 @@ def _batch_targets(pp: PredictorParams, H: np.ndarray, rows) -> tuple[np.ndarray
 
 
 @lru_cache(maxsize=64)
-def _grid(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Broadcasting index arrays over every axis of a (..., batch) block."""
-    grid = np.indices(shape, sparse=True)
-    for g in grid:
-        g.flags.writeable = False
-    return tuple(grid)
+def _row_starts(shape: tuple[int, ...], classes: int) -> np.ndarray:
+    """The flat offset of each row of a C-ordered (..., batch, classes)
+    block, shaped (..., batch): adding a row's target class picks its
+    entry with one flat index, which builds no per-axis index arrays."""
+    starts = np.arange(0, int(np.prod(shape)) * classes, classes).reshape(shape)
+    starts.flags.writeable = False
+    return starts
 
 
-def _softmax_ce(L: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
-    """Row softmax of L (the arithmetic of softmax_rows) and the stable
-    cross-entropy -log softmax at the picked entries, sharing one exp."""
-    m = _max(L, -1, keepdims=True)
-    E = np.exp(L - m)
-    s = _sum(E, -1, keepdims=True)
-    ce = (m[..., 0] + np.log(s[..., 0])) - L[pick]
-    return E / s, ce
+def _softmax_ce(L: np.ndarray, pick: np.ndarray,
+                spread: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax of L (the arithmetic of softmax_rows), written over L,
+    and the stable cross-entropy -log softmax at the entries of L whose
+    flat indices pick holds, sharing one exp. L is C-contiguous; spread is
+    a scratch block of its shape that takes the row max, then the row sum
+    (see numeric.filled)."""
+    m = _max(L, -1)
+    picked = L.reshape(-1)[pick]
+    E = np.subtract(L, filled(spread, m[..., None]), out=L)
+    np.exp(E, out=E)
+    s = _sum(E, -1)
+    ce = np.log(s)
+    ce += m  # m + log(s), the same sum
+    ce -= picked
+    return np.divide(E, filled(spread, s[..., None]), out=E), ce
 
 
 def _per_row(value, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -223,10 +232,6 @@ def _per_row(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     if v.ndim and v.shape not in (shape, shape[-1:]):
         raise ShapeError(f"{shape[-1]} samples but {what} has shape {v.shape}")
     return v
-
-
-def _col(v: np.ndarray) -> np.ndarray:
-    return v[..., None] if v.ndim else v
 
 
 def _branches(a: np.ndarray, alpha) -> tuple[bool, bool]:
@@ -248,7 +253,7 @@ def _branches(a: np.ndarray, alpha) -> tuple[bool, bool]:
 
 
 def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarray, rows,
-              weights, tape=None):
+              weights, tape=None, ws: Workspace | None = None):
     """Per-row mixed cross-entropy alpha_i * ce_dot_i + (1 - alpha_i) * ce_cos_i.
 
     alpha and weights are scalars or one value per row. Returns the per-row
@@ -266,14 +271,24 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     (slices,), and the per-row results come back as (slices, batch). The
     slices must agree on which branches run (ValueError otherwise); each
     slice is then computed exactly as its 2-d call would compute it.
+
+    With a Workspace, every (rows, classes) score block and every block of
+    H's shape (H * H, dH and its cosine correction) is written into its
+    buffers, so the dH returned is overwritten by the next call with the
+    same workspace.
     """
     H, rows = _batch_targets(pp, H, rows)
+    out = ws or fresh
     a = _per_row(alpha, rows.shape, "alpha")
     use_dot, use_cos = _branches(a, alpha)
-    pick = (*_grid(rows.shape), rows)
-    S = H @ pp.W.swapaxes(-1, -2)
+    # each row's target entry as a flat index into a (..., batch, classes) block
+    pick = np.add(_row_starts(rows.shape, pp.num_classes), rows,
+                  out=out("pick", rows.shape, np.int64))
+    scores = (*rows.shape, pp.num_classes)
+    S = np.matmul(H, pp.W.swapaxes(-1, -2), out=out("s", scores))
     if use_dot:
-        Pd, ce = _softmax_ce(S + pp.b[..., None, :], pick)
+        L = filled(out("pd", scores), pp.b[..., None, :])
+        Pd, ce = _softmax_ce(np.add(S, L, out=L), pick, out("spread", scores))
     if use_cos:
         if scale is None:
             raise ValueError("cosine scoring needs a CosineScale")
@@ -284,20 +299,31 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
                 raise ShapeError(f"{len(H)} slices but gamma has shape {gamma.shape}")
             g_rows, gamma = gamma[:, None], gamma[:, None, None]
         # row norms as np.linalg.norm computes them, without its dispatch
-        hn = np.maximum(np.sqrt(_sum(H * H, -1)), EPS_NORM)
-        wn = np.maximum(np.sqrt(_sum(pp.W * pp.W, -1)), EPS_NORM)
-        den = hn[..., :, None] * wn[..., None, :]
-        C = S / den
-        Pc, ce_cos = _softmax_ce(gamma * C, pick)
+        HH = np.multiply(H, H, out=out(("t", H.shape[-1]), H.shape))
+        hn = _sum(HH, -1, out=out("hn", rows.shape))
+        np.sqrt(hn, out=hn)
+        np.maximum(hn, EPS_NORM, out=hn)
+        WW = np.multiply(pp.W, pp.W, out=out("dw", pp.W.shape))  # dW is not formed yet
+        wn = np.maximum(np.sqrt(_sum(WW, -1)), EPS_NORM)
+        den = filled(out("den", scores), wn[..., None, :])
+        den = np.multiply(filled(out("spread", scores), hn[..., None]), den, out=den)
+        C = np.divide(S, den, out=S)  # S is not read again
+        Pc, ce_cos = _softmax_ce(np.multiply(gamma, C, out=out("pc", scores)), pick,
+                                 out("spread", scores))
         a_cos = 1.0 - a
-        ce = a * ce + a_cos * ce_cos if use_dot else ce_cos
+        if use_dot:  # ce = a * ce + a_cos * ce_cos, in place
+            ce *= a
+            ce_cos *= a_cos
+            ce += ce_cos
+        else:
+            ce = ce_cos
     require_finite(ce, "cross-entropy", stacked=ce.ndim > 1)
     if tape is None:
         return ce, None
     w = _per_row(weights, rows.shape, "weights")
     if use_dot:
-        Pd[pick] -= 1.0
-        Pd *= _col(a * w)
+        Pd.reshape(-1)[pick] -= 1.0
+        Pd *= filled(out("spread", scores), (a * w)[..., None])
         tape.pred_b += _sum(Pd, -2)
         G = Pd
     if use_cos:
@@ -305,16 +331,19 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
         # and R = Pc * cos:
         #   dW = Q^T H - colsum(R) / |w|^2 * W,  dH = Q W - rowsum(R) / |h|^2 * H
         # Q joins the dot part, so each product runs once
-        Pc[pick] -= 1.0
-        Pc *= _col(g_rows * a_cos * w)
-        R = Pc * C
-        Q = Pc / den
-        G = Pd + Q if use_dot else Q
-    tape.pred_w += G.swapaxes(-1, -2) @ H
-    dH = G @ pp.W
+        Pc.reshape(-1)[pick] -= 1.0
+        Pc *= filled(out("spread", scores), (g_rows * a_cos * w)[..., None])
+        R = np.multiply(Pc, C, out=C)  # neither C nor den is read again
+        Q = np.divide(Pc, den, out=den)
+        G = np.add(Pd, Q, out=Pd) if use_dot else Q
+    dW = np.matmul(G.swapaxes(-1, -2), H, out=out("dw", pp.W.shape))
+    tape.pred_w += dW
+    dH = np.matmul(G, pp.W, out=out(("g", H.shape[-1]), H.shape))
     if use_cos:
-        tape.pred_w -= (_sum(R, -2) / (wn * wn))[..., None] * pp.W
-        dH -= (_sum(R, -1) / (hn * hn))[..., None] * H
+        tape.pred_w -= np.multiply(filled(dW, (_sum(R, -2) / (wn * wn))[..., None]), pp.W,
+                                   out=dW)
+        corr = filled(out(("t", H.shape[-1]), H.shape), (_sum(R, -1) / (hn * hn))[..., None])
+        dH -= np.multiply(corr, H, out=corr)
     return ce, dH
 
 

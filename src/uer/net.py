@@ -12,6 +12,13 @@ every slice with the same calls; each slice is computed exactly as its
 2-d call would compute it, because a stacked product or a reduction over
 the last two axes is the 2-d one per slice. sgd_step takes one learning
 rate per slice.
+
+Given a Workspace, forward_batch and backward_batch write every
+rows x width result into its buffers instead of allocating: the
+activations (ReLU is applied in place), the backward masks, Dz, the
+gradient passed down and the weight-gradient products. The features
+forward_batch returns then live in the workspace and the next call
+overwrites them. Without one, the same calls allocate.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from .container import read_container, write_container
 from .logits import PredictorParams
-from .numeric import Rng, ShapeError, require_finite
+from .numeric import Rng, ShapeError, Workspace, filled, fresh, require_finite
 
 
 @dataclass
@@ -69,8 +76,9 @@ class FeatureExtractor:
 
 @dataclass
 class ForwardCache:
-    inputs: list[np.ndarray]  # row-batch input to each layer
-    preacts: list[np.ndarray]  # pre-activation of each layer
+    # the input block, then each layer's output (after its ReLU): layer k
+    # reads activations[k] and writes activations[k + 1]
+    activations: list[np.ndarray]
 
 
 class GradientTape:
@@ -112,9 +120,10 @@ def init_extractor(dims: Sequence[int], rng: Rng) -> FeatureExtractor:
     return FeatureExtractor(layers)
 
 
-def forward_batch(fe: FeatureExtractor, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def forward_batch(fe: FeatureExtractor, X: np.ndarray,
+                  ws: Workspace | None = None) -> tuple[np.ndarray, ForwardCache]:
     """Features of a (batch, dim) block, or of a (slices, batch, dim) block
-    when the layers carry a slice axis."""
+    when the layers carry a slice axis; with ws, written into its buffers."""
     X = np.asarray(X, dtype=np.float64)
     seeds = fe.layers[0].weight.shape[:-2]
     if X.ndim != 2 + len(seeds) or X.shape[:-2] != seeds:
@@ -122,16 +131,19 @@ def forward_batch(fe: FeatureExtractor, X: np.ndarray) -> tuple[np.ndarray, Forw
                          f"input, got shape {X.shape}")
     if X.shape[-1] != fe.in_dim:
         raise ShapeError(f"input dim {X.shape[-1]} does not match extractor dim {fe.in_dim}")
-    inputs, preacts = [], []
+    out = ws or fresh
+    acts = [X]
     A = X
-    for layer in fe.layers:
-        inputs.append(A)
-        Z = A @ layer.weight.swapaxes(-1, -2)
-        Z += layer.bias[..., None, :]  # in place: one rows x width temporary fewer
-        preacts.append(Z)
-        A = np.maximum(Z, 0.0)
+    for k, layer in enumerate(fe.layers):
+        shape = (*A.shape[:-1], layer.weight.shape[-2])
+        Z = np.matmul(A, layer.weight.swapaxes(-1, -2), out=out(("a", k), shape))
+        Z += filled(out(("t", shape[-1]), shape), layer.bias[..., None, :])
+        # ReLU in place: the cache keeps activations only, and backward
+        # masks with A > 0, which is Z > 0 (nan and -0 fail both)
+        A = np.maximum(Z, 0.0, out=Z)
+        acts.append(A)
     require_finite(A, "features", stacked=bool(seeds))
-    return A, ForwardCache(inputs, preacts)
+    return A, ForwardCache(acts)
 
 
 def forward(fe: FeatureExtractor, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -143,21 +155,31 @@ def forward(fe: FeatureExtractor, x: np.ndarray) -> tuple[np.ndarray, ForwardCac
 
 
 def backward_batch(fe: FeatureExtractor, cache: ForwardCache, dH: np.ndarray,
-                   tape: GradientTape) -> np.ndarray:
+                   tape: GradientTape, ws: Workspace | None = None) -> np.ndarray:
     """Add every layer's weight and bias gradient to the tape and return the
     first layer's pre-activation gradient; the gradient with respect to the
-    input itself is not formed (training never needs it)."""
+    input itself is not formed (training never needs it). With ws, every
+    rows x width block is written into its buffers."""
     dH = np.asarray(dH, dtype=np.float64)
-    if dH.shape != cache.preacts[-1].shape:
+    acts = cache.activations
+    if dH.shape != acts[-1].shape:
         raise ShapeError(f"upstream grad {dH.shape} does not match features "
-                         f"{cache.preacts[-1].shape}")
+                         f"{acts[-1].shape}")
+    out = ws or fresh
     D = dH
     for k in range(len(fe.layers) - 1, -1, -1):
-        Dz = D * (cache.preacts[k] > 0.0)
-        tape.layer_w[k] += Dz.swapaxes(-1, -2) @ cache.inputs[k]
-        tape.layer_b[k] += np.add.reduce(Dz, axis=-2)  # Dz.sum(axis=-2) without its wrapper
+        width = D.shape[-1]
+        mask = np.greater(acts[k + 1], 0.0, out=out(("mask", width), D.shape, np.bool_))
+        Dz = filled(out(("t", width), D.shape), mask)  # the mask as a float block
+        np.multiply(D, Dz, out=Dz)
+        tape.layer_w[k] += np.matmul(Dz.swapaxes(-1, -2), acts[k],
+                                     out=out(("gw", k), tape.layer_w[k].shape))
+        # Dz.sum(axis=-2) without its wrapper
+        gb = out(("gb", width), tape.layer_b[k].shape)
+        tape.layer_b[k] += np.add.reduce(Dz, axis=-2, out=gb)
         if k:
-            D = Dz @ fe.layers[k].weight
+            W = fe.layers[k].weight
+            D = np.matmul(Dz, W, out=out(("g", W.shape[-1]), (*D.shape[:-1], W.shape[-1])))
     return Dz
 
 
@@ -186,13 +208,15 @@ def sgd_step(extractor: FeatureExtractor, predictor: PredictorParams,
     if tape.pred_w.shape != predictor.W.shape:
         raise ShapeError(f"tape predictor block {tape.pred_w.shape} does not match "
                          f"{predictor.W.shape}")
+    # each gradient is scaled in place (g * lr, the same product as lr * g),
+    # then subtracted; the tape is zeroed after
     for layer, gw, gb in zip(extractor.layers, tape.layer_w, tape.layer_b):
         if gw.shape != layer.weight.shape:
             raise ShapeError(f"tape layer block {gw.shape} does not match {layer.weight.shape}")
-        layer.weight -= lr_w * gw
-        layer.bias -= lr_b * gb
-    predictor.W -= lr_w * tape.pred_w
-    predictor.b -= lr_b * tape.pred_b
+        layer.weight -= np.multiply(gw, lr_w, out=gw)
+        layer.bias -= np.multiply(gb, lr_b, out=gb)
+    predictor.W -= np.multiply(tape.pred_w, lr_w, out=tape.pred_w)
+    predictor.b -= np.multiply(tape.pred_b, lr_b, out=tape.pred_b)
     tape.zero()
 
 

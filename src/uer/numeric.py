@@ -7,6 +7,7 @@ numpy PCG64 generator, so a run is fully determined by its seeds.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +29,49 @@ class NonFiniteError(FloatingPointError):
     def __init__(self, message: str, seeds: list[int] | None = None):
         super().__init__(message)
         self.seeds = seeds
+
+
+class Workspace:
+    """Named buffers that a training step writes its large results into,
+    kept from one step to the next.
+
+    ws(name, shape) returns the buffer last handed out under that name if
+    it has that shape, and otherwise a new uninitialised one, which
+    replaces it (a short last batch, a newly registered class). A name
+    always asks for one dtype. A buffer holds whatever the last step that
+    asked for it left there.
+
+    Two names are shared by forward_batch, loss_rows and backward_batch,
+    so that blocks whose uses do not overlap take one buffer: ("t", width)
+    is a rows x width scratch block, dead once the code that filled it has
+    read it, and ("g", width) holds the gradient with respect to a layer's
+    output, from dL/dH down to each gradient backward_batch passes on.
+    """
+
+    __slots__ = ("_bufs",)
+
+    def __init__(self):
+        self._bufs: dict = {}
+
+    def __call__(self, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._bufs[name] = np.empty(shape, dtype)
+        return buf
+
+
+def filled(block: np.ndarray, value) -> np.ndarray:
+    """block with value broadcast into it. NumPy runs a ufunc whose operand
+    is broadcast (a bias row, a per-row factor) or of another dtype (a bool
+    mask) through buffers as large as the block; an operand filled out to
+    the block's shape takes the plain loop, with the same arithmetic."""
+    np.copyto(block, value)
+    return block
+
+
+def fresh(name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """The stand-in for a missing Workspace: a new array on every call."""
+    return np.empty(shape, dtype)
 
 
 def make_rng(seed: int | Sequence[int]) -> Rng:
@@ -71,7 +115,10 @@ def rng_uniform(rng: Rng, lo: float, hi: float) -> float:
 def require_finite(arr: np.ndarray, what: str = "array", stacked: bool = False) -> np.ndarray:
     """Raise NonFiniteError unless every entry is finite; with stacked, the
     error names the leading-axis slices that are not."""
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):  # .all() without its wrapper
+    # the min and the max are nan if any entry is, and infinite if any entry
+    # is: two reductions tell, without a temporary of arr's size
+    if arr.size and not (isfinite(np.minimum.reduce(arr, axis=None))
+                         and isfinite(np.maximum.reduce(arr, axis=None))):
         seeds = None
         if stacked:
             ok = np.isfinite(arr).reshape(len(arr), -1).all(axis=1)

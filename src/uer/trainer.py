@@ -44,7 +44,7 @@ would compute it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,7 +59,7 @@ from .logits import CosineScale, LogitMode, PredictorParams, loss_current, loss_
 from .memory import MemoryBuffer, buffer_retrieve, buffer_update
 from .net import FeatureExtractor, GradientTape, LayerParams, backward_batch, forward_batch, \
     init_extractor, sgd_step
-from .numeric import NonFiniteError, Rng, make_rng
+from .numeric import NonFiniteError, Rng, Workspace, make_rng
 from .stream import Dataset, LabeledData, Stage, StageRows, StreamConfig, build_stages, \
     iterate_batches, split_stages  # noqa: F401
 
@@ -432,6 +432,12 @@ class _Part:
             self._mix[key] = tuple(_shared([m[j] for m in mixes]) for j in (0, 1))
         return self._mix[key]
 
+    @cached_property
+    def widths(self) -> tuple[int, ...]:
+        """The input width, then each layer's output width."""
+        return (self.extractor.in_dim, *(layer.weight.shape[-2]
+                                          for layer in self.extractor.layers))
+
     def without(self, gone: set[_Run]) -> "_Part | None":
         """The part minus the runs in gone, or None if empty."""
         keep = [run for run in self.runs if run not in gone]
@@ -451,6 +457,46 @@ class _Part:
         return [self]
 
 
+class _StepBuffers:
+    """The Workspaces that parts write their step's large results into:
+    the gathered [incoming; replayed] block, the activations, the score
+    blocks, dH, the backward masks and the gradient products.
+
+    There is one per step shape (slices, rows, layer widths). Parts step
+    one after another and nothing of a part's step outlives it, so parts
+    of one shape share one: a step of the same shape as the last one
+    allocates none of these buffers. A workspace that no part took in the
+    last step (after a short last batch, or a part gone) passes to a new
+    shape or is dropped. release drops them all; run_trajectories calls it
+    before a stage is scored, so that scoring's own blocks do not come on
+    top of them.
+    """
+
+    def __init__(self):
+        self._last: dict[tuple, Workspace] = {}
+        self._now: dict[tuple, Workspace] = {}
+
+    def take(self, part: _Part, rows: int) -> Workspace:
+        key = (len(part.runs), rows, part.widths)
+        ws = self._now.get(key)
+        if ws is None:
+            ws = self._last.pop(key, None)
+            if ws is None:
+                # a new shape takes over a workspace the last step left
+                # unclaimed, if any: its buffers take the new shapes one at
+                # a time, so two full sets are never held at once
+                ws = self._last.popitem()[1] if self._last else Workspace()
+            self._now[key] = ws
+        return ws
+
+    def step_done(self) -> None:
+        self._last, self._now = self._now, {}
+
+    def release(self) -> None:
+        """Drop every buffer; the next step allocates them anew."""
+        self._last = {}
+
+
 class RunGroup:
     """Runs trained in lockstep, on one or more streams.
 
@@ -459,7 +505,8 @@ class RunGroup:
     forward pass, one loss_rows, one backward pass and one SGD step over
     parameters stacked on a leading axis. When keys diverge, a part splits
     and the pieces go on separately; they are not merged again. A run's
-    bytes do not depend on which runs share its part.
+    bytes do not depend on which runs share its part. The parts' step
+    buffers are kept from step to step (_StepBuffers).
     """
 
     def __init__(self, runs):
@@ -468,6 +515,7 @@ class RunGroup:
             shape = tuple(layer.weight.shape for layer in run.state.extractor.layers)
             by_shape.setdefault(shape, []).append(run)
         self.parts = [_Part(group) for group in by_shape.values()]
+        self.buffers = _StepBuffers()
 
     @property
     def runs(self) -> list[_Run]:
@@ -521,8 +569,9 @@ def _group_step(group: RunGroup, x_batch, y_batch, memory_batch_size: int, rng) 
         raise ValueError(f"{len(streams)} streams but {len(x_batch)} x batches, "
                          f"{len(y_batch)} y batches and {len(rng)} rngs")
     replay = {run.state.stream: run.method.replay_enabled for run in runs}
-    # per stream: [incoming; replayed] rows, their scorer rows, and the
-    # step shape (n incoming, n replayed, registered classes)
+    # per stream: the incoming rows, the buffer slots replayed, the scorer
+    # rows of [incoming; replayed] and the step shape (n incoming, n
+    # replayed, registered classes); each part gathers the rows themselves
     blocks = {}
     grown = False
     for stream, x, y, r in zip(streams, x_batch, y_batch, rng):
@@ -530,10 +579,8 @@ def _group_step(group: RunGroup, x_batch, y_batch, memory_batch_size: int, rng) 
         idx = buffer_retrieve(stream.buffer, memory_batch_size, r) if replay[stream] else _NO_ROWS
         rows = stream.row_of_label[y]
         if len(idx):
-            buf = stream.buffer
-            x = np.concatenate([x, buf.x[idx]])
-            rows = np.concatenate([rows, stream.row_of_label[buf.y[idx]]])
-        blocks[stream] = x, rows, (len(y), len(idx), len(stream.class_order))
+            rows = np.concatenate([rows, stream.row_of_label[stream.buffer.y[idx]]])
+        blocks[stream] = (x, stream.buffer, idx), rows, (len(y), len(idx), len(stream.class_order))
 
     records: dict[_Run, object] = {}
     parts = []
@@ -546,10 +593,11 @@ def _group_step(group: RunGroup, x_batch, y_batch, memory_batch_size: int, rng) 
             keys.append((*shape, _row_mix(*run.mix, shape[0], shape[1])[2]))
         for piece in part.split(keys):
             piece = _fused_step(piece, [blocks[run.state.stream] for run in piece.runs],
-                                records)
+                                records, group.buffers)
             if piece is not None:
                 parts.append(piece)
     group.parts = parts
+    group.buffers.step_done()
 
     stepped = {run.state.stream for run in runs if isinstance(records[run], StepRecord)}
     for stream, x, y, r in zip(streams, x_batch, y_batch, rng):
@@ -561,20 +609,22 @@ def _group_step(group: RunGroup, x_batch, y_batch, memory_batch_size: int, rng) 
     return [records[run] for run in runs]
 
 
-def _fused_step(part: _Part, blocks: list[tuple], records: dict) -> _Part | None:
+def _fused_step(part: _Part, blocks: list[tuple], records: dict,
+                buffers: _StepBuffers) -> _Part | None:
     """The arithmetic of one part's step over [incoming; replayed]; blocks
     holds each run's stream block. Fills records by run and returns the
     part that survives."""
     n_cur, n_mem, _ = blocks[0][2]
     while True:
+        ws = buffers.take(part, n_cur + n_mem)
+        X = _gather(ws, [b[0] for b in blocks], n_mem)
         if len(part.runs) == 1:  # one run steps on 2-d blocks, exactly as it would alone
-            X, rows = blocks[0][:2]
+            rows = blocks[0][1]
         else:
-            X = np.concatenate([b[0] for b in blocks]).reshape(len(blocks), n_cur + n_mem, -1)
             rows = np.concatenate([b[1] for b in blocks]).reshape(len(blocks), n_cur + n_mem)
         alpha, weights = part.mix(n_cur, n_mem)
         try:
-            ce = _descend(part, X, rows, alpha, weights)
+            ce = _descend(part, ws, X, rows, alpha, weights)
             break
         except NonFiniteError as err:
             bad = set(range(len(part.runs)) if err.seeds is None else err.seeds)
@@ -592,14 +642,43 @@ def _fused_step(part: _Part, blocks: list[tuple], records: dict) -> _Part | None
     return part
 
 
-def _descend(part: _Part, X: np.ndarray, rows: np.ndarray, alpha: np.ndarray,
+def _gather(ws: Workspace, sources: list[tuple], n_mem: int) -> np.ndarray:
+    """The [incoming; replayed] input rows of a step, written into ws.
+
+    sources holds one (incoming rows, buffer, replayed slots) triple per
+    run: one run gets a (rows, dim) block, several get (runs, rows, dim).
+    A lone run with nothing replayed steps on its incoming batch itself.
+    """
+    x = sources[0][0]
+    stacked = len(sources) > 1
+    if not (stacked or n_mem):
+        return x
+    shape = (len(x) + n_mem, x.shape[1])
+    X = ws("x", (len(sources), *shape) if stacked else shape)
+    first: dict[int, np.ndarray] = {}  # runs on one stream share its rows
+    for out, source in zip(X if stacked else [X], sources):
+        if id(source) in first:
+            np.copyto(out, first[id(source)])
+            continue
+        first[id(source)] = out
+        x, buf, idx = source
+        out[:len(x)] = x
+        if n_mem:
+            # mode="clip" takes the rows straight into out (the default,
+            # "raise", goes through a temporary); buffer_retrieve returns
+            # filled slots only, so nothing is clipped
+            np.take(buf.x, idx, axis=0, out=out[len(x):], mode="clip")
+    return X
+
+
+def _descend(part: _Part, ws: Workspace, X: np.ndarray, rows: np.ndarray, alpha: np.ndarray,
              weights: np.ndarray) -> np.ndarray:
     # a diverging run overflows here; the finiteness checks in
     # forward_batch and loss_rows raise, so NumPy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        H, cache = forward_batch(part.extractor, X)
-        ce, dH = loss_rows(part.predictor, part.scale, alpha, H, rows, weights, part.tape)
-        backward_batch(part.extractor, cache, dH, part.tape)
+        H, cache = forward_batch(part.extractor, X, ws)
+        ce, dH = loss_rows(part.predictor, part.scale, alpha, H, rows, weights, part.tape, ws)
+        backward_batch(part.extractor, cache, dH, part.tape, ws)
         sgd_step(part.extractor, part.predictor, part.tape, part.lr)
     return ce
 
@@ -681,12 +760,14 @@ class _Trajectory:
         self.t = 0
         self.batches = iter(())
 
-    def next_batch(self, fail: Callable[[_Run, Exception], None]):
+    def next_batch(self, fail: Callable[[_Run, Exception], None], release: Callable[[], None]):
         """The stream's next (x, y) batch, scoring every run as a stage
         ends; fail(run, error) takes out a run whose scoring raises. None
-        once the last stage is scored or no run is left."""
+        once the last stage is scored or no run is left. release() is
+        called before the scoring."""
         while (batch := next(self.batches, None)) is None:
             if self.t:
+                release()
                 rows = self.test_rows[:self.ends[self.t - 1]]
                 seen = LabeledData(self.dataset.test.x[rows], self.dataset.test.y[rows])
                 for run in list(self.runs):
@@ -749,7 +830,7 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
     while live:
         batches = {}
         for traj in live:
-            batch = traj.next_batch(end)
+            batch = traj.next_batch(end, group.buffers.release)
             if batch is None:
                 for run in list(traj.runs):
                     end(run, ExperimentResult(method=run.method.name, seed=traj.seed,

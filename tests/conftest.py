@@ -112,6 +112,14 @@ def sin_angles(W: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(1.0 - cos ** 2, 0.0))
 
 
+def kink_distance(fe: FeatureExtractor, cache) -> float:
+    """The smallest |pre-activation| over every layer of a forward pass:
+    each layer's x @ W^T + b, recomputed from the input the pass gave it
+    (the cache keeps only the activations)."""
+    return min(float(np.abs(a @ layer.weight.T + layer.bias).min())
+               for a, layer in zip(cache.activations, fe.layers))
+
+
 def conditioned_instance(rng, d_in=6, hidden=7, d_feat=5, classes=4,
                          kink_margin=1e-3, feat_floor=1e-2, sin_floor=1e-3):
     """An extractor + scorer + sample where central differences at 1e-6 are
@@ -121,7 +129,7 @@ def conditioned_instance(rng, d_in=6, hidden=7, d_feat=5, classes=4,
         fe = init_extractor((d_in, hidden, d_feat), rng)
         x = rng.normal(size=d_in)
         h, cache = forward(fe, x)
-        if min(float(np.abs(z).min()) for z in cache.preacts) <= kink_margin:
+        if kink_distance(fe, cache) <= kink_margin:
             continue
         if float(np.linalg.norm(h)) <= feat_floor:
             continue
@@ -140,7 +148,7 @@ def conditioned_batch(rng, fe: FeatureExtractor, pp: PredictorParams, n: int,
     while len(xs) < n:
         x = rng.normal(size=fe.in_dim)
         h, cache = forward(fe, x)
-        if min(float(np.abs(z).min()) for z in cache.preacts) <= kink_margin:
+        if kink_distance(fe, cache) <= kink_margin:
             continue
         if float(np.linalg.norm(h)) <= feat_floor:
             continue

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from uer.cli import main
 from uer.config import (ConfigError, DatasetSpec, build_dataset, parse_config,
                         parse_config_text, serialize_config)
 from uer.logits import LogitMode
@@ -120,6 +121,24 @@ def test_alpha_out_of_range_message():
     text = MINIMAL + "method.uer.alpha = 1.5\n"
     with pytest.raises(ConfigError, match=r"alpha out of \[0,1\]"):
         parse_config_text(text)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("method.uer.buffer = -5", "must be non-negative, got '-5'"),
+    ("method.uer.hidden = 0", "layer widths must be positive, got '0'"),
+    ("method.uer.lr = -1", "must be positive, got '-1'"),
+    ("stream.batch_current = 0", "must be at least 1, got '0'"),
+])
+def test_range_errors_name_the_line_and_key(tmp_path, capsys, line, message):
+    lineno = MINIMAL.count("\n") + 1
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(MINIMAL + line + "\n")
+    assert str(info.value) == f"line {lineno}: key {key}: {message}"
+    path = tmp_path / "bad.cfg"
+    path.write_text(MINIMAL + line + "\n", encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: line {lineno}: key {key}: {message}\n"
 
 
 def test_uer_a_alpha_pin_rejected():

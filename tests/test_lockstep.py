@@ -88,8 +88,8 @@ def test_stacked_kernels_equal_2d_calls_bitwise(seeds, n, dims, classes, alpha, 
         tape_s = GradientTape(fe_s, pp_s)
         H_s, cache_s = forward_batch(fe_s, X[s])
         _same(H[s], H_s, "forward_batch features")
-        for k, (z, z_s) in enumerate(zip(cache.preacts, cache_s.preacts)):
-            _same(z[s], z_s, f"forward_batch pre-activation {k}")
+        for k, (act, act_s) in enumerate(zip(cache.activations, cache_s.activations)):
+            _same(act[s], act_s, f"forward_batch activation {k}")
         ce_s, dH_s = loss_rows(pp_s, scale, a, H_s, rows[s], w, tape_s)
         _same(ce[s], ce_s, "loss_rows cross-entropy")
         _same(dH[s], dH_s, "loss_rows dH")
@@ -253,9 +253,9 @@ def _block_ranks(monkeypatch):
     ranks = []
     real = uer.trainer.forward_batch
 
-    def recording(fe, X):
+    def recording(fe, X, *rest):
         ranks.append(np.ndim(X))
-        return real(fe, X)
+        return real(fe, X, *rest)
     monkeypatch.setattr(uer.trainer, "forward_batch", recording)
     return ranks
 
