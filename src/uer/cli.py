@@ -210,13 +210,25 @@ def _parse_alphas(text: str) -> list[float]:
     bad = [a for a in alphas if not 0.0 <= a <= 1.0]  # nan fails too
     if bad:
         raise ConfigError(f"--alpha values must be finite and in [0, 1], got {bad[0]!r}")
+    # two values that name one run would write one metrics file twice
+    given: dict[str, str] = {}
+    for value, alpha in zip(text.split(","), alphas):
+        name = _alpha_run_name(alpha)
+        if name in given:
+            raise ConfigError(f"--alpha values {given[name]!r} and {value.strip()!r} both "
+                              f"name the run {name}")
+        given[name] = value.strip()
     return alphas
+
+
+def _alpha_run_name(alpha: float) -> str:
+    return f"uer_alpha{alpha:g}"
 
 
 def sweep_jobs(base: MethodConfig, cfg: ExperimentConfig, alphas) -> list[tuple]:
     """sweep-alpha's (method, seeds) jobs: the uer method base at each alpha."""
     seeds = base.seeds if base.seeds is not None else cfg.seeds
-    return [(uer_method(alpha=alpha, name=f"uer_alpha{alpha:g}", gamma=base.gamma, lr=base.lr,
+    return [(uer_method(alpha=alpha, name=_alpha_run_name(alpha), gamma=base.gamma, lr=base.lr,
                         buffer_capacity=base.buffer_capacity, hidden_dims=base.hidden_dims),
              seeds) for alpha in alphas]
 

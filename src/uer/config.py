@@ -118,16 +118,22 @@ def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
 
 
 def parse_seeds(value: str, where: str) -> tuple[int, ...]:
-    """A comma-separated list of run seeds. A seed is a non-negative int
-    (NumPy's generators take no negative seed); where names the source,
-    e.g. "line 3: key run.seeds" or "--seed"."""
+    """A comma-separated list of distinct run seeds. A seed is a
+    non-negative int (NumPy's generators take no negative seed); where
+    names the source, e.g. "line 3: key run.seeds" or "--seed"."""
     try:
         seeds = tuple(int(v.strip()) for v in value.split(","))
-        if min(seeds) >= 0:
-            return seeds
+        valid = min(seeds) >= 0
     except ValueError:
-        pass
-    raise ConfigError(f"{where}: expected non-negative integer seeds, got {value!r}")
+        valid = False
+    if not valid:
+        raise ConfigError(f"{where}: expected non-negative integer seeds, got {value!r}")
+    # a repeated seed would train the same run twice, write its metrics
+    # file twice and count it twice in the summary
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"{where}: seed {seed} appears more than once in {value!r}")
+    return seeds
 
 
 def _convert(key: str, lineno: int, value: str, kind: str):
@@ -345,7 +351,9 @@ def build_dataset(spec: DatasetSpec, seed: int) -> Dataset:
     if spec.kind == "csv":
         label_map: dict[int, int] = {}
         train = load_csv_dataset(spec.train_csv, label_map)
-        test = load_csv_dataset(spec.test_csv, label_map)
+        # the test rows must fit the network and the scorer that train.csv fixes
+        test = load_csv_dataset(spec.test_csv, label_map, width=train.x.shape[1],
+                                known_labels=True)
         return Dataset(train=train, test=test, num_classes=len(label_map),
                        input_dim=train.x.shape[1])
     raise ConfigError(f"unknown dataset kind {spec.kind!r}")

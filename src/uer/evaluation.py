@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .logits import CosineScale, LogitMode, PredictorParams, cosine_logits_batch, \
-    dot_logits_batch
+from .logits import CosineScale, LogitMode, PredictorParams, _row_starts, \
+    cosine_logits_batch, dot_logits_batch
 from .net import forward_batch
+from .numeric import Workspace, filled
 from .stream import LabeledData
 
 
@@ -61,10 +62,10 @@ class StageMetrics:
 
 
 def _scores(predictor: PredictorParams, H: np.ndarray, mode: LogitMode,
-            scale: CosineScale) -> np.ndarray:
+            scale: CosineScale, ws: Workspace) -> np.ndarray:
     if mode is LogitMode.DOT:
-        return dot_logits_batch(predictor, H)
-    return cosine_logits_batch(predictor, H, scale)
+        return dot_logits_batch(predictor, H, ws)
+    return cosine_logits_batch(predictor, H, scale, ws)
 
 
 @dataclass
@@ -77,10 +78,8 @@ class StageScores:
 
 
 # Rows scored per block. 768 rows of width-64 activations take 384 KiB, so
-# a block's forward pass, scores and softmax stay in a core's L2 cache and
-# the allocator hands the next block the memory the last one freed (blocks
-# of 2048 rows page-faulted about ten times as often in a manystage-csv
-# run). Blocks start at multiples of BLOCK_ROWS and the last one takes the
+# a block's forward pass, scores and softmax stay in a core's L2 cache.
+# Blocks start at multiples of BLOCK_ROWS and the last one takes the
 # tail, so no block is shorter than BLOCK_ROWS unless all the rows are:
 # OpenBLAS 0.3.31 takes a small-matrix kernel, which sums in another
 # order, for products of at most ~1200 entries, and a block's rows must
@@ -96,55 +95,91 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
 
 
 def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
-                 scale: CosineScale) -> StageScores:
+                 scale: CosineScale, rows: np.ndarray | None = None,
+                 ws: Workspace | None = None) -> StageScores:
     """Score the test rows of stages 1..t in one pass over row blocks.
 
-    test holds the stages' rows in stage order and ends[j] is the offset
-    where stage j+1's rows end, so ends[-1] == len(test). Each block of
-    rows (row_blocks) goes through the forward pass, the scores, the argmax
-    and a softmax written in place into one (rows, classes) posterior
-    array; nothing else of full size is built. The accuracy of each
-    stage's slice of the argmax, the accuracy of every row before the last
-    stage, and the posterior's mean over the rows follow. Every step is a
-    per-row computation whose rows come out bitwise as from the whole
-    matrix at once, and the row max that the softmax subtracts is read off
-    at the argmax, which is the max itself; so the results equal one pass
-    over all rows, bit for bit. Every stage must hold at least one row.
-    When every row's features are zero (the extractor's ReLUs all died),
-    the scores say nothing about the input; collapsed reports that.
+    The rows scored are test's rows, or with rows, test's rows at those
+    indices (read block by block, never gathered whole); they are in stage
+    order and ends[j] is the offset where stage j+1's rows end, so
+    ends[-1] is the number of rows scored. Each block of rows (row_blocks)
+    goes through the forward pass, the scores, the argmax and a softmax
+    written in place, all into the buffers of one Workspace (ws, or one of
+    this call's own): after the first block nothing of a block's size is
+    allocated. The accuracy of each stage's slice of the argmax and the
+    accuracy of every row before the last stage follow; the average
+    posterior is the running column sum of the softmax rows over the
+    blocks, divided by the row count, with no (rows, classes) array.
+
+    Every step is a per-row computation whose rows come out bitwise as
+    from the whole matrix at once, and the row max that the softmax
+    subtracts is read off at the argmax, which is the max itself. The
+    running sum reduces [sum so far; block rows] over its first axis,
+    which with two or more classes NumPy sums row by row in order, the
+    additions of one mean over all rows; with one class every softmax
+    entry is 1.0 (or nan), which any order sums alike. So the results
+    equal one pass over all rows, bit for bit. Every stage must hold at
+    least one row. When every row's features are zero (the extractor's
+    ReLUs all died), the scores say nothing about the input; collapsed
+    reports that.
     """
+    n = len(test) if rows is None else len(rows)
     ends = np.asarray(ends, dtype=np.int64)
-    if ends.ndim != 1 or not len(ends) or ends[-1] != len(test):
-        raise ValueError(f"stage ends {ends.tolist()} do not end at the "
-                         f"{len(test)} test rows")
+    if ends.ndim != 1 or not len(ends) or ends[-1] != n:
+        raise ValueError(f"stage ends {ends.tolist()} do not end at the {n} test rows")
     starts = np.concatenate([[0], ends[:-1]])
     if np.any(ends <= starts):
         empty = int(np.argmax(ends <= starts)) + 1
         raise ValueError(f"accuracy over an empty test set (stage {empty})")
     if state.predictor.num_classes == 0:
         raise ValueError("predict with no registered classes")
+    if rows is not None and not (0 <= rows.min() and rows.max() < len(test)):
+        raise IndexError(f"test rows outside the {len(test)} of the test set")
+    blocks = row_blocks(n)
+    ws = ws or Workspace()
+    # size every buffer for the largest block, the tail, and the softmax
+    # block for its carried sum row too
+    ws.rows = max(hi - lo for lo, hi in blocks) + 1
+    classes = state.predictor.num_classes
     class_order = np.asarray(state.class_order, dtype=np.int64)
-    correct = np.empty(len(test), dtype=bool)
-    posterior = np.empty((len(test), state.predictor.num_classes))
+    correct = np.empty(n, dtype=bool)
+    total = np.empty(classes)  # the running column sum of the softmax rows
     collapsed = True
-    for lo, hi in row_blocks(len(test)):
-        H = forward_batch(state.extractor, test.x[lo:hi])[0]
-        collapsed = collapsed and not H.any()
-        S = _scores(state.predictor, H, mode, scale)
-        best = np.argmax(S, axis=1)
-        np.equal(class_order[best], test.y[lo:hi], out=correct[lo:hi])
-        P = posterior[lo:hi]
-        # logits.softmax_rows(S), written in place
-        np.subtract(S, S[np.arange(hi - lo), best][:, None], out=P)
+    for lo, hi in blocks:
+        size = hi - lo
+        if rows is None:
+            x, y = test.x[lo:hi], test.y[lo:hi]
+        else:
+            # mode="clip" takes the rows straight into the buffer ("raise"
+            # goes through a temporary); the rows were checked above
+            x = np.take(test.x, rows[lo:hi], axis=0, out=ws("x", (size, test.x.shape[1])),
+                        mode="clip")
+            y = np.take(test.y, rows[lo:hi], out=ws("y", (size,), np.int64), mode="clip")
+        H = forward_batch(state.extractor, x, ws)[0]
+        # features are ReLU outputs, checked finite: all zero iff the max is
+        collapsed = collapsed and not np.maximum.reduce(H, axis=None) > 0.0
+        S = _scores(state.predictor, H, mode, scale, ws)
+        best = np.argmax(S, axis=1, out=ws("best", (size,), np.int64))
+        label = np.take(class_order, best, out=ws("label", (size,), np.int64), mode="clip")
+        np.equal(label, y, out=correct[lo:hi])
+        # logits.softmax_rows(S), into the rows after the carried sum
+        carry = ws("post", (size + 1, classes))
+        P = carry[1:]
+        pick = np.add(_row_starts((size,), classes), best, out=ws("pick", (size,), np.int64))
+        top = np.take(S.reshape(-1), pick, out=ws("top", (size,)), mode="clip")
+        np.subtract(S, filled(ws("spread", S.shape), top[:, None]), out=P)
         np.exp(P, out=P)
-        P /= P.sum(axis=1, keepdims=True)
-    # hits[i] counts the correct rows among the first i
-    hits = np.concatenate([[0], np.cumsum(correct)])
-    row = (hits[ends] - hits[starts]) / (ends - starts)
+        rowsum = np.add.reduce(P, axis=1, out=ws("rowsum", (size,)))
+        np.divide(P, filled(ws("spread", S.shape), rowsum[:, None]), out=P)
+        if lo:
+            carry[0] = total
+        np.add.reduce(carry if lo else P, axis=0, out=total)
+    hits = np.array([np.count_nonzero(correct[a:b]) for a, b in zip(starts, ends)])
+    row = hits / (ends - starts)
     prev = int(starts[-1])
     return StageScores(accuracy_row=row.tolist(),
-                       acc_previous=float(hits[prev] / prev) if prev else None,
-                       avg_posterior=posterior.mean(axis=0), collapsed=collapsed)
+                       acc_previous=float(hits[:-1].sum() / prev) if prev else None,
+                       avg_posterior=np.divide(total, n, out=total), collapsed=collapsed)
 
 
 def accuracy(state, test: LabeledData, mode: LogitMode, scale: CosineScale) -> float:

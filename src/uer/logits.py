@@ -118,16 +118,34 @@ def cosine_logits(pp: PredictorParams, h: np.ndarray, scale: CosineScale) -> np.
     return scale.gamma * (pp.W @ h) / (wn * hn)
 
 
-def dot_logits_batch(pp: PredictorParams, H: np.ndarray) -> np.ndarray:
-    L = H @ pp.W.T
-    L += pp.b  # in place: one rows x classes temporary fewer
-    return L
+def dot_logits_batch(pp: PredictorParams, H: np.ndarray,
+                     ws: Workspace | None = None) -> np.ndarray:
+    """H W^T + b for a (rows, dim) block; with ws, written into its "s"
+    buffer (and "spread" used as scratch)."""
+    out = ws or fresh
+    scores = (len(H), pp.num_classes)
+    L = np.matmul(H, pp.W.T, out=out("s", scores))
+    return np.add(L, filled(out("spread", scores), pp.b), out=L)
 
 
-def cosine_logits_batch(pp: PredictorParams, H: np.ndarray, scale: CosineScale) -> np.ndarray:
-    hn = np.maximum(np.linalg.norm(H, axis=1), EPS_NORM)
+def cosine_logits_batch(pp: PredictorParams, H: np.ndarray, scale: CosineScale,
+                        ws: Workspace | None = None) -> np.ndarray:
+    """gamma * (H W^T) / (|h| |w|) for a (rows, dim) block, norms floored at
+    EPS_NORM; with ws, written into its "s" buffer ("spread", "den",
+    "hn" and ("t", dim) used as scratch)."""
+    out = ws or fresh
+    scores = (len(H), pp.num_classes)
+    # row norms as np.linalg.norm computes them, without its temporaries
+    hn = _sum(np.multiply(H, H, out=out(("t", H.shape[-1]), H.shape)), -1,
+              out=out("hn", scores[:1]))
+    np.maximum(np.sqrt(hn, out=hn), EPS_NORM, out=hn)
     wn = np.maximum(np.linalg.norm(pp.W, axis=1), EPS_NORM)
-    return scale.gamma * (H @ pp.W.T) / (hn[:, None] * wn[None, :])
+    # hn_i * wn_j, the outer product, spread over two full blocks
+    den = filled(out("den", scores), wn)
+    np.multiply(filled(out("spread", scores), hn[:, None]), den, out=den)
+    S = np.matmul(H, pp.W.T, out=out("s", scores))
+    np.multiply(scale.gamma, S, out=S)
+    return np.divide(S, den, out=S)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -32,14 +32,17 @@ class NonFiniteError(FloatingPointError):
 
 
 class Workspace:
-    """Named buffers that a training step writes its large results into,
-    kept from one step to the next.
+    """Named buffers that a training step or a stage's scoring writes its
+    large results into, kept from one step (or row block) to the next.
 
-    ws(name, shape) returns the buffer last handed out under that name if
-    it has that shape, and otherwise a new uninitialised one, which
-    replaces it (a short last batch, a newly registered class). A name
-    always asks for one dtype. A buffer holds whatever the last step that
-    asked for it left there.
+    ws(name, shape) returns a buffer of that shape: the one last allocated
+    under that name, or its leading shape[0] entries (a C-contiguous view),
+    if its other dimensions match and it has at least that many; otherwise
+    a new uninitialised one, which replaces it (a newly registered class, a
+    larger block). A new buffer gets at least `rows` entries on its leading
+    axis, so a caller that knows its largest block can size every buffer
+    for it from the start. A name always asks for one dtype. A buffer holds
+    whatever the last user that asked for it left there.
 
     Two names are shared by forward_batch, loss_rows and backward_batch,
     so that blocks whose uses do not overlap take one buffer: ("t", width)
@@ -48,16 +51,19 @@ class Workspace:
     output, from dL/dH down to each gradient backward_batch passes on.
     """
 
-    __slots__ = ("_bufs",)
+    __slots__ = ("_bufs", "rows")
 
-    def __init__(self):
+    def __init__(self, rows: int = 0):
         self._bufs: dict = {}
+        self.rows = rows
 
     def __call__(self, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         buf = self._bufs.get(name)
-        if buf is None or buf.shape != shape:
-            buf = self._bufs[name] = np.empty(shape, dtype)
-        return buf
+        if buf is not None and buf.shape == shape:  # the common case, checked first
+            return buf
+        if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
+            buf = self._bufs[name] = np.empty((max(shape[0], self.rows), *shape[1:]), dtype)
+        return buf if len(buf) == shape[0] else buf[:shape[0]]
 
 
 def filled(block: np.ndarray, value) -> np.ndarray:

@@ -195,16 +195,19 @@ def split_gauss_10(rng: Rng) -> Dataset:
     return gen_synthetic(spec, rng)
 
 
-def load_csv_dataset(path, label_map: dict[int, int] | None = None) -> LabeledData:
+def load_csv_dataset(path, label_map: dict[int, int] | None = None, width: int | None = None,
+                     known_labels: bool = False) -> LabeledData:
     """Rows of "label,feat,feat,...". Labels are remapped to dense ids
     0..C-1 in order of first occurrence; every row must have the same
-    feature count, and every feature must be finite (nan and inf are
-    rejected with the line they are on). Pass the same label_map to
-    several loads (train and test files, say) to share one remapping
-    across them."""
+    feature count (width, if given; else the first row's), and every
+    feature must be finite (nan and inf are rejected with the line they
+    are on). Pass the same label_map to several loads (train and test
+    files, say) to share one remapping across them; with known_labels (a
+    test file loaded after its training file), a label not already in it
+    is rejected with its line instead of added."""
+    remap = label_map if label_map is not None else {}
     xs: list[list[float]] = []
     raw_labels: list[int] = []
-    width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -226,6 +229,9 @@ def load_csv_dataset(path, label_map: dict[int, int] | None = None) -> LabeledDa
             elif len(feats) != width:
                 raise CsvFormatError(f"{path}:{lineno}: expected {width} features, "
                                      f"got {len(feats)}")
+            if known_labels and label not in remap:
+                raise CsvFormatError(f"{path}:{lineno}: label {label} does not occur in the "
+                                     f"training data")
             raw_labels.append(label)
             xs.append(feats)
     if not xs:
@@ -234,7 +240,6 @@ def load_csv_dataset(path, label_map: dict[int, int] | None = None) -> LabeledDa
     if not np.isfinite(x).all():
         lineno = _data_lineno(path, int(np.argmin(np.isfinite(x).all(axis=1))))
         raise CsvFormatError(f"{path}:{lineno}: non-finite feature value")
-    remap = label_map if label_map is not None else {}
     for label in raw_labels:
         if label not in remap:
             remap[label] = len(remap)

@@ -467,16 +467,28 @@ class _StepBuffers:
     of one shape share one: a step of the same shape as the last one
     allocates none of these buffers. A workspace that no part took in the
     last step (after a short last batch, or a part gone) passes to a new
-    shape or is dropped. release drops them all; run_trajectories calls it
-    before a stage is scored, so that scoring's own blocks do not come on
-    top of them.
+    shape or is dropped.
+
+    Stage scoring has a workspace of its own (scoring): the first call
+    after a step drops the step buffers and starts it, so that scoring's
+    blocks do not come on top of them, and every run and stream scored
+    before the next step shares it. The next step drops it in turn, so
+    the two sets of buffers are never held at once.
     """
 
     def __init__(self):
         self._last: dict[tuple, Workspace] = {}
         self._now: dict[tuple, Workspace] = {}
+        self._scoring: Workspace | None = None
+
+    def scoring(self) -> Workspace:
+        if self._scoring is None:
+            self._last = {}
+            self._scoring = Workspace()
+        return self._scoring
 
     def take(self, part: _Part, rows: int) -> Workspace:
+        self._scoring = None
         key = (len(part.runs), rows, part.widths)
         ws = self._now.get(key)
         if ws is None:
@@ -491,10 +503,6 @@ class _StepBuffers:
 
     def step_done(self) -> None:
         self._last, self._now = self._now, {}
-
-    def release(self) -> None:
-        """Drop every buffer; the next step allocates them anew."""
-        self._last = {}
 
 
 class RunGroup:
@@ -684,15 +692,22 @@ def _descend(part: _Part, ws: Workspace, X: np.ndarray, rows: np.ndarray, alpha:
 
 
 def _collect_stage_metrics(state: TrainState, stages: Sequence[Stage | StageRows], t: int,
-                           method: MethodConfig, test: LabeledData,
-                           ends: np.ndarray) -> StageMetrics:
+                           method: MethodConfig, test: LabeledData, ends: np.ndarray,
+                           rows: np.ndarray | None = None,
+                           ws: Workspace | None = None) -> StageMetrics:
     """Metrics after stage t; test holds the test rows of stages 1..t (or
-    more) in stage order and ends[j] is where stage j+1's rows end. A run
-    whose features have collapsed fails here, naming the stage."""
-    seen = LabeledData(test.x[:ends[t - 1]], test.y[:ends[t - 1]])
-    scores = score_stages(state, seen, ends[:t], method.triple.test, method.scale())
+    more) in stage order, or with rows, test's rows at those indices do,
+    and ends[j] is where stage j+1's rows end. Scoring writes its blocks
+    into ws if given. A run whose features have collapsed fails here,
+    naming the stage."""
+    n = int(ends[t - 1])
+    if rows is None:
+        test = LabeledData(test.x[:n], test.y[:n])
+    else:
+        rows = rows[:n]
+    scores = score_stages(state, test, ends[:t], method.triple.test, method.scale(), rows, ws)
     if scores.collapsed:
-        raise FeaturesCollapsed(f"stage {t}: features collapsed: all {len(seen)} scored test "
+        raise FeaturesCollapsed(f"stage {t}: features collapsed: all {n} scored test "
                                 f"rows have zero features")
     row = scores.accuracy_row
     label_to_row = state.label_to_row
@@ -737,8 +752,8 @@ class _Trajectory:
     per step the new scorer rows, the replay indices and the reservoir
     slots. The stages are row indices into the dataset (shared by every
     stream for csv data): a stage's training rows are gathered when it
-    starts, and the test rows scored so far once per stage end for all of
-    the stream's runs.
+    starts; the test rows scored at a stage end are read by index, block
+    by block, by each of the stream's runs.
     """
 
     def __init__(self, dataset: Dataset, stream_cfg: StreamConfig, seed: int,
@@ -760,20 +775,20 @@ class _Trajectory:
         self.t = 0
         self.batches = iter(())
 
-    def next_batch(self, fail: Callable[[_Run, Exception], None], release: Callable[[], None]):
+    def next_batch(self, fail: Callable[[_Run, Exception], None],
+                   scoring: Callable[[], Workspace]):
         """The stream's next (x, y) batch, scoring every run as a stage
         ends; fail(run, error) takes out a run whose scoring raises. None
-        once the last stage is scored or no run is left. release() is
-        called before the scoring."""
+        once the last stage is scored or no run is left. Scoring writes
+        its blocks into the workspace scoring() returns."""
         while (batch := next(self.batches, None)) is None:
             if self.t:
-                release()
-                rows = self.test_rows[:self.ends[self.t - 1]]
-                seen = LabeledData(self.dataset.test.x[rows], self.dataset.test.y[rows])
+                ws = scoring()
                 for run in list(self.runs):
                     try:
                         run.metrics.append(_collect_stage_metrics(
-                            run.state, self.stages, self.t, run.method, seen, self.ends))
+                            run.state, self.stages, self.t, run.method, self.dataset.test,
+                            self.ends, self.test_rows, ws))
                     except Exception as err:  # noqa: BLE001 - e.g. collapsed features
                         fail(run, err)
             if self.t == len(self.stages) or not self.runs:
@@ -830,7 +845,7 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
     while live:
         batches = {}
         for traj in live:
-            batch = traj.next_batch(end, group.buffers.release)
+            batch = traj.next_batch(end, group.buffers.scoring)
             if batch is None:
                 for run in list(traj.runs):
                     end(run, ExperimentResult(method=run.method.name, seed=traj.seed,

@@ -212,6 +212,31 @@ def test_malformed_csv_fails_every_run(tmp_path, capsys, monkeypatch):
     assert len(loads) == 4  # a failed parse is not reused: one attempt per stream
 
 
+@pytest.mark.parametrize("case", ["wider", "new label"])
+def test_test_csv_that_does_not_match_train_csv_fails_every_run(tmp_path, capsys, monkeypatch,
+                                                                case):
+    # a wider test file trained a whole stage and then failed at scoring;
+    # a label only the test file has made a stage train on one class
+    cfg_path, out = write_csv_config(tmp_path)
+    test_csv = tmp_path / "test.csv"
+    lines = test_csv.read_text().splitlines()
+    if case == "wider":
+        lines = [line + ",0.5" for line in lines]
+        bad, reason = 1, "expected 3 features, got 4"
+    else:
+        lines[6] = "7" + lines[6][lines[6].index(","):]
+        bad, reason = 7, "label 7 does not occur in the training data"
+    test_csv.write_text("\n".join(lines) + "\n")
+    steps = count_calls(monkeypatch, uer.trainer, "train_step")
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("FAILED")]
+    assert len(failed) == 4
+    assert all(line.endswith(f"{test_csv}:{bad}: {reason}") for line in failed), failed
+    assert steps == []
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
 def test_run_config_collects_results(tmp_path):
     cfg_path, out = write_config(tmp_path)
     cfg = parse_config_text(cfg_path.read_text())
@@ -277,6 +302,27 @@ def test_negative_config_seed_fails_early_with_exit_1(tmp_path, capsys, monkeypa
     assert built == [] and not out.exists()
 
 
+@pytest.mark.parametrize("args,where", [
+    ([], "line 9: key run.seeds"), ([], "line 14: key method.uer.seeds"),
+    (["--seed", "3,1,3"], "--seed")])
+def test_repeated_seed_fails_early_with_exit_1(tmp_path, capsys, monkeypatch, args, where):
+    # run.seeds = 0,0,1 trained seed 0 twice, wrote its metrics file twice
+    # and counted it twice in summary.json
+    built = []
+    monkeypatch.setattr(uer.cli, "build_dataset", lambda *a: built.append(a))
+    text = SMALL
+    if "run.seeds" in where:
+        text = text.replace("run.seeds = 0,1", "run.seeds = 0,0,1")
+    elif "method" in where:
+        text += "method.uer.seeds = 2,5,2\n"
+    cfg_path, out = write_config(tmp_path, text)
+    assert main(["run", "--config", str(cfg_path), *args]) == 1
+    err = capsys.readouterr().err
+    repeated = {"--seed": 3, "line 9: key run.seeds": 0}.get(where, 2)
+    assert err.startswith(f"config error: {where}: seed {repeated} appears more than once"), err
+    assert built == [] and not out.exists()
+
+
 # ---------------------------------------------------------- sweep-alpha
 
 
@@ -331,6 +377,22 @@ def test_sweep_alpha_out_of_range_is_usage_error_before_training(tmp_path, capsy
     assert main(["sweep-alpha", "--config", str(cfg_path), "--alpha", alphas]) == 1
     assert "alpha" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("alphas,first,second,run", [
+    ("0.5,0.5", "0.5", "0.5", "uer_alpha0.5"),
+    ("0,0.3,0.30", "0.3", "0.30", "uer_alpha0.3"),
+    ("0.1234567,0.1234568", "0.1234567", "0.1234568", "uer_alpha0.123457")])
+def test_sweep_alpha_values_that_name_one_run_are_rejected(tmp_path, capsys, monkeypatch,
+                                                          alphas, first, second, run):
+    # both wrote one metrics file, the second over the first
+    built = []
+    monkeypatch.setattr(uer.cli, "build_dataset", lambda *a: built.append(a))
+    cfg_path, out = write_config(tmp_path, UER_ONLY)
+    assert main(["sweep-alpha", "--config", str(cfg_path), "--alpha", alphas]) == 1
+    err = capsys.readouterr().err
+    assert f"--alpha values '{first}' and '{second}' both name the run {run}" in err, err
+    assert built == [] and not out.exists()
 
 
 def _append_malformed_row(tmp_path):
