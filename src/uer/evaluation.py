@@ -99,13 +99,14 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
                  ws: Workspace | None = None) -> StageScores:
     """Score the test rows of stages 1..t in one pass over row blocks.
 
-    The rows scored are test's rows, or with rows, test's rows at those
-    indices (read block by block, never gathered whole); they are in stage
-    order and ends[j] is the offset where stage j+1's rows end, so
-    ends[-1] is the number of rows scored. Each block of rows (row_blocks)
-    goes through the forward pass, the scores, the argmax and a softmax
-    written in place, all into the buffers of one Workspace (ws, or one of
-    this call's own): after the first block nothing of a block's size is
+    The rows scored are test's rows at the indices rows (all of test's
+    rows without it), read block by block, never gathered whole; they are
+    in stage order and ends[j] is the offset where stage j+1's rows end,
+    so ends[-1] is the number of rows scored. Each block of rows
+    (row_blocks) is gathered, then goes through the forward pass, the
+    scores, the argmax and a softmax written in place, all into the
+    buffers of one Workspace (ws, or one of this call's own), sized for
+    the largest block: after the first block nothing of a block's size is
     allocated. The accuracy of each stage's slice of the argmax and the
     accuracy of every row before the last stage follow; the average
     posterior is the running column sum of the softmax rows over the
@@ -123,7 +124,8 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
     ReLUs all died), the scores say nothing about the input; collapsed
     reports that.
     """
-    n = len(test) if rows is None else len(rows)
+    rows = np.arange(len(test)) if rows is None else rows
+    n = len(rows)
     ends = np.asarray(ends, dtype=np.int64)
     if ends.ndim != 1 or not len(ends) or ends[-1] != n:
         raise ValueError(f"stage ends {ends.tolist()} do not end at the {n} test rows")
@@ -133,47 +135,48 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
         raise ValueError(f"accuracy over an empty test set (stage {empty})")
     if state.predictor.num_classes == 0:
         raise ValueError("predict with no registered classes")
-    if rows is not None and not (0 <= rows.min() and rows.max() < len(test)):
+    if not (0 <= rows.min() and rows.max() < len(test)):
         raise IndexError(f"test rows outside the {len(test)} of the test set")
     blocks = row_blocks(n)
+    largest = max(hi - lo for lo, hi in blocks)  # the tail block
     ws = ws or Workspace()
-    # size every buffer for the largest block, the tail, and the softmax
-    # block for its carried sum row too
-    ws.rows = max(hi - lo for lo, hi in blocks) + 1
     classes = state.predictor.num_classes
     class_order = np.asarray(state.class_order, dtype=np.int64)
     correct = np.empty(n, dtype=bool)
     total = np.empty(classes)  # the running column sum of the softmax rows
     collapsed = True
-    for lo, hi in blocks:
-        size = hi - lo
-        if rows is None:
-            x, y = test.x[lo:hi], test.y[lo:hi]
-        else:
+    with ws.sized(largest):
+        # each block's softmax rows go after the carried sum row
+        carried = ws("post", (largest + 1, classes))
+        for lo, hi in blocks:
+            size = hi - lo
             # mode="clip" takes the rows straight into the buffer ("raise"
             # goes through a temporary); the rows were checked above
             x = np.take(test.x, rows[lo:hi], axis=0, out=ws("x", (size, test.x.shape[1])),
                         mode="clip")
             y = np.take(test.y, rows[lo:hi], out=ws("y", (size,), np.int64), mode="clip")
-        H = forward_batch(state.extractor, x, ws)[0]
-        # features are ReLU outputs, checked finite: all zero iff the max is
-        collapsed = collapsed and not np.maximum.reduce(H, axis=None) > 0.0
-        S = _scores(state.predictor, H, mode, scale, ws)
-        best = np.argmax(S, axis=1, out=ws("best", (size,), np.int64))
-        label = np.take(class_order, best, out=ws("label", (size,), np.int64), mode="clip")
-        np.equal(label, y, out=correct[lo:hi])
-        # logits.softmax_rows(S), into the rows after the carried sum
-        carry = ws("post", (size + 1, classes))
-        P = carry[1:]
-        pick = np.add(_row_starts((size,), classes), best, out=ws("pick", (size,), np.int64))
-        top = np.take(S.reshape(-1), pick, out=ws("top", (size,)), mode="clip")
-        np.subtract(S, filled(ws("spread", S.shape), top[:, None]), out=P)
-        np.exp(P, out=P)
-        rowsum = np.add.reduce(P, axis=1, out=ws("rowsum", (size,)))
-        np.divide(P, filled(ws("spread", S.shape), rowsum[:, None]), out=P)
-        if lo:
-            carry[0] = total
-        np.add.reduce(carry if lo else P, axis=0, out=total)
+            # each bias is added broadcast: NumPy buffers at most 8192
+            # entries of the add, a spread block all of the block's
+            H = forward_batch(state.extractor, x, ws, spread_bias=False)[0]
+            # features are ReLU outputs, checked finite: all zero iff the max is
+            collapsed = collapsed and not np.maximum.reduce(H, axis=None) > 0.0
+            S = _scores(state.predictor, H, mode, scale, ws)
+            best = np.argmax(S, axis=1, out=ws("best", (size,), np.int64))
+            label = np.take(class_order, best, out=ws("label", (size,), np.int64), mode="clip")
+            np.equal(label, y, out=correct[lo:hi])
+            # logits.softmax_rows(S), into the rows after the carried sum
+            carry = carried[:size + 1]
+            P = carry[1:]
+            pick = np.add(_row_starts((size,), classes), best,
+                          out=ws("pick", (size,), np.int64))
+            top = np.take(S.reshape(-1), pick, out=ws("top", (size,)), mode="clip")
+            np.subtract(S, filled(ws("spread", S.shape), top[:, None]), out=P)
+            np.exp(P, out=P)
+            rowsum = np.add.reduce(P, axis=1, out=ws("rowsum", (size,)))
+            np.divide(P, filled(ws("spread", S.shape), rowsum[:, None]), out=P)
+            if lo:
+                carry[0] = total
+            np.add.reduce(carry if lo else P, axis=0, out=total)
     hits = np.array([np.count_nonzero(correct[a:b]) for a, b in zip(starts, ends)])
     row = hits / (ends - starts)
     prev = int(starts[-1])

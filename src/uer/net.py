@@ -120,10 +120,17 @@ def init_extractor(dims: Sequence[int], rng: Rng) -> FeatureExtractor:
     return FeatureExtractor(layers)
 
 
-def forward_batch(fe: FeatureExtractor, X: np.ndarray,
-                  ws: Workspace | None = None) -> tuple[np.ndarray, ForwardCache]:
+def forward_batch(fe: FeatureExtractor, X: np.ndarray, ws: Workspace | None = None,
+                  spread_bias: bool = True) -> tuple[np.ndarray, ForwardCache]:
     """Features of a (batch, dim) block, or of a (slices, batch, dim) block
-    when the layers carry a slice axis; with ws, written into its buffers."""
+    when the layers carry a slice axis; with ws, written into its buffers.
+
+    Each bias is spread over a full ("t", width) block before it is added:
+    NumPy runs a broadcast add through a buffer of up to 8192 entries for
+    a plain block and of the whole block for a stacked one, the spread
+    form takes the plain loop. With spread_bias False the bias is added
+    broadcast, which for a plain block of many more entries than 8192
+    (stage scoring's) holds less memory than the spread block."""
     X = np.asarray(X, dtype=np.float64)
     seeds = fe.layers[0].weight.shape[:-2]
     if X.ndim != 2 + len(seeds) or X.shape[:-2] != seeds:
@@ -137,7 +144,8 @@ def forward_batch(fe: FeatureExtractor, X: np.ndarray,
     for k, layer in enumerate(fe.layers):
         shape = (*A.shape[:-1], layer.weight.shape[-2])
         Z = np.matmul(A, layer.weight.swapaxes(-1, -2), out=out(("a", k), shape))
-        Z += filled(out(("t", shape[-1]), shape), layer.bias[..., None, :])
+        bias = layer.bias[..., None, :]
+        Z += filled(out(("t", shape[-1]), shape), bias) if spread_bias else bias
         # ReLU in place: the cache keeps activations only, and backward
         # masks with A > 0, which is Z > 0 (nan and -0 fail both)
         A = np.maximum(Z, 0.0, out=Z)

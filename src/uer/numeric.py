@@ -7,6 +7,7 @@ numpy PCG64 generator, so a run is fully determined by its seeds.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from math import isfinite
 from typing import Sequence
 
@@ -39,10 +40,11 @@ class Workspace:
     under that name, or its leading shape[0] entries (a C-contiguous view),
     if its other dimensions match and it has at least that many; otherwise
     a new uninitialised one, which replaces it (a newly registered class, a
-    larger block). A new buffer gets at least `rows` entries on its leading
-    axis, so a caller that knows its largest block can size every buffer
-    for it from the start. A name always asks for one dtype. A buffer holds
-    whatever the last user that asked for it left there.
+    larger block). Within `with ws.sized(rows):` a new buffer gets at least
+    rows entries on its leading axis, so a caller that knows its largest
+    block sizes every buffer for it from the start. A name always asks for
+    one dtype. A buffer holds whatever the last user that asked for it
+    left there.
 
     Two names are shared by forward_batch, loss_rows and backward_batch,
     so that blocks whose uses do not overlap take one buffer: ("t", width)
@@ -51,19 +53,28 @@ class Workspace:
     output, from dL/dH down to each gradient backward_batch passes on.
     """
 
-    __slots__ = ("_bufs", "rows")
+    __slots__ = ("_bufs", "_rows")
 
-    def __init__(self, rows: int = 0):
+    def __init__(self):
         self._bufs: dict = {}
-        self.rows = rows
+        self._rows = 0
 
     def __call__(self, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         buf = self._bufs.get(name)
         if buf is not None and buf.shape == shape:  # the common case, checked first
             return buf
         if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
-            buf = self._bufs[name] = np.empty((max(shape[0], self.rows), *shape[1:]), dtype)
+            buf = self._bufs[name] = np.empty((max(shape[0], self._rows), *shape[1:]), dtype)
         return buf if len(buf) == shape[0] else buf[:shape[0]]
+
+    @contextmanager
+    def sized(self, rows: int):
+        """New buffers get at least rows leading entries until the block exits."""
+        before, self._rows = self._rows, rows
+        try:
+            yield self
+        finally:
+            self._rows = before
 
 
 def filled(block: np.ndarray, value) -> np.ndarray:

@@ -695,16 +695,13 @@ def _collect_stage_metrics(state: TrainState, stages: Sequence[Stage | StageRows
                            method: MethodConfig, test: LabeledData, ends: np.ndarray,
                            rows: np.ndarray | None = None,
                            ws: Workspace | None = None) -> StageMetrics:
-    """Metrics after stage t; test holds the test rows of stages 1..t (or
-    more) in stage order, or with rows, test's rows at those indices do,
-    and ends[j] is where stage j+1's rows end. Scoring writes its blocks
-    into ws if given. A run whose features have collapsed fails here,
-    naming the stage."""
+    """Metrics after stage t; test's rows at the indices rows (test's own
+    rows without it) hold the test rows of stages 1..t (or more) in stage
+    order, and ends[j] is where stage j+1's rows end. Scoring writes its
+    blocks into ws if given. A run whose features have collapsed fails
+    here, naming the stage."""
     n = int(ends[t - 1])
-    if rows is None:
-        test = LabeledData(test.x[:n], test.y[:n])
-    else:
-        rows = rows[:n]
+    rows = np.arange(n) if rows is None else rows[:n]
     scores = score_stages(state, test, ends[:t], method.triple.test, method.scale(), rows, ws)
     if scores.collapsed:
         raise FeaturesCollapsed(f"stage {t}: features collapsed: all {n} scored test "

@@ -128,9 +128,10 @@ def test_workspace_score_blocks_give_the_allocating_bits(n, width, classes, mode
     scale = CosineScale(gamma)
     want = _reference_scores(pp, H, mode, gamma)
     # a workspace sized for a larger block hands out stale prefix views
-    ws = Workspace(rows=n + 3)
-    _stale(ws, rng, [("s", (n, classes)), ("spread", (n, classes)), ("den", (n, classes)),
-                     ("hn", (n,)), (("t", width), (n, width))])
+    ws = Workspace()
+    with ws.sized(n + 3):
+        _stale(ws, rng, [("s", (n, classes)), ("spread", (n, classes)),
+                         ("den", (n, classes)), ("hn", (n,)), (("t", width), (n, width))])
     for got in ((dot_logits_batch(pp, H, ws) if mode is LogitMode.DOT
                  else cosine_logits_batch(pp, H, scale, ws)),
                 (dot_logits_batch(pp, H) if mode is LogitMode.DOT
@@ -147,9 +148,10 @@ def test_workspace_hands_out_prefix_views_and_sizes_new_buffers():
     assert ws("a", (5, 3)) is a  # the buffer itself, not a view
     assert ws("a", (6, 3)).shape == (6, 3)  # more rows: a new buffer replaces it
     assert ws("a", (6, 4)).shape == (6, 4)  # other trailing dims: likewise
-    ws.rows = 10
-    c = ws("c", (4,), np.int64)
+    with ws.sized(10):
+        c = ws("c", (4,), np.int64)
     assert c.shape == (4,) and len(c.base) == 10 and c.dtype == np.int64
+    assert ws("d", (4,)).base is None  # the sizing ends with the block
 
 
 # ------------------------------------------------------- scoring by index
@@ -234,15 +236,18 @@ def test_scoring_allocates_nothing_large_after_its_first_block(monkeypatch, mode
     monkeypatch.setattr(uer.evaluation, "forward_batch", measured)
     ends = np.arange(n // 4, n + 1, n // 4)
     ends[-1] = n
+    ws = Workspace()
     tracemalloc.start()
     try:
-        score_stages(state, test, ends, mode, CosineScale(10.0), rows, Workspace())
+        score_stages(state, test, ends, mode, CosineScale(10.0), rows, ws)
         peak = tracemalloc.get_traced_memory()[1] - seen[1]
     finally:
         tracemalloc.stop()
     assert len(seen) == len(row_blocks(n)) >= 3
     # the pass before the workspace took several blocks' worth per block
     assert peak < block / 4
+    # scoring sized the workspace's buffers for its tail block only
+    assert ws("after", (2,)).base is None
 
 
 def test_a_stage_end_shares_one_scoring_workspace_that_training_drops(monkeypatch):
