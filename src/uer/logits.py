@@ -22,8 +22,9 @@ skipped rather than multiplied by zero. loss_dot, loss_current and
 loss_replay are its batch-mean forms. Like the network, loss_rows accepts
 a predictor and features stacked on a leading axis, one slice per run, and
 computes each slice exactly as the 2-d call would; each slice may carry its
-own alpha and weight rows and its own gamma, as long as every slice takes
-the same branches.
+own alpha and weight rows and its own gamma. Slices may take different
+branches if they come in branch order (dot users first, cosine users
+last): each branch then runs on its own contiguous range of slices.
 """
 
 from __future__ import annotations
@@ -252,10 +253,12 @@ def _per_row(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     return v
 
 
-def _branches(a: np.ndarray, alpha) -> tuple[bool, bool]:
-    """(use_dot, use_cos): some alpha > 0, some alpha < 1. Every slice of a
-    stacked alpha must agree, so that each slice runs the branches its own
-    2-d call would run (a pure-dot slice never meets 0 * cosine)."""
+def _branches(a: np.ndarray, alpha) -> tuple[int, int, int]:
+    """(k1, k2, n) over the n slices of a stacked alpha (n = 1 otherwise):
+    slices [0, k2) take the dot branch (some alpha > 0) and [k1, n) the
+    cosine branch (some alpha < 1), each as its own 2-d call would (a
+    pure-dot slice never meets 0 * cosine). The slices must come in that
+    order, so that both ranges are contiguous."""
     if a.ndim == 2:
         lo, hi = _min(a, -1).tolist(), _max(a, -1).tolist()
     else:
@@ -263,11 +266,17 @@ def _branches(a: np.ndarray, alpha) -> tuple[bool, bool]:
     # per-slice bounds, so a nan in any slice fails the check
     if not (all(0.0 <= v for v in lo) and all(v <= 1.0 for v in hi)):
         raise ValueError(f"alpha out of [0,1]: {alpha}")
-    use_dot, use_cos = hi[0] > 0.0, lo[0] < 1.0
-    if any((v > 0.0) != use_dot for v in hi) or any((v < 1.0) != use_cos for v in lo):
-        raise ValueError("the slices of a stacked alpha take different branches "
-                         "(some alpha > 0 for dot, some alpha < 1 for cosine)")
-    return use_dot, use_cos
+    dot, cos = [v > 0.0 for v in hi], [v < 1.0 for v in lo]
+    k2, k1 = dot.count(True), cos.count(False)
+    if True in dot[k2:] or True in cos[:k1]:
+        raise ValueError("the slices of a stacked alpha are out of branch order: dot users "
+                         "(some alpha > 0) must come first, cosine users (some alpha < 1) last")
+    return k1, k2, len(dot)
+
+
+def _cut(out, part: slice):
+    """out (a Workspace or fresh), handing out the part slices of each buffer."""
+    return lambda name, shape, dtype=np.float64: out(name, shape, dtype)[part]
 
 
 def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarray, rows,
@@ -287,8 +296,11 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     batch, dim) and rows (slices, batch); alpha and weights are shared by
     every slice or given as (slices, batch), scale.gamma is one value or
     (slices,), and the per-row results come back as (slices, batch). The
-    slices must agree on which branches run (ValueError otherwise); each
-    slice is then computed exactly as its 2-d call would compute it.
+    slices may take different branches if they come in branch order, dot
+    users first and cosine users last (ValueError otherwise): the dot
+    branch then runs on the slices [0, k2) that use it and the cosine
+    branch on [k1, slices), and the two mix only on [k1, k2). Each slice
+    is computed exactly as its 2-d call would compute it.
 
     With a Workspace, every (rows, classes) score block and every block of
     H's shape (H * H, dH and its cosine correction) is written into its
@@ -298,15 +310,25 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     H, rows = _batch_targets(pp, H, rows)
     out = ws or fresh
     a = _per_row(alpha, rows.shape, "alpha")
-    use_dot, use_cos = _branches(a, alpha)
+    k1, k2, n = _branches(a, alpha)
+    use_dot, use_cos = k2 > 0, k1 < n
     # each row's target entry as a flat index into a (..., batch, classes) block
     pick = np.add(_row_starts(rows.shape, pp.num_classes), rows,
                   out=out("pick", rows.shape, np.int64))
     scores = (*rows.shape, pp.num_classes)
     S = np.matmul(H, pp.W.swapaxes(-1, -2), out=out("s", scores))
+    # a branch that runs on some slices only (cut_d, cut_c) takes views of
+    # its operands and buffers: the dot slices [0, k2), the cosine slices
+    # [k1, n)
+    cut_d, cut_c = 0 < k2 < n, 0 < k1 < n
+    ranged = cut_d or cut_c
     if use_dot:
-        L = filled(out("pd", scores), pp.b[..., None, :])
-        Pd, ce = _softmax_ce(np.add(S, L, out=L), pick, out("spread", scores))
+        G = out("pd", scores)  # becomes the score gradient of every slice
+        L, spread_d, ad, pick_d = G, out("spread", scores), a, pick
+        if cut_d:
+            L, spread_d, ad, pick_d = L[:k2], spread_d[:k2], a[:k2], pick[:k2]
+        L = filled(L, (pp.b[:k2] if cut_d else pp.b)[..., None, :])
+        Pd, ce = _softmax_ce(np.add(S[:k2] if cut_d else S, L, out=L), pick_d, spread_d)
     if use_cos:
         if scale is None:
             raise ValueError("cosine scoring needs a CosineScale")
@@ -315,21 +337,32 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
             gamma = np.asarray(gamma, dtype=np.float64)
             if H.ndim != 3 or gamma.shape != H.shape[:1]:
                 raise ShapeError(f"{len(H)} slices but gamma has shape {gamma.shape}")
-            g_rows, gamma = gamma[:, None], gamma[:, None, None]
+            g_rows, gamma = gamma[k1:, None], gamma[k1:, None, None]
+        oc, Sc, Hc, Wc, ac, pick_c = out, S, H, pp.W, a, pick
+        if cut_c:
+            oc = _cut(out, slice(k1, n))
+            Sc, Hc, Wc, ac = S[k1:], H[k1:], pp.W[k1:], a[k1:]
+            # flat offsets into the cosine blocks, which start at slice k1
+            pick_c = pick[k1:] - k1 * rows.shape[1] * pp.num_classes
         # row norms as np.linalg.norm computes them, without its dispatch
-        HH = np.multiply(H, H, out=out(("t", H.shape[-1]), H.shape))
-        hn = _sum(HH, -1, out=out("hn", rows.shape))
+        HH = np.multiply(Hc, Hc, out=oc(("t", H.shape[-1]), H.shape))
+        hn = _sum(HH, -1, out=oc("hn", rows.shape))
         np.sqrt(hn, out=hn)
         np.maximum(hn, EPS_NORM, out=hn)
-        WW = np.multiply(pp.W, pp.W, out=out("dw", pp.W.shape))  # dW is not formed yet
+        WW = np.multiply(Wc, Wc, out=oc("dw", pp.W.shape))  # dW is not formed yet
         wn = np.maximum(np.sqrt(_sum(WW, -1)), EPS_NORM)
-        den = filled(out("den", scores), wn[..., None, :])
-        den = np.multiply(filled(out("spread", scores), hn[..., None]), den, out=den)
-        C = np.divide(S, den, out=S)  # S is not read again
-        Pc, ce_cos = _softmax_ce(np.multiply(gamma, C, out=out("pc", scores)), pick,
-                                 out("spread", scores))
-        a_cos = 1.0 - a
-        if use_dot:  # ce = a * ce + a_cos * ce_cos, in place
+        den = filled(oc("den", scores), wn[..., None, :])
+        den = np.multiply(filled(oc("spread", scores), hn[..., None]), den, out=den)
+        C = np.divide(Sc, den, out=Sc)  # S is not read again
+        Pc, ce_cos = _softmax_ce(np.multiply(gamma, C, out=oc("pc", scores)), pick_c,
+                                 oc("spread", scores))
+        a_cos = 1.0 - ac
+        if ranged:  # the cosine-only slices follow; [k1, k2) mix in place
+            ce = np.concatenate([ce, ce_cos[k2 - k1:]])
+            both = ce[k1:k2]
+            both *= ad[k1:]
+            both += ce_cos[:k2 - k1] * a_cos[:k2 - k1]
+        elif use_dot:  # ce = a * ce + a_cos * ce_cos, in place
             ce *= a
             ce_cos *= a_cos
             ce += ce_cos
@@ -338,30 +371,38 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     require_finite(ce, "cross-entropy", stacked=ce.ndim > 1)
     if tape is None:
         return ce, None
-    w = _per_row(weights, rows.shape, "weights")
+    w = wd = wc = _per_row(weights, rows.shape, "weights")
+    if w.ndim == 2:
+        wd, wc = (w[:k2] if cut_d else w), (w[k1:] if cut_c else w)
     if use_dot:
-        Pd.reshape(-1)[pick] -= 1.0
-        Pd *= filled(out("spread", scores), (a * w)[..., None])
-        tape.pred_b += _sum(Pd, -2)
-        G = Pd
+        Pd.reshape(-1)[pick_d] -= 1.0
+        Pd *= filled(spread_d, (ad * wd)[..., None])
+        pred_b = tape.pred_b[:k2] if cut_d else tape.pred_b
+        pred_b += _sum(Pd, -2)
     if use_cos:
         # the closed form at module top, per row, with Q = Pc / (|h| |w|)
         # and R = Pc * cos:
         #   dW = Q^T H - colsum(R) / |w|^2 * W,  dH = Q W - rowsum(R) / |h|^2 * H
         # Q joins the dot part, so each product runs once
-        Pc.reshape(-1)[pick] -= 1.0
-        Pc *= filled(out("spread", scores), (g_rows * a_cos * w)[..., None])
+        Pc.reshape(-1)[pick_c] -= 1.0
+        Pc *= filled(oc("spread", scores), (g_rows * a_cos * wc)[..., None])
         R = np.multiply(Pc, C, out=C)  # neither C nor den is read again
         Q = np.divide(Pc, den, out=den)
-        G = np.add(Pd, Q, out=Pd) if use_dot else Q
+        if ranged:  # G is Pd + Q on [k1, k2) and Q after
+            both = G[k1:k2]
+            both += Q[:k2 - k1]
+            np.copyto(G[k2:], Q[k2 - k1:])
+        else:
+            G = np.add(G, Q, out=G) if use_dot else Q
     dW = np.matmul(G.swapaxes(-1, -2), H, out=out("dw", pp.W.shape))
     tape.pred_w += dW
     dH = np.matmul(G, pp.W, out=out(("g", H.shape[-1]), H.shape))
     if use_cos:
-        tape.pred_w -= np.multiply(filled(dW, (_sum(R, -2) / (wn * wn))[..., None]), pp.W,
-                                   out=dW)
-        corr = filled(out(("t", H.shape[-1]), H.shape), (_sum(R, -1) / (hn * hn))[..., None])
-        dH -= np.multiply(corr, H, out=corr)
+        pred_w, dWc, dHc = (tape.pred_w[k1:], dW[k1:], dH[k1:]) if cut_c else \
+            (tape.pred_w, dW, dH)
+        pred_w -= np.multiply(filled(dWc, (_sum(R, -2) / (wn * wn))[..., None]), Wc, out=dWc)
+        corr = filled(oc(("t", H.shape[-1]), H.shape), (_sum(R, -1) / (hn * hn))[..., None])
+        dHc -= np.multiply(corr, Hc, out=corr)
     return ce, dH
 
 

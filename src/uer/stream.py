@@ -215,36 +215,51 @@ def load_csv_dataset(path, label_map: dict[int, int] | None = None, width: int |
                 continue
             parts = line.split(",")
             if len(parts) < 2:
-                raise CsvFormatError(f"{path}:{lineno}: need a label and at least one feature")
+                raise _line_error(path, xs, lineno, "need a label and at least one feature")
             try:
                 label = int(parts[0])
             except ValueError:
-                raise CsvFormatError(f"{path}:{lineno}: invalid label {parts[0]!r}") from None
+                raise _line_error(path, xs, lineno, f"invalid label {parts[0]!r}") from None
             try:
                 feats = [float(p) for p in parts[1:]]
             except ValueError:
-                raise CsvFormatError(f"{path}:{lineno}: invalid feature value") from None
+                raise _line_error(path, xs, lineno, "invalid feature value") from None
             if width is None:
                 width = len(feats)
             elif len(feats) != width:
-                raise CsvFormatError(f"{path}:{lineno}: expected {width} features, "
-                                     f"got {len(feats)}")
+                raise _line_error(path, xs, lineno, f"expected {width} features, "
+                                                    f"got {len(feats)}")
             if known_labels and label not in remap:
-                raise CsvFormatError(f"{path}:{lineno}: label {label} does not occur in the "
-                                     f"training data")
+                raise _line_error(path, xs, lineno, f"label {label} does not occur in the "
+                                                    f"training data")
             raw_labels.append(label)
             xs.append(feats)
     if not xs:
         raise CsvFormatError(f"{path}: dataset is empty")
     x = np.array(xs, dtype=np.float64)
-    if not np.isfinite(x).all():
-        lineno = _data_lineno(path, int(np.argmin(np.isfinite(x).all(axis=1))))
-        raise CsvFormatError(f"{path}:{lineno}: non-finite feature value")
+    if (bad := _nonfinite_line(path, x)) is not None:
+        raise CsvFormatError(f"{path}:{bad}: non-finite feature value")
     for label in raw_labels:
         if label not in remap:
             remap[label] = len(remap)
     y = np.array([remap[label] for label in raw_labels], dtype=np.int64)
     return LabeledData(x, y)
+
+
+def _nonfinite_line(path, x: np.ndarray) -> int | None:
+    """The line of the first row of x that holds a non-finite feature."""
+    bad = ~np.isfinite(x).all(axis=1)
+    return _data_lineno(path, int(np.argmax(bad))) if bad.any() else None
+
+
+def _line_error(path, xs: list[list[float]], lineno: int, what: str) -> CsvFormatError:
+    """The error at line lineno, unless a row read before it (xs) holds a
+    non-finite feature: errors are reported in line order, while the
+    features are checked in one pass over the rows, not line by line."""
+    bad = _nonfinite_line(path, np.array(xs, dtype=np.float64, ndmin=2))
+    if bad is not None:
+        lineno, what = bad, "non-finite feature value"
+    return CsvFormatError(f"{path}:{lineno}: {what}")
 
 
 def _data_lineno(path, row: int) -> int:

@@ -33,12 +33,13 @@ them all. Runs that agree on these follow one trajectory
 (run_trajectories): one stream registers labels, draws the replay batch,
 gathers the [incoming; replayed] rows, updates its one buffer and
 gathers the stage test rows, and every run on it reuses them. Only the
-parameters are per run. The runs step in parts: runs whose alpha rows
-take the same loss branches and whose step and network shapes agree run
-the forward pass, loss_rows, the backward pass and the SGD step once,
-over parameters stacked on a leading axis, with per-run alpha, weights,
-gamma and lr. Each run's slice is computed exactly as its run alone
-would compute it.
+parameters are per run. The runs step in parts: runs whose step and
+network shapes agree run the forward pass, loss_rows, the backward pass
+and the SGD step once, over parameters stacked on a leading axis, with
+per-run alpha, weights, gamma and lr. A part orders its runs so that the
+dot branch runs on one range of slices and the cosine branch on another
+(dot users first, cosine users last), whatever each run's rule. Each
+run's slice is computed exactly as its run alone would compute it.
 """
 
 from __future__ import annotations
@@ -337,7 +338,9 @@ def catch_up(state: TrainState) -> None:
 def _row_mix(learn_alpha: float, replay_alpha: float, joint: bool,
              n_cur: int, n_mem: int) -> tuple[np.ndarray, np.ndarray, tuple[bool, bool]]:
     """Per-row mix weight alpha and loss weight for [incoming; replayed],
-    and the (dot, cosine) branches that alpha makes loss_rows run."""
+    and the (dot, cosine) branches that alpha makes loss_rows run. A
+    part's runs in _branch_order take these as two contiguous ranges of
+    slices, the dot users first and the cosine users last."""
     alpha = np.repeat([learn_alpha, learn_alpha if joint else replay_alpha], [n_cur, n_mem])
     if joint:
         weights = np.full(n_cur + n_mem, 1.0 / (n_cur + n_mem))
@@ -374,22 +377,31 @@ def _shared(values: list):
     return stacked
 
 
+def _branch_order(run: _Run) -> tuple[float, float]:
+    """Runs sorted on this (learn alpha, replay alpha), highest first, take
+    the loss branches in ranges at every step, with or without replay:
+    the runs whose alpha rows have some alpha > 0 (dot) come first, and
+    those with some alpha < 1 (cosine) last."""
+    return -run.mix[0], -run.mix[1]
+
+
 class _Part:
     """Runs that take their steps together.
 
-    A part's runs agree on the network shape, on the step shape (batch
-    length, replay count, registered class count) and on the loss
-    branches their own alpha rows take, so each slice runs exactly the
-    arithmetic of its run alone. With several runs, the part keeps their
-    parameters stacked on a leading axis, one slice per run, and each
-    run's TrainState holds views into them; alpha and weight rows, gamma
-    and lr are per slice. A part of one run steps on that run's own
+    A part's runs agree on the network shape and on the step shape (batch
+    length, replay count, registered class count). They are kept in
+    _branch_order, so loss_rows runs the dot branch on one range of
+    slices and the cosine branch on another, and each slice runs exactly
+    the arithmetic of its run alone. With several runs, the part keeps
+    their parameters stacked on a leading axis, one slice per run, and
+    each run's TrainState holds views into them; alpha and weight rows,
+    gamma and lr are per slice. A part of one run steps on that run's own
     arrays. Each run keeps its own (zero) tape; a stacked part has one of
     its own.
     """
 
     def __init__(self, runs: list[_Run]):
-        self.runs = runs
+        self.runs = runs = sorted(runs, key=_branch_order)  # stable: seeds keep their order
         self._mix: dict[tuple[int, int], tuple] = {}
         if len(runs) == 1:
             run = runs[0]
@@ -459,8 +471,9 @@ class _Part:
 
 class _StepBuffers:
     """The Workspaces that parts write their step's large results into:
-    the gathered [incoming; replayed] block, the activations, the score
-    blocks, dH, the backward masks and the gradient products.
+    the gathered [incoming; replayed] block and its scorer rows, the
+    activations, the score blocks, dH, the backward masks and the gradient
+    products.
 
     There is one per step shape (slices, rows, layer widths). Parts step
     one after another and nothing of a part's step outlives it, so parts
@@ -508,13 +521,17 @@ class _StepBuffers:
 class RunGroup:
     """Runs trained in lockstep, on one or more streams.
 
-    Runs whose next step has the same key (loss branches and step shape)
-    and whose networks have the same shape step together in one part: one
-    forward pass, one loss_rows, one backward pass and one SGD step over
-    parameters stacked on a leading axis. When keys diverge, a part splits
-    and the pieces go on separately; they are not merged again. A run's
-    bytes do not depend on which runs share its part. The parts' step
-    buffers are kept from step to step (_StepBuffers).
+    Runs whose next step has the same step shape and whose networks have
+    the same shape step together in one part, whatever their loss
+    branches: one forward pass, one loss_rows, one backward pass and one
+    SGD step over parameters stacked on a leading axis, the dot branch on
+    one range of slices and the cosine branch on another. When step shapes
+    diverge, a part splits and the pieces go on separately; they are not
+    merged again. A run's bytes do not depend on which runs share its
+    part. The parts' step buffers are kept from step to step
+    (_StepBuffers). runs (in the order train_step reports them), streams
+    (in order of first appearance) and replay (each stream's replay
+    switch) are rebuilt only when the parts change (set_parts).
     """
 
     def __init__(self, runs):
@@ -522,24 +539,20 @@ class RunGroup:
         for run in runs:
             shape = tuple(layer.weight.shape for layer in run.state.extractor.layers)
             by_shape.setdefault(shape, []).append(run)
-        self.parts = [_Part(group) for group in by_shape.values()]
+        self.set_parts([_Part(group) for group in by_shape.values()])
         self.buffers = _StepBuffers()
 
-    @property
-    def runs(self) -> list[_Run]:
-        """The runs still stepping, in the order train_step reports them."""
-        return [run for part in self.parts for run in part.runs]
-
-    @property
-    def streams(self) -> list[StreamState]:
-        """The streams of those runs, in order of first appearance."""
-        return list(dict.fromkeys(run.state.stream for run in self.runs))
+    def set_parts(self, parts: list[_Part]) -> None:
+        self.parts = parts
+        self.runs = [run for part in parts for run in part.runs]
+        self.replay = {run.state.stream: run.method.replay_enabled for run in self.runs}
+        self.streams = list(self.replay)
 
     def remove(self, runs) -> None:
         """Take runs out of the group; the parts they leave restack."""
         gone = set(runs)
         if gone:
-            self.parts = [p for p in (part.without(gone) for part in self.parts) if p]
+            self.set_parts([p for p in (part.without(gone) for part in self.parts) if p])
 
 
 def train_step(group, x_batch, y_batch, method: MethodConfig | None, memory_batch_size: int,
@@ -572,11 +585,10 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 def _group_step(group: RunGroup, x_batch, y_batch, memory_batch_size: int, rng) -> list:
-    runs, streams = group.runs, group.streams
+    runs, streams, replay = group.runs, group.streams, group.replay
     if not len(streams) == len(x_batch) == len(y_batch) == len(rng):
         raise ValueError(f"{len(streams)} streams but {len(x_batch)} x batches, "
                          f"{len(y_batch)} y batches and {len(rng)} rngs")
-    replay = {run.state.stream: run.method.replay_enabled for run in runs}
     # per stream: the incoming rows, the buffer slots replayed, the scorer
     # rows of [incoming; replayed] and the step shape (n incoming, n
     # replayed, registered classes); each part gathers the rows themselves
@@ -593,18 +605,16 @@ def _group_step(group: RunGroup, x_batch, y_batch, memory_batch_size: int, rng) 
     records: dict[_Run, object] = {}
     parts = []
     for part in group.parts:
-        keys = []
-        for run in part.runs:
-            if grown:
+        if grown:
+            for run in part.runs:
                 catch_up(run.state)
-            shape = blocks[run.state.stream][2]
-            keys.append((*shape, _row_mix(*run.mix, shape[0], shape[1])[2]))
-        for piece in part.split(keys):
+        for piece in part.split([blocks[run.state.stream][2] for run in part.runs]):
             piece = _fused_step(piece, [blocks[run.state.stream] for run in piece.runs],
                                 records, group.buffers)
             if piece is not None:
                 parts.append(piece)
-    group.parts = parts
+    if parts != group.parts:
+        group.set_parts(parts)
     group.buffers.step_done()
 
     stepped = {run.state.stream for run in runs if isinstance(records[run], StepRecord)}
@@ -629,7 +639,8 @@ def _fused_step(part: _Part, blocks: list[tuple], records: dict,
         if len(part.runs) == 1:  # one run steps on 2-d blocks, exactly as it would alone
             rows = blocks[0][1]
         else:
-            rows = np.concatenate([b[1] for b in blocks]).reshape(len(blocks), n_cur + n_mem)
+            rows = ws("rows", (len(blocks), n_cur + n_mem), np.int64)
+            np.concatenate([b[1] for b in blocks], out=rows.reshape(-1))
         alpha, weights = part.mix(n_cur, n_mem)
         try:
             ce = _descend(part, ws, X, rows, alpha, weights)

@@ -3,7 +3,8 @@
 The premise: every kernel of the training step (forward_batch, loss_rows,
 backward_batch, sgd_step) computes each slice of a block stacked on a
 leading axis exactly as its 2-d call on that slice would, bit for bit,
-also when each slice carries its own alpha and weight rows, gamma and lr.
+also when each slice carries its own alpha and weight rows, gamma and lr,
+and when the slices take different loss branches in branch order.
 On top of it, one method's seeds trained together (run_trajectories, one
 stream per seed) must give the very same metrics bytes and StepRecords as
 legacy_step.per_seed_run, which trains each alone, whatever the other
@@ -105,30 +106,38 @@ def test_stacked_kernels_equal_2d_calls_bitwise(seeds, n, dims, classes, alpha, 
         _same(pp.b[s], pp_s.b, "sgd_step class biases")
 
 
-@given(slices=st.integers(1, 4), n=st.integers(1, 24),
-       dims=st.lists(st.integers(1, 40), min_size=2, max_size=3),
-       classes=st.integers(1, 12), branches=st.sampled_from(["dot", "cosine", "both"]),
-       seed=st.integers(0, 2**32 - 1))
-@example(slices=1, n=1, dims=[1, 1], classes=1, branches="both", seed=0)
-@example(slices=3, n=1, dims=[5, 1, 7], classes=3, branches="cosine", seed=1)
-@example(slices=4, n=20, dims=[20, 64], classes=10, branches="both", seed=2)
+# the loss branches a slice takes, in branch order (dot users first,
+# cosine users last), as a part orders its runs
+BRANCH_ORDER = ("dot", "both", "cosine")
+
+
+@given(kinds=st.lists(st.sampled_from(BRANCH_ORDER), min_size=1, max_size=4),
+       n=st.integers(1, 24), dims=st.lists(st.integers(1, 40), min_size=2, max_size=3),
+       classes=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(kinds=["both"], n=1, dims=[1, 1], classes=1, seed=0)
+@example(kinds=["cosine"] * 3, n=1, dims=[5, 1, 7], classes=3, seed=1)
+@example(kinds=["both"] * 4, n=20, dims=[20, 64], classes=10, seed=2)
+@example(kinds=["dot", "both", "cosine"], n=1, dims=[5, 1, 7], classes=1, seed=3)
+@example(kinds=["dot", "dot", "cosine"], n=3, dims=[4, 6], classes=2, seed=4)
+@example(kinds=["both"] * 6 + ["cosine"] * 3, n=20, dims=[20, 64], classes=10, seed=5)
 @settings(max_examples=60, deadline=None)
-def test_per_slice_settings_equal_2d_calls_bitwise(slices, n, dims, classes, branches, seed):
+def test_per_slice_settings_equal_2d_calls_bitwise(kinds, n, dims, classes, seed):
     # each slice is a run with its own alpha and weight rows, gamma and lr;
-    # all slices take the same loss branches, as the runs of a part do
+    # the slices take dot only, both or cosine only, in branch order, as
+    # the runs of a part do
+    kinds = sorted(kinds, key=BRANCH_ORDER.index)
+    slices = len(kinds)
     rng = make_rng(seed)
     weights = [rng.normal(size=(slices, o, i)) / np.sqrt(i) for i, o in zip(dims, dims[1:])]
     biases = [rng.normal(scale=0.1, size=(slices, o)) for o in dims[1:]]
     X = rng.normal(size=(slices, n, dims[0]))
     W, b = rng.normal(size=(slices, classes, dims[-1])), rng.normal(size=(slices, classes))
     rows = rng.integers(0, classes, size=(slices, n))
-    if branches == "dot":
-        a = np.ones((slices, n))
-    elif branches == "cosine":
-        a = np.zeros((slices, n))
-    else:  # a mixed first row makes every slice use both branches
-        a = rng.choice([0.0, 1.0, 0.5], size=(slices, n))
-        a[:, 0] = rng.uniform(0.05, 0.95, size=slices)
+    # a mixed first row makes a slice use both branches
+    a = rng.choice([0.0, 1.0, 0.5], size=(slices, n))
+    a[:, 0] = rng.uniform(0.05, 0.95, size=slices)
+    a[[k == "dot" for k in kinds]] = 1.0
+    a[[k == "cosine" for k in kinds]] = 0.0
     w = rng.uniform(0.05, 1.0, size=(slices, n))
     gamma, lr = rng.uniform(1.0, 16.0, size=slices), rng.uniform(0.01, 0.5, size=slices)
 
@@ -163,18 +172,39 @@ def test_per_slice_settings_equal_2d_calls_bitwise(slices, n, dims, classes, bra
         _same(pp.b[s], pp_s.b, "sgd_step class biases")
 
 
-@pytest.mark.parametrize("alpha", [[[1.0, 1.0], [1.0, 0.5]],  # pure dot next to mixed
-                                   [[0.0, 0.0], [0.5, 0.5]],  # pure cosine next to mixed
-                                   [[1.0, 1.0], [0.0, 0.0]]])
-def test_slices_that_take_different_branches_are_rejected(alpha):
-    # stepping them together would add 0 * cosine to a pure-dot slice (or
-    # 0 * dot to a pure-cosine one), which is not its 2-d arithmetic
+@pytest.mark.parametrize("alpha, ordered", [
+    ([[1.0, 1.0], [1.0, 0.5]], True),  # pure dot, then mixed
+    ([[0.0, 0.0], [0.5, 0.5]], False),  # pure cosine ahead of mixed
+    ([[1.0, 1.0], [0.0, 0.0]], True),  # pure dot, then pure cosine
+    ([[0.0, 0.0], [1.0, 1.0]], False),  # pure cosine ahead of pure dot
+], ids=["dot-then-mixed", "cosine-then-mixed", "dot-then-cosine", "cosine-then-dot"])
+def test_slices_that_take_different_branches_need_branch_order(alpha, ordered):
+    # in branch order each branch runs on a range of slices, so a pure-dot
+    # slice never meets 0 * cosine (nor a pure-cosine one 0 * dot) and
+    # every slice gets its 2-d call's bits; out of order the ranges would
+    # not be contiguous, and the stack is rejected
     rng = make_rng(0)
-    pp = PredictorParams(rng.normal(size=(2, 3, 4)), np.zeros((2, 3)))
+    pp = PredictorParams(rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3)))
     H = np.abs(rng.normal(size=(2, 2, 4)))
-    with pytest.raises(ValueError, match="different branches"):
-        loss_rows(pp, CosineScale(np.array([10.0, 10.0])), np.array(alpha), H,
-                  np.zeros((2, 2), dtype=np.int64), 0.5)
+    rows, alpha = np.array([[0, 2], [1, 0]]), np.array(alpha)
+    gamma = np.array([10.0, 4.0])
+    tape = GradientTape(FeatureExtractor([LayerParams(np.zeros((2, 4, 1)), np.zeros((2, 4)))]),
+                        pp)
+    if not ordered:
+        with pytest.raises(ValueError, match="dot users .* first, cosine users .* last"):
+            loss_rows(pp, CosineScale(gamma), alpha, H, rows, 0.5, tape)
+        return
+    ce, dH = loss_rows(pp, CosineScale(gamma), alpha, H, rows, 0.5, tape)
+    for s in range(2):
+        pp_s = PredictorParams(pp.W[s], pp.b[s])
+        tape_s = GradientTape(FeatureExtractor([LayerParams(np.zeros((4, 1)), np.zeros(4))]),
+                              pp_s)
+        ce_s, dH_s = loss_rows(pp_s, CosineScale(float(gamma[s])), alpha[s], H[s], rows[s],
+                               0.5, tape_s)
+        _same(ce[s], ce_s, "loss_rows cross-entropy")
+        _same(dH[s], dH_s, "loss_rows dH")
+        _same(tape.pred_w[s], tape_s.pred_w, "class row gradient")
+        _same(tape.pred_b[s], tape_s.pred_b, "class bias gradient")
 
 
 def test_per_slice_settings_are_checked():

@@ -31,7 +31,7 @@ from uer.net import init_extractor
 from uer.numeric import NonFiniteError, make_rng
 from uer.stream import Dataset, LabeledData, StreamConfig, gen_synthetic, make_sphere_spec
 from uer.trainer import (RunGroup, StreamState, _follow, _Run, er_method, lucir_method,
-                         run_trajectories, train_step, uer_method)
+                         run_trajectories, train_step, uer_a_method, uer_method)
 
 PREMISE = ("an out= form differs from the allocating form, so the training step's "
            f"reused buffers are not bitwise exact on this build ({blas_versions()})")
@@ -187,12 +187,16 @@ def test_a_widereplay_step_allocates_nothing_large(classes):
     assert _step_peak([method], 128, 32, 256, classes) < block / 4
 
 
-@pytest.mark.parametrize("preset", [uer_method, lucir_method, er_method])
+@pytest.mark.parametrize("preset", [uer_method, lucir_method, er_method,
+                                    pytest.param((uer_method, uer_a_method, lucir_method),
+                                                 id="uer,uer-a,lucir")])
 def test_a_stacked_gauss5x2_step_allocates_nothing_large(preset):
-    # three seeds of a method, each on its stream, stacked in one part
-    method = preset(hidden_dims=(64,), buffer_capacity=500)
+    # three seeds of a method, or three methods whose slices take different
+    # loss branches, each on its stream, stacked in one part
+    presets = preset if isinstance(preset, tuple) else (preset,) * 3
+    methods = [p(hidden_dims=(64,), buffer_capacity=500) for p in presets]
     block = 3 * 20 * 64 * 8  # the stacked rows x hidden float64 block
-    assert _step_peak([method] * 3, 20, 10, 10, 2) < block / 4
+    assert _step_peak(methods, 20, 10, 10, 2) < block / 4
 
 
 # ------------------------------------------------------ workspace changes

@@ -262,6 +262,19 @@ def test_csv_non_finite_feature_rejected_with_line(tmp_path, bad):
         load_csv_dataset(path)
 
 
+@pytest.mark.parametrize("later", ["1,1,2", "x,1", "1,y", "1"])
+def test_csv_errors_are_reported_in_line_order(tmp_path, later):
+    # a non-finite value is caught after reading, but an error on a later
+    # line must not be reported ahead of it
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0,1\n\n0,nan\n{later}\n")
+    with pytest.raises(CsvFormatError, match=r"bad\.csv:3: non-finite feature value"):
+        load_csv_dataset(path)
+    path.write_text(f"0,1\n0,2\n{later}\n")  # without it, the later line's error
+    with pytest.raises(CsvFormatError, match=r"bad\.csv:3: (?!non-finite)"):
+        load_csv_dataset(path)
+
+
 def test_csv_blank_lines_skipped(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("0,1.0\n\n  \n1,2.0\n")
