@@ -5,13 +5,12 @@ from .config import ConfigError, DatasetSpec, ExperimentConfig, build_dataset, \
 from .evaluation import StageMetrics, StageScores, accuracy, average_accuracy, \
     average_posterior, bias_diagnostics, posterior_group_means, read_metrics, score_stages, \
     write_metrics
-from .logits import CosineScale, LogitMode, PredictorParams, cosine_logits, cross_entropy, \
-    dot_logits, loss_current, loss_dot, loss_replay, loss_rows, predict, predictor_grad_cos, \
-    predictor_grad_dot, softmax
-from .memory import MemoryBuffer, buffer_retrieve, buffer_update, load_buffer, save_buffer
-from .net import FeatureExtractor, GradientTape, LayerParams, backward, forward, \
-    init_extractor, load_checkpoint, save_checkpoint, sgd_step
-from .numeric import NonFiniteError, Rng, ShapeError, l2_norm, make_rng, matvec, rng_uniform
+from .logits import CosineScale, LogitMode, PredictorParams, cosine_logits_batch, \
+    dot_logits_batch, loss_current, loss_dot, loss_replay, loss_rows
+from .memory import MemoryBuffer, buffer_retrieve, buffer_update
+from .net import FeatureExtractor, GradientTape, LayerParams, backward_batch, forward_batch, \
+    init_extractor, sgd_step
+from .numeric import NonFiniteError, Rng, ShapeError, make_rng
 from .stream import Dataset, LabeledData, Stage, StageRows, StreamConfig, SyntheticSpec, \
     build_stages, gen_synthetic, iterate_batches, load_csv_dataset, split_gauss_10, split_stages
 from .trainer import ExperimentResult, FeaturesCollapsed, LogitTriple, MethodConfig, \

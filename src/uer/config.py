@@ -90,8 +90,6 @@ _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 _DIMS = (lambda v: min(v) >= 1, "layer widths must be positive")
 
-_SYNTH_KEYS = {"classes", "input_dim", "radius", "stddev", "train_per_class", "test_per_class"}
-_CSV_KEYS = {"train_csv", "test_csv"}
 _METHOD_KEYS = {"learn", "replay", "test", "alpha", "gamma", "lr", "buffer",
                 "replay_enabled", "joint_batch", "hidden", "seeds"}
 
@@ -275,6 +273,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     methods = tuple(_build_method(name, e, seeds) for name in names)
 
     for key in e.unused():
+        # every method key of a method in run.methods has been read, so a
+        # method key left over belongs to a method that does not run
+        head, _, rest = key.partition(".")
+        name, _, suffix = rest.rpartition(".")
+        if head == "method" and name and suffix in _METHOD_KEYS:
+            raise ConfigError(f"line {e.line_of(key)}: key {key}: "
+                              f"method {name} is not in run.methods")
         raise ConfigError(f"line {e.line_of(key)}: unknown key {key}")
 
     try:

@@ -164,7 +164,8 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
             best = np.argmax(S, axis=1, out=ws("best", (size,), np.int64))
             label = np.take(class_order, best, out=ws("label", (size,), np.int64), mode="clip")
             np.equal(label, y, out=correct[lo:hi])
-            # logits.softmax_rows(S), into the rows after the carried sum
+            # the row softmax exp(S - rowmax) / rowsum, into the rows after the
+            # carried sum
             carry = carried[:size + 1]
             P = carry[1:]
             pick = np.add(_row_starts((size,), classes), best,

@@ -11,7 +11,10 @@ which is orthogonal to w and shrinks as ||w|| grows. The same expression
 with the roles of w and h swapped is the gradient with respect to h. Norms
 are floored at EPS_NORM so all-zero features or rows stay finite.
 
-Every training loss is one kernel, loss_rows, which mixes the two
+Each formula has one implementation, and it works on a (rows, dim) block
+of features; one sample is a one-row block. dot_logits_batch and
+cosine_logits_batch score a block (stage scoring calls them). Every
+training loss is one kernel, loss_rows, which mixes the two
 cross-entropies per sample with a per-row weight alpha:
 
     alpha * ce_dot + (1 - alpha) * ce_cos
@@ -100,25 +103,6 @@ class PredictorParams:
         return PredictorParams(self.W.copy(), self.b.copy())
 
 
-def _check_features(pp: PredictorParams, h: np.ndarray) -> np.ndarray:
-    h = as_vector(h)
-    if h.shape[0] != pp.dim:
-        raise ShapeError(f"feature dim {h.shape[0]} does not match predictor dim {pp.dim}")
-    return h
-
-
-def dot_logits(pp: PredictorParams, h: np.ndarray) -> np.ndarray:
-    h = _check_features(pp, h)
-    return pp.W @ h + pp.b
-
-
-def cosine_logits(pp: PredictorParams, h: np.ndarray, scale: CosineScale) -> np.ndarray:
-    h = _check_features(pp, h)
-    hn = max(float(np.linalg.norm(h)), EPS_NORM)
-    wn = np.maximum(np.linalg.norm(pp.W, axis=1), EPS_NORM)
-    return scale.gamma * (pp.W @ h) / (wn * hn)
-
-
 def dot_logits_batch(pp: PredictorParams, H: np.ndarray,
                      ws: Workspace | None = None) -> np.ndarray:
     """H W^T + b for a (rows, dim) block; with ws, written into its "s"
@@ -149,59 +133,6 @@ def cosine_logits_batch(pp: PredictorParams, H: np.ndarray, scale: CosineScale,
     return np.divide(S, den, out=S)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    v = as_vector(logits)
-    if v.shape[0] == 0:
-        raise ValueError("softmax of an empty logit vector")
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
-def softmax_rows(L: np.ndarray) -> np.ndarray:
-    e = np.exp(L - L.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def cross_entropy(p: np.ndarray, y: int) -> float:
-    p = as_vector(p)
-    if not 0 <= y < p.shape[0]:
-        raise IndexError(f"label {y} outside {p.shape[0]} classes")
-    return float(-np.log(p[y]))
-
-
-def predictor_grad_dot(pp: PredictorParams, p: np.ndarray, h: np.ndarray, y: int,
-                       tape, weight: float = 1.0) -> np.ndarray:
-    """Accumulate d(ce_dot)/dW and d/db for one sample; return d(ce_dot)/dh."""
-    h = _check_features(pp, h)
-    g = np.asarray(p, dtype=np.float64).copy()
-    g[y] -= 1.0
-    g *= weight
-    tape.pred_w += np.outer(g, h)
-    tape.pred_b += g
-    return g @ pp.W
-
-
-def predictor_grad_cos(pp: PredictorParams, p: np.ndarray, h: np.ndarray,
-                       scale: CosineScale, y: int, tape, weight: float = 1.0) -> np.ndarray:
-    """Accumulate d(ce_cos)/dW for one sample; return d(ce_cos)/dh.
-
-    Row j receives gamma * (p_j - [j == y]) * h_hat_j with h_hat_j the
-    norm-scaled orthogonal direction documented at module top. The bias is
-    untouched: cosine scores have no bias term.
-    """
-    h = _check_features(pp, h)
-    hn = max(float(np.linalg.norm(h)), EPS_NORM)
-    u = h / hn
-    wn = np.maximum(np.linalg.norm(pp.W, axis=1), EPS_NORM)
-    V = pp.W / wn[:, None]
-    c = V @ u
-    g = np.asarray(p, dtype=np.float64).copy()
-    g[y] -= 1.0
-    g *= scale.gamma * weight
-    tape.pred_w += (g / wn)[:, None] * (u[None, :] - c[:, None] * V)
-    return (V.T @ g - float(g @ c) * u) / hn
-
-
 def _batch_targets(pp: PredictorParams, H: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     H = np.asarray(H, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
@@ -229,7 +160,7 @@ def _row_starts(shape: tuple[int, ...], classes: int) -> np.ndarray:
 
 def _softmax_ce(L: np.ndarray, pick: np.ndarray,
                 spread: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row softmax of L (the arithmetic of softmax_rows), written over L,
+    """Row softmax of L, exp(L - rowmax) / rowsum, written over L,
     and the stable cross-entropy -log softmax at the entries of L whose
     flat indices pick holds, sharing one exp. L is C-contiguous; spread is
     a scratch block of its shape that takes the row max, then the row sum
@@ -427,23 +358,3 @@ def loss_replay(pp: PredictorParams, scale: CosineScale, alpha: float,
     """Replayed-sample loss: alpha * ce_dot + (1 - alpha) * ce_cos, batch mean."""
     ce, dH = loss_rows(pp, scale, alpha, H, rows, 1.0 / max(len(H), 1), tape)
     return float(ce.mean()), dH
-
-
-def predict(pp: PredictorParams, h: np.ndarray) -> int:
-    """Highest dot score wins; ties go to the lowest class index."""
-    if pp.num_classes == 0:
-        raise ValueError("predict with no registered classes")
-    return int(np.argmax(dot_logits(pp, h)))
-
-
-def predict_batch(pp: PredictorParams, H: np.ndarray, mode: LogitMode,
-                  scale: CosineScale | None = None) -> np.ndarray:
-    if pp.num_classes == 0:
-        raise ValueError("predict with no registered classes")
-    if mode is LogitMode.DOT:
-        L = dot_logits_batch(pp, H)
-    else:
-        if scale is None:
-            raise ValueError("cosine prediction needs a CosineScale")
-        L = cosine_logits_batch(pp, H, scale)
-    return np.argmax(L, axis=1)

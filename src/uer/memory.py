@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .container import read_container, write_container
 from .numeric import Rng
 from .stream import LabeledData
 
@@ -73,35 +72,3 @@ def buffer_retrieve(buf: MemoryBuffer, k: int, rng: Rng) -> np.ndarray:
     if m == 0:
         return np.zeros(0, dtype=np.int64)
     return rng.choice(buf.size, size=m, replace=False)
-
-
-SECTION_META = "BUFMETA"
-SECTION_X = "BUFXDATA"
-SECTION_YPOS = "BUFYPOS"
-
-
-def save_buffer(path, buf: MemoryBuffer) -> None:
-    n = buf.size
-    sections = {
-        SECTION_META: [(0, np.array([buf.capacity, buf.seen], dtype=np.float64))],
-        SECTION_X: [(i, buf.x[i]) for i in range(n)],
-        SECTION_YPOS: [(0, buf.y[:n].astype(np.float64)), (1, buf.pos[:n].astype(np.float64))],
-    }
-    write_container(path, sections)
-
-
-def load_buffer(path) -> MemoryBuffer:
-    sections = read_container(path)
-    meta = sections[SECTION_META][0][1]
-    buf = MemoryBuffer(int(meta[0]))
-    buf.seen = int(meta[1])
-    (_, ys), (_, pos) = sections[SECTION_YPOS]
-    rows = [x for _, x in sections[SECTION_X]]
-    n = len(rows)
-    if n:
-        buf.x = np.zeros((buf.capacity, rows[0].shape[0]))
-        buf.x[:n] = rows
-    buf.y[:n] = ys
-    buf.pos[:n] = pos
-    buf.size = n
-    return buf

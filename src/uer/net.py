@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .container import read_container, write_container
 from .logits import PredictorParams
 from .numeric import Rng, ShapeError, Workspace, filled, fresh, require_finite
 
@@ -154,14 +153,6 @@ def forward_batch(fe: FeatureExtractor, X: np.ndarray, ws: Workspace | None = No
     return A, ForwardCache(acts)
 
 
-def forward(fe: FeatureExtractor, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1-d input, got shape {x.shape}")
-    H, cache = forward_batch(fe, x[None, :])
-    return H[0], cache
-
-
 def backward_batch(fe: FeatureExtractor, cache: ForwardCache, dH: np.ndarray,
                    tape: GradientTape, ws: Workspace | None = None) -> np.ndarray:
     """Add every layer's weight and bias gradient to the tape and return the
@@ -189,13 +180,6 @@ def backward_batch(fe: FeatureExtractor, cache: ForwardCache, dH: np.ndarray,
             W = fe.layers[k].weight
             D = np.matmul(Dz, W, out=out(("g", W.shape[-1]), (*D.shape[:-1], W.shape[-1])))
     return Dz
-
-
-def backward(fe: FeatureExtractor, cache: ForwardCache, dh: np.ndarray,
-             tape: GradientTape) -> np.ndarray:
-    """Single-sample backward pass; returns the gradient with respect to the input."""
-    dz = backward_batch(fe, cache, np.asarray(dh, dtype=np.float64)[None, :], tape)
-    return (dz @ fe.layers[0].weight)[0]
 
 
 def sgd_step(extractor: FeatureExtractor, predictor: PredictorParams,
@@ -226,37 +210,3 @@ def sgd_step(extractor: FeatureExtractor, predictor: PredictorParams,
     predictor.W -= np.multiply(tape.pred_w, lr_w, out=tape.pred_w)
     predictor.b -= np.multiply(tape.pred_b, lr_b, out=tape.pred_b)
     tape.zero()
-
-
-SECTION_NET = "NETPARAM"
-SECTION_PRED = "PREDICTR"
-
-
-def save_checkpoint(path, extractor: FeatureExtractor,
-                    predictor: PredictorParams | None = None) -> None:
-    records = []
-    for k, layer in enumerate(extractor.layers):
-        records.append((k, layer.weight))
-        records.append((k, layer.bias))
-    sections = {SECTION_NET: records}
-    if predictor is not None:
-        sections[SECTION_PRED] = [(0, predictor.W), (0, predictor.b)]
-    write_container(path, sections)
-
-
-def load_checkpoint(path) -> tuple[FeatureExtractor, PredictorParams | None]:
-    sections = read_container(path)
-    records = sections.get(SECTION_NET)
-    if not records:
-        raise ValueError(f"checkpoint {path} has no extractor section")
-    if len(records) % 2:
-        raise ValueError(f"checkpoint {path} has a dangling layer record")
-    layers = []
-    for i in range(0, len(records), 2):
-        (_, weight), (_, bias) = records[i], records[i + 1]
-        layers.append(LayerParams(weight, bias))
-    predictor = None
-    if SECTION_PRED in sections:
-        (_, W), (_, b) = sections[SECTION_PRED]
-        predictor = PredictorParams(W, b)
-    return FeatureExtractor(layers), predictor

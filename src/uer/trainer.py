@@ -336,18 +336,15 @@ def catch_up(state: TrainState) -> None:
 
 @lru_cache(maxsize=256)
 def _row_mix(learn_alpha: float, replay_alpha: float, joint: bool,
-             n_cur: int, n_mem: int) -> tuple[np.ndarray, np.ndarray, tuple[bool, bool]]:
-    """Per-row mix weight alpha and loss weight for [incoming; replayed],
-    and the (dot, cosine) branches that alpha makes loss_rows run. A
-    part's runs in _branch_order take these as two contiguous ranges of
-    slices, the dot users first and the cosine users last."""
+             n_cur: int, n_mem: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row mix weight alpha and loss weight for [incoming; replayed]."""
     alpha = np.repeat([learn_alpha, learn_alpha if joint else replay_alpha], [n_cur, n_mem])
     if joint:
         weights = np.full(n_cur + n_mem, 1.0 / (n_cur + n_mem))
     else:
         weights = np.repeat([1.0 / n_cur, 1.0 / max(n_mem, 1)], [n_cur, n_mem])
     alpha.flags.writeable = weights.flags.writeable = False
-    return alpha, weights, (bool(alpha.max() > 0.0), bool(alpha.min() < 1.0))
+    return alpha, weights
 
 
 @dataclass(eq=False)

@@ -18,7 +18,7 @@ import pytest
 import uer
 from uer import DatasetSpec, build_dataset
 from uer.logits import PredictorParams
-from uer.net import FeatureExtractor, GradientTape, forward, init_extractor
+from uer.net import FeatureExtractor, GradientTape, forward_batch, init_extractor
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +128,8 @@ def conditioned_instance(rng, d_in=6, hidden=7, d_feat=5, classes=4,
     while True:
         fe = init_extractor((d_in, hidden, d_feat), rng)
         x = rng.normal(size=d_in)
-        h, cache = forward(fe, x)
+        H, cache = forward_batch(fe, x[None, :])
+        h = H[0]
         if kink_distance(fe, cache) <= kink_margin:
             continue
         if float(np.linalg.norm(h)) <= feat_floor:
@@ -147,7 +148,8 @@ def conditioned_batch(rng, fe: FeatureExtractor, pp: PredictorParams, n: int,
     xs, ys = [], []
     while len(xs) < n:
         x = rng.normal(size=fe.in_dim)
-        h, cache = forward(fe, x)
+        H, cache = forward_batch(fe, x[None, :])
+        h = H[0]
         if kink_distance(fe, cache) <= kink_margin:
             continue
         if float(np.linalg.norm(h)) <= feat_floor:

@@ -16,10 +16,28 @@ from __future__ import annotations
 import numpy as np
 
 from uer.evaluation import StageMetrics, StageScores, average_accuracy, bias_diagnostics
-from uer.logits import LogitMode, cosine_logits_batch, dot_logits_batch, predict_batch, \
-    softmax_rows
+from uer.logits import CosineScale, LogitMode, PredictorParams, cosine_logits_batch, \
+    dot_logits_batch
 from uer.net import forward_batch
 from uer.stream import LabeledData
+
+
+def softmax_rows(L: np.ndarray) -> np.ndarray:
+    e = np.exp(L - L.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def predict_batch(pp: PredictorParams, H: np.ndarray, mode: LogitMode,
+                  scale: CosineScale | None = None) -> np.ndarray:
+    if pp.num_classes == 0:
+        raise ValueError("predict with no registered classes")
+    if mode is LogitMode.DOT:
+        L = dot_logits_batch(pp, H)
+    else:
+        if scale is None:
+            raise ValueError("cosine prediction needs a CosineScale")
+        L = cosine_logits_batch(pp, H, scale)
+    return np.argmax(L, axis=1)
 
 
 def _scores(state, test, mode, scale):

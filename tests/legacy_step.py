@@ -29,7 +29,7 @@ import numpy as np
 
 from uer.evaluation import StageMetrics
 from uer.logits import (CosineScale, EPS_NORM, LogitMode, PredictorParams, _batch_targets,
-                        cosine_logits_batch, dot_logits_batch, loss_rows, softmax_rows)
+                        cosine_logits_batch, dot_logits_batch, loss_rows)
 from uer.memory import buffer_retrieve, buffer_update
 from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch, forward_batch,
                      sgd_step)
@@ -38,6 +38,11 @@ from uer.stream import Dataset, LabeledData, StreamConfig, build_stages, iterate
     split_stages
 from uer.trainer import (ExperimentResult, MethodConfig, StepRecord, TrainState,
                          _collect_stage_metrics, _row_mix, init_state, register_classes)
+
+
+def softmax_rows(L: np.ndarray) -> np.ndarray:
+    e = np.exp(L - L.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 # ------------------------------------------------------------ list buffer
@@ -278,8 +283,8 @@ def per_seed_train_step(state, x_batch, y_batch, method, memory_batch_size, rng)
         X = np.concatenate([x_batch, buf.x[idx]])
         rows = np.concatenate([rows, state.row_of_label[buf.y[idx]]])
     learn_alpha = 1.0 if method.triple.learn is LogitMode.DOT else 0.0
-    alpha, weights, _ = _row_mix(learn_alpha, method.triple.replay.effective_alpha(),
-                                 method.joint_batch, n_cur, n_mem)
+    alpha, weights = _row_mix(learn_alpha, method.triple.replay.effective_alpha(),
+                              method.joint_batch, n_cur, n_mem)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         H, cache = forward_batch(state.extractor, X)
         ce, dH = loss_rows(state.predictor, method.scale(), alpha, H, rows, weights,
@@ -475,8 +480,8 @@ def _fused_step(part: _SeedPart, members: list[int], x_batch, y_batch, idx,
     first = members[0]
     n_cur, n_mem = len(y_batch[first]), len(idx[first])
     learn_alpha = 1.0 if method.triple.learn is LogitMode.DOT else 0.0
-    alpha, weights, _ = _row_mix(learn_alpha, method.triple.replay.effective_alpha(),
-                                 method.joint_batch, n_cur, n_mem)
+    alpha, weights = _row_mix(learn_alpha, method.triple.replay.effective_alpha(),
+                              method.joint_batch, n_cur, n_mem)
     xs, labels = [], []
     for state, i in zip(part.states, members):
         xs.append(x_batch[i])

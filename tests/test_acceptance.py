@@ -32,10 +32,9 @@ from conftest import (conditioned_batch, conditioned_instance, fd_gradient,
 from uer.cli import run_config
 from uer.config import parse_config_text
 from uer.evaluation import posterior_group_means, read_metrics
-from uer.logits import (CosineScale, cosine_logits, cross_entropy, loss_current,
-                        loss_dot, loss_replay, predictor_grad_cos, softmax)
+from uer.logits import CosineScale, loss_current, loss_dot, loss_replay
 from uer.memory import MemoryBuffer, buffer_update
-from uer.net import GradientTape, forward, forward_batch, backward_batch
+from uer.net import GradientTape, forward_batch, backward_batch
 from uer.numeric import make_rng
 from uer.stream import LabeledData, StreamConfig
 from uer.trainer import (er_method, run_experiment, triple_method, uer_a_method,
@@ -99,14 +98,13 @@ def test_criterion_2_cosine_row_gradient_closed_form(capsys):
     failures = []
     for i in range(100):
         fe, pp, x, y = conditioned_instance(rng)
-        h, _ = forward(fe, x)
+        H, rows = forward_batch(fe, x[None, :])[0], np.array([y])
 
         def loss_value():
-            return cross_entropy(softmax(cosine_logits(pp, h, SCALE)), y)
+            return loss_current(pp, SCALE, H, rows)[0]
 
         tape = GradientTape(fe, pp)
-        p = softmax(cosine_logits(pp, h, SCALE))
-        predictor_grad_cos(pp, p, h, SCALE, y, tape)
+        loss_current(pp, SCALE, H, rows, tape)
         numeric = fd_gradient_array(loss_value, pp.W)
         if _grad_mismatch(tape.pred_w, numeric):
             failures.append(i)

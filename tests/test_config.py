@@ -178,6 +178,22 @@ def test_unknown_key_line_number():
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("key", ["method.finetune.hidden", "method.er.lr", "method.mine.learn"])
+def test_key_of_a_method_that_does_not_run_names_run_methods(key):
+    # a known method key, finetune a known preset: "unknown key" misled
+    name = key.split(".")[1]
+    text = MINIMAL + f"{key} = 8\n"
+    lineno = text.rstrip("\n").count("\n") + 1
+    with pytest.raises(ConfigError, match=rf"^line {lineno}: key {key}: method {name} "
+                                          r"is not in run.methods$"):
+        parse_config_text(text)
+
+
+def test_method_key_without_a_method_name_is_unknown():
+    with pytest.raises(ConfigError, match=r"^line 7: unknown key method.lr$"):
+        parse_config_text(MINIMAL + "method.lr = 8\n")
+
+
 def test_dataset_keys_rejected_for_fixed_kind():
     # per-class counts only mean something for the synthetic generator
     with pytest.raises(ConfigError, match="unknown key dataset.train_per_class"):

@@ -1,4 +1,10 @@
-"""Scoring rules, softmax/cross-entropy, analytic gradients, mixed replay loss."""
+"""Scoring rules, softmax/cross-entropy, analytic gradients, mixed replay loss.
+
+Every formula has one implementation, on blocks of rows, so a single
+sample is scored, lossed and predicted as a one-row block.
+"""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_grad_close, fd_gradient_array, sin_angles
+from uer.evaluation import score_stages
 from uer.logits import (EPS_NORM, CosineScale, LogitMode, PredictorParams,
-                        cosine_logits, cosine_logits_batch, cross_entropy,
-                        dot_logits, dot_logits_batch, loss_current, loss_dot,
-                        loss_replay, predict, predict_batch, predictor_grad_cos,
-                        predictor_grad_dot, softmax, softmax_rows)
+                        cosine_logits_batch, dot_logits_batch, loss_current, loss_dot,
+                        loss_replay)
 from uer.net import FeatureExtractor, GradientTape, LayerParams, sgd_step
 from uer.numeric import ShapeError, make_rng
+from uer.stream import LabeledData
 
 SCALE = CosineScale(10.0)
 
@@ -34,55 +40,97 @@ def conditioned_pp_h(rng, classes=4, dim=5, sin_floor=1e-3):
             return pp, h
 
 
+def logit_pp(logits) -> PredictorParams:
+    """A scorer whose dot scores for a zero feature are the given logits."""
+    b = np.asarray(logits, dtype=np.float64)
+    return PredictorParams(np.zeros((len(b), 1)), b)
+
+
+def dot_ce(logits, y: int) -> float:
+    """The dot loss of one sample whose scores are the given logits."""
+    return loss_dot(logit_pp(logits), np.zeros((1, 1)), [y])[0]
+
+
+def probabilities(logits) -> np.ndarray:
+    """The dot loss's softmax of the given logits, read from its bias
+    gradient, which for one sample of target row 0 is softmax - onehot(0)."""
+    pp = logit_pp(logits)
+    tape = tape_for(pp)
+    loss_dot(pp, np.zeros((1, 1)), [0], tape)
+    p = tape.pred_b
+    p[0] += 1.0
+    return p
+
+
+def identity(dim: int) -> FeatureExtractor:
+    """One layer that passes a non-negative input through its ReLU unchanged."""
+    return FeatureExtractor([LayerParams(np.eye(dim), np.zeros(dim))])
+
+
+def predicted(pp: PredictorParams, h, mode=LogitMode.DOT) -> int:
+    """The class row that stage scoring predicts for a feature h >= 0: h is
+    scored once per class, labelled with that class as a stage of its own,
+    and only the predicted class's stage is right."""
+    c = pp.num_classes
+    state = SimpleNamespace(extractor=identity(pp.dim), predictor=pp, class_order=list(range(c)))
+    test = LabeledData(np.tile(np.asarray(h, dtype=np.float64), (c, 1)), np.arange(c))
+    row = score_stages(state, test, np.arange(1, c + 1), mode, SCALE).accuracy_row
+    assert sorted(row) == [0.0] * (c - 1) + [1.0]
+    return row.index(1.0)
+
+
 # ------------------------------------------------------------ raw scores
 
 
 def test_dot_logits_hand_arithmetic():
     pp = PredictorParams(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, -0.5]))
-    np.testing.assert_allclose(dot_logits(pp, [2.0, 3.0]), [2.5, 2.5], atol=1e-15)
+    np.testing.assert_allclose(dot_logits_batch(pp, np.array([[2.0, 3.0]])), [[2.5, 2.5]],
+                               atol=1e-15)
 
 
 def test_dot_logits_zero_feature_returns_bias():
     pp = PredictorParams(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.7, -0.2]))
-    np.testing.assert_array_equal(dot_logits(pp, [0.0, 0.0]), pp.b)
+    np.testing.assert_array_equal(dot_logits_batch(pp, np.zeros((1, 2)))[0], pp.b)
 
 
 def test_dot_logits_linear_in_feature():
     rng = make_rng(1)
     pp = PredictorParams(rng.normal(size=(3, 4)), rng.normal(size=3))
-    h = rng.normal(size=4)
-    np.testing.assert_allclose(dot_logits(pp, 2 * h) - pp.b,
-                               2 * (dot_logits(pp, h) - pp.b), atol=1e-12)
+    H = rng.normal(size=(1, 4))
+    np.testing.assert_allclose(dot_logits_batch(pp, 2 * H) - pp.b,
+                               2 * (dot_logits_batch(pp, H) - pp.b), atol=1e-12)
 
 
 def test_dot_logits_dim_mismatch():
+    # the loss kernel checks the feature width before it scores
     pp = PredictorParams(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ShapeError):
-        dot_logits(pp, [1.0, 2.0])
+        loss_dot(pp, np.array([[1.0, 2.0]]), [0])
 
 
 def test_cosine_logits_orthogonal_is_zero():
     pp = PredictorParams(np.array([[3.0, 0.0]]), np.array([9.9]))  # bias ignored
-    assert cosine_logits(pp, [0.0, 5.0], SCALE)[0] == pytest.approx(0.0, abs=1e-12)
+    got = cosine_logits_batch(pp, np.array([[0.0, 5.0]]), SCALE)[0, 0]
+    assert got == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cosine_logits_hand_arithmetic():
     pp = PredictorParams(np.array([[1.0, 0.0]]), np.array([0.0]))
-    got = cosine_logits(pp, [1.0, 1.0], SCALE)[0]
+    got = cosine_logits_batch(pp, np.array([[1.0, 1.0]]), SCALE)[0, 0]
     assert got == pytest.approx(10.0 / np.sqrt(2.0), abs=1e-12)
 
 
 def test_cosine_logits_scale_invariant_in_feature():
     rng = make_rng(2)
     pp = PredictorParams(rng.normal(size=(4, 6)), rng.normal(size=4))
-    h = rng.normal(size=6)
-    np.testing.assert_allclose(cosine_logits(pp, 2.0 * h, SCALE),
-                               cosine_logits(pp, h, SCALE), atol=1e-12)
+    H = rng.normal(size=(1, 6))
+    np.testing.assert_allclose(cosine_logits_batch(pp, 2.0 * H, SCALE),
+                               cosine_logits_batch(pp, H, SCALE), atol=1e-12)
 
 
 def test_cosine_logits_zero_feature_finite():
     pp = PredictorParams(np.array([[1.0, 1.0]]), np.array([0.0]))
-    out = cosine_logits(pp, [0.0, 0.0], SCALE)
+    out = cosine_logits_batch(pp, np.zeros((1, 2)), SCALE)
     assert np.all(np.isfinite(out))
 
 
@@ -91,19 +139,21 @@ def test_cosine_logits_zero_feature_finite():
 def test_cosine_logits_bounded_by_gamma(seed, gamma):
     rng = make_rng(seed)
     pp = PredictorParams(rng.normal(size=(3, 4)), rng.normal(size=3))
-    out = cosine_logits(pp, rng.normal(size=4), CosineScale(gamma))
+    out = cosine_logits_batch(pp, rng.normal(size=(1, 4)), CosineScale(gamma))
     assert np.all(np.abs(out) <= gamma + 1e-9)
 
 
 def test_batch_scores_match_single():
+    # a block's rows score as one-row blocks do
     rng = make_rng(3)
     pp = PredictorParams(rng.normal(size=(5, 7)), rng.normal(size=5))
     H = rng.normal(size=(6, 7))
     D = dot_logits_batch(pp, H)
     C = cosine_logits_batch(pp, H, SCALE)
     for i in range(6):
-        np.testing.assert_allclose(D[i], dot_logits(pp, H[i]), atol=1e-12)
-        np.testing.assert_allclose(C[i], cosine_logits(pp, H[i], SCALE), atol=1e-12)
+        np.testing.assert_allclose(D[i], dot_logits_batch(pp, H[i:i + 1])[0], atol=1e-12)
+        np.testing.assert_allclose(C[i], cosine_logits_batch(pp, H[i:i + 1], SCALE)[0],
+                                   atol=1e-12)
 
 
 def test_cosine_scale_validates_gamma():
@@ -117,11 +167,11 @@ def test_cosine_scale_validates_gamma():
 
 
 def test_softmax_symmetry():
-    np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(probabilities([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
 
 
 def test_softmax_hand_arithmetic():
-    np.testing.assert_allclose(softmax([np.log(2.0), 0.0]), [2 / 3, 1 / 3], atol=1e-12)
+    np.testing.assert_allclose(probabilities([np.log(2.0), 0.0]), [2 / 3, 1 / 3], atol=1e-12)
 
 
 @given(
@@ -130,109 +180,91 @@ def test_softmax_hand_arithmetic():
 )
 @settings(max_examples=80, deadline=None)
 def test_softmax_shift_invariance_and_simplex(logits, shift):
-    p = softmax(np.array(logits))
-    q = softmax(np.array(logits) + shift)
+    p = probabilities(np.array(logits))
+    q = probabilities(np.array(logits) + shift)
     np.testing.assert_allclose(p, q, atol=1e-12)
     assert abs(p.sum() - 1.0) < 1e-9
     assert np.all(p >= 0.0)
 
 
 def test_softmax_extreme_logits_stable():
-    p = softmax([1000.0, 0.0])
+    p = probabilities([1000.0, 0.0])
     assert p[0] == pytest.approx(1.0) and np.isfinite(p).all()
 
 
-def test_softmax_rejects_empty():
-    with pytest.raises(ValueError):
-        softmax(np.zeros(0))
-
-
-def test_softmax_rows_matches_vector():
-    rng = make_rng(4)
-    L = rng.normal(size=(5, 3)) * 10
-    P = softmax_rows(L)
-    for i in range(5):
-        np.testing.assert_allclose(P[i], softmax(L[i]), atol=1e-12)
-
-
 def test_cross_entropy_hand_values():
-    assert cross_entropy([0.5, 0.5], 0) == pytest.approx(np.log(2.0), abs=1e-12)
-    assert cross_entropy([1e-12, 1.0 - 1e-12], 1) == pytest.approx(0.0, abs=1e-9)
+    assert dot_ce([0.0, 0.0], 0) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert dot_ce(np.log([1e-12, 1.0 - 1e-12]), 1) == pytest.approx(0.0, abs=1e-9)
     for c in (2, 3, 7):
-        assert cross_entropy(np.full(c, 1.0 / c), 1 % c) == \
-            pytest.approx(np.log(c), abs=1e-12)
+        assert dot_ce(np.zeros(c), 1 % c) == pytest.approx(np.log(c), abs=1e-12)
 
 
 def test_cross_entropy_rejects_bad_label():
     with pytest.raises(IndexError):
-        cross_entropy([0.5, 0.5], 2)
+        dot_ce([0.0, 0.0], 2)
     with pytest.raises(IndexError):
-        cross_entropy([0.5, 0.5], -1)
+        dot_ce([0.0, 0.0], -1)
 
 
 # ------------------------------------------------- per-sample gradients
 
 
 def test_grad_dot_hand_example():
-    pp = PredictorParams(np.array([[0.3, 0.1], [0.2, -0.4]]), np.zeros(2))
+    # both rows score 0.6, so p = [0.5, 0.5]
+    pp = PredictorParams(np.array([[0.3, 0.1], [0.3, -0.4]]), np.zeros(2))
     tape = tape_for(pp)
-    p = np.array([0.5, 0.5])
-    h = np.array([2.0, 0.0])
-    dh = predictor_grad_dot(pp, p, h, 0, tape)
+    _, dH = loss_dot(pp, np.array([[2.0, 0.0]]), [0], tape)
     np.testing.assert_allclose(tape.pred_w, [[-1.0, 0.0], [1.0, 0.0]], atol=1e-15)
     np.testing.assert_allclose(tape.pred_b, [-0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(dh, -0.5 * pp.W[0] + 0.5 * pp.W[1], atol=1e-15)
+    np.testing.assert_allclose(dH[0], -0.5 * pp.W[0] + 0.5 * pp.W[1], atol=1e-15)
 
 
 def test_grad_dot_one_hot_probability_is_zero():
-    pp = PredictorParams(np.ones((3, 2)), np.zeros(3))
+    # the other rows score 1000 lower: their probabilities underflow to 0
+    pp = PredictorParams(np.ones((3, 2)), np.array([-1000.0, 0.0, -1000.0]))
     tape = tape_for(pp)
-    dh = predictor_grad_dot(pp, np.array([0.0, 1.0, 0.0]), np.array([1.0, 2.0]), 1, tape)
+    _, dH = loss_dot(pp, np.array([[1.0, 2.0]]), [1], tape)
     assert not tape.pred_w.any() and not tape.pred_b.any()
-    assert not dh.any()
+    assert not dH.any()
 
 
 def test_grad_dot_matches_finite_differences():
     rng = make_rng(11)
     for _ in range(10):
         pp, h = conditioned_pp_h(rng)
-        y = int(rng.integers(pp.num_classes))
+        H, rows = h[None, :], [int(rng.integers(pp.num_classes))]
         tape = tape_for(pp)
-        p = softmax(dot_logits(pp, h))
-        dh = predictor_grad_dot(pp, p, h, y, tape)
+        _, dH = loss_dot(pp, H, rows, tape)
 
         def value():
-            return cross_entropy(softmax(dot_logits(pp, h)), y)
+            return loss_dot(pp, H, rows)[0]
 
         assert_grad_close(tape.pred_w, fd_gradient_array(value, pp.W))
         assert_grad_close(tape.pred_b, fd_gradient_array(value, pp.b))
-        assert_grad_close(dh, fd_gradient_array(value, h))
+        assert_grad_close(dH, fd_gradient_array(value, H))
 
 
 def test_grad_cos_orthogonal_unit_row():
     # row [1,0] against feature [0,1]: the angular direction is the feature itself
     pp = PredictorParams(np.array([[1.0, 0.0]]), np.zeros(1))
     tape = tape_for(pp)
-    p = np.array([1.0])  # single class: p - onehot = 0 at y=0
-    predictor_grad_cos(pp, p, np.array([0.0, 1.0]), SCALE, 0, tape)
+    H = np.array([[0.0, 1.0]])
+    loss_current(pp, SCALE, H, [0], tape)  # single class: p - onehot = 0 at y=0
     assert not tape.pred_w.any()  # converged single-class case
 
     # two classes make the coefficient non-zero; check the direction for row 0
     pp = PredictorParams(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
     tape = tape_for(pp)
-    h = np.array([0.0, 1.0])
-    p = softmax(cosine_logits(pp, h, SCALE))
-    predictor_grad_cos(pp, p, h, SCALE, 0, tape)
+    loss_current(pp, SCALE, H, [0], tape)
+    p = probabilities(cosine_logits_batch(pp, H, SCALE)[0])
     # h_hat for row 0 is (h/|h| - cos*w/|w|)/|w| = [0,1]
-    np.testing.assert_allclose(tape.pred_w[0], SCALE.gamma * (p[0] - 1.0) * h, atol=1e-12)
+    np.testing.assert_allclose(tape.pred_w[0], SCALE.gamma * (p[0] - 1.0) * H[0], atol=1e-12)
 
 
 def test_grad_cos_parallel_row_gets_zero_angular_gradient():
     pp = PredictorParams(np.array([[2.0, 2.0], [0.0, 1.0]]), np.zeros(2))
     tape = tape_for(pp)
-    h = np.array([3.0, 3.0])  # parallel to row 0
-    p = softmax(cosine_logits(pp, h, SCALE))
-    predictor_grad_cos(pp, p, h, SCALE, 0, tape)
+    loss_current(pp, SCALE, np.array([[3.0, 3.0]]), [0], tape)  # parallel to row 0
     np.testing.assert_allclose(tape.pred_w[0], np.zeros(2), atol=1e-12)
     assert tape.pred_w[1].any()
 
@@ -241,16 +273,15 @@ def test_grad_cos_matches_finite_differences():
     rng = make_rng(12)
     for _ in range(10):
         pp, h = conditioned_pp_h(rng)
-        y = int(rng.integers(pp.num_classes))
+        H, rows = h[None, :], [int(rng.integers(pp.num_classes))]
         tape = tape_for(pp)
-        p = softmax(cosine_logits(pp, h, SCALE))
-        dh = predictor_grad_cos(pp, p, h, SCALE, y, tape)
+        _, dH = loss_current(pp, SCALE, H, rows, tape)
 
         def value():
-            return cross_entropy(softmax(cosine_logits(pp, h, SCALE)), y)
+            return loss_current(pp, SCALE, H, rows)[0]
 
         assert_grad_close(tape.pred_w, fd_gradient_array(value, pp.W))
-        assert_grad_close(dh, fd_gradient_array(value, h))
+        assert_grad_close(dH, fd_gradient_array(value, H))
         assert not tape.pred_b.any()  # cosine scores carry no bias term
 
 
@@ -258,8 +289,7 @@ def test_grad_cos_row_gradient_orthogonal_to_row():
     rng = make_rng(13)
     pp, h = conditioned_pp_h(rng, classes=5, dim=6)
     tape = tape_for(pp)
-    p = softmax(cosine_logits(pp, h, SCALE))
-    predictor_grad_cos(pp, p, h, SCALE, 2, tape)
+    loss_current(pp, SCALE, h[None, :], [2], tape)
     for j in range(5):
         assert abs(tape.pred_w[j] @ pp.W[j]) < 1e-9 * np.linalg.norm(pp.W[j]) \
             * max(np.linalg.norm(tape.pred_w[j]), 1e-30) + 1e-12
@@ -392,29 +422,30 @@ def test_loss_replay_rejects_alpha_outside_range():
 
 def test_predict_tie_break_lowest_index():
     pp = PredictorParams(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, -0.5]))
-    assert predict(pp, [2.0, 3.0]) == 0  # scores tie at 2.5
+    assert predicted(pp, [2.0, 3.0]) == 0  # scores tie at 2.5
 
 
 def test_predict_direct_argmax():
     pp = PredictorParams(np.eye(3), np.zeros(3))
-    assert predict(pp, [1.0, 3.0, 2.0]) == 1
+    assert predicted(pp, [1.0, 3.0, 2.0]) == 1
 
 
 def test_predict_matches_softmax_argmax():
     rng = make_rng(20)
     for _ in range(20):
         pp = PredictorParams(rng.normal(size=(4, 3)), rng.normal(size=4))
-        h = rng.normal(size=3)
-        assert predict(pp, h) == int(np.argmax(softmax(dot_logits(pp, h))))
+        H = np.abs(rng.normal(size=(1, 3)))
+        p = probabilities(dot_logits_batch(pp, H)[0])
+        assert predicted(pp, H[0]) == int(np.argmax(p))
 
 
 def test_predict_invariant_under_monotone_transforms():
     rng = make_rng(21)
     pp = PredictorParams(rng.normal(size=(5, 4)), rng.normal(size=5))
-    h = rng.normal(size=4)
-    scores = dot_logits(pp, h)
+    H = np.abs(rng.normal(size=(1, 4)))
+    scores = dot_logits_batch(pp, H)[0]
     base = int(np.argmax(scores))
-    assert predict(pp, h) == base
+    assert predicted(pp, H[0]) == base
     for transformed in (np.exp(scores / 10), 3.0 * scores + 7.0):
         assert int(np.argmax(transformed)) == base
 
@@ -422,19 +453,19 @@ def test_predict_invariant_under_monotone_transforms():
 def test_predict_batch_modes():
     rng = make_rng(22)
     pp = PredictorParams(rng.normal(size=(3, 4)), rng.normal(size=3))
-    H = rng.normal(size=(6, 4))
-    dot_rows = predict_batch(pp, H, LogitMode.DOT)
-    cos_rows = predict_batch(pp, H, LogitMode.COSINE, SCALE)
+    H = np.abs(rng.normal(size=(6, 4)))
+    dot, cos = dot_logits_batch(pp, H), cosine_logits_batch(pp, H, SCALE)
     for i in range(6):
-        assert dot_rows[i] == int(np.argmax(dot_logits(pp, H[i])))
-        assert cos_rows[i] == int(np.argmax(cosine_logits(pp, H[i], SCALE)))
-    with pytest.raises(ValueError):
-        predict_batch(pp, H, LogitMode.COSINE)  # needs a scale
+        assert predicted(pp, H[i], LogitMode.DOT) == int(np.argmax(dot[i]))
+        assert predicted(pp, H[i], LogitMode.COSINE) == int(np.argmax(cos[i]))
 
 
 def test_predict_requires_registered_classes():
-    with pytest.raises(ValueError):
-        predict(PredictorParams.empty(3), [1.0, 2.0, 3.0])
+    state = SimpleNamespace(extractor=identity(3), predictor=PredictorParams.empty(3),
+                            class_order=[])
+    test = LabeledData(np.array([[1.0, 2.0, 3.0]]), np.array([0]))
+    with pytest.raises(ValueError, match="no registered classes"):
+        score_stages(state, test, [1], LogitMode.DOT, SCALE)
 
 
 # ----------------------------------------------- scorer row bookkeeping
@@ -443,11 +474,11 @@ def test_predict_requires_registered_classes():
 def test_add_class_appends_without_reordering():
     rng = make_rng(23)
     pp = PredictorParams(rng.normal(size=(2, 3)), rng.normal(size=2))
-    h = rng.normal(size=3)
-    before = dot_logits(pp, h).copy()
+    H = rng.normal(size=(1, 3))
+    before = dot_logits_batch(pp, H)[0]
     idx = pp.add_class(rng.normal(size=3), 0.25)
     assert idx == 2 and pp.num_classes == 3
-    after = dot_logits(pp, h)
+    after = dot_logits_batch(pp, H)[0]
     np.testing.assert_allclose(after[:2], before, atol=1e-12)
     assert pp.b[2] == 0.25
 
@@ -464,12 +495,12 @@ def test_gradient_competition_sign_structure():
     rng = make_rng(24)
     for _ in range(10):
         pp = PredictorParams(rng.normal(size=(4, 6)), rng.normal(size=4))
-        h = np.abs(rng.normal(size=6)) + 0.01  # strictly positive feature
+        H = np.abs(rng.normal(size=(1, 6))) + 0.01  # strictly positive feature
         y = int(rng.integers(4))
-        p = softmax(dot_logits(pp, h))
+        p = probabilities(dot_logits_batch(pp, H)[0])
         assert p[y] < 1.0  # not converged
         tape = tape_for(pp)
-        predictor_grad_dot(pp, p, h, y, tape)
+        loss_dot(pp, H, [y], tape)
         before = pp.W.copy()
         shell = FeatureExtractor([LayerParams(np.zeros((6, 1)), np.zeros(6))])
         sgd_step(shell, pp, tape, 0.1)

@@ -1,4 +1,4 @@
-"""Reservoir buffer: size law, uniformity oracles, snapshots."""
+"""Reservoir buffer: size law and uniformity oracles."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_step
-from uer.memory import (MemoryBuffer, buffer_retrieve, buffer_update, load_buffer,
-                        save_buffer)
+from uer.memory import MemoryBuffer, buffer_retrieve, buffer_update
 from uer.numeric import make_rng
 from uer.stream import LabeledData
 
@@ -185,34 +184,3 @@ def test_retrieve_uniform_frequency():
             counts[buf.pos[i]] += 1
     freq = counts / trials
     assert np.all(np.abs(freq - 0.01) < 0.002)
-
-
-# -------------------------------------------------------------- snapshot
-
-
-def test_snapshot_round_trip(tmp_path):
-    buf = MemoryBuffer(8)
-    rng = make_rng(3)
-    buffer_update(buf, samples(30, dim=4), rng)
-    path = tmp_path / "buffer.bin"
-    save_buffer(path, buf)
-    back = load_buffer(path)
-    assert back.capacity == buf.capacity
-    assert back.seen == buf.seen
-    assert len(back) == len(buf)
-    for i in range(len(buf)):
-        assert buf.x[i].tobytes() == back.x[i].tobytes()
-        assert buf.y[i] == back.y[i] and buf.pos[i] == back.pos[i]
-
-
-def test_snapshot_round_trip_continues_identically(tmp_path):
-    # a reloaded buffer must replace exactly like the original would
-    buf = MemoryBuffer(5)
-    buffer_update(buf, samples(20), make_rng(4))
-    path = tmp_path / "buf.bin"
-    save_buffer(path, buf)
-    twin = load_buffer(path)
-    more = samples(15, start=20)
-    buffer_update(buf, more, make_rng(11))
-    buffer_update(twin, more, make_rng(11))
-    assert positions(buf) == positions(twin)

@@ -1,4 +1,4 @@
-"""Feature extractor: init, forward/backward, SGD, checkpoints."""
+"""Feature extractor: init, forward/backward, SGD."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from conftest import (assert_grad_close, conditioned_instance, fd_gradient,
                       flat_params, flat_tape)
 from uer.logits import PredictorParams, loss_dot
-from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward,
-                     backward_batch, forward, forward_batch, init_extractor,
-                     load_checkpoint, save_checkpoint, sgd_step)
+from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch,
+                     forward_batch, init_extractor, sgd_step)
 from uer.numeric import ShapeError, make_rng
 
 
@@ -70,38 +69,38 @@ def test_layer_chain_validated():
 
 def test_forward_relu_clips_negative():
     fe = single_layer([[1, 0], [0, 1]], [0, 0])
-    h, _ = forward(fe, np.array([-1.0, 2.0]))
-    assert np.array_equal(h, [0.0, 2.0])
+    H, _ = forward_batch(fe, np.array([[-1.0, 2.0]]))
+    assert np.array_equal(H, [[0.0, 2.0]])
 
 
 def test_forward_hand_arithmetic():
     fe = single_layer([[2.0]], [1.0])
-    h, _ = forward(fe, np.array([3.0]))
-    assert np.array_equal(h, [7.0])
+    H, _ = forward_batch(fe, np.array([[3.0]]))
+    assert np.array_equal(H, [[7.0]])
 
 
 def test_forward_zero_net():
     fe = single_layer(np.zeros((3, 2)), np.zeros(3))
-    h, _ = forward(fe, np.array([5.0, -1.0]))
-    assert np.array_equal(h, np.zeros(3))
+    H, _ = forward_batch(fe, np.array([[5.0, -1.0]]))
+    assert np.array_equal(H, np.zeros((1, 3)))
 
 
 def test_forward_rejects_wrong_dim():
     fe = single_layer([[1.0, 2.0]], [0.0])
     with pytest.raises(ShapeError):
-        forward(fe, np.array([1.0, 2.0, 3.0]))
+        forward_batch(fe, np.array([[1.0, 2.0, 3.0]]))
 
 
 def test_forward_batch_matches_forward():
-    # batched and single-sample paths hit different BLAS kernels, so they
-    # agree to rounding, not bit for bit
+    # a block's rows against one-row blocks: the two shapes may hit
+    # different BLAS kernels, so they agree to rounding, not bit for bit
     rng = make_rng(3)
     fe = init_extractor([4, 6, 3], rng)
     X = rng.normal(size=(5, 4))
     H, _ = forward_batch(fe, X)
     for i in range(5):
-        h, _ = forward(fe, X[i])
-        np.testing.assert_allclose(H[i], h, rtol=1e-12, atol=1e-12)
+        h, _ = forward_batch(fe, X[i:i + 1])
+        np.testing.assert_allclose(H[i], h[0], rtol=1e-12, atol=1e-12)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -109,8 +108,8 @@ def test_forward_batch_matches_forward():
 def test_forward_output_nonnegative(seed):
     rng = make_rng(seed)
     fe = init_extractor([5, 7, 4], rng)
-    h, _ = forward(fe, 3.0 * rng.normal(size=5))
-    assert np.all(h >= 0.0)
+    H, _ = forward_batch(fe, 3.0 * rng.normal(size=(1, 5)))
+    assert np.all(H >= 0.0)
 
 
 # -------------------------------------------------------------- backward
@@ -120,9 +119,9 @@ def test_backward_zero_upstream_is_inert():
     rng = make_rng(9)
     fe = init_extractor([3, 4, 2], rng)
     tape = empty_tape(fe)
-    _, cache = forward(fe, rng.normal(size=3))
-    dx = backward(fe, cache, np.zeros(2), tape)
-    assert np.array_equal(dx, np.zeros(3))
+    _, cache = forward_batch(fe, rng.normal(size=(1, 3)))
+    dz = backward_batch(fe, cache, np.zeros((1, 2)), tape)
+    assert np.array_equal(dz, np.zeros((1, 4)))
     assert not flat_tape(tape)[:sum(l.weight.size + l.bias.size for l in fe.layers)].any()
 
 
@@ -131,12 +130,13 @@ def test_backward_linear_layer_outer_product():
     fe = single_layer([[1.0, 2.0], [0.5, 1.0]], [5.0, 5.0])
     x = np.array([1.0, 2.0])
     dL_dh = np.array([0.3, -0.7])
-    _, cache = forward(fe, x)
+    _, cache = forward_batch(fe, x[None, :])
     tape = empty_tape(fe)
-    dx = backward(fe, cache, dL_dh, tape)
+    dz = backward_batch(fe, cache, dL_dh[None, :], tape)
     np.testing.assert_allclose(tape.layer_w[0], np.outer(dL_dh, x), atol=1e-15)
     np.testing.assert_allclose(tape.layer_b[0], dL_dh, atol=1e-15)
-    np.testing.assert_allclose(dx, dL_dh @ fe.layers[0].weight, atol=1e-15)
+    # the pre-activation gradient: every unit is active, so it is dL/dh
+    np.testing.assert_allclose(dz, dL_dh[None, :], atol=1e-15)
 
 
 def test_backward_two_layer_matches_finite_differences():
@@ -157,7 +157,7 @@ def test_backward_two_layer_matches_finite_differences():
 
 def test_backward_rejects_mismatched_upstream():
     fe = single_layer([[1.0, 0.0]], [0.0])
-    _, cache = forward(fe, np.array([1.0, 1.0]))
+    _, cache = forward_batch(fe, np.array([[1.0, 1.0]]))
     with pytest.raises(ShapeError):
         backward_batch(fe, cache, np.zeros((1, 3)), empty_tape(fe))
 
@@ -231,34 +231,6 @@ def test_training_determinism_multi_step():
         return flat_params(fe, pp)
 
     assert np.array_equal(run(), run())
-
-
-# ----------------------------------------------------------- checkpoints
-
-
-def test_checkpoint_round_trip_bit_exact(tmp_path):
-    rng = make_rng(15)
-    fe = init_extractor([6, 9, 4], rng)
-    pp = PredictorParams(rng.normal(size=(3, 4)), rng.normal(size=3))
-    path = tmp_path / "ckpt.bin"
-    save_checkpoint(path, fe, pp)
-    fe2, pp2 = load_checkpoint(path)
-    assert len(fe2.layers) == len(fe.layers)
-    for a, b in zip(fe.layers, fe2.layers):
-        assert a.weight.tobytes() == b.weight.tobytes()
-        assert a.bias.tobytes() == b.bias.tobytes()
-    assert pp2 is not None
-    assert pp.W.tobytes() == pp2.W.tobytes()
-    assert pp.b.tobytes() == pp2.b.tobytes()
-
-
-def test_checkpoint_without_predictor(tmp_path):
-    fe = init_extractor([2, 2], make_rng(0))
-    path = tmp_path / "bare.bin"
-    save_checkpoint(path, fe)
-    fe2, pp2 = load_checkpoint(path)
-    assert pp2 is None
-    assert fe2.layers[0].weight.tobytes() == fe.layers[0].weight.tobytes()
 
 
 def test_tape_add_class_rows_grows_zero_blocks():

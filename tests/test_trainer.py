@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import flat_params
-from uer.logits import LogitMode, dot_logits, loss_dot
+from uer.logits import LogitMode, dot_logits_batch, loss_dot
 from uer.memory import MemoryBuffer
 from uer.net import backward_batch, forward_batch, init_extractor, sgd_step
 from uer.numeric import make_rng
@@ -99,10 +99,10 @@ def test_register_classes_append_only_scores_stable():
     rng = make_rng(3)
     state = init_state(uer_method(hidden_dims=(5,)), input_dim=4, rng=rng)
     register_classes(state, np.array([2, 7]), rng)
-    h = np.abs(make_rng(9).normal(size=5))
-    before = dot_logits(state.predictor, h).copy()
+    H = np.abs(make_rng(9).normal(size=(1, 5)))
+    before = dot_logits_batch(state.predictor, H)[0]
     register_classes(state, np.array([5]), rng)
-    after = dot_logits(state.predictor, h)
+    after = dot_logits_batch(state.predictor, H)[0]
     np.testing.assert_allclose(after[:2], before, atol=1e-12)
     assert state.class_order == [2, 7, 5]
     assert state.label_to_row == {2: 0, 7: 1, 5: 2}
