@@ -246,10 +246,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
                           f"unknown dataset kind {kind!r}")
     spec_kw = {"kind": kind}
     if kind == "synthetic":
-        for key, typ in (("classes", "int"), ("input_dim", "int"), ("radius", "float"),
-                         ("stddev", "float"), ("train_per_class", "int"),
-                         ("test_per_class", "int")):
-            if (v := e.take(f"dataset.{key}", typ)) is not None:
+        for key, typ, valid in (("classes", "int", _AT_LEAST_1),
+                                ("input_dim", "int", _AT_LEAST_1), ("radius", "float", None),
+                                ("stddev", "float", _POSITIVE),
+                                ("train_per_class", "int", _AT_LEAST_1),
+                                ("test_per_class", "int", _AT_LEAST_1)):
+            if (v := e.take(f"dataset.{key}", typ, valid=valid)) is not None:
                 spec_kw[key] = v
     elif kind == "csv":
         spec_kw["train_csv"] = e.require("dataset.train_csv", "str")
@@ -261,7 +263,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         classes_per_stage=e.take("stream.classes_per_stage", "int", 2, _AT_LEAST_1),
         batch_size_current=e.take("stream.batch_current", "int", 10, _AT_LEAST_1),
         batch_size_memory=e.take("stream.batch_memory", "int", 10, _NON_NEGATIVE),
-        shuffle_seed=e.take("stream.shuffle_seed", "int"),
+        shuffle_seed=e.take("stream.shuffle_seed", "int", valid=_NON_NEGATIVE),
     )
 
     names = e.require("run.methods", "strs")

@@ -107,6 +107,7 @@ def dot_logits_batch(pp: PredictorParams, H: np.ndarray,
                      ws: Workspace | None = None) -> np.ndarray:
     """H W^T + b for a (rows, dim) block; with ws, written into its "s"
     buffer (and "spread" used as scratch)."""
+    _check_dim(pp, H)
     out = ws or fresh
     scores = (len(H), pp.num_classes)
     L = np.matmul(H, pp.W.T, out=out("s", scores))
@@ -118,6 +119,9 @@ def cosine_logits_batch(pp: PredictorParams, H: np.ndarray, scale: CosineScale,
     """gamma * (H W^T) / (|h| |w|) for a (rows, dim) block, norms floored at
     EPS_NORM; with ws, written into its "s" buffer ("spread", "den",
     "hn" and ("t", dim) used as scratch)."""
+    _check_dim(pp, H)
+    if scale is None:
+        raise ValueError("cosine scoring needs a CosineScale")
     out = ws or fresh
     scores = (len(H), pp.num_classes)
     # row norms as np.linalg.norm computes them, without its temporaries
@@ -133,6 +137,11 @@ def cosine_logits_batch(pp: PredictorParams, H: np.ndarray, scale: CosineScale,
     return np.divide(S, den, out=S)
 
 
+def _check_dim(pp: PredictorParams, H: np.ndarray) -> None:
+    if H.shape[-1] != pp.dim:
+        raise ShapeError(f"feature dim {H.shape[-1]} does not match predictor dim {pp.dim}")
+
+
 def _batch_targets(pp: PredictorParams, H: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     H = np.asarray(H, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
@@ -140,8 +149,7 @@ def _batch_targets(pp: PredictorParams, H: np.ndarray, rows) -> tuple[np.ndarray
         raise ValueError(f"expected a non-empty (batch, dim) feature block, got shape {H.shape}")
     if rows.shape != H.shape[:-1]:
         raise ShapeError(f"{H.shape[-2]} samples but {rows.shape} labels")
-    if H.shape[-1] != pp.dim:
-        raise ShapeError(f"feature dim {H.shape[-1]} does not match predictor dim {pp.dim}")
+    _check_dim(pp, H)
     # one reduction: a negative row reads as a huge unsigned one
     if rows.size and _max(rows.view(np.uint64), None) >= pp.num_classes:
         raise IndexError("label row outside registered classes")

@@ -48,19 +48,14 @@ def buffer_update(buf: MemoryBuffer, batch: LabeledData, rng: Rng) -> None:
         buf.pos[s:s + fill] = np.arange(start, start + fill)
         buf.size += fill
     if fill < n:
-        # one vectorized draw for the rest: j_i uniform on [0, n_i); draws
-        # j < capacity replace slot j, and a later sample wins a shared slot
+        # j_i uniform on [0, n_i), one draw for the rest; a draw j < capacity
+        # replaces slot j, in stream order, so a later sample wins a shared slot
         js = rng.integers(0, np.arange(start + fill + 1, start + n + 1))
-        src = np.flatnonzero(js < buf.capacity)
-        if len(src):
-            slots = js[src]
-            src += fill
-            if len(src) > 1 and len(set(slots.tolist())) < len(src):
-                last = dict(zip(slots.tolist(), src.tolist()))  # each slot's last writer
-                slots, src = list(last), np.fromiter(last.values(), np.int64, len(last))
-            buf.x[slots] = batch.x[src]
-            buf.y[slots] = batch.y[src]
-            buf.pos[slots] = start + src
+        for i, j in enumerate(js.tolist(), fill):
+            if j < buf.capacity:
+                buf.x[j] = batch.x[i]
+                buf.y[j] = batch.y[i]
+                buf.pos[j] = start + i
     buf.seen = start + n
 
 

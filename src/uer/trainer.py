@@ -45,7 +45,7 @@ run's slice is computed exactly as its run alone would compute it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -394,7 +394,7 @@ class _Part:
     each run's TrainState holds views into them; alpha and weight rows,
     gamma and lr are per slice. A part of one run steps on that run's own
     arrays. Each run keeps its own (zero) tape; a stacked part has one of
-    its own.
+    its own. A part's step writes into its RunGroup's one workspace.
     """
 
     def __init__(self, runs: list[_Run]):
@@ -441,12 +441,6 @@ class _Part:
             self._mix[key] = tuple(_shared([m[j] for m in mixes]) for j in (0, 1))
         return self._mix[key]
 
-    @cached_property
-    def widths(self) -> tuple[int, ...]:
-        """The input width, then each layer's output width."""
-        return (self.extractor.in_dim, *(layer.weight.shape[-2]
-                                          for layer in self.extractor.layers))
-
     def without(self, gone: set[_Run]) -> "_Part | None":
         """The part minus the runs in gone, or None if empty."""
         keep = [run for run in self.runs if run not in gone]
@@ -466,55 +460,6 @@ class _Part:
         return [self]
 
 
-class _StepBuffers:
-    """The Workspaces that parts write their step's large results into:
-    the gathered [incoming; replayed] block and its scorer rows, the
-    activations, the score blocks, dH, the backward masks and the gradient
-    products.
-
-    There is one per step shape (slices, rows, layer widths). Parts step
-    one after another and nothing of a part's step outlives it, so parts
-    of one shape share one: a step of the same shape as the last one
-    allocates none of these buffers. A workspace that no part took in the
-    last step (after a short last batch, or a part gone) passes to a new
-    shape or is dropped.
-
-    Stage scoring has a workspace of its own (scoring): the first call
-    after a step drops the step buffers and starts it, so that scoring's
-    blocks do not come on top of them, and every run and stream scored
-    before the next step shares it. The next step drops it in turn, so
-    the two sets of buffers are never held at once.
-    """
-
-    def __init__(self):
-        self._last: dict[tuple, Workspace] = {}
-        self._now: dict[tuple, Workspace] = {}
-        self._scoring: Workspace | None = None
-
-    def scoring(self) -> Workspace:
-        if self._scoring is None:
-            self._last = {}
-            self._scoring = Workspace()
-        return self._scoring
-
-    def take(self, part: _Part, rows: int) -> Workspace:
-        self._scoring = None
-        key = (len(part.runs), rows, part.widths)
-        ws = self._now.get(key)
-        if ws is None:
-            ws = self._last.pop(key, None)
-            if ws is None:
-                # a new shape takes over a workspace the last step left
-                # unclaimed, if any: its buffers take the new shapes one at
-                # a time, so two full sets are never held at once
-                ws = self._last.popitem()[1] if self._last else Workspace()
-            self._now[key] = ws
-        return ws
-
-    def step_done(self) -> None:
-        self._last, self._now = self._now, {}
-
-
 class RunGroup:
     """Runs trained in lockstep, on one or more streams.
 
@@ -525,10 +470,19 @@ class RunGroup:
     one range of slices and the cosine branch on another. When step shapes
     diverge, a part splits and the pieces go on separately; they are not
     merged again. A run's bytes do not depend on which runs share its
-    part. The parts' step buffers are kept from step to step
-    (_StepBuffers). runs (in the order train_step reports them), streams
-    (in order of first appearance) and replay (each stream's replay
-    switch) are rebuilt only when the parts change (set_parts).
+    part. runs (in the order train_step reports them), streams (in order
+    of first appearance) and replay (each stream's replay switch) are
+    rebuilt only when the parts change (set_parts).
+
+    Every part's step writes its large results into the group's one
+    Workspace: the gathered [incoming; replayed] block and its scorer
+    rows, the activations, the score blocks, dH, the backward masks and
+    the gradient products. Parts step one after another and nothing of a
+    step outlives it, so a step of the same shape as the last allocates
+    none of these; a part with fewer slices or rows gets prefix views of
+    the buffers, one of another shape replaces them. Stage scoring writes
+    into a workspace too: a new one starts whenever the use switches
+    (workspace), so step and scoring buffers are never held at once.
     """
 
     def __init__(self, runs):
@@ -537,7 +491,7 @@ class RunGroup:
             shape = tuple(layer.weight.shape for layer in run.state.extractor.layers)
             by_shape.setdefault(shape, []).append(run)
         self.set_parts([_Part(group) for group in by_shape.values()])
-        self.buffers = _StepBuffers()
+        self._ws, self._scoring = Workspace(), False
 
     def set_parts(self, parts: list[_Part]) -> None:
         self.parts = parts
@@ -550,6 +504,13 @@ class RunGroup:
         gone = set(runs)
         if gone:
             self.set_parts([p for p in (part.without(gone) for part in self.parts) if p])
+
+    def workspace(self, scoring: bool = False) -> Workspace:
+        """The workspace for a step, or with scoring for a stage end's
+        scoring: the last one while the use stays the same, else a new one."""
+        if scoring != self._scoring:
+            self._ws, self._scoring = Workspace(), scoring
+        return self._ws
 
 
 def train_step(group, x_batch, y_batch, method: MethodConfig | None, memory_batch_size: int,
@@ -601,18 +562,18 @@ def _group_step(group: RunGroup, x_batch, y_batch, memory_batch_size: int, rng) 
 
     records: dict[_Run, object] = {}
     parts = []
+    ws = group.workspace()
     for part in group.parts:
         if grown:
             for run in part.runs:
                 catch_up(run.state)
         for piece in part.split([blocks[run.state.stream][2] for run in part.runs]):
             piece = _fused_step(piece, [blocks[run.state.stream] for run in piece.runs],
-                                records, group.buffers)
+                                records, ws)
             if piece is not None:
                 parts.append(piece)
     if parts != group.parts:
         group.set_parts(parts)
-    group.buffers.step_done()
 
     stepped = {run.state.stream for run in runs if isinstance(records[run], StepRecord)}
     for stream, x, y, r in zip(streams, x_batch, y_batch, rng):
@@ -625,13 +586,12 @@ def _group_step(group: RunGroup, x_batch, y_batch, memory_batch_size: int, rng) 
 
 
 def _fused_step(part: _Part, blocks: list[tuple], records: dict,
-                buffers: _StepBuffers) -> _Part | None:
-    """The arithmetic of one part's step over [incoming; replayed]; blocks
-    holds each run's stream block. Fills records by run and returns the
-    part that survives."""
+                ws: Workspace) -> _Part | None:
+    """The arithmetic of one part's step over [incoming; replayed], written
+    into ws; blocks holds each run's stream block. Fills records by run
+    and returns the part that survives."""
     n_cur, n_mem, _ = blocks[0][2]
     while True:
-        ws = buffers.take(part, n_cur + n_mem)
         X = _gather(ws, [b[0] for b in blocks], n_mem)
         if len(part.runs) == 1:  # one run steps on 2-d blocks, exactly as it would alone
             rows = blocks[0][1]
@@ -850,7 +810,7 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
     while live:
         batches = {}
         for traj in live:
-            batch = traj.next_batch(end, group.buffers.scoring)
+            batch = traj.next_batch(end, lambda: group.workspace(scoring=True))
             if batch is None:
                 for run in list(traj.runs):
                     end(run, ExperimentResult(method=run.method.name, seed=traj.seed,

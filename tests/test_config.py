@@ -128,15 +128,24 @@ def test_alpha_out_of_range_message():
     ("method.uer.hidden = 0", "layer widths must be positive, got '0'"),
     ("method.uer.lr = -1", "must be positive, got '-1'"),
     ("stream.batch_current = 0", "must be at least 1, got '0'"),
+    ("stream.shuffle_seed = -1", "must be non-negative, got '-1'"),
+    ("dataset.classes = 0", "must be at least 1, got '0'"),
+    ("dataset.input_dim = 0", "must be at least 1, got '0'"),
+    ("dataset.train_per_class = 0", "must be at least 1, got '0'"),
+    ("dataset.test_per_class = 0", "must be at least 1, got '0'"),
+    ("dataset.stddev = -1", "must be positive, got '-1'"),
 ])
 def test_range_errors_name_the_line_and_key(tmp_path, capsys, line, message):
-    lineno = MINIMAL.count("\n") + 1
     key = line.split(" = ")[0]
+    base = MINIMAL
+    if key.startswith("dataset."):  # read for synthetic data only
+        base = "".join(s for s in SYNTH.splitlines(True) if not s.startswith(key + " "))
+    lineno = base.count("\n") + 1
     with pytest.raises(ConfigError) as info:
-        parse_config_text(MINIMAL + line + "\n")
+        parse_config_text(base + line + "\n")
     assert str(info.value) == f"line {lineno}: key {key}: {message}"
     path = tmp_path / "bad.cfg"
-    path.write_text(MINIMAL + line + "\n", encoding="utf-8")
+    path.write_text(base + line + "\n", encoding="utf-8")
     assert main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"config error: line {lineno}: key {key}: {message}\n"
 

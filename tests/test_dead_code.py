@@ -1,11 +1,13 @@
 """No dead code in the package: every top-level function and class in
-src/uer is referenced by some module of the package, or is allowlisted
-below with the reason it stays.
+src/uer, and every method of such a class, is referenced by some module
+of the package, or is allowlisted below with the reason it stays.
 
 A name counts as referenced where a module loads it (a call, a read, a
 decorator or a base class); an import alone does not count, so a name
 that a module only re-imports is unreferenced. __init__.py's exports do
-not count either.
+not count either. A method (or property), named Class.method here, counts
+as referenced where a module loads an attribute of its name; dunder
+methods are exempt, since Python calls them.
 """
 
 import ast
@@ -31,17 +33,29 @@ ALLOWED = {
 }
 
 
+def _defs(body: list) -> list:
+    return [node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
 def unreferenced(package: Path) -> set[str]:
-    defined, loaded = set(), set()
+    defined, loaded, methods, attributes = set(), set(), {}, set()
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined.update(node.name for node in tree.body if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
-        loaded.update(node.id for node in ast.walk(tree)
-                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
-    return defined - loaded
+        for node in _defs(tree.body):
+            defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                methods.update((f"{node.name}.{m.name}", m.name) for m in _defs(node.body)
+                               if not (m.name.startswith("__") and m.name.endswith("__")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    return (defined - loaded) | {qual for qual, name in methods.items()
+                                 if name not in attributes}
 
 
 def test_every_unreferenced_definition_is_allowlisted():
@@ -56,3 +70,13 @@ def test_the_guard_sees_a_definition_that_nothing_loads(tmp_path):
     (tmp_path / "a.py").write_text("def used():\n    pass\n\n\ndef unused():\n    pass\n")
     (tmp_path / "b.py").write_text("from .a import used, unused\n\nused()\n")
     assert unreferenced(tmp_path) == {"unused"}
+
+
+def test_the_guard_sees_a_method_that_nothing_loads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n"
+        "    def __init__(self):\n        self.used()\n\n"
+        "    def used(self):\n        pass\n\n"
+        "    def unused(self):\n        pass\n\n\n"
+        "A()\n")
+    assert unreferenced(tmp_path) == {"A.unused"}

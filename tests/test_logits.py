@@ -108,6 +108,21 @@ def test_dot_logits_dim_mismatch():
         loss_dot(pp, np.array([[1.0, 2.0]]), [0])
 
 
+@pytest.mark.parametrize("kernel", [dot_logits_batch,
+                                    lambda pp, H: cosine_logits_batch(pp, H, SCALE)],
+                         ids=["dot", "cosine"])
+def test_score_kernels_name_both_widths_on_a_mismatch(kernel):
+    pp = PredictorParams(np.zeros((2, 3)), np.zeros(2))
+    with pytest.raises(ShapeError, match="feature dim 2 does not match predictor dim 3"):
+        kernel(pp, np.array([[1.0, 2.0]]))
+
+
+def test_cosine_logits_without_a_scale_fail_as_loss_rows_does():
+    pp = PredictorParams(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match="cosine scoring needs a CosineScale"):
+        cosine_logits_batch(pp, np.ones((1, 2)), None)
+
+
 def test_cosine_logits_orthogonal_is_zero():
     pp = PredictorParams(np.array([[3.0, 0.0]]), np.array([9.9]))  # bias ignored
     got = cosine_logits_batch(pp, np.array([[0.0, 5.0]]), SCALE)[0, 0]

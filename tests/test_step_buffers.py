@@ -1,16 +1,16 @@
 """The training step's buffers: reused from step to step, bit for bit.
 
-A part's fused step writes its large results into a Workspace that lives
-as long as the part: the gathered [incoming; replayed] block, the
-activations (ReLU in place), the score blocks, dH, the backward masks and
-the gradient products. The premise: NumPy's out= forms used for that give
-the bits of the allocating forms, into a buffer whatever it held before,
-and a mask taken from the activation (A > 0) is the mask taken from the
+A part's fused step writes its large results into its RunGroup's
+Workspace: the gathered [incoming; replayed] block, the activations (ReLU
+in place), the score blocks, dH, the backward masks and the gradient
+products. The premise: NumPy's out= forms used for that give the bits of
+the allocating forms, into a buffer whatever it held before, and a mask
+taken from the activation (A > 0) is the mask taken from the
 pre-activation (Z > 0). On top of it, runs whose workspace must reallocate
-(a short last batch, a stage that registers classes) or is dropped (a run
-diverges and its part is rebuilt) still give legacy_step's bytes, and a
-step after the first allocates nothing large (tracemalloc sees NumPy's
-data buffers).
+or hand out prefix views (a short last batch, a stage that registers
+classes, a run that diverges and leaves its part) still give legacy_step's
+bytes, and a step after the first allocates nothing large (tracemalloc
+sees NumPy's data buffers).
 """
 
 import json
@@ -265,8 +265,8 @@ def test_short_last_batches_and_new_classes_reshape_the_workspace(monkeypatch):
 
 def test_a_run_diverging_mid_step_leaves_a_new_workspace_to_the_rest(monkeypatch):
     # the seventh stacked check fails run 1 of 3 inside the fused step: the
-    # part is rebuilt without it, with a workspace of its own, and redoes
-    # the step from the draws already made
+    # part is rebuilt without it and redoes the step from the draws already
+    # made, in prefix views of the group's workspace
     real, checks = uer.net.require_finite, []
 
     def forced(arr, name="array", stacked=False):
@@ -284,5 +284,5 @@ def test_a_run_diverging_mid_step_leaves_a_new_workspace_to_the_rest(monkeypatch
     assert str(outcomes[1]) == "stage 1, step 7: features contains non-finite entries"
     _assert_matches_oracle(outcomes, methods, datasets, (0, 1, 2))
     first, redo, last = seen[6], seen[7], seen[8]  # steps 7 and 8 of stage 1
-    assert first[1][0] == 3 and redo[1][0] == 2 and redo[0] is not first[0]
+    assert first[1][0] == 3 and redo[1][0] == 2 and redo[0] is first[0]
     assert last[1][0] == 2 and last[0] is redo[0]
