@@ -3,18 +3,57 @@ by every module.
 
 Arrays are plain float64 numpy arrays. Every stochastic routine in the
 package takes an explicit Rng handle, a numpy PCG64 generator, so a run is
-fully determined by its seeds.
+fully determined by its seeds. Importing the package runs NumPy's bundled
+OpenBLAS on one thread, so the bits of a product do not depend on the
+number of cores either.
 """
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
+from pathlib import Path
 from math import isfinite
 from typing import Sequence
 
 import numpy as np
 
 Rng = np.random.Generator
+
+# thread-count setters of NumPy's bundled OpenBLAS, by build
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> bool:
+    """Run NumPy's bundled OpenBLAS on one thread; True if one was found.
+
+    A threaded matrix-vector product splits its rows among the threads,
+    and the kernel sums a row at the end of a thread's share in another
+    order than one in the middle, so the rows of A[lo:hi] @ w differ in the
+    last bits from the same rows of A @ w (e.g. 1 row of 2305 at 256
+    features, two threads). Row-blocked stage scoring is bitwise one pass
+    only when a product's rows do not depend on how it is split. Wheels
+    keep the library in numpy.libs (Linux, Windows) or numpy/.dylibs
+    (macOS); a NumPy built against a system BLAS is left as it is.
+    """
+    root = Path(np.__file__).parent
+    for lib_dir in (root.parent / "numpy.libs", root / ".dylibs"):
+        for path in sorted(lib_dir.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for name in _BLAS_THREAD_SETTERS:
+                setter = getattr(lib, name, None)
+                if setter is not None:
+                    setter(1)
+                    return True
+    return False
+
+
+# False where NumPy uses a system BLAS, whose threads are left as they are
+BLAS_ONE_THREAD = _one_blas_thread()
 
 
 class ShapeError(ValueError):
