@@ -28,6 +28,9 @@ computes each slice exactly as the 2-d call would; each slice may carry its
 own alpha and weight rows and its own gamma. Slices may take different
 branches if they come in branch order (dot users first, cosine users
 last): each branch then runs on its own contiguous range of slices.
+What loss_rows derives from its scale, alpha and weights depends only on
+the step shape; a caller whose steps repeat a shape builds it once as a
+StepPlan (step_plan) and passes it to every call of that shape.
 """
 
 from __future__ import annotations
@@ -218,8 +221,79 @@ def _cut(out, part: slice):
     return lambda name, shape, dtype=np.float64: out(name, shape, dtype)[part]
 
 
+def _column(value: np.ndarray) -> np.ndarray:
+    """value (one entry per row on its last axis) as a read-only column,
+    to be spread over the class axis of a score block."""
+    column = value[..., None]
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, eq=False)
+class StepPlan:
+    """What loss_rows derives from its scale, alpha and weights for one
+    step shape (the rows' shape and the class count), checked and computed
+    once: the branch ranges, each row's flat offset into a score block,
+    1 - alpha, and the per-row gradient factors. A caller whose steps
+    repeat a shape builds it once (step_plan) and passes it to every
+    loss_rows call of that shape.
+
+    The factors are kept as columns, which each call spreads over the
+    workspace block it multiplies. Kept spread over whole score blocks
+    instead, they saved two copies a step but, held from step to step
+    between the workspace's blocks, raised a widereplay run's peak RSS by
+    about 1.4 MiB through the heap's layout.
+    """
+    shape: tuple[int, ...]  # the rows' shape: (batch,) or (slices, batch)
+    classes: int
+    alpha: np.ndarray  # checked: a scalar, (batch,) or (slices, batch)
+    weights: np.ndarray | None  # likewise; None for a plan without gradients
+    k1: int  # the cosine branch runs on slices [k1, n)
+    k2: int  # the dot branch runs on slices [0, k2)
+    n: int
+    starts: np.ndarray  # _row_starts(shape, classes)
+    a_cos: np.ndarray  # 1 - alpha over the cosine slices
+    gamma: float | np.ndarray  # against a cosine score block
+    dot_grad: np.ndarray | None  # alpha * w on the dot slices, a column
+    cos_grad: np.ndarray | None  # gamma * (1 - alpha) * w on the cosine slices, a column
+
+
+def step_plan(scale: CosineScale | None, alpha, weights, shape: tuple[int, ...],
+              classes: int) -> StepPlan:
+    """The StepPlan of loss_rows calls whose rows have this shape and whose
+    predictor has this many classes. Checks alpha, weights (None: a plan
+    for calls without a tape) and gamma as loss_rows does, with its errors."""
+    shape = tuple(shape)
+    a = _per_row(alpha, shape, "alpha")
+    k1, k2, n = _branches(a, alpha)
+    cut_d, cut_c = 0 < k2 < n, 0 < k1 < n
+    ad, ac = (a[:k2] if cut_d else a), (a[k1:] if cut_c else a)
+    gamma = g_rows = 1.0
+    if k1 < n:
+        if scale is None:
+            raise ValueError("cosine scoring needs a CosineScale")
+        gamma = g_rows = scale.gamma
+        if np.ndim(gamma):
+            gamma = np.asarray(gamma, dtype=np.float64)
+            if len(shape) != 2 or gamma.shape != shape[:1]:
+                raise ShapeError(f"{shape[0]} slices but gamma has shape {gamma.shape}")
+            g_rows, gamma = gamma[k1:, None], gamma[k1:, None, None]
+    a_cos = 1.0 - ac
+    w = dot_grad = cos_grad = None
+    if weights is not None:
+        w = wd = wc = _per_row(weights, shape, "weights")
+        if w.ndim == 2:
+            wd, wc = (w[:k2] if cut_d else w), (w[k1:] if cut_c else w)
+        if k2:
+            dot_grad = _column(ad * wd)
+        if k1 < n:
+            cos_grad = _column(g_rows * a_cos * wc)
+    return StepPlan(shape, classes, a, w, k1, k2, n, _row_starts(shape, classes), a_cos, gamma,
+                    dot_grad, cos_grad)
+
+
 def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarray, rows,
-              weights, tape=None, ws: Workspace | None = None):
+              weights, tape=None, ws: Workspace | None = None, plan: StepPlan | None = None):
     """Per-row mixed cross-entropy alpha_i * ce_dot_i + (1 - alpha_i) * ce_cos_i.
 
     alpha and weights are scalars or one value per row. Returns the per-row
@@ -241,19 +315,29 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     branch on [k1, slices), and the two mix only on [k1, k2). Each slice
     is computed exactly as its 2-d call would compute it.
 
+    plan is step_plan(scale, alpha, weights, rows' shape, class count),
+    built once by a caller whose steps repeat a shape; scale, alpha and
+    weights are then read from it, not checked again. Without one, each
+    call builds its own.
+
     With a Workspace, every (rows, classes) score block and every block of
     H's shape (H * H, dH and its cosine correction) is written into its
     buffers, so the dH returned is overwritten by the next call with the
     same workspace.
     """
     H, rows = _batch_targets(pp, H, rows)
+    if plan is None:
+        plan = step_plan(scale, alpha, None if tape is None else weights, rows.shape,
+                         pp.num_classes)
+    elif plan.shape != rows.shape or plan.classes != pp.num_classes:
+        raise ShapeError(f"a plan for rows {plan.shape} and {plan.classes} classes, "
+                         f"called with rows {rows.shape} and {pp.num_classes} classes")
     out = ws or fresh
-    a = _per_row(alpha, rows.shape, "alpha")
-    k1, k2, n = _branches(a, alpha)
+    k1, k2, n = plan.k1, plan.k2, plan.n
     use_dot, use_cos = k2 > 0, k1 < n
+    a = plan.alpha
     # each row's target entry as a flat index into a (..., batch, classes) block
-    pick = np.add(_row_starts(rows.shape, pp.num_classes), rows,
-                  out=out("pick", rows.shape, np.int64))
+    pick = np.add(plan.starts, rows, out=out("pick", rows.shape, np.int64))
     scores = (*rows.shape, pp.num_classes)
     S = np.matmul(H, pp.W.swapaxes(-1, -2), out=out("s", scores))
     # a branch that runs on some slices only (cut_d, cut_c) takes views of
@@ -269,18 +353,10 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
         L = filled(L, (pp.b[:k2] if cut_d else pp.b)[..., None, :])
         Pd, ce = _softmax_ce(np.add(S[:k2] if cut_d else S, L, out=L), pick_d, spread_d)
     if use_cos:
-        if scale is None:
-            raise ValueError("cosine scoring needs a CosineScale")
-        gamma = g_rows = scale.gamma
-        if np.ndim(gamma):
-            gamma = np.asarray(gamma, dtype=np.float64)
-            if H.ndim != 3 or gamma.shape != H.shape[:1]:
-                raise ShapeError(f"{len(H)} slices but gamma has shape {gamma.shape}")
-            g_rows, gamma = gamma[k1:, None], gamma[k1:, None, None]
-        oc, Sc, Hc, Wc, ac, pick_c = out, S, H, pp.W, a, pick
+        oc, Sc, Hc, Wc, pick_c = out, S, H, pp.W, pick
         if cut_c:
             oc = _cut(out, slice(k1, n))
-            Sc, Hc, Wc, ac = S[k1:], H[k1:], pp.W[k1:], a[k1:]
+            Sc, Hc, Wc = S[k1:], H[k1:], pp.W[k1:]
             # flat offsets into the cosine blocks, which start at slice k1
             pick_c = pick[k1:] - k1 * rows.shape[1] * pp.num_classes
         # row norms as np.linalg.norm computes them, without its dispatch
@@ -293,9 +369,9 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
         den = filled(oc("den", scores), wn[..., None, :])
         den = np.multiply(filled(oc("spread", scores), hn[..., None]), den, out=den)
         C = np.divide(Sc, den, out=Sc)  # S is not read again
-        Pc, ce_cos = _softmax_ce(np.multiply(gamma, C, out=oc("pc", scores)), pick_c,
+        Pc, ce_cos = _softmax_ce(np.multiply(plan.gamma, C, out=oc("pc", scores)), pick_c,
                                  oc("spread", scores))
-        a_cos = 1.0 - ac
+        a_cos = plan.a_cos
         if ranged:  # the cosine-only slices follow; [k1, k2) mix in place
             ce = np.concatenate([ce, ce_cos[k2 - k1:]])
             both = ce[k1:k2]
@@ -310,12 +386,11 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     require_finite(ce, "cross-entropy", stacked=ce.ndim > 1)
     if tape is None:
         return ce, None
-    w = wd = wc = _per_row(weights, rows.shape, "weights")
-    if w.ndim == 2:
-        wd, wc = (w[:k2] if cut_d else w), (w[k1:] if cut_c else w)
+    if plan.weights is None:
+        raise ValueError("a plan built without weights gives no gradients")
     if use_dot:
         Pd.reshape(-1)[pick_d] -= 1.0
-        Pd *= filled(spread_d, (ad * wd)[..., None])
+        Pd *= filled(spread_d, plan.dot_grad)
         pred_b = tape.pred_b[:k2] if cut_d else tape.pred_b
         pred_b += _sum(Pd, -2)
     if use_cos:
@@ -324,7 +399,7 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
         #   dW = Q^T H - colsum(R) / |w|^2 * W,  dH = Q W - rowsum(R) / |h|^2 * H
         # Q joins the dot part, so each product runs once
         Pc.reshape(-1)[pick_c] -= 1.0
-        Pc *= filled(oc("spread", scores), (g_rows * a_cos * wc)[..., None])
+        Pc *= filled(oc("spread", scores), plan.cos_grad)
         R = np.multiply(Pc, C, out=C)  # neither C nor den is read again
         Q = np.divide(Pc, den, out=den)
         if ranged:  # G is Pd + Q on [k1, k2) and Q after

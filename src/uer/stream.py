@@ -140,16 +140,25 @@ def split_stages(dataset: Dataset, cfg: StreamConfig, rng: Rng) -> list[StageRow
     return stages
 
 
-def iterate_batches(stage: Stage, cfg: StreamConfig, rng: Rng) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def iterate_batches(stage: Stage | StageRows, cfg: StreamConfig, rng: Rng,
+                    dataset: Dataset | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Single pass over the stage's training split in shuffled batches.
 
-    The final batch may be short; every sample is yielded exactly once.
+    stage is a Stage, or a StageRows whose rows are read from dataset. The
+    shuffled rows are gathered in one read-only block as the first batch
+    is asked for, and each batch is a view of it. The final batch may be
+    short; every sample is yielded exactly once.
     """
-    n = len(stage.train)
-    order = rng.permutation(n)
-    for lo in range(0, n, cfg.batch_size_current):
-        idx = order[lo:lo + cfg.batch_size_current]
-        yield stage.train.x[idx], stage.train.y[idx]
+    if isinstance(stage, StageRows):
+        source, rows = dataset.train, stage.train_rows
+        order = rows[rng.permutation(len(rows))]
+    else:
+        source = stage.train
+        order = rng.permutation(len(source))
+    x, y = source.x[order], source.y[order]
+    x.flags.writeable = y.flags.writeable = False
+    for lo in range(0, len(y), cfg.batch_size_current):
+        yield x[lo:lo + cfg.batch_size_current], y[lo:lo + cfg.batch_size_current]
 
 
 def gen_synthetic(spec: SyntheticSpec, rng: Rng) -> Dataset:
@@ -204,8 +213,64 @@ def load_csv_dataset(path, label_map: dict[int, int] | None = None, width: int |
     are on). Pass the same label_map to several loads (train and test
     files, say) to share one remapping across them; with known_labels (a
     test file loaded after its training file), a label not already in it
-    is rejected with its line instead of added."""
+    is rejected with its line instead of added.
+
+    The file is parsed in one vectorised call (_parse_whole); a file that
+    call does not read exactly as these rules say is read again line by
+    line (_parse_lines), which gives every error its text and line."""
     remap = label_map if label_map is not None else {}
+    parsed = _parse_whole(path, width, remap, known_labels)
+    x, raw_labels = parsed if parsed is not None else \
+        _parse_lines(path, width, remap, known_labels)
+    for label in raw_labels:
+        if label not in remap:
+            remap[label] = len(remap)
+    y = np.array([remap[label] for label in raw_labels], dtype=np.int64)
+    return LabeledData(x, y)
+
+
+# whitespace to np.loadtxt but not to float(): a field holding one would
+# read as a number in one parse and fail in the other
+_LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _parse_whole(path, width: int | None, remap: dict[int, int],
+                 known_labels: bool) -> tuple[np.ndarray, list[int]] | None:
+    """The features and raw labels of a valid file, from int() of each
+    non-blank line's first field and one np.loadtxt call over the others;
+    None for a file _parse_lines must read (it then fails there).
+
+    On ASCII text without the separators above, np.loadtxt strips the
+    whitespace float() strips and converts the rest with the function
+    float() uses, so the two agree on every field both accept; a field
+    only float() accepts (1_0) makes the call fail. Rows are checked for
+    one field count up front, because np.loadtxt reads only the feature
+    columns: a table with the label column, copied and freed, would leave
+    glibc's mmap threshold above the size of stage scoring's blocks and
+    slow every later step down."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line for line in map(str.strip, fh) if line]
+    if not (lines and all(map(str.isascii, lines))) or \
+            any(c in line for line in lines for c in _LOADTXT_ONLY_SPACE):
+        return None
+    found = lines[0].count(",")
+    if not found or width not in (None, found) or any(line.count(",") != found for line in lines):
+        return None
+    try:
+        labels = [int(line.partition(",")[0]) for line in lines]
+        x = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
+                       usecols=range(1, found + 1))
+    except ValueError:
+        return None
+    if not np.isfinite(x).all() or (known_labels and not remap.keys() >= set(labels)):
+        return None
+    return x, labels
+
+
+def _parse_lines(path, width: int | None, remap: dict[int, int],
+                 known_labels: bool) -> tuple[np.ndarray, list[int]]:
+    """The features and raw labels of the file, read line by line; raises
+    CsvFormatError naming the first bad line."""
     xs: list[list[float]] = []
     raw_labels: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -239,11 +304,7 @@ def load_csv_dataset(path, label_map: dict[int, int] | None = None, width: int |
     x = np.array(xs, dtype=np.float64)
     if (bad := _nonfinite_line(path, x)) is not None:
         raise CsvFormatError(f"{path}:{bad}: non-finite feature value")
-    for label in raw_labels:
-        if label not in remap:
-            remap[label] = len(remap)
-    y = np.array([remap[label] for label in raw_labels], dtype=np.int64)
-    return LabeledData(x, y)
+    return x, raw_labels
 
 
 def _nonfinite_line(path, x: np.ndarray) -> int | None:

@@ -30,16 +30,17 @@ per-batch partial sums of that one mean.
 No draw depends on a method's scoring rules, alpha, gamma or lr: the
 seed, the network widths, the buffer capacity and the replay switch fix
 them all. Runs that agree on these follow one trajectory
-(run_trajectories): one stream registers labels, draws the replay batch,
-gathers the [incoming; replayed] rows, updates its one buffer and
-gathers the stage test rows, and every run on it reuses them. Only the
-parameters are per run. The runs step in parts: runs whose step and
-network shapes agree run the forward pass, loss_rows, the backward pass
-and the SGD step once, over parameters stacked on a leading axis, with
-per-run alpha, weights, gamma and lr. A part orders its runs so that the
-dot branch runs on one range of slices and the cosine branch on another
-(dot users first, cosine users last), whatever each run's rule. Each
-run's slice is computed exactly as its run alone would compute it.
+(run_trajectories): one stream gathers each stage's training rows,
+registers labels, draws the replay batch, gathers the [incoming;
+replayed] rows and updates its one buffer, and every run on it reuses
+them. Only the parameters are per run. The runs step in parts: runs
+whose step and network shapes agree run the forward pass, loss_rows,
+the backward pass and the SGD step once, over parameters stacked on a
+leading axis, with per-run alpha, weights, gamma and lr. A part orders
+its runs so that the dot branch runs on one range of slices and the
+cosine branch on another (dot users first, cosine users last), whatever
+each run's rule. Each run's slice is computed exactly as its run alone
+would compute it.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ import numpy as np
 # because the perfbench span tracer wraps them by this module's name
 from .evaluation import StageMetrics, accuracy, average_accuracy, average_posterior, \
     bias_diagnostics, score_stages  # noqa: F401
-from .logits import CosineScale, LogitMode, PredictorParams, loss_current, loss_dot, \
-    loss_replay, loss_rows  # noqa: F401
+from .logits import CosineScale, LogitMode, PredictorParams, StepPlan, loss_current, loss_dot, \
+    loss_replay, loss_rows, step_plan  # noqa: F401
 from .memory import MemoryBuffer, buffer_retrieve, buffer_update
 from .net import FeatureExtractor, GradientTape, LayerParams, backward_batch, forward_batch, \
     init_extractor, sgd_step
@@ -212,6 +213,9 @@ class StreamState:
     inverse row_of_label), the value each scorer row had when it was
     registered, and the step counters. register_classes draws new rows
     once per stream; each run's scorer then catches up by appending them.
+    A trajectory sets unregistered as a stage starts: once it is empty,
+    no batch of the stage can hold a new label, and steps skip
+    register_classes. None (any other stream) looks every batch up.
     """
     buffer: MemoryBuffer
     dim: int  # feature dim: the width of a scorer row
@@ -221,6 +225,7 @@ class StreamState:
     init_rows: np.ndarray | None = None  # (rows, dim), each row's value at registration
     step: int = 0
     consumed_in_stage: int = 0
+    unregistered: set[int] | None = None  # the stage's labels not registered yet
 
     def __post_init__(self):
         if self.init_rows is None:
@@ -394,12 +399,14 @@ class _Part:
     each run's TrainState holds views into them; alpha and weight rows,
     gamma and lr are per slice. A part of one run steps on that run's own
     arrays. Each run keeps its own (zero) tape; a stacked part has one of
-    its own. A part's step writes into its RunGroup's one workspace.
+    its own. A part's step writes into its RunGroup's one workspace. The
+    part keeps the StepPlan of each step shape of its current class count
+    (plan).
     """
 
     def __init__(self, runs: list[_Run]):
         self.runs = runs = sorted(runs, key=_branch_order)  # stable: seeds keep their order
-        self._mix: dict[tuple[int, int], tuple] = {}
+        self._plans: dict[tuple[int, int, int], StepPlan] = {}
         if len(runs) == 1:
             run = runs[0]
             self.extractor, self.predictor, self.tape = \
@@ -432,14 +439,21 @@ class _Part:
             s.predictor.W, s.predictor.b = self.predictor.W[i], self.predictor.b[i]
         self.tape = GradientTape(self.extractor, self.predictor)
 
-    def mix(self, n_cur: int, n_mem: int) -> tuple[np.ndarray, np.ndarray]:
-        """The part's alpha and weight rows: (rows,) when every run has the
-        same, else (runs, rows)."""
-        key = (n_cur, n_mem)
-        if key not in self._mix:
+    def plan(self, n_cur: int, n_mem: int, classes: int) -> StepPlan:
+        """The loss plan of a step of this shape: the part's alpha and
+        weight rows ((rows,) when every run has the same, else (runs,
+        rows)), its gammas and the class count, built on the shape's first
+        step. Class counts only grow, so a new one drops the older plans."""
+        key = (n_cur, n_mem, classes)
+        plan = self._plans.get(key)
+        if plan is None:
+            if any(k[2] != classes for k in self._plans):
+                self._plans.clear()
             mixes = [_row_mix(*run.mix, n_cur, n_mem) for run in self.runs]
-            self._mix[key] = tuple(_shared([m[j] for m in mixes]) for j in (0, 1))
-        return self._mix[key]
+            alpha, weights = (_shared([m[j] for m in mixes]) for j in (0, 1))
+            shape = (n_cur + n_mem,) if len(self.runs) == 1 else (len(self.runs), n_cur + n_mem)
+            plan = self._plans[key] = step_plan(self.scale, alpha, weights, shape, classes)
+        return plan
 
     def without(self, gone: set[_Run]) -> "_Part | None":
         """The part minus the runs in gone, or None if empty."""
@@ -553,7 +567,11 @@ def _group_step(group: RunGroup, x_batch, y_batch, memory_batch_size: int, rng) 
     blocks = {}
     grown = False
     for stream, x, y, r in zip(streams, x_batch, y_batch, rng):
-        grown |= bool(register_classes(stream, y, r))
+        if stream.unregistered is None or stream.unregistered:
+            added = register_classes(stream, y, r)
+            grown |= bool(added)
+            if stream.unregistered:
+                stream.unregistered.difference_update(added)
         idx = buffer_retrieve(stream.buffer, memory_batch_size, r) if replay[stream] else _NO_ROWS
         rows = stream.row_of_label[y]
         if len(idx):
@@ -590,7 +608,7 @@ def _fused_step(part: _Part, blocks: list[tuple], records: dict,
     """The arithmetic of one part's step over [incoming; replayed], written
     into ws; blocks holds each run's stream block. Fills records by run
     and returns the part that survives."""
-    n_cur, n_mem, _ = blocks[0][2]
+    n_cur, n_mem, classes = blocks[0][2]
     while True:
         X = _gather(ws, [b[0] for b in blocks], n_mem)
         if len(part.runs) == 1:  # one run steps on 2-d blocks, exactly as it would alone
@@ -598,9 +616,9 @@ def _fused_step(part: _Part, blocks: list[tuple], records: dict,
         else:
             rows = ws("rows", (len(blocks), n_cur + n_mem), np.int64)
             np.concatenate([b[1] for b in blocks], out=rows.reshape(-1))
-        alpha, weights = part.mix(n_cur, n_mem)
+        plan = part.plan(n_cur, n_mem, classes)
         try:
-            ce = _descend(part, ws, X, rows, alpha, weights)
+            ce = _descend(part, ws, X, rows, plan)
             break
         except NonFiniteError as err:
             bad = set(range(len(part.runs)) if err.seeds is None else err.seeds)
@@ -610,7 +628,7 @@ def _fused_step(part: _Part, blocks: list[tuple], records: dict,
             if part is None:
                 return None
             blocks = [b for j, b in enumerate(blocks) if j not in bad]
-    part_ce = (ce * weights).reshape(len(part.runs), -1)
+    part_ce = (ce * plan.weights).reshape(len(part.runs), -1)
     l_c = np.add.reduce(part_ce[:, :n_cur], axis=-1).tolist()
     l_p = np.add.reduce(part_ce[:, n_cur:], axis=-1).tolist()
     for run, c, p in zip(part.runs, l_c, l_p):
@@ -647,13 +665,14 @@ def _gather(ws: Workspace, sources: list[tuple], n_mem: int) -> np.ndarray:
     return X
 
 
-def _descend(part: _Part, ws: Workspace, X: np.ndarray, rows: np.ndarray, alpha: np.ndarray,
-             weights: np.ndarray) -> np.ndarray:
+def _descend(part: _Part, ws: Workspace, X: np.ndarray, rows: np.ndarray,
+             plan: StepPlan) -> np.ndarray:
     # a diverging run overflows here; the finiteness checks in
     # forward_batch and loss_rows raise, so NumPy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         H, cache = forward_batch(part.extractor, X, ws)
-        ce, dH = loss_rows(part.predictor, part.scale, alpha, H, rows, weights, part.tape, ws)
+        ce, dH = loss_rows(part.predictor, part.scale, plan.alpha, H, rows, plan.weights,
+                           part.tape, ws, plan)
         backward_batch(part.extractor, cache, dH, part.tape, ws)
         sgd_step(part.extractor, part.predictor, part.tape, part.lr)
     return ce
@@ -716,9 +735,12 @@ class _Trajectory:
     stage split, the extractor init (each run starts from a copy), then
     per step the new scorer rows, the replay indices and the reservoir
     slots. The stages are row indices into the dataset (shared by every
-    stream for csv data): a stage's training rows are gathered when it
-    starts; the test rows scored at a stage end are read by index, block
-    by block, by each of the stream's runs.
+    stream for csv data): a stage's training rows are gathered in their
+    batch order when it starts (iterate_batches); the test rows scored at
+    a stage end are read by index, block by block, by each of the stream's
+    runs. As a stage starts, the stream's unregistered labels become the
+    stage's classes it has not registered, so its steps stop looking
+    batches up once they are all registered.
     """
 
     def __init__(self, dataset: Dataset, stream_cfg: StreamConfig, seed: int,
@@ -761,9 +783,10 @@ class _Trajectory:
             self.t += 1
             for run in self.runs:
                 run.state.stage_baseline = run.state.predictor.copy()
+            stage = self.stages[self.t - 1]
             self.state.consumed_in_stage = 0
-            self.batches = iterate_batches(self.stages[self.t - 1].gather(self.dataset),
-                                           self.stream_cfg, self.rng)
+            self.state.unregistered = set(stage.class_set).difference(self.state.class_order)
+            self.batches = iterate_batches(stage, self.stream_cfg, self.rng, self.dataset)
         return batch
 
 
@@ -846,6 +869,9 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
         group.remove(ended)
         ended.clear()
         live = [traj for traj in live if traj.runs]
+        # a batch is a view of its stage's block: hold none while next_batch
+        # scores a stage that ended and gathers the next one's block
+        del batches, batch, stepping
     return outcomes
 
 

@@ -1,0 +1,226 @@
+"""Per-stage and per-shape work of the training step, done once.
+
+A part builds the StepPlan of a step shape (its runs, n incoming, n
+replayed, registered classes) on the shape's first step and reuses it;
+a trajectory stops looking batches up in register_classes once its stage's
+classes are all registered; a stage's training rows are gathered once.
+The call counts below keep that work from moving back into every step,
+and the runs that exercise the skipped lookups match the per-method
+oracle (legacy_step) byte for byte.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import legacy_step
+import uer.logits
+import uer.net
+import uer.trainer
+from uer.evaluation import stage_metrics_to_dict
+from uer.logits import CosineScale, PredictorParams, loss_rows, step_plan
+from uer.net import GradientTape, FeatureExtractor, LayerParams
+from uer.numeric import ShapeError, make_rng
+from uer.stream import Dataset, LabeledData, StreamConfig, gen_synthetic, make_sphere_spec
+from uer.trainer import (er_method, init_state, lucir_method, run_trajectories, train_step,
+                         uer_a_method, uer_method)
+
+STREAM = StreamConfig(stages=2, classes_per_stage=2, batch_size_current=10,
+                      batch_size_memory=10)
+
+
+def _dataset(seed, sizes, dim=8):
+    """One class per entry of sizes (its train rows), 7 test rows each."""
+    rng = make_rng([seed, 9])
+    data = gen_synthetic(make_sphere_spec(len(sizes), dim, 3.0, 1.0, max(sizes), 7, rng), rng)
+    keep = np.concatenate([np.flatnonzero(data.train.y == c)[:n] for c, n in enumerate(sizes)])
+    return Dataset(LabeledData(data.train.x[keep], data.train.y[keep]), data.test,
+                   num_classes=len(sizes), input_dim=dim)
+
+
+def _metrics_bytes(result) -> bytes:
+    return "".join(json.dumps(stage_metrics_to_dict(m)) + "\n"
+                   for m in result.metrics).encode("utf-8")
+
+
+def _assert_matches_oracle(outcomes, runs, datasets, stream=STREAM):
+    for (method, seed), outcome in zip(runs, outcomes):
+        alone = legacy_step.per_seed_run(datasets[seed], method, stream, seed)
+        assert _metrics_bytes(outcome) == _metrics_bytes(alone)
+        assert outcome.steps == alone.steps
+
+
+def _methods():
+    kw = dict(hidden_dims=(16,), buffer_capacity=30)
+    return [uer_method(**kw), uer_a_method(**kw), lucir_method(**kw), er_method(**kw)]
+
+
+# ---------------------------------------------------------- call counts
+
+
+def test_a_two_stage_run_builds_one_plan_per_step_shape(monkeypatch):
+    builds, steps = [], []
+    real_plan, real_descend = uer.trainer.step_plan, uer.trainer._descend
+
+    def counted(*args):
+        builds.append(args[3:])  # (shape, classes)
+        return real_plan(*args)
+
+    def recording(part, ws, X, rows, plan):
+        steps.append((part, plan))  # the part is kept, so its id is not reused
+        return real_descend(part, ws, X, rows, plan)
+    monkeypatch.setattr(uer.trainer, "step_plan", counted)
+    monkeypatch.setattr(uer.trainer, "_descend", recording)
+    datasets = {seed: _dataset(seed, [60] * 4) for seed in (0, 1)}
+    runs = [(method, seed) for seed in (0, 1) for method in _methods()]
+    outcomes = run_trajectories(datasets.__getitem__, runs, STREAM)
+    monkeypatch.undo()
+    _assert_matches_oracle(outcomes, runs, datasets)
+    shapes = {(id(part), plan.shape, plan.classes) for part, plan in steps}
+    assert len(builds) == len({id(plan) for _, plan in steps}) == len(shapes)
+    # per part: (10 incoming, nothing replayed, 2 classes), then (10, 10, 2)
+    # and (10, 10, 4), over 12 steps a stage
+    assert len(shapes) == 3 * len({id(part) for part, _ in steps})
+    assert len(steps) == 24 * len({id(part) for part, _ in steps})
+
+
+def test_register_classes_is_skipped_once_the_stage_classes_are_registered(monkeypatch):
+    calls = []
+    real = uer.trainer.register_classes
+
+    def counted(stream, labels, rng):
+        assert stream.unregistered, "a batch of a registered stage was looked up"
+        added = real(stream, labels, rng)
+        calls.append((stream, added))
+        return added
+    monkeypatch.setattr(uer.trainer, "register_classes", counted)
+    # one class of 60 rows and one of 3 per stage: the small class usually
+    # arrives after the first batch, so a stage takes several lookups
+    datasets = {seed: _dataset(seed, [60, 3, 60, 3]) for seed in (0, 1)}
+    runs = [(method, seed) for seed in (0, 1) for method in _methods()]
+    outcomes = run_trajectories(datasets.__getitem__, runs, STREAM)
+    monkeypatch.undo()
+    _assert_matches_oracle(outcomes, runs, datasets)
+    streams = {id(stream) for stream, _ in calls}
+    assert len(streams) == 2  # the four methods of a seed share one stream
+    for key in streams:
+        added = [label for stream, new in calls if id(stream) == key for label in new]
+        assert sorted(added) == [0, 1, 2, 3]
+    # 7 steps a stage; a lookup per step would make 2 x 2 x 7
+    assert len(calls) < 2 * 2 * 7
+
+
+def test_forward_and_loss_check_finiteness_once_each_per_step(monkeypatch):
+    # the divergence tests force a failure through each module's
+    # require_finite, so each runs once per step: features in
+    # forward_batch, the cross-entropy in loss_rows
+    checks, steps = [], []
+    real_descend = uer.trainer._descend
+    for module in (uer.net, uer.logits):
+        def counted(arr, name="array", stacked=False, _real=module.require_finite):
+            if steps and steps[-1] is not None:
+                checks.append((len(steps), name))
+            return _real(arr, name, stacked)
+        monkeypatch.setattr(module, "require_finite", counted)
+
+    def recording(*args):
+        steps.append(args[0])
+        try:
+            return real_descend(*args)
+        finally:
+            steps.append(None)  # scoring's checks come outside a step
+    monkeypatch.setattr(uer.trainer, "_descend", recording)
+    datasets = {0: _dataset(0, [40] * 4)}
+    run_trajectories(datasets.__getitem__, [(m, 0) for m in _methods()], STREAM)
+    monkeypatch.undo()
+    n_steps = len(steps) // 2
+    assert n_steps == 2 * 8  # the uer, uer-a and lucir part, and er's
+    assert checks == [(2 * k + 1, name) for k in range(n_steps)
+                      for name in ("features", "cross-entropy")]
+
+
+# --------------------------------------------------- lookups left out
+
+
+def test_a_direct_train_step_registers_a_new_label():
+    # a TrainState stepped directly is on no trajectory: every batch is
+    # looked up, so a label first seen late still gets its row
+    data = _dataset(3, [30, 30, 30])
+    order = make_rng(4).permutation(60)  # classes 0 and 1 only
+    xs, ys = data.train.x[order], data.train.y[order]
+    late = np.flatnonzero(data.train.y == 2)[:10]
+    batches = [(xs[lo:lo + 10], ys[lo:lo + 10]) for lo in range(0, 40, 10)]
+    batches.insert(2, (data.train.x[late[:5]], data.train.y[late[:5]]))
+    batches.append((np.concatenate([xs[40:45], data.train.x[late[5:]]]),
+                    np.concatenate([ys[40:45], data.train.y[late[5:]]])))
+    method = uer_method(hidden_dims=(16,), buffer_capacity=30)
+    ours, theirs = make_rng(8), make_rng(8)
+    state = init_state(method, data.input_dim, ours)
+    oracle = init_state(method, data.input_dim, theirs)
+    for x, y in batches:
+        got = train_step(state, x, y, method, 10, ours)
+        want = legacy_step.per_seed_train_step(oracle, x, y, method, 10, theirs)
+        assert got == want
+        assert state.predictor.W.tobytes() == oracle.predictor.W.tobytes()
+        assert state.extractor.layers[0].weight.tobytes() == \
+            oracle.extractor.layers[0].weight.tobytes()
+    assert state.class_order == oracle.class_order and sorted(state.class_order) == [0, 1, 2]
+
+
+def test_a_class_first_seen_in_a_stage_last_batch_gets_its_row(monkeypatch):
+    # a class of 1 row next to one of 29 lands in its stage's last batch
+    # of 10 in about a third of the stages; each such run must register it
+    # there and match the oracle
+    seen = []
+    real = uer.trainer.iterate_batches
+
+    def recording(*args):
+        batches = []
+        seen.append(batches)
+        for batch in real(*args):
+            batches.append(batch[1])
+            yield batch
+    monkeypatch.setattr(uer.trainer, "iterate_batches", recording)
+    stream = StreamConfig(stages=3, classes_per_stage=2, batch_size_current=10,
+                          batch_size_memory=10)
+    datasets = {seed: _dataset(seed, [29, 1, 29, 1, 29, 1]) for seed in range(6)}
+    runs = [(uer_method(hidden_dims=(16,), buffer_capacity=30), seed) for seed in range(6)]
+    outcomes = run_trajectories(datasets.__getitem__, runs, stream)
+    monkeypatch.undo()
+    late = 0
+    for batches in seen:
+        earlier = set(np.concatenate(batches[:-1]).tolist()) if len(batches) > 1 else set()
+        late += bool(set(batches[-1].tolist()) - earlier)
+    assert late >= 2  # the case this test is about occurs
+    _assert_matches_oracle(outcomes, runs, datasets, stream)
+    for outcome in outcomes:
+        assert sorted(outcome.metrics[-1].class_order) == list(range(6))
+
+
+# ----------------------------------------------------------- the plan
+
+
+def test_a_plan_gives_the_bits_of_a_call_without_one():
+    rng = make_rng(2)
+    pp = PredictorParams(rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5)))
+    H = np.abs(rng.normal(size=(3, 6, 4)))
+    rows = rng.integers(0, 5, size=(3, 6))
+    alpha = np.repeat([[1.0], [0.5], [0.0]], 6, axis=1)  # dot, both, cosine
+    w = np.full((3, 6), 1 / 6)
+    scale = CosineScale(np.array([2.0, 10.0, 5.0]))
+    fe = FeatureExtractor([LayerParams(np.ones((3, 4, 2)), np.zeros((3, 4)))])
+    plan = step_plan(scale, alpha, w, rows.shape, 5)
+    for _ in range(2):  # the plan's blocks are read, not written
+        tape_a, tape_b = GradientTape(fe, pp), GradientTape(fe, pp)
+        ce_a, dH_a = loss_rows(pp, scale, alpha, H, rows, w, tape_a)
+        ce_b, dH_b = loss_rows(pp, scale, alpha, H, rows, w, tape_b, plan=plan)
+        assert ce_a.tobytes() == ce_b.tobytes() and dH_a.tobytes() == dH_b.tobytes()
+        assert tape_a.pred_w.tobytes() == tape_b.pred_w.tobytes()
+        assert tape_a.pred_b.tobytes() == tape_b.pred_b.tobytes()
+    assert not (plan.dot_grad.flags.writeable or plan.cos_grad.flags.writeable)
+    with pytest.raises(ShapeError, match="a plan for rows"):
+        loss_rows(pp, scale, alpha, H[:, :5], rows[:, :5], w, plan=plan)
+    with pytest.raises(ValueError, match="without weights"):
+        loss_rows(pp, scale, alpha, H, rows, w, GradientTape(fe, pp),
+                  plan=step_plan(scale, alpha, None, rows.shape, 5))

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from uer.numeric import make_rng
 from uer.stream import (CsvFormatError, Dataset, LabeledData, StreamConfig,
-                        SyntheticSpec, build_stages, gen_synthetic,
+                        SyntheticSpec, _parse_lines, build_stages, gen_synthetic,
                         iterate_batches, load_csv_dataset, make_sphere_spec,
-                        save_csv_dataset, split_gauss_10, sphere_means)
+                        save_csv_dataset, split_gauss_10, split_stages, sphere_means)
 
 
 def toy_dataset(classes=10, per_class=6, dim=3, seed=0):
@@ -128,6 +128,46 @@ def test_iterate_batches_single_pass_multiset_law():
     order_stage = np.lexsort(np.vstack([stage.train.y, stage.train.x.T]))
     np.testing.assert_array_equal(X[order_emitted], stage.train.x[order_stage])
     np.testing.assert_array_equal(Y[order_emitted], stage.train.y[order_stage])
+
+
+def test_stage_rows_batch_as_their_gathered_stage_does():
+    # the rows of a StageRows read from the dataset give the batches of
+    # the Stage they gather into, from the same permutation draw, as the
+    # per-batch indexing of the gathered copy gave them
+    ds = toy_dataset(classes=4, per_class=13)
+    cfg = StreamConfig(stages=2, classes_per_stage=2, batch_size_current=4)
+    for rows in split_stages(ds, cfg, make_rng(0)):
+        stage = rows.gather(ds)
+        order = make_rng(5).permutation(len(stage.train))
+        want = [(stage.train.x[order[lo:lo + 4]], stage.train.y[order[lo:lo + 4]])
+                for lo in range(0, len(order), 4)]
+        for got in (list(iterate_batches(rows, cfg, make_rng(5), ds)),
+                    list(iterate_batches(stage, cfg, make_rng(5)))):
+            assert len(got) == len(want) == 7
+            for (x, y), (wx, wy) in zip(got, want):
+                assert x.tobytes() == wx.tobytes() and y.tolist() == wy.tolist()
+
+
+def test_batches_are_read_only_views_of_one_stage_block():
+    # every batch is a view of the stage's one shuffled block, so a
+    # consumer that writes into a batch would write into the batches
+    # after it: the block is read-only and such a write fails
+    ds = toy_dataset(classes=2, per_class=10)
+    cfg = StreamConfig(stages=1, classes_per_stage=2, batch_size_current=6)
+    rows = split_stages(ds, cfg, make_rng(0))[0]
+    batches = list(iterate_batches(rows, cfg, make_rng(1), ds))
+    assert [len(y) for _, y in batches] == [6, 6, 6, 2]
+    block = batches[0][0].base
+    assert all(x.base is block for x, _ in batches)
+    for x, y in batches:
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            y[0] = 0
+    before = ds.train.x.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        batches[1][0] *= 2.0
+    assert ds.train.x.tobytes() == before.tobytes()  # the dataset is not the block
 
 
 def test_iterate_batches_changes_order_not_content():
@@ -273,6 +313,58 @@ def test_csv_errors_are_reported_in_line_order(tmp_path, later):
     path.write_text(f"0,1\n0,2\n{later}\n")  # without it, the later line's error
     with pytest.raises(CsvFormatError, match=r"bad\.csv:3: (?!non-finite)"):
         load_csv_dataset(path)
+
+
+# fields that float() and np.loadtxt may read differently: whitespace
+# (the ASCII separators \x1c-\x1f are whitespace to np.loadtxt only),
+# non-finite spellings, underscores, hex, empty fields, non-ASCII digits
+# and spaces, a trailing e, NUL
+_ODD_FIELDS = ["1.5", " 2", "3 ", "\t-4e-3", "nan", "-inf", "Infinity", "1_0", "0x10", "",
+               " ", "1e", "1e5", "+.5", "\u0661", "\u3000" + "7", "8\xa0", "\x1c" + "9",
+               "9\x1f", "\x0b" + "1", "1\x0c", "\x00", "1e400", "-0", "abc", "1,5"]
+_ODD_LABELS = ["0", "1", " 2", "3 ", "+1", "1_0", "\u0662", "-1", "x", "", "1.0"]
+
+
+@st.composite
+def _odd_rows(draw):
+    """A valid grid of label and feature fields with up to two fields
+    replaced by odd ones, and sometimes a row cut short."""
+    n, width = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rows = [[draw(st.sampled_from(["0", "1", "2"]))]
+            + [draw(st.sampled_from(["1.5", "-2", "0.25e1"])) for _ in range(width)]
+            for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, width))
+        rows[row][col] = draw(st.sampled_from(_ODD_FIELDS if col else _ODD_LABELS))
+    if draw(st.integers(0, 4)) == 0:
+        rows[draw(st.integers(0, n - 1))].pop()
+    return [",".join(row) for row in rows]
+
+
+@given(lines=_odd_rows(), blank=st.sampled_from(["", "  ", "\t"]),
+       width=st.sampled_from([None, 1, 2]), known=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_csv_whole_file_parse_equals_the_line_loop(tmp_path_factory, lines, blank, width,
+                                                   known):
+    # the vectorised parse gives the loop's arrays and labels, or falls
+    # back to the loop, which then gives every error (load_csv_dataset
+    # raises exactly what _parse_lines raises)
+    path = tmp_path_factory.mktemp("csv") / "odd.csv"
+    path.write_text("\n".join(lines[:2] + [blank] + lines[2:]) + "\n", encoding="utf-8")
+    remap = {0: 0, 2: 1} if known else None
+    try:
+        want_x, want_labels = _parse_lines(path, width, dict(remap or {}), known)
+    except CsvFormatError as err:
+        with pytest.raises(CsvFormatError) as info:
+            load_csv_dataset(path, dict(remap) if remap else None, width, known)
+        assert str(info.value) == str(err)
+        return
+    got = load_csv_dataset(path, dict(remap) if remap else None, width, known)
+    assert got.x.tobytes() == want_x.tobytes() and got.x.shape == want_x.shape
+    dense = dict(remap or {})
+    for label in want_labels:
+        dense.setdefault(label, len(dense))
+    assert got.y.tolist() == [dense[label] for label in want_labels]
 
 
 def test_csv_blank_lines_skipped(tmp_path):

@@ -86,15 +86,44 @@ def _count(monkeypatch, module, attr):
     return calls
 
 
+def _registrations(monkeypatch):
+    """(stream, count of labels added) of every register_classes call."""
+    calls = []
+    real = uer.trainer.register_classes
+
+    def counted(stream, labels, rng):
+        added = real(stream, labels, rng)
+        calls.append((stream, len(added)))
+        return added
+    monkeypatch.setattr(uer.trainer, "register_classes", counted)
+    return calls
+
+
+def _assert_lookups_stop_once_registered(registrations, streams, stages=3, per_stage=2):
+    """Each of the streams registers every class, and looks a batch up only
+    while its stage has a class left to register: a stage's first call
+    adds a class, and a call that adds none comes before its last one."""
+    by_stream: dict[int, list[int]] = {}
+    for stream, added in registrations:
+        by_stream.setdefault(id(stream), []).append(added)
+    assert len(by_stream) == streams
+    for counts in by_stream.values():
+        registered = 0
+        for added in counts:
+            assert added or registered % per_stage, "a registered stage's batch was looked up"
+            registered += added
+        assert registered == stages * per_stage
+
+
 def test_all_five_presets_match_per_method_groups(tmp_path, monkeypatch):
     cfg = _config(tmp_path, ["uer", "uer-a", "er", "lucir", "finetune"])
-    registrations = _count(monkeypatch, uer.trainer, "register_classes")
+    registrations = _registrations(monkeypatch)
     builds = _count(monkeypatch, uer.cli, "build_dataset")
     _assert_grid_matches_oracle(cfg, _jobs(cfg))
     monkeypatch.undo()
     # uer, uer-a and lucir share a stream per seed; er and finetune keep
-    # their own: 9 streams instead of 15, each registering once per step
-    assert len(registrations) == 9 * STEPS
+    # their own: 9 streams instead of 15, each registering its classes once
+    _assert_lookups_stop_once_registered(registrations, 9)
     assert [args[1] for args in builds] == [0, 1, 2] * 3
 
 
@@ -120,19 +149,19 @@ def test_each_round_takes_one_fused_step_per_group_step(tmp_path, monkeypatch):
 
 def test_table1_grid_matches_per_method_groups(tmp_path, monkeypatch):
     cfg = _config(tmp_path, ["uer"])
-    registrations = _count(monkeypatch, uer.trainer, "register_classes")
+    registrations = _registrations(monkeypatch)
     _assert_grid_matches_oracle(cfg, table1_jobs(cfg, 30))
     monkeypatch.undo()
-    assert len(registrations) == 3 * STEPS  # 8 triples x 3 seeds on 3 streams
+    _assert_lookups_stop_once_registered(registrations, 3)  # 8 triples x 3 seeds
 
 
 def test_eleven_value_alpha_sweep_matches_per_method_groups(tmp_path, monkeypatch):
     cfg = _config(tmp_path, ["uer"])
-    registrations = _count(monkeypatch, uer.trainer, "register_classes")
+    registrations = _registrations(monkeypatch)
     _assert_grid_matches_oracle(cfg, sweep_jobs(cfg.methods[0], cfg,
                                                 [a / 10 for a in range(11)]))
     monkeypatch.undo()
-    assert len(registrations) == 3 * STEPS  # 33 runs on 3 streams
+    _assert_lookups_stop_once_registered(registrations, 3)  # 33 runs
 
 
 def test_a_run_diverging_mid_stream_leaves_the_others_on_its_stream(tmp_path):
