@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numeric import ShapeError, Workspace, as_vector, filled, fresh, require_finite
+from .numeric import ShapeError, Workspace, as_vector, filled, require_finite
 
 EPS_NORM = 1e-12
 
@@ -108,10 +108,10 @@ class PredictorParams:
 
 def dot_logits_batch(pp: PredictorParams, H: np.ndarray,
                      ws: Workspace | None = None) -> np.ndarray:
-    """H W^T + b for a (rows, dim) block; with ws, written into its "s"
-    buffer (and "spread" used as scratch)."""
+    """H W^T + b for a (rows, dim) block, written into ws's "s" buffer (and
+    "spread" used as scratch)."""
     _check_dim(pp, H)
-    out = ws or fresh
+    out = ws or Workspace()
     scores = (len(H), pp.num_classes)
     L = np.matmul(H, pp.W.T, out=out("s", scores))
     return np.add(L, filled(out("spread", scores), pp.b), out=L)
@@ -120,12 +120,12 @@ def dot_logits_batch(pp: PredictorParams, H: np.ndarray,
 def cosine_logits_batch(pp: PredictorParams, H: np.ndarray, scale: CosineScale,
                         ws: Workspace | None = None) -> np.ndarray:
     """gamma * (H W^T) / (|h| |w|) for a (rows, dim) block, norms floored at
-    EPS_NORM; with ws, written into its "s" buffer ("spread", "den",
-    "hn" and ("t", dim) used as scratch)."""
+    EPS_NORM, written into ws's "s" buffer ("spread", "den", "hn" and
+    ("t", dim) used as scratch)."""
     _check_dim(pp, H)
     if scale is None:
         raise ValueError("cosine scoring needs a CosineScale")
-    out = ws or fresh
+    out = ws or Workspace()
     scores = (len(H), pp.num_classes)
     # row norms as np.linalg.norm computes them, without its temporaries
     hn = _sum(np.multiply(H, H, out=out(("t", H.shape[-1]), H.shape)), -1,
@@ -217,7 +217,7 @@ def _branches(a: np.ndarray, alpha) -> tuple[int, int, int]:
 
 
 def _cut(out, part: slice):
-    """out (a Workspace or fresh), handing out the part slices of each buffer."""
+    """out (a Workspace), handing out the part slices of each buffer."""
     return lambda name, shape, dtype=np.float64: out(name, shape, dtype)[part]
 
 
@@ -320,10 +320,10 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     weights are then read from it, not checked again. Without one, each
     call builds its own.
 
-    With a Workspace, every (rows, classes) score block and every block of
-    H's shape (H * H, dH and its cosine correction) is written into its
-    buffers, so the dH returned is overwritten by the next call with the
-    same workspace.
+    Every (rows, classes) score block and every block of H's shape (H * H,
+    dH and its cosine correction) is written into the buffers of ws (of a
+    Workspace of the call's own without one), so the dH returned is
+    overwritten by the next call with the same workspace.
     """
     H, rows = _batch_targets(pp, H, rows)
     if plan is None:
@@ -332,7 +332,7 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     elif plan.shape != rows.shape or plan.classes != pp.num_classes:
         raise ShapeError(f"a plan for rows {plan.shape} and {plan.classes} classes, "
                          f"called with rows {rows.shape} and {pp.num_classes} classes")
-    out = ws or fresh
+    out = ws or Workspace()
     k1, k2, n = plan.k1, plan.k2, plan.n
     use_dot, use_cos = k2 > 0, k1 < n
     a = plan.alpha

@@ -13,12 +13,12 @@ every slice with the same calls; each slice is computed exactly as its
 the last two axes is the 2-d one per slice. sgd_step takes one learning
 rate per slice.
 
-Given a Workspace, forward_batch and backward_batch write every
-rows x width result into its buffers instead of allocating: the
-activations (ReLU is applied in place), the backward masks, Dz, the
-gradient passed down and the weight-gradient products. The features
-forward_batch returns then live in the workspace and the next call
-overwrites them. Without one, the same calls allocate.
+forward_batch and backward_batch write every rows x width result into
+the buffers of a Workspace: the activations (ReLU is applied in place),
+the backward masks, Dz, the gradient passed down and the weight-gradient
+products. Given one, the features forward_batch returns live in it and
+the next call overwrites them; without one, a call uses a Workspace of
+its own.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .logits import PredictorParams
-from .numeric import Rng, ShapeError, Workspace, filled, fresh, require_finite
+from .numeric import Rng, ShapeError, Workspace, filled, require_finite
 
 
 @dataclass
@@ -73,13 +73,6 @@ class FeatureExtractor:
         return self.layers[-1].weight.shape[-2]
 
 
-@dataclass
-class ForwardCache:
-    # the input block, then each layer's output (after its ReLU): layer k
-    # reads activations[k] and writes activations[k + 1]
-    activations: list[np.ndarray]
-
-
 class GradientTape:
     """Per-parameter gradient buffers for one extractor plus one predictor."""
 
@@ -120,9 +113,11 @@ def init_extractor(dims: Sequence[int], rng: Rng) -> FeatureExtractor:
 
 
 def forward_batch(fe: FeatureExtractor, X: np.ndarray, ws: Workspace | None = None,
-                  spread_bias: bool = True) -> tuple[np.ndarray, ForwardCache]:
+                  spread_bias: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
     """Features of a (batch, dim) block, or of a (slices, batch, dim) block
-    when the layers carry a slice axis; with ws, written into its buffers.
+    when the layers carry a slice axis, written into ws's buffers, and the
+    activations backward_batch reads: the input block, then each layer's
+    output (after its ReLU), so layer k reads acts[k] and writes acts[k + 1].
 
     Each bias is spread over a full ("t", width) block before it is added:
     NumPy runs a broadcast add through a buffer of up to 8192 entries for
@@ -137,7 +132,7 @@ def forward_batch(fe: FeatureExtractor, X: np.ndarray, ws: Workspace | None = No
                          f"input, got shape {X.shape}")
     if X.shape[-1] != fe.in_dim:
         raise ShapeError(f"input dim {X.shape[-1]} does not match extractor dim {fe.in_dim}")
-    out = ws or fresh
+    out = ws or Workspace()
     acts = [X]
     A = X
     for k, layer in enumerate(fe.layers):
@@ -145,26 +140,26 @@ def forward_batch(fe: FeatureExtractor, X: np.ndarray, ws: Workspace | None = No
         Z = np.matmul(A, layer.weight.swapaxes(-1, -2), out=out(("a", k), shape))
         bias = layer.bias[..., None, :]
         Z += filled(out(("t", shape[-1]), shape), bias) if spread_bias else bias
-        # ReLU in place: the cache keeps activations only, and backward
+        # ReLU in place: acts keeps activations only, and backward
         # masks with A > 0, which is Z > 0 (nan and -0 fail both)
         A = np.maximum(Z, 0.0, out=Z)
         acts.append(A)
     require_finite(A, "features", stacked=bool(seeds))
-    return A, ForwardCache(acts)
+    return A, acts
 
 
-def backward_batch(fe: FeatureExtractor, cache: ForwardCache, dH: np.ndarray,
+def backward_batch(fe: FeatureExtractor, acts: list[np.ndarray], dH: np.ndarray,
                    tape: GradientTape, ws: Workspace | None = None) -> np.ndarray:
     """Add every layer's weight and bias gradient to the tape and return the
-    first layer's pre-activation gradient; the gradient with respect to the
-    input itself is not formed (training never needs it). With ws, every
-    rows x width block is written into its buffers."""
+    first layer's pre-activation gradient; acts is what forward_batch
+    returned with the features. The gradient with respect to the input
+    itself is not formed (training never needs it). Every rows x width
+    block is written into ws's buffers."""
     dH = np.asarray(dH, dtype=np.float64)
-    acts = cache.activations
     if dH.shape != acts[-1].shape:
         raise ShapeError(f"upstream grad {dH.shape} does not match features "
                          f"{acts[-1].shape}")
-    out = ws or fresh
+    out = ws or Workspace()
     D = dH
     for k in range(len(fe.layers) - 1, -1, -1):
         width = D.shape[-1]

@@ -72,7 +72,8 @@ class NonFiniteError(FloatingPointError):
 
 class Workspace:
     """Named buffers that a training step or a stage's scoring writes its
-    large results into, kept from one step (or row block) to the next.
+    large results into, kept from one step (or row block) to the next. A
+    kernel called without one writes into a Workspace of its own.
 
     ws(name, shape) returns a buffer of that shape: the one last allocated
     under that name, or its leading shape[0] entries (a C-contiguous view),
@@ -122,11 +123,6 @@ def filled(block: np.ndarray, value) -> np.ndarray:
     the block's shape takes the plain loop, with the same arithmetic."""
     np.copyto(block, value)
     return block
-
-
-def fresh(name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """The stand-in for a missing Workspace: a new array on every call."""
-    return np.empty(shape, dtype)
 
 
 def make_rng(seed: int | Sequence[int]) -> Rng:

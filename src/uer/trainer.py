@@ -242,7 +242,9 @@ def _on_stream(name: str) -> property:
 class TrainState:
     """One run's parameters: its extractor, class scorer, gradient tape and
     the scorer as the stage began, on the stream (StreamState) it follows.
-    The stream's buffer, label map and counters read through."""
+    The stream's buffer, label map and counters read through. Once the run
+    steps, its extractor, scorer and tape arrays are views of one slice of
+    its part's stacks (_Part)."""
     extractor: FeatureExtractor
     predictor: PredictorParams
     tape: GradientTape
@@ -394,25 +396,17 @@ class _Part:
     length, replay count, registered class count). They are kept in
     _branch_order, so loss_rows runs the dot branch on one range of
     slices and the cosine branch on another, and each slice runs exactly
-    the arithmetic of its run alone. With several runs, the part keeps
-    their parameters stacked on a leading axis, one slice per run, and
-    each run's TrainState holds views into them; alpha and weight rows,
-    gamma and lr are per slice. A part of one run steps on that run's own
-    arrays. Each run keeps its own (zero) tape; a stacked part has one of
-    its own. A part's step writes into its RunGroup's one workspace. The
-    part keeps the StepPlan of each step shape of its current class count
-    (plan).
+    the arithmetic of its run alone. The part keeps their parameters and
+    gradient tape stacked on a leading axis, one slice per run (a part of
+    one run has one slice), and each run's TrainState holds views into
+    them; alpha and weight rows, gamma and lr are per slice. A part's step
+    writes into its RunGroup's one workspace. The part keeps the StepPlan
+    of each step shape of its current class count (plan).
     """
 
     def __init__(self, runs: list[_Run]):
         self.runs = runs = sorted(runs, key=_branch_order)  # stable: seeds keep their order
         self._plans: dict[tuple[int, int, int], StepPlan] = {}
-        if len(runs) == 1:
-            run = runs[0]
-            self.extractor, self.predictor, self.tape = \
-                run.state.extractor, run.state.predictor, run.state.tape
-            self.scale, self.lr = run.method.scale(), run.method.lr
-            return
         stacked = []
         for k in range(len(runs[0].state.extractor.layers)):
             layers = [run.state.extractor.layers[k] for run in runs]
@@ -429,15 +423,17 @@ class _Part:
         self.stack_predictors()
 
     def stack_predictors(self) -> None:
-        """Restack the runs' class scorers (after registration grew them)."""
-        if len(self.runs) == 1:
-            return  # the part shares the run's own PredictorParams
+        """Restack the runs' class scorers (after registration grew them)
+        and give the part a new tape, whose slices become the runs' tapes."""
         states = [run.state for run in self.runs]
         self.predictor = PredictorParams(np.stack([s.predictor.W for s in states]),
                                          np.stack([s.predictor.b for s in states]))
+        tape = self.tape = GradientTape(self.extractor, self.predictor)
         for i, s in enumerate(states):
             s.predictor.W, s.predictor.b = self.predictor.W[i], self.predictor.b[i]
-        self.tape = GradientTape(self.extractor, self.predictor)
+            s.tape.layer_w = [g[i] for g in tape.layer_w]
+            s.tape.layer_b = [g[i] for g in tape.layer_b]
+            s.tape.pred_w, s.tape.pred_b = tape.pred_w[i], tape.pred_b[i]
 
     def plan(self, n_cur: int, n_mem: int, classes: int) -> StepPlan:
         """The loss plan of a step of this shape: the part's alpha and
@@ -451,8 +447,8 @@ class _Part:
                 self._plans.clear()
             mixes = [_row_mix(*run.mix, n_cur, n_mem) for run in self.runs]
             alpha, weights = (_shared([m[j] for m in mixes]) for j in (0, 1))
-            shape = (n_cur + n_mem,) if len(self.runs) == 1 else (len(self.runs), n_cur + n_mem)
-            plan = self._plans[key] = step_plan(self.scale, alpha, weights, shape, classes)
+            plan = self._plans[key] = step_plan(self.scale, alpha, weights,
+                                                (len(self.runs), n_cur + n_mem), classes)
         return plan
 
     def without(self, gone: set[_Run]) -> "_Part | None":
@@ -541,8 +537,9 @@ def train_step(group, x_batch, y_batch, method: MethodConfig | None, memory_batc
     the group, and the rest of its part redo the step's arithmetic
     without it from the draws already made.
 
-    A lone TrainState is a group of one run of method: pass its batch and
-    rng directly, and get its StepRecord back (or its error raised).
+    A lone TrainState is a group of one run of method, stepped like any
+    other part: pass its batch and rng directly, and get its StepRecord
+    back (or its error raised).
     """
     if isinstance(group, TrainState):
         (record,) = _group_step(RunGroup([_Run(method, group)]), [x_batch], [y_batch],
@@ -611,24 +608,20 @@ def _fused_step(part: _Part, blocks: list[tuple], records: dict,
     n_cur, n_mem, classes = blocks[0][2]
     while True:
         X = _gather(ws, [b[0] for b in blocks], n_mem)
-        if len(part.runs) == 1:  # one run steps on 2-d blocks, exactly as it would alone
-            rows = blocks[0][1]
-        else:
-            rows = ws("rows", (len(blocks), n_cur + n_mem), np.int64)
-            np.concatenate([b[1] for b in blocks], out=rows.reshape(-1))
+        rows = ws("rows", (len(blocks), n_cur + n_mem), np.int64)
+        np.concatenate([b[1] for b in blocks], out=rows.reshape(-1))
         plan = part.plan(n_cur, n_mem, classes)
         try:
             ce = _descend(part, ws, X, rows, plan)
             break
         except NonFiniteError as err:
-            bad = set(range(len(part.runs)) if err.seeds is None else err.seeds)
-            for j in bad:
+            for j in err.seeds:
                 records[part.runs[j]] = err
-            part = part.without({part.runs[j] for j in bad})
+            part = part.without({part.runs[j] for j in err.seeds})
             if part is None:
                 return None
-            blocks = [b for j, b in enumerate(blocks) if j not in bad]
-    part_ce = (ce * plan.weights).reshape(len(part.runs), -1)
+            blocks = [b for j, b in enumerate(blocks) if j not in err.seeds]
+    part_ce = ce * plan.weights
     l_c = np.add.reduce(part_ce[:, :n_cur], axis=-1).tolist()
     l_p = np.add.reduce(part_ce[:, n_cur:], axis=-1).tolist()
     for run, c, p in zip(part.runs, l_c, l_p):
@@ -637,20 +630,13 @@ def _fused_step(part: _Part, blocks: list[tuple], records: dict,
 
 
 def _gather(ws: Workspace, sources: list[tuple], n_mem: int) -> np.ndarray:
-    """The [incoming; replayed] input rows of a step, written into ws.
-
-    sources holds one (incoming rows, buffer, replayed slots) triple per
-    run: one run gets a (rows, dim) block, several get (runs, rows, dim).
-    A lone run with nothing replayed steps on its incoming batch itself.
-    """
+    """The (runs, rows, dim) block of a step's [incoming; replayed] input
+    rows, written into ws; sources holds one (incoming rows, buffer,
+    replayed slots) triple per run."""
     x = sources[0][0]
-    stacked = len(sources) > 1
-    if not (stacked or n_mem):
-        return x
-    shape = (len(x) + n_mem, x.shape[1])
-    X = ws("x", (len(sources), *shape) if stacked else shape)
+    X = ws("x", (len(sources), len(x) + n_mem, x.shape[1]))
     first: dict[int, np.ndarray] = {}  # runs on one stream share its rows
-    for out, source in zip(X if stacked else [X], sources):
+    for out, source in zip(X, sources):
         if id(source) in first:
             np.copyto(out, first[id(source)])
             continue
@@ -670,10 +656,10 @@ def _descend(part: _Part, ws: Workspace, X: np.ndarray, rows: np.ndarray,
     # a diverging run overflows here; the finiteness checks in
     # forward_batch and loss_rows raise, so NumPy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        H, cache = forward_batch(part.extractor, X, ws)
+        H, acts = forward_batch(part.extractor, X, ws)
         ce, dH = loss_rows(part.predictor, part.scale, plan.alpha, H, rows, plan.weights,
                            part.tape, ws, plan)
-        backward_batch(part.extractor, cache, dH, part.tape, ws)
+        backward_batch(part.extractor, acts, dH, part.tape, ws)
         sgd_step(part.extractor, part.predictor, part.tape, part.lr)
     return ce
 

@@ -112,12 +112,12 @@ def sin_angles(W: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(1.0 - cos ** 2, 0.0))
 
 
-def kink_distance(fe: FeatureExtractor, cache) -> float:
+def kink_distance(fe: FeatureExtractor, acts) -> float:
     """The smallest |pre-activation| over every layer of a forward pass:
     each layer's x @ W^T + b, recomputed from the input the pass gave it
-    (the cache keeps only the activations)."""
+    (forward_batch returns the activations only)."""
     return min(float(np.abs(a @ layer.weight.T + layer.bias).min())
-               for a, layer in zip(cache.activations, fe.layers))
+               for a, layer in zip(acts, fe.layers))
 
 
 def conditioned_instance(rng, d_in=6, hidden=7, d_feat=5, classes=4,
@@ -128,9 +128,9 @@ def conditioned_instance(rng, d_in=6, hidden=7, d_feat=5, classes=4,
     while True:
         fe = init_extractor((d_in, hidden, d_feat), rng)
         x = rng.normal(size=d_in)
-        H, cache = forward_batch(fe, x[None, :])
+        H, acts = forward_batch(fe, x[None, :])
         h = H[0]
-        if kink_distance(fe, cache) <= kink_margin:
+        if kink_distance(fe, acts) <= kink_margin:
             continue
         if float(np.linalg.norm(h)) <= feat_floor:
             continue
@@ -148,9 +148,9 @@ def conditioned_batch(rng, fe: FeatureExtractor, pp: PredictorParams, n: int,
     xs, ys = [], []
     while len(xs) < n:
         x = rng.normal(size=fe.in_dim)
-        H, cache = forward_batch(fe, x[None, :])
+        H, acts = forward_batch(fe, x[None, :])
         h = H[0]
-        if kink_distance(fe, cache) <= kink_margin:
+        if kink_distance(fe, acts) <= kink_margin:
             continue
         if float(np.linalg.norm(h)) <= feat_floor:
             continue

@@ -9,7 +9,8 @@ On top of it, one method's seeds trained together (run_trajectories, one
 stream per seed) must give the very same metrics bytes and StepRecords as
 legacy_step.per_seed_run, which trains each alone, whatever the other
 seeds do: split off at a class-count or batch mismatch, fall out of
-phase, or diverge.
+phase, or diverge. A run alone steps as a part of one, on blocks stacked
+like every other part's, and must match the same oracle.
 """
 
 import json
@@ -29,8 +30,8 @@ from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch
                      forward_batch, sgd_step)
 from uer.numeric import NonFiniteError, make_rng
 from uer.stream import Dataset, LabeledData, StreamConfig, gen_synthetic, make_sphere_spec
-from uer.trainer import (er_method, finetune_method, lucir_method, run_trajectories,
-                         uer_a_method, uer_method)
+from uer.trainer import (er_method, finetune_method, init_state, lucir_method,
+                         run_experiment, run_trajectories, train_step, uer_a_method, uer_method)
 
 
 def _versions() -> str:
@@ -61,6 +62,7 @@ def _same(stacked_slice, alone, what):
 @example(seeds=1, n=1, dims=[1, 1], classes=1, alpha=0.5, seed=0)
 @example(seeds=3, n=1, dims=[5, 1, 7], classes=3, alpha=0.5, seed=1)
 @example(seeds=2, n=288, dims=[128, 256, 256], classes=10, alpha=0.5, seed=2)
+@example(seeds=1, n=288, dims=[128, 256, 256], classes=10, alpha=0.5, seed=3)
 @settings(max_examples=60, deadline=None)
 def test_stacked_kernels_equal_2d_calls_bitwise(seeds, n, dims, classes, alpha, seed):
     rng = make_rng(seed)
@@ -79,22 +81,22 @@ def test_stacked_kernels_equal_2d_calls_bitwise(seeds, n, dims, classes, alpha, 
     fe = FeatureExtractor([LayerParams(wk, bk) for wk, bk in zip(weights, biases)])
     pp = PredictorParams(W, b)
     tape = GradientTape(fe, pp)
-    H, cache = forward_batch(fe, X)
+    H, acts = forward_batch(fe, X)
     ce, dH = loss_rows(pp, scale, a, H, rows, w, tape)
-    dz = backward_batch(fe, cache, dH, tape)
+    dz = backward_batch(fe, acts, dH, tape)
     grads = [g.copy() for g in (*tape.layer_w, *tape.layer_b, tape.pred_w, tape.pred_b)]
     sgd_step(fe, pp, tape, 0.1)
 
     for s, (fe_s, pp_s) in enumerate(alone):
         tape_s = GradientTape(fe_s, pp_s)
-        H_s, cache_s = forward_batch(fe_s, X[s])
+        H_s, acts_s = forward_batch(fe_s, X[s])
         _same(H[s], H_s, "forward_batch features")
-        for k, (act, act_s) in enumerate(zip(cache.activations, cache_s.activations)):
+        for k, (act, act_s) in enumerate(zip(acts, acts_s)):
             _same(act[s], act_s, f"forward_batch activation {k}")
         ce_s, dH_s = loss_rows(pp_s, scale, a, H_s, rows[s], w, tape_s)
         _same(ce[s], ce_s, "loss_rows cross-entropy")
         _same(dH[s], dH_s, "loss_rows dH")
-        _same(dz[s], backward_batch(fe_s, cache_s, dH_s, tape_s), "backward_batch dz")
+        _same(dz[s], backward_batch(fe_s, acts_s, dH_s, tape_s), "backward_batch dz")
         grads_s = (*tape_s.layer_w, *tape_s.layer_b, tape_s.pred_w, tape_s.pred_b)
         for k, (g, g_s) in enumerate(zip(grads, grads_s)):
             _same(g[s], g_s, f"gradient block {k}")
@@ -144,9 +146,9 @@ def test_per_slice_settings_equal_2d_calls_bitwise(kinds, n, dims, classes, seed
     fe = FeatureExtractor([LayerParams(wk.copy(), bk.copy()) for wk, bk in zip(weights, biases)])
     pp = PredictorParams(W.copy(), b.copy())
     tape = GradientTape(fe, pp)
-    H, cache = forward_batch(fe, X)
+    H, acts = forward_batch(fe, X)
     ce, dH = loss_rows(pp, CosineScale(gamma), a, H, rows, w, tape)
-    backward_batch(fe, cache, dH, tape)
+    backward_batch(fe, acts, dH, tape)
     grads = [g.copy() for g in (*tape.layer_w, *tape.layer_b, tape.pred_w, tape.pred_b)]
     sgd_step(fe, pp, tape, lr)
 
@@ -155,12 +157,12 @@ def test_per_slice_settings_equal_2d_calls_bitwise(kinds, n, dims, classes, seed
                                  for wk, bk in zip(weights, biases)])
         pp_s = PredictorParams(W[s].copy(), b[s].copy())
         tape_s = GradientTape(fe_s, pp_s)
-        H_s, cache_s = forward_batch(fe_s, X[s])
+        H_s, acts_s = forward_batch(fe_s, X[s])
         ce_s, dH_s = loss_rows(pp_s, CosineScale(float(gamma[s])), a[s], H_s, rows[s], w[s],
                                tape_s)
         _same(ce[s], ce_s, "loss_rows cross-entropy")
         _same(dH[s], dH_s, "loss_rows dH")
-        backward_batch(fe_s, cache_s, dH_s, tape_s)
+        backward_batch(fe_s, acts_s, dH_s, tape_s)
         grads_s = (*tape_s.layer_w, *tape_s.layer_b, tape_s.pred_w, tape_s.pred_b)
         for k, (g, g_s) in enumerate(zip(grads, grads_s)):
             _same(g[s], g_s, f"gradient block {k}")
@@ -278,25 +280,31 @@ def _assert_same_run(result, alone):
     assert result.steps == alone.steps
 
 
-def _block_ranks(monkeypatch):
-    """Record the ndim of every training forward block (3 = stacked seeds)."""
-    ranks = []
+def _blocks(monkeypatch):
+    """Record a copy of every training forward block, (slices, rows, dim)."""
+    blocks = []
     real = uer.trainer.forward_batch
 
     def recording(fe, X, *rest):
-        ranks.append(np.ndim(X))
+        blocks.append(np.array(X))
         return real(fe, X, *rest)
     monkeypatch.setattr(uer.trainer, "forward_batch", recording)
-    return ranks
+    return blocks
+
+
+def _slices(blocks) -> list[int]:
+    """The slice count of each block; every block must be stacked (rank 3)."""
+    assert blocks and {X.ndim for X in blocks} == {3}
+    return [len(X) for X in blocks]
 
 
 @pytest.mark.parametrize("preset", list(_presets()))
 def test_seed_in_a_group_of_three_matches_its_run_alone(preset, monkeypatch):
     method, datasets = _presets()[preset], _datasets()
-    ranks = _block_ranks(monkeypatch)
+    blocks = _blocks(monkeypatch)
     outcomes = run_seed_group(datasets.__getitem__, method, STREAM, SEEDS)
     monkeypatch.undo()
-    assert ranks and set(ranks) == {3}  # every step ran all three seeds stacked
+    assert set(_slices(blocks)) == {3}  # every step ran all three seeds stacked
     for seed, outcome in zip(SEEDS, outcomes):
         _assert_same_run(outcome, legacy_step.per_seed_run(datasets[seed], method, STREAM, seed))
 
@@ -308,10 +316,13 @@ def test_class_count_split_keeps_every_seed_byte_identical(preset, monkeypatch):
     stream = StreamConfig(stages=2, classes_per_stage=5, batch_size_current=2,
                           batch_size_memory=2)
     method, datasets = _presets()[preset], _datasets(classes=10, train_per_class=12)
-    ranks = _block_ranks(monkeypatch)
+    blocks = _blocks(monkeypatch)
     outcomes = run_seed_group(datasets.__getitem__, method, stream, SEEDS)
     monkeypatch.undo()
-    assert {2, 3} <= set(ranks)  # stacked at first, split later
+    slices = _slices(blocks)  # split or not, every part steps stacked
+    # the three seeds split at their first step, into parts of one and two
+    # slices, and the part of two splits later
+    assert sum(slices[:2]) == 3 and max(slices) == 2 and slices[-1] == 1
     for seed, outcome in zip(SEEDS, outcomes):
         _assert_same_run(outcome, legacy_step.per_seed_run(datasets[seed], method, stream, seed))
 
@@ -363,18 +374,22 @@ def test_a_diverging_seed_fails_alone(module, what, monkeypatch):
 
 def test_the_last_seed_left_redoes_the_step_alone(monkeypatch):
     # a group of two whose first seed fails: the second redoes the step on
-    # 2-d blocks of its own rows
+    # a 1-slice block of its own rows, and steps as a part of one after
     real = uer.net.require_finite
 
     def forced(arr, name="array", stacked=False):
-        if stacked:
+        if stacked and len(arr) == 2:
             raise NonFiniteError(f"{name} contains non-finite entries", [0])
         return real(arr, name, stacked)
     monkeypatch.setattr(uer.net, "require_finite", forced)
+    blocks = _blocks(monkeypatch)
     method, datasets = _presets()["uer"], _datasets()
     outcomes = run_seed_group(datasets.__getitem__, method, STREAM, SEEDS[:2])
     monkeypatch.undo()
     assert str(outcomes[0]) == "stage 1, step 1: features contains non-finite entries"
+    slices = _slices(blocks)
+    assert slices[0] == 2 and set(slices[1:]) == {1}
+    assert blocks[1][0].tobytes() == blocks[0][1].tobytes()  # the survivor's own rows
     _assert_same_run(outcomes[1], legacy_step.per_seed_run(datasets[SEEDS[1]], method,
                                                            STREAM, SEEDS[1]))
 
@@ -432,3 +447,65 @@ def test_seeds_with_different_network_shapes_step_apart():
     outcomes = run_seed_group(by_seed.__getitem__, method, STREAM, SEEDS)
     for seed, outcome in zip(SEEDS, outcomes):
         _assert_same_run(outcome, legacy_step.per_seed_run(by_seed[seed], method, STREAM, seed))
+
+
+# ------------------------------------------------------- parts of one run
+
+
+@pytest.mark.parametrize("preset", list(_presets()))
+def test_a_seed_alone_steps_one_slice_stacked_and_matches_its_run_alone(preset, monkeypatch):
+    method, datasets = _presets()[preset], _datasets()
+    blocks = _blocks(monkeypatch)
+    (outcome,) = run_seed_group(datasets.__getitem__, method, STREAM, SEEDS[1:2])
+    monkeypatch.undo()
+    assert set(_slices(blocks)) == {1}
+    _assert_same_run(outcome, legacy_step.per_seed_run(datasets[SEEDS[1]], method, STREAM,
+                                                       SEEDS[1]))
+
+
+@pytest.mark.parametrize("module, what", [(uer.net, "features"),
+                                          (uer.logits, "cross-entropy")])
+def test_a_seed_alone_that_diverges_names_its_stage_and_step(module, what, monkeypatch):
+    # the seventh check of the lone run's 1-slice block reports it non-finite
+    real, checks = module.require_finite, []
+
+    def forced(arr, name="array", stacked=False):
+        if stacked and name == what:
+            checks.append(arr.shape)
+            if len(checks) == 7:
+                raise NonFiniteError(f"{name} contains non-finite entries", [0])
+        return real(arr, name, stacked)
+    monkeypatch.setattr(module, "require_finite", forced)
+    with pytest.raises(FloatingPointError) as info:
+        run_experiment(_datasets()[0], _presets()["uer"], STREAM, 0)
+    monkeypatch.undo()
+    assert len(checks) == 7 and checks[6][0] == 1
+    assert str(info.value) == f"stage 1, step 7: {what} contains non-finite entries"
+
+
+def test_a_lone_train_state_steps_as_the_per_seed_step_does(monkeypatch):
+    # train_step on a TrainState returns its StepRecord, step for step the
+    # oracle's, with the same parameters after; a non-finite step raises
+    method, data = _presets()["uer"], _datasets()[0]
+    order = make_rng(5).permutation(len(data.train.y))
+    state, alone = (init_state(method, data.input_dim, make_rng(6)) for _ in range(2))
+    rng, rng_alone = make_rng(7), make_rng(7)
+    blocks = _blocks(monkeypatch)
+    for lo in range(0, 120, 10):
+        x, y = data.train.x[order[lo:lo + 10]], data.train.y[order[lo:lo + 10]]
+        record = train_step(state, x, y, method, 10, rng)
+        assert record == legacy_step.per_seed_train_step(alone, x, y, method, 10, rng_alone)
+        params = (*state.extractor.layers, state.predictor)
+        for got, want in zip(params, (*alone.extractor.layers, alone.predictor)):
+            for a, b in zip(vars(got).values(), vars(want).values()):
+                assert a.tobytes() == b.tobytes()
+    assert set(_slices(blocks)) == {1}
+    real = uer.net.require_finite
+
+    def forced(arr, name="array", stacked=False):
+        if stacked:
+            raise NonFiniteError(f"{name} contains non-finite entries", [0])
+        return real(arr, name, stacked)
+    monkeypatch.setattr(uer.net, "require_finite", forced)
+    with pytest.raises(NonFiniteError, match="^features contains non-finite entries$"):
+        train_step(state, x, y, method, 10, rng)

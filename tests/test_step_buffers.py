@@ -181,6 +181,7 @@ def _step_peak(methods, input_dim, n_cur, n_mem, classes, warmup=40):
 
 @pytest.mark.parametrize("classes", [2, 10])
 def test_a_widereplay_step_allocates_nothing_large(classes):
+    # one run: a part of one slice, stacked like any other part
     method = uer_method(hidden_dims=(256, 256), buffer_capacity=5000)
     block = 288 * 256 * 8  # one rows x hidden float64 block
     # the step before the workspace took ~5 MiB (ten such blocks and more)
