@@ -26,11 +26,13 @@ loss_replay are its batch-mean forms. Like the network, loss_rows accepts
 a predictor and features stacked on a leading axis, one slice per run, and
 computes each slice exactly as the 2-d call would; each slice may carry its
 own alpha and weight rows and its own gamma. Slices may take different
-branches if they come in branch order (dot users first, cosine users
-last): each branch then runs on its own contiguous range of slices.
-What loss_rows derives from its scale, alpha and weights depends only on
-the step shape; a caller whose steps repeat a shape builds it once as a
-StepPlan (step_plan) and passes it to every call of that shape.
+branches, in any order: a branch that some row weights runs over the
+whole call, and a row that gives it no weight gets its terms times an
+exact 0, which leaves its bits as its 2-d call has them (loss_rows names
+the one overflow edge). What loss_rows derives from its scale, alpha and
+weights depends only on the step shape; a caller whose steps repeat a
+shape builds it once as a StepPlan (step_plan) and passes it to every
+call of that shape.
 """
 
 from __future__ import annotations
@@ -195,32 +197,6 @@ def _per_row(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     return v
 
 
-def _branches(a: np.ndarray, alpha) -> tuple[int, int, int]:
-    """(k1, k2, n) over the n slices of a stacked alpha (n = 1 otherwise):
-    slices [0, k2) take the dot branch (some alpha > 0) and [k1, n) the
-    cosine branch (some alpha < 1), each as its own 2-d call would (a
-    pure-dot slice never meets 0 * cosine). The slices must come in that
-    order, so that both ranges are contiguous."""
-    if a.ndim == 2:
-        lo, hi = _min(a, -1).tolist(), _max(a, -1).tolist()
-    else:
-        lo, hi = [_min(a, None)], [_max(a, None)]
-    # per-slice bounds, so a nan in any slice fails the check
-    if not (all(0.0 <= v for v in lo) and all(v <= 1.0 for v in hi)):
-        raise ValueError(f"alpha out of [0,1]: {alpha}")
-    dot, cos = [v > 0.0 for v in hi], [v < 1.0 for v in lo]
-    k2, k1 = dot.count(True), cos.count(False)
-    if True in dot[k2:] or True in cos[:k1]:
-        raise ValueError("the slices of a stacked alpha are out of branch order: dot users "
-                         "(some alpha > 0) must come first, cosine users (some alpha < 1) last")
-    return k1, k2, len(dot)
-
-
-def _cut(out, part: slice):
-    """out (a Workspace), handing out the part slices of each buffer."""
-    return lambda name, shape, dtype=np.float64: out(name, shape, dtype)[part]
-
-
 def _column(value: np.ndarray) -> np.ndarray:
     """value (one entry per row on its last axis) as a read-only column,
     to be spread over the class axis of a score block."""
@@ -233,7 +209,7 @@ def _column(value: np.ndarray) -> np.ndarray:
 class StepPlan:
     """What loss_rows derives from its scale, alpha and weights for one
     step shape (the rows' shape and the class count), checked and computed
-    once: the branch ranges, each row's flat offset into a score block,
+    once: which branches run, each row's flat offset into a score block,
     1 - alpha, and the per-row gradient factors. A caller whose steps
     repeat a shape builds it once (step_plan) and passes it to every
     loss_rows call of that shape.
@@ -248,14 +224,13 @@ class StepPlan:
     classes: int
     alpha: np.ndarray  # checked: a scalar, (batch,) or (slices, batch)
     weights: np.ndarray | None  # likewise; None for a plan without gradients
-    k1: int  # the cosine branch runs on slices [k1, n)
-    k2: int  # the dot branch runs on slices [0, k2)
-    n: int
+    use_dot: bool  # some row has alpha > 0: the dot branch runs on every row
+    use_cos: bool  # some row has alpha < 1: the cosine branch runs on every row
     starts: np.ndarray  # _row_starts(shape, classes)
-    a_cos: np.ndarray  # 1 - alpha over the cosine slices
+    a_cos: np.ndarray  # 1 - alpha
     gamma: float | np.ndarray  # against a cosine score block
-    dot_grad: np.ndarray | None  # alpha * w on the dot slices, a column
-    cos_grad: np.ndarray | None  # gamma * (1 - alpha) * w on the cosine slices, a column
+    dot_grad: np.ndarray | None  # alpha * w, a column
+    cos_grad: np.ndarray | None  # gamma * (1 - alpha) * w, a column
 
 
 def step_plan(scale: CosineScale | None, alpha, weights, shape: tuple[int, ...],
@@ -265,11 +240,13 @@ def step_plan(scale: CosineScale | None, alpha, weights, shape: tuple[int, ...],
     for calls without a tape) and gamma as loss_rows does, with its errors."""
     shape = tuple(shape)
     a = _per_row(alpha, shape, "alpha")
-    k1, k2, n = _branches(a, alpha)
-    cut_d, cut_c = 0 < k2 < n, 0 < k1 < n
-    ad, ac = (a[:k2] if cut_d else a), (a[k1:] if cut_c else a)
+    lo, hi = _min(a, None), _max(a, None)
+    # a nan anywhere makes both bounds nan, which fails the check
+    if not (0.0 <= lo and hi <= 1.0):
+        raise ValueError(f"alpha out of [0,1]: {alpha}")
+    use_dot, use_cos = bool(hi > 0.0), bool(lo < 1.0)
     gamma = g_rows = 1.0
-    if k1 < n:
+    if use_cos:
         if scale is None:
             raise ValueError("cosine scoring needs a CosineScale")
         gamma = g_rows = scale.gamma
@@ -277,19 +254,17 @@ def step_plan(scale: CosineScale | None, alpha, weights, shape: tuple[int, ...],
             gamma = np.asarray(gamma, dtype=np.float64)
             if len(shape) != 2 or gamma.shape != shape[:1]:
                 raise ShapeError(f"{shape[0]} slices but gamma has shape {gamma.shape}")
-            g_rows, gamma = gamma[k1:, None], gamma[k1:, None, None]
-    a_cos = 1.0 - ac
+            g_rows, gamma = gamma[:, None], gamma[:, None, None]
+    a_cos = 1.0 - a
     w = dot_grad = cos_grad = None
     if weights is not None:
-        w = wd = wc = _per_row(weights, shape, "weights")
-        if w.ndim == 2:
-            wd, wc = (w[:k2] if cut_d else w), (w[k1:] if cut_c else w)
-        if k2:
-            dot_grad = _column(ad * wd)
-        if k1 < n:
-            cos_grad = _column(g_rows * a_cos * wc)
-    return StepPlan(shape, classes, a, w, k1, k2, n, _row_starts(shape, classes), a_cos, gamma,
-                    dot_grad, cos_grad)
+        w = _per_row(weights, shape, "weights")
+        if use_dot:
+            dot_grad = _column(a * w)
+        if use_cos:
+            cos_grad = _column(g_rows * a_cos * w)
+    return StepPlan(shape, classes, a, w, use_dot, use_cos, _row_starts(shape, classes), a_cos,
+                    gamma, dot_grad, cos_grad)
 
 
 def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarray, rows,
@@ -301,19 +276,23 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     sum_i weights_i * ce_i to it and returns the matching d/dH block
     (otherwise dH is None). Both scores come from one product S = H W^T:
     dot logits are S + b, cosine logits gamma * S / (||h|| ||w||). A branch
-    runs only if some row weights it (some alpha > 0 for dot, some
-    alpha < 1 for cosine), so all-one or all-zero alpha give the pure
-    losses exactly.
+    runs, over every row, only if some row weights it (some alpha > 0 for
+    dot, some alpha < 1 for cosine), so all-one or all-zero alpha give the
+    pure losses exactly.
 
     With a predictor stacked over slices (one per run), H is (slices,
     batch, dim) and rows (slices, batch); alpha and weights are shared by
     every slice or given as (slices, batch), scale.gamma is one value or
     (slices,), and the per-row results come back as (slices, batch). The
-    slices may take different branches if they come in branch order, dot
-    users first and cosine users last (ValueError otherwise): the dot
-    branch then runs on the slices [0, k2) that use it and the cosine
-    branch on [k1, slices), and the two mix only on [k1, k2). Each slice
-    is computed exactly as its 2-d call would compute it.
+    slices may take different branches, in any order: a branch that some
+    slice uses runs over them all, and a slice that gives it no weight
+    gets its terms times an exact 0, which leaves every bit of that
+    slice's 2-d result as it was. The one exception: a slice whose alpha
+    is 0 on every row, stacked with slices that use the dot branch, meets
+    0 * ce_dot; if its largest dot score lies within a factor 2 of the
+    largest double while its cosine scores stay finite, its cross-entropy
+    is nan (a NonFiniteError) where its 2-d call would go on. Features
+    must grow far past any diverging run seen so far for that.
 
     plan is step_plan(scale, alpha, weights, rows' shape, class count),
     built once by a caller whose steps repeat a shape; scale, alpha and
@@ -333,53 +312,32 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
         raise ShapeError(f"a plan for rows {plan.shape} and {plan.classes} classes, "
                          f"called with rows {rows.shape} and {pp.num_classes} classes")
     out = ws or Workspace()
-    k1, k2, n = plan.k1, plan.k2, plan.n
-    use_dot, use_cos = k2 > 0, k1 < n
-    a = plan.alpha
+    use_dot, use_cos = plan.use_dot, plan.use_cos
     # each row's target entry as a flat index into a (..., batch, classes) block
     pick = np.add(plan.starts, rows, out=out("pick", rows.shape, np.int64))
     scores = (*rows.shape, pp.num_classes)
+    spread = out("spread", scores)
     S = np.matmul(H, pp.W.swapaxes(-1, -2), out=out("s", scores))
-    # a branch that runs on some slices only (cut_d, cut_c) takes views of
-    # its operands and buffers: the dot slices [0, k2), the cosine slices
-    # [k1, n)
-    cut_d, cut_c = 0 < k2 < n, 0 < k1 < n
-    ranged = cut_d or cut_c
     if use_dot:
-        G = out("pd", scores)  # becomes the score gradient of every slice
-        L, spread_d, ad, pick_d = G, out("spread", scores), a, pick
-        if cut_d:
-            L, spread_d, ad, pick_d = L[:k2], spread_d[:k2], a[:k2], pick[:k2]
-        L = filled(L, (pp.b[:k2] if cut_d else pp.b)[..., None, :])
-        Pd, ce = _softmax_ce(np.add(S[:k2] if cut_d else S, L, out=L), pick_d, spread_d)
+        G = out("pd", scores)  # becomes the score gradient
+        L = filled(G, pp.b[..., None, :])
+        Pd, ce = _softmax_ce(np.add(S, L, out=L), pick, spread)
     if use_cos:
-        oc, Sc, Hc, Wc, pick_c = out, S, H, pp.W, pick
-        if cut_c:
-            oc = _cut(out, slice(k1, n))
-            Sc, Hc, Wc = S[k1:], H[k1:], pp.W[k1:]
-            # flat offsets into the cosine blocks, which start at slice k1
-            pick_c = pick[k1:] - k1 * rows.shape[1] * pp.num_classes
         # row norms as np.linalg.norm computes them, without its dispatch
-        HH = np.multiply(Hc, Hc, out=oc(("t", H.shape[-1]), H.shape))
-        hn = _sum(HH, -1, out=oc("hn", rows.shape))
+        HH = np.multiply(H, H, out=out(("t", H.shape[-1]), H.shape))
+        hn = _sum(HH, -1, out=out("hn", rows.shape))
         np.sqrt(hn, out=hn)
         np.maximum(hn, EPS_NORM, out=hn)
-        WW = np.multiply(Wc, Wc, out=oc("dw", pp.W.shape))  # dW is not formed yet
+        WW = np.multiply(pp.W, pp.W, out=out("dw", pp.W.shape))  # dW is not formed yet
         wn = np.maximum(np.sqrt(_sum(WW, -1)), EPS_NORM)
-        den = filled(oc("den", scores), wn[..., None, :])
-        den = np.multiply(filled(oc("spread", scores), hn[..., None]), den, out=den)
-        C = np.divide(Sc, den, out=Sc)  # S is not read again
-        Pc, ce_cos = _softmax_ce(np.multiply(plan.gamma, C, out=oc("pc", scores)), pick_c,
-                                 oc("spread", scores))
-        a_cos = plan.a_cos
-        if ranged:  # the cosine-only slices follow; [k1, k2) mix in place
-            ce = np.concatenate([ce, ce_cos[k2 - k1:]])
-            both = ce[k1:k2]
-            both *= ad[k1:]
-            both += ce_cos[:k2 - k1] * a_cos[:k2 - k1]
-        elif use_dot:  # ce = a * ce + a_cos * ce_cos, in place
-            ce *= a
-            ce_cos *= a_cos
+        den = filled(out("den", scores), wn[..., None, :])
+        den = np.multiply(filled(spread, hn[..., None]), den, out=den)
+        C = np.divide(S, den, out=S)  # S is not read again
+        Pc, ce_cos = _softmax_ce(np.multiply(plan.gamma, C, out=out("pc", scores)), pick,
+                                 spread)
+        if use_dot:  # ce = a * ce + a_cos * ce_cos, in place
+            ce *= plan.alpha
+            ce_cos *= plan.a_cos
             ce += ce_cos
         else:
             ce = ce_cos
@@ -389,34 +347,26 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     if plan.weights is None:
         raise ValueError("a plan built without weights gives no gradients")
     if use_dot:
-        Pd.reshape(-1)[pick_d] -= 1.0
-        Pd *= filled(spread_d, plan.dot_grad)
-        pred_b = tape.pred_b[:k2] if cut_d else tape.pred_b
-        pred_b += _sum(Pd, -2)
+        Pd.reshape(-1)[pick] -= 1.0
+        Pd *= filled(spread, plan.dot_grad)
+        tape.pred_b += _sum(Pd, -2)
     if use_cos:
         # the closed form at module top, per row, with Q = Pc / (|h| |w|)
         # and R = Pc * cos:
         #   dW = Q^T H - colsum(R) / |w|^2 * W,  dH = Q W - rowsum(R) / |h|^2 * H
         # Q joins the dot part, so each product runs once
-        Pc.reshape(-1)[pick_c] -= 1.0
-        Pc *= filled(oc("spread", scores), plan.cos_grad)
+        Pc.reshape(-1)[pick] -= 1.0
+        Pc *= filled(spread, plan.cos_grad)
         R = np.multiply(Pc, C, out=C)  # neither C nor den is read again
         Q = np.divide(Pc, den, out=den)
-        if ranged:  # G is Pd + Q on [k1, k2) and Q after
-            both = G[k1:k2]
-            both += Q[:k2 - k1]
-            np.copyto(G[k2:], Q[k2 - k1:])
-        else:
-            G = np.add(G, Q, out=G) if use_dot else Q
+        G = np.add(G, Q, out=G) if use_dot else Q
     dW = np.matmul(G.swapaxes(-1, -2), H, out=out("dw", pp.W.shape))
     tape.pred_w += dW
     dH = np.matmul(G, pp.W, out=out(("g", H.shape[-1]), H.shape))
     if use_cos:
-        pred_w, dWc, dHc = (tape.pred_w[k1:], dW[k1:], dH[k1:]) if cut_c else \
-            (tape.pred_w, dW, dH)
-        pred_w -= np.multiply(filled(dWc, (_sum(R, -2) / (wn * wn))[..., None]), Wc, out=dWc)
-        corr = filled(oc(("t", H.shape[-1]), H.shape), (_sum(R, -1) / (hn * hn))[..., None])
-        dHc -= np.multiply(corr, Hc, out=corr)
+        tape.pred_w -= np.multiply(filled(dW, (_sum(R, -2) / (wn * wn))[..., None]), pp.W, out=dW)
+        corr = filled(out(("t", H.shape[-1]), H.shape), (_sum(R, -1) / (hn * hn))[..., None])
+        dH -= np.multiply(corr, H, out=corr)
     return ce, dH
 
 

@@ -36,11 +36,9 @@ replayed] rows and updates its one buffer, and every run on it reuses
 them. Only the parameters are per run. The runs step in parts: runs
 whose step and network shapes agree run the forward pass, loss_rows,
 the backward pass and the SGD step once, over parameters stacked on a
-leading axis, with per-run alpha, weights, gamma and lr. A part orders
-its runs so that the dot branch runs on one range of slices and the
-cosine branch on another (dot users first, cosine users last), whatever
-each run's rule. Each run's slice is computed exactly as its run alone
-would compute it.
+leading axis, with per-run alpha, weights, gamma and lr, whatever each
+run's rule: a loss branch that some run uses runs over the whole part.
+Each run's slice is computed exactly as its run alone would compute it.
 """
 
 from __future__ import annotations
@@ -381,31 +379,22 @@ def _shared(values: list):
     return stacked
 
 
-def _branch_order(run: _Run) -> tuple[float, float]:
-    """Runs sorted on this (learn alpha, replay alpha), highest first, take
-    the loss branches in ranges at every step, with or without replay:
-    the runs whose alpha rows have some alpha > 0 (dot) come first, and
-    those with some alpha < 1 (cosine) last."""
-    return -run.mix[0], -run.mix[1]
-
-
 class _Part:
     """Runs that take their steps together.
 
     A part's runs agree on the network shape and on the step shape (batch
-    length, replay count, registered class count). They are kept in
-    _branch_order, so loss_rows runs the dot branch on one range of
-    slices and the cosine branch on another, and each slice runs exactly
-    the arithmetic of its run alone. The part keeps their parameters and
-    gradient tape stacked on a leading axis, one slice per run (a part of
-    one run has one slice), and each run's TrainState holds views into
-    them; alpha and weight rows, gamma and lr are per slice. A part's step
-    writes into its RunGroup's one workspace. The part keeps the StepPlan
-    of each step shape of its current class count (plan).
+    length, replay count, registered class count), and are kept in the
+    order they were given. Whatever their loss branches, each slice gets
+    the bits of its run alone (see loss_rows). The part keeps their
+    parameters and gradient tape stacked on a leading axis, one slice per
+    run (a part of one run has one slice), and each run's TrainState holds
+    views into them; alpha and weight rows, gamma and lr are per slice. A
+    part's step writes into its RunGroup's one workspace. The part keeps
+    the StepPlan of each step shape of its current class count (plan).
     """
 
     def __init__(self, runs: list[_Run]):
-        self.runs = runs = sorted(runs, key=_branch_order)  # stable: seeds keep their order
+        self.runs = runs
         self._plans: dict[tuple[int, int, int], StepPlan] = {}
         stacked = []
         for k in range(len(runs[0].state.extractor.layers)):
@@ -476,13 +465,13 @@ class RunGroup:
     Runs whose next step has the same step shape and whose networks have
     the same shape step together in one part, whatever their loss
     branches: one forward pass, one loss_rows, one backward pass and one
-    SGD step over parameters stacked on a leading axis, the dot branch on
-    one range of slices and the cosine branch on another. When step shapes
-    diverge, a part splits and the pieces go on separately; they are not
-    merged again. A run's bytes do not depend on which runs share its
-    part. runs (in the order train_step reports them), streams (in order
-    of first appearance) and replay (each stream's replay switch) are
-    rebuilt only when the parts change (set_parts).
+    SGD step over parameters stacked on a leading axis, each loss branch
+    over every slice if any slice uses it. When step shapes diverge, a
+    part splits and the pieces go on separately; they are not merged
+    again. A run's bytes do not depend on which runs share its part, nor
+    on their order. runs (in the order train_step reports them), streams
+    (in order of first appearance) and replay (each stream's replay
+    switch) are rebuilt only when the parts change (set_parts).
 
     Every part's step writes its large results into the group's one
     Workspace: the gathered [incoming; replayed] block and its scorer
@@ -539,7 +528,11 @@ def train_step(group, x_batch, y_batch, method: MethodConfig | None, memory_batc
 
     A lone TrainState is a group of one run of method, stepped like any
     other part: pass its batch and rng directly, and get its StepRecord
-    back (or its error raised).
+    back (or its error raised). Such a call builds its group, part,
+    workspace and step plan anew every time, which about doubles the cost
+    of a small step (608 against 295 us at split-gauss-10's shapes on a
+    2-core VM with NumPy 2.4.6), so a caller that steps many batches
+    should hold a RunGroup instead.
     """
     if isinstance(group, TrainState):
         (record,) = _group_step(RunGroup([_Run(method, group)]), [x_batch], [y_batch],

@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, outputs, exit codes, overrides."""
 
 import argparse
+import hashlib
 import json
 import re
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import uer.cli
 import uer.config
-from conftest import child_env
+from conftest import blas_versions, child_env
 from uer.cli import _apply_flag_overrides, build_parser, main, run_config
 from uer.config import build_dataset, parse_config_text
 from uer.evaluation import read_metrics, stage_metrics_to_dict
@@ -49,6 +50,9 @@ run.out = {out}
 method.uer.hidden = 8
 method.uer.buffer = 50
 """
+
+FIVE_PRESETS = SMALL.replace("uer,finetune", "uer,uer-a,er,lucir,finetune") + "".join(
+    f"method.{m}.hidden = 8\nmethod.{m}.buffer = 50\n" for m in ("uer-a", "er", "lucir"))
 
 
 CSV = """\
@@ -137,6 +141,37 @@ def test_run_reproduces_every_output_byte(tmp_path):
     assert main(["run", "--config", str(cfg_path)]) == 0
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+# sha256 of every metrics file an invocation writes, in name order, each
+# name then its bytes: the five presets on SMALL's stream, and table1 on
+# UER_ONLY's with --buffer 50. Pinned on NumPy 2.4.6 with scipy-openblas
+# 0.3.31, where the bitwise premises hold.
+PINNED_METRICS = {
+    "run": "169d80b4523667d99964809b1e42dd8f6aa081505afc177a8b5da9de594b79bb",
+    "table1": "4bafdcd3c9c4771859d792f59045d2c7ad710e9a7f350bc32639b82654cc07ff",
+}
+
+
+def _metrics_digest(out: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(out.glob("*.metrics.jsonl")):
+        digest.update(path.name.encode("utf-8") + b"\n" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_metrics_bytes_equal_pinned_digests(tmp_path, capsys):
+    # every oracle steps through the live loss_rows, so a change that moved
+    # its bits would pass them all: absolute bytes catch it
+    got = {}
+    for command, text, flags in (("run", FIVE_PRESETS, []),
+                                 ("table1", UER_ONLY, ["--buffer", "50"])):
+        (tmp_path / command).mkdir()
+        cfg_path, out = write_config(tmp_path / command, text)
+        assert main([command, "--config", str(cfg_path), *flags]) == 0
+        got[command] = _metrics_digest(out)
+    capsys.readouterr()
+    assert got == PINNED_METRICS, f"metrics bytes moved on this build ({blas_versions()})"
 
 
 def test_run_failure_exit_code(tmp_path, capsys):

@@ -127,24 +127,38 @@ def test_all_five_presets_match_per_method_groups(tmp_path, monkeypatch):
     assert [args[1] for args in builds] == [0, 1, 2] * 3
 
 
-def test_each_round_takes_one_fused_step_per_group_step(tmp_path, monkeypatch):
-    # uer, uer-a and lucir take different loss branches, yet each step of
-    # their round is one part, in branch order: dot users first, cosine
-    # users last. er (joint batch) and finetune (no replay) train in
-    # rounds of their own.
-    cfg = _config(tmp_path, ["uer", "uer-a", "er", "lucir", "finetune"])
+def _parts(monkeypatch, cfg):
+    """run_grid over cfg's jobs: the method names of each train_step's
+    group and of each part's fused step, in run order."""
     rounds, parts = [], []
     for name, names in (("train_step", rounds), ("_descend", parts)):
         def named(group, *args, _real=getattr(uer.trainer, name), _names=names):
-            _names.append([run.method.name for run in group.runs])
+            _names.append(tuple(run.method.name for run in group.runs))
             return _real(group, *args)
         monkeypatch.setattr(uer.trainer, name, named)
     list(run_grid(cfg, _jobs(cfg), echo=lambda *a, **k: None))
     monkeypatch.undo()
+    return rounds, parts
+
+
+def test_each_round_takes_one_fused_step_per_group_step(tmp_path, monkeypatch):
+    # uer, uer-a and lucir take different loss branches, yet each step of
+    # their round is one part, its runs in the order they were built. er
+    # (joint batch) and finetune (no replay) train in rounds of their own.
+    rounds, parts = _parts(monkeypatch, _config(tmp_path,
+                                                ["uer", "uer-a", "er", "lucir", "finetune"]))
     assert parts == rounds  # one part per step, holding every run of the round
     assert len(rounds) == 3 * STEPS
-    assert {tuple(r) for r in rounds} == {("uer-a",) * 3 + ("uer",) * 3 + ("lucir",) * 3,
-                                          ("er",) * 3, ("finetune",) * 3}
+    assert set(rounds) == {("uer", "uer-a", "lucir") * 3, ("er",) * 3, ("finetune",) * 3}
+
+
+def test_presets_in_reverse_match_per_method_groups(tmp_path, monkeypatch):
+    # the shared round's part starts with lucir's cosine-only slices, and
+    # every run still matches the oracle byte for byte
+    cfg = _config(tmp_path, ["finetune", "lucir", "er", "uer-a", "uer"])
+    rounds, _ = _parts(monkeypatch, cfg)
+    assert ("lucir", "uer-a", "uer") * 3 in rounds
+    _assert_grid_matches_oracle(cfg, _jobs(cfg))
 
 
 def test_table1_grid_matches_per_method_groups(tmp_path, monkeypatch):
