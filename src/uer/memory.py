@@ -4,12 +4,12 @@ The n-th sample ever offered (1-based) is inserted directly while the
 buffer is filling; afterwards a slot index j is drawn uniformly from
 [0, n) and the sample replaces slot j only when j < capacity. That keeps
 every offered sample in the buffer with probability capacity / n at all
-times. Retrieval is a uniform draw without replacement.
+times (Algorithm R). Retrieval is a uniform draw without replacement.
 
-The buffer is three preallocated arrays: features ``x`` (capacity, dim),
+The buffer is three preallocated int arrays: each sample's row in the
+data the stream reads (``rows``; the step reads its features there),
 labels ``y`` and stream positions ``pos`` (the 0-based index at which a
-sample was offered); the first ``size`` slots are filled. ``x`` is
-allocated at the first offer, once the feature dim is known.
+sample was offered); the first ``size`` slots are filled.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .numeric import Rng
-from .stream import LabeledData
 
 
 class MemoryBuffer:
@@ -25,7 +24,7 @@ class MemoryBuffer:
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
         self.capacity = int(capacity)
-        self.x: np.ndarray | None = None
+        self.rows = np.zeros(self.capacity, dtype=np.int64)
         self.y = np.zeros(self.capacity, dtype=np.int64)
         self.pos = np.zeros(self.capacity, dtype=np.int64)
         self.size = 0
@@ -35,16 +34,15 @@ class MemoryBuffer:
         return self.size
 
 
-def buffer_update(buf: MemoryBuffer, batch: LabeledData, rng: Rng) -> None:
-    """Offer a batch in order; sample i gets stream position buf.seen + i."""
+def buffer_update(buf: MemoryBuffer, batch: np.ndarray, y: np.ndarray, rng: Rng) -> None:
+    """Offer a batch of dataset rows with their labels y, in order; sample
+    i gets stream position buf.seen + i."""
     start, n = buf.seen, len(batch)
-    if buf.x is None:
-        buf.x = np.zeros((buf.capacity, batch.x.shape[1]))
     fill = min(n, buf.capacity - buf.size)
     if fill > 0:
         s = buf.size
-        buf.x[s:s + fill] = batch.x[:fill]
-        buf.y[s:s + fill] = batch.y[:fill]
+        buf.rows[s:s + fill] = batch[:fill]
+        buf.y[s:s + fill] = y[:fill]
         buf.pos[s:s + fill] = np.arange(start, start + fill)
         buf.size += fill
     if fill < n:
@@ -53,8 +51,8 @@ def buffer_update(buf: MemoryBuffer, batch: LabeledData, rng: Rng) -> None:
         js = rng.integers(0, np.arange(start + fill + 1, start + n + 1))
         for i, j in enumerate(js.tolist(), fill):
             if j < buf.capacity:
-                buf.x[j] = batch.x[i]
-                buf.y[j] = batch.y[i]
+                buf.rows[j] = batch[i]
+                buf.y[j] = y[i]
                 buf.pos[j] = start + i
     buf.seen = start + n
 

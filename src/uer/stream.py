@@ -142,42 +142,40 @@ def split_stages(dataset: Dataset, cfg: StreamConfig, rng: Rng) -> list[StageRow
 
 def iterate_batches(stage: Stage | StageRows, cfg: StreamConfig, rng: Rng,
                     dataset: Dataset | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Single pass over the stage's training split in shuffled batches.
-
-    stage is a Stage, or a StageRows whose rows are read from dataset. The
-    shuffled rows are gathered in one read-only block as the first batch
-    is asked for, and each batch is a view of it. The final batch may be
-    short; every sample is yielded exactly once.
+    """Single pass over the stage's training split in shuffled (rows, y)
+    batches: rows index dataset.train for a StageRows, the stage's own
+    train split for a Stage. The shuffled rows and their labels are
+    gathered in two read-only blocks as the first batch is asked for, and
+    each batch is a view of them; no features are copied. The final batch
+    may be short; every sample is yielded exactly once.
     """
     if isinstance(stage, StageRows):
-        source, rows = dataset.train, stage.train_rows
+        rows, labels = stage.train_rows, dataset.train.y
         order = rows[rng.permutation(len(rows))]
     else:
-        source = stage.train
-        order = rng.permutation(len(source))
-    x, y = source.x[order], source.y[order]
-    x.flags.writeable = y.flags.writeable = False
+        labels = stage.train.y
+        order = rng.permutation(len(labels))
+    y = labels[order]
+    order.flags.writeable = y.flags.writeable = False
     for lo in range(0, len(y), cfg.batch_size_current):
-        yield x[lo:lo + cfg.batch_size_current], y[lo:lo + cfg.batch_size_current]
+        yield order[lo:lo + cfg.batch_size_current], y[lo:lo + cfg.batch_size_current]
 
 
 def gen_synthetic(spec: SyntheticSpec, rng: Rng) -> Dataset:
-    """Isotropic Gaussian blobs, one per class, class-major sample order."""
-    classes = spec.means.shape[0]
-    train_x, train_y, test_x, test_y = [], [], [], []
+    """Isotropic Gaussian blobs, one per class, class-major sample order;
+    each class's train then test draws are written in place (mean + stddev * z)."""
+    classes, dim = spec.means.shape
+    sizes = (spec.train_per_class, spec.test_per_class)
+    splits = [np.empty((classes * n, dim)) for n in sizes]
     for c in range(classes):
-        train_x.append(spec.means[c] + spec.stddev * rng.standard_normal(
-            (spec.train_per_class, spec.input_dim)))
-        train_y.append(np.full(spec.train_per_class, c, dtype=np.int64))
-        test_x.append(spec.means[c] + spec.stddev * rng.standard_normal(
-            (spec.test_per_class, spec.input_dim)))
-        test_y.append(np.full(spec.test_per_class, c, dtype=np.int64))
-    return Dataset(
-        train=LabeledData(np.concatenate(train_x), np.concatenate(train_y)),
-        test=LabeledData(np.concatenate(test_x), np.concatenate(test_y)),
-        num_classes=classes,
-        input_dim=spec.input_dim,
-    )
+        for x, n in zip(splits, sizes):
+            block = x[c * n:(c + 1) * n]
+            rng.standard_normal(out=block)
+            np.multiply(spec.stddev, block, out=block)
+            np.add(spec.means[c], block, out=block)
+    train, test = (LabeledData(x, np.repeat(np.arange(classes, dtype=np.int64), n))
+                   for x, n in zip(splits, sizes))
+    return Dataset(train=train, test=test, num_classes=classes, input_dim=spec.input_dim)
 
 
 def sphere_means(classes: int, dim: int, radius: float, rng: Rng) -> np.ndarray:

@@ -3,7 +3,9 @@
 Each step follows the same order: register any labels not seen before,
 retrieve a replay batch from the buffer, score the incoming and replayed
 samples together, take one SGD step on the summed loss, and only then
-offer the incoming batch to the buffer.
+offer the incoming batch to the buffer. Batches and the buffer name
+samples by their row in the stream's source (a LabeledData): only the
+step's gathered block holds copies of features.
 
 A method is a triple of scoring rules: how incoming samples are learned
 (dot or cosine), how replayed samples are learned (dot, cosine, or the
@@ -30,9 +32,9 @@ per-batch partial sums of that one mean.
 No draw depends on a method's scoring rules, alpha, gamma or lr: the
 seed, the network widths, the buffer capacity and the replay switch fix
 them all. Runs that agree on these follow one trajectory
-(run_trajectories): one stream gathers each stage's training rows,
-registers labels, draws the replay batch, gathers the [incoming;
-replayed] rows and updates its one buffer, and every run on it reuses
+(run_trajectories): one stream shuffles each stage's training rows,
+registers labels, draws the replay batch, finds the [incoming;
+replayed] source rows and updates its one buffer, and every run on it reuses
 them. Only the parameters are per run. The runs step in parts: runs
 whose step and network shapes agree run the forward pass, loss_rows,
 the backward pass and the SGD step once, over parameters stacked on a
@@ -207,8 +209,9 @@ class StepRecord:
 class StreamState:
     """What every run on one trajectory shares.
 
-    The buffer, the label -> scorer row map (class_order and its dense
-    inverse row_of_label), the value each scorer row had when it was
+    The samples' source (batches and the buffer name samples by their row
+    in it), the buffer, the label -> scorer row map (class_order and its
+    dense inverse row_of_label), the value each scorer row had when it was
     registered, and the step counters. register_classes draws new rows
     once per stream; each run's scorer then catches up by appending them.
     A trajectory sets unregistered as a stage starts: once it is empty,
@@ -217,6 +220,7 @@ class StreamState:
     """
     buffer: MemoryBuffer
     dim: int  # feature dim: the width of a scorer row
+    source: LabeledData  # the samples, by row
     class_order: list[int] = field(default_factory=list)  # label of each scorer row
     # dense label -> scorer row lookup, -1 for labels not registered
     row_of_label: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -283,10 +287,12 @@ def _follow(stream: StreamState, extractor: FeatureExtractor) -> TrainState:
     return state
 
 
-def init_state(method: MethodConfig, input_dim: int, rng: Rng) -> TrainState:
-    """A run on a stream of its own, its extractor drawn from rng."""
-    extractor = init_extractor((input_dim, *method.hidden_dims), rng)
-    return _follow(StreamState(MemoryBuffer(_capacity(method)), extractor.out_dim), extractor)
+def init_state(method: MethodConfig, source: LabeledData, rng: Rng) -> TrainState:
+    """A run on a stream of its own that reads its samples from source,
+    its extractor drawn from rng."""
+    extractor = init_extractor((source.x.shape[1], *method.hidden_dims), rng)
+    return _follow(StreamState(MemoryBuffer(_capacity(method)), extractor.out_dim, source),
+                   extractor)
 
 
 def register_classes(state, labels, rng: Rng) -> list[int]:
@@ -512,61 +518,68 @@ class RunGroup:
         return self._ws
 
 
-def train_step(group, x_batch, y_batch, method: MethodConfig | None, memory_batch_size: int,
-               rng):
+def train_step(group, row_batch, y_batch, method: MethodConfig | None,
+               memory_batch_size: int, rng):
     """One training step of every run in a RunGroup.
 
-    x_batch, y_batch and rng hold one entry per stream, in group.streams
-    order, and method is None: each run steps with its own. Each stream
-    registers new labels, draws its replay batch from its own rng and
-    gathers its [incoming; replayed] rows once for all of its runs; the
-    parts take their fused steps; each stream that still has a run then
-    offers its batch to its buffer. Returns, per run in group.runs order,
-    its StepRecord or the NonFiniteError that ended it; such a run leaves
-    the group, and the rest of its part redo the step's arithmetic
-    without it from the draws already made.
+    row_batch, y_batch and rng hold one entry per stream, in group.streams
+    order (a batch is its samples' rows in the stream's source; a row
+    outside it raises IndexError before anything changes), and method is
+    None: each run steps with its own. Each stream registers new labels,
+    draws its replay batch from its own rng and finds its [incoming;
+    replayed] source rows once for all of its runs; the parts take their
+    fused steps; each stream that still has a run then offers its batch to its
+    buffer. Returns, per run in group.runs order, its StepRecord or the
+    NonFiniteError that ended it; such a run leaves the group, and the
+    rest of its part redo the step's arithmetic without it from the draws
+    already made.
 
     A lone TrainState is a group of one run of method, stepped like any
     other part: pass its batch and rng directly, and get its StepRecord
     back (or its error raised). Such a call builds its group, part,
-    workspace and step plan anew every time, which about doubles the cost
-    of a small step (608 against 295 us at split-gauss-10's shapes on a
-    2-core VM with NumPy 2.4.6), so a caller that steps many batches
-    should hold a RunGroup instead.
+    workspace and step plan anew, about doubling a small step (608 against
+    295 us at split-gauss-10's shapes, 2-core VM, NumPy 2.4.6): to step
+    many batches, hold a RunGroup.
     """
     if isinstance(group, TrainState):
-        (record,) = _group_step(RunGroup([_Run(method, group)]), [x_batch], [y_batch],
+        (record,) = _group_step(RunGroup([_Run(method, group)]), [row_batch], [y_batch],
                                 memory_batch_size, [rng])
         if isinstance(record, Exception):
             raise record
         return record
-    return _group_step(group, x_batch, y_batch, memory_batch_size, rng)
+    return _group_step(group, row_batch, y_batch, memory_batch_size, rng)
 
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
-def _group_step(group: RunGroup, x_batch, y_batch, memory_batch_size: int, rng) -> list:
+def _group_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng) -> list:
     runs, streams, replay = group.runs, group.streams, group.replay
-    if not len(streams) == len(x_batch) == len(y_batch) == len(rng):
-        raise ValueError(f"{len(streams)} streams but {len(x_batch)} x batches, "
+    if not len(streams) == len(row_batch) == len(y_batch) == len(rng):
+        raise ValueError(f"{len(streams)} streams but {len(row_batch)} row batches, "
                          f"{len(y_batch)} y batches and {len(rng)} rngs")
-    # per stream: the incoming rows, the buffer slots replayed, the scorer
-    # rows of [incoming; replayed] and the step shape (n incoming, n
-    # replayed, registered classes); each part gathers the rows themselves
+    row_batch = [np.asarray(rows, dtype=np.int64) for rows in row_batch]
+    for stream, rows in zip(streams, row_batch):  # a negative row reads as a huge one
+        if len(rows) and np.maximum.reduce(rows.view(np.uint64), None) >= len(stream.source):
+            raise IndexError(f"a row outside the {len(stream.source)} samples of its source")
+    # per stream: its features and the source rows of [incoming; replayed],
+    # their scorer rows and the step shape (n incoming, n replayed,
+    # registered classes); each part gathers the samples themselves
     blocks = {}
     grown = False
-    for stream, x, y, r in zip(streams, x_batch, y_batch, rng):
+    for stream, x_rows, y, r in zip(streams, row_batch, y_batch, rng):
         if stream.unregistered is None or stream.unregistered:
             added = register_classes(stream, y, r)
             grown |= bool(added)
             if stream.unregistered:
                 stream.unregistered.difference_update(added)
         idx = buffer_retrieve(stream.buffer, memory_batch_size, r) if replay[stream] else _NO_ROWS
-        rows = stream.row_of_label[y]
+        rows, samples = stream.row_of_label[y], x_rows
         if len(idx):
             rows = np.concatenate([rows, stream.row_of_label[stream.buffer.y[idx]]])
-        blocks[stream] = (x, stream.buffer, idx), rows, (len(y), len(idx), len(stream.class_order))
+            samples = np.concatenate([x_rows, stream.buffer.rows[idx]])
+        blocks[stream] = ((stream.source.x, samples), rows,
+                          (len(y), len(idx), len(stream.class_order)))
 
     records: dict[_Run, object] = {}
     parts = []
@@ -584,10 +597,10 @@ def _group_step(group: RunGroup, x_batch, y_batch, memory_batch_size: int, rng) 
         group.set_parts(parts)
 
     stepped = {run.state.stream for run in runs if isinstance(records[run], StepRecord)}
-    for stream, x, y, r in zip(streams, x_batch, y_batch, rng):
+    for stream, x_rows, y, r in zip(streams, row_batch, y_batch, rng):
         if stream in stepped:
             if replay[stream]:
-                buffer_update(stream.buffer, LabeledData(x, y), r)
+                buffer_update(stream.buffer, x_rows, y, r)
             stream.consumed_in_stage += len(y)
             stream.step += 1
     return [records[run] for run in runs]
@@ -600,7 +613,7 @@ def _fused_step(part: _Part, blocks: list[tuple], records: dict,
     and returns the part that survives."""
     n_cur, n_mem, classes = blocks[0][2]
     while True:
-        X = _gather(ws, [b[0] for b in blocks], n_mem)
+        X = _gather(ws, [b[0] for b in blocks])
         rows = ws("rows", (len(blocks), n_cur + n_mem), np.int64)
         np.concatenate([b[1] for b in blocks], out=rows.reshape(-1))
         plan = part.plan(n_cur, n_mem, classes)
@@ -622,25 +635,17 @@ def _fused_step(part: _Part, blocks: list[tuple], records: dict,
     return part
 
 
-def _gather(ws: Workspace, sources: list[tuple], n_mem: int) -> np.ndarray:
+def _gather(ws: Workspace, sources: list[tuple]) -> np.ndarray:
     """The (runs, rows, dim) block of a step's [incoming; replayed] input
-    rows, written into ws; sources holds one (incoming rows, buffer,
-    replayed slots) triple per run."""
-    x = sources[0][0]
-    X = ws("x", (len(sources), len(x) + n_mem, x.shape[1]))
-    first: dict[int, np.ndarray] = {}  # runs on one stream share its rows
-    for out, source in zip(X, sources):
-        if id(source) in first:
-            np.copyto(out, first[id(source)])
-            continue
-        first[id(source)] = out
-        x, buf, idx = source
-        out[:len(x)] = x
-        if n_mem:
-            # mode="clip" takes the rows straight into out (the default,
-            # "raise", goes through a temporary); buffer_retrieve returns
-            # filled slots only, so nothing is clipped
-            np.take(buf.x, idx, axis=0, out=out[len(x):], mode="clip")
+    rows, read from the source features straight into ws; sources holds
+    one (features, source rows) pair per run."""
+    x, rows = sources[0]
+    X = ws("x", (len(sources), len(rows), x.shape[1]))
+    for out, (x, rows) in zip(X, sources):
+        # mode="clip" takes the rows straight into out ("raise" goes through
+        # a temporary); the step checked its incoming rows against the
+        # source and the buffer holds rows of checked batches: none clips
+        x.take(rows, axis=0, out=out, mode="clip")
     return X
 
 
@@ -714,12 +719,13 @@ class _Trajectory:
     stage split, the extractor init (each run starts from a copy), then
     per step the new scorer rows, the replay indices and the reservoir
     slots. The stages are row indices into the dataset (shared by every
-    stream for csv data): a stage's training rows are gathered in their
-    batch order when it starts (iterate_batches); the test rows scored at
-    a stage end are read by index, block by block, by each of the stream's
-    runs. As a stage starts, the stream's unregistered labels become the
-    stage's classes it has not registered, so its steps stop looking
-    batches up once they are all registered.
+    stream for csv data), read by row: a stage's training rows are
+    shuffled into their batch order when it starts (iterate_batches), the
+    stream's source is dataset.train, and the test rows scored at a stage
+    end are read block by block by each of the stream's runs. As a stage
+    starts, the stream's unregistered labels become the stage's classes it
+    has not registered, so its steps stop looking batches up once they are
+    all registered.
     """
 
     def __init__(self, dataset: Dataset, stream_cfg: StreamConfig, seed: int,
@@ -732,7 +738,7 @@ class _Trajectory:
         self.ends = np.cumsum([len(s.test_rows) for s in self.stages])
         first = members[0][1]
         init = init_extractor((dataset.input_dim, *first.hidden_dims), self.rng)
-        self.state = StreamState(MemoryBuffer(_capacity(first)), init.out_dim)
+        self.state = StreamState(MemoryBuffer(_capacity(first)), init.out_dim, dataset.train)
         # the first run takes the drawn extractor, the others start from copies
         copies = [FeatureExtractor([LayerParams(layer.weight.copy(), layer.bias.copy())
                                     for layer in init.layers]) for _ in members[1:]]
@@ -743,7 +749,7 @@ class _Trajectory:
 
     def next_batch(self, fail: Callable[[_Run, Exception], None],
                    scoring: Callable[[], Workspace]):
-        """The stream's next (x, y) batch, scoring every run as a stage
+        """The stream's next (rows, y) batch, scoring every run as a stage
         ends; fail(run, error) takes out a run whose scoring raises. None
         once the last stage is scored or no run is left. Scoring writes
         its blocks into the workspace scoring() returns."""
@@ -828,7 +834,7 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
         runs_now = group.runs
         step_no = {traj: traj.state.step + 1 for traj in live}
         try:
-            records = train_step(group, [x for _, (x, _) in stepping],
+            records = train_step(group, [rows for _, (rows, _) in stepping],
                                  [y for _, (_, y) in stepping], None,
                                  stream_cfg.batch_size_memory,
                                  [traj.rng for traj, _ in stepping])
@@ -848,9 +854,6 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
         group.remove(ended)
         ended.clear()
         live = [traj for traj in live if traj.runs]
-        # a batch is a view of its stage's block: hold none while next_batch
-        # scores a stage that ended and gathers the next one's block
-        del batches, batch, stepping
     return outcomes
 
 

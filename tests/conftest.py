@@ -19,6 +19,7 @@ import uer
 from uer import DatasetSpec, build_dataset
 from uer.logits import PredictorParams
 from uer.net import FeatureExtractor, GradientTape, forward_batch, init_extractor
+from uer.stream import LabeledData
 
 
 # --------------------------------------------------------------------------
@@ -170,6 +171,21 @@ def gauss_datasets():
     """split-gauss-10 instances for seeds 0..9, built once per session."""
     return {seed: build_dataset(DatasetSpec(kind="split-gauss-10"), seed)
             for seed in range(10)}
+
+
+# --------------------------------------------------------------------------
+# samples by row
+
+
+def row_source(batches) -> tuple[LabeledData, list[np.ndarray]]:
+    """(x, y) feature batches as rows of one source: the LabeledData that
+    stacks them in order, and each batch's rows in it. A training step and
+    the buffer name samples by their row in a stream's source, so a test
+    that holds features steps their rows."""
+    source = LabeledData(np.concatenate([x for x, _ in batches]),
+                         np.concatenate([y for _, y in batches]))
+    ends = np.cumsum([len(y) for _, y in batches])
+    return source, [np.arange(end - len(y), end) for (_, y), end in zip(batches, ends)]
 
 
 # --------------------------------------------------------------------------

@@ -16,8 +16,15 @@ byte.
 ``run_seed_group`` is the runner as it was before runs shared
 trajectories: one method's seeds in lockstep, each seed with a stream,
 buffer and scorer rows of its own (``seed_group_step`` is its step). A run
-on a shared trajectory must match it byte for byte. Nothing in ``src/``
-imports this module.
+on a shared trajectory must match it byte for byte.
+
+These oracles step feature batches, as the trainer did before its batches
+and buffer named samples by their dataset row: ``MemoryBuffer``,
+``buffer_update``, ``iterate_batches`` and ``init_state`` are the
+feature-copying buffer, batching and run set-up of that trainer, kept
+verbatim. ``gen_synthetic`` is the synthetic data generator as it was
+before it wrote its draws in place: per-class blocks, concatenated.
+Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -30,19 +37,109 @@ import numpy as np
 from uer.evaluation import StageMetrics
 from uer.logits import (CosineScale, EPS_NORM, LogitMode, PredictorParams, _batch_targets,
                         cosine_logits_batch, dot_logits_batch, loss_rows)
-from uer.memory import buffer_retrieve, buffer_update
+from uer.memory import buffer_retrieve
 from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch, forward_batch,
-                     sgd_step)
-from uer.numeric import NonFiniteError, make_rng, require_finite
-from uer.stream import Dataset, LabeledData, StreamConfig, build_stages, iterate_batches, \
-    split_stages
-from uer.trainer import (ExperimentResult, MethodConfig, StepRecord, TrainState,
-                         _collect_stage_metrics, _row_mix, init_state, register_classes)
+                     init_extractor, sgd_step)
+from uer.numeric import NonFiniteError, Rng, make_rng, require_finite
+from uer.stream import Dataset, LabeledData, Stage, StageRows, StreamConfig, SyntheticSpec, \
+    build_stages, split_stages
+from uer.trainer import (ExperimentResult, MethodConfig, StepRecord, StreamState, TrainState,
+                         _capacity, _collect_stage_metrics, _follow, _row_mix, register_classes)
 
 
 def softmax_rows(L: np.ndarray) -> np.ndarray:
     e = np.exp(L - L.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+# ------------------------------------------------- feature-copying buffer
+
+
+class MemoryBuffer:
+    def __init__(self, capacity: int):
+        if capacity < 0:
+            raise ValueError(f"capacity must be non-negative, got {capacity}")
+        self.capacity = int(capacity)
+        self.x: np.ndarray | None = None
+        self.y = np.zeros(self.capacity, dtype=np.int64)
+        self.pos = np.zeros(self.capacity, dtype=np.int64)
+        self.size = 0
+        self.seen = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def buffer_update(buf: MemoryBuffer, batch: LabeledData, rng: Rng) -> None:
+    """Offer a batch in order; sample i gets stream position buf.seen + i."""
+    start, n = buf.seen, len(batch)
+    if buf.x is None:
+        buf.x = np.zeros((buf.capacity, batch.x.shape[1]))
+    fill = min(n, buf.capacity - buf.size)
+    if fill > 0:
+        s = buf.size
+        buf.x[s:s + fill] = batch.x[:fill]
+        buf.y[s:s + fill] = batch.y[:fill]
+        buf.pos[s:s + fill] = np.arange(start, start + fill)
+        buf.size += fill
+    if fill < n:
+        # j_i uniform on [0, n_i), one draw for the rest; a draw j < capacity
+        # replaces slot j, in stream order, so a later sample wins a shared slot
+        js = rng.integers(0, np.arange(start + fill + 1, start + n + 1))
+        for i, j in enumerate(js.tolist(), fill):
+            if j < buf.capacity:
+                buf.x[j] = batch.x[i]
+                buf.y[j] = batch.y[i]
+                buf.pos[j] = start + i
+    buf.seen = start + n
+
+
+def iterate_batches(stage: Stage | StageRows, cfg: StreamConfig, rng: Rng,
+                    dataset: Dataset | None = None):
+    """Single pass over the stage's training split in shuffled batches.
+
+    stage is a Stage, or a StageRows whose rows are read from dataset. The
+    shuffled rows are gathered in one read-only block as the first batch
+    is asked for, and each batch is a view of it. The final batch may be
+    short; every sample is yielded exactly once.
+    """
+    if isinstance(stage, StageRows):
+        source, rows = dataset.train, stage.train_rows
+        order = rows[rng.permutation(len(rows))]
+    else:
+        source = stage.train
+        order = rng.permutation(len(source))
+    x, y = source.x[order], source.y[order]
+    x.flags.writeable = y.flags.writeable = False
+    for lo in range(0, len(y), cfg.batch_size_current):
+        yield x[lo:lo + cfg.batch_size_current], y[lo:lo + cfg.batch_size_current]
+
+
+def init_state(method: MethodConfig, input_dim: int, rng: Rng) -> TrainState:
+    """A run on a stream of its own, its extractor drawn from rng; its
+    buffer copies features, and its steps never read the stream's source."""
+    extractor = init_extractor((input_dim, *method.hidden_dims), rng)
+    return _follow(StreamState(MemoryBuffer(_capacity(method)), extractor.out_dim, None),
+                   extractor)
+
+
+def gen_synthetic(spec: SyntheticSpec, rng: Rng) -> Dataset:
+    """Isotropic Gaussian blobs, one per class, class-major sample order."""
+    classes = spec.means.shape[0]
+    train_x, train_y, test_x, test_y = [], [], [], []
+    for c in range(classes):
+        train_x.append(spec.means[c] + spec.stddev * rng.standard_normal(
+            (spec.train_per_class, spec.input_dim)))
+        train_y.append(np.full(spec.train_per_class, c, dtype=np.int64))
+        test_x.append(spec.means[c] + spec.stddev * rng.standard_normal(
+            (spec.test_per_class, spec.input_dim)))
+        test_y.append(np.full(spec.test_per_class, c, dtype=np.int64))
+    return Dataset(
+        train=LabeledData(np.concatenate(train_x), np.concatenate(train_y)),
+        test=LabeledData(np.concatenate(test_x), np.concatenate(test_y)),
+        num_classes=classes,
+        input_dim=spec.input_dim,
+    )
 
 
 # ------------------------------------------------------------ list buffer
@@ -91,18 +188,19 @@ def list_buffer_retrieve(buf: ListBuffer, k: int, rng) -> list[StoredSample]:
     return [buf.items[i] for i in idx]
 
 
-def list_buffer_from_arrays(buf) -> ListBuffer:
-    """A list-buffer twin of an array-backed ``uer.memory.MemoryBuffer``."""
+def list_buffer_from_arrays(buf, source: LabeledData) -> ListBuffer:
+    """A list-buffer twin of a ``uer.memory.MemoryBuffer`` whose rows index
+    source."""
     twin = ListBuffer(buf.capacity)
     twin.seen = buf.seen
-    twin.items = [StoredSample(buf.x[i].copy(), int(buf.y[i]), int(buf.pos[i]))
+    twin.items = [StoredSample(source.x[buf.rows[i]].copy(), int(buf.y[i]), int(buf.pos[i]))
                   for i in range(len(buf))]
     return twin
 
 
 def loop_buffer_update(buf, batch, rng) -> None:
-    """``uer.memory.buffer_update`` as it wrote replacements: one accepted
-    draw at a time, in stream order, so a later sample wins a shared slot."""
+    """``buffer_update`` as it wrote replacements: one accepted draw at a
+    time, in stream order, so a later sample wins a shared slot."""
     start, n = buf.seen, len(batch)
     if buf.x is None:
         buf.x = np.zeros((buf.capacity, batch.x.shape[1]))

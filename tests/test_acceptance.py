@@ -28,7 +28,7 @@ import numpy as np
 import scipy.stats
 
 from conftest import (conditioned_batch, conditioned_instance, fd_gradient,
-                      fd_gradient_array, flat_tape)
+                      fd_gradient_array, flat_tape, row_source)
 from uer.cli import run_config
 from uer.config import parse_config_text
 from uer.evaluation import posterior_group_means, read_metrics
@@ -36,7 +36,7 @@ from uer.logits import CosineScale, loss_current, loss_dot, loss_replay
 from uer.memory import MemoryBuffer, buffer_update
 from uer.net import GradientTape, forward_batch, backward_batch
 from uer.numeric import make_rng
-from uer.stream import LabeledData, StreamConfig
+from uer.stream import StreamConfig
 from uer.trainer import (er_method, run_experiment, triple_method, uer_a_method,
                          uer_method)
 
@@ -122,13 +122,14 @@ def test_criterion_3_reservoir_inclusion_uniformity(capsys):
     rng = make_rng(123)
     # position tags are all that matter; payloads are zeros. The buffer
     # tags sample i of a fresh stream with position i
-    samples = LabeledData(np.zeros((stream_n, 1)), np.zeros(stream_n, dtype=np.int64))
+    samples, batches = row_source([(np.zeros((50, 1)), np.zeros(50, dtype=np.int64))
+                                   for _ in range(0, stream_n, 50)])
     counts = np.zeros(stream_n, dtype=np.int64)
     t0 = time.perf_counter()
     for _ in range(trials):
         buf = MemoryBuffer(capacity)
-        for lo in range(0, stream_n, 50):
-            buffer_update(buf, LabeledData(samples.x[lo:lo + 50], samples.y[lo:lo + 50]), rng)
+        for rows in batches:
+            buffer_update(buf, rows, samples.y[rows], rng)
         counts[buf.pos[:len(buf)]] += 1
     elapsed = time.perf_counter() - t0
 

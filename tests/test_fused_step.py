@@ -4,7 +4,9 @@ From identical states, one step of each must give the same gradient tape,
 parameters and step losses (allclose 1e-12: stacking [incoming; replayed]
 changes BLAS summation order, not the arithmetic), and a bitwise identical
 buffer and RNG state (the reservoir makes the same draws in the same
-order). The scoring kernel is checked row by row against the old losses.
+order). The step reads its samples by row from its stream's source, and
+the oracle steps the features at those rows. The scoring kernel is checked
+row by row against the old losses.
 """
 
 import copy
@@ -17,12 +19,12 @@ from hypothesis import strategies as st
 
 import legacy_step
 import uer.trainer
-from conftest import flat_params, flat_tape
+from conftest import flat_params, flat_tape, row_source
 from uer.logits import CosineScale, PredictorParams, loss_rows
 from uer.memory import MemoryBuffer, buffer_retrieve, buffer_update
 from uer.net import GradientTape, init_extractor, sgd_step
 from uer.numeric import make_rng
-from uer.stream import LabeledData, SyntheticSpec, gen_synthetic
+from uer.stream import SyntheticSpec, gen_synthetic
 from uer.trainer import (er_method, finetune_method, init_state, lucir_method, train_step,
                          triple_method, uer_a_method, uer_method)
 
@@ -49,7 +51,8 @@ def _data(seed):
                          train_per_class=30, test_per_class=1)
     ds = gen_synthetic(spec, make_rng([seed, 0]))
     perm = make_rng([seed, 2]).permutation(len(ds.train))
-    return ds.train.x[perm], ds.train.y[perm]
+    source, (rows,) = row_source([(ds.train.x[perm], ds.train.y[perm])])
+    return source, rows
 
 
 def _sgd_recorder(grads):
@@ -59,10 +62,10 @@ def _sgd_recorder(grads):
     return record
 
 
-def _assert_buffers_equal(arr_buf, list_buf):
+def _assert_buffers_equal(arr_buf, source, list_buf):
     assert arr_buf.seen == list_buf.seen and len(arr_buf) == len(list_buf)
     for i, s in enumerate(list_buf.items):
-        assert arr_buf.x[i].tobytes() == s.x.tobytes()
+        assert source.x[arr_buf.rows[i]].tobytes() == s.x.tobytes()
         assert arr_buf.y[i] == s.y and arr_buf.pos[i] == s.stream_position
 
 
@@ -77,22 +80,22 @@ def _assert_buffers_equal(arr_buf, list_buf):
 def test_fused_step_matches_two_pass_step(preset, alpha, capacity, warmup, n_cur, n_mem,
                                           seed):
     method = _methods(alpha, capacity)[preset]
-    xs, ys = _data(seed)
+    source, order = _data(seed)
     rng = make_rng([seed, 1])
-    state = init_state(method, xs.shape[1], rng)
+    state = init_state(method, source, rng)
     for k in range(warmup):
-        lo = k * n_cur
-        train_step(state, xs[lo:lo + n_cur], ys[lo:lo + n_cur], method, n_mem, rng)
+        rows = order[k * n_cur:(k + 1) * n_cur]
+        train_step(state, rows, source.y[rows], method, n_mem, rng)
 
     old = copy.deepcopy(state)
-    old.buffer = legacy_step.list_buffer_from_arrays(state.buffer)
+    old.buffer = legacy_step.list_buffer_from_arrays(state.buffer, source)
     rng_old = copy.deepcopy(rng)
-    lo = warmup * n_cur
-    x, y = xs[lo:lo + n_cur], ys[lo:lo + n_cur]
+    rows = order[warmup * n_cur:(warmup + 1) * n_cur]
+    x, y = source.x[rows], source.y[rows]
 
     new_grads, old_grads = [], []
     with mock.patch.object(uer.trainer, "sgd_step", _sgd_recorder(new_grads)):
-        rec_new = train_step(state, x, y, method, n_mem, rng)
+        rec_new = train_step(state, rows, y, method, n_mem, rng)
     rec_old = legacy_step.legacy_train_step(old, x, y, method, n_mem, rng_old,
                                             sgd=_sgd_recorder(old_grads))
 
@@ -102,7 +105,7 @@ def test_fused_step_matches_two_pass_step(preset, alpha, capacity, warmup, n_cur
     np.testing.assert_allclose([rec_new.loss_current, rec_new.loss_replay, rec_new.loss_total],
                                [rec_old.loss_current, rec_old.loss_replay, rec_old.loss_total],
                                **TOL)
-    _assert_buffers_equal(state.buffer, old.buffer)
+    _assert_buffers_equal(state.buffer, source, old.buffer)
     assert rng.bit_generator.state == rng_old.bit_generator.state
     assert state.class_order == old.class_order and state.step == old.step
 
@@ -116,15 +119,15 @@ def test_array_buffer_retraces_list_buffer(chunks, capacity, k, seed):
     arr_buf, list_buf = MemoryBuffer(capacity), legacy_step.ListBuffer(capacity)
     rng_a, rng_l = make_rng(seed), make_rng(seed)
     data = make_rng(seed + 1).normal(size=(sum(chunks), 3))
-    offered = 0
-    for n in chunks:
-        batch = LabeledData(data[offered:offered + n], np.arange(offered, offered + n) % 4)
-        buffer_update(arr_buf, batch, rng_a)
+    ends = np.cumsum(chunks)
+    source, batches = row_source([(data[end - n:end], np.arange(end - n, end) % 4)
+                                  for n, end in zip(chunks, ends)])
+    for rows in batches:
+        buffer_update(arr_buf, rows, source.y[rows], rng_a)
         legacy_step.list_buffer_update(
-            list_buf, [legacy_step.StoredSample(batch.x[i].copy(), int(batch.y[i]), offered + i)
-                       for i in range(n)], rng_l)
-        offered += n
-        _assert_buffers_equal(arr_buf, list_buf)
+            list_buf, [legacy_step.StoredSample(source.x[i].copy(), int(source.y[i]), int(i))
+                       for i in rows], rng_l)
+        _assert_buffers_equal(arr_buf, source, list_buf)
         idx = buffer_retrieve(arr_buf, k, rng_a)
         got = legacy_step.list_buffer_retrieve(list_buf, k, rng_l)
         assert arr_buf.pos[idx].tolist() == [s.stream_position for s in got]
@@ -132,9 +135,11 @@ def test_array_buffer_retraces_list_buffer(chunks, capacity, k, seed):
 
 
 def test_capacity_zero_allocates_no_feature_rows():
+    # the buffer holds ints only (rows, labels, positions), none at capacity 0
     buf = MemoryBuffer(0)
-    buffer_update(buf, LabeledData(np.ones((5, 3)), np.zeros(5)), make_rng(0))
-    assert buf.x.size == 0 and buf.seen == 5
+    buffer_update(buf, np.arange(5), np.zeros(5, dtype=np.int64), make_rng(0))
+    arrays = [a for a in vars(buf).values() if isinstance(a, np.ndarray)]
+    assert all(a.dtype == np.int64 and a.size == 0 for a in arrays) and buf.seen == 5
 
 
 # ------------------------------------------------------------ the kernel

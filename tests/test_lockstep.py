@@ -479,14 +479,17 @@ def test_a_seed_alone_that_diverges_names_its_stage_and_step(module, what, monke
 def test_a_lone_train_state_steps_as_the_per_seed_step_does(monkeypatch):
     # train_step on a TrainState returns its StepRecord, step for step the
     # oracle's, with the same parameters after; a non-finite step raises
+    # (the state steps rows of the dataset, the oracle their features)
     method, data = _presets()["uer"], _datasets()[0]
     order = make_rng(5).permutation(len(data.train.y))
-    state, alone = (init_state(method, data.input_dim, make_rng(6)) for _ in range(2))
+    state = init_state(method, data.train, make_rng(6))
+    alone = legacy_step.init_state(method, data.input_dim, make_rng(6))
     rng, rng_alone = make_rng(7), make_rng(7)
     blocks = _blocks(monkeypatch)
     for lo in range(0, 120, 10):
-        x, y = data.train.x[order[lo:lo + 10]], data.train.y[order[lo:lo + 10]]
-        record = train_step(state, x, y, method, 10, rng)
+        rows = order[lo:lo + 10]
+        x, y = data.train.x[rows], data.train.y[rows]
+        record = train_step(state, rows, y, method, 10, rng)
         assert record == legacy_step.per_seed_train_step(alone, x, y, method, 10, rng_alone)
         params = (*state.extractor.layers, state.predictor)
         for got, want in zip(params, (*alone.extractor.layers, alone.predictor)):
@@ -501,4 +504,4 @@ def test_a_lone_train_state_steps_as_the_per_seed_step_does(monkeypatch):
         return real(arr, name, stacked)
     monkeypatch.setattr(uer.net, "require_finite", forced)
     with pytest.raises(NonFiniteError, match="^features contains non-finite entries$"):
-        train_step(state, x, y, method, 10, rng)
+        train_step(state, rows, y, method, 10, rng)

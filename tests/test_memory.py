@@ -1,4 +1,9 @@
-"""Reservoir buffer: size law and uniformity oracles."""
+"""Reservoir buffer: size law and uniformity oracles.
+
+The buffer keeps each sample's row in the stream's source, its label and
+its stream position; reading the source at the kept rows gives the
+features the feature-copying buffer (legacy_step) kept.
+"""
 
 import numpy as np
 import pytest
@@ -6,17 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_step
+from conftest import row_source
 from uer.memory import MemoryBuffer, buffer_retrieve, buffer_update
 from uer.numeric import make_rng
 from uer.stream import LabeledData
 
 
-def samples(n, start=0, dim=2):
-    # sample i carries its stream position start + i in every feature;
-    # callers pass start = samples offered so far, the position the buffer
-    # assigns
-    pos = np.arange(start, start + n)
-    return LabeledData(np.repeat(pos[:, None].astype(float), dim, axis=1), pos % 3)
+def samples(n, start=0):
+    # the rows and labels of samples start .. start + n - 1 of a source;
+    # callers pass start = samples offered so far, so a sample's row is the
+    # stream position the buffer assigns
+    rows = np.arange(start, start + n)
+    return rows, rows % 3
 
 
 def positions(buf):
@@ -28,14 +34,14 @@ def positions(buf):
 
 def test_under_capacity_keeps_everything():
     buf = MemoryBuffer(5)
-    buffer_update(buf, samples(3), make_rng(0))
+    buffer_update(buf, *samples(3), make_rng(0))
     assert positions(buf) == [0, 1, 2]
     assert buf.seen == 3
 
 
 def test_capacity_zero_stays_empty():
     buf = MemoryBuffer(0)
-    buffer_update(buf, samples(50), make_rng(0))
+    buffer_update(buf, *samples(50), make_rng(0))
     assert len(buf) == 0
     assert buf.seen == 50
 
@@ -47,9 +53,9 @@ def test_negative_capacity_rejected():
 
 def test_fill_exactly_then_replace_within_capacity():
     buf = MemoryBuffer(4)
-    buffer_update(buf, samples(4), make_rng(1))
+    buffer_update(buf, *samples(4), make_rng(1))
     assert positions(buf) == [0, 1, 2, 3]
-    buffer_update(buf, samples(10, start=4), make_rng(1))
+    buffer_update(buf, *samples(10, start=4), make_rng(1))
     assert len(buf) == 4
     assert buf.seen == 14
     assert all(0 <= p < 14 for p in buf.pos[:len(buf)])
@@ -66,10 +72,11 @@ def test_size_law_under_fuzzed_batches(chunks, capacity, seed):
     rng = make_rng(seed)
     offered = 0
     for n in chunks:
-        buffer_update(buf, samples(n, start=offered), rng)
+        buffer_update(buf, *samples(n, start=offered), rng)
         offered += n
         assert len(buf) == min(offered, capacity)
         assert buf.seen == offered
+        assert buf.rows[:len(buf)].tolist() == buf.pos[:len(buf)].tolist()
         # no duplicate stream positions can ever exist in the buffer
         assert len(set(buf.pos[:len(buf)].tolist())) == len(buf)
 
@@ -81,17 +88,21 @@ def test_size_law_under_fuzzed_batches(chunks, capacity, seed):
 def test_scatter_writes_what_the_per_row_loop_wrote(chunks, capacity, seed):
     # a small buffer and long chunks: many draws land on one slot, and the
     # last of them must win, as when the rows were written one at a time
-    scatter, loop = MemoryBuffer(capacity), MemoryBuffer(capacity)
+    # the rows must read the features the per-row loop copied
+    scatter, loop = MemoryBuffer(capacity), legacy_step.MemoryBuffer(capacity)
     rng_s, rng_l = make_rng(seed), make_rng(seed)
     data = make_rng(seed + 1).normal(size=(sum(chunks), 3))
-    offered = 0
-    for n in chunks:
-        batch = LabeledData(data[offered:offered + n], np.arange(offered, offered + n) % 5)
-        buffer_update(scatter, batch, rng_s)
-        legacy_step.loop_buffer_update(loop, batch, rng_l)
-        offered += n
+    ends = np.cumsum(chunks)
+    source, batches = row_source([(data[end - n:end], np.arange(end - n, end) % 5)
+                                  for n, end in zip(chunks, ends)])
+    for rows in batches:
+        buffer_update(scatter, rows, source.y[rows], rng_s)
+        legacy_step.loop_buffer_update(loop, LabeledData(source.x[rows], source.y[rows]),
+                                       rng_l)
         assert (scatter.size, scatter.seen) == (loop.size, loop.seen)
-        for a, b in ((scatter.x, loop.x), (scatter.y, loop.y), (scatter.pos, loop.pos)):
+        kept = scatter.rows[:scatter.size]
+        assert source.x[kept].tobytes() == loop.x[:loop.size].tobytes()
+        for a, b in ((scatter.y, loop.y), (scatter.pos, loop.pos)):
             assert a.tobytes() == b.tobytes()
         assert rng_s.bit_generator.state == rng_l.bit_generator.state
 
@@ -99,10 +110,10 @@ def test_scatter_writes_what_the_per_row_loop_wrote(chunks, capacity, seed):
 def test_scatter_keeps_the_last_writer_of_a_shared_slot():
     # capacity 1: after the first sample every accepted draw hits slot 0
     buf = MemoryBuffer(1)
-    buffer_update(buf, samples(1), make_rng(3))
+    buffer_update(buf, *samples(1), make_rng(3))
     rng = make_rng(3)
     js = make_rng(3).integers(0, np.arange(2, 42))
-    buffer_update(buf, samples(40, start=1), rng)
+    buffer_update(buf, *samples(40, start=1), rng)
     assert buf.pos[0] == 1 + int(np.flatnonzero(js < 1)[-1])
 
 
@@ -111,12 +122,12 @@ def test_batched_updates_match_one_by_one_distribution():
     def run(split):
         buf = MemoryBuffer(3)
         rng = make_rng(99)
-        items = samples(12)
+        rows, y = samples(12)
         if split:
-            for i in range(len(items)):
-                buffer_update(buf, LabeledData(items.x[i:i + 1], items.y[i:i + 1]), rng)
+            for i in range(len(rows)):
+                buffer_update(buf, rows[i:i + 1], y[i:i + 1], rng)
         else:
-            buffer_update(buf, items, rng)
+            buffer_update(buf, rows, y, rng)
         return positions(buf)
 
     assert run(True) == run(False)
@@ -134,7 +145,7 @@ def test_reservoir_inclusion_frequency_small():
     rng = make_rng(1234)
     for _ in range(trials):
         buf = MemoryBuffer(capacity)
-        buffer_update(buf, items, rng)
+        buffer_update(buf, *items, rng)
         counts[buf.pos[:len(buf)]] += 1
     freq = counts / trials
     # sigma = sqrt(.2 * .8 / 4000) ~ 0.0063; allow 4 sigma
@@ -146,7 +157,7 @@ def test_reservoir_inclusion_frequency_small():
 
 def test_retrieve_underfilled_returns_everything():
     buf = MemoryBuffer(10)
-    buffer_update(buf, samples(3), make_rng(0))
+    buffer_update(buf, *samples(3), make_rng(0))
     got = buffer_retrieve(buf, 10, make_rng(5))
     assert sorted(buf.pos[got].tolist()) == [0, 1, 2]
 
@@ -164,7 +175,7 @@ def test_retrieve_rejects_negative_k():
 @settings(max_examples=80, deadline=None)
 def test_retrieve_no_duplicates_and_right_size(n, k, seed):
     buf = MemoryBuffer(40)
-    buffer_update(buf, samples(n), make_rng(0))
+    buffer_update(buf, *samples(n), make_rng(0))
     got = buffer_retrieve(buf, k, make_rng(seed))
     assert len(got) == min(k, n)
     pos = buf.pos[got].tolist()
@@ -175,7 +186,7 @@ def test_retrieve_uniform_frequency():
     # k=10 of 1000 items: per-item selection probability 0.01. 40k trials
     # put the +-0.002 band at 4 sigma, so one fixed seed passes with room.
     buf = MemoryBuffer(1000)
-    buffer_update(buf, samples(1000), make_rng(0))
+    buffer_update(buf, *samples(1000), make_rng(0))
     trials = 40_000
     rng = make_rng(777)
     counts = np.zeros(1000)

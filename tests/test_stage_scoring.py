@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_eval
-from conftest import blas_versions
+from conftest import blas_versions, row_source
 from uer.evaluation import BLOCK_ROWS, accuracy, average_posterior, row_blocks, score_stages
 from uer.logits import CosineScale, LogitMode, PredictorParams
 from uer.net import forward_batch, init_extractor
@@ -61,12 +61,15 @@ def test_one_pass_matches_per_stage_passes(test_mode, learn, test_sizes, lr, see
                        np.concatenate([s.test.y for s in stages]))
     ends = np.cumsum(test_sizes)
     stream = StreamConfig(stages=len(stages), batch_size_current=4, batch_size_memory=4)
-    state = init_state(method, DIM, rng)
+    # the run reads every stage's training rows from one source
+    source, stage_rows = row_source([(s.train.x, s.train.y) for s in stages])
+    state = init_state(method, source, rng)
     for t, stage in enumerate(stages, 1):
         state.stage_baseline = state.predictor.copy()
         state.consumed_in_stage = 0
-        for x_b, y_b in iterate_batches(stage, stream, rng):
-            train_step(state, x_b, y_b, method, stream.batch_size_memory, rng)
+        for rows, y_b in iterate_batches(stage, stream, rng):
+            train_step(state, stage_rows[t - 1][rows], y_b, method, stream.batch_size_memory,
+                       rng)
         if not forward_batch(state.extractor, test.x[:ends[t - 1]])[0].any():
             # no live feature on any scored row: the run fails instead
             with pytest.raises(FeaturesCollapsed, match=f"^stage {t}: features collapsed"):
@@ -87,10 +90,10 @@ def test_one_pass_matches_per_stage_passes(test_mode, learn, test_sizes, lr, see
 def test_wrappers_match_reference(mode, n, seed):
     rng = make_rng([seed, 8])
     method = triple_method("probe", "cosine", "mixed", mode.value, hidden_dims=(8,))
-    state = init_state(method, DIM, rng)
     stage = _stages([n], rng)[0]
-    for x_b, y_b in iterate_batches(stage, StreamConfig(stages=1, batch_size_current=5), rng):
-        train_step(state, x_b, y_b, method, 0, rng)
+    state = init_state(method, stage.train, rng)  # the stage's batches are its rows
+    for rows, y_b in iterate_batches(stage, StreamConfig(stages=1, batch_size_current=5), rng):
+        train_step(state, rows, y_b, method, 0, rng)
     scale = CosineScale(10.0)
     assert accuracy(state, stage.test, mode, scale) == \
         legacy_eval.accuracy(state, stage.test, mode, scale)

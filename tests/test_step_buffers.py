@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import legacy_step
 import uer.net
 import uer.trainer
-from conftest import blas_versions
+from conftest import blas_versions, row_source
 from uer.evaluation import stage_metrics_to_dict
 from uer.memory import MemoryBuffer
 from uer.net import init_extractor
@@ -144,34 +144,40 @@ def test_the_activation_mask_is_the_pre_activation_mask():
 # ------------------------------------------------------------ allocations
 
 
-def _group(methods, input_dim, seed):
+def _group(methods, sources, seed):
     rng = make_rng(seed)
     runs = []
-    for method in methods:
-        extractor = init_extractor((input_dim, *method.hidden_dims), rng)
-        stream = StreamState(MemoryBuffer(method.buffer_capacity), extractor.out_dim)
+    for method, source in zip(methods, sources):
+        extractor = init_extractor((source.x.shape[1], *method.hidden_dims), rng)
+        stream = StreamState(MemoryBuffer(method.buffer_capacity), extractor.out_dim, source)
         runs.append(_Run(method, _follow(stream, extractor)))
     return RunGroup(runs)
 
 
 def _step_peak(methods, input_dim, n_cur, n_mem, classes, warmup=40):
     """The tracemalloc peak of one train_step after warmup steps, each
-    stream on its own rng and batches drawn beforehand."""
-    group = _group(methods, input_dim, 0)
+    stream on its own rng and source, its batches drawn beforehand."""
     rngs = [make_rng([i, 3]) for i in range(len(methods))]
     means = make_rng(1).normal(scale=2.0, size=(classes, input_dim))
+    sources, rows = [], []  # per stream: its source, and its rows at each step
+    for r in rngs:
+        ys = [r.integers(0, classes, size=n_cur) for _ in range(warmup + 1)]
+        source, steps = row_source([(means[y] + r.normal(size=(n_cur, input_dim)), y)
+                                    for y in ys])
+        sources.append(source)
+        rows.append(steps)
+    group = _group(methods, sources, 0)
 
-    def batches():
-        ys = [r.integers(0, classes, size=n_cur) for r in rngs]
-        return [means[y] + r.normal(size=(n_cur, input_dim)) for r, y in zip(rngs, ys)], ys
+    def batches(k):
+        return [steps[k] for steps in rows], [s.y[steps[k]] for s, steps in zip(sources, rows)]
 
-    for _ in range(warmup):
-        train_step(group, *batches(), None, n_mem, rngs)
-    xs, ys = batches()
+    for k in range(warmup):
+        train_step(group, *batches(k), None, n_mem, rngs)
+    step_rows, ys = batches(warmup)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        records = train_step(group, xs, ys, None, n_mem, rngs)
+        records = train_step(group, step_rows, ys, None, n_mem, rngs)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -198,6 +204,30 @@ def test_a_stacked_gauss5x2_step_allocates_nothing_large(preset):
     methods = [p(hidden_dims=(64,), buffer_capacity=500) for p in presets]
     block = 3 * 20 * 64 * 8  # the stacked rows x hidden float64 block
     assert _step_peak(methods, 20, 10, 10, 2) < block / 4
+
+
+def test_a_run_holds_no_copy_of_its_samples():
+    # a whole run, dataset generation included: its heap peak stays below
+    # the dataset plus one buffer's worth of feature rows. Generating the
+    # data copies nothing, and the buffer and batches hold dataset rows; a
+    # buffer of feature copies (capacity x dim floats) next to a stage's
+    # feature block breaks the bound (the feature-copying trainer peaked at
+    # 5.74 MB here against a 4.20 MB bound, this one at 2.68 MB)
+    classes, dim, per_class, test_per_class, capacity = 4, 128, 500, 25, 2000
+    spec = make_sphere_spec(classes, dim, 3.0, 1.0, per_class, test_per_class, make_rng(0))
+    stream = StreamConfig(stages=2, classes_per_stage=2, batch_size_current=32,
+                          batch_size_memory=64)
+    method = uer_method(hidden_dims=(32,), buffer_capacity=capacity)
+    tracemalloc.start()
+    try:
+        (outcome,) = run_trajectories(lambda seed: gen_synthetic(spec, make_rng(seed)),
+                                      [(method, 0)], stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not isinstance(outcome, Exception), outcome
+    data = classes * (per_class + test_per_class) * dim * 8
+    assert peak < data + capacity * dim * 8
 
 
 # ------------------------------------------------------ workspace changes

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import legacy_step
+from conftest import row_source
 import uer.logits
 import uer.net
 import uer.trainer
@@ -154,12 +155,14 @@ def test_a_direct_train_step_registers_a_new_label():
     batches.insert(2, (data.train.x[late[:5]], data.train.y[late[:5]]))
     batches.append((np.concatenate([xs[40:45], data.train.x[late[5:]]]),
                     np.concatenate([ys[40:45], data.train.y[late[5:]]])))
+    # (the state steps the batches' rows in a source, the oracle their features)
+    source, rows = row_source(batches)
     method = uer_method(hidden_dims=(16,), buffer_capacity=30)
     ours, theirs = make_rng(8), make_rng(8)
-    state = init_state(method, data.input_dim, ours)
-    oracle = init_state(method, data.input_dim, theirs)
-    for x, y in batches:
-        got = train_step(state, x, y, method, 10, ours)
+    state = init_state(method, source, ours)
+    oracle = legacy_step.init_state(method, data.input_dim, theirs)
+    for (x, y), batch_rows in zip(batches, rows):
+        got = train_step(state, batch_rows, y, method, 10, ours)
         want = legacy_step.per_seed_train_step(oracle, x, y, method, 10, theirs)
         assert got == want
         assert state.predictor.W.tobytes() == oracle.predictor.W.tobytes()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legacy_step
 from uer.numeric import make_rng
 from uer.stream import (CsvFormatError, Dataset, LabeledData, StreamConfig,
                         SyntheticSpec, _parse_lines, build_stages, gen_synthetic,
@@ -117,8 +118,8 @@ def test_iterate_batches_single_pass_multiset_law():
     cfg = StreamConfig(stages=1, classes_per_stage=2, batch_size_current=4)
     stage = build_stages(ds, cfg, make_rng(0))[0]
     xs, ys = [], []
-    for xb, yb in iterate_batches(stage, cfg, make_rng(7)):
-        xs.append(xb)
+    for rows, yb in iterate_batches(stage, cfg, make_rng(7)):
+        xs.append(stage.train.x[rows])  # a Stage's rows index its own split
         ys.append(yb)
     X = np.concatenate(xs)
     Y = np.concatenate(ys)
@@ -131,9 +132,10 @@ def test_iterate_batches_single_pass_multiset_law():
 
 
 def test_stage_rows_batch_as_their_gathered_stage_does():
-    # the rows of a StageRows read from the dataset give the batches of
-    # the Stage they gather into, from the same permutation draw, as the
-    # per-batch indexing of the gathered copy gave them
+    # the rows of a StageRows, read from the dataset, give the batches of
+    # the Stage they gather into, read from its own split, from the same
+    # permutation draw, as the per-batch indexing of the gathered copy
+    # gave them; a StageRows batch is the stage's rows in that order
     ds = toy_dataset(classes=4, per_class=13)
     cfg = StreamConfig(stages=2, classes_per_stage=2, batch_size_current=4)
     for rows in split_stages(ds, cfg, make_rng(0)):
@@ -141,41 +143,47 @@ def test_stage_rows_batch_as_their_gathered_stage_does():
         order = make_rng(5).permutation(len(stage.train))
         want = [(stage.train.x[order[lo:lo + 4]], stage.train.y[order[lo:lo + 4]])
                 for lo in range(0, len(order), 4)]
-        for got in (list(iterate_batches(rows, cfg, make_rng(5), ds)),
-                    list(iterate_batches(stage, cfg, make_rng(5)))):
+        for got, source in ((list(iterate_batches(rows, cfg, make_rng(5), ds)), ds.train),
+                            (list(iterate_batches(stage, cfg, make_rng(5))), stage.train)):
             assert len(got) == len(want) == 7
-            for (x, y), (wx, wy) in zip(got, want):
-                assert x.tobytes() == wx.tobytes() and y.tolist() == wy.tolist()
+            for (r, y), (wx, wy) in zip(got, want):
+                assert source.x[r].tobytes() == wx.tobytes() and y.tolist() == wy.tolist()
+        got = np.concatenate([r for r, _ in iterate_batches(rows, cfg, make_rng(5), ds)])
+        assert got.tolist() == rows.train_rows[order].tolist()
 
 
 def test_batches_are_read_only_views_of_one_stage_block():
-    # every batch is a view of the stage's one shuffled block, so a
-    # consumer that writes into a batch would write into the batches
-    # after it: the block is read-only and such a write fails
+    # every batch is a view of the stage's one shuffled row block and its
+    # one label block, so a consumer that writes into a batch would write
+    # into the batches after it: the blocks are read-only and such a write
+    # fails. No features are copied: a batch holds dataset rows
     ds = toy_dataset(classes=2, per_class=10)
     cfg = StreamConfig(stages=1, classes_per_stage=2, batch_size_current=6)
     rows = split_stages(ds, cfg, make_rng(0))[0]
     batches = list(iterate_batches(rows, cfg, make_rng(1), ds))
     assert [len(y) for _, y in batches] == [6, 6, 6, 2]
-    block = batches[0][0].base
-    assert all(x.base is block for x, _ in batches)
-    for x, y in batches:
+    for j in (0, 1):
+        block = batches[0][j].base
+        assert block is not None and all(batch[j].base is block for batch in batches)
+    for r, y in batches:
+        assert r.dtype == np.int64
         with pytest.raises(ValueError, match="read-only"):
-            x[0, 0] = 1.0
+            r[0] = 0
         with pytest.raises(ValueError, match="read-only"):
             y[0] = 0
-    before = ds.train.x.copy()
+    before = ds.train.y.copy()
     with pytest.raises(ValueError, match="read-only"):
-        batches[1][0] *= 2.0
-    assert ds.train.x.tobytes() == before.tobytes()  # the dataset is not the block
+        batches[1][1] *= 2
+    assert ds.train.y.tobytes() == before.tobytes()  # the dataset is not the block
 
 
 def test_iterate_batches_changes_order_not_content():
     ds = toy_dataset(classes=1, per_class=30)
     cfg = StreamConfig(stages=1, classes_per_stage=1, batch_size_current=30)
     stage = build_stages(ds, cfg, make_rng(0))[0]
-    (x1, _), = iterate_batches(stage, cfg, make_rng(1))
-    (x2, _), = iterate_batches(stage, cfg, make_rng(2))
+    (r1, _), = iterate_batches(stage, cfg, make_rng(1))
+    (r2, _), = iterate_batches(stage, cfg, make_rng(2))
+    x1, x2 = stage.train.x[r1], stage.train.x[r2]
     assert not np.array_equal(x1, x2)
     np.testing.assert_array_equal(np.sort(x1, axis=0), np.sort(x2, axis=0))
 
@@ -211,6 +219,22 @@ def test_gen_synthetic_determinism_and_seed_sensitivity():
     c = gen_synthetic(spec, make_rng(6))
     np.testing.assert_array_equal(a.train.x, b.train.x)
     assert not np.array_equal(a.train.x, c.train.x)
+
+
+@pytest.mark.parametrize("classes, dim, train, test", [(10, 20, 500, 100), (10, 128, 1000, 100)],
+                         ids=["split-gauss-10", "128d-1000-per-class"])
+def test_gen_synthetic_writes_the_bytes_of_the_concatenated_draws(classes, dim, train, test):
+    # the in-place generator makes the draws of the per-class blocks it
+    # replaced (legacy_step.gen_synthetic), in the same order, bit for bit
+    spec = make_sphere_spec(classes, dim, 3.0, 1.0, train, test, make_rng(1))
+    new_rng, old_rng = make_rng([4, 0]), make_rng([4, 0])
+    new, old = gen_synthetic(spec, new_rng), legacy_step.gen_synthetic(spec, old_rng)
+    for a, b in ((new.train, old.train), (new.test, old.test)):
+        for got, want in ((a.x, b.x), (a.y, b.y)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert (new.num_classes, new.input_dim) == (old.num_classes, old.input_dim)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 def test_synthetic_spec_validation():

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from conftest import flat_params
+from conftest import flat_params, row_source
 from uer.logits import LogitMode, dot_logits_batch, loss_dot
 from uer.memory import MemoryBuffer
 from uer.net import backward_batch, forward_batch, init_extractor, sgd_step
 from uer.numeric import make_rng
 from uer.stream import StreamConfig, SyntheticSpec, gen_synthetic
-from uer.trainer import (MethodConfig, StreamState, TABLE1_GRID, _follow, er_method,
-                         finetune_method, init_state, lucir_method, register_classes,
-                         run_experiment, train_step, triple_method, uer_a_method,
-                         uer_method)
+from uer.trainer import (MethodConfig, RunGroup, StreamState, TABLE1_GRID, _follow, _Run,
+                         er_method, finetune_method, init_state, lucir_method,
+                         register_classes, run_experiment, train_step, triple_method,
+                         uer_a_method, uer_method)
 
 STREAM_2x5 = StreamConfig(stages=2, classes_per_stage=5)
 STREAM_5x2 = StreamConfig(stages=5, classes_per_stage=2)
@@ -24,6 +24,11 @@ def small_gauss(seed=0, classes=4, per_class=40):
     spec = SyntheticSpec(input_dim=6, means=means, stddev=0.8,
                          train_per_class=per_class, test_per_class=10)
     return gen_synthetic(spec, rng)
+
+
+def no_samples(dim):
+    """A source of dim features and no rows, for runs that step nothing."""
+    return row_source([(np.zeros((0, dim)), np.zeros(0))])[0]
 
 
 # ---------------------------------------------------------------- presets
@@ -86,7 +91,7 @@ def test_triple_method_effective_alpha():
 
 
 def test_register_classes_growth_law():
-    state = init_state(uer_method(), input_dim=6, rng=make_rng(0))
+    state = init_state(uer_method(), no_samples(6), make_rng(0))
     assert state.predictor.num_classes == 0
     added = register_classes(state, np.array([0, 1, 1, 0]), make_rng(1))
     assert added == [0, 1]
@@ -97,7 +102,7 @@ def test_register_classes_growth_law():
 
 def test_register_classes_append_only_scores_stable():
     rng = make_rng(3)
-    state = init_state(uer_method(hidden_dims=(5,)), input_dim=4, rng=rng)
+    state = init_state(uer_method(hidden_dims=(5,)), no_samples(4), rng)
     register_classes(state, np.array([2, 7]), rng)
     H = np.abs(make_rng(9).normal(size=(1, 5)))
     before = dot_logits_batch(state.predictor, H)[0]
@@ -110,7 +115,7 @@ def test_register_classes_append_only_scores_stable():
 
 def test_register_classes_row_init_matches_layer_rule():
     # new rows are uniform(-s, s) with s = sqrt(6 / (dim + 1)), bias zero
-    state = init_state(uer_method(hidden_dims=(24,)), input_dim=4, rng=make_rng(0))
+    state = init_state(uer_method(hidden_dims=(24,)), no_samples(4), make_rng(0))
     s = np.sqrt(6.0 / 25.0)
     for seed in range(10):
         register_classes(state, np.array([seed]), make_rng(seed))
@@ -119,7 +124,7 @@ def test_register_classes_row_init_matches_layer_rule():
 
 
 def test_register_extends_tape_and_baseline():
-    state = init_state(uer_method(), input_dim=6, rng=make_rng(1))
+    state = init_state(uer_method(), no_samples(6), make_rng(1))
     register_classes(state, np.array([0, 1, 2]), make_rng(1))
     assert state.tape.pred_w.shape == state.predictor.W.shape
     assert state.stage_baseline.W.shape == state.predictor.W.shape
@@ -132,7 +137,7 @@ def test_register_classes_fast_path_agrees_with_the_loop(labels):
     # a batch of known labels returns at once and draws nothing; anything
     # else (new labels, labels past the lookup, negative labels) takes the
     # per-label loop exactly as before
-    state = init_state(uer_method(hidden_dims=(4,)), input_dim=3, rng=make_rng(0))
+    state = init_state(uer_method(hidden_dims=(4,)), no_samples(3), make_rng(0))
     register_classes(state, np.array([3, 0]), make_rng(1))
     rng = make_rng(2)
     before = rng.bit_generator.state
@@ -151,10 +156,10 @@ def test_register_classes_fast_path_agrees_with_the_loop(labels):
 def test_runs_on_one_stream_get_the_same_rows():
     # the stream draws a new row once; every run's scorer and stage
     # baseline catch up with the same values
-    stream = StreamState(MemoryBuffer(5), 4)
+    stream = StreamState(MemoryBuffer(5), 4, no_samples(3))
     runs = [_follow(stream, init_extractor((3, 4), make_rng(k))) for k in range(2)]
     assert register_classes(stream, np.array([2, 6]), make_rng(5)) == [2, 6]
-    lone = init_state(uer_method(hidden_dims=(4,)), input_dim=3, rng=make_rng(0))
+    lone = init_state(uer_method(hidden_dims=(4,)), no_samples(3), make_rng(0))
     register_classes(lone, np.array([2, 6]), make_rng(5))
     for state in [*runs, _follow(stream, init_extractor((3, 4), make_rng(9)))]:
         register_classes(state, np.array([6]), make_rng(7))  # known: only catches up
@@ -170,12 +175,12 @@ def test_runs_on_one_stream_get_the_same_rows():
 def test_train_step_loss_additivity():
     ds = small_gauss()
     perm = make_rng(23).permutation(len(ds.train.x))
-    xs, ys = ds.train.x[perm], ds.train.y[perm]
     method = uer_method(buffer_capacity=50, hidden_dims=(8,))
     rng = make_rng([0, 1])
-    state = init_state(method, ds.input_dim, rng)
+    state = init_state(method, ds.train, rng)
     for lo in range(0, 120, 10):
-        rec = train_step(state, xs[lo:lo + 10], ys[lo:lo + 10], method, 10, rng)
+        rows = perm[lo:lo + 10]
+        rec = train_step(state, rows, ds.train.y[rows], method, 10, rng)
         assert rec.loss_total == pytest.approx(rec.loss_current + rec.loss_replay,
                                                abs=1e-12)
         assert rec.loss_current > 0.0
@@ -185,8 +190,8 @@ def test_train_step_cold_start_has_no_replay_loss():
     ds = small_gauss()
     method = uer_method(hidden_dims=(8,))
     rng = make_rng([0, 1])
-    state = init_state(method, ds.input_dim, rng)
-    rec = train_step(state, ds.train.x[:10], ds.train.y[:10], method, 10, rng)
+    state = init_state(method, ds.train, rng)
+    rec = train_step(state, np.arange(10), ds.train.y[:10], method, 10, rng)
     assert rec.loss_replay == 0.0
     assert len(state.buffer) == 10  # the batch was offered after the step
 
@@ -197,12 +202,12 @@ def test_replay_disabled_equals_plain_ce_step():
 
     ft = finetune_method(hidden_dims=(8,))
     rng_a = make_rng(7)
-    state_a = init_state(ft, ds.input_dim, rng_a)
-    train_step(state_a, x, y, ft, 10, rng_a)
+    state_a = init_state(ft, ds.train, rng_a)
+    train_step(state_a, np.arange(10), y, ft, 10, rng_a)
 
     # hand-rolled: register rows with the same rng, then one dot-CE step
     rng_b = make_rng(7)
-    state_b = init_state(ft, ds.input_dim, rng_b)
+    state_b = init_state(ft, ds.train, rng_b)
     register_classes(state_b, y, rng_b)
     rows = np.array([state_b.label_to_row[int(v)] for v in y])
     H, cache = forward_batch(state_b.extractor, x)
@@ -222,12 +227,12 @@ def test_finetune_never_touches_buffer_rng():
     ds = small_gauss()
     ft = finetune_method(hidden_dims=(8,))
     rng = make_rng(13)
-    state = init_state(ft, ds.input_dim, rng)
+    state = init_state(ft, ds.train, rng)
     before = rng.bit_generator.state["state"]["state"]
-    train_step(state, ds.train.x[:10], ds.train.y[:10], ft, 10, rng)
+    train_step(state, np.arange(10), ds.train.y[:10], ft, 10, rng)
     mid = rng.bit_generator.state["state"]["state"]
     assert mid != before  # registration drew rows
-    train_step(state, ds.train.x[:10], ds.train.y[:10], ft, 10, rng)
+    train_step(state, np.arange(10), ds.train.y[:10], ft, 10, rng)
     assert rng.bit_generator.state["state"]["state"] == mid  # nothing new drawn
 
 
@@ -236,20 +241,68 @@ def test_joint_batch_matches_union_mean():
     # batch mixes classes and the cross-entropy terms stay strictly positive
     ds = small_gauss()
     perm = make_rng(17).permutation(len(ds.train.x))
-    xs, ys = ds.train.x[perm], ds.train.y[perm]
     method = er_method(buffer_capacity=50, hidden_dims=(8,))
     rng = make_rng([3, 1])
-    state = init_state(method, ds.input_dim, rng)
+    state = init_state(method, ds.train, rng)
     recs = []
     for lo in range(0, 160, 10):
-        recs.append(train_step(state, xs[lo:lo + 10], ys[lo:lo + 10],
-                               method, 10, rng))
+        rows = perm[lo:lo + 10]
+        recs.append(train_step(state, rows, ds.train.y[rows], method, 10, rng))
     assert recs[0].loss_replay == 0.0  # nothing in the buffer yet
     assert all(r.loss_replay > 0.0 for r in recs[1:])
     assert all(r.loss_current > 0.0 for r in recs)
     for r in recs:
         assert r.loss_total == pytest.approx(r.loss_current + r.loss_replay,
                                              abs=1e-12)
+
+
+def _snapshot(states, rngs) -> list:
+    """Every run's parameters, its stream's buffer, labels and counters,
+    and every rng's state."""
+    out = [r.bit_generator.state for r in rngs]
+    for state in states:
+        buf = state.buffer
+        out += [flat_params(state.extractor, state.predictor).tobytes(), buf.rows.tobytes(),
+                buf.y.tobytes(), buf.pos.tobytes(), buf.size, buf.seen,
+                list(state.class_order), state.step]
+    return out
+
+
+@pytest.mark.parametrize("bad", [-1, -2 ** 40, 160, 2 ** 62],
+                         ids=["minus-one", "far-negative", "one-past-the-end", "far-past-the-end"])
+def test_a_row_outside_the_source_raises_and_changes_nothing(bad):
+    # a step reads its samples from its stream's source by row: a negative
+    # row, or one past the source's 160, raises IndexError before the step
+    # draws or writes anything, on a lone TrainState and in a group of two
+    # streams whose second batch holds it
+    ds = small_gauss()
+    method = uer_method(buffer_capacity=20, hidden_dims=(8,))
+    perm = make_rng(23).permutation(len(ds.train))
+    rng = make_rng(5)
+    lone = init_state(method, ds.train, rng)
+    streams = [StreamState(MemoryBuffer(20), 8, ds.train) for _ in range(2)]
+    group = RunGroup([_Run(method, _follow(stream, init_extractor((6, 8), make_rng(k))))
+                      for k, stream in enumerate(streams)])
+    rngs = [make_rng(6), make_rng(7)]
+    for lo in range(0, 40, 10):  # the buffers fill and replay
+        rows = perm[lo:lo + 10]
+        train_step(lone, rows, ds.train.y[rows], method, 10, rng)
+        train_step(group, [rows, rows[::-1]], [ds.train.y[rows], ds.train.y[rows[::-1]]],
+                   None, 10, rngs)
+    good, rows = perm[40:50], perm[50:60].copy()
+    rows[3] = bad
+    y = ds.train.y[perm[50:60]]
+
+    before = _snapshot([lone], [rng])
+    with pytest.raises(IndexError, match="outside the 160 samples"):
+        train_step(lone, rows, y, method, 10, rng)
+    assert _snapshot([lone], [rng]) == before
+
+    states = [run.state for run in group.runs]
+    before = _snapshot(states, rngs)
+    with pytest.raises(IndexError, match="outside the 160 samples"):
+        train_step(group, [good, rows], [ds.train.y[good], y], None, 10, rngs)
+    assert _snapshot(states, rngs) == before
 
 
 def test_all_table1_triples_run(gauss_datasets):
