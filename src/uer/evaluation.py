@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .logits import CosineScale, LogitMode, PredictorParams, _row_starts, \
     cosine_logits_batch, dot_logits_batch
 from .net import forward_batch
-from .numeric import Workspace, filled
+from .numeric import NonFiniteError, Workspace, filled
 from .stream import LabeledData
 
 
@@ -122,7 +123,10 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
     equal one pass over all rows, bit for bit. Every stage must hold at
     least one row. When every row's features are zero (the extractor's
     ReLUs all died), the scores say nothing about the input; collapsed
-    reports that.
+    reports that. A non-finite feature raises NonFiniteError ("features
+    contains non-finite entries"): features are ReLU outputs, >= 0 or
+    nan or +inf, so the one max taken of each block's features is finite
+    exactly when every feature is, and serves both checks.
     """
     rows = np.arange(len(test)) if rows is None else rows
     n = len(rows)
@@ -158,8 +162,12 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
             # each bias is added broadcast: NumPy buffers at most 8192
             # entries of the add, a spread block all of the block's
             H = forward_batch(state.extractor, x, ws, spread_bias=False)[0]
-            # features are ReLU outputs, checked finite: all zero iff the max is
-            collapsed = collapsed and not np.maximum.reduce(H, axis=None) > 0.0
+            # features are ReLU outputs: all finite iff the max is, all zero
+            # iff it is 0
+            top = np.maximum.reduce(H, axis=None)
+            if not isfinite(top):
+                raise NonFiniteError("features contains non-finite entries")
+            collapsed = collapsed and not top > 0.0
             S = _scores(state.predictor, H, mode, scale, ws)
             best = np.argmax(S, axis=1, out=ws("best", (size,), np.int64))
             label = np.take(class_order, best, out=ws("label", (size,), np.int64), mode="clip")

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .logits import PredictorParams
-from .numeric import Rng, ShapeError, Workspace, filled, require_finite
+from .numeric import Rng, ShapeError, Workspace, filled
 
 
 @dataclass
@@ -124,7 +124,13 @@ def forward_batch(fe: FeatureExtractor, X: np.ndarray, ws: Workspace | None = No
     a plain block and of the whole block for a stacked one, the spread
     form takes the plain loop. With spread_bias False the bias is added
     broadcast, which for a plain block of many more entries than 8192
-    (stage scoring's) holds less memory than the spread block."""
+    (stage scoring's) holds less memory than the spread block.
+
+    The features are not checked: an overflow or a nan comes back as it
+    is (+inf or nan; the ReLU maps -inf to 0), and each caller checks
+    what it needs. A training step checks the cross-entropy, which a
+    non-finite feature makes non-finite on its row; stage scoring checks
+    the max it already takes of each block's features."""
     X = np.asarray(X, dtype=np.float64)
     seeds = fe.layers[0].weight.shape[:-2]
     if X.ndim != 2 + len(seeds) or X.shape[:-2] != seeds:
@@ -144,7 +150,6 @@ def forward_batch(fe: FeatureExtractor, X: np.ndarray, ws: Workspace | None = No
         # masks with A > 0, which is Z > 0 (nan and -0 fail both)
         A = np.maximum(Z, 0.0, out=Z)
         acts.append(A)
-    require_finite(A, "features", stacked=bool(seeds))
     return A, acts
 
 

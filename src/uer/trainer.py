@@ -61,7 +61,7 @@ from .logits import CosineScale, LogitMode, PredictorParams, StepPlan, loss_curr
 from .memory import MemoryBuffer, buffer_retrieve, buffer_update
 from .net import FeatureExtractor, GradientTape, LayerParams, backward_batch, forward_batch, \
     init_extractor, sgd_step
-from .numeric import NonFiniteError, Rng, Workspace, make_rng
+from .numeric import NonFiniteError, Rng, Workspace, make_rng, require_finite
 from .stream import Dataset, LabeledData, Stage, StageRows, StreamConfig, build_stages, \
     iterate_batches, split_stages  # noqa: F401
 
@@ -216,7 +216,9 @@ class StreamState:
     once per stream; each run's scorer then catches up by appending them.
     A trajectory sets unregistered as a stage starts: once it is empty,
     no batch of the stage can hold a new label, and steps skip
-    register_classes. None (any other stream) looks every batch up.
+    register_classes. None (any other stream) looks every batch up and
+    checks its rows against the source; a trajectory's rows are its own
+    stage split of the source, so its steps do not.
     """
     buffer: MemoryBuffer
     dim: int  # feature dim: the width of a scorer row
@@ -523,13 +525,16 @@ def train_step(group, row_batch, y_batch, method: MethodConfig | None,
     """One training step of every run in a RunGroup.
 
     row_batch, y_batch and rng hold one entry per stream, in group.streams
-    order (a batch is its samples' rows in the stream's source; a row
-    outside it raises IndexError before anything changes), and method is
-    None: each run steps with its own. Each stream registers new labels,
-    draws its replay batch from its own rng and finds its [incoming;
-    replayed] source rows once for all of its runs; the parts take their
-    fused steps; each stream that still has a run then offers its batch to its
-    buffer. Returns, per run in group.runs order, its StepRecord or the
+    order (a batch is its samples' rows in the stream's source), and
+    method is None: each run steps with its own. An empty batch raises
+    ValueError, and a row outside a stream's source IndexError, before
+    anything is drawn or changed; a trajectory's batches are rows of its
+    own stage split, so only streams on no trajectory (a lone TrainState,
+    a RunGroup of the caller's) have their rows checked. Each stream
+    registers new labels, draws its replay batch from its own rng and
+    finds its [incoming; replayed] source rows once for all of its runs;
+    the parts take their fused steps; each stream that still has a run
+    then offers its batch to its buffer. Returns, per run in group.runs order, its StepRecord or the
     NonFiniteError that ended it; such a run leaves the group, and the
     rest of its part redo the step's arithmetic without it from the draws
     already made.
@@ -554,13 +559,20 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 def _group_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng) -> list:
+    """train_step on a RunGroup. The batches are checked before the first
+    draw; a stream with unregistered None is on no trajectory, and only
+    its rows are checked against its source."""
     runs, streams, replay = group.runs, group.streams, group.replay
     if not len(streams) == len(row_batch) == len(y_batch) == len(rng):
         raise ValueError(f"{len(streams)} streams but {len(row_batch)} row batches, "
                          f"{len(y_batch)} y batches and {len(rng)} rngs")
     row_batch = [np.asarray(rows, dtype=np.int64) for rows in row_batch]
-    for stream, rows in zip(streams, row_batch):  # a negative row reads as a huge one
-        if len(rows) and np.maximum.reduce(rows.view(np.uint64), None) >= len(stream.source):
+    for stream, rows, y in zip(streams, row_batch, y_batch):
+        if not len(y):
+            raise ValueError("an empty batch: a step needs at least one incoming sample")
+        # one reduction, in which a negative row reads as a huge one
+        if stream.unregistered is None and len(rows) and \
+                np.maximum.reduce(rows.view(np.uint64), None) >= len(stream.source):
             raise IndexError(f"a row outside the {len(stream.source)} samples of its source")
     # per stream: its features and the source rows of [incoming; replayed],
     # their scorer rows and the step shape (n incoming, n replayed,
@@ -643,23 +655,40 @@ def _gather(ws: Workspace, sources: list[tuple]) -> np.ndarray:
     X = ws("x", (len(sources), len(rows), x.shape[1]))
     for out, (x, rows) in zip(X, sources):
         # mode="clip" takes the rows straight into out ("raise" goes through
-        # a temporary); the step checked its incoming rows against the
-        # source and the buffer holds rows of checked batches: none clips
+        # a temporary); incoming rows are a trajectory's split of the source
+        # or checked against it, and the buffer holds earlier incoming
+        # rows: none clips
         x.take(rows, axis=0, out=out, mode="clip")
     return X
 
 
 def _descend(part: _Part, ws: Workspace, X: np.ndarray, rows: np.ndarray,
              plan: StepPlan) -> np.ndarray:
-    # a diverging run overflows here; the finiteness checks in
-    # forward_batch and loss_rows raise, so NumPy's warnings add nothing
+    """One part's forward pass, loss_rows, backward pass and SGD step;
+    returns the per-row cross-entropies.
+
+    The step's one finiteness check is loss_rows' check of the
+    cross-entropy. A non-finite feature makes its row's cross-entropy
+    non-finite under either score, so the features are looked at only
+    when that check raises: if some slices' features are not finite, the
+    NonFiniteError names those slices as features, else the cross-entropy
+    error stands. Either way nothing reaches the backward pass or the SGD
+    step."""
+    # a diverging run overflows here; the checks raise, so NumPy's
+    # warnings add nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         H, acts = forward_batch(part.extractor, X, ws)
-        ce, dH = loss_rows(part.predictor, part.scale, plan.alpha, H, rows, plan.weights,
-                           part.tape, ws, plan)
-        backward_batch(part.extractor, acts, dH, part.tape, ws)
-        sgd_step(part.extractor, part.predictor, part.tape, part.lr)
-    return ce
+        try:
+            ce, dH = loss_rows(part.predictor, part.scale, plan.alpha, H, rows, plan.weights,
+                               part.tape, ws, plan)
+        except NonFiniteError as err:
+            failed = err
+        else:
+            backward_batch(part.extractor, acts, dH, part.tape, ws)
+            sgd_step(part.extractor, part.predictor, part.tape, part.lr)
+            return ce
+    require_finite(H, "features", stacked=True)
+    raise failed
 
 
 def _collect_stage_metrics(state: TrainState, stages: Sequence[Stage | StageRows], t: int,

@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 import uer
+import uer.trainer
 from uer import DatasetSpec, build_dataset
 from uer.logits import PredictorParams
-from uer.net import FeatureExtractor, GradientTape, forward_batch, init_extractor
-from uer.stream import LabeledData
+from uer.net import FeatureExtractor, GradientTape, LayerParams, forward_batch, init_extractor
+from uer.stream import Dataset, LabeledData
 
 
 # --------------------------------------------------------------------------
@@ -186,6 +187,93 @@ def row_source(batches) -> tuple[LabeledData, list[np.ndarray]]:
                          np.concatenate([y for _, y in batches]))
     ends = np.cumsum([len(y) for _, y in batches])
     return source, [np.arange(end - len(y), end) for (_, y), end in zip(batches, ends)]
+
+
+# --------------------------------------------------------------------------
+# divergence through the data
+
+
+def step_start(dataset, method, stream_cfg, seed: int, step: int):
+    """What the run of method and seed alone on dataset meets at its
+    step-th step (1-based, over the whole run): the step's incoming rows
+    in dataset.train, copies of the run's extractor and class scorer as
+    the step starts, and the labels of the scorer rows. A run's draws
+    depend on no run beside it, so it reads the same rows in any group."""
+    seen = []
+    real = uer.trainer.train_step
+
+    def recording(group, row_batch, *rest):
+        state = group.runs[0].state
+        if state.step + 1 == step:
+            seen.append((np.array(row_batch[0]),
+                         FeatureExtractor([LayerParams(layer.weight.copy(), layer.bias.copy())
+                                           for layer in state.extractor.layers]),
+                         state.predictor.copy(), list(state.class_order)))
+        return real(group, row_batch, *rest)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(uer.trainer, "train_step", recording)
+        uer.trainer.run_trajectories(lambda _seed: dataset, [(method, seed)], stream_cfg)
+    (start,) = seen
+    return start
+
+
+def with_train_row(dataset: Dataset, row: int, x: np.ndarray) -> Dataset:
+    """dataset with training row row's features replaced by x."""
+    features = dataset.train.x.copy()
+    features[row] = x
+    return Dataset(LabeledData(features, dataset.train.y), dataset.test,
+                   dataset.num_classes, dataset.input_dim)
+
+
+def overflowing_features(fe: FeatureExtractor) -> np.ndarray:
+    """An input row whose features overflow: the largest double, signed
+    like the first-layer weight row of largest L1 norm, so that unit's
+    pre-activation sums past the largest double to +inf."""
+    weight = fe.layers[0].weight
+    unit = weight[np.argmax(np.abs(weight).sum(axis=1))]
+    assert np.abs(unit).sum() > 1.0
+    return np.finfo(np.float64).max * np.sign(unit)
+
+
+def overflowing_scores(fe: FeatureExtractor, pp: PredictorParams, label_row: int,
+                       dot: bool) -> np.ndarray:
+    """A finite input row whose features are finite but whose scores
+    overflow the cross-entropy of a sample of scorer row label_row: some
+    score H W^T is +inf, which makes it nan under either score, or, when
+    the step runs the dot score (dot), the dot cross-entropy's
+    max(L) - L[label_row] is. Far from the origin the features grow
+    linearly along a direction, so one whose overflowing quantity exceeds
+    both its input and its features by a factor r has all three scaled to
+    lie around the largest double. The directions tried are W1^T w for
+    each class row w, W1^T (w - w[label_row]) (the ones that raise a score,
+    or a score above the label's, fastest through one layer) and fixed
+    random ones, best factor first."""
+    top, probe = np.finfo(np.float64).max, 1e300
+    W1 = fe.layers[0].weight
+
+    def overflow(x):
+        H = forward_batch(fe, x[None])[0]
+        L = H @ pp.W.T + pp.b
+        spread = L.max() - L[0, label_row] if dot else -np.inf
+        return max(L.max(), spread), max(H.max(), np.abs(x).max())
+
+    directions = [W1.T @ w for w in pp.W] + [W1.T @ (w - pp.W[label_row]) for w in pp.W] + \
+        list(np.random.default_rng(0).normal(size=(256, W1.shape[1])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        found = []
+        for v in directions:
+            score, size = overflow(probe * v)
+            if score > 0.0:
+                found.append((score / size, size / probe, v))
+        for r, size, v in sorted(found, key=lambda f: -f[0]):
+            if r < 1.05:
+                break
+            x = v * ((1.0 + 1.0 / r) / 2 * top / size)
+            score, size = overflow(x)
+            if np.isfinite(x).all() and np.isfinite(forward_batch(fe, x[None])[0]).all() and \
+                    score == np.inf:
+                return x
+    raise AssertionError("no input row overflows the scores with finite features")
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,9 @@ for ``acc_previous`` and one over every stage seen so far for the average
 posterior (t + 2 passes after stage t). score_stages is the one-pass
 scoring that came next: one forward pass and one softmax over every row at
 once, with full-size temporaries; the row-blocked pass must match it bit
-for bit. Nothing in ``src/`` imports this module.
+for bit. forward_batch is the forward pass that checked its own features,
+which both oracles here and in legacy_step call. Nothing in ``src/``
+imports this module.
 """
 
 from __future__ import annotations
@@ -18,8 +20,18 @@ import numpy as np
 from uer.evaluation import StageMetrics, StageScores, average_accuracy, bias_diagnostics
 from uer.logits import CosineScale, LogitMode, PredictorParams, cosine_logits_batch, \
     dot_logits_batch
-from uer.net import forward_batch
+from uer import net
+from uer.numeric import require_finite
 from uer.stream import LabeledData
+
+
+def forward_batch(fe, X, ws=None, spread_bias=True):
+    """net.forward_batch as it was when it checked the features itself:
+    the forward pass, then require_finite on the features, which names the
+    non-finite slices of a stacked block."""
+    H, acts = net.forward_batch(fe, X, ws, spread_bias)
+    require_finite(H, "features", stacked=bool(fe.layers[0].weight.shape[:-2]))
+    return H, acts
 
 
 def softmax_rows(L: np.ndarray) -> np.ndarray:

@@ -23,7 +23,9 @@ and buffer named samples by their dataset row: ``MemoryBuffer``,
 ``buffer_update``, ``iterate_batches`` and ``init_state`` are the
 feature-copying buffer, batching and run set-up of that trainer, kept
 verbatim. ``gen_synthetic`` is the synthetic data generator as it was
-before it wrote its draws in place: per-class blocks, concatenated.
+before it wrote its draws in place: per-class blocks, concatenated. Every
+step here runs the forward pass that checked its own features
+(``legacy_eval.forward_batch``).
 Nothing in ``src/`` imports this module.
 """
 
@@ -34,11 +36,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from legacy_eval import forward_batch
 from uer.evaluation import StageMetrics
 from uer.logits import (CosineScale, EPS_NORM, LogitMode, PredictorParams, _batch_targets,
                         cosine_logits_batch, dot_logits_batch, loss_rows)
 from uer.memory import buffer_retrieve
-from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch, forward_batch,
+from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch,
                      init_extractor, sgd_step)
 from uer.numeric import NonFiniteError, Rng, make_rng, require_finite
 from uer.stream import Dataset, LabeledData, Stage, StageRows, StreamConfig, SyntheticSpec, \

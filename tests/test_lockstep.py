@@ -21,14 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import legacy_step
-import uer.logits
-import uer.net
 import uer.trainer
+from conftest import overflowing_features, overflowing_scores, step_start, with_train_row
 from uer.evaluation import stage_metrics_to_dict
-from uer.logits import CosineScale, PredictorParams, loss_rows
+from uer.logits import CosineScale, LogitMode, PredictorParams, loss_rows
 from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch,
                      forward_batch, sgd_step)
-from uer.numeric import NonFiniteError, make_rng
+from uer.numeric import NonFiniteError, make_rng, require_finite
 from uer.stream import Dataset, LabeledData, StreamConfig, gen_synthetic, make_sphere_spec
 from uer.trainer import (er_method, finetune_method, init_state, lucir_method,
                          run_experiment, run_trajectories, train_step, uer_a_method, uer_method)
@@ -221,14 +220,19 @@ def test_per_slice_settings_are_checked():
 
 
 def test_stacked_finiteness_check_names_the_seed():
+    # forward_batch hands non-finite features back as they are; the check
+    # a failed step makes of them names the slices that hold one
     fe = FeatureExtractor([LayerParams(np.ones((3, 2, 2)), np.zeros((3, 2)))])
     X = np.ones((3, 1, 2))
     X[1, 0, 0] = np.inf
+    H = forward_batch(fe, X)[0]
+    assert np.isinf(H[1]).all() and np.isfinite(H[[0, 2]]).all()
     with pytest.raises(NonFiniteError, match="^features contains non-finite entries$") as info:
-        forward_batch(fe, X)
+        require_finite(H, "features", stacked=True)
     assert info.value.seeds == [1]
+    H = forward_batch(FeatureExtractor([LayerParams(np.ones((2, 2)), np.zeros(2))]), X[1])[0]
     with pytest.raises(NonFiniteError) as info:
-        forward_batch(FeatureExtractor([LayerParams(np.ones((2, 2)), np.zeros(2))]), X[1])
+        require_finite(H, "features")
     assert info.value.seeds is None
 
 
@@ -339,27 +343,44 @@ def test_seeds_out_of_phase_on_shared_data_stay_byte_identical():
     assert len({tuple(m.consumed_samples for m in o.metrics) for o in outcomes}) > 1
 
 
-@pytest.mark.parametrize("module, what", [(uer.net, "features"),
-                                          (uer.logits, "cross-entropy")])
-def test_a_diverging_seed_fails_alone(module, what, monkeypatch):
-    # the seventh stacked check reports seed 1 (second in the group) as
-    # non-finite; the others redo that step's arithmetic without it
-    real, checks = module.require_finite, []
+# each failure is forced through the data: a source row that the failing
+# seed reads at that step, whose features overflow, or whose features stay
+# finite while its scores overflow; ids name the module whose output goes
+# non-finite
+DIVERGE = pytest.mark.parametrize("what", ["features", "cross-entropy"],
+                                  ids=["uer.net-features", "uer.logits-cross-entropy"])
 
-    def forced(arr, name="array", stacked=False):
-        if stacked and name == what:
-            checks.append(arr.shape)
-            if len(checks) == 7:
-                raise NonFiniteError(f"{name} contains non-finite entries", [1])
-        return real(arr, name, stacked)
-    monkeypatch.setattr(module, "require_finite", forced)
+
+def _diverging(dataset, method, seed, step, what, stream=STREAM):
+    """dataset with one row that seed's run of method reads at step made
+    to fail the step with a non-finite what."""
+    rows, fe, pp, labels = step_start(dataset, method, stream, seed, step)
+    if what == "features":
+        x = overflowing_features(fe)
+    else:  # the dot score runs if the learn or the replay rule weights it
+        triple = method.triple
+        x = overflowing_scores(fe, pp, labels.index(dataset.train.y[rows[0]]),
+                               dot=triple.learn is LogitMode.DOT or
+                               triple.replay.effective_alpha() > 0.0)
+    return with_train_row(dataset, rows[0], x)
+
+
+@DIVERGE
+def test_a_diverging_seed_fails_alone(what, monkeypatch):
+    # seed 1 (second in the group) goes non-finite at its seventh step;
+    # the others redo that step's arithmetic without it
     method, datasets = _presets()["uer"], _datasets()
-    outcomes = run_seed_group(datasets.__getitem__, method, STREAM, SEEDS)
+    poisoned = {**datasets, SEEDS[1]: _diverging(datasets[SEEDS[1]], method, SEEDS[1], 7,
+                                                 what)}
+    blocks = _blocks(monkeypatch)
+    outcomes = run_seed_group(poisoned.__getitem__, method, STREAM, SEEDS)
     monkeypatch.undo()
-    assert checks[6][0] == 3 and checks[7][0] == 2  # the redo ran without seed 1
+    slices = _slices(blocks)
+    assert slices[6] == 3 and slices[7] == 2  # the redo ran without seed 1
     failed = outcomes[1]
     assert isinstance(failed, FloatingPointError)
     assert str(failed) == f"stage 1, step 7: {what} contains non-finite entries"
+    assert failed.__cause__.seeds == [1]
     for i in (0, 2):
         _assert_same_run(outcomes[i], legacy_step.per_seed_run(datasets[SEEDS[i]], method,
                                                                STREAM, SEEDS[i]))
@@ -368,16 +389,11 @@ def test_a_diverging_seed_fails_alone(module, what, monkeypatch):
 def test_the_last_seed_left_redoes_the_step_alone(monkeypatch):
     # a group of two whose first seed fails: the second redoes the step on
     # a 1-slice block of its own rows, and steps as a part of one after
-    real = uer.net.require_finite
-
-    def forced(arr, name="array", stacked=False):
-        if stacked and len(arr) == 2:
-            raise NonFiniteError(f"{name} contains non-finite entries", [0])
-        return real(arr, name, stacked)
-    monkeypatch.setattr(uer.net, "require_finite", forced)
-    blocks = _blocks(monkeypatch)
     method, datasets = _presets()["uer"], _datasets()
-    outcomes = run_seed_group(datasets.__getitem__, method, STREAM, SEEDS[:2])
+    poisoned = {**datasets, SEEDS[0]: _diverging(datasets[SEEDS[0]], method, SEEDS[0], 1,
+                                                 "features")}
+    blocks = _blocks(monkeypatch)
+    outcomes = run_seed_group(poisoned.__getitem__, method, STREAM, SEEDS[:2])
     monkeypatch.undo()
     assert str(outcomes[0]) == "stage 1, step 1: features contains non-finite entries"
     slices = _slices(blocks)
@@ -387,17 +403,34 @@ def test_the_last_seed_left_redoes_the_step_alone(monkeypatch):
                                                            STREAM, SEEDS[1]))
 
 
-def test_every_seed_of_a_part_can_fail_at_once(monkeypatch):
-    real = uer.net.require_finite
-
-    def forced(arr, name="array", stacked=False):
-        if stacked:
-            raise NonFiniteError(f"{name} contains non-finite entries", [0, 1, 2])
-        return real(arr, name, stacked)
-    monkeypatch.setattr(uer.net, "require_finite", forced)
-    outcomes = run_seed_group(_datasets().__getitem__, _presets()["er"], STREAM, SEEDS)
+def test_every_seed_of_a_part_can_fail_at_once():
+    method, datasets = _presets()["er"], _datasets()
+    poisoned = {seed: _diverging(datasets[seed], method, seed, 1, "features") for seed in SEEDS}
+    outcomes = run_seed_group(poisoned.__getitem__, method, STREAM, SEEDS)
     assert [str(o) for o in outcomes] == \
         ["stage 1, step 1: features contains non-finite entries"] * 3
+    assert [o.__cause__.seeds for o in outcomes] == [[0, 1, 2]] * 3
+
+
+@pytest.mark.parametrize("preset", list(_presets()))
+def test_a_non_finite_slice_of_a_stacked_part_fails_alone_as_its_kind(preset, monkeypatch):
+    # each preset's three seeds step as one stacked part; seed 1 reads, at
+    # step 7, a row whose features overflow or one whose features stay
+    # finite while a class score overflows. Only seed 1 fails, with the
+    # error of what went non-finite, and the other seeds run on exactly as
+    # in a group where nothing fails
+    method, datasets = _presets()[preset], _datasets()
+    clean = run_seed_group(datasets.__getitem__, method, STREAM, SEEDS)
+    for what in ("features", "cross-entropy"):
+        poisoned = {**datasets, SEEDS[1]: _diverging(datasets[SEEDS[1]], method, SEEDS[1], 7,
+                                                     what)}
+        blocks = _blocks(monkeypatch)
+        outcomes = run_seed_group(poisoned.__getitem__, method, STREAM, SEEDS)
+        monkeypatch.undo()
+        assert _slices(blocks)[6:8] == [3, 2]
+        assert str(outcomes[1]) == f"stage 1, step 7: {what} contains non-finite entries"
+        for i in (0, 2):
+            _assert_same_run(outcomes[i], clean[i])
 
 
 def test_one_train_step_call_per_group_step(monkeypatch):
@@ -456,23 +489,16 @@ def test_a_seed_alone_steps_one_slice_stacked_and_matches_its_run_alone(preset, 
                                                        SEEDS[1]))
 
 
-@pytest.mark.parametrize("module, what", [(uer.net, "features"),
-                                          (uer.logits, "cross-entropy")])
-def test_a_seed_alone_that_diverges_names_its_stage_and_step(module, what, monkeypatch):
-    # the seventh check of the lone run's 1-slice block reports it non-finite
-    real, checks = module.require_finite, []
-
-    def forced(arr, name="array", stacked=False):
-        if stacked and name == what:
-            checks.append(arr.shape)
-            if len(checks) == 7:
-                raise NonFiniteError(f"{name} contains non-finite entries", [0])
-        return real(arr, name, stacked)
-    monkeypatch.setattr(module, "require_finite", forced)
+@DIVERGE
+def test_a_seed_alone_that_diverges_names_its_stage_and_step(what, monkeypatch):
+    # the lone run's 1-slice block goes non-finite at its seventh step
+    method = _presets()["uer"]
+    dataset = _diverging(_datasets()[0], method, 0, 7, what)
+    blocks = _blocks(monkeypatch)
     with pytest.raises(FloatingPointError) as info:
-        run_experiment(_datasets()[0], _presets()["uer"], STREAM, 0)
+        run_experiment(dataset, method, STREAM, 0)
     monkeypatch.undo()
-    assert len(checks) == 7 and checks[6][0] == 1
+    assert _slices(blocks) == [1] * 7
     assert str(info.value) == f"stage 1, step 7: {what} contains non-finite entries"
 
 
@@ -496,12 +522,8 @@ def test_a_lone_train_state_steps_as_the_per_seed_step_does(monkeypatch):
             for a, b in zip(vars(got).values(), vars(want).values()):
                 assert a.tobytes() == b.tobytes()
     assert set(_slices(blocks)) == {1}
-    real = uer.net.require_finite
-
-    def forced(arr, name="array", stacked=False):
-        if stacked:
-            raise NonFiniteError(f"{name} contains non-finite entries", [0])
-        return real(arr, name, stacked)
-    monkeypatch.setattr(uer.net, "require_finite", forced)
+    # a row of the next batch whose features overflow
+    rows = order[120:130]
+    data.train.x[rows[0]] = overflowing_features(state.extractor)
     with pytest.raises(NonFiniteError, match="^features contains non-finite entries$"):
-        train_step(state, rows, y, method, 10, rng)
+        train_step(state, rows, data.train.y[rows], method, 10, rng)

@@ -22,13 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_step
-import uer.net
 import uer.trainer
-from conftest import blas_versions, row_source
+from conftest import blas_versions, overflowing_features, row_source, step_start, with_train_row
 from uer.evaluation import stage_metrics_to_dict
 from uer.memory import MemoryBuffer
 from uer.net import init_extractor
-from uer.numeric import NonFiniteError, make_rng
+from uer.numeric import make_rng
 from uer.stream import Dataset, LabeledData, StreamConfig, gen_synthetic, make_sphere_spec
 from uer.trainer import (RunGroup, StreamState, _follow, _Run, er_method, lucir_method,
                          run_trajectories, train_step, uer_a_method, uer_method)
@@ -295,24 +294,19 @@ def test_short_last_batches_and_new_classes_reshape_the_workspace(monkeypatch):
 
 
 def test_a_run_diverging_mid_step_leaves_a_new_workspace_to_the_rest(monkeypatch):
-    # the seventh stacked check fails run 1 of 3 inside the fused step: the
-    # part is rebuilt without it and redoes the step from the draws already
-    # made, in prefix views of the group's workspace
-    real, checks = uer.net.require_finite, []
-
-    def forced(arr, name="array", stacked=False):
-        if stacked:
-            checks.append(arr.shape)
-            if len(checks) == 7:
-                raise NonFiniteError(f"{name} contains non-finite entries", [1])
-        return real(arr, name, stacked)
-    monkeypatch.setattr(uer.net, "require_finite", forced)
-    seen = _record_steps(monkeypatch)
+    # run 1 of 3 reads a row whose features overflow at its seventh step,
+    # inside the fused step: the part is rebuilt without it and redoes the
+    # step from the draws already made, in prefix views of the group's
+    # workspace
     datasets = {seed: _dataset(seed, [40] * 6) for seed in (0, 1, 2)}
     methods = [uer_method(hidden_dims=(16,), buffer_capacity=30)] * 3
-    outcomes = run_trajectories(datasets.__getitem__, list(zip(methods, (0, 1, 2))), STREAM)
+    rows, fe, _, _ = step_start(datasets[1], methods[1], STREAM, 1, 7)
+    poisoned = {**datasets, 1: with_train_row(datasets[1], rows[0], overflowing_features(fe))}
+    seen = _record_steps(monkeypatch)
+    outcomes = run_trajectories(poisoned.__getitem__, list(zip(methods, (0, 1, 2))), STREAM)
     monkeypatch.undo()
     assert str(outcomes[1]) == "stage 1, step 7: features contains non-finite entries"
+    assert outcomes[1].__cause__.seeds == [1]
     _assert_matches_oracle(outcomes, methods, datasets, (0, 1, 2))
     first, redo, last = seen[6], seen[7], seen[8]  # steps 7 and 8 of stage 1
     assert first[1][0] == 3 and redo[1][0] == 2 and redo[0] is first[0]

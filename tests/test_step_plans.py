@@ -3,13 +3,16 @@
 A part builds the StepPlan of a step shape (its runs, n incoming, n
 replayed, registered classes) on the shape's first step and reuses it;
 a trajectory stops looking batches up in register_classes once its stage's
-classes are all registered; a stage's training rows are gathered once.
+classes are all registered; a stage's training rows are gathered once. A
+step checks finiteness once, a scored block reduces its features once, and
+a trajectory's steps do not check their rows against the source.
 The call counts below keep that work from moving back into every step,
 and the runs that exercise the skipped lookups match the per-method
 oracle (legacy_step) byte for byte.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,15 +20,14 @@ import pytest
 import legacy_step
 from conftest import row_source
 import uer.logits
-import uer.net
 import uer.trainer
-from uer.evaluation import stage_metrics_to_dict
-from uer.logits import CosineScale, PredictorParams, loss_rows, step_plan
-from uer.net import GradientTape, FeatureExtractor, LayerParams
-from uer.numeric import ShapeError, make_rng
+from uer.evaluation import BLOCK_ROWS, row_blocks, score_stages, stage_metrics_to_dict
+from uer.logits import CosineScale, LogitMode, PredictorParams, loss_rows, step_plan
+from uer.net import GradientTape, FeatureExtractor, LayerParams, init_extractor
+from uer.numeric import ShapeError, Workspace, make_rng
 from uer.stream import Dataset, LabeledData, StreamConfig, gen_synthetic, make_sphere_spec
-from uer.trainer import (er_method, init_state, lucir_method, run_trajectories, train_step,
-                         uer_a_method, uer_method)
+from uer.trainer import (RunGroup, _Run, er_method, init_state, lucir_method, run_trajectories,
+                         train_step, uer_a_method, uer_method)
 
 STREAM = StreamConfig(stages=2, classes_per_stage=2, batch_size_current=10,
                       batch_size_memory=10)
@@ -112,13 +114,13 @@ def test_register_classes_is_skipped_once_the_stage_classes_are_registered(monke
     assert len(calls) < 2 * 2 * 7
 
 
-def test_forward_and_loss_check_finiteness_once_each_per_step(monkeypatch):
-    # the divergence tests force a failure through each module's
-    # require_finite, so each runs once per step: features in
-    # forward_batch, the cross-entropy in loss_rows
+def test_a_step_checks_finiteness_once(monkeypatch):
+    # loss_rows checks the cross-entropy, which a non-finite feature makes
+    # non-finite on its row: that is a step's one finiteness check, and the
+    # features are checked only once it fails
     checks, steps = [], []
     real_descend = uer.trainer._descend
-    for module in (uer.net, uer.logits):
+    for module in (uer.logits, uer.trainer):
         def counted(arr, name="array", stacked=False, _real=module.require_finite):
             if steps and steps[-1] is not None:
                 checks.append((len(steps), name))
@@ -130,15 +132,88 @@ def test_forward_and_loss_check_finiteness_once_each_per_step(monkeypatch):
         try:
             return real_descend(*args)
         finally:
-            steps.append(None)  # scoring's checks come outside a step
+            steps.append(None)
     monkeypatch.setattr(uer.trainer, "_descend", recording)
     datasets = {0: _dataset(0, [40] * 4)}
     run_trajectories(datasets.__getitem__, [(m, 0) for m in _methods()], STREAM)
     monkeypatch.undo()
     n_steps = len(steps) // 2
     assert n_steps == 2 * 8  # the uer, uer-a and lucir part, and er's
-    assert checks == [(2 * k + 1, name) for k in range(n_steps)
-                      for name in ("features", "cross-entropy")]
+    assert checks == [(2 * k + 1, "cross-entropy") for k in range(n_steps)]
+
+
+class _Watched(np.ndarray):
+    """An activation block that records each reduction taken of it."""
+    reductions: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kw):
+        if method == "reduce":
+            _Watched.reductions.append(ufunc.__name__)
+        plain = [x.view(np.ndarray) if isinstance(x, _Watched) else x for x in inputs]
+        if out is not None:
+            kw["out"] = tuple(x.view(np.ndarray) if isinstance(x, _Watched) else x for x in out)
+        result = getattr(ufunc, method)(*plain, **kw)
+        return out[0] if out is not None and len(out) == 1 else result
+
+
+class _WatchedWorkspace(Workspace):
+    """A Workspace whose activation buffers record their reductions."""
+    __slots__ = ()
+
+    def __call__(self, name, shape, dtype=np.float64):
+        buf = super().__call__(name, shape, dtype)
+        return buf.view(_Watched) if isinstance(name, tuple) and name[0] == "a" else buf
+
+
+@pytest.mark.parametrize("mode", [LogitMode.DOT, LogitMode.COSINE])
+def test_a_scored_block_reduces_its_features_once(mode, monkeypatch):
+    # the max that finds collapsed features also checks them finite: no
+    # other reduction of a block's features, in the forward pass or after
+    rng = make_rng(3)
+    extractor = init_extractor((6, 8), rng)
+    state = SimpleNamespace(extractor=extractor, predictor=PredictorParams(
+        rng.normal(size=(4, 8)), np.zeros(4)), class_order=[0, 1, 2, 3])
+    n = 2 * BLOCK_ROWS + 5
+    test = LabeledData(rng.normal(size=(n, 6)), rng.integers(0, 4, size=n))
+    monkeypatch.setattr(_Watched, "reductions", [])
+    scores = score_stages(state, test, [n // 2, n], mode, CosineScale(10.0),
+                          ws=_WatchedWorkspace())
+    assert _Watched.reductions == ["maximum"] * len(row_blocks(n)) == ["maximum"] * 2
+    assert not scores.collapsed
+
+
+def _counted_row_checks(monkeypatch) -> list:
+    """The row reductions uer.trainer makes (np.maximum.reduce, the row
+    check's only use), by the shape reduced."""
+    calls = []
+
+    class Maximum:
+        def reduce(self, rows, *args, **kw):
+            calls.append(rows.shape)
+            return np.maximum.reduce(rows, *args, **kw)
+    numpy = SimpleNamespace(**vars(np))
+    numpy.maximum = Maximum()
+    monkeypatch.setattr(uer.trainer, "np", numpy)
+    return calls
+
+
+def test_a_trajectory_step_makes_no_row_check(monkeypatch):
+    # a trajectory's rows are its own stage split of its source: its steps
+    # reduce none of them. A direct train_step caller's rows are still
+    # checked, one reduction per stream, on a lone TrainState and in a
+    # group (tests/test_trainer.py pins the IndexError before any draw)
+    datasets = {0: _dataset(0, [40] * 4)}
+    calls = _counted_row_checks(monkeypatch)
+    outcomes = run_trajectories(datasets.__getitem__, [(m, 0) for m in _methods()], STREAM)
+    assert calls == [] and all(o.steps for o in outcomes)
+    data, method = datasets[0], _methods()[0]
+    lone = init_state(method, data.train, make_rng(1))
+    train_step(lone, np.arange(10), data.train.y[:10], method, 10, make_rng(2))
+    assert calls == [(10,)]
+    group = RunGroup([_Run(method, init_state(method, data.train, make_rng(k))) for k in (3, 4)])
+    train_step(group, [np.arange(10), np.arange(10, 20)],
+               [data.train.y[:10], data.train.y[10:20]], None, 10, [make_rng(5), make_rng(6)])
+    assert calls == [(10,), (10,), (10,)]
 
 
 # --------------------------------------------------- lookups left out

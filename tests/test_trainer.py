@@ -268,13 +268,11 @@ def _snapshot(states, rngs) -> list:
     return out
 
 
-@pytest.mark.parametrize("bad", [-1, -2 ** 40, 160, 2 ** 62],
-                         ids=["minus-one", "far-negative", "one-past-the-end", "far-past-the-end"])
-def test_a_row_outside_the_source_raises_and_changes_nothing(bad):
-    # a step reads its samples from its stream's source by row: a negative
-    # row, or one past the source's 160, raises IndexError before the step
-    # draws or writes anything, on a lone TrainState and in a group of two
-    # streams whose second batch holds it
+def _stepped_lone_and_group():
+    """A lone TrainState and a RunGroup of two streams, stepped directly
+    over the first 40 rows of a shuffled small_gauss, so that their
+    buffers replay: (dataset, method, row order, lone state, its rng,
+    group, its rngs)."""
     ds = small_gauss()
     method = uer_method(buffer_capacity=20, hidden_dims=(8,))
     perm = make_rng(23).permutation(len(ds.train))
@@ -289,6 +287,17 @@ def test_a_row_outside_the_source_raises_and_changes_nothing(bad):
         train_step(lone, rows, ds.train.y[rows], method, 10, rng)
         train_step(group, [rows, rows[::-1]], [ds.train.y[rows], ds.train.y[rows[::-1]]],
                    None, 10, rngs)
+    return ds, method, perm, lone, rng, group, rngs
+
+
+@pytest.mark.parametrize("bad", [-1, -2 ** 40, 160, 2 ** 62],
+                         ids=["minus-one", "far-negative", "one-past-the-end", "far-past-the-end"])
+def test_a_row_outside_the_source_raises_and_changes_nothing(bad):
+    # a step reads its samples from its stream's source by row: a negative
+    # row, or one past the source's 160, raises IndexError before the step
+    # draws or writes anything, on a lone TrainState and in a group of two
+    # streams whose second batch holds it
+    ds, method, perm, lone, rng, group, rngs = _stepped_lone_and_group()
     good, rows = perm[40:50], perm[50:60].copy()
     rows[3] = bad
     y = ds.train.y[perm[50:60]]
@@ -302,6 +311,26 @@ def test_a_row_outside_the_source_raises_and_changes_nothing(bad):
     before = _snapshot(states, rngs)
     with pytest.raises(IndexError, match="outside the 160 samples"):
         train_step(group, [good, rows], [ds.train.y[good], y], None, 10, rngs)
+    assert _snapshot(states, rngs) == before
+
+
+def test_an_empty_batch_raises_and_changes_nothing():
+    # a step learns the mean over its incoming batch: an empty one raises
+    # ValueError naming it before the step draws or writes anything, on a
+    # lone TrainState and in a group of two streams whose second batch is
+    # empty (it once divided by zero after the replay draw)
+    ds, method, perm, lone, rng, group, rngs = _stepped_lone_and_group()
+    empty, good = np.zeros(0, dtype=np.int64), perm[40:50]
+
+    before = _snapshot([lone], [rng])
+    with pytest.raises(ValueError, match="^an empty batch: "):
+        train_step(lone, empty, empty, method, 10, rng)
+    assert _snapshot([lone], [rng]) == before
+
+    states = [run.state for run in group.runs]
+    before = _snapshot(states, rngs)
+    with pytest.raises(ValueError, match="^an empty batch: "):
+        train_step(group, [good, empty], [ds.train.y[good], empty], None, 10, rngs)
     assert _snapshot(states, rngs) == before
 
 
