@@ -100,6 +100,8 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
                  ws: Workspace | None = None) -> StageScores:
     """Score the test rows of stages 1..t in one pass over row blocks.
 
+    state is a run (TrainState): its extractor and class scorer score the
+    rows, and its stream's class_order gives each scorer row's label.
     The rows scored are test's rows at the indices rows (all of test's
     rows without it), read block by block, never gathered whole; they are
     in stage order and ends[j] is the offset where stage j+1's rows end,
@@ -145,7 +147,7 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
     largest = max(hi - lo for lo, hi in blocks)  # the tail block
     ws = ws or Workspace()
     classes = state.predictor.num_classes
-    class_order = np.asarray(state.class_order, dtype=np.int64)
+    class_order = np.asarray(state.stream.class_order, dtype=np.int64)
     correct = np.empty(n, dtype=bool)
     total = np.empty(classes)  # the running column sum of the softmax rows
     collapsed = True
@@ -159,9 +161,7 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
             x = np.take(test.x, rows[lo:hi], axis=0, out=ws("x", (size, test.x.shape[1])),
                         mode="clip")
             y = np.take(test.y, rows[lo:hi], out=ws("y", (size,), np.int64), mode="clip")
-            # each bias is added broadcast: NumPy buffers at most 8192
-            # entries of the add, a spread block all of the block's
-            H = forward_batch(state.extractor, x, ws, spread_bias=False)[0]
+            H = forward_batch(state.extractor, x, ws)[0]
             # features are ReLU outputs: all finite iff the max is, all zero
             # iff it is 0
             top = np.maximum.reduce(H, axis=None)

@@ -112,19 +112,12 @@ def init_extractor(dims: Sequence[int], rng: Rng) -> FeatureExtractor:
     return FeatureExtractor(layers)
 
 
-def forward_batch(fe: FeatureExtractor, X: np.ndarray, ws: Workspace | None = None,
-                  spread_bias: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
+def forward_batch(fe: FeatureExtractor, X: np.ndarray,
+                  ws: Workspace | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Features of a (batch, dim) block, or of a (slices, batch, dim) block
     when the layers carry a slice axis, written into ws's buffers, and the
     activations backward_batch reads: the input block, then each layer's
     output (after its ReLU), so layer k reads acts[k] and writes acts[k + 1].
-
-    Each bias is spread over a full ("t", width) block before it is added:
-    NumPy runs a broadcast add through a buffer of up to 8192 entries for
-    a plain block and of the whole block for a stacked one, the spread
-    form takes the plain loop. With spread_bias False the bias is added
-    broadcast, which for a plain block of many more entries than 8192
-    (stage scoring's) holds less memory than the spread block.
 
     The features are not checked: an overflow or a nan comes back as it
     is (+inf or nan; the ReLU maps -inf to 0), and each caller checks
@@ -144,8 +137,12 @@ def forward_batch(fe: FeatureExtractor, X: np.ndarray, ws: Workspace | None = No
     for k, layer in enumerate(fe.layers):
         shape = (*A.shape[:-1], layer.weight.shape[-2])
         Z = np.matmul(A, layer.weight.swapaxes(-1, -2), out=out(("a", k), shape))
+        # NumPy buffers a broadcast add of the whole of a stacked block (a
+        # step's), so its bias is spread over a ("t", width) block first;
+        # a plain block (scoring's) adds it broadcast, through a buffer of
+        # at most 8192 entries. An add is elementwise: the bits agree
         bias = layer.bias[..., None, :]
-        Z += filled(out(("t", shape[-1]), shape), bias) if spread_bias else bias
+        Z += filled(out(("t", shape[-1]), shape), bias) if seeds else bias
         # ReLU in place: acts keeps activations only, and backward
         # masks with A > 0, which is Z > 0 (nan and -0 fail both)
         A = np.maximum(Z, 0.0, out=Z)

@@ -41,6 +41,10 @@ the backward pass and the SGD step once, over parameters stacked on a
 leading axis, with per-run alpha, weights, gamma and lr, whatever each
 run's rule: a loss branch that some run uses runs over the whole part.
 Each run's slice is computed exactly as its run alone would compute it.
+
+A run (TrainState) is its parameters; its stream (StreamState) holds the
+buffer, the label map and the counters. train_step steps the runs of a
+RunGroup, and a caller that steps one run holds a group of that one run.
 """
 
 from __future__ import annotations
@@ -236,35 +240,18 @@ class StreamState:
             self.init_rows = np.zeros((0, self.dim))
 
 
-def _on_stream(name: str) -> property:
-    return property(lambda self: getattr(self.stream, name),
-                    lambda self, value: setattr(self.stream, name, value),
-                    doc=f"The stream's {name}, shared by every run on it.")
-
-
 @dataclass
 class TrainState:
     """One run's parameters: its extractor, class scorer, gradient tape and
-    the scorer as the stage began, on the stream (StreamState) it follows.
-    The stream's buffer, label map and counters read through. Once the run
-    steps, its extractor, scorer and tape arrays are views of one slice of
-    its part's stacks (_Part)."""
+    the scorer as the stage began, on the stream (StreamState) it follows,
+    which holds its buffer, label map and counters. Once the run steps,
+    its extractor, scorer and tape arrays are views of one slice of its
+    part's stacks (_Part)."""
     extractor: FeatureExtractor
     predictor: PredictorParams
     tape: GradientTape
     stream: StreamState
     stage_baseline: PredictorParams | None = None
-
-    buffer = _on_stream("buffer")
-    class_order = _on_stream("class_order")
-    row_of_label = _on_stream("row_of_label")
-    step = _on_stream("step")
-    consumed_in_stage = _on_stream("consumed_in_stage")
-
-    @property
-    def label_to_row(self) -> dict[int, int]:
-        """Registered labels and their scorer rows, in registration order."""
-        return {label: row for row, label in enumerate(self.class_order)}
 
 
 @dataclass
@@ -291,23 +278,21 @@ def _follow(stream: StreamState, extractor: FeatureExtractor) -> TrainState:
 
 def init_state(method: MethodConfig, source: LabeledData, rng: Rng) -> TrainState:
     """A run on a stream of its own that reads its samples from source,
-    its extractor drawn from rng."""
+    its extractor drawn from rng; RunGroup([_Run(method, state)]) steps it."""
     extractor = init_extractor((source.x.shape[1], *method.hidden_dims), rng)
     return _follow(StreamState(MemoryBuffer(_capacity(method)), extractor.out_dim, source),
                    extractor)
 
 
-def register_classes(state, labels, rng: Rng) -> list[int]:
-    """Register every label not seen before; returns those labels.
+def register_classes(stream: StreamState, labels, rng: Rng) -> list[int]:
+    """Register on stream every label not seen before; returns those labels.
 
-    state is a StreamState, or a TrainState: its stream registers, and its
-    scorer then catches up. A new label gets the next scorer row, drawn
-    with the same uniform init as a single-output net layer over the
-    feature dim; biases start at zero. One lookup finds batches whose
-    labels are all registered, so they draw nothing. Labels must be
-    non-negative integers.
+    A new label gets the next scorer row, drawn with the same uniform init
+    as a single-output net layer over the feature dim; biases start at
+    zero. Each run on the stream takes the new rows with catch_up. One
+    lookup finds batches whose labels are all registered, so they draw
+    nothing. Labels must be non-negative integers.
     """
-    stream = state.stream if isinstance(state, TrainState) else state
     labels = np.asarray(labels, dtype=np.int64).ravel()
     added, rows = [], []
     try:
@@ -331,8 +316,6 @@ def register_classes(state, labels, rng: Rng) -> list[int]:
             added.append(label)
     if rows:
         stream.init_rows = np.vstack([stream.init_rows, *rows])
-    if isinstance(state, TrainState):
-        catch_up(state)
     return added
 
 
@@ -520,48 +503,29 @@ class RunGroup:
         return self._ws
 
 
-def train_step(group, row_batch, y_batch, method: MethodConfig | None,
-               memory_batch_size: int, rng):
-    """One training step of every run in a RunGroup.
-
-    row_batch, y_batch and rng hold one entry per stream, in group.streams
-    order (a batch is its samples' rows in the stream's source), and
-    method is None: each run steps with its own. An empty batch raises
-    ValueError, and a row outside a stream's source IndexError, before
-    anything is drawn or changed; a trajectory's batches are rows of its
-    own stage split, so only streams on no trajectory (a lone TrainState,
-    a RunGroup of the caller's) have their rows checked. Each stream
-    registers new labels, draws its replay batch from its own rng and
-    finds its [incoming; replayed] source rows once for all of its runs;
-    the parts take their fused steps; each stream that still has a run
-    then offers its batch to its buffer. Returns, per run in group.runs order, its StepRecord or the
-    NonFiniteError that ended it; such a run leaves the group, and the
-    rest of its part redo the step's arithmetic without it from the draws
-    already made.
-
-    A lone TrainState is a group of one run of method, stepped like any
-    other part: pass its batch and rng directly, and get its StepRecord
-    back (or its error raised). Such a call builds its group, part,
-    workspace and step plan anew, about doubling a small step (608 against
-    295 us at split-gauss-10's shapes, 2-core VM, NumPy 2.4.6): to step
-    many batches, hold a RunGroup.
-    """
-    if isinstance(group, TrainState):
-        (record,) = _group_step(RunGroup([_Run(method, group)]), [row_batch], [y_batch],
-                                memory_batch_size, [rng])
-        if isinstance(record, Exception):
-            raise record
-        return record
-    return _group_step(group, row_batch, y_batch, memory_batch_size, rng)
-
-
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
-def _group_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng) -> list:
-    """train_step on a RunGroup. The batches are checked before the first
-    draw; a stream with unregistered None is on no trajectory, and only
-    its rows are checked against its source."""
+def train_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng) -> list:
+    """One training step of every run in a RunGroup.
+
+    row_batch, y_batch and rng hold one entry per stream, in group.streams
+    order (a batch is its samples' rows in the stream's source); each run
+    steps with its own method. An empty batch or one whose rows and labels
+    differ in length raises ValueError, and a row outside a stream's
+    source IndexError, before anything is drawn or changed; a trajectory's
+    batches are rows of its own stage split, so only streams on no
+    trajectory (unregistered None, as in a RunGroup of the caller's) have
+    their rows checked. Each stream registers new labels, draws its replay
+    batch from its own rng and finds its [incoming; replayed] source rows
+    once for all of its runs; the parts take their fused steps; each
+    stream that still has a run then offers its batch to its buffer.
+    Returns, per run in group.runs order, its StepRecord or the
+    NonFiniteError that ended it; such a run leaves the group, and the
+    rest of its part redo the step's arithmetic without it from the draws
+    already made. To step one run, hold a RunGroup([_Run(method, state)])
+    across its steps.
+    """
     runs, streams, replay = group.runs, group.streams, group.replay
     if not len(streams) == len(row_batch) == len(y_batch) == len(rng):
         raise ValueError(f"{len(streams)} streams but {len(row_batch)} row batches, "
@@ -570,8 +534,10 @@ def _group_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng
     for stream, rows, y in zip(streams, row_batch, y_batch):
         if not len(y):
             raise ValueError("an empty batch: a step needs at least one incoming sample")
+        if len(rows) != len(y):
+            raise ValueError(f"a batch of {len(rows)} rows but {len(y)} labels")
         # one reduction, in which a negative row reads as a huge one
-        if stream.unregistered is None and len(rows) and \
+        if stream.unregistered is None and \
                 np.maximum.reduce(rows.view(np.uint64), None) >= len(stream.source):
             raise IndexError(f"a row outside the {len(stream.source)} samples of its source")
     # per stream: its features and the source rows of [incoming; replayed],
@@ -707,14 +673,15 @@ def _collect_stage_metrics(state: TrainState, stages: Sequence[Stage | StageRows
         raise FeaturesCollapsed(f"stage {t}: features collapsed: all {n} scored test "
                                 f"rows have zero features")
     row = scores.accuracy_row
-    label_to_row = state.label_to_row
+    stream = state.stream
+    label_to_row = {label: r for r, label in enumerate(stream.class_order)}
     prev_rows = [label_to_row[c] for j in range(t - 1) for c in stages[j].class_set
                  if c in label_to_row]
     curr_rows = [label_to_row[c] for c in stages[t - 1].class_set if c in label_to_row]
     diag = bias_diagnostics(state.predictor, prev_rows, curr_rows, state.stage_baseline)
     return StageMetrics(
         stage=t,
-        class_order=list(state.class_order),
+        class_order=list(stream.class_order),
         current_classes=[int(c) for c in stages[t - 1].class_set],
         accuracy_row=row,
         average_accuracy=average_accuracy(row),
@@ -730,7 +697,7 @@ def _collect_stage_metrics(state: TrainState, stages: Sequence[Stage | StageRows
         mean_b_curr=diag.mean_b_curr,
         accumulated_param_change=diag.accumulated_param_change,
         avg_posterior=scores.avg_posterior.tolist(),
-        consumed_samples=state.consumed_in_stage,
+        consumed_samples=stream.consumed_in_stage,
     )
 
 
@@ -864,8 +831,7 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
         step_no = {traj: traj.state.step + 1 for traj in live}
         try:
             records = train_step(group, [rows for _, (rows, _) in stepping],
-                                 [y for _, (_, y) in stepping], None,
-                                 stream_cfg.batch_size_memory,
+                                 [y for _, (_, y) in stepping], stream_cfg.batch_size_memory,
                                  [traj.rng for traj, _ in stepping])
         except Exception as err:  # noqa: BLE001 - a fault no single run owns
             for run in runs_now:

@@ -189,6 +189,16 @@ def row_source(batches) -> tuple[LabeledData, list[np.ndarray]]:
     return source, [np.arange(end - len(y), end) for (_, y), end in zip(batches, ends)]
 
 
+def step_alone(group, rows, y, memory_batch_size: int, rng):
+    """train_step on a RunGroup of one run (RunGroup([_Run(method, state)]),
+    held across its steps): the run's StepRecord, or the error that ended
+    it raised."""
+    (record,) = uer.trainer.train_step(group, [rows], [y], memory_batch_size, [rng])
+    if isinstance(record, Exception):
+        raise record
+    return record
+
+
 # --------------------------------------------------------------------------
 # divergence through the data
 
@@ -204,11 +214,11 @@ def step_start(dataset, method, stream_cfg, seed: int, step: int):
 
     def recording(group, row_batch, *rest):
         state = group.runs[0].state
-        if state.step + 1 == step:
+        if state.stream.step + 1 == step:
             seen.append((np.array(row_batch[0]),
                          FeatureExtractor([LayerParams(layer.weight.copy(), layer.bias.copy())
                                            for layer in state.extractor.layers]),
-                         state.predictor.copy(), list(state.class_order)))
+                         state.predictor.copy(), list(state.stream.class_order)))
         return real(group, row_batch, *rest)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(uer.trainer, "train_step", recording)

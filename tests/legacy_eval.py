@@ -25,11 +25,11 @@ from uer.numeric import require_finite
 from uer.stream import LabeledData
 
 
-def forward_batch(fe, X, ws=None, spread_bias=True):
+def forward_batch(fe, X, ws=None):
     """net.forward_batch as it was when it checked the features itself:
     the forward pass, then require_finite on the features, which names the
     non-finite slices of a stacked block."""
-    H, acts = net.forward_batch(fe, X, ws, spread_bias)
+    H, acts = net.forward_batch(fe, X, ws)
     require_finite(H, "features", stacked=bool(fe.layers[0].weight.shape[:-2]))
     return H, acts
 
@@ -64,7 +64,7 @@ def accuracy(state, test, mode, scale) -> float:
         raise ValueError("accuracy over an empty test set")
     H, _ = forward_batch(state.extractor, test.x)
     rows = predict_batch(state.predictor, H, mode, scale)
-    labels = np.asarray(state.class_order, dtype=np.int64)[rows]
+    labels = np.asarray(state.stream.class_order, dtype=np.int64)[rows]
     return float(np.mean(labels == test.y))
 
 
@@ -84,7 +84,7 @@ def collect_stage_metrics(state, stages, t, method) -> StageMetrics:
     row = [accuracy(state, stages[j].test, mode, scale) for j in range(t)]
     prev_sets = [stages[j].test for j in range(t - 1)]
     acc_prev = accuracy(state, _pooled(prev_sets), mode, scale) if prev_sets else None
-    label_to_row = state.label_to_row
+    label_to_row = {label: i for i, label in enumerate(state.stream.class_order)}
     prev_rows = [label_to_row[c] for j in range(t - 1) for c in stages[j].class_set
                  if c in label_to_row]
     curr_rows = [label_to_row[c] for c in stages[t - 1].class_set if c in label_to_row]
@@ -93,7 +93,7 @@ def collect_stage_metrics(state, stages, t, method) -> StageMetrics:
                                   mode, scale)
     return StageMetrics(
         stage=t,
-        class_order=list(state.class_order),
+        class_order=list(state.stream.class_order),
         current_classes=[int(c) for c in stages[t - 1].class_set],
         accuracy_row=row,
         average_accuracy=average_accuracy(row),
@@ -109,7 +109,7 @@ def collect_stage_metrics(state, stages, t, method) -> StageMetrics:
         mean_b_curr=diag.mean_b_curr,
         accumulated_param_change=diag.accumulated_param_change,
         avg_posterior=[float(v) for v in posterior],
-        consumed_samples=state.consumed_in_stage,
+        consumed_samples=state.stream.consumed_in_stage,
     )
 
 
@@ -133,7 +133,7 @@ def score_stages(state, test, ends, mode, scale) -> StageScores:
         S = dot_logits_batch(state.predictor, H)
     else:
         S = cosine_logits_batch(state.predictor, H, scale)
-    labels = np.asarray(state.class_order, dtype=np.int64)[np.argmax(S, axis=1)]
+    labels = np.asarray(state.stream.class_order, dtype=np.int64)[np.argmax(S, axis=1)]
     hits = np.concatenate([[0], np.cumsum(labels == test.y)])
     row = (hits[ends] - hits[starts]) / (ends - starts)
     prev = int(starts[-1])

@@ -47,7 +47,8 @@ from uer.numeric import NonFiniteError, Rng, make_rng, require_finite
 from uer.stream import Dataset, LabeledData, Stage, StageRows, StreamConfig, SyntheticSpec, \
     build_stages, split_stages
 from uer.trainer import (ExperimentResult, MethodConfig, StepRecord, StreamState, TrainState,
-                         _capacity, _collect_stage_metrics, _follow, _row_mix, register_classes)
+                         _capacity, _collect_stage_metrics, _follow, _row_mix, catch_up,
+                         register_classes)
 
 
 def softmax_rows(L: np.ndarray) -> np.ndarray:
@@ -291,7 +292,8 @@ def loss_replay(pp, scale: CosineScale, alpha: float, H, rows, tape=None):
 
 
 def _rows_for(state, labels) -> np.ndarray:
-    return np.array([state.label_to_row[int(y)] for y in labels], dtype=np.int64)
+    label_to_row = {label: i for i, label in enumerate(state.stream.class_order)}
+    return np.array([label_to_row[int(y)] for y in labels], dtype=np.int64)
 
 
 def _batch_loss(mode, state, scale, H, rows, weight=1.0):
@@ -312,18 +314,19 @@ def _joint_partials(state, method, scale, H, rows, n_cur):
 
 def legacy_train_step(state, x_batch, y_batch, method, memory_batch_size, rng,
                       sgd=sgd_step) -> StepRecord:
-    """One step of the two-pass trainer; ``state.buffer`` is a ListBuffer.
+    """One step of the two-pass trainer; ``state.stream.buffer`` is a ListBuffer.
 
     ``sgd`` is called in place of ``uer.net.sgd_step`` so a test can look
     at the gradient tape before the update zeroes it.
     """
-    register_classes(state, y_batch, rng)
+    register_classes(state.stream, y_batch, rng)
+    catch_up(state)
     scale = method.scale()
     rows_cur = _rows_for(state, y_batch)
 
     replayed: list[StoredSample] = []
     if method.replay_enabled:
-        replayed = list_buffer_retrieve(state.buffer, memory_batch_size, rng)
+        replayed = list_buffer_retrieve(state.stream.buffer, memory_batch_size, rng)
 
     if method.joint_batch:
         n_cur = len(y_batch)
@@ -360,12 +363,12 @@ def legacy_train_step(state, x_batch, y_batch, method, memory_batch_size, rng,
     if method.replay_enabled:
         # the old TrainState.stream_position counter equalled buffer.seen
         # whenever the buffer was offered samples
-        offered = [StoredSample(x_batch[i].copy(), int(y_batch[i]), state.buffer.seen + i)
+        offered = [StoredSample(x_batch[i].copy(), int(y_batch[i]), state.stream.buffer.seen + i)
                    for i in range(len(y_batch))]
-        list_buffer_update(state.buffer, offered, rng)
+        list_buffer_update(state.stream.buffer, offered, rng)
 
-    state.consumed_in_stage += len(y_batch)
-    state.step += 1
+    state.stream.consumed_in_stage += len(y_batch)
+    state.stream.step += 1
     return StepRecord(l_c, l_p, l_total)
 
 
@@ -374,15 +377,16 @@ def legacy_train_step(state, x_batch, y_batch, method, memory_batch_size, rng,
 
 def per_seed_train_step(state, x_batch, y_batch, method, memory_batch_size, rng) -> StepRecord:
     """The fused step for one seed on 2-d blocks, as it ran before lockstep."""
-    register_classes(state, y_batch, rng)
-    buf = state.buffer
+    register_classes(state.stream, y_batch, rng)
+    catch_up(state)
+    buf = state.stream.buffer
     n_cur = len(y_batch)
-    X, rows = x_batch, state.row_of_label[y_batch]
+    X, rows = x_batch, state.stream.row_of_label[y_batch]
     idx = buffer_retrieve(buf, memory_batch_size, rng) if method.replay_enabled else ()
     n_mem = len(idx)
     if n_mem:
         X = np.concatenate([x_batch, buf.x[idx]])
-        rows = np.concatenate([rows, state.row_of_label[buf.y[idx]]])
+        rows = np.concatenate([rows, state.stream.row_of_label[buf.y[idx]]])
     learn_alpha = 1.0 if method.triple.learn is LogitMode.DOT else 0.0
     alpha, weights = _row_mix(learn_alpha, method.triple.replay.effective_alpha(),
                               method.joint_batch, n_cur, n_mem)
@@ -397,8 +401,8 @@ def per_seed_train_step(state, x_batch, y_batch, method, memory_batch_size, rng)
     l_p = float(part[n_cur:].sum())
     if method.replay_enabled:
         buffer_update(buf, LabeledData(x_batch, y_batch), rng)
-    state.consumed_in_stage += n_cur
-    state.step += 1
+    state.stream.consumed_in_stage += n_cur
+    state.stream.step += 1
     return StepRecord(l_c, l_p, l_c + l_p)
 
 
@@ -413,14 +417,14 @@ def per_seed_run(dataset, method, stream_cfg, seed) -> ExperimentResult:
     metrics, steps = [], []
     for t, stage in enumerate(stages, 1):
         state.stage_baseline = state.predictor.copy()
-        state.consumed_in_stage = 0
+        state.stream.consumed_in_stage = 0
         for x_b, y_b in iterate_batches(stage, stream_cfg, rng):
             try:
                 steps.append(per_seed_train_step(state, x_b, y_b, method,
                                                  stream_cfg.batch_size_memory, rng))
             except FloatingPointError as err:
                 raise FloatingPointError(
-                    f"stage {t}, step {state.step + 1}: {err}") from err
+                    f"stage {t}, step {state.stream.step + 1}: {err}") from err
         metrics.append(_collect_stage_metrics(state, stages, t, method, test, ends))
     return ExperimentResult(method=method.name, seed=int(seed), metrics=metrics, steps=steps)
 
@@ -549,8 +553,9 @@ def _group_step(group: SeedGroup, x_batch, y_batch, method: MethodConfig,
                          f"{len(y_batch)} y batches and {len(rng)} rngs")
     idx = []
     for state, y, r in zip(states, y_batch, rng):
-        register_classes(state, y, r)
-        idx.append(buffer_retrieve(state.buffer, memory_batch_size, r)
+        register_classes(state.stream, y, r)
+        catch_up(state)
+        idx.append(buffer_retrieve(state.stream.buffer, memory_batch_size, r)
                    if method.replay_enabled else _NO_ROWS)
     at = {id(s): i for i, s in enumerate(states)}
     records: list = [None] * len(states)
@@ -568,9 +573,9 @@ def _group_step(group: SeedGroup, x_batch, y_batch, method: MethodConfig,
     for state, x, y, r, record in zip(states, x_batch, y_batch, rng, records):
         if isinstance(record, StepRecord):
             if method.replay_enabled:
-                buffer_update(state.buffer, LabeledData(x, y), r)
-            state.consumed_in_stage += len(y)
-            state.step += 1
+                buffer_update(state.stream.buffer, LabeledData(x, y), r)
+            state.stream.consumed_in_stage += len(y)
+            state.stream.step += 1
     return records
 
 
@@ -586,11 +591,11 @@ def _fused_step(part: _SeedPart, members: list[int], x_batch, y_batch, idx,
     xs, labels = [], []
     for state, i in zip(part.states, members):
         xs.append(x_batch[i])
-        labels.append(state.row_of_label[y_batch[i]])
+        labels.append(state.stream.row_of_label[y_batch[i]])
         if n_mem:
-            buf = state.buffer
+            buf = state.stream.buffer
             xs.append(buf.x[idx[i]])
-            labels.append(state.row_of_label[buf.y[idx[i]]])
+            labels.append(state.stream.row_of_label[buf.y[idx[i]]])
     # one seed steps on 2-d blocks, exactly as it would alone
     lead = (len(members),) if len(members) > 1 else ()
     X = np.concatenate(xs).reshape(*lead, n_cur + n_mem, -1)
@@ -664,7 +669,7 @@ class _SeedRun:
                 return None
             self.t += 1
             self.state.stage_baseline = self.state.predictor.copy()
-            self.state.consumed_in_stage = 0
+            self.state.stream.consumed_in_stage = 0
             self.batches = iterate_batches(self.stages[self.t - 1].gather(self.dataset),
                                            self.stream_cfg, self.rng)
         return batch
@@ -734,7 +739,8 @@ def run_seed_group(dataset_for: Callable[[int], Dataset], method: MethodConfig,
             if isinstance(record, StepRecord):
                 run.steps.append(record)
             else:
-                failure = FloatingPointError(f"stage {run.t}, step {state.step + 1}: {record}")
+                failure = FloatingPointError(
+                    f"stage {run.t}, step {state.stream.step + 1}: {record}")
                 failure.__cause__ = record
                 end(state, failure)
     return outcomes

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ class FrozenState:
         self.extractor = FeatureExtractor(
             [LayerParams(np.eye(dim), np.zeros(dim))])
         self.predictor = PredictorParams(np.asarray(W, float), np.asarray(b, float))
-        self.class_order = list(range(len(b))) if class_order is None else class_order
+        self.stream = SimpleNamespace(
+            class_order=list(range(len(b))) if class_order is None else class_order)
 
 
 def metrics_fixture(stage=2, with_prev=True):

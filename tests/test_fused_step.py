@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 
 import legacy_step
 import uer.trainer
-from conftest import flat_params, flat_tape, row_source
+from conftest import flat_params, flat_tape, row_source, step_alone
 from uer.logits import CosineScale, PredictorParams, loss_rows
 from uer.memory import MemoryBuffer, buffer_retrieve, buffer_update
 from uer.net import GradientTape, init_extractor, sgd_step
 from uer.numeric import make_rng
 from uer.stream import SyntheticSpec, gen_synthetic
-from uer.trainer import (er_method, finetune_method, init_state, lucir_method, train_step,
+from uer.trainer import (RunGroup, _Run, er_method, finetune_method, init_state, lucir_method,
                          triple_method, uer_a_method, uer_method)
 
 TOL = dict(rtol=1e-12, atol=1e-12)
@@ -83,19 +83,20 @@ def test_fused_step_matches_two_pass_step(preset, alpha, capacity, warmup, n_cur
     source, order = _data(seed)
     rng = make_rng([seed, 1])
     state = init_state(method, source, rng)
+    group = RunGroup([_Run(method, state)])
     for k in range(warmup):
         rows = order[k * n_cur:(k + 1) * n_cur]
-        train_step(state, rows, source.y[rows], method, n_mem, rng)
+        step_alone(group, rows, source.y[rows], n_mem, rng)
 
     old = copy.deepcopy(state)
-    old.buffer = legacy_step.list_buffer_from_arrays(state.buffer, source)
+    old.stream.buffer = legacy_step.list_buffer_from_arrays(state.stream.buffer, source)
     rng_old = copy.deepcopy(rng)
     rows = order[warmup * n_cur:(warmup + 1) * n_cur]
     x, y = source.x[rows], source.y[rows]
 
     new_grads, old_grads = [], []
     with mock.patch.object(uer.trainer, "sgd_step", _sgd_recorder(new_grads)):
-        rec_new = train_step(state, rows, y, method, n_mem, rng)
+        rec_new = step_alone(group, rows, y, n_mem, rng)
     rec_old = legacy_step.legacy_train_step(old, x, y, method, n_mem, rng_old,
                                             sgd=_sgd_recorder(old_grads))
 
@@ -105,9 +106,10 @@ def test_fused_step_matches_two_pass_step(preset, alpha, capacity, warmup, n_cur
     np.testing.assert_allclose([rec_new.loss_current, rec_new.loss_replay, rec_new.loss_total],
                                [rec_old.loss_current, rec_old.loss_replay, rec_old.loss_total],
                                **TOL)
-    _assert_buffers_equal(state.buffer, source, old.buffer)
+    _assert_buffers_equal(state.stream.buffer, source, old.stream.buffer)
     assert rng.bit_generator.state == rng_old.bit_generator.state
-    assert state.class_order == old.class_order and state.step == old.step
+    assert state.stream.class_order == old.stream.class_order and \
+        state.stream.step == old.stream.step
 
 
 @given(chunks=st.lists(st.integers(0, 15), min_size=1, max_size=12),

@@ -22,15 +22,16 @@ from hypothesis import strategies as st
 
 import legacy_step
 import uer.trainer
-from conftest import overflowing_features, overflowing_scores, step_start, with_train_row
+from conftest import overflowing_features, overflowing_scores, step_alone, step_start, \
+    with_train_row
 from uer.evaluation import stage_metrics_to_dict
 from uer.logits import CosineScale, LogitMode, PredictorParams, loss_rows
 from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch,
                      forward_batch, sgd_step)
 from uer.numeric import NonFiniteError, make_rng, require_finite
 from uer.stream import Dataset, LabeledData, StreamConfig, gen_synthetic, make_sphere_spec
-from uer.trainer import (er_method, finetune_method, init_state, lucir_method,
-                         run_experiment, run_trajectories, train_step, uer_a_method, uer_method)
+from uer.trainer import (RunGroup, _Run, er_method, finetune_method, init_state, lucir_method,
+                         run_experiment, run_trajectories, uer_a_method, uer_method)
 
 
 def _versions() -> str:
@@ -503,19 +504,21 @@ def test_a_seed_alone_that_diverges_names_its_stage_and_step(what, monkeypatch):
 
 
 def test_a_lone_train_state_steps_as_the_per_seed_step_does(monkeypatch):
-    # train_step on a TrainState returns its StepRecord, step for step the
-    # oracle's, with the same parameters after; a non-finite step raises
-    # (the state steps rows of the dataset, the oracle their features)
+    # train_step on a group of one TrainState returns its StepRecord, step
+    # for step the oracle's, with the same parameters after; a non-finite
+    # step ends it (the state steps rows of the dataset, the oracle their
+    # features)
     method, data = _presets()["uer"], _datasets()[0]
     order = make_rng(5).permutation(len(data.train.y))
     state = init_state(method, data.train, make_rng(6))
+    group = RunGroup([_Run(method, state)])
     alone = legacy_step.init_state(method, data.input_dim, make_rng(6))
     rng, rng_alone = make_rng(7), make_rng(7)
     blocks = _blocks(monkeypatch)
     for lo in range(0, 120, 10):
         rows = order[lo:lo + 10]
         x, y = data.train.x[rows], data.train.y[rows]
-        record = train_step(state, rows, y, method, 10, rng)
+        record = step_alone(group, rows, y, 10, rng)
         assert record == legacy_step.per_seed_train_step(alone, x, y, method, 10, rng_alone)
         params = (*state.extractor.layers, state.predictor)
         for got, want in zip(params, (*alone.extractor.layers, alone.predictor)):
@@ -526,4 +529,4 @@ def test_a_lone_train_state_steps_as_the_per_seed_step_does(monkeypatch):
     rows = order[120:130]
     data.train.x[rows[0]] = overflowing_features(state.extractor)
     with pytest.raises(NonFiniteError, match="^features contains non-finite entries$"):
-        train_step(state, rows, data.train.y[rows], method, 10, rng)
+        step_alone(group, rows, data.train.y[rows], 10, rng)

@@ -72,7 +72,8 @@ def predicted(pp: PredictorParams, h, mode=LogitMode.DOT) -> int:
     scored once per class, labelled with that class as a stage of its own,
     and only the predicted class's stage is right."""
     c = pp.num_classes
-    state = SimpleNamespace(extractor=identity(pp.dim), predictor=pp, class_order=list(range(c)))
+    state = SimpleNamespace(extractor=identity(pp.dim), predictor=pp,
+                            stream=SimpleNamespace(class_order=list(range(c))))
     test = LabeledData(np.tile(np.asarray(h, dtype=np.float64), (c, 1)), np.arange(c))
     row = score_stages(state, test, np.arange(1, c + 1), mode, SCALE).accuracy_row
     assert sorted(row) == [0.0] * (c - 1) + [1.0]
@@ -477,7 +478,7 @@ def test_predict_batch_modes():
 
 def test_predict_requires_registered_classes():
     state = SimpleNamespace(extractor=identity(3), predictor=PredictorParams.empty(3),
-                            class_order=[])
+                            stream=SimpleNamespace(class_order=[]))
     test = LabeledData(np.array([[1.0, 2.0, 3.0]]), np.array([0]))
     with pytest.raises(ValueError, match="no registered classes"):
         score_stages(state, test, [1], LogitMode.DOT, SCALE)

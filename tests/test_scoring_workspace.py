@@ -164,7 +164,8 @@ def _scored_state(rng, in_dim, hidden, classes):
     W = rng.normal(size=(classes, hidden[-1]))
     return SimpleNamespace(extractor=extractor,
                            predictor=PredictorParams(W, 0.1 * rng.normal(size=classes)),
-                           class_order=[int(c) for c in 100 + rng.permutation(classes)])
+                           stream=SimpleNamespace(
+                               class_order=[int(c) for c in 100 + rng.permutation(classes)]))
 
 
 @given(n=ROW_COUNTS, extra=st.integers(0, 300),
@@ -180,7 +181,7 @@ def test_scoring_by_index_matches_one_pass_over_the_gathered_rows(n, extra, mode
     pool = n + extra
     x = 3.0 * rng.normal(size=(pool, 6))
     x[rng.random(pool) < 0.1] = 0.0
-    test = LabeledData(x, rng.choice(state.class_order, size=pool))
+    test = LabeledData(x, rng.choice(state.stream.class_order, size=pool))
     rows = rng.permutation(pool)[:n]
     cuts = np.sort(rng.choice(np.arange(1, n), size=min(stages, n) - 1, replace=False))
     ends = np.append(cuts, n)
@@ -218,7 +219,7 @@ def test_scoring_allocates_nothing_large_after_its_first_block(monkeypatch, mode
     # read by index from a larger test set; the tail block is the largest
     rng = make_rng(5)
     state = _scored_state(rng, 20, (64,), 40)
-    test = LabeledData(rng.normal(size=(n + 1000, 20)), rng.choice(state.class_order,
+    test = LabeledData(rng.normal(size=(n + 1000, 20)), rng.choice(state.stream.class_order,
                                                                    size=n + 1000))
     rows = rng.permutation(n + 1000)[:n]
     block = BLOCK_ROWS * 64 * 8  # one block's float64 activations

@@ -19,13 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_eval
-from conftest import blas_versions, row_source
+from conftest import blas_versions, row_source, step_alone
 from uer.evaluation import BLOCK_ROWS, accuracy, average_posterior, row_blocks, score_stages
 from uer.logits import CosineScale, LogitMode, PredictorParams
 from uer.net import forward_batch, init_extractor
 from uer.numeric import NonFiniteError, make_rng
 from uer.stream import LabeledData, Stage, StreamConfig, iterate_batches
-from uer.trainer import (FeaturesCollapsed, _collect_stage_metrics, init_state, train_step,
+from uer.trainer import (FeaturesCollapsed, RunGroup, _collect_stage_metrics, _Run, init_state,
                          triple_method)
 
 DIM = 6
@@ -64,12 +64,12 @@ def test_one_pass_matches_per_stage_passes(test_mode, learn, test_sizes, lr, see
     # the run reads every stage's training rows from one source
     source, stage_rows = row_source([(s.train.x, s.train.y) for s in stages])
     state = init_state(method, source, rng)
+    group = RunGroup([_Run(method, state)])
     for t, stage in enumerate(stages, 1):
         state.stage_baseline = state.predictor.copy()
-        state.consumed_in_stage = 0
+        state.stream.consumed_in_stage = 0
         for rows, y_b in iterate_batches(stage, stream, rng):
-            train_step(state, stage_rows[t - 1][rows], y_b, method, stream.batch_size_memory,
-                       rng)
+            step_alone(group, stage_rows[t - 1][rows], y_b, stream.batch_size_memory, rng)
         if not forward_batch(state.extractor, test.x[:ends[t - 1]])[0].any():
             # no live feature on any scored row: the run fails instead
             with pytest.raises(FeaturesCollapsed, match=f"^stage {t}: features collapsed"):
@@ -92,8 +92,9 @@ def test_wrappers_match_reference(mode, n, seed):
     method = triple_method("probe", "cosine", "mixed", mode.value, hidden_dims=(8,))
     stage = _stages([n], rng)[0]
     state = init_state(method, stage.train, rng)  # the stage's batches are its rows
+    group = RunGroup([_Run(method, state)])
     for rows, y_b in iterate_batches(stage, StreamConfig(stages=1, batch_size_current=5), rng):
-        train_step(state, rows, y_b, method, 0, rng)
+        step_alone(group, rows, y_b, 0, rng)
     scale = CosineScale(10.0)
     assert accuracy(state, stage.test, mode, scale) == \
         legacy_eval.accuracy(state, stage.test, mode, scale)
@@ -154,7 +155,7 @@ def _scored_state(rng, in_dim, hidden, classes, tie):
         W[1], b[1] = W[0], b[0]
     labels = [int(c) for c in 100 + rng.permutation(classes)]
     return SimpleNamespace(extractor=extractor, predictor=PredictorParams(W, b),
-                           class_order=labels)
+                           stream=SimpleNamespace(class_order=labels))
 
 
 def _stage_ends(rng, n, stages):
@@ -186,8 +187,8 @@ def test_blocked_pass_matches_one_pass(n, mode, in_dim, hidden, classes, tie, de
         else:
             x[rng.random(n) < 0.5] = 0.0
     # most rows carry the tied label, so which tied class wins matters
-    y = np.where(rng.random(n) < 0.5, state.class_order[min(1, classes - 1)],
-                 rng.choice(state.class_order, size=n))
+    y = np.where(rng.random(n) < 0.5, state.stream.class_order[min(1, classes - 1)],
+                 rng.choice(state.stream.class_order, size=n))
     test = LabeledData(x, y)
     ends = _stage_ends(rng, n, stages)
     scale = CosineScale(10.0)
@@ -215,7 +216,7 @@ def test_non_finite_feature_in_the_last_block_raises_as_before(k, d, mode, bad, 
         layer.weight[:] = np.abs(layer.weight)
     x = rng.normal(size=(n, 6))
     x[-1] = bad
-    test = LabeledData(x, rng.choice(state.class_order, size=n))
+    test = LabeledData(x, rng.choice(state.stream.class_order, size=n))
     assert row_blocks(n)[-1][0] > 0 and np.isfinite(x[:row_blocks(n)[-1][0]]).all()
     errors = []
     for score in (score_stages, legacy_eval.score_stages):

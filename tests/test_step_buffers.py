@@ -171,12 +171,12 @@ def _step_peak(methods, input_dim, n_cur, n_mem, classes, warmup=40):
         return [steps[k] for steps in rows], [s.y[steps[k]] for s, steps in zip(sources, rows)]
 
     for k in range(warmup):
-        train_step(group, *batches(k), None, n_mem, rngs)
+        train_step(group, *batches(k), n_mem, rngs)
     step_rows, ys = batches(warmup)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        records = train_step(group, step_rows, ys, None, n_mem, rngs)
+        records = train_step(group, step_rows, ys, n_mem, rngs)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

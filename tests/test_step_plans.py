@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import legacy_step
-from conftest import row_source
+from conftest import row_source, step_alone
 import uer.logits
 import uer.trainer
 from uer.evaluation import BLOCK_ROWS, row_blocks, score_stages, stage_metrics_to_dict
@@ -172,7 +172,7 @@ def test_a_scored_block_reduces_its_features_once(mode, monkeypatch):
     rng = make_rng(3)
     extractor = init_extractor((6, 8), rng)
     state = SimpleNamespace(extractor=extractor, predictor=PredictorParams(
-        rng.normal(size=(4, 8)), np.zeros(4)), class_order=[0, 1, 2, 3])
+        rng.normal(size=(4, 8)), np.zeros(4)), stream=SimpleNamespace(class_order=[0, 1, 2, 3]))
     n = 2 * BLOCK_ROWS + 5
     test = LabeledData(rng.normal(size=(n, 6)), rng.integers(0, 4, size=n))
     monkeypatch.setattr(_Watched, "reductions", [])
@@ -200,19 +200,20 @@ def _counted_row_checks(monkeypatch) -> list:
 def test_a_trajectory_step_makes_no_row_check(monkeypatch):
     # a trajectory's rows are its own stage split of its source: its steps
     # reduce none of them. A direct train_step caller's rows are still
-    # checked, one reduction per stream, on a lone TrainState and in a
-    # group (tests/test_trainer.py pins the IndexError before any draw)
+    # checked, one reduction per stream, in a group of one run and in a
+    # group of two (tests/test_trainer.py pins the IndexError before any
+    # draw)
     datasets = {0: _dataset(0, [40] * 4)}
     calls = _counted_row_checks(monkeypatch)
     outcomes = run_trajectories(datasets.__getitem__, [(m, 0) for m in _methods()], STREAM)
     assert calls == [] and all(o.steps for o in outcomes)
     data, method = datasets[0], _methods()[0]
-    lone = init_state(method, data.train, make_rng(1))
-    train_step(lone, np.arange(10), data.train.y[:10], method, 10, make_rng(2))
+    lone = RunGroup([_Run(method, init_state(method, data.train, make_rng(1)))])
+    step_alone(lone, np.arange(10), data.train.y[:10], 10, make_rng(2))
     assert calls == [(10,)]
     group = RunGroup([_Run(method, init_state(method, data.train, make_rng(k))) for k in (3, 4)])
     train_step(group, [np.arange(10), np.arange(10, 20)],
-               [data.train.y[:10], data.train.y[10:20]], None, 10, [make_rng(5), make_rng(6)])
+               [data.train.y[:10], data.train.y[10:20]], 10, [make_rng(5), make_rng(6)])
     assert calls == [(10,), (10,), (10,)]
 
 
@@ -220,8 +221,9 @@ def test_a_trajectory_step_makes_no_row_check(monkeypatch):
 
 
 def test_a_direct_train_step_registers_a_new_label():
-    # a TrainState stepped directly is on no trajectory: every batch is
-    # looked up, so a label first seen late still gets its row
+    # a TrainState stepped directly (in a group of its own) is on no
+    # trajectory: every batch is looked up, so a label first seen late
+    # still gets its row
     data = _dataset(3, [30, 30, 30])
     order = make_rng(4).permutation(60)  # classes 0 and 1 only
     xs, ys = data.train.x[order], data.train.y[order]
@@ -235,15 +237,17 @@ def test_a_direct_train_step_registers_a_new_label():
     method = uer_method(hidden_dims=(16,), buffer_capacity=30)
     ours, theirs = make_rng(8), make_rng(8)
     state = init_state(method, source, ours)
+    group = RunGroup([_Run(method, state)])
     oracle = legacy_step.init_state(method, data.input_dim, theirs)
     for (x, y), batch_rows in zip(batches, rows):
-        got = train_step(state, batch_rows, y, method, 10, ours)
+        got = step_alone(group, batch_rows, y, 10, ours)
         want = legacy_step.per_seed_train_step(oracle, x, y, method, 10, theirs)
         assert got == want
         assert state.predictor.W.tobytes() == oracle.predictor.W.tobytes()
         assert state.extractor.layers[0].weight.tobytes() == \
             oracle.extractor.layers[0].weight.tobytes()
-    assert state.class_order == oracle.class_order and sorted(state.class_order) == [0, 1, 2]
+    assert state.stream.class_order == oracle.stream.class_order and \
+        sorted(state.stream.class_order) == [0, 1, 2]
 
 
 def test_a_class_first_seen_in_a_stage_last_batch_gets_its_row(monkeypatch):

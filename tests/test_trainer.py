@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import flat_params, row_source
+from conftest import flat_params, row_source, step_alone
 from uer.logits import LogitMode, dot_logits_batch, loss_dot
 from uer.memory import MemoryBuffer
 from uer.net import backward_batch, forward_batch, init_extractor, sgd_step
 from uer.numeric import make_rng
 from uer.stream import StreamConfig, SyntheticSpec, gen_synthetic
 from uer.trainer import (MethodConfig, RunGroup, StreamState, TABLE1_GRID, _follow, _Run,
-                         er_method, finetune_method, init_state, lucir_method,
+                         catch_up, er_method, finetune_method, init_state, lucir_method,
                          register_classes, run_experiment, train_step, triple_method,
                          uer_a_method, uer_method)
 
@@ -29,6 +29,19 @@ def small_gauss(seed=0, classes=4, per_class=40):
 def no_samples(dim):
     """A source of dim features and no rows, for runs that step nothing."""
     return row_source([(np.zeros((0, dim)), np.zeros(0))])[0]
+
+
+def register(state, labels, rng):
+    """register_classes on the run's stream, then the run catches up."""
+    added = register_classes(state.stream, labels, rng)
+    catch_up(state)
+    return added
+
+
+def label_to_row(state) -> dict[int, int]:
+    """The run's registered labels and their scorer rows, in registration
+    order."""
+    return {label: row for row, label in enumerate(state.stream.class_order)}
 
 
 # ---------------------------------------------------------------- presets
@@ -93,24 +106,24 @@ def test_triple_method_effective_alpha():
 def test_register_classes_growth_law():
     state = init_state(uer_method(), no_samples(6), make_rng(0))
     assert state.predictor.num_classes == 0
-    added = register_classes(state, np.array([0, 1, 1, 0]), make_rng(1))
+    added = register(state, np.array([0, 1, 1, 0]), make_rng(1))
     assert added == [0, 1]
     assert state.predictor.num_classes == 2
-    assert register_classes(state, np.array([1, 0]), make_rng(2)) == []
+    assert register(state, np.array([1, 0]), make_rng(2)) == []
     assert state.predictor.num_classes == 2
 
 
 def test_register_classes_append_only_scores_stable():
     rng = make_rng(3)
     state = init_state(uer_method(hidden_dims=(5,)), no_samples(4), rng)
-    register_classes(state, np.array([2, 7]), rng)
+    register(state, np.array([2, 7]), rng)
     H = np.abs(make_rng(9).normal(size=(1, 5)))
     before = dot_logits_batch(state.predictor, H)[0]
-    register_classes(state, np.array([5]), rng)
+    register(state, np.array([5]), rng)
     after = dot_logits_batch(state.predictor, H)[0]
     np.testing.assert_allclose(after[:2], before, atol=1e-12)
-    assert state.class_order == [2, 7, 5]
-    assert state.label_to_row == {2: 0, 7: 1, 5: 2}
+    assert state.stream.class_order == [2, 7, 5]
+    assert label_to_row(state) == {2: 0, 7: 1, 5: 2}
 
 
 def test_register_classes_row_init_matches_layer_rule():
@@ -118,14 +131,14 @@ def test_register_classes_row_init_matches_layer_rule():
     state = init_state(uer_method(hidden_dims=(24,)), no_samples(4), make_rng(0))
     s = np.sqrt(6.0 / 25.0)
     for seed in range(10):
-        register_classes(state, np.array([seed]), make_rng(seed))
+        register(state, np.array([seed]), make_rng(seed))
     assert np.all(np.abs(state.predictor.W) < s)
     assert np.all(state.predictor.b == 0.0)
 
 
 def test_register_extends_tape_and_baseline():
     state = init_state(uer_method(), no_samples(6), make_rng(1))
-    register_classes(state, np.array([0, 1, 2]), make_rng(1))
+    register(state, np.array([0, 1, 2]), make_rng(1))
     assert state.tape.pred_w.shape == state.predictor.W.shape
     assert state.stage_baseline.W.shape == state.predictor.W.shape
     # baseline carries the same fresh-row values, so registering is motionless
@@ -138,19 +151,19 @@ def test_register_classes_fast_path_agrees_with_the_loop(labels):
     # else (new labels, labels past the lookup, negative labels) takes the
     # per-label loop exactly as before
     state = init_state(uer_method(hidden_dims=(4,)), no_samples(3), make_rng(0))
-    register_classes(state, np.array([3, 0]), make_rng(1))
+    register(state, np.array([3, 0]), make_rng(1))
     rng = make_rng(2)
     before = rng.bit_generator.state
     if min(labels) < 0:
         with pytest.raises(ValueError, match="non-negative"):
-            register_classes(state, np.array(labels), rng)
+            register(state, np.array(labels), rng)
         return
-    added = register_classes(state, np.array(labels), rng)
+    added = register(state, np.array(labels), rng)
     new = [c for c in dict.fromkeys(labels) if c not in (3, 0)]
     assert added == new
     assert (rng.bit_generator.state == before) == (not new)
-    assert state.class_order == [3, 0, *new]
-    assert state.predictor.num_classes == len(state.class_order)
+    assert state.stream.class_order == [3, 0, *new]
+    assert state.predictor.num_classes == len(state.stream.class_order)
 
 
 def test_runs_on_one_stream_get_the_same_rows():
@@ -160,13 +173,13 @@ def test_runs_on_one_stream_get_the_same_rows():
     runs = [_follow(stream, init_extractor((3, 4), make_rng(k))) for k in range(2)]
     assert register_classes(stream, np.array([2, 6]), make_rng(5)) == [2, 6]
     lone = init_state(uer_method(hidden_dims=(4,)), no_samples(3), make_rng(0))
-    register_classes(lone, np.array([2, 6]), make_rng(5))
+    register(lone, np.array([2, 6]), make_rng(5))
     for state in [*runs, _follow(stream, init_extractor((3, 4), make_rng(9)))]:
-        register_classes(state, np.array([6]), make_rng(7))  # known: only catches up
+        register(state, np.array([6]), make_rng(7))  # known: only catches up
         assert state.predictor.W.tobytes() == lone.predictor.W.tobytes()
         assert state.stage_baseline.W.tobytes() == lone.predictor.W.tobytes()
         assert state.tape.pred_w.shape == lone.predictor.W.shape
-        assert state.label_to_row == {2: 0, 6: 1}
+        assert label_to_row(state) == {2: 0, 6: 1}
 
 
 # ------------------------------------------------------------- train_step
@@ -177,10 +190,10 @@ def test_train_step_loss_additivity():
     perm = make_rng(23).permutation(len(ds.train.x))
     method = uer_method(buffer_capacity=50, hidden_dims=(8,))
     rng = make_rng([0, 1])
-    state = init_state(method, ds.train, rng)
+    group = RunGroup([_Run(method, init_state(method, ds.train, rng))])
     for lo in range(0, 120, 10):
         rows = perm[lo:lo + 10]
-        rec = train_step(state, rows, ds.train.y[rows], method, 10, rng)
+        rec = step_alone(group, rows, ds.train.y[rows], 10, rng)
         assert rec.loss_total == pytest.approx(rec.loss_current + rec.loss_replay,
                                                abs=1e-12)
         assert rec.loss_current > 0.0
@@ -191,9 +204,9 @@ def test_train_step_cold_start_has_no_replay_loss():
     method = uer_method(hidden_dims=(8,))
     rng = make_rng([0, 1])
     state = init_state(method, ds.train, rng)
-    rec = train_step(state, np.arange(10), ds.train.y[:10], method, 10, rng)
+    rec = step_alone(RunGroup([_Run(method, state)]), np.arange(10), ds.train.y[:10], 10, rng)
     assert rec.loss_replay == 0.0
-    assert len(state.buffer) == 10  # the batch was offered after the step
+    assert len(state.stream.buffer) == 10  # the batch was offered after the step
 
 
 def test_replay_disabled_equals_plain_ce_step():
@@ -203,13 +216,13 @@ def test_replay_disabled_equals_plain_ce_step():
     ft = finetune_method(hidden_dims=(8,))
     rng_a = make_rng(7)
     state_a = init_state(ft, ds.train, rng_a)
-    train_step(state_a, np.arange(10), y, ft, 10, rng_a)
+    step_alone(RunGroup([_Run(ft, state_a)]), np.arange(10), y, 10, rng_a)
 
     # hand-rolled: register rows with the same rng, then one dot-CE step
     rng_b = make_rng(7)
     state_b = init_state(ft, ds.train, rng_b)
-    register_classes(state_b, y, rng_b)
-    rows = np.array([state_b.label_to_row[int(v)] for v in y])
+    register(state_b, y, rng_b)
+    rows = np.array([label_to_row(state_b)[int(v)] for v in y])
     H, cache = forward_batch(state_b.extractor, x)
     _, dH = loss_dot(state_b.predictor, H, rows, state_b.tape)
     backward_batch(state_b.extractor, cache, dH, state_b.tape)
@@ -218,7 +231,7 @@ def test_replay_disabled_equals_plain_ce_step():
     np.testing.assert_allclose(flat_params(state_a.extractor, state_a.predictor),
                                flat_params(state_b.extractor, state_b.predictor),
                                atol=1e-12)
-    assert len(state_a.buffer) == 0  # replay-disabled runs never store
+    assert len(state_a.stream.buffer) == 0  # replay-disabled runs never store
 
 
 def test_finetune_never_touches_buffer_rng():
@@ -227,12 +240,12 @@ def test_finetune_never_touches_buffer_rng():
     ds = small_gauss()
     ft = finetune_method(hidden_dims=(8,))
     rng = make_rng(13)
-    state = init_state(ft, ds.train, rng)
+    group = RunGroup([_Run(ft, init_state(ft, ds.train, rng))])
     before = rng.bit_generator.state["state"]["state"]
-    train_step(state, np.arange(10), ds.train.y[:10], ft, 10, rng)
+    step_alone(group, np.arange(10), ds.train.y[:10], 10, rng)
     mid = rng.bit_generator.state["state"]["state"]
     assert mid != before  # registration drew rows
-    train_step(state, np.arange(10), ds.train.y[:10], ft, 10, rng)
+    step_alone(group, np.arange(10), ds.train.y[:10], 10, rng)
     assert rng.bit_generator.state["state"]["state"] == mid  # nothing new drawn
 
 
@@ -243,11 +256,11 @@ def test_joint_batch_matches_union_mean():
     perm = make_rng(17).permutation(len(ds.train.x))
     method = er_method(buffer_capacity=50, hidden_dims=(8,))
     rng = make_rng([3, 1])
-    state = init_state(method, ds.train, rng)
+    group = RunGroup([_Run(method, init_state(method, ds.train, rng))])
     recs = []
     for lo in range(0, 160, 10):
         rows = perm[lo:lo + 10]
-        recs.append(train_step(state, rows, ds.train.y[rows], method, 10, rng))
+        recs.append(step_alone(group, rows, ds.train.y[rows], 10, rng))
     assert recs[0].loss_replay == 0.0  # nothing in the buffer yet
     assert all(r.loss_replay > 0.0 for r in recs[1:])
     assert all(r.loss_current > 0.0 for r in recs)
@@ -256,37 +269,39 @@ def test_joint_batch_matches_union_mean():
                                              abs=1e-12)
 
 
-def _snapshot(states, rngs) -> list:
-    """Every run's parameters, its stream's buffer, labels and counters,
+def _snapshot(group, rngs) -> list:
+    """Every run's parameters, its stream's buffer, label map and counters,
     and every rng's state."""
     out = [r.bit_generator.state for r in rngs]
-    for state in states:
-        buf = state.buffer
+    for run in group.runs:
+        state, stream = run.state, run.state.stream
+        buf = stream.buffer
         out += [flat_params(state.extractor, state.predictor).tobytes(), buf.rows.tobytes(),
                 buf.y.tobytes(), buf.pos.tobytes(), buf.size, buf.seen,
-                list(state.class_order), state.step]
+                list(stream.class_order), stream.row_of_label.tobytes(), stream.step,
+                stream.consumed_in_stage]
     return out
 
 
 def _stepped_lone_and_group():
-    """A lone TrainState and a RunGroup of two streams, stepped directly
-    over the first 40 rows of a shuffled small_gauss, so that their
-    buffers replay: (dataset, method, row order, lone state, its rng,
-    group, its rngs)."""
+    """A group of one TrainState and a RunGroup of two streams, stepped
+    directly over the first 40 rows of a shuffled small_gauss, so that
+    their buffers replay: (dataset, method, row order, lone group, its
+    rng, group, its rngs)."""
     ds = small_gauss()
     method = uer_method(buffer_capacity=20, hidden_dims=(8,))
     perm = make_rng(23).permutation(len(ds.train))
     rng = make_rng(5)
-    lone = init_state(method, ds.train, rng)
+    lone = RunGroup([_Run(method, init_state(method, ds.train, rng))])
     streams = [StreamState(MemoryBuffer(20), 8, ds.train) for _ in range(2)]
     group = RunGroup([_Run(method, _follow(stream, init_extractor((6, 8), make_rng(k))))
                       for k, stream in enumerate(streams)])
     rngs = [make_rng(6), make_rng(7)]
     for lo in range(0, 40, 10):  # the buffers fill and replay
         rows = perm[lo:lo + 10]
-        train_step(lone, rows, ds.train.y[rows], method, 10, rng)
+        step_alone(lone, rows, ds.train.y[rows], 10, rng)
         train_step(group, [rows, rows[::-1]], [ds.train.y[rows], ds.train.y[rows[::-1]]],
-                   None, 10, rngs)
+                   10, rngs)
     return ds, method, perm, lone, rng, group, rngs
 
 
@@ -295,43 +310,63 @@ def _stepped_lone_and_group():
 def test_a_row_outside_the_source_raises_and_changes_nothing(bad):
     # a step reads its samples from its stream's source by row: a negative
     # row, or one past the source's 160, raises IndexError before the step
-    # draws or writes anything, on a lone TrainState and in a group of two
-    # streams whose second batch holds it
+    # draws or writes anything, in a group of one TrainState and in a group
+    # of two streams whose second batch holds it
     ds, method, perm, lone, rng, group, rngs = _stepped_lone_and_group()
     good, rows = perm[40:50], perm[50:60].copy()
     rows[3] = bad
     y = ds.train.y[perm[50:60]]
 
-    before = _snapshot([lone], [rng])
+    before = _snapshot(lone, [rng])
     with pytest.raises(IndexError, match="outside the 160 samples"):
-        train_step(lone, rows, y, method, 10, rng)
-    assert _snapshot([lone], [rng]) == before
+        step_alone(lone, rows, y, 10, rng)
+    assert _snapshot(lone, [rng]) == before
 
-    states = [run.state for run in group.runs]
-    before = _snapshot(states, rngs)
+    before = _snapshot(group, rngs)
     with pytest.raises(IndexError, match="outside the 160 samples"):
-        train_step(group, [good, rows], [ds.train.y[good], y], None, 10, rngs)
-    assert _snapshot(states, rngs) == before
+        train_step(group, [good, rows], [ds.train.y[good], y], 10, rngs)
+    assert _snapshot(group, rngs) == before
 
 
 def test_an_empty_batch_raises_and_changes_nothing():
     # a step learns the mean over its incoming batch: an empty one raises
-    # ValueError naming it before the step draws or writes anything, on a
-    # lone TrainState and in a group of two streams whose second batch is
-    # empty (it once divided by zero after the replay draw)
+    # ValueError naming it before the step draws or writes anything, in a
+    # group of one TrainState and in a group of two streams whose second
+    # batch is empty (it once divided by zero after the replay draw)
     ds, method, perm, lone, rng, group, rngs = _stepped_lone_and_group()
     empty, good = np.zeros(0, dtype=np.int64), perm[40:50]
 
-    before = _snapshot([lone], [rng])
+    before = _snapshot(lone, [rng])
     with pytest.raises(ValueError, match="^an empty batch: "):
-        train_step(lone, empty, empty, method, 10, rng)
-    assert _snapshot([lone], [rng]) == before
+        step_alone(lone, empty, empty, 10, rng)
+    assert _snapshot(lone, [rng]) == before
 
-    states = [run.state for run in group.runs]
-    before = _snapshot(states, rngs)
+    before = _snapshot(group, rngs)
     with pytest.raises(ValueError, match="^an empty batch: "):
-        train_step(group, [good, empty], [ds.train.y[good], empty], None, 10, rngs)
-    assert _snapshot(states, rngs) == before
+        train_step(group, [good, empty], [ds.train.y[good], empty], 10, rngs)
+    assert _snapshot(group, rngs) == before
+
+
+@pytest.mark.parametrize("n_rows,n_labels", [(10, 9), (9, 10)])
+def test_rows_and_labels_of_other_lengths_raise_and_change_nothing(n_rows, n_labels):
+    # each incoming row needs its label: a batch whose rows and labels
+    # differ in length raises ValueError naming both counts before the
+    # step draws or writes anything (it once raised only after the replay
+    # draw), in a group of one TrainState and in a group of two streams
+    # whose second batch is the odd one
+    ds, method, perm, lone, rng, group, rngs = _stepped_lone_and_group()
+    good, rows, y = perm[40:50], perm[50:50 + n_rows], ds.train.y[perm[50:50 + n_labels]]
+    message = f"^a batch of {n_rows} rows but {n_labels} labels$"
+
+    before = _snapshot(lone, [rng])
+    with pytest.raises(ValueError, match=message):
+        step_alone(lone, rows, y, 10, rng)
+    assert _snapshot(lone, [rng]) == before
+
+    before = _snapshot(group, rngs)
+    with pytest.raises(ValueError, match=message):
+        train_step(group, [good, rows], [ds.train.y[good], y], 10, rngs)
+    assert _snapshot(group, rngs) == before
 
 
 def test_all_table1_triples_run(gauss_datasets):
