@@ -104,7 +104,12 @@ class SyntheticSpec:
             raise ValueError(f"stddev must be positive, got {self.stddev}")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise ValueError("per-class sample counts must be at least 1")
-        if len(np.unique(self.means, axis=0)) != self.means.shape[0]:
+        # rows compare as floats (-0.0 equals 0.0, a row holding nan equals
+        # none), and float-equal rows sit next to each other in
+        # lexicographic order (rows of no columns are all equal);
+        # np.unique(axis=0) would import numpy.ma
+        ordered = self.means[np.lexsort(self.means.T[::-1])] if self.input_dim else self.means
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise ValueError("class means must be distinct")
 
 

@@ -23,11 +23,12 @@ A step runs one forward and one backward pass over the stacked batch
 row carries its own mix weight alpha (1 for dot learning, 0 for cosine
 learning, the replay rule's weight for replayed rows) and its own loss
 weight (1/n_incoming and 1/n_replayed, so each batch contributes its
-mean). The reported loss_current and loss_replay are the weighted
-cross-entropies summed over each part, and the total is their sum. The er
+mean). A run's loss history (ExperimentResult.losses) holds one
+(loss_current, loss_replay) row per step: the weighted cross-entropies
+summed over each part, so the step's total loss is the row sum. The er
 preset instead weights every row 1/(n_incoming + n_replayed), one mean
-over the union scored with the learn rule, so its reported pair is the
-per-batch partial sums of that one mean.
+over the union scored with the learn rule, so its pair is the per-batch
+partial sums of that one mean.
 
 No draw depends on a method's scoring rules, alpha, gamma or lr: the
 seed, the network widths, the buffer capacity and the replay switch fix
@@ -42,9 +43,10 @@ leading axis, with per-run alpha, weights, gamma and lr, whatever each
 run's rule: a loss branch that some run uses runs over the whole part.
 Each run's slice is computed exactly as its run alone would compute it.
 
-A run (TrainState) is its parameters; its stream (StreamState) holds the
-buffer, the label map and the counters. train_step steps the runs of a
-RunGroup, and a caller that steps one run holds a group of that one run.
+A run (Run) is a method and its parameters (TrainState); its stream
+(StreamState) holds the buffer, the label map and the counters.
+train_step steps the runs of a RunGroup, and a caller that steps one run
+holds a group of that one run.
 """
 
 from __future__ import annotations
@@ -202,13 +204,6 @@ class FeaturesCollapsed(ValueError):
     ReLUs have all died, so its scores no longer depend on the input."""
 
 
-@dataclass
-class StepRecord:
-    loss_current: float
-    loss_replay: float
-    loss_total: float
-
-
 @dataclass(eq=False)
 class StreamState:
     """What every run on one trajectory shares.
@@ -256,10 +251,20 @@ class TrainState:
 
 @dataclass
 class ExperimentResult:
+    """A finished run: its metrics per stage and its loss history, a
+    (steps, 2) float64 array of (loss_current, loss_replay) per step (the
+    step's total loss is the row sum)."""
     method: str
     seed: int
     metrics: list[StageMetrics]
-    steps: list[StepRecord]
+    losses: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, ExperimentResult):
+            return NotImplemented
+        return (self.method, self.seed, self.metrics) == (other.method, other.seed,
+                                                          other.metrics) \
+            and np.array_equal(self.losses, other.losses)
 
 
 def _capacity(method: MethodConfig) -> int:
@@ -278,7 +283,7 @@ def _follow(stream: StreamState, extractor: FeatureExtractor) -> TrainState:
 
 def init_state(method: MethodConfig, source: LabeledData, rng: Rng) -> TrainState:
     """A run on a stream of its own that reads its samples from source,
-    its extractor drawn from rng; RunGroup([_Run(method, state)]) steps it."""
+    its extractor drawn from rng; RunGroup([Run(method, state)]) steps it."""
     extractor = init_extractor((source.x.shape[1], *method.hidden_dims), rng)
     return _follow(StreamState(MemoryBuffer(_capacity(method)), extractor.out_dim, source),
                    extractor)
@@ -344,13 +349,15 @@ def _row_mix(learn_alpha: float, replay_alpha: float, joint: bool,
 
 
 @dataclass(eq=False)
-class _Run:
-    """A method's run: its parameters (state) and what it has produced."""
+class Run:
+    """A method's run: its parameters (state) and what it has produced,
+    its metrics per stage and, on a trajectory, its loss history: a
+    (steps, 2) float64 array of (loss_current, loss_replay) per step."""
     method: MethodConfig
     state: TrainState
     index: int = 0  # the run's position in the caller's list
     metrics: list[StageMetrics] = field(default_factory=list)
-    steps: list[StepRecord] = field(default_factory=list)
+    losses: np.ndarray | None = None
 
     def __post_init__(self):
         triple = self.method.triple
@@ -384,7 +391,7 @@ class _Part:
     the StepPlan of each step shape of its current class count (plan).
     """
 
-    def __init__(self, runs: list[_Run]):
+    def __init__(self, runs: list[Run]):
         self.runs = runs
         self._plans: dict[tuple[int, int, int], StepPlan] = {}
         stacked = []
@@ -431,7 +438,7 @@ class _Part:
                                                 (len(self.runs), n_cur + n_mem), classes)
         return plan
 
-    def without(self, gone: set[_Run]) -> "_Part | None":
+    def without(self, gone: set[Run]) -> "_Part | None":
         """The part minus the runs in gone, or None if empty."""
         keep = [run for run in self.runs if run not in gone]
         if len(keep) == len(self.runs):
@@ -441,7 +448,7 @@ class _Part:
     def split(self, keys: list[tuple]) -> list["_Part"]:
         """One part per distinct step key, in order of first appearance."""
         if len(set(keys)) > 1:
-            by_key: dict[tuple, list[_Run]] = {}
+            by_key: dict[tuple, list[Run]] = {}
             for run, key in zip(self.runs, keys):
                 by_key.setdefault(key, []).append(run)
             return [_Part(runs) for runs in by_key.values()]
@@ -476,7 +483,7 @@ class RunGroup:
     """
 
     def __init__(self, runs):
-        by_shape: dict[tuple, list[_Run]] = {}
+        by_shape: dict[tuple, list[Run]] = {}
         for run in runs:
             shape = tuple(layer.weight.shape for layer in run.state.extractor.layers)
             by_shape.setdefault(shape, []).append(run)
@@ -520,11 +527,11 @@ def train_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng)
     batch from its own rng and finds its [incoming; replayed] source rows
     once for all of its runs; the parts take their fused steps; each
     stream that still has a run then offers its batch to its buffer.
-    Returns, per run in group.runs order, its StepRecord or the
-    NonFiniteError that ended it; such a run leaves the group, and the
-    rest of its part redo the step's arithmetic without it from the draws
-    already made. To step one run, hold a RunGroup([_Run(method, state)])
-    across its steps.
+    Returns, per run in group.runs order, its (loss_current, loss_replay)
+    pair or the NonFiniteError that ended it; such a run leaves the group,
+    and the rest of its part redo the step's arithmetic without it from
+    the draws already made. To step one run, hold a
+    RunGroup([Run(method, state)]) across its steps.
     """
     runs, streams, replay = group.runs, group.streams, group.replay
     if not len(streams) == len(row_batch) == len(y_batch) == len(rng):
@@ -559,7 +566,7 @@ def train_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng)
         blocks[stream] = ((stream.source.x, samples), rows,
                           (len(y), len(idx), len(stream.class_order)))
 
-    records: dict[_Run, object] = {}
+    records: dict[Run, object] = {}
     parts = []
     ws = group.workspace()
     for part in group.parts:
@@ -574,7 +581,7 @@ def train_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng)
     if parts != group.parts:
         group.set_parts(parts)
 
-    stepped = {run.state.stream for run in runs if isinstance(records[run], StepRecord)}
+    stepped = {run.state.stream for run in runs if isinstance(records[run], tuple)}
     for stream, x_rows, y, r in zip(streams, row_batch, y_batch, rng):
         if stream in stepped:
             if replay[stream]:
@@ -587,8 +594,9 @@ def train_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng)
 def _fused_step(part: _Part, blocks: list[tuple], records: dict,
                 ws: Workspace) -> _Part | None:
     """The arithmetic of one part's step over [incoming; replayed], written
-    into ws; blocks holds each run's stream block. Fills records by run
-    and returns the part that survives."""
+    into ws; blocks holds each run's stream block. Fills records with each
+    run's (loss_current, loss_replay) pair or error and returns the part
+    that survives."""
     n_cur, n_mem, classes = blocks[0][2]
     while True:
         X = _gather(ws, [b[0] for b in blocks])
@@ -608,8 +616,7 @@ def _fused_step(part: _Part, blocks: list[tuple], records: dict,
     part_ce = ce * plan.weights
     l_c = np.add.reduce(part_ce[:, :n_cur], axis=-1).tolist()
     l_p = np.add.reduce(part_ce[:, n_cur:], axis=-1).tolist()
-    for run, c, p in zip(part.runs, l_c, l_p):
-        records[run] = StepRecord(c, p, c + p)
+    records.update(zip(part.runs, zip(l_c, l_p)))
     return part
 
 
@@ -738,12 +745,19 @@ class _Trajectory:
         # the first run takes the drawn extractor, the others start from copies
         copies = [FeatureExtractor([LayerParams(layer.weight.copy(), layer.bias.copy())
                                     for layer in init.layers]) for _ in members[1:]]
-        self.runs = [_Run(method, _follow(self.state, extractor), index)
+        # one step per batch; each run's loss history is allocated whole
+        # here, before any step: a history that grew as the run stepped
+        # would sit among the step workspace's blocks on the heap and keep
+        # their freed space from being returned
+        steps = sum(-(-len(s.train_rows) // stream_cfg.batch_size_current)
+                    for s in self.stages)
+        self.runs = [Run(method, _follow(self.state, extractor), index,
+                         losses=np.empty((steps, 2)))
                      for (index, method), extractor in zip(members, [init, *copies])]
         self.t = 0
         self.batches = iter(())
 
-    def next_batch(self, fail: Callable[[_Run, Exception], None],
+    def next_batch(self, fail: Callable[[Run, Exception], None],
                    scoring: Callable[[], Workspace]):
         """The stream's next (rows, y) batch, scoring every run as a stage
         ends; fail(run, error) takes out a run whose scoring raises. None
@@ -804,9 +818,9 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
     del datasets  # a dataset lives as long as the streams on it
     trajectory_of = {run: traj for traj in live for run in traj.runs}
     group = RunGroup([run for traj in live for run in traj.runs])
-    ended: list[_Run] = []
+    ended: list[Run] = []
 
-    def end(run: _Run, outcome) -> None:
+    def end(run: Run, outcome) -> None:
         outcomes[run.index] = outcome
         trajectory_of.pop(run).runs.remove(run)
         ended.append(run)
@@ -818,7 +832,7 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
             if batch is None:
                 for run in list(traj.runs):
                     end(run, ExperimentResult(method=run.method.name, seed=traj.seed,
-                                              metrics=run.metrics, steps=run.steps))
+                                              metrics=run.metrics, losses=run.losses))
             else:
                 batches[traj.state] = traj, batch
         group.remove(ended)
@@ -838,8 +852,8 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
                 end(run, err)
             break
         for run, record in zip(runs_now, records):
-            if isinstance(record, StepRecord):
-                run.steps.append(record)
+            if isinstance(record, tuple):
+                run.losses[run.state.stream.step - 1] = record  # step counts the one just taken
             else:
                 traj = trajectory_of[run]
                 failure = FloatingPointError(

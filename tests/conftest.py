@@ -190,13 +190,25 @@ def row_source(batches) -> tuple[LabeledData, list[np.ndarray]]:
 
 
 def step_alone(group, rows, y, memory_batch_size: int, rng):
-    """train_step on a RunGroup of one run (RunGroup([_Run(method, state)]),
-    held across its steps): the run's StepRecord, or the error that ended
-    it raised."""
+    """train_step on a RunGroup of one run (RunGroup([Run(method, state)]),
+    held across its steps): the run's (loss_current, loss_replay) pair, or
+    the error that ended it raised."""
     (record,) = uer.trainer.train_step(group, [rows], [y], memory_batch_size, [rng])
     if isinstance(record, Exception):
         raise record
     return record
+
+
+def losses_of(records) -> np.ndarray:
+    """An oracle's StepRecords as a run's loss history: the (steps, 2)
+    float64 array of their (loss_current, loss_replay) pairs. Each record's
+    loss_total must be its pair's sum, which is how the history gives the
+    total."""
+    losses = np.array([(r.loss_current, r.loss_replay) for r in records],
+                      dtype=np.float64).reshape(-1, 2)
+    totals = np.array([r.loss_total for r in records], dtype=np.float64)
+    assert losses.sum(axis=1).tobytes() == totals.tobytes()
+    return losses
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,9 @@ feature-copying buffer, batching and run set-up of that trainer, kept
 verbatim. ``gen_synthetic`` is the synthetic data generator as it was
 before it wrote its draws in place: per-class blocks, concatenated. Every
 step here runs the forward pass that checked its own features
-(``legacy_eval.forward_batch``).
+(``legacy_eval.forward_batch``). ``StepRecord`` and ``ExperimentResult``
+are a step's losses and a run's result as they were before a run kept
+its losses as one float array: a record per step, with the total.
 Nothing in ``src/`` imports this module.
 """
 
@@ -46,9 +48,23 @@ from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch
 from uer.numeric import NonFiniteError, Rng, make_rng, require_finite
 from uer.stream import Dataset, LabeledData, Stage, StageRows, StreamConfig, SyntheticSpec, \
     build_stages, split_stages
-from uer.trainer import (ExperimentResult, MethodConfig, StepRecord, StreamState, TrainState,
-                         _capacity, _collect_stage_metrics, _follow, _row_mix, catch_up,
-                         register_classes)
+from uer.trainer import (MethodConfig, StreamState, TrainState, _capacity,
+                         _collect_stage_metrics, _follow, _row_mix, catch_up, register_classes)
+
+
+@dataclass
+class StepRecord:
+    loss_current: float
+    loss_replay: float
+    loss_total: float
+
+
+@dataclass
+class ExperimentResult:
+    method: str
+    seed: int
+    metrics: list[StageMetrics]
+    steps: list[StepRecord]
 
 
 def softmax_rows(L: np.ndarray) -> np.ndarray:

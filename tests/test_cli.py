@@ -643,3 +643,27 @@ def test_python_dash_m_runs_the_command_line(tmp_path, module):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 1, proc.stderr
     assert "config error: line 3: key run.seeds" in proc.stderr
+
+
+# the child reports, after a whole run, whether NumPy's lazily loaded
+# masked-array module was imported (about a MiB of peak RSS)
+_RUN_THEN_LIST_MODULES = """\
+import sys
+import uer.cli
+code = uer.cli.main(["run", "--config", sys.argv[1]])
+print(f"exit {code}, numpy.ma imported: {'numpy.ma' in sys.modules}")
+"""
+
+
+@pytest.mark.parametrize("text", [
+    UER_ONLY,
+    "dataset.kind = split-gauss-10\nstream.stages = 5\nstream.classes_per_stage = 2\n"
+    "run.methods = uer\nrun.seeds = 0\nrun.out = {out}\nmethod.uer.hidden = 8\n",
+], ids=["synthetic", "split-gauss-10"])
+def test_a_synthetic_run_never_imports_numpy_ma(tmp_path, text):
+    cfg_path, out = write_config(tmp_path, text)
+    proc = subprocess.run([sys.executable, "-c", _RUN_THEN_LIST_MODULES, str(cfg_path)],
+                          capture_output=True, text=True, cwd=str(tmp_path), env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit 0, numpy.ma imported: False", proc.stdout
+    assert (out / "summary.json").exists()

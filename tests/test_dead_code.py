@@ -29,7 +29,7 @@ ALLOWED = {
     "read_metrics": "reads the metrics files back: tests",
     "serialize_config": "round-trips a parsed config: tests",
     "save_csv_dataset": "writes CSV datasets: tests and perfbench workloads",
-    "init_state": "builds one run on a stream of its own: tests",
+    "init_state": "builds one run on a stream of its own: the exported step-level API",
 }
 
 

@@ -19,14 +19,15 @@ from hypothesis import strategies as st
 
 import legacy_step
 import uer.trainer
-from conftest import flat_params, flat_tape, row_source, step_alone
+from conftest import flat_params, flat_tape, losses_of, row_source, step_alone
+from uer import Run, RunGroup, init_state
 from uer.logits import CosineScale, PredictorParams, loss_rows
 from uer.memory import MemoryBuffer, buffer_retrieve, buffer_update
 from uer.net import GradientTape, init_extractor, sgd_step
 from uer.numeric import make_rng
 from uer.stream import SyntheticSpec, gen_synthetic
-from uer.trainer import (RunGroup, _Run, er_method, finetune_method, init_state, lucir_method,
-                         triple_method, uer_a_method, uer_method)
+from uer.trainer import (er_method, finetune_method, lucir_method, triple_method, uer_a_method,
+                         uer_method)
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 SCALE = CosineScale(10.0)
@@ -83,7 +84,7 @@ def test_fused_step_matches_two_pass_step(preset, alpha, capacity, warmup, n_cur
     source, order = _data(seed)
     rng = make_rng([seed, 1])
     state = init_state(method, source, rng)
-    group = RunGroup([_Run(method, state)])
+    group = RunGroup([Run(method, state)])
     for k in range(warmup):
         rows = order[k * n_cur:(k + 1) * n_cur]
         step_alone(group, rows, source.y[rows], n_mem, rng)
@@ -96,16 +97,16 @@ def test_fused_step_matches_two_pass_step(preset, alpha, capacity, warmup, n_cur
 
     new_grads, old_grads = [], []
     with mock.patch.object(uer.trainer, "sgd_step", _sgd_recorder(new_grads)):
-        rec_new = step_alone(group, rows, y, n_mem, rng)
+        got = np.array([step_alone(group, rows, y, n_mem, rng)])
     rec_old = legacy_step.legacy_train_step(old, x, y, method, n_mem, rng_old,
                                             sgd=_sgd_recorder(old_grads))
 
     np.testing.assert_allclose(new_grads[0], old_grads[0], **TOL)
     np.testing.assert_allclose(flat_params(state.extractor, state.predictor),
                                flat_params(old.extractor, old.predictor), **TOL)
-    np.testing.assert_allclose([rec_new.loss_current, rec_new.loss_replay, rec_new.loss_total],
-                               [rec_old.loss_current, rec_old.loss_replay, rec_old.loss_total],
-                               **TOL)
+    want = losses_of([rec_old])
+    np.testing.assert_allclose(got, want, **TOL)
+    np.testing.assert_allclose(got.sum(axis=1), want.sum(axis=1), **TOL)
     _assert_buffers_equal(state.stream.buffer, source, old.stream.buffer)
     assert rng.bit_generator.state == rng_old.bit_generator.state
     assert state.stream.class_order == old.stream.class_order and \

@@ -6,7 +6,7 @@ leading axis exactly as its 2-d call on that slice would, bit for bit,
 also when each slice carries its own alpha and weight rows, gamma and lr,
 and when the slices take different loss branches, in any order.
 On top of it, one method's seeds trained together (run_trajectories, one
-stream per seed) must give the very same metrics bytes and StepRecords as
+stream per seed) must give the very same metrics bytes and losses as
 legacy_step.per_seed_run, which trains each alone, whatever the other
 seeds do: split off at a class-count or batch mismatch, fall out of
 phase, or diverge. A run alone steps as a part of one, on blocks stacked
@@ -22,16 +22,17 @@ from hypothesis import strategies as st
 
 import legacy_step
 import uer.trainer
-from conftest import overflowing_features, overflowing_scores, step_alone, step_start, \
-    with_train_row
+from conftest import losses_of, overflowing_features, overflowing_scores, step_alone, \
+    step_start, with_train_row
+from uer import Run, RunGroup, init_state
 from uer.evaluation import stage_metrics_to_dict
 from uer.logits import CosineScale, LogitMode, PredictorParams, loss_rows
 from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch,
                      forward_batch, sgd_step)
 from uer.numeric import NonFiniteError, make_rng, require_finite
 from uer.stream import Dataset, LabeledData, StreamConfig, gen_synthetic, make_sphere_spec
-from uer.trainer import (RunGroup, _Run, er_method, finetune_method, init_state, lucir_method,
-                         run_experiment, run_trajectories, uer_a_method, uer_method)
+from uer.trainer import (er_method, finetune_method, lucir_method, run_experiment,
+                         run_trajectories, uer_a_method, uer_method)
 
 
 def _versions() -> str:
@@ -272,10 +273,13 @@ def _metrics_bytes(result) -> bytes:
 
 
 def _assert_same_run(result, alone):
+    # alone: the oracle's result, or a run of this trainer's
     assert result.method == alone.method and result.seed == alone.seed
     assert _metrics_bytes(result) == _metrics_bytes(alone)
     assert result.metrics == alone.metrics
-    assert result.steps == alone.steps
+    want = losses_of(alone.steps) if isinstance(alone, legacy_step.ExperimentResult) \
+        else alone.losses
+    assert result.losses.tobytes() == want.tobytes()
 
 
 def _blocks(monkeypatch):
@@ -444,8 +448,8 @@ def test_one_train_step_call_per_group_step(monkeypatch):
         return real(group, *args)
     monkeypatch.setattr(uer.trainer, "train_step", counted)
     outcomes = run_seed_group(datasets.__getitem__, method, STREAM, SEEDS)
-    assert calls == [3] * len(outcomes[0].steps)
-    assert all(len(o.steps) == len(outcomes[0].steps) for o in outcomes)
+    assert calls == [3] * len(outcomes[0].losses)
+    assert all(len(o.losses) == len(outcomes[0].losses) for o in outcomes)
 
 
 def test_a_seed_whose_data_fails_to_build_leaves_the_others_untouched():
@@ -504,22 +508,23 @@ def test_a_seed_alone_that_diverges_names_its_stage_and_step(what, monkeypatch):
 
 
 def test_a_lone_train_state_steps_as_the_per_seed_step_does(monkeypatch):
-    # train_step on a group of one TrainState returns its StepRecord, step
+    # train_step on a group of one TrainState returns its loss pair, step
     # for step the oracle's, with the same parameters after; a non-finite
     # step ends it (the state steps rows of the dataset, the oracle their
     # features)
     method, data = _presets()["uer"], _datasets()[0]
     order = make_rng(5).permutation(len(data.train.y))
     state = init_state(method, data.train, make_rng(6))
-    group = RunGroup([_Run(method, state)])
+    group = RunGroup([Run(method, state)])
     alone = legacy_step.init_state(method, data.input_dim, make_rng(6))
     rng, rng_alone = make_rng(7), make_rng(7)
     blocks = _blocks(monkeypatch)
     for lo in range(0, 120, 10):
         rows = order[lo:lo + 10]
         x, y = data.train.x[rows], data.train.y[rows]
-        record = step_alone(group, rows, y, 10, rng)
-        assert record == legacy_step.per_seed_train_step(alone, x, y, method, 10, rng_alone)
+        pair = np.array([step_alone(group, rows, y, 10, rng)])
+        want = legacy_step.per_seed_train_step(alone, x, y, method, 10, rng_alone)
+        assert pair.tobytes() == losses_of([want]).tobytes()
         params = (*state.extractor.layers, state.predictor)
         for got, want in zip(params, (*alone.extractor.layers, alone.predictor)):
             for a, b in zip(vars(got).values(), vars(want).values()):

@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 
 import legacy_eval
 from conftest import blas_versions, row_source, step_alone
+from uer import Run, RunGroup, init_state
 from uer.evaluation import BLOCK_ROWS, accuracy, average_posterior, row_blocks, score_stages
 from uer.logits import CosineScale, LogitMode, PredictorParams
 from uer.net import forward_batch, init_extractor
 from uer.numeric import NonFiniteError, make_rng
 from uer.stream import LabeledData, Stage, StreamConfig, iterate_batches
-from uer.trainer import (FeaturesCollapsed, RunGroup, _collect_stage_metrics, _Run, init_state,
-                         triple_method)
+from uer.trainer import FeaturesCollapsed, _collect_stage_metrics, triple_method
 
 DIM = 6
 
@@ -64,7 +64,7 @@ def test_one_pass_matches_per_stage_passes(test_mode, learn, test_sizes, lr, see
     # the run reads every stage's training rows from one source
     source, stage_rows = row_source([(s.train.x, s.train.y) for s in stages])
     state = init_state(method, source, rng)
-    group = RunGroup([_Run(method, state)])
+    group = RunGroup([Run(method, state)])
     for t, stage in enumerate(stages, 1):
         state.stage_baseline = state.predictor.copy()
         state.stream.consumed_in_stage = 0
@@ -92,7 +92,7 @@ def test_wrappers_match_reference(mode, n, seed):
     method = triple_method("probe", "cosine", "mixed", mode.value, hidden_dims=(8,))
     stage = _stages([n], rng)[0]
     state = init_state(method, stage.train, rng)  # the stage's batches are its rows
-    group = RunGroup([_Run(method, state)])
+    group = RunGroup([Run(method, state)])
     for rows, y_b in iterate_batches(stage, StreamConfig(stages=1, batch_size_current=5), rng):
         step_alone(group, rows, y_b, 0, rng)
     scale = CosineScale(10.0)

@@ -18,16 +18,17 @@ import numpy as np
 import pytest
 
 import legacy_step
-from conftest import row_source, step_alone
+from conftest import losses_of, row_source, step_alone
 import uer.logits
 import uer.trainer
+from uer import Run, RunGroup, init_state
 from uer.evaluation import BLOCK_ROWS, row_blocks, score_stages, stage_metrics_to_dict
 from uer.logits import CosineScale, LogitMode, PredictorParams, loss_rows, step_plan
 from uer.net import GradientTape, FeatureExtractor, LayerParams, init_extractor
 from uer.numeric import ShapeError, Workspace, make_rng
 from uer.stream import Dataset, LabeledData, StreamConfig, gen_synthetic, make_sphere_spec
-from uer.trainer import (RunGroup, _Run, er_method, init_state, lucir_method, run_trajectories,
-                         train_step, uer_a_method, uer_method)
+from uer.trainer import (er_method, lucir_method, run_trajectories, train_step, uer_a_method,
+                         uer_method)
 
 STREAM = StreamConfig(stages=2, classes_per_stage=2, batch_size_current=10,
                       batch_size_memory=10)
@@ -51,7 +52,7 @@ def _assert_matches_oracle(outcomes, runs, datasets, stream=STREAM):
     for (method, seed), outcome in zip(runs, outcomes):
         alone = legacy_step.per_seed_run(datasets[seed], method, stream, seed)
         assert _metrics_bytes(outcome) == _metrics_bytes(alone)
-        assert outcome.steps == alone.steps
+        assert outcome.losses.tobytes() == losses_of(alone.steps).tobytes()
 
 
 def _methods():
@@ -206,12 +207,12 @@ def test_a_trajectory_step_makes_no_row_check(monkeypatch):
     datasets = {0: _dataset(0, [40] * 4)}
     calls = _counted_row_checks(monkeypatch)
     outcomes = run_trajectories(datasets.__getitem__, [(m, 0) for m in _methods()], STREAM)
-    assert calls == [] and all(o.steps for o in outcomes)
+    assert calls == [] and all(len(o.losses) for o in outcomes)
     data, method = datasets[0], _methods()[0]
-    lone = RunGroup([_Run(method, init_state(method, data.train, make_rng(1)))])
+    lone = RunGroup([Run(method, init_state(method, data.train, make_rng(1)))])
     step_alone(lone, np.arange(10), data.train.y[:10], 10, make_rng(2))
     assert calls == [(10,)]
-    group = RunGroup([_Run(method, init_state(method, data.train, make_rng(k))) for k in (3, 4)])
+    group = RunGroup([Run(method, init_state(method, data.train, make_rng(k))) for k in (3, 4)])
     train_step(group, [np.arange(10), np.arange(10, 20)],
                [data.train.y[:10], data.train.y[10:20]], 10, [make_rng(5), make_rng(6)])
     assert calls == [(10,), (10,), (10,)]
@@ -237,12 +238,12 @@ def test_a_direct_train_step_registers_a_new_label():
     method = uer_method(hidden_dims=(16,), buffer_capacity=30)
     ours, theirs = make_rng(8), make_rng(8)
     state = init_state(method, source, ours)
-    group = RunGroup([_Run(method, state)])
+    group = RunGroup([Run(method, state)])
     oracle = legacy_step.init_state(method, data.input_dim, theirs)
     for (x, y), batch_rows in zip(batches, rows):
-        got = step_alone(group, batch_rows, y, 10, ours)
+        got = np.array([step_alone(group, batch_rows, y, 10, ours)])
         want = legacy_step.per_seed_train_step(oracle, x, y, method, 10, theirs)
-        assert got == want
+        assert got.tobytes() == losses_of([want]).tobytes()
         assert state.predictor.W.tobytes() == oracle.predictor.W.tobytes()
         assert state.extractor.layers[0].weight.tobytes() == \
             oracle.extractor.layers[0].weight.tobytes()

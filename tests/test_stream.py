@@ -246,6 +246,22 @@ def test_synthetic_spec_validation():
         SyntheticSpec(2, np.array([[0.0, 0.0], [1.0, 1.0]]), 1.0, 0, 1)
 
 
+@given(classes=st.integers(0, 5), dim=st.integers(0, 3),
+       values=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, float("nan")]),
+                       min_size=15, max_size=15))
+@settings(max_examples=300, deadline=None)
+def test_means_are_distinct_as_np_unique_counts_their_rows(classes, dim, values):
+    # rows compare as floats: -0.0 equals 0.0, and a row holding nan equals
+    # no row, itself included
+    means = np.array(values[:classes * dim], dtype=np.float64).reshape(classes, dim)
+    distinct = len(np.unique(means, axis=0)) == classes
+    if distinct:
+        SyntheticSpec(dim, means, 1.0, 1, 1)
+    else:
+        with pytest.raises(ValueError, match="^class means must be distinct$"):
+            SyntheticSpec(dim, means, 1.0, 1, 1)
+
+
 def test_sphere_means_sit_on_the_sphere():
     m = sphere_means(6, 8, 3.0, make_rng(1))
     np.testing.assert_allclose(np.linalg.norm(m, axis=1), 3.0, atol=1e-12)

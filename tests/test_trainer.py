@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import flat_params, row_source, step_alone
+from uer import Run, RunGroup, catch_up, init_state
 from uer.logits import LogitMode, dot_logits_batch, loss_dot
 from uer.memory import MemoryBuffer
 from uer.net import backward_batch, forward_batch, init_extractor, sgd_step
 from uer.numeric import make_rng
 from uer.stream import StreamConfig, SyntheticSpec, gen_synthetic
-from uer.trainer import (MethodConfig, RunGroup, StreamState, TABLE1_GRID, _follow, _Run,
-                         catch_up, er_method, finetune_method, init_state, lucir_method,
-                         register_classes, run_experiment, train_step, triple_method,
-                         uer_a_method, uer_method)
+from uer.trainer import (MethodConfig, StreamState, TABLE1_GRID, _follow, er_method,
+                         finetune_method, lucir_method, register_classes, run_experiment,
+                         train_step, triple_method, uer_a_method, uer_method)
 
 STREAM_2x5 = StreamConfig(stages=2, classes_per_stage=5)
 STREAM_5x2 = StreamConfig(stages=5, classes_per_stage=2)
@@ -190,13 +190,14 @@ def test_train_step_loss_additivity():
     perm = make_rng(23).permutation(len(ds.train.x))
     method = uer_method(buffer_capacity=50, hidden_dims=(8,))
     rng = make_rng([0, 1])
-    group = RunGroup([_Run(method, init_state(method, ds.train, rng))])
-    for lo in range(0, 120, 10):
-        rows = perm[lo:lo + 10]
-        rec = step_alone(group, rows, ds.train.y[rows], 10, rng)
-        assert rec.loss_total == pytest.approx(rec.loss_current + rec.loss_replay,
-                                               abs=1e-12)
-        assert rec.loss_current > 0.0
+    group = RunGroup([Run(method, init_state(method, ds.train, rng))])
+    pairs = [step_alone(group, perm[lo:lo + 10], ds.train.y[perm[lo:lo + 10]], 10, rng)
+             for lo in range(0, 120, 10)]
+    losses = np.array(pairs)  # a run's loss history: (loss_current, loss_replay) rows
+    assert losses.shape == (12, 2) and losses.dtype == np.float64
+    # the total loss is the row sum, the very sum of the pair
+    assert losses.sum(axis=1).tobytes() == np.array([c + p for c, p in pairs]).tobytes()
+    assert (losses[:, 0] > 0.0).all()
 
 
 def test_train_step_cold_start_has_no_replay_loss():
@@ -204,8 +205,9 @@ def test_train_step_cold_start_has_no_replay_loss():
     method = uer_method(hidden_dims=(8,))
     rng = make_rng([0, 1])
     state = init_state(method, ds.train, rng)
-    rec = step_alone(RunGroup([_Run(method, state)]), np.arange(10), ds.train.y[:10], 10, rng)
-    assert rec.loss_replay == 0.0
+    _, loss_replay = step_alone(RunGroup([Run(method, state)]), np.arange(10),
+                                ds.train.y[:10], 10, rng)
+    assert loss_replay == 0.0
     assert len(state.stream.buffer) == 10  # the batch was offered after the step
 
 
@@ -216,7 +218,7 @@ def test_replay_disabled_equals_plain_ce_step():
     ft = finetune_method(hidden_dims=(8,))
     rng_a = make_rng(7)
     state_a = init_state(ft, ds.train, rng_a)
-    step_alone(RunGroup([_Run(ft, state_a)]), np.arange(10), y, 10, rng_a)
+    step_alone(RunGroup([Run(ft, state_a)]), np.arange(10), y, 10, rng_a)
 
     # hand-rolled: register rows with the same rng, then one dot-CE step
     rng_b = make_rng(7)
@@ -240,7 +242,7 @@ def test_finetune_never_touches_buffer_rng():
     ds = small_gauss()
     ft = finetune_method(hidden_dims=(8,))
     rng = make_rng(13)
-    group = RunGroup([_Run(ft, init_state(ft, ds.train, rng))])
+    group = RunGroup([Run(ft, init_state(ft, ds.train, rng))])
     before = rng.bit_generator.state["state"]["state"]
     step_alone(group, np.arange(10), ds.train.y[:10], 10, rng)
     mid = rng.bit_generator.state["state"]["state"]
@@ -256,17 +258,14 @@ def test_joint_batch_matches_union_mean():
     perm = make_rng(17).permutation(len(ds.train.x))
     method = er_method(buffer_capacity=50, hidden_dims=(8,))
     rng = make_rng([3, 1])
-    group = RunGroup([_Run(method, init_state(method, ds.train, rng))])
-    recs = []
-    for lo in range(0, 160, 10):
-        rows = perm[lo:lo + 10]
-        recs.append(step_alone(group, rows, ds.train.y[rows], 10, rng))
-    assert recs[0].loss_replay == 0.0  # nothing in the buffer yet
-    assert all(r.loss_replay > 0.0 for r in recs[1:])
-    assert all(r.loss_current > 0.0 for r in recs)
-    for r in recs:
-        assert r.loss_total == pytest.approx(r.loss_current + r.loss_replay,
-                                             abs=1e-12)
+    group = RunGroup([Run(method, init_state(method, ds.train, rng))])
+    pairs = [step_alone(group, perm[lo:lo + 10], ds.train.y[perm[lo:lo + 10]], 10, rng)
+             for lo in range(0, 160, 10)]
+    losses = np.array(pairs)
+    assert losses[0, 1] == 0.0  # nothing in the buffer yet
+    assert (losses[1:, 1] > 0.0).all()
+    assert (losses[:, 0] > 0.0).all()
+    assert losses.sum(axis=1).tobytes() == np.array([c + p for c, p in pairs]).tobytes()
 
 
 def _snapshot(group, rngs) -> list:
@@ -292,9 +291,9 @@ def _stepped_lone_and_group():
     method = uer_method(buffer_capacity=20, hidden_dims=(8,))
     perm = make_rng(23).permutation(len(ds.train))
     rng = make_rng(5)
-    lone = RunGroup([_Run(method, init_state(method, ds.train, rng))])
+    lone = RunGroup([Run(method, init_state(method, ds.train, rng))])
     streams = [StreamState(MemoryBuffer(20), 8, ds.train) for _ in range(2)]
-    group = RunGroup([_Run(method, _follow(stream, init_extractor((6, 8), make_rng(k))))
+    group = RunGroup([Run(method, _follow(stream, init_extractor((6, 8), make_rng(k))))
                       for k, stream in enumerate(streams)])
     rngs = [make_rng(6), make_rng(7)]
     for lo in range(0, 40, 10):  # the buffers fill and replay
@@ -407,10 +406,8 @@ def test_uer_a_trajectory_is_uer_alpha_one_bitwise(gauss_datasets):
                        STREAM_2x5, 2)
     b = run_experiment(ds, uer_method(alpha=1.0, buffer_capacity=100,
                                       hidden_dims=(16,)), STREAM_2x5, 2)
-    assert len(a.steps) == len(b.steps)
-    for ra, rb in zip(a.steps, b.steps):
-        assert ra.loss_current == rb.loss_current  # bit-for-bit
-        assert ra.loss_replay == rb.loss_replay
+    assert a.losses.shape == b.losses.shape
+    assert a.losses.tobytes() == b.losses.tobytes()  # bit-for-bit
     for ma, mb in zip(a.metrics, b.metrics):
         assert ma.accuracy_row == mb.accuracy_row
         assert ma.avg_posterior == mb.avg_posterior
@@ -479,7 +476,7 @@ def test_stage_metrics_fields_coherent(gauss_datasets):
 def test_experiment_steps_counted(gauss_datasets):
     ds = gauss_datasets[7]
     result = run_experiment(ds, uer_method(hidden_dims=(16,)), STREAM_5x2, 7)
-    assert len(result.steps) == 500  # 5 stages x 1000 samples / batch 10
+    assert result.losses.shape == (500, 2)  # 5 stages x 1000 samples / batch 10
     assert result.method == "uer" and result.seed == 7
 
 

@@ -4,22 +4,24 @@ run_grid puts the runs of one seed whose methods agree on the network
 widths, buffer capacity and replay switch on one stream: one rng, one
 buffer, one registration and retrieval per step, with only the parameters
 per run. No draw depends on a method's scoring rules, so every run must
-give the very same metrics bytes and StepRecords as
+give the very same metrics bytes and losses as
 legacy_step.run_seed_group, which trains each method's seeds with streams
 of their own, and every failure must read the same.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 import legacy_step
+from conftest import losses_of
 import uer.cli
 import uer.trainer
 from uer.cli import run_grid, sweep_jobs, table1_jobs
 from uer.config import build_dataset, parse_config_text
 from uer.evaluation import stage_metrics_to_dict
-from uer.trainer import StepRecord, er_method, run_trajectories, uer_method
+from uer.trainer import er_method, run_trajectories, uer_method
 
 SEEDS = "0,1,2"
 
@@ -71,7 +73,7 @@ def _assert_grid_matches_oracle(cfg, jobs):
         for result, want in zip(passed, alone):
             assert (result.method, result.seed) == (want.method, want.seed)
             assert _metrics_bytes(result) == _metrics_bytes(want)
-            assert result.steps == want.steps
+            assert result.losses.tobytes() == losses_of(want.steps).tobytes()
     return grid
 
 
@@ -207,8 +209,8 @@ def test_runs_of_different_methods_share_one_stream(monkeypatch):
     for method, outcome in zip(methods, outcomes):
         (alone,) = legacy_step.run_seed_group(lambda _seed: dataset, method, cfg.stream, [0])
         assert _metrics_bytes(outcome) == _metrics_bytes(alone)
-        assert outcome.steps == alone.steps
-        assert all(isinstance(s, StepRecord) for s in outcome.steps)
+        assert outcome.losses.dtype == np.float64 and outcome.losses.shape == (STEPS, 2)
+        assert outcome.losses.tobytes() == losses_of(alone.steps).tobytes()
 
 
 def test_a_failed_build_fails_every_run_of_its_stream_and_is_retried():
