@@ -11,8 +11,8 @@ from .memory import MemoryBuffer, buffer_retrieve, buffer_update
 from .net import FeatureExtractor, GradientTape, LayerParams, backward_batch, forward_batch, \
     init_extractor, sgd_step
 from .numeric import NonFiniteError, Rng, ShapeError, make_rng
-from .stream import Dataset, LabeledData, Stage, StageRows, StreamConfig, SyntheticSpec, \
-    build_stages, gen_synthetic, iterate_batches, load_csv_dataset, split_gauss_10, split_stages
+from .stream import Dataset, LabeledData, StageRows, StreamConfig, SyntheticSpec, build_stages, \
+    gen_synthetic, iterate_batches, load_csv_dataset, split_gauss_10
 from .trainer import ExperimentResult, FeaturesCollapsed, LogitTriple, MethodConfig, \
     ReplayRule, Run, RunGroup, StreamState, TrainState, catch_up, er_method, finetune_method, \
     init_state, lucir_method, register_classes, run_experiment, run_trajectories, train_step, \

@@ -30,7 +30,7 @@ Scalars are parsed by the expected type of the key: int, float, bool
     method.NAME.learn         dot | cosine
     method.NAME.replay        dot | cosine | mixed
     method.NAME.test          dot | cosine
-    method.NAME.alpha         float in [0,1] (default 0.5)
+    method.NAME.alpha         float in [0,1] (default 0.5), mixed replay only
     method.NAME.gamma         float > 0 (default 10.0)
     method.NAME.lr            float > 0 (default 0.1)
     method.NAME.buffer        int >= 0 (default 500)
@@ -48,6 +48,7 @@ preset pins them (uer-a keeps alpha = 1, finetune keeps replay disabled).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .numeric import make_rng
 from .stream import Dataset, StreamConfig, gen_synthetic, load_csv_dataset, \
@@ -189,8 +190,7 @@ def _build_method(name: str, e: _Entries, run_seeds: tuple[int, ...]) -> MethodC
         return f"method.{name}.{suffix}"
 
     overrides = {}
-    if (v := e.take(k("alpha"), "float", valid=_ALPHA)) is not None:
-        overrides["alpha"] = v
+    alpha = e.take(k("alpha"), "float", valid=_ALPHA)
     if (v := e.take(k("gamma"), "float", valid=_POSITIVE)) is not None:
         overrides["gamma"] = v
     if (v := e.take(k("lr"), "float", valid=_POSITIVE)) is not None:
@@ -215,19 +215,21 @@ def _build_method(name: str, e: _Entries, run_seeds: tuple[int, ...]) -> MethodC
             if any(v is not None for v in (learn, replay, test)):
                 raise ConfigError(f"method {name} is a stock preset; its scoring "
                                   f"triple cannot be overridden")
-            if name == "uer-a" and overrides.get("alpha", 1.0) != 1.0:
-                raise ConfigError(f"method uer-a pins alpha = 1, got {overrides['alpha']}")
-            if name == "finetune" and overrides.get("replay_enabled", False):
-                raise ConfigError("method finetune pins replay_enabled = false")
-            cfg = PRESET_BUILDERS[name](**overrides)
+            build = PRESET_BUILDERS[name]
         else:
             missing = [s for s, v in (("learn", learn), ("replay", replay), ("test", test))
                        if v is None]
             if missing:
                 raise ConfigError(f"custom method {name} needs keys "
                                   + ", ".join(f"method.{name}.{m}" for m in missing))
-            alpha = overrides.pop("alpha", 0.5)
-            cfg = triple_method(name, learn, replay, test, alpha=alpha, **overrides)
+            build = partial(triple_method, name, learn, replay, test)
+        cfg = build(**overrides)
+        if alpha is not None:
+            # only a mixed replay rule weighs its two cross-entropies
+            if (kind := cfg.triple.replay.kind) != "mixed":
+                raise ConfigError(f"line {e.line_of(k('alpha'))}: key {k('alpha')}: method "
+                                  f"{name} replays by {kind}, which takes no alpha")
+            cfg = build(alpha=alpha, **overrides)
     except ConfigError:
         raise
     except ValueError as err:
@@ -332,8 +334,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             lines.append(f"{prefix}.learn = {m.triple.learn.value}")
             lines.append(f"{prefix}.replay = {m.triple.replay.kind}")
             lines.append(f"{prefix}.test = {m.triple.test.value}")
-        if m.name != "uer-a":
-            lines.append(f"{prefix}.alpha = {m.alpha!r}")
+        if m.triple.replay.kind == "mixed" and m.name != "uer-a":
+            lines.append(f"{prefix}.alpha = {m.triple.replay.alpha!r}")
         lines.append(f"{prefix}.gamma = {m.gamma!r}")
         lines.append(f"{prefix}.lr = {m.lr!r}")
         lines.append(f"{prefix}.buffer = {m.buffer_capacity}")

@@ -82,12 +82,6 @@ class GradientTape:
         self.pred_w = np.zeros_like(predictor.W)
         self.pred_b = np.zeros_like(predictor.b)
 
-    def add_class_rows(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("cannot remove class rows")
-        self.pred_w = np.vstack([self.pred_w, np.zeros((n, self.pred_w.shape[1]))])
-        self.pred_b = np.append(self.pred_b, np.zeros(n))
-
     def zero(self) -> None:
         for g in self.layer_w:
             g.fill(0.0)

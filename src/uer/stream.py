@@ -47,28 +47,11 @@ class Dataset:
 
 
 @dataclass
-class Stage:
-    index: int  # 1-based
-    class_set: tuple[int, ...]
-    train: LabeledData
-    test: LabeledData
-
-
-@dataclass
 class StageRows:
-    """A stage's classes and where its rows sit in the dataset; gathering
-    them gives the Stage."""
-    index: int  # 1-based
+    """A stage's classes and where its rows sit in the dataset."""
     class_set: tuple[int, ...]
     train_rows: np.ndarray  # (n,) int64 indices into dataset.train
     test_rows: np.ndarray  # (m,) int64 indices into dataset.test
-
-    def gather(self, dataset: "Dataset") -> Stage:
-        return Stage(index=self.index, class_set=self.class_set,
-                     train=LabeledData(dataset.train.x[self.train_rows],
-                                       dataset.train.y[self.train_rows]),
-                     test=LabeledData(dataset.test.x[self.test_rows],
-                                      dataset.test.y[self.test_rows]))
 
 
 @dataclass
@@ -113,13 +96,7 @@ class SyntheticSpec:
             raise ValueError("class means must be distinct")
 
 
-def build_stages(dataset: Dataset, cfg: StreamConfig, rng: Rng) -> list[Stage]:
-    """Shuffle class ids, partition them, and slice the dataset per stage
-    (split_stages, each stage gathered)."""
-    return [rows.gather(dataset) for rows in split_stages(dataset, cfg, rng)]
-
-
-def split_stages(dataset: Dataset, cfg: StreamConfig, rng: Rng) -> list[StageRows]:
+def build_stages(dataset: Dataset, cfg: StreamConfig, rng: Rng) -> list[StageRows]:
     """Shuffle class ids, partition them, and find each stage's rows.
 
     A stage whose classes have no test rows is rejected here, before any
@@ -139,28 +116,23 @@ def split_stages(dataset: Dataset, cfg: StreamConfig, rng: Rng) -> list[StageRow
         if not len(te):
             raise ValueError(f"stage {t + 1} (classes {', '.join(map(str, class_set))}) "
                              f"has no test rows")
-        stages.append(StageRows(index=t + 1, class_set=class_set,
+        stages.append(StageRows(class_set=class_set,
                                 train_rows=np.flatnonzero(np.isin(dataset.train.y, class_set)),
                                 test_rows=te))
     return stages
 
 
-def iterate_batches(stage: Stage | StageRows, cfg: StreamConfig, rng: Rng,
-                    dataset: Dataset | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Single pass over the stage's training split in shuffled (rows, y)
-    batches: rows index dataset.train for a StageRows, the stage's own
-    train split for a Stage. The shuffled rows and their labels are
-    gathered in two read-only blocks as the first batch is asked for, and
-    each batch is a view of them; no features are copied. The final batch
-    may be short; every sample is yielded exactly once.
+def iterate_batches(stage: StageRows, cfg: StreamConfig, rng: Rng,
+                    dataset: Dataset) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Single pass over the stage's training rows in shuffled (rows, y)
+    batches, rows indexing dataset.train. The shuffled rows and their
+    labels are gathered in two read-only blocks as the first batch is
+    asked for, and each batch is a view of them; no features are copied.
+    The final batch may be short; every sample is yielded exactly once.
     """
-    if isinstance(stage, StageRows):
-        rows, labels = stage.train_rows, dataset.train.y
-        order = rows[rng.permutation(len(rows))]
-    else:
-        labels = stage.train.y
-        order = rng.permutation(len(labels))
-    y = labels[order]
+    rows = stage.train_rows
+    order = rows[rng.permutation(len(rows))]
+    y = dataset.train.y[order]
     order.flags.writeable = y.flags.writeable = False
     for lo in range(0, len(y), cfg.batch_size_current):
         yield order[lo:lo + cfg.batch_size_current], y[lo:lo + cfg.batch_size_current]

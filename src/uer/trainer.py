@@ -38,13 +38,15 @@ registers labels, draws the replay batch, finds the [incoming;
 replayed] source rows and updates its one buffer, and every run on it reuses
 them. Only the parameters are per run. The runs step in parts: runs
 whose step and network shapes agree run the forward pass, loss_rows,
-the backward pass and the SGD step once, over parameters stacked on a
-leading axis, with per-run alpha, weights, gamma and lr, whatever each
-run's rule: a loss branch that some run uses runs over the whole part.
-Each run's slice is computed exactly as its run alone would compute it.
+the backward pass and the SGD step once, over parameters and one
+gradient tape stacked on a leading axis, with per-run alpha, weights,
+gamma and lr, whatever each run's rule: a loss branch that some run
+uses runs over the whole part. Each run's slice is computed exactly as
+its run alone would compute it.
 
 A run (Run) is a method and its parameters (TrainState); its stream
-(StreamState) holds the buffer, the label map and the counters.
+(StreamState) holds the buffer, the label map and the counters, and its
+part (_Part) the tape its gradients accumulate in.
 train_step steps the runs of a RunGroup, and a caller that steps one run
 holds a group of that one run.
 """
@@ -57,9 +59,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# accuracy, average_posterior, build_stages, loss_current, loss_dot and
-# loss_replay are not called here: they stay importable from this module
-# because the perfbench span tracer wraps them by this module's name
+# accuracy, average_posterior, loss_current, loss_dot and loss_replay are
+# not called here: they stay importable from this module because the
+# perfbench span tracer wraps them by this module's name
 from .evaluation import StageMetrics, accuracy, average_accuracy, average_posterior, \
     bias_diagnostics, score_stages  # noqa: F401
 from .logits import CosineScale, LogitMode, PredictorParams, StepPlan, loss_current, loss_dot, \
@@ -68,8 +70,7 @@ from .memory import MemoryBuffer, buffer_retrieve, buffer_update
 from .net import FeatureExtractor, GradientTape, LayerParams, backward_batch, forward_batch, \
     init_extractor, sgd_step
 from .numeric import NonFiniteError, Rng, Workspace, make_rng, require_finite
-from .stream import Dataset, LabeledData, Stage, StageRows, StreamConfig, build_stages, \
-    iterate_batches, split_stages  # noqa: F401
+from .stream import Dataset, LabeledData, StageRows, StreamConfig, build_stages, iterate_batches
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,6 @@ class MethodConfig:
     name: str
     triple: LogitTriple
     replay_enabled: bool = True
-    alpha: float = 0.5
     gamma: float = 10.0
     lr: float = 0.1
     buffer_capacity: int = 500
@@ -113,8 +113,6 @@ class MethodConfig:
     seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha out of [0,1]: {self.alpha}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.lr > 0:
@@ -134,17 +132,15 @@ class MethodConfig:
 def uer_method(alpha: float = 0.5, **kw) -> MethodConfig:
     return MethodConfig(name=kw.pop("name", "uer"),
                         triple=LogitTriple(LogitMode.COSINE, ReplayRule("mixed", alpha),
-                                           LogitMode.DOT),
-                        alpha=alpha, **kw)
+                                           LogitMode.DOT), **kw)
 
 
 def uer_a_method(**kw) -> MethodConfig:
-    if kw.pop("alpha", 1.0) != 1.0:
-        raise ValueError("uer-a pins alpha = 1")
+    if (alpha := kw.pop("alpha", 1.0)) != 1.0:
+        raise ValueError(f"uer-a pins alpha = 1, got {alpha!r}")
     return MethodConfig(name=kw.pop("name", "uer-a"),
                         triple=LogitTriple(LogitMode.COSINE, ReplayRule("mixed", 1.0),
-                                           LogitMode.DOT),
-                        alpha=1.0, **kw)
+                                           LogitMode.DOT), **kw)
 
 
 def er_method(**kw) -> MethodConfig:
@@ -160,8 +156,8 @@ def lucir_method(**kw) -> MethodConfig:
 
 
 def finetune_method(**kw) -> MethodConfig:
-    if kw.pop("replay_enabled", False):
-        raise ValueError("finetune pins replay_enabled = false")
+    if replay := kw.pop("replay_enabled", False):
+        raise ValueError(f"finetune pins replay_enabled = false, got {replay!r}")
     return MethodConfig(name=kw.pop("name", "finetune"),
                         triple=LogitTriple(LogitMode.DOT, ReplayRule("dot"), LogitMode.DOT),
                         replay_enabled=False,
@@ -169,13 +165,17 @@ def finetune_method(**kw) -> MethodConfig:
 
 
 def triple_method(name: str, learn: str, replay: str, test: str,
-                  alpha: float = 0.5, **kw) -> MethodConfig:
-    """A bare scoring triple; replay "mixed" takes the alpha weight."""
-    rule = ReplayRule(replay, alpha if replay == "mixed" else
-                      (1.0 if replay == "dot" else 0.0))
+                  alpha: float | None = None, **kw) -> MethodConfig:
+    """A bare scoring triple; only replay "mixed" takes the alpha weight
+    (default 0.5)."""
+    if replay == "mixed":
+        rule = ReplayRule(replay, 0.5 if alpha is None else alpha)
+    elif alpha is None:
+        rule = ReplayRule(replay, 1.0 if replay == "dot" else 0.0)
+    else:
+        raise ValueError(f"replay rule {replay!r} takes no alpha, got {alpha!r}")
     return MethodConfig(name=name,
-                        triple=LogitTriple(LogitMode(learn), rule, LogitMode(test)),
-                        alpha=alpha, **kw)
+                        triple=LogitTriple(LogitMode(learn), rule, LogitMode(test)), **kw)
 
 
 PRESET_BUILDERS = {
@@ -237,14 +237,13 @@ class StreamState:
 
 @dataclass
 class TrainState:
-    """One run's parameters: its extractor, class scorer, gradient tape and
-    the scorer as the stage began, on the stream (StreamState) it follows,
-    which holds its buffer, label map and counters. Once the run steps,
-    its extractor, scorer and tape arrays are views of one slice of its
-    part's stacks (_Part)."""
+    """One run's parameters: its extractor, class scorer and the scorer as
+    the stage began, on the stream (StreamState) it follows, which holds
+    its buffer, label map and counters. Once the run steps, its extractor
+    and scorer arrays are views of one slice of its part's stacks (_Part);
+    the gradients accumulate in the part's tape."""
     extractor: FeatureExtractor
     predictor: PredictorParams
-    tape: GradientTape
     stream: StreamState
     stage_baseline: PredictorParams | None = None
 
@@ -275,8 +274,7 @@ def _follow(stream: StreamState, extractor: FeatureExtractor) -> TrainState:
     """A run with its own extractor and an empty scorer on a stream; the
     scorer then catches up with the rows the stream has registered."""
     predictor = PredictorParams.empty(stream.dim)
-    state = TrainState(extractor, predictor, GradientTape(extractor, predictor), stream,
-                       predictor.copy())
+    state = TrainState(extractor, predictor, stream, predictor.copy())
     catch_up(state)
     return state
 
@@ -330,7 +328,6 @@ def catch_up(state: TrainState) -> None:
     values, so parameter movement excludes initialization."""
     for row in state.stream.init_rows[state.predictor.num_classes:]:
         state.predictor.add_class(row, 0.0)
-        state.tape.add_class_rows(1)
         if state.stage_baseline is not None:
             state.stage_baseline.add_class(row.copy(), 0.0)
 
@@ -384,11 +381,12 @@ class _Part:
     length, replay count, registered class count), and are kept in the
     order they were given. Whatever their loss branches, each slice gets
     the bits of its run alone (see loss_rows). The part keeps their
-    parameters and gradient tape stacked on a leading axis, one slice per
-    run (a part of one run has one slice), and each run's TrainState holds
-    views into them; alpha and weight rows, gamma and lr are per slice. A
-    part's step writes into its RunGroup's one workspace. The part keeps
-    the StepPlan of each step shape of its current class count (plan).
+    parameters and its gradient tape (the only one) stacked on a leading
+    axis, one slice per run (a part of one run has one slice); each run's
+    TrainState holds views of its parameter slices. Alpha and weight
+    rows, gamma and lr are per slice. A part's step writes into its
+    RunGroup's one workspace. The part keeps the StepPlan of each step
+    shape of its current class count (plan).
     """
 
     def __init__(self, runs: list[Run]):
@@ -411,16 +409,13 @@ class _Part:
 
     def stack_predictors(self) -> None:
         """Restack the runs' class scorers (after registration grew them)
-        and give the part a new tape, whose slices become the runs' tapes."""
+        and give the part a new tape of the new shape."""
         states = [run.state for run in self.runs]
         self.predictor = PredictorParams(np.stack([s.predictor.W for s in states]),
                                          np.stack([s.predictor.b for s in states]))
-        tape = self.tape = GradientTape(self.extractor, self.predictor)
+        self.tape = GradientTape(self.extractor, self.predictor)
         for i, s in enumerate(states):
             s.predictor.W, s.predictor.b = self.predictor.W[i], self.predictor.b[i]
-            s.tape.layer_w = [g[i] for g in tape.layer_w]
-            s.tape.layer_b = [g[i] for g in tape.layer_b]
-            s.tape.pred_w, s.tape.pred_b = tape.pred_w[i], tape.pred_b[i]
 
     def plan(self, n_cur: int, n_mem: int, classes: int) -> StepPlan:
         """The loss plan of a step of this shape: the part's alpha and
@@ -664,7 +659,7 @@ def _descend(part: _Part, ws: Workspace, X: np.ndarray, rows: np.ndarray,
     raise failed
 
 
-def _collect_stage_metrics(state: TrainState, stages: Sequence[Stage | StageRows], t: int,
+def _collect_stage_metrics(state: TrainState, stages: Sequence[StageRows], t: int,
                            method: MethodConfig, test: LabeledData, ends: np.ndarray,
                            rows: np.ndarray | None = None,
                            ws: Workspace | None = None) -> StageMetrics:
@@ -736,7 +731,7 @@ class _Trajectory:
         self.seed = int(seed)
         self.rng = make_rng([self.seed, 1])
         self.dataset, self.stream_cfg = dataset, stream_cfg
-        self.stages = split_stages(dataset, stream_cfg, self.rng)
+        self.stages = build_stages(dataset, stream_cfg, self.rng)
         self.test_rows = np.concatenate([s.test_rows for s in self.stages])
         self.ends = np.cumsum([len(s.test_rows) for s in self.stages])
         first = members[0][1]

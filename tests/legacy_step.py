@@ -28,6 +28,11 @@ step here runs the forward pass that checked its own features
 (``legacy_eval.forward_batch``). ``StepRecord`` and ``ExperimentResult``
 are a step's losses and a run's result as they were before a run kept
 its losses as one float array: a record per step, with the total.
+``Stage``, ``gather`` and ``build_stages`` are the gathered copies of a
+stage's rows, and ``TrainState``, ``_follow``, ``catch_up`` and
+``GradientTape.add_class_rows`` the run with a gradient tape of its own
+(grown row by row as classes register), as that trainer had them;
+``split_stages`` is ``uer.stream.build_stages``, the row split.
 Nothing in ``src/`` imports this module.
 """
 
@@ -43,13 +48,13 @@ from uer.evaluation import StageMetrics
 from uer.logits import (CosineScale, EPS_NORM, LogitMode, PredictorParams, _batch_targets,
                         cosine_logits_batch, dot_logits_batch, loss_rows)
 from uer.memory import buffer_retrieve
-from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch,
-                     init_extractor, sgd_step)
+from uer.net import FeatureExtractor, LayerParams, backward_batch, init_extractor, sgd_step
+from uer.net import GradientTape as _Tape
 from uer.numeric import NonFiniteError, Rng, make_rng, require_finite
-from uer.stream import Dataset, LabeledData, Stage, StageRows, StreamConfig, SyntheticSpec, \
-    build_stages, split_stages
-from uer.trainer import (MethodConfig, StreamState, TrainState, _capacity,
-                         _collect_stage_metrics, _follow, _row_mix, catch_up, register_classes)
+from uer.stream import Dataset, LabeledData, StageRows, StreamConfig, SyntheticSpec
+from uer.stream import build_stages as split_stages
+from uer.trainer import (MethodConfig, StreamState, _capacity, _collect_stage_metrics,
+                         _row_mix, register_classes)
 
 
 @dataclass
@@ -70,6 +75,82 @@ class ExperimentResult:
 def softmax_rows(L: np.ndarray) -> np.ndarray:
     e = np.exp(L - L.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+# ---------------------------------------------- gathered stages, run state
+
+
+@dataclass
+class Stage:
+    index: int  # 1-based
+    class_set: tuple[int, ...]
+    train: LabeledData
+    test: LabeledData
+
+
+def gather(stage: StageRows, index: int, dataset: Dataset) -> Stage:
+    return Stage(index=index, class_set=stage.class_set,
+                 train=LabeledData(dataset.train.x[stage.train_rows],
+                                   dataset.train.y[stage.train_rows]),
+                 test=LabeledData(dataset.test.x[stage.test_rows],
+                                  dataset.test.y[stage.test_rows]))
+
+
+def build_stages(dataset: Dataset, cfg: StreamConfig, rng: Rng) -> list[Stage]:
+    """Shuffle class ids, partition them, and slice the dataset per stage
+    (split_stages, each stage gathered)."""
+    return [gather(rows, t, dataset)
+            for t, rows in enumerate(split_stages(dataset, cfg, rng), 1)]
+
+
+class GradientTape(_Tape):
+    """The tape of one run, grown a zero row per class it registers."""
+
+    def add_class_rows(self, n: int) -> None:
+        if n < 0:
+            raise ValueError("cannot remove class rows")
+        self.pred_w = np.vstack([self.pred_w, np.zeros((n, self.pred_w.shape[1]))])
+        self.pred_b = np.append(self.pred_b, np.zeros(n))
+
+
+@dataclass
+class TrainState:
+    """One run's parameters, gradient tape and the scorer as the stage
+    began, on the stream it follows."""
+    extractor: FeatureExtractor
+    predictor: PredictorParams
+    tape: GradientTape
+    stream: StreamState
+    stage_baseline: PredictorParams | None = None
+
+
+def _follow(stream: StreamState, extractor: FeatureExtractor) -> TrainState:
+    """A run with its own extractor and an empty scorer on a stream; the
+    scorer then catches up with the rows the stream has registered."""
+    predictor = PredictorParams.empty(stream.dim)
+    state = TrainState(extractor, predictor, GradientTape(extractor, predictor), stream,
+                       predictor.copy())
+    catch_up(state)
+    return state
+
+
+def with_tape(state) -> TrainState:
+    """The run of a ``uer.trainer.TrainState`` (which holds no tape, its
+    part's tape taking its gradients) with a zero tape of its own."""
+    return TrainState(state.extractor, state.predictor,
+                      GradientTape(state.extractor, state.predictor), state.stream,
+                      state.stage_baseline)
+
+
+def catch_up(state: TrainState) -> None:
+    """Append to the run's scorer the rows its stream registered since it
+    last looked, at their initial values. The stage baseline gets the same
+    values, so parameter movement excludes initialization."""
+    for row in state.stream.init_rows[state.predictor.num_classes:]:
+        state.predictor.add_class(row, 0.0)
+        state.tape.add_class_rows(1)
+        if state.stage_baseline is not None:
+            state.stage_baseline.add_class(row.copy(), 0.0)
 
 
 # ------------------------------------------------- feature-copying buffer
@@ -686,7 +767,8 @@ class _SeedRun:
             self.t += 1
             self.state.stage_baseline = self.state.predictor.copy()
             self.state.stream.consumed_in_stage = 0
-            self.batches = iterate_batches(self.stages[self.t - 1].gather(self.dataset),
+            self.batches = iterate_batches(gather(self.stages[self.t - 1], self.t,
+                                                  self.dataset),
                                            self.stream_cfg, self.rng)
         return batch
 

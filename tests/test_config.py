@@ -41,7 +41,7 @@ def test_minimal_config_defaults():
     assert cfg.out_dir == "results/demo"
     [m] = cfg.methods
     assert m.name == "uer"
-    assert m.alpha == 0.5 and m.gamma == 10.0 and m.lr == 0.1
+    assert m.triple.replay.alpha == 0.5 and m.gamma == 10.0 and m.lr == 0.1
     assert m.buffer_capacity == 500
     assert m.hidden_dims == (64,)
     assert m.replay_enabled and not m.joint_batch
@@ -75,7 +75,7 @@ stream.shuffle_seed = 9
     assert cfg.dataset.radius == 2.5 and cfg.dataset.stddev == 0.4
     assert cfg.dataset.train_per_class == 40
     [m] = cfg.methods
-    assert m.alpha == 0.25 and m.gamma == 8.0 and m.lr == 0.05
+    assert m.triple.replay.alpha == 0.25 and m.gamma == 8.0 and m.lr == 0.05
     assert m.buffer_capacity == 200 and m.hidden_dims == (32, 16)
     assert m.seeds == (3, 4)
     assert cfg.stream.batch_size_current == 20
@@ -110,7 +110,7 @@ def test_all_presets_resolve():
     names = [m.name for m in cfg.methods]
     assert names == ["uer", "uer-a", "er", "lucir", "finetune"]
     by_name = {m.name: m for m in cfg.methods}
-    assert by_name["uer-a"].alpha == 1.0
+    assert by_name["uer-a"].triple.replay.alpha == 1.0
     assert by_name["er"].joint_batch
     assert not by_name["finetune"].replay_enabled
     assert by_name["finetune"].buffer_capacity == 0
@@ -121,6 +121,23 @@ def test_alpha_out_of_range_message():
     text = MINIMAL + "method.uer.alpha = 1.5\n"
     with pytest.raises(ConfigError, match=r"alpha out of \[0,1\]"):
         parse_config_text(text)
+
+
+@pytest.mark.parametrize("name, rules", [
+    ("er", ""), ("lucir", ""), ("finetune", ""),
+    ("probe", "method.probe.learn = cosine\nmethod.probe.replay = dot\n"
+              "method.probe.test = dot\n"),
+])
+def test_alpha_without_mixed_replay_names_its_line(name, rules):
+    # only a mixed replay rule reads alpha; anywhere else the key would
+    # be accepted and then ignored
+    base = MINIMAL.replace("run.methods = uer", f"run.methods = {name}") + rules
+    lineno = base.count("\n") + 1
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(base + f"method.{name}.alpha = 0.3\n")
+    kind = "cosine" if name == "lucir" else "dot"
+    assert str(info.value) == (f"line {lineno}: key method.{name}.alpha: method {name} "
+                               f"replays by {kind}, which takes no alpha")
 
 
 @pytest.mark.parametrize("line, message", [
@@ -152,12 +169,12 @@ def test_range_errors_name_the_line_and_key(tmp_path, capsys, line, message):
 
 def test_uer_a_alpha_pin_rejected():
     text = MINIMAL.replace("run.methods = uer", "run.methods = uer-a")
-    assert parse_config_text(text).methods[0].alpha == 1.0
+    assert parse_config_text(text).methods[0].triple.replay.alpha == 1.0
     with pytest.raises(ConfigError, match="pins alpha"):
         parse_config_text(text + "method.uer-a.alpha = 0.5\n")
     # explicitly writing the pinned value is allowed
     cfg = parse_config_text(text + "method.uer-a.alpha = 1.0\n")
-    assert cfg.methods[0].alpha == 1.0
+    assert cfg.methods[0].triple.replay.alpha == 1.0
 
 
 def test_finetune_replay_pin_rejected():

@@ -8,12 +8,18 @@ that a module only re-imports is unreferenced. __init__.py's exports do
 not count either. A method (or property), named Class.method here, counts
 as referenced where a module loads an attribute of its name; dunder
 methods are exempt, since Python calls them.
+
+An entry kept for the benchmark's tracer names the (module, attribute)
+it is wrapped as, and that pair must be one of the tracer's TARGETS, so
+the entry goes when the tracer stops wrapping the name.
 """
 
 import ast
 from pathlib import Path
 
 import uer
+
+SPANTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "spantrace.py"
 
 ALLOWED = {
     # wrapped by the benchmark's tracer (perfbench/spantrace.py TARGETS),
@@ -23,7 +29,6 @@ ALLOWED = {
     "loss_replay": "tracer target uer.trainer.loss_replay",
     "accuracy": "tracer target uer.trainer.accuracy",
     "average_posterior": "tracer target uer.trainer.average_posterior",
-    "build_stages": "tracer target uer.trainer.build_stages",
     "run_experiment": "tracer target uer.cli.run_experiment",
     # used outside the package
     "read_metrics": "reads the metrics files back: tests",
@@ -63,6 +68,24 @@ def test_every_unreferenced_definition_is_allowlisted():
     assert found == set(ALLOWED), (
         f"unreferenced and not allowlisted: {sorted(found - set(ALLOWED))}; "
         f"allowlisted but referenced or gone: {sorted(set(ALLOWED) - found)}")
+
+
+def tracer_targets(path: Path) -> set[tuple[str, str]]:
+    """The (module, attribute) pair of every Target in the TARGETS tuple
+    of the tracer's source, read without importing it."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return {(call.args[0].value, call.args[1].value) for call in node.value.elts}
+    raise AssertionError(f"no TARGETS tuple in {path}")
+
+
+def test_every_tracer_entry_names_a_tracer_target():
+    targets = tracer_targets(SPANTRACE)
+    for name, reason in ALLOWED.items():
+        if "tracer target" in reason:
+            module, _, attr = reason.rpartition(" ")[2].rpartition(".")
+            assert attr == name and (module, attr) in targets, \
+                f"{name}: {reason!r} is not among the tracer's targets"
 
 
 def test_the_guard_sees_a_definition_that_nothing_loads(tmp_path):

@@ -89,7 +89,7 @@ def test_fused_step_matches_two_pass_step(preset, alpha, capacity, warmup, n_cur
         rows = order[k * n_cur:(k + 1) * n_cur]
         step_alone(group, rows, source.y[rows], n_mem, rng)
 
-    old = copy.deepcopy(state)
+    old = legacy_step.with_tape(copy.deepcopy(state))
     old.stream.buffer = legacy_step.list_buffer_from_arrays(state.stream.buffer, source)
     rng_old = copy.deepcopy(rng)
     rows = order[warmup * n_cur:(warmup + 1) * n_cur]

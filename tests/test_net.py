@@ -232,13 +232,3 @@ def test_training_determinism_multi_step():
 
     assert np.array_equal(run(), run())
 
-
-def test_tape_add_class_rows_grows_zero_blocks():
-    fe = init_extractor([2, 3], make_rng(1))
-    pp = PredictorParams(np.ones((1, 3)), np.ones(1))
-    tape = GradientTape(fe, pp)
-    tape.add_class_rows(2)
-    assert tape.pred_w.shape == (3, 3) and tape.pred_b.shape == (3,)
-    assert not tape.pred_w.any() and not tape.pred_b.any()
-    with pytest.raises(ValueError):
-        tape.add_class_rows(-1)

@@ -20,12 +20,13 @@ from hypothesis import strategies as st
 
 import legacy_eval
 from conftest import blas_versions, row_source, step_alone
+from legacy_step import Stage
 from uer import Run, RunGroup, init_state
 from uer.evaluation import BLOCK_ROWS, accuracy, average_posterior, row_blocks, score_stages
 from uer.logits import CosineScale, LogitMode, PredictorParams
 from uer.net import forward_batch, init_extractor
 from uer.numeric import NonFiniteError, make_rng
-from uer.stream import LabeledData, Stage, StreamConfig, iterate_batches
+from uer.stream import Dataset, LabeledData, StageRows, StreamConfig, iterate_batches
 from uer.trainer import FeaturesCollapsed, _collect_stage_metrics, triple_method
 
 DIM = 6
@@ -46,6 +47,15 @@ def _stages(test_sizes, rng):
     return stages
 
 
+def _split(stages):
+    """The stages as rows of one dataset, every stage's train and test rows
+    stacked in stage order, and each stage's StageRows in it."""
+    train, train_rows = row_source([(s.train.x, s.train.y) for s in stages])
+    test, test_rows = row_source([(s.test.x, s.test.y) for s in stages])
+    return Dataset(train, test, 2 * len(stages), DIM), \
+        [StageRows(s.class_set, tr, te) for s, tr, te in zip(stages, train_rows, test_rows)]
+
+
 @given(test_mode=st.sampled_from(["dot", "cosine"]),
        learn=st.sampled_from(["dot", "cosine"]),
        test_sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
@@ -57,19 +67,18 @@ def test_one_pass_matches_per_stage_passes(test_mode, learn, test_sizes, lr, see
                            hidden_dims=(8,), buffer_capacity=20)
     rng = make_rng([seed, 7])
     stages = _stages(test_sizes, rng)
-    test = LabeledData(np.concatenate([s.test.x for s in stages]),
-                       np.concatenate([s.test.y for s in stages]))
+    # the run reads every stage's training rows from one source
+    dataset, splits = _split(stages)
+    test = dataset.test
     ends = np.cumsum(test_sizes)
     stream = StreamConfig(stages=len(stages), batch_size_current=4, batch_size_memory=4)
-    # the run reads every stage's training rows from one source
-    source, stage_rows = row_source([(s.train.x, s.train.y) for s in stages])
-    state = init_state(method, source, rng)
+    state = init_state(method, dataset.train, rng)
     group = RunGroup([Run(method, state)])
-    for t, stage in enumerate(stages, 1):
+    for t, split in enumerate(splits, 1):
         state.stage_baseline = state.predictor.copy()
         state.stream.consumed_in_stage = 0
-        for rows, y_b in iterate_batches(stage, stream, rng):
-            step_alone(group, stage_rows[t - 1][rows], y_b, stream.batch_size_memory, rng)
+        for rows, y_b in iterate_batches(split, stream, rng, dataset):
+            step_alone(group, rows, y_b, stream.batch_size_memory, rng)
         if not forward_batch(state.extractor, test.x[:ends[t - 1]])[0].any():
             # no live feature on any scored row: the run fails instead
             with pytest.raises(FeaturesCollapsed, match=f"^stage {t}: features collapsed"):
@@ -91,9 +100,11 @@ def test_wrappers_match_reference(mode, n, seed):
     rng = make_rng([seed, 8])
     method = triple_method("probe", "cosine", "mixed", mode.value, hidden_dims=(8,))
     stage = _stages([n], rng)[0]
-    state = init_state(method, stage.train, rng)  # the stage's batches are its rows
+    dataset, (split,) = _split([stage])
+    state = init_state(method, dataset.train, rng)
     group = RunGroup([Run(method, state)])
-    for rows, y_b in iterate_batches(stage, StreamConfig(stages=1, batch_size_current=5), rng):
+    for rows, y_b in iterate_batches(split, StreamConfig(stages=1, batch_size_current=5), rng,
+                                     dataset):
         step_alone(group, rows, y_b, 0, rng)
     scale = CosineScale(10.0)
     assert accuracy(state, stage.test, mode, scale) == \

@@ -10,7 +10,7 @@ from uer.numeric import make_rng
 from uer.stream import (CsvFormatError, Dataset, LabeledData, StreamConfig,
                         SyntheticSpec, _parse_lines, build_stages, gen_synthetic,
                         iterate_batches, load_csv_dataset, make_sphere_spec,
-                        save_csv_dataset, split_gauss_10, split_stages, sphere_means)
+                        save_csv_dataset, split_gauss_10, sphere_means)
 
 
 def toy_dataset(classes=10, per_class=6, dim=3, seed=0):
@@ -34,9 +34,9 @@ def test_build_stages_partitions_disjointly():
     assert sorted(all_classes) == list(range(10))
     for s in stages:
         assert len(s.class_set) == 2
-        assert set(np.unique(s.train.y)) == set(s.class_set)
-        assert set(np.unique(s.test.y)) == set(s.class_set)
-        assert len(s.train) == 12 and len(s.test) == 4
+        assert set(np.unique(ds.train.y[s.train_rows])) == set(s.class_set)
+        assert set(np.unique(ds.test.y[s.test_rows])) == set(s.class_set)
+        assert len(s.train_rows) == 12 and len(s.test_rows) == 4
 
 
 def test_build_stages_single_stage_takes_all():
@@ -101,7 +101,7 @@ def test_iterate_batches_remainder():
                                           batch_size_current=10), make_rng(0))[0]
     sizes = [len(y) for _, y in iterate_batches(
         stage, StreamConfig(stages=1, classes_per_stage=1, batch_size_current=10),
-        make_rng(1))]
+        make_rng(1), ds)]
     assert sizes == [10, 10, 5]
 
 
@@ -109,7 +109,7 @@ def test_iterate_batches_exact_fit_single_batch():
     ds = toy_dataset(classes=1, per_class=10)
     cfg = StreamConfig(stages=1, classes_per_stage=1, batch_size_current=10)
     stage = build_stages(ds, cfg, make_rng(0))[0]
-    batches = list(iterate_batches(stage, cfg, make_rng(1)))
+    batches = list(iterate_batches(stage, cfg, make_rng(1), ds))
     assert len(batches) == 1 and len(batches[0][1]) == 10
 
 
@@ -118,37 +118,37 @@ def test_iterate_batches_single_pass_multiset_law():
     cfg = StreamConfig(stages=1, classes_per_stage=2, batch_size_current=4)
     stage = build_stages(ds, cfg, make_rng(0))[0]
     xs, ys = [], []
-    for rows, yb in iterate_batches(stage, cfg, make_rng(7)):
-        xs.append(stage.train.x[rows])  # a Stage's rows index its own split
+    for rows, yb in iterate_batches(stage, cfg, make_rng(7), ds):
+        xs.append(ds.train.x[rows])
         ys.append(yb)
     X = np.concatenate(xs)
     Y = np.concatenate(ys)
-    assert len(Y) == len(stage.train)
+    train_x, train_y = ds.train.x[stage.train_rows], ds.train.y[stage.train_rows]
+    assert len(Y) == len(train_y)
     # emitted samples are a permutation of the stage training split
     order_emitted = np.lexsort(np.vstack([Y, X.T]))
-    order_stage = np.lexsort(np.vstack([stage.train.y, stage.train.x.T]))
-    np.testing.assert_array_equal(X[order_emitted], stage.train.x[order_stage])
-    np.testing.assert_array_equal(Y[order_emitted], stage.train.y[order_stage])
+    order_stage = np.lexsort(np.vstack([train_y, train_x.T]))
+    np.testing.assert_array_equal(X[order_emitted], train_x[order_stage])
+    np.testing.assert_array_equal(Y[order_emitted], train_y[order_stage])
 
 
 def test_stage_rows_batch_as_their_gathered_stage_does():
-    # the rows of a StageRows, read from the dataset, give the batches of
-    # the Stage they gather into, read from its own split, from the same
-    # permutation draw, as the per-batch indexing of the gathered copy
-    # gave them; a StageRows batch is the stage's rows in that order
+    # the rows of a StageRows, read from the dataset, give the batches
+    # that a gathered copy of the stage's split, indexed per batch by the
+    # same permutation draw, gave; a batch is the stage's rows in that
+    # order
     ds = toy_dataset(classes=4, per_class=13)
     cfg = StreamConfig(stages=2, classes_per_stage=2, batch_size_current=4)
-    for rows in split_stages(ds, cfg, make_rng(0)):
-        stage = rows.gather(ds)
-        order = make_rng(5).permutation(len(stage.train))
-        want = [(stage.train.x[order[lo:lo + 4]], stage.train.y[order[lo:lo + 4]])
+    for rows in build_stages(ds, cfg, make_rng(0)):
+        train_x, train_y = ds.train.x[rows.train_rows], ds.train.y[rows.train_rows]
+        order = make_rng(5).permutation(len(train_y))
+        want = [(train_x[order[lo:lo + 4]], train_y[order[lo:lo + 4]])
                 for lo in range(0, len(order), 4)]
-        for got, source in ((list(iterate_batches(rows, cfg, make_rng(5), ds)), ds.train),
-                            (list(iterate_batches(stage, cfg, make_rng(5))), stage.train)):
-            assert len(got) == len(want) == 7
-            for (r, y), (wx, wy) in zip(got, want):
-                assert source.x[r].tobytes() == wx.tobytes() and y.tolist() == wy.tolist()
-        got = np.concatenate([r for r, _ in iterate_batches(rows, cfg, make_rng(5), ds)])
+        got = list(iterate_batches(rows, cfg, make_rng(5), ds))
+        assert len(got) == len(want) == 7
+        for (r, y), (wx, wy) in zip(got, want):
+            assert ds.train.x[r].tobytes() == wx.tobytes() and y.tolist() == wy.tolist()
+        got = np.concatenate([r for r, _ in got])
         assert got.tolist() == rows.train_rows[order].tolist()
 
 
@@ -159,7 +159,7 @@ def test_batches_are_read_only_views_of_one_stage_block():
     # fails. No features are copied: a batch holds dataset rows
     ds = toy_dataset(classes=2, per_class=10)
     cfg = StreamConfig(stages=1, classes_per_stage=2, batch_size_current=6)
-    rows = split_stages(ds, cfg, make_rng(0))[0]
+    rows = build_stages(ds, cfg, make_rng(0))[0]
     batches = list(iterate_batches(rows, cfg, make_rng(1), ds))
     assert [len(y) for _, y in batches] == [6, 6, 6, 2]
     for j in (0, 1):
@@ -181,9 +181,9 @@ def test_iterate_batches_changes_order_not_content():
     ds = toy_dataset(classes=1, per_class=30)
     cfg = StreamConfig(stages=1, classes_per_stage=1, batch_size_current=30)
     stage = build_stages(ds, cfg, make_rng(0))[0]
-    (r1, _), = iterate_batches(stage, cfg, make_rng(1))
-    (r2, _), = iterate_batches(stage, cfg, make_rng(2))
-    x1, x2 = stage.train.x[r1], stage.train.x[r2]
+    (r1, _), = iterate_batches(stage, cfg, make_rng(1), ds)
+    (r2, _), = iterate_batches(stage, cfg, make_rng(2), ds)
+    x1, x2 = ds.train.x[r1], ds.train.x[r2]
     assert not np.array_equal(x1, x2)
     np.testing.assert_array_equal(np.sort(x1, axis=0), np.sort(x2, axis=0))
 

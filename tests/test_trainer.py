@@ -7,7 +7,7 @@ from conftest import flat_params, row_source, step_alone
 from uer import Run, RunGroup, catch_up, init_state
 from uer.logits import LogitMode, dot_logits_batch, loss_dot
 from uer.memory import MemoryBuffer
-from uer.net import backward_batch, forward_batch, init_extractor, sgd_step
+from uer.net import GradientTape, backward_batch, forward_batch, init_extractor, sgd_step
 from uer.numeric import make_rng
 from uer.stream import StreamConfig, SyntheticSpec, gen_synthetic
 from uer.trainer import (MethodConfig, StreamState, TABLE1_GRID, _follow, er_method,
@@ -50,11 +50,11 @@ def label_to_row(state) -> dict[int, int]:
 def test_preset_triples():
     uer = uer_method()
     assert uer.triple.learn is LogitMode.COSINE
-    assert uer.triple.replay.kind == "mixed" and uer.alpha == 0.5
+    assert uer.triple.replay.kind == "mixed" and uer.triple.replay.alpha == 0.5
     assert uer.triple.test is LogitMode.DOT
 
     uer_a = uer_a_method()
-    assert uer_a.alpha == 1.0 and uer_a.triple.replay.alpha == 1.0
+    assert uer_a.triple.replay.alpha == 1.0
 
     er = er_method()
     assert (er.triple.learn, er.triple.replay.kind, er.triple.test) == \
@@ -98,6 +98,8 @@ def test_triple_method_effective_alpha():
     assert triple_method("b", "dot", "cosine", "dot").triple.replay.effective_alpha() == 0.0
     m = triple_method("c", "cosine", "mixed", "dot", alpha=0.3)
     assert m.triple.replay.effective_alpha() == 0.3
+    with pytest.raises(ValueError, match="takes no alpha"):
+        triple_method("d", "dot", "cosine", "dot", alpha=0.3)
 
 
 # ------------------------------------------------------- class registration
@@ -137,12 +139,19 @@ def test_register_classes_row_init_matches_layer_rule():
 
 
 def test_register_extends_tape_and_baseline():
-    state = init_state(uer_method(), no_samples(6), make_rng(1))
+    source, (rows,) = row_source([(make_rng(2).normal(size=(4, 6)), np.array([0, 1, 2, 3]))])
+    method = uer_method()
+    state = init_state(method, source, make_rng(1))
+    group = RunGroup([Run(method, state)])
     register(state, np.array([0, 1, 2]), make_rng(1))
-    assert state.tape.pred_w.shape == state.predictor.W.shape
     assert state.stage_baseline.W.shape == state.predictor.W.shape
     # baseline carries the same fresh-row values, so registering is motionless
     np.testing.assert_array_equal(state.stage_baseline.W, state.predictor.W)
+    # a step that registers label 3 gives the part, whose tape is the
+    # run's only one, a tape of the grown scorer's shape
+    step_alone(group, rows, source.y, 10, make_rng(3))
+    assert state.predictor.num_classes == 4
+    assert group.parts[0].tape.pred_w.shape == (1, *state.predictor.W.shape)
 
 
 @pytest.mark.parametrize("labels", [[3, 0, 3], [0], [5, 1], [7], [-1], [0, -2]])
@@ -169,17 +178,23 @@ def test_register_classes_fast_path_agrees_with_the_loop(labels):
 def test_runs_on_one_stream_get_the_same_rows():
     # the stream draws a new row once; every run's scorer and stage
     # baseline catch up with the same values
-    stream = StreamState(MemoryBuffer(5), 4, no_samples(3))
+    source, (rows,) = row_source([(make_rng(4).normal(size=(2, 3)), np.array([6, 2]))])
+    stream = StreamState(MemoryBuffer(5), 4, source)
     runs = [_follow(stream, init_extractor((3, 4), make_rng(k))) for k in range(2)]
     assert register_classes(stream, np.array([2, 6]), make_rng(5)) == [2, 6]
     lone = init_state(uer_method(hidden_dims=(4,)), no_samples(3), make_rng(0))
     register(lone, np.array([2, 6]), make_rng(5))
-    for state in [*runs, _follow(stream, init_extractor((3, 4), make_rng(9)))]:
+    runs.append(_follow(stream, init_extractor((3, 4), make_rng(9))))
+    for state in runs:
         register(state, np.array([6]), make_rng(7))  # known: only catches up
         assert state.predictor.W.tobytes() == lone.predictor.W.tobytes()
         assert state.stage_baseline.W.tobytes() == lone.predictor.W.tobytes()
-        assert state.tape.pred_w.shape == lone.predictor.W.shape
         assert label_to_row(state) == {2: 0, 6: 1}
+    # after one step the runs' part tape holds a slice of that shape per run
+    method = uer_method(hidden_dims=(4,))
+    group = RunGroup([Run(method, state) for state in runs])
+    train_step(group, [rows], [source.y], 0, [make_rng(8)])
+    assert group.parts[0].tape.pred_w.shape == (3, *lone.predictor.W.shape)
 
 
 # ------------------------------------------------------------- train_step
@@ -225,10 +240,11 @@ def test_replay_disabled_equals_plain_ce_step():
     state_b = init_state(ft, ds.train, rng_b)
     register(state_b, y, rng_b)
     rows = np.array([label_to_row(state_b)[int(v)] for v in y])
+    tape = GradientTape(state_b.extractor, state_b.predictor)
     H, cache = forward_batch(state_b.extractor, x)
-    _, dH = loss_dot(state_b.predictor, H, rows, state_b.tape)
-    backward_batch(state_b.extractor, cache, dH, state_b.tape)
-    sgd_step(state_b.extractor, state_b.predictor, state_b.tape, ft.lr)
+    _, dH = loss_dot(state_b.predictor, H, rows, tape)
+    backward_batch(state_b.extractor, cache, dH, tape)
+    sgd_step(state_b.extractor, state_b.predictor, tape, ft.lr)
 
     np.testing.assert_allclose(flat_params(state_a.extractor, state_a.predictor),
                                flat_params(state_b.extractor, state_b.predictor),

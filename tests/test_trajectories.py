@@ -213,6 +213,23 @@ def test_runs_of_different_methods_share_one_stream(monkeypatch):
         assert outcome.losses.tobytes() == losses_of(alone.steps).tobytes()
 
 
+def test_each_trajectory_splits_its_stages_once_through_the_traced_name(monkeypatch):
+    # the benchmark's tracer wraps uer.trainer.build_stages: every
+    # trajectory makes its one stage split through that name
+    cfg = _config(None, ["uer"])
+    datasets = {seed: build_dataset(cfg.dataset, seed) for seed in (0, 1)}
+    runs = [(method, seed) for seed in (0, 1)
+            for method in (uer_method(hidden_dims=(16,), buffer_capacity=30),
+                           er_method(hidden_dims=(16,), buffer_capacity=30))]
+    splits = _count(monkeypatch, uer.trainer, "build_stages")
+    outcomes = run_trajectories(datasets.__getitem__, runs, cfg.stream)
+    monkeypatch.undo()
+    assert all(isinstance(o, uer.trainer.ExperimentResult) for o in outcomes)
+    assert len({uer.trainer.trajectory_key(method, seed) for method, seed in runs}) == 2
+    assert len(splits) == 2
+    assert all(args[0] is datasets[seed] for args, seed in zip(splits, (0, 1)))
+
+
 def test_a_failed_build_fails_every_run_of_its_stream_and_is_retried():
     cfg = _config(None, ["uer"])
     methods = [uer_method(hidden_dims=(16,), buffer_capacity=30, name=n) for n in "ab"]
