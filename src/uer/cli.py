@@ -10,9 +10,10 @@ Subcommands:
 Exit codes: 0 success, 1 bad configuration or flags, 2 at least one run
 failed. Every subcommand trains its (method, seed) runs on shared
 trajectories (run_grid): the runs of one seed whose methods agree on the
-network widths, buffer capacity, replay switch and joint batch follow one
-stream and train in lockstep. A failed run prints one "FAILED <method>
-seed <s>: <error>" line and the others go on. Per-run metrics land in
+network widths, buffer capacity and joint batch follow one stream and
+train in lockstep; a method replays exactly when its buffer capacity is
+above 0. A failed run prints one "FAILED <method> seed <s>: <error>" line
+and the others go on. Per-run metrics land in
 "<out>/<method>_seed<seed>.metrics.jsonl" with a "summary.json" next to
 them; reruns with the same config and seeds reproduce every output byte.
 """
@@ -90,14 +91,16 @@ def _metrics_path(out: Path, name: str, seed: int) -> Path:
 
 
 def _round_key(method: MethodConfig) -> tuple:
-    """Jobs whose methods agree on this train in one round.
+    """Jobs whose methods agree on this train in one round: the network
+    widths and buffer capacity (the trajectory key without the seed) and
+    the joint batch.
 
-    Within a round, the runs of one seed share a trajectory: the
-    trajectory key without the seed. The joint batch changes no draw, yet
-    it splits rounds, so an er-style method keeps streams and per-seed
-    data builds of its own: perfbench/test_perfbench.py's traced run of
-    one seed of uer and er still counts one stream per method (two data
-    builds, 16 batches, 160 offered samples).
+    Within a round, the runs of one seed share a trajectory. The joint
+    batch changes no draw, yet it splits rounds, so an er-style method
+    keeps streams and per-seed data builds of its own:
+    perfbench/test_perfbench.py's traced run of one seed of uer and er
+    still counts one stream per method (two data builds, 16 batches, 160
+    offered samples).
     """
     return trajectory_key(method, 0)[1:] + (method.joint_batch,)
 
@@ -178,7 +181,8 @@ def _print_summary(summary: RunSummary, echo=print) -> None:
 
 def _apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """The --seed, --out and --buffer overrides; a bad value raises
-    ConfigError naming its flag before any data is built."""
+    ConfigError naming its flag before any data is built. --buffer resizes
+    every method that replays; a method of capacity 0 (finetune) keeps 0."""
     if getattr(args, "seed", None) is not None:
         seeds = parse_seeds(args.seed, "--seed")
         cfg = replace(cfg, seeds=seeds,
@@ -189,7 +193,7 @@ def _apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         if args.buffer < 0:
             raise ConfigError(f"--buffer: expected a non-negative capacity, got {args.buffer}")
         cfg = replace(cfg, methods=tuple(
-            replace(m, buffer_capacity=args.buffer) if m.replay_enabled else m
+            replace(m, buffer_capacity=args.buffer) if m.buffer_capacity else m
             for m in cfg.methods))
     return cfg
 

@@ -33,16 +33,15 @@ Scalars are parsed by the expected type of the key: int, float, bool
     method.NAME.alpha         float in [0,1] (default 0.5), mixed replay only
     method.NAME.gamma         float > 0 (default 10.0)
     method.NAME.lr            float > 0 (default 0.1)
-    method.NAME.buffer        int >= 0 (default 500)
-    method.NAME.replay_enabled  true | false
-    method.NAME.joint_batch     true | false
+    method.NAME.buffer        int >= 0 (default 500); 0: no replay
+    method.NAME.joint_batch   true | false
     method.NAME.hidden        list of ints (default 64)
     method.NAME.seeds         list of ints >= 0 (default: run.seeds)
 
 Method names appearing in run.methods are either stock presets (uer,
 uer-a, er, lucir, finetune) or custom names that must define learn,
 replay, and test. Preset knobs may be overridden per key except where a
-preset pins them (uer-a keeps alpha = 1, finetune keeps replay disabled).
+preset pins them (uer-a keeps alpha = 1, finetune keeps buffer = 0).
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 _DIMS = (lambda v: min(v) >= 1, "layer widths must be positive")
 
 _METHOD_KEYS = {"learn", "replay", "test", "alpha", "gamma", "lr", "buffer",
-                "replay_enabled", "joint_batch", "hidden", "seeds"}
+                "joint_batch", "hidden", "seeds"}
 
 
 def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
@@ -197,8 +196,6 @@ def _build_method(name: str, e: _Entries, run_seeds: tuple[int, ...]) -> MethodC
         overrides["lr"] = v
     if (v := e.take(k("buffer"), "int", valid=_NON_NEGATIVE)) is not None:
         overrides["buffer_capacity"] = v
-    if (v := e.take(k("replay_enabled"), "bool")) is not None:
-        overrides["replay_enabled"] = v
     if (v := e.take(k("joint_batch"), "bool")) is not None:
         overrides["joint_batch"] = v
     if (v := e.take(k("hidden"), "ints", valid=_DIMS)) is not None:
@@ -339,7 +336,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         lines.append(f"{prefix}.gamma = {m.gamma!r}")
         lines.append(f"{prefix}.lr = {m.lr!r}")
         lines.append(f"{prefix}.buffer = {m.buffer_capacity}")
-        lines.append(f"{prefix}.replay_enabled = {'true' if m.replay_enabled else 'false'}")
         lines.append(f"{prefix}.joint_batch = {'true' if m.joint_batch else 'false'}")
         lines.append(f"{prefix}.hidden = " + ",".join(str(d) for d in m.hidden_dims))
         if m.seeds is not None:

@@ -16,7 +16,10 @@ stock methods:
     uer-a     uer with alpha pinned to 1 (pure dot replay)
     er        dot everywhere, one combined mean over incoming + replayed
     lucir     cosine everywhere
-    finetune  dot learn, replay disabled
+    finetune  dot everywhere, buffer capacity pinned to 0
+
+A method replays exactly when its buffer capacity is above 0, so a
+finetune run is the dot triple with an empty memory.
 
 A step runs one forward and one backward pass over the stacked batch
 [incoming; replayed] and scores it with one call of logits.loss_rows. Each
@@ -31,18 +34,17 @@ over the union scored with the learn rule, so its pair is the per-batch
 partial sums of that one mean.
 
 No draw depends on a method's scoring rules, alpha, gamma or lr: the
-seed, the network widths, the buffer capacity and the replay switch fix
-them all. Runs that agree on these follow one trajectory
-(run_trajectories): one stream shuffles each stage's training rows,
-registers labels, draws the replay batch, finds the [incoming;
-replayed] source rows and updates its one buffer, and every run on it reuses
-them. Only the parameters are per run. The runs step in parts: runs
-whose step and network shapes agree run the forward pass, loss_rows,
-the backward pass and the SGD step once, over parameters and one
-gradient tape stacked on a leading axis, with per-run alpha, weights,
-gamma and lr, whatever each run's rule: a loss branch that some run
-uses runs over the whole part. Each run's slice is computed exactly as
-its run alone would compute it.
+seed, the network widths and the buffer capacity fix them all. Runs that
+agree on these follow one trajectory (run_trajectories): one stream
+shuffles each stage's training rows, registers labels, draws the replay
+batch, finds the [incoming; replayed] source rows and updates its one
+buffer, and every run on it reuses them. Only the parameters are per
+run. The runs step in parts: runs whose step and network shapes agree
+run the forward pass, loss_rows, the backward pass and the SGD step
+once, over parameters and one gradient tape stacked on a leading axis,
+with per-run alpha, weights, gamma and lr, whatever each run's rule: a
+loss branch that some run uses runs over the whole part. Each run's
+slice is computed exactly as its run alone would compute it.
 
 A run (Run) is a method and its parameters (TrainState); its stream
 (StreamState) holds the buffer, the label map and the counters, and its
@@ -75,22 +77,24 @@ from .stream import Dataset, LabeledData, StageRows, StreamConfig, build_stages,
 
 @dataclass(frozen=True)
 class ReplayRule:
+    """How replayed samples are learned. alpha is the weight training puts
+    on their dot cross-entropy (cosine takes the complement): 1 for "dot",
+    0 for "cosine", and for "mixed" the weight given (default 0.5). Only a
+    mixed rule takes an alpha."""
     kind: str  # "dot" | "cosine" | "mixed"
-    alpha: float = 1.0  # only meaningful for "mixed"
+    alpha: float | None = None  # None: the rule's own weight
 
     def __post_init__(self):
         if self.kind not in ("dot", "cosine", "mixed"):
             raise ValueError(f"unknown replay rule {self.kind!r}")
-        if not 0.0 <= self.alpha <= 1.0:
+        if self.kind != "mixed":
+            if self.alpha is not None:
+                raise ValueError(f"replay rule {self.kind!r} takes no alpha, got {self.alpha!r}")
+            object.__setattr__(self, "alpha", 1.0 if self.kind == "dot" else 0.0)
+        elif self.alpha is None:
+            object.__setattr__(self, "alpha", 0.5)
+        elif not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha out of [0,1]: {self.alpha}")
-
-    def effective_alpha(self) -> float:
-        """Weight on the dot cross-entropy; cosine is the complement."""
-        if self.kind == "dot":
-            return 1.0
-        if self.kind == "cosine":
-            return 0.0
-        return self.alpha
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,6 @@ class LogitTriple:
 class MethodConfig:
     name: str
     triple: LogitTriple
-    replay_enabled: bool = True
     gamma: float = 10.0
     lr: float = 0.1
     buffer_capacity: int = 500
@@ -156,26 +159,19 @@ def lucir_method(**kw) -> MethodConfig:
 
 
 def finetune_method(**kw) -> MethodConfig:
-    if replay := kw.pop("replay_enabled", False):
-        raise ValueError(f"finetune pins replay_enabled = false, got {replay!r}")
+    if (capacity := kw.pop("buffer_capacity", 0)) != 0:
+        raise ValueError(f"finetune pins buffer_capacity = 0, got {capacity!r}")
     return MethodConfig(name=kw.pop("name", "finetune"),
                         triple=LogitTriple(LogitMode.DOT, ReplayRule("dot"), LogitMode.DOT),
-                        replay_enabled=False,
-                        buffer_capacity=kw.pop("buffer_capacity", 0), **kw)
+                        buffer_capacity=0, **kw)
 
 
 def triple_method(name: str, learn: str, replay: str, test: str,
                   alpha: float | None = None, **kw) -> MethodConfig:
     """A bare scoring triple; only replay "mixed" takes the alpha weight
     (default 0.5)."""
-    if replay == "mixed":
-        rule = ReplayRule(replay, 0.5 if alpha is None else alpha)
-    elif alpha is None:
-        rule = ReplayRule(replay, 1.0 if replay == "dot" else 0.0)
-    else:
-        raise ValueError(f"replay rule {replay!r} takes no alpha, got {alpha!r}")
-    return MethodConfig(name=name,
-                        triple=LogitTriple(LogitMode(learn), rule, LogitMode(test)), **kw)
+    return MethodConfig(name=name, triple=LogitTriple(LogitMode(learn), ReplayRule(replay, alpha),
+                                                      LogitMode(test)), **kw)
 
 
 PRESET_BUILDERS = {
@@ -266,10 +262,6 @@ class ExperimentResult:
             and np.array_equal(self.losses, other.losses)
 
 
-def _capacity(method: MethodConfig) -> int:
-    return method.buffer_capacity if method.replay_enabled else 0
-
-
 def _follow(stream: StreamState, extractor: FeatureExtractor) -> TrainState:
     """A run with its own extractor and an empty scorer on a stream; the
     scorer then catches up with the rows the stream has registered."""
@@ -283,7 +275,7 @@ def init_state(method: MethodConfig, source: LabeledData, rng: Rng) -> TrainStat
     """A run on a stream of its own that reads its samples from source,
     its extractor drawn from rng; RunGroup([Run(method, state)]) steps it."""
     extractor = init_extractor((source.x.shape[1], *method.hidden_dims), rng)
-    return _follow(StreamState(MemoryBuffer(_capacity(method)), extractor.out_dim, source),
+    return _follow(StreamState(MemoryBuffer(method.buffer_capacity), extractor.out_dim, source),
                    extractor)
 
 
@@ -360,7 +352,7 @@ class Run:
         triple = self.method.triple
         # the _row_mix key of the method
         self.mix = (1.0 if triple.learn is LogitMode.DOT else 0.0,
-                    triple.replay.effective_alpha(), self.method.joint_batch)
+                    triple.replay.alpha, self.method.joint_batch)
 
 
 def _shared(values: list):
@@ -462,9 +454,9 @@ class RunGroup:
     over every slice if any slice uses it. When step shapes diverge, a
     part splits and the pieces go on separately; they are not merged
     again. A run's bytes do not depend on which runs share its part, nor
-    on their order. runs (in the order train_step reports them), streams
-    (in order of first appearance) and replay (each stream's replay
-    switch) are rebuilt only when the parts change (set_parts).
+    on their order. runs (in the order train_step reports them) and
+    streams (in order of first appearance) are rebuilt only when the
+    parts change (set_parts).
 
     Every part's step writes its large results into the group's one
     Workspace: the gathered [incoming; replayed] block and its scorer
@@ -488,8 +480,7 @@ class RunGroup:
     def set_parts(self, parts: list[_Part]) -> None:
         self.parts = parts
         self.runs = [run for part in parts for run in part.runs]
-        self.replay = {run.state.stream: run.method.replay_enabled for run in self.runs}
-        self.streams = list(self.replay)
+        self.streams = list(dict.fromkeys(run.state.stream for run in self.runs))
 
     def remove(self, runs) -> None:
         """Take runs out of the group; the parts they leave restack."""
@@ -505,9 +496,6 @@ class RunGroup:
         return self._ws
 
 
-_NO_ROWS = np.zeros(0, dtype=np.int64)
-
-
 def train_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng) -> list:
     """One training step of every run in a RunGroup.
 
@@ -521,14 +509,16 @@ def train_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng)
     their rows checked. Each stream registers new labels, draws its replay
     batch from its own rng and finds its [incoming; replayed] source rows
     once for all of its runs; the parts take their fused steps; each
-    stream that still has a run then offers its batch to its buffer.
+    stream that still has a run then offers its batch to its buffer,
+    unless the buffer's capacity is 0: such a buffer never holds a
+    sample, so it draws no reservoir slots.
     Returns, per run in group.runs order, its (loss_current, loss_replay)
     pair or the NonFiniteError that ended it; such a run leaves the group,
     and the rest of its part redo the step's arithmetic without it from
     the draws already made. To step one run, hold a
     RunGroup([Run(method, state)]) across its steps.
     """
-    runs, streams, replay = group.runs, group.streams, group.replay
+    runs, streams = group.runs, group.streams
     if not len(streams) == len(row_batch) == len(y_batch) == len(rng):
         raise ValueError(f"{len(streams)} streams but {len(row_batch)} row batches, "
                          f"{len(y_batch)} y batches and {len(rng)} rngs")
@@ -553,7 +543,7 @@ def train_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng)
             grown |= bool(added)
             if stream.unregistered:
                 stream.unregistered.difference_update(added)
-        idx = buffer_retrieve(stream.buffer, memory_batch_size, r) if replay[stream] else _NO_ROWS
+        idx = buffer_retrieve(stream.buffer, memory_batch_size, r)
         rows, samples = stream.row_of_label[y], x_rows
         if len(idx):
             rows = np.concatenate([rows, stream.row_of_label[stream.buffer.y[idx]]])
@@ -579,7 +569,7 @@ def train_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng)
     stepped = {run.state.stream for run in runs if isinstance(records[run], tuple)}
     for stream, x_rows, y, r in zip(streams, row_batch, y_batch, rng):
         if stream in stepped:
-            if replay[stream]:
+            if stream.buffer.capacity:
                 buffer_update(stream.buffer, x_rows, y, r)
             stream.consumed_in_stage += len(y)
             stream.step += 1
@@ -689,24 +679,16 @@ def _collect_stage_metrics(state: TrainState, stages: Sequence[StageRows], t: in
         average_accuracy=average_accuracy(row),
         acc_previous=scores.acc_previous,
         acc_current=row[-1],
-        norm_prev=diag.norm_prev,
-        norm_curr=diag.norm_curr,
-        mean_w_prev=diag.mean_w_prev,
-        std_w_prev=diag.std_w_prev,
-        mean_w_curr=diag.mean_w_curr,
-        std_w_curr=diag.std_w_curr,
-        mean_b_prev=diag.mean_b_prev,
-        mean_b_curr=diag.mean_b_curr,
-        accumulated_param_change=diag.accumulated_param_change,
+        **vars(diag),
         avg_posterior=scores.avg_posterior.tolist(),
         consumed_samples=stream.consumed_in_stage,
     )
 
 
 def trajectory_key(method: MethodConfig, seed: int) -> tuple:
-    """What fixes a run's draws: its seed, network widths, buffer capacity
-    and replay switch (the dataset and stream settings are the caller's)."""
-    return int(seed), tuple(method.hidden_dims), _capacity(method), method.replay_enabled
+    """What fixes a run's draws: its seed, network widths and buffer
+    capacity (the dataset and stream settings are the caller's)."""
+    return int(seed), tuple(method.hidden_dims), method.buffer_capacity
 
 
 class _Trajectory:
@@ -736,7 +718,7 @@ class _Trajectory:
         self.ends = np.cumsum([len(s.test_rows) for s in self.stages])
         first = members[0][1]
         init = init_extractor((dataset.input_dim, *first.hidden_dims), self.rng)
-        self.state = StreamState(MemoryBuffer(_capacity(first)), init.out_dim, dataset.train)
+        self.state = StreamState(MemoryBuffer(first.buffer_capacity), init.out_dim, dataset.train)
         # the first run takes the drawn extractor, the others start from copies
         copies = [FeatureExtractor([LayerParams(layer.weight.copy(), layer.bias.copy())
                                     for layer in init.layers]) for _ in members[1:]]
@@ -784,13 +766,15 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
                      stream_cfg: StreamConfig) -> list:
     """Train runs, each a (method, seed) pair, in lockstep on shared streams.
 
-    Runs whose seed, network widths, buffer capacity and replay switch
-    agree follow one trajectory: one rng, one stage split, one batch
-    order, one buffer and one set of scorer row inits. No draw depends on
-    a method's scoring rules, alpha, gamma or lr, so every run is exactly
-    what it would be alone, and the runs of one seed are compared under
-    common random numbers. dataset_for(seed) gives a seed's dataset; it
-    is called once per seed (again only after a build that raised).
+    Runs whose seed, network widths and buffer capacity agree follow one
+    trajectory: one rng, one stage split, one batch order, one buffer and
+    one set of scorer row inits. A method replays exactly when its buffer
+    capacity is above 0, so every capacity-0 run of a seed follows
+    finetune's stream. No draw depends on a method's scoring rules,
+    alpha, gamma or lr, so every run is exactly what it would be alone,
+    and the runs of one seed are compared under common random numbers.
+    dataset_for(seed) gives a seed's dataset; it is called once per seed
+    (again only after a build that raised).
     Returns, per run in order, its ExperimentResult or the exception that
     ended it. A step whose values go non-finite ends only that run, with
     a FloatingPointError naming the stage and the step (1-based, counted

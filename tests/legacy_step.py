@@ -53,8 +53,8 @@ from uer.net import GradientTape as _Tape
 from uer.numeric import NonFiniteError, Rng, make_rng, require_finite
 from uer.stream import Dataset, LabeledData, StageRows, StreamConfig, SyntheticSpec
 from uer.stream import build_stages as split_stages
-from uer.trainer import (MethodConfig, StreamState, _capacity, _collect_stage_metrics,
-                         _row_mix, register_classes)
+from uer.trainer import MethodConfig, StreamState, _collect_stage_metrics, _row_mix, \
+    register_classes
 
 
 @dataclass
@@ -70,6 +70,11 @@ class ExperimentResult:
     seed: int
     metrics: list[StageMetrics]
     steps: list[StepRecord]
+
+
+def _replays(method: MethodConfig) -> bool:
+    """A method replays exactly when its buffer capacity is above 0."""
+    return method.buffer_capacity > 0
 
 
 def softmax_rows(L: np.ndarray) -> np.ndarray:
@@ -220,7 +225,7 @@ def init_state(method: MethodConfig, input_dim: int, rng: Rng) -> TrainState:
     """A run on a stream of its own, its extractor drawn from rng; its
     buffer copies features, and its steps never read the stream's source."""
     extractor = init_extractor((input_dim, *method.hidden_dims), rng)
-    return _follow(StreamState(MemoryBuffer(_capacity(method)), extractor.out_dim, None),
+    return _follow(StreamState(MemoryBuffer(method.buffer_capacity), extractor.out_dim, None),
                    extractor)
 
 
@@ -422,7 +427,7 @@ def legacy_train_step(state, x_batch, y_batch, method, memory_batch_size, rng,
     rows_cur = _rows_for(state, y_batch)
 
     replayed: list[StoredSample] = []
-    if method.replay_enabled:
+    if _replays(method):
         replayed = list_buffer_retrieve(state.stream.buffer, memory_batch_size, rng)
 
     if method.joint_batch:
@@ -450,14 +455,14 @@ def legacy_train_step(state, x_batch, y_batch, method, memory_batch_size, rng,
             rows_mem = _rows_for(state, np.array([s.y for s in replayed]))
             H_mem, cache_mem = forward_batch(state.extractor, X_mem)
             l_p, dH_mem = loss_replay(state.predictor, scale,
-                                      method.triple.replay.effective_alpha(),
+                                      method.triple.replay.alpha,
                                       H_mem, rows_mem, state.tape)
             backward_batch(state.extractor, cache_mem, dH_mem, state.tape)
 
     l_total = l_c + l_p
     sgd(state.extractor, state.predictor, state.tape, method.lr)
 
-    if method.replay_enabled:
+    if _replays(method):
         # the old TrainState.stream_position counter equalled buffer.seen
         # whenever the buffer was offered samples
         offered = [StoredSample(x_batch[i].copy(), int(y_batch[i]), state.stream.buffer.seen + i)
@@ -479,13 +484,13 @@ def per_seed_train_step(state, x_batch, y_batch, method, memory_batch_size, rng)
     buf = state.stream.buffer
     n_cur = len(y_batch)
     X, rows = x_batch, state.stream.row_of_label[y_batch]
-    idx = buffer_retrieve(buf, memory_batch_size, rng) if method.replay_enabled else ()
+    idx = buffer_retrieve(buf, memory_batch_size, rng) if _replays(method) else ()
     n_mem = len(idx)
     if n_mem:
         X = np.concatenate([x_batch, buf.x[idx]])
         rows = np.concatenate([rows, state.stream.row_of_label[buf.y[idx]]])
     learn_alpha = 1.0 if method.triple.learn is LogitMode.DOT else 0.0
-    alpha, weights = _row_mix(learn_alpha, method.triple.replay.effective_alpha(),
+    alpha, weights = _row_mix(learn_alpha, method.triple.replay.alpha,
                               method.joint_batch, n_cur, n_mem)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         H, cache = forward_batch(state.extractor, X)
@@ -496,7 +501,7 @@ def per_seed_train_step(state, x_batch, y_batch, method, memory_batch_size, rng)
     part = ce * weights
     l_c = float(part[:n_cur].sum())
     l_p = float(part[n_cur:].sum())
-    if method.replay_enabled:
+    if _replays(method):
         buffer_update(buf, LabeledData(x_batch, y_batch), rng)
     state.stream.consumed_in_stage += n_cur
     state.stream.step += 1
@@ -653,7 +658,7 @@ def _group_step(group: SeedGroup, x_batch, y_batch, method: MethodConfig,
         register_classes(state.stream, y, r)
         catch_up(state)
         idx.append(buffer_retrieve(state.stream.buffer, memory_batch_size, r)
-                   if method.replay_enabled else _NO_ROWS)
+                   if _replays(method) else _NO_ROWS)
     at = {id(s): i for i, s in enumerate(states)}
     records: list = [None] * len(states)
     parts = []
@@ -669,7 +674,7 @@ def _group_step(group: SeedGroup, x_batch, y_batch, method: MethodConfig,
 
     for state, x, y, r, record in zip(states, x_batch, y_batch, rng, records):
         if isinstance(record, StepRecord):
-            if method.replay_enabled:
+            if _replays(method):
                 buffer_update(state.stream.buffer, LabeledData(x, y), r)
             state.stream.consumed_in_stage += len(y)
             state.stream.step += 1
@@ -683,7 +688,7 @@ def _fused_step(part: _SeedPart, members: list[int], x_batch, y_batch, idx,
     first = members[0]
     n_cur, n_mem = len(y_batch[first]), len(idx[first])
     learn_alpha = 1.0 if method.triple.learn is LogitMode.DOT else 0.0
-    alpha, weights = _row_mix(learn_alpha, method.triple.replay.effective_alpha(),
+    alpha, weights = _row_mix(learn_alpha, method.triple.replay.alpha,
                               method.joint_batch, n_cur, n_mem)
     xs, labels = [], []
     for state, i in zip(part.states, members):

@@ -1,5 +1,7 @@
 """Config grammar: parsing, validation, round-trip serialization."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from uer.cli import main
 from uer.config import (ConfigError, DatasetSpec, build_dataset, parse_config,
                         parse_config_text, serialize_config)
 from uer.logits import LogitMode
+from uer.trainer import PRESET_BUILDERS, MethodConfig, triple_method
 
 MINIMAL = """\
 dataset.kind = split-gauss-10
@@ -44,7 +47,7 @@ def test_minimal_config_defaults():
     assert m.triple.replay.alpha == 0.5 and m.gamma == 10.0 and m.lr == 0.1
     assert m.buffer_capacity == 500
     assert m.hidden_dims == (64,)
-    assert m.replay_enabled and not m.joint_batch
+    assert not m.joint_batch
     assert m.seeds == (0,)  # inherits run.seeds
 
 
@@ -112,8 +115,9 @@ def test_all_presets_resolve():
     by_name = {m.name: m for m in cfg.methods}
     assert by_name["uer-a"].triple.replay.alpha == 1.0
     assert by_name["er"].joint_batch
-    assert not by_name["finetune"].replay_enabled
     assert by_name["finetune"].buffer_capacity == 0
+    # every other preset replays from the default buffer
+    assert {m.buffer_capacity for m in cfg.methods if m.name != "finetune"} == {500}
     assert by_name["lucir"].triple.test is LogitMode.COSINE
 
 
@@ -178,10 +182,23 @@ def test_uer_a_alpha_pin_rejected():
 
 
 def test_finetune_replay_pin_rejected():
+    # finetune replays nothing: its buffer capacity is pinned to 0
     text = MINIMAL.replace("run.methods = uer", "run.methods = finetune")
-    assert not parse_config_text(text).methods[0].replay_enabled
-    with pytest.raises(ConfigError, match="pins replay_enabled"):
-        parse_config_text(text + "method.finetune.replay_enabled = true\n")
+    assert parse_config_text(text).methods[0].buffer_capacity == 0
+    with pytest.raises(ConfigError, match=r"^method finetune: finetune pins "
+                                          r"buffer_capacity = 0, got 5$"):
+        parse_config_text(text + "method.finetune.buffer = 5\n")
+    # explicitly writing the pinned value is allowed
+    assert parse_config_text(text + "method.finetune.buffer = 0\n").methods[0].buffer_capacity == 0
+
+
+def test_replay_enabled_is_an_unknown_key():
+    # a method replays exactly when its buffer is above 0
+    text = MINIMAL + "method.uer.replay_enabled = false\n"
+    lineno = text.rstrip("\n").count("\n") + 1
+    with pytest.raises(ConfigError, match=rf"^line {lineno}: unknown key "
+                                          r"method.uer.replay_enabled$"):
+        parse_config_text(text)
 
 
 def test_preset_triple_override_rejected():
@@ -317,6 +334,40 @@ method.er.buffer = 300
     cfg2 = parse_config_text(dumped)
     assert cfg2 == cfg
     assert serialize_config(cfg2) == dumped  # canonical form is a fixed point
+
+
+def test_every_method_field_round_trips():
+    # each stock preset and a custom method, with every field its builder
+    # leaves free set away from the builder's default: a field that
+    # serialize_config forgets comes back at its default
+    text = MINIMAL.replace("run.methods = uer",
+                           "run.methods = uer,uer-a,er,lucir,finetune,probe") + """\
+method.probe.learn = dot
+method.probe.replay = mixed
+method.probe.test = cosine
+"""
+    for name in ("uer", "uer-a", "er", "lucir", "finetune", "probe"):
+        text += (f"method.{name}.gamma = 4.5\nmethod.{name}.lr = 0.25\n"
+                 f"method.{name}.hidden = 12,6\nmethod.{name}.seeds = 3,1\n")
+        if name != "finetune":
+            text += f"method.{name}.buffer = 70\n"
+    text += ("method.uer.alpha = 0.125\nmethod.probe.alpha = 0.875\n"
+             "method.er.joint_batch = false\nmethod.lucir.joint_batch = true\n"
+             "method.finetune.joint_batch = true\n")
+    cfg = parse_config_text(text)
+    assert parse_config_text(serialize_config(cfg)) == cfg
+    # the fields a builder pins, or that the method's replay rule rules out
+    # (a joint batch needs learn and replay to match)
+    fixed = {"uer": {"joint_batch"}, "uer-a": {"triple", "joint_batch"}, "er": {"triple"},
+             "lucir": {"triple"}, "finetune": {"triple", "buffer_capacity"},
+             "probe": {"joint_batch"}}
+    free = {f.name for f in fields(MethodConfig)} - {"name"}
+    for m in cfg.methods:
+        default = (PRESET_BUILDERS[m.name]() if m.name in PRESET_BUILDERS else
+                   triple_method(m.name, m.triple.learn.value, m.triple.replay.kind,
+                                 m.triple.test.value))
+        moved = {f for f in free if getattr(m, f) != getattr(default, f)}
+        assert moved == free - fixed[m.name], m.name
 
 
 def test_round_trip_synthetic_and_csv(tmp_path):

@@ -366,7 +366,7 @@ def _diverging(dataset, method, seed, step, what, stream=STREAM):
         triple = method.triple
         x = overflowing_scores(fe, pp, labels.index(dataset.train.y[rows[0]]),
                                dot=triple.learn is LogitMode.DOT or
-                               triple.replay.effective_alpha() > 0.0)
+                               triple.replay.alpha > 0.0)
     return with_train_row(dataset, rows[0], x)
 
 

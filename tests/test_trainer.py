@@ -10,9 +10,10 @@ from uer.memory import MemoryBuffer
 from uer.net import GradientTape, backward_batch, forward_batch, init_extractor, sgd_step
 from uer.numeric import make_rng
 from uer.stream import StreamConfig, SyntheticSpec, gen_synthetic
-from uer.trainer import (MethodConfig, StreamState, TABLE1_GRID, _follow, er_method,
+from uer.trainer import (MethodConfig, ReplayRule, StreamState, TABLE1_GRID, _follow, er_method,
                          finetune_method, lucir_method, register_classes, run_experiment,
-                         train_step, triple_method, uer_a_method, uer_method)
+                         run_trajectories, train_step, trajectory_key, triple_method,
+                         uer_a_method, uer_method)
 
 STREAM_2x5 = StreamConfig(stages=2, classes_per_stage=5)
 STREAM_5x2 = StreamConfig(stages=5, classes_per_stage=2)
@@ -64,16 +65,18 @@ def test_preset_triples():
     lucir = lucir_method()
     assert (lucir.triple.learn, lucir.triple.replay.kind, lucir.triple.test) == \
         (LogitMode.COSINE, "cosine", LogitMode.COSINE)
+    assert lucir_method(name="x") == triple_method("x", "cosine", "cosine", "cosine")
 
     ft = finetune_method()
-    assert not ft.replay_enabled and ft.buffer_capacity == 0
+    assert ft.buffer_capacity == 0
+    assert ft == triple_method("finetune", "dot", "dot", "dot", buffer_capacity=0)
 
 
 def test_preset_pins_enforced():
     with pytest.raises(ValueError, match="pins alpha"):
         uer_a_method(alpha=0.5)
-    with pytest.raises(ValueError, match="pins replay_enabled"):
-        finetune_method(replay_enabled=True)
+    with pytest.raises(ValueError, match=r"^finetune pins buffer_capacity = 0, got 5$"):
+        finetune_method(buffer_capacity=5)
 
 
 def test_method_config_validation():
@@ -94,12 +97,18 @@ def test_method_config_validation():
 
 
 def test_triple_method_effective_alpha():
-    assert triple_method("a", "dot", "dot", "dot").triple.replay.effective_alpha() == 1.0
-    assert triple_method("b", "dot", "cosine", "dot").triple.replay.effective_alpha() == 0.0
+    assert triple_method("a", "dot", "dot", "dot").triple.replay.alpha == 1.0
+    assert triple_method("b", "dot", "cosine", "dot").triple.replay.alpha == 0.0
     m = triple_method("c", "cosine", "mixed", "dot", alpha=0.3)
-    assert m.triple.replay.effective_alpha() == 0.3
+    assert m.triple.replay.alpha == 0.3
     with pytest.raises(ValueError, match="takes no alpha"):
         triple_method("d", "dot", "cosine", "dot", alpha=0.3)
+    # a rule holds the weight it trains with; only a mixed rule takes one,
+    # so one rule has one spelling and equal rules compare equal
+    assert [ReplayRule(kind).alpha for kind in ("dot", "cosine", "mixed")] == [1.0, 0.0, 0.5]
+    for kind in ("dot", "cosine"):
+        with pytest.raises(ValueError, match=rf"^replay rule '{kind}' takes no alpha, got 1.0$"):
+            ReplayRule(kind, 1.0)
 
 
 # ------------------------------------------------------- class registration
@@ -428,6 +437,20 @@ def test_uer_a_trajectory_is_uer_alpha_one_bitwise(gauss_datasets):
         assert ma.accuracy_row == mb.accuracy_row
         assert ma.avg_posterior == mb.avg_posterior
         assert ma.accumulated_param_change == mb.accumulated_param_change
+
+
+def test_finetune_is_dot_replay_from_an_empty_buffer(gauss_datasets):
+    # ER with an empty episodic memory is finetuning: both follow one
+    # trajectory and train bit for bit alike
+    ds = gauss_datasets[7]
+    empty = triple_method("x", "dot", "dot", "dot", buffer_capacity=0, hidden_dims=(16,))
+    finetune = finetune_method(name="x", hidden_dims=(16,))
+    assert trajectory_key(empty, 7) == trajectory_key(finetune, 7)
+    (a,), (b,) = (run_trajectories(lambda _seed: ds, [(m, 7)], STREAM_5x2)
+                  for m in (empty, finetune))
+    assert a.metrics == b.metrics
+    assert a.losses.tobytes() == b.losses.tobytes()
+    assert not a.losses[:, 1].any()  # nothing was replayed
 
 
 def test_run_determinism_bitwise(gauss_datasets):
