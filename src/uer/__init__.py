@@ -14,8 +14,8 @@ from .numeric import NonFiniteError, Rng, ShapeError, make_rng
 from .stream import Dataset, LabeledData, StageRows, StreamConfig, SyntheticSpec, build_stages, \
     gen_synthetic, iterate_batches, load_csv_dataset, split_gauss_10
 from .trainer import ExperimentResult, FeaturesCollapsed, LogitTriple, MethodConfig, \
-    ReplayRule, Run, RunGroup, StreamState, TrainState, catch_up, er_method, finetune_method, \
-    init_state, lucir_method, register_classes, run_experiment, run_trajectories, train_step, \
+    ReplayRule, Run, RunGroup, StreamState, catch_up, er_method, finetune_method, init_run, \
+    lucir_method, register_classes, run_experiment, run_trajectories, train_step, \
     triple_method, uer_a_method, uer_method
 
 __version__ = "0.1.0"

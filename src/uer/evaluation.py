@@ -95,13 +95,13 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
+def score_stages(run, test: LabeledData, ends: Sequence[int], mode: LogitMode,
                  scale: CosineScale, rows: np.ndarray | None = None,
                  ws: Workspace | None = None) -> StageScores:
     """Score the test rows of stages 1..t in one pass over row blocks.
 
-    state is a run (TrainState): its extractor and class scorer score the
-    rows, and its stream's class_order gives each scorer row's label.
+    run is a trainer Run: its extractor and class scorer score the rows,
+    and its stream's class_order gives each scorer row's label.
     The rows scored are test's rows at the indices rows (all of test's
     rows without it), read block by block, never gathered whole; they are
     in stage order and ends[j] is the offset where stage j+1's rows end,
@@ -139,15 +139,15 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
     if np.any(ends <= starts):
         empty = int(np.argmax(ends <= starts)) + 1
         raise ValueError(f"accuracy over an empty test set (stage {empty})")
-    if state.predictor.num_classes == 0:
+    if run.predictor.num_classes == 0:
         raise ValueError("predict with no registered classes")
     if not (0 <= rows.min() and rows.max() < len(test)):
         raise IndexError(f"test rows outside the {len(test)} of the test set")
     blocks = row_blocks(n)
     largest = max(hi - lo for lo, hi in blocks)  # the tail block
     ws = ws or Workspace()
-    classes = state.predictor.num_classes
-    class_order = np.asarray(state.stream.class_order, dtype=np.int64)
+    classes = run.predictor.num_classes
+    class_order = np.asarray(run.stream.class_order, dtype=np.int64)
     correct = np.empty(n, dtype=bool)
     total = np.empty(classes)  # the running column sum of the softmax rows
     collapsed = True
@@ -161,14 +161,14 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
             x = np.take(test.x, rows[lo:hi], axis=0, out=ws("x", (size, test.x.shape[1])),
                         mode="clip")
             y = np.take(test.y, rows[lo:hi], out=ws("y", (size,), np.int64), mode="clip")
-            H = forward_batch(state.extractor, x, ws)[0]
+            H = forward_batch(run.extractor, x, ws)[0]
             # features are ReLU outputs: all finite iff the max is, all zero
             # iff it is 0
             top = np.maximum.reduce(H, axis=None)
             if not isfinite(top):
                 raise NonFiniteError("features contains non-finite entries")
             collapsed = collapsed and not top > 0.0
-            S = _scores(state.predictor, H, mode, scale, ws)
+            S = _scores(run.predictor, H, mode, scale, ws)
             best = np.argmax(S, axis=1, out=ws("best", (size,), np.int64))
             label = np.take(class_order, best, out=ws("label", (size,), np.int64), mode="clip")
             np.equal(label, y, out=correct[lo:hi])
@@ -194,9 +194,9 @@ def score_stages(state, test: LabeledData, ends: Sequence[int], mode: LogitMode,
                        avg_posterior=np.divide(total, n, out=total), collapsed=collapsed)
 
 
-def accuracy(state, test: LabeledData, mode: LogitMode, scale: CosineScale) -> float:
+def accuracy(run, test: LabeledData, mode: LogitMode, scale: CosineScale) -> float:
     """Fraction of test samples whose argmax class matches the label."""
-    return score_stages(state, test, [len(test)], mode, scale).accuracy_row[0]
+    return score_stages(run, test, [len(test)], mode, scale).accuracy_row[0]
 
 
 def average_accuracy(row: Sequence[float]) -> float:
@@ -206,9 +206,9 @@ def average_accuracy(row: Sequence[float]) -> float:
     return float(np.mean(row))
 
 
-def average_posterior(state, test: LabeledData, mode: LogitMode, scale: CosineScale) -> np.ndarray:
+def average_posterior(run, test: LabeledData, mode: LogitMode, scale: CosineScale) -> np.ndarray:
     """Mean softmax vector over the test samples, indexed in class_order."""
-    return score_stages(state, test, [len(test)], mode, scale).avg_posterior
+    return score_stages(run, test, [len(test)], mode, scale).avg_posterior
 
 
 def bias_diagnostics(predictor: PredictorParams, prev_rows: Sequence[int],

@@ -6,10 +6,10 @@ buffer is filling; afterwards a slot index j is drawn uniformly from
 every offered sample in the buffer with probability capacity / n at all
 times (Algorithm R). Retrieval is a uniform draw without replacement.
 
-The buffer is three preallocated int arrays: each sample's row in the
-data the stream reads (``rows``; the step reads its features there),
-labels ``y`` and stream positions ``pos`` (the 0-based index at which a
-sample was offered); the first ``size`` slots are filled.
+The buffer is two preallocated int arrays: each sample's row in the
+data the stream reads (``rows``; the step reads its features there) and
+its label (``y``); the first ``size`` slots are filled. ``seen`` counts
+the samples ever offered.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class MemoryBuffer:
         self.capacity = int(capacity)
         self.rows = np.zeros(self.capacity, dtype=np.int64)
         self.y = np.zeros(self.capacity, dtype=np.int64)
-        self.pos = np.zeros(self.capacity, dtype=np.int64)
         self.size = 0
         self.seen = 0
 
@@ -36,14 +35,13 @@ class MemoryBuffer:
 
 def buffer_update(buf: MemoryBuffer, batch: np.ndarray, y: np.ndarray, rng: Rng) -> None:
     """Offer a batch of dataset rows with their labels y, in order; sample
-    i gets stream position buf.seen + i."""
+    i is the (buf.seen + i + 1)-th sample offered."""
     start, n = buf.seen, len(batch)
     fill = min(n, buf.capacity - buf.size)
     if fill > 0:
         s = buf.size
         buf.rows[s:s + fill] = batch[:fill]
         buf.y[s:s + fill] = y[:fill]
-        buf.pos[s:s + fill] = np.arange(start, start + fill)
         buf.size += fill
     if fill < n:
         # j_i uniform on [0, n_i), one draw for the rest; a draw j < capacity
@@ -53,7 +51,6 @@ def buffer_update(buf: MemoryBuffer, batch: np.ndarray, y: np.ndarray, rng: Rng)
             if j < buf.capacity:
                 buf.rows[j] = batch[i]
                 buf.y[j] = y[i]
-                buf.pos[j] = start + i
     buf.seen = start + n
 
 

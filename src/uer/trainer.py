@@ -46,11 +46,11 @@ with per-run alpha, weights, gamma and lr, whatever each run's rule: a
 loss branch that some run uses runs over the whole part. Each run's
 slice is computed exactly as its run alone would compute it.
 
-A run (Run) is a method and its parameters (TrainState); its stream
-(StreamState) holds the buffer, the label map and the counters, and its
-part (_Part) the tape its gradients accumulate in.
+A run (Run) is a method, its parameters and the stream it follows; the
+stream (StreamState) holds the buffer, the label map and the counters,
+and the run's part (_Part) the tape its gradients accumulate in.
 train_step steps the runs of a RunGroup, and a caller that steps one run
-holds a group of that one run.
+holds a group of that one run (init_run builds such a run).
 """
 
 from __future__ import annotations
@@ -232,19 +232,6 @@ class StreamState:
 
 
 @dataclass
-class TrainState:
-    """One run's parameters: its extractor, class scorer and the scorer as
-    the stage began, on the stream (StreamState) it follows, which holds
-    its buffer, label map and counters. Once the run steps, its extractor
-    and scorer arrays are views of one slice of its part's stacks (_Part);
-    the gradients accumulate in the part's tape."""
-    extractor: FeatureExtractor
-    predictor: PredictorParams
-    stream: StreamState
-    stage_baseline: PredictorParams | None = None
-
-
-@dataclass
 class ExperimentResult:
     """A finished run: its metrics per stage and its loss history, a
     (steps, 2) float64 array of (loss_current, loss_replay) per step (the
@@ -262,21 +249,12 @@ class ExperimentResult:
             and np.array_equal(self.losses, other.losses)
 
 
-def _follow(stream: StreamState, extractor: FeatureExtractor) -> TrainState:
-    """A run with its own extractor and an empty scorer on a stream; the
-    scorer then catches up with the rows the stream has registered."""
-    predictor = PredictorParams.empty(stream.dim)
-    state = TrainState(extractor, predictor, stream, predictor.copy())
-    catch_up(state)
-    return state
-
-
-def init_state(method: MethodConfig, source: LabeledData, rng: Rng) -> TrainState:
+def init_run(method: MethodConfig, source: LabeledData, rng: Rng) -> Run:
     """A run on a stream of its own that reads its samples from source,
-    its extractor drawn from rng; RunGroup([Run(method, state)]) steps it."""
+    its extractor drawn from rng; RunGroup([run]) steps it."""
     extractor = init_extractor((source.x.shape[1], *method.hidden_dims), rng)
-    return _follow(StreamState(MemoryBuffer(method.buffer_capacity), extractor.out_dim, source),
-                   extractor)
+    return Run(method, extractor,
+               StreamState(MemoryBuffer(method.buffer_capacity), extractor.out_dim, source))
 
 
 def register_classes(stream: StreamState, labels, rng: Rng) -> list[int]:
@@ -314,21 +292,20 @@ def register_classes(stream: StreamState, labels, rng: Rng) -> list[int]:
     return added
 
 
-def catch_up(state: TrainState) -> None:
+def catch_up(run: Run) -> None:
     """Append to the run's scorer the rows its stream registered since it
     last looked, at their initial values. The stage baseline gets the same
     values, so parameter movement excludes initialization."""
-    for row in state.stream.init_rows[state.predictor.num_classes:]:
-        state.predictor.add_class(row, 0.0)
-        if state.stage_baseline is not None:
-            state.stage_baseline.add_class(row.copy(), 0.0)
+    for row in run.stream.init_rows[run.predictor.num_classes:]:
+        run.predictor.add_class(row, 0.0)
+        run.stage_baseline.add_class(row.copy(), 0.0)
 
 
 @lru_cache(maxsize=256)
 def _row_mix(learn_alpha: float, replay_alpha: float, joint: bool,
              n_cur: int, n_mem: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row mix weight alpha and loss weight for [incoming; replayed]."""
-    alpha = np.repeat([learn_alpha, learn_alpha if joint else replay_alpha], [n_cur, n_mem])
+    alpha = np.repeat([learn_alpha, replay_alpha], [n_cur, n_mem])
     if joint:
         weights = np.full(n_cur + n_mem, 1.0 / (n_cur + n_mem))
     else:
@@ -339,16 +316,31 @@ def _row_mix(learn_alpha: float, replay_alpha: float, joint: bool,
 
 @dataclass(eq=False)
 class Run:
-    """A method's run: its parameters (state) and what it has produced,
-    its metrics per stage and, on a trajectory, its loss history: a
-    (steps, 2) float64 array of (loss_current, loss_replay) per step."""
+    """A method's run: its parameters on the stream it follows, and what it
+    has produced.
+
+    The parameters are its extractor, its class scorer (predictor) and the
+    scorer as the stage began (stage_baseline). The stream (StreamState)
+    holds its buffer, label map and counters. A run starts with an empty
+    scorer that catches up with the rows its stream has registered. Once
+    it steps, its extractor and scorer arrays are views of one slice of
+    its part's stacks (_Part), and its gradients accumulate in the part's
+    tape. What it produces is its metrics per stage and, on a trajectory,
+    its loss history: a (steps, 2) float64 array of (loss_current,
+    loss_replay) per step."""
     method: MethodConfig
-    state: TrainState
+    extractor: FeatureExtractor
+    stream: StreamState
     index: int = 0  # the run's position in the caller's list
     metrics: list[StageMetrics] = field(default_factory=list)
     losses: np.ndarray | None = None
+    predictor: PredictorParams = field(init=False)
+    stage_baseline: PredictorParams = field(init=False)
 
     def __post_init__(self):
+        self.predictor = PredictorParams.empty(self.stream.dim)
+        self.stage_baseline = self.predictor.copy()
+        catch_up(self)
         triple = self.method.triple
         # the _row_mix key of the method
         self.mix = (1.0 if triple.learn is LogitMode.DOT else 0.0,
@@ -374,19 +366,19 @@ class _Part:
     order they were given. Whatever their loss branches, each slice gets
     the bits of its run alone (see loss_rows). The part keeps their
     parameters and its gradient tape (the only one) stacked on a leading
-    axis, one slice per run (a part of one run has one slice); each run's
-    TrainState holds views of its parameter slices. Alpha and weight
-    rows, gamma and lr are per slice. A part's step writes into its
-    RunGroup's one workspace. The part keeps the StepPlan of each step
-    shape of its current class count (plan).
+    axis, one slice per run (a part of one run has one slice); each run
+    holds views of its parameter slices. Alpha and weight rows, gamma and
+    lr are per slice. A part's step writes into its RunGroup's one
+    workspace. The part keeps the StepPlan of each step shape of its
+    current class count (plan).
     """
 
     def __init__(self, runs: list[Run]):
         self.runs = runs
         self._plans: dict[tuple[int, int, int], StepPlan] = {}
         stacked = []
-        for k in range(len(runs[0].state.extractor.layers)):
-            layers = [run.state.extractor.layers[k] for run in runs]
+        for k in range(len(runs[0].extractor.layers)):
+            layers = [run.extractor.layers[k] for run in runs]
             both = LayerParams(np.stack([layer.weight for layer in layers]),
                                np.stack([layer.bias for layer in layers]))
             for i, layer in enumerate(layers):
@@ -402,12 +394,11 @@ class _Part:
     def stack_predictors(self) -> None:
         """Restack the runs' class scorers (after registration grew them)
         and give the part a new tape of the new shape."""
-        states = [run.state for run in self.runs]
-        self.predictor = PredictorParams(np.stack([s.predictor.W for s in states]),
-                                         np.stack([s.predictor.b for s in states]))
+        self.predictor = PredictorParams(np.stack([run.predictor.W for run in self.runs]),
+                                         np.stack([run.predictor.b for run in self.runs]))
         self.tape = GradientTape(self.extractor, self.predictor)
-        for i, s in enumerate(states):
-            s.predictor.W, s.predictor.b = self.predictor.W[i], self.predictor.b[i]
+        for i, run in enumerate(self.runs):
+            run.predictor.W, run.predictor.b = self.predictor.W[i], self.predictor.b[i]
 
     def plan(self, n_cur: int, n_mem: int, classes: int) -> StepPlan:
         """The loss plan of a step of this shape: the part's alpha and
@@ -472,7 +463,7 @@ class RunGroup:
     def __init__(self, runs):
         by_shape: dict[tuple, list[Run]] = {}
         for run in runs:
-            shape = tuple(layer.weight.shape for layer in run.state.extractor.layers)
+            shape = tuple(layer.weight.shape for layer in run.extractor.layers)
             by_shape.setdefault(shape, []).append(run)
         self.set_parts([_Part(group) for group in by_shape.values()])
         self._ws, self._scoring = Workspace(), False
@@ -480,7 +471,7 @@ class RunGroup:
     def set_parts(self, parts: list[_Part]) -> None:
         self.parts = parts
         self.runs = [run for part in parts for run in part.runs]
-        self.streams = list(dict.fromkeys(run.state.stream for run in self.runs))
+        self.streams = list(dict.fromkeys(run.stream for run in self.runs))
 
     def remove(self, runs) -> None:
         """Take runs out of the group; the parts they leave restack."""
@@ -515,8 +506,8 @@ def train_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng)
     Returns, per run in group.runs order, its (loss_current, loss_replay)
     pair or the NonFiniteError that ended it; such a run leaves the group,
     and the rest of its part redo the step's arithmetic without it from
-    the draws already made. To step one run, hold a
-    RunGroup([Run(method, state)]) across its steps.
+    the draws already made. To step one run, hold a RunGroup([run])
+    across its steps.
     """
     runs, streams = group.runs, group.streams
     if not len(streams) == len(row_batch) == len(y_batch) == len(rng):
@@ -557,16 +548,16 @@ def train_step(group: RunGroup, row_batch, y_batch, memory_batch_size: int, rng)
     for part in group.parts:
         if grown:
             for run in part.runs:
-                catch_up(run.state)
-        for piece in part.split([blocks[run.state.stream][2] for run in part.runs]):
-            piece = _fused_step(piece, [blocks[run.state.stream] for run in piece.runs],
+                catch_up(run)
+        for piece in part.split([blocks[run.stream][2] for run in part.runs]):
+            piece = _fused_step(piece, [blocks[run.stream] for run in piece.runs],
                                 records, ws)
             if piece is not None:
                 parts.append(piece)
     if parts != group.parts:
         group.set_parts(parts)
 
-    stepped = {run.state.stream for run in runs if isinstance(records[run], tuple)}
+    stepped = {run.stream for run in runs if isinstance(records[run], tuple)}
     for stream, x_rows, y, r in zip(streams, row_batch, y_batch, rng):
         if stream in stepped:
             if stream.buffer.capacity:
@@ -649,28 +640,28 @@ def _descend(part: _Part, ws: Workspace, X: np.ndarray, rows: np.ndarray,
     raise failed
 
 
-def _collect_stage_metrics(state: TrainState, stages: Sequence[StageRows], t: int,
-                           method: MethodConfig, test: LabeledData, ends: np.ndarray,
-                           rows: np.ndarray | None = None,
+def _collect_stage_metrics(run: Run, stages: Sequence[StageRows], t: int, test: LabeledData,
+                           ends: np.ndarray, rows: np.ndarray | None = None,
                            ws: Workspace | None = None) -> StageMetrics:
-    """Metrics after stage t; test's rows at the indices rows (test's own
+    """The run's metrics after stage t; test's rows at the indices rows (test's own
     rows without it) hold the test rows of stages 1..t (or more) in stage
     order, and ends[j] is where stage j+1's rows end. Scoring writes its
     blocks into ws if given. A run whose features have collapsed fails
     here, naming the stage."""
     n = int(ends[t - 1])
     rows = np.arange(n) if rows is None else rows[:n]
-    scores = score_stages(state, test, ends[:t], method.triple.test, method.scale(), rows, ws)
+    method = run.method
+    scores = score_stages(run, test, ends[:t], method.triple.test, method.scale(), rows, ws)
     if scores.collapsed:
         raise FeaturesCollapsed(f"stage {t}: features collapsed: all {n} scored test "
                                 f"rows have zero features")
     row = scores.accuracy_row
-    stream = state.stream
+    stream = run.stream
     label_to_row = {label: r for r, label in enumerate(stream.class_order)}
     prev_rows = [label_to_row[c] for j in range(t - 1) for c in stages[j].class_set
                  if c in label_to_row]
     curr_rows = [label_to_row[c] for c in stages[t - 1].class_set if c in label_to_row]
-    diag = bias_diagnostics(state.predictor, prev_rows, curr_rows, state.stage_baseline)
+    diag = bias_diagnostics(run.predictor, prev_rows, curr_rows, run.stage_baseline)
     return StageMetrics(
         stage=t,
         class_order=list(stream.class_order),
@@ -718,7 +709,8 @@ class _Trajectory:
         self.ends = np.cumsum([len(s.test_rows) for s in self.stages])
         first = members[0][1]
         init = init_extractor((dataset.input_dim, *first.hidden_dims), self.rng)
-        self.state = StreamState(MemoryBuffer(first.buffer_capacity), init.out_dim, dataset.train)
+        self.stream = StreamState(MemoryBuffer(first.buffer_capacity), init.out_dim,
+                                  dataset.train)
         # the first run takes the drawn extractor, the others start from copies
         copies = [FeatureExtractor([LayerParams(layer.weight.copy(), layer.bias.copy())
                                     for layer in init.layers]) for _ in members[1:]]
@@ -728,8 +720,7 @@ class _Trajectory:
         # their freed space from being returned
         steps = sum(-(-len(s.train_rows) // stream_cfg.batch_size_current)
                     for s in self.stages)
-        self.runs = [Run(method, _follow(self.state, extractor), index,
-                         losses=np.empty((steps, 2)))
+        self.runs = [Run(method, extractor, self.stream, index, losses=np.empty((steps, 2)))
                      for (index, method), extractor in zip(members, [init, *copies])]
         self.t = 0
         self.batches = iter(())
@@ -746,18 +737,18 @@ class _Trajectory:
                 for run in list(self.runs):
                     try:
                         run.metrics.append(_collect_stage_metrics(
-                            run.state, self.stages, self.t, run.method, self.dataset.test,
-                            self.ends, self.test_rows, ws))
+                            run, self.stages, self.t, self.dataset.test, self.ends,
+                            self.test_rows, ws))
                     except Exception as err:  # noqa: BLE001 - e.g. collapsed features
                         fail(run, err)
             if self.t == len(self.stages) or not self.runs:
                 return None
             self.t += 1
             for run in self.runs:
-                run.state.stage_baseline = run.state.predictor.copy()
+                run.stage_baseline = run.predictor.copy()
             stage = self.stages[self.t - 1]
-            self.state.consumed_in_stage = 0
-            self.state.unregistered = set(stage.class_set).difference(self.state.class_order)
+            self.stream.consumed_in_stage = 0
+            self.stream.unregistered = set(stage.class_set).difference(self.stream.class_order)
             self.batches = iterate_batches(stage, self.stream_cfg, self.rng, self.dataset)
         return batch
 
@@ -813,7 +804,7 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
                     end(run, ExperimentResult(method=run.method.name, seed=traj.seed,
                                               metrics=run.metrics, losses=run.losses))
             else:
-                batches[traj.state] = traj, batch
+                batches[traj.stream] = traj, batch
         group.remove(ended)
         ended.clear()
         live = [traj for traj, _ in batches.values()]
@@ -821,7 +812,7 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
             break
         stepping = [batches[stream] for stream in group.streams]
         runs_now = group.runs
-        step_no = {traj: traj.state.step + 1 for traj in live}
+        step_no = {traj: traj.stream.step + 1 for traj in live}
         try:
             records = train_step(group, [rows for _, (rows, _) in stepping],
                                  [y for _, (_, y) in stepping], stream_cfg.batch_size_memory,
@@ -832,7 +823,7 @@ def run_trajectories(dataset_for: Callable[[int], Dataset], runs: Sequence[tuple
             break
         for run, record in zip(runs_now, records):
             if isinstance(record, tuple):
-                run.losses[run.state.stream.step - 1] = record  # step counts the one just taken
+                run.losses[run.stream.step - 1] = record  # step counts the one just taken
             else:
                 traj = trajectory_of[run]
                 failure = FloatingPointError(

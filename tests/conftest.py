@@ -190,7 +190,7 @@ def row_source(batches) -> tuple[LabeledData, list[np.ndarray]]:
 
 
 def step_alone(group, rows, y, memory_batch_size: int, rng):
-    """train_step on a RunGroup of one run (RunGroup([Run(method, state)]),
+    """train_step on a RunGroup of one run (RunGroup([init_run(...)]),
     held across its steps): the run's (loss_current, loss_replay) pair, or
     the error that ended it raised."""
     (record,) = uer.trainer.train_step(group, [rows], [y], memory_batch_size, [rng])
@@ -225,12 +225,12 @@ def step_start(dataset, method, stream_cfg, seed: int, step: int):
     real = uer.trainer.train_step
 
     def recording(group, row_batch, *rest):
-        state = group.runs[0].state
-        if state.stream.step + 1 == step:
+        run = group.runs[0]
+        if run.stream.step + 1 == step:
             seen.append((np.array(row_batch[0]),
                          FeatureExtractor([LayerParams(layer.weight.copy(), layer.bias.copy())
-                                           for layer in state.extractor.layers]),
-                         state.predictor.copy(), list(state.stream.class_order)))
+                                           for layer in run.extractor.layers]),
+                         run.predictor.copy(), list(run.stream.class_order)))
         return real(group, row_batch, *rest)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(uer.trainer, "train_step", recording)

@@ -121,12 +121,14 @@ class GradientTape(_Tape):
 @dataclass
 class TrainState:
     """One run's parameters, gradient tape and the scorer as the stage
-    began, on the stream it follows."""
+    began, on the stream it follows, and its method (the live
+    ``_collect_stage_metrics`` reads it)."""
     extractor: FeatureExtractor
     predictor: PredictorParams
     tape: GradientTape
     stream: StreamState
     stage_baseline: PredictorParams | None = None
+    method: MethodConfig | None = None
 
 
 def _follow(stream: StreamState, extractor: FeatureExtractor) -> TrainState:
@@ -139,12 +141,12 @@ def _follow(stream: StreamState, extractor: FeatureExtractor) -> TrainState:
     return state
 
 
-def with_tape(state) -> TrainState:
-    """The run of a ``uer.trainer.TrainState`` (which holds no tape, its
-    part's tape taking its gradients) with a zero tape of its own."""
-    return TrainState(state.extractor, state.predictor,
-                      GradientTape(state.extractor, state.predictor), state.stream,
-                      state.stage_baseline)
+def with_tape(run) -> TrainState:
+    """The state of a ``uer.trainer.Run`` (which holds no tape, its part's
+    tape taking its gradients) with a zero tape of its own."""
+    return TrainState(run.extractor, run.predictor,
+                      GradientTape(run.extractor, run.predictor), run.stream,
+                      run.stage_baseline, run.method)
 
 
 def catch_up(state: TrainState) -> None:
@@ -225,8 +227,10 @@ def init_state(method: MethodConfig, input_dim: int, rng: Rng) -> TrainState:
     """A run on a stream of its own, its extractor drawn from rng; its
     buffer copies features, and its steps never read the stream's source."""
     extractor = init_extractor((input_dim, *method.hidden_dims), rng)
-    return _follow(StreamState(MemoryBuffer(method.buffer_capacity), extractor.out_dim, None),
-                   extractor)
+    state = _follow(StreamState(MemoryBuffer(method.buffer_capacity), extractor.out_dim, None),
+                    extractor)
+    state.method = method
+    return state
 
 
 def gen_synthetic(spec: SyntheticSpec, rng: Rng) -> Dataset:
@@ -296,10 +300,11 @@ def list_buffer_retrieve(buf: ListBuffer, k: int, rng) -> list[StoredSample]:
 
 def list_buffer_from_arrays(buf, source: LabeledData) -> ListBuffer:
     """A list-buffer twin of a ``uer.memory.MemoryBuffer`` whose rows index
-    source."""
+    source and were offered in row order from row 0, so that each kept
+    row is its sample's stream position."""
     twin = ListBuffer(buf.capacity)
     twin.seen = buf.seen
-    twin.items = [StoredSample(source.x[buf.rows[i]].copy(), int(buf.y[i]), int(buf.pos[i]))
+    twin.items = [StoredSample(source.x[buf.rows[i]].copy(), int(buf.y[i]), int(buf.rows[i]))
                   for i in range(len(buf))]
     return twin
 
@@ -527,7 +532,7 @@ def per_seed_run(dataset, method, stream_cfg, seed) -> ExperimentResult:
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"stage {t}, step {state.stream.step + 1}: {err}") from err
-        metrics.append(_collect_stage_metrics(state, stages, t, method, test, ends))
+        metrics.append(_collect_stage_metrics(state, stages, t, test, ends))
     return ExperimentResult(method=method.name, seed=int(seed), metrics=metrics, steps=steps)
 
 
@@ -766,7 +771,7 @@ class _SeedRun:
                 rows = self.test_rows[:self.ends[self.t - 1]]
                 seen = LabeledData(self.dataset.test.x[rows], self.dataset.test.y[rows])
                 self.metrics.append(_collect_stage_metrics(
-                    self.state, self.stages, self.t, self.method, seen, self.ends))
+                    self.state, self.stages, self.t, seen, self.ends))
             if self.t == len(self.stages):
                 return None
             self.t += 1

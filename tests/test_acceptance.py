@@ -120,8 +120,9 @@ def test_criterion_3_reservoir_inclusion_uniformity(capsys):
     # lands the worst item at 0.0088 with the fit statistic far from the
     # 0.001 rejection line
     rng = make_rng(123)
-    # position tags are all that matter; payloads are zeros. The buffer
-    # tags sample i of a fresh stream with position i
+    # position tags are all that matter; payloads are zeros. Sample i of
+    # a fresh stream is row i of its source, so the kept rows are the kept
+    # positions
     samples, batches = row_source([(np.zeros((50, 1)), np.zeros(50, dtype=np.int64))
                                    for _ in range(0, stream_n, 50)])
     counts = np.zeros(stream_n, dtype=np.int64)
@@ -130,7 +131,7 @@ def test_criterion_3_reservoir_inclusion_uniformity(capsys):
         buf = MemoryBuffer(capacity)
         for rows in batches:
             buffer_update(buf, rows, samples.y[rows], rng)
-        counts[buf.pos[:len(buf)]] += 1
+        counts[buf.rows[:len(buf)]] += 1
     elapsed = time.perf_counter() - t0
 
     freq = counts / trials

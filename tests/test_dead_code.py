@@ -12,6 +12,13 @@ methods are exempt, since Python calls them.
 An entry kept for the benchmark's tracer names the (module, attribute)
 it is wrapped as, and that pair must be one of the tracer's TARGETS, so
 the entry goes when the tracer stops wrapping the name.
+
+No dead state either: every attribute a class of src/uer declares (an
+annotation in its body, as a dataclass field is, or a self.x = in its
+__init__) is loaded by some module of the package. A load that is only
+the target of a subscript store (buf.x[j] = ...) does not count: it
+writes the attribute's contents, and nothing reads them back. The classes
+in WHOLE_RECORDS are exempt, with the reason stated.
 """
 
 import ast
@@ -34,7 +41,15 @@ ALLOWED = {
     "read_metrics": "reads the metrics files back: tests",
     "serialize_config": "round-trips a parsed config: tests",
     "save_csv_dataset": "writes CSV datasets: tests and perfbench workloads",
-    "init_state": "builds one run on a stream of its own: the exported step-level API",
+    "init_run": "builds one run on a stream of its own: the exported step-level API",
+}
+
+
+# records whose fields reach the metrics file without being named one by
+# one, so a field that no module loads by name is still written
+WHOLE_RECORDS = {
+    "StageMetrics": "written field by field through fields() (stage_metrics_to_dict)",
+    "DiagnosticsRecord": "spread into StageMetrics through vars() (_collect_stage_metrics)",
 }
 
 
@@ -103,3 +118,72 @@ def test_the_guard_sees_a_method_that_nothing_loads(tmp_path):
         "    def unused(self):\n        pass\n\n\n"
         "A()\n")
     assert unreferenced(tmp_path) == {"A.unused"}
+
+
+def _self_targets(node) -> list[str]:
+    """The attribute names of self.x targets in an assignment target."""
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return [name for elt in node.elts for name in _self_targets(elt)]
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "self":
+        return [node.attr]
+    return []
+
+
+def _declared(cls: ast.ClassDef) -> set[str]:
+    """The attributes a class declares: its body's annotated names and the
+    self.x targets of its __init__."""
+    names = {node.target.id for node in cls.body
+             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+    for method in _defs(cls.body):
+        if method.name == "__init__":
+            for node in ast.walk(method):
+                if isinstance(node, ast.Assign):
+                    names.update(n for t in node.targets for n in _self_targets(t))
+                elif isinstance(node, ast.AnnAssign):
+                    names.update(_self_targets(node.target))
+    return names
+
+
+def unread_fields(package: Path) -> set[str]:
+    declared, read = set(), set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in _defs(tree.body):
+            if isinstance(node, ast.ClassDef):
+                declared.update((node.name, name) for name in _declared(node))
+        stored_into = {id(node.value) for node in ast.walk(tree)
+                       if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)}
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in stored_into)
+    return {f"{cls}.{name}" for cls, name in declared if name not in read}
+
+
+def test_every_declared_field_is_read():
+    found = unread_fields(Path(uer.__file__).parent)
+    unread = sorted(f for f in found if f.partition(".")[0] not in WHOLE_RECORDS)
+    assert not unread, f"declared but never read in the package: {unread}"
+
+
+def test_every_whole_record_is_a_class_with_unread_fields():
+    # an exemption goes when its class goes or every field is read by name
+    found = unread_fields(Path(uer.__file__).parent)
+    assert {f.partition(".")[0] for f in found} >= set(WHOLE_RECORDS)
+
+
+def test_the_guard_sees_a_field_that_is_only_written(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass R:\n    read: int\n    unread: int\n\n\n"
+        "class B:\n"
+        "    def __init__(self):\n"
+        "        self.rows, self.pos = [0], [0]\n"
+        "        self.size: int = 0\n\n"
+        "    def put(self, j):\n"
+        "        self.rows[j] = self.pos[j] = j\n"
+        "        self.size += 1\n\n\n"
+        "def get(r, b):\n    return r.read + b.rows[0]\n")
+    assert unread_fields(tmp_path) == {"R.unread", "B.pos", "B.size"}

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import legacy_step
 import uer.trainer
 from conftest import flat_params, flat_tape, losses_of, row_source, step_alone
-from uer import Run, RunGroup, init_state
+from uer import RunGroup, init_run
 from uer.logits import CosineScale, PredictorParams, loss_rows
 from uer.memory import MemoryBuffer, buffer_retrieve, buffer_update
 from uer.net import GradientTape, init_extractor, sgd_step
@@ -64,10 +64,12 @@ def _sgd_recorder(grads):
 
 
 def _assert_buffers_equal(arr_buf, source, list_buf):
+    # the samples were offered in row order from row 0 of source, so a
+    # kept row is its sample's stream position
     assert arr_buf.seen == list_buf.seen and len(arr_buf) == len(list_buf)
     for i, s in enumerate(list_buf.items):
         assert source.x[arr_buf.rows[i]].tobytes() == s.x.tobytes()
-        assert arr_buf.y[i] == s.y and arr_buf.pos[i] == s.stream_position
+        assert arr_buf.y[i] == s.y and arr_buf.rows[i] == s.stream_position
 
 
 @given(preset=st.sampled_from(["uer", "uer-a", "er", "lucir", "finetune", "joint-cosine"]),
@@ -83,14 +85,14 @@ def test_fused_step_matches_two_pass_step(preset, alpha, capacity, warmup, n_cur
     method = _methods(alpha, capacity)[preset]
     source, order = _data(seed)
     rng = make_rng([seed, 1])
-    state = init_state(method, source, rng)
-    group = RunGroup([Run(method, state)])
+    run = init_run(method, source, rng)
+    group = RunGroup([run])
     for k in range(warmup):
         rows = order[k * n_cur:(k + 1) * n_cur]
         step_alone(group, rows, source.y[rows], n_mem, rng)
 
-    old = legacy_step.with_tape(copy.deepcopy(state))
-    old.stream.buffer = legacy_step.list_buffer_from_arrays(state.stream.buffer, source)
+    old = legacy_step.with_tape(copy.deepcopy(run))
+    old.stream.buffer = legacy_step.list_buffer_from_arrays(run.stream.buffer, source)
     rng_old = copy.deepcopy(rng)
     rows = order[warmup * n_cur:(warmup + 1) * n_cur]
     x, y = source.x[rows], source.y[rows]
@@ -102,15 +104,15 @@ def test_fused_step_matches_two_pass_step(preset, alpha, capacity, warmup, n_cur
                                             sgd=_sgd_recorder(old_grads))
 
     np.testing.assert_allclose(new_grads[0], old_grads[0], **TOL)
-    np.testing.assert_allclose(flat_params(state.extractor, state.predictor),
+    np.testing.assert_allclose(flat_params(run.extractor, run.predictor),
                                flat_params(old.extractor, old.predictor), **TOL)
     want = losses_of([rec_old])
     np.testing.assert_allclose(got, want, **TOL)
     np.testing.assert_allclose(got.sum(axis=1), want.sum(axis=1), **TOL)
-    _assert_buffers_equal(state.stream.buffer, source, old.stream.buffer)
+    _assert_buffers_equal(run.stream.buffer, source, old.stream.buffer)
     assert rng.bit_generator.state == rng_old.bit_generator.state
-    assert state.stream.class_order == old.stream.class_order and \
-        state.stream.step == old.stream.step
+    assert run.stream.class_order == old.stream.class_order and \
+        run.stream.step == old.stream.step
 
 
 @given(chunks=st.lists(st.integers(0, 15), min_size=1, max_size=12),
@@ -133,7 +135,7 @@ def test_array_buffer_retraces_list_buffer(chunks, capacity, k, seed):
         _assert_buffers_equal(arr_buf, source, list_buf)
         idx = buffer_retrieve(arr_buf, k, rng_a)
         got = legacy_step.list_buffer_retrieve(list_buf, k, rng_l)
-        assert arr_buf.pos[idx].tolist() == [s.stream_position for s in got]
+        assert arr_buf.rows[idx].tolist() == [s.stream_position for s in got]
         assert rng_a.bit_generator.state == rng_l.bit_generator.state
 
 

@@ -24,7 +24,7 @@ import legacy_step
 import uer.trainer
 from conftest import losses_of, overflowing_features, overflowing_scores, step_alone, \
     step_start, with_train_row
-from uer import Run, RunGroup, init_state
+from uer import RunGroup, init_run
 from uer.evaluation import stage_metrics_to_dict
 from uer.logits import CosineScale, LogitMode, PredictorParams, loss_rows
 from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch,
@@ -508,14 +508,14 @@ def test_a_seed_alone_that_diverges_names_its_stage_and_step(what, monkeypatch):
 
 
 def test_a_lone_train_state_steps_as_the_per_seed_step_does(monkeypatch):
-    # train_step on a group of one TrainState returns its loss pair, step
-    # for step the oracle's, with the same parameters after; a non-finite
-    # step ends it (the state steps rows of the dataset, the oracle their
+    # train_step on a group of one run returns its loss pair, step for
+    # step the oracle's, with the same parameters after; a non-finite step
+    # ends it (the run steps rows of the dataset, the oracle their
     # features)
     method, data = _presets()["uer"], _datasets()[0]
     order = make_rng(5).permutation(len(data.train.y))
-    state = init_state(method, data.train, make_rng(6))
-    group = RunGroup([Run(method, state)])
+    run = init_run(method, data.train, make_rng(6))
+    group = RunGroup([run])
     alone = legacy_step.init_state(method, data.input_dim, make_rng(6))
     rng, rng_alone = make_rng(7), make_rng(7)
     blocks = _blocks(monkeypatch)
@@ -525,13 +525,13 @@ def test_a_lone_train_state_steps_as_the_per_seed_step_does(monkeypatch):
         pair = np.array([step_alone(group, rows, y, 10, rng)])
         want = legacy_step.per_seed_train_step(alone, x, y, method, 10, rng_alone)
         assert pair.tobytes() == losses_of([want]).tobytes()
-        params = (*state.extractor.layers, state.predictor)
+        params = (*run.extractor.layers, run.predictor)
         for got, want in zip(params, (*alone.extractor.layers, alone.predictor)):
             for a, b in zip(vars(got).values(), vars(want).values()):
                 assert a.tobytes() == b.tobytes()
     assert set(_slices(blocks)) == {1}
     # a row of the next batch whose features overflow
     rows = order[120:130]
-    data.train.x[rows[0]] = overflowing_features(state.extractor)
+    data.train.x[rows[0]] = overflowing_features(run.extractor)
     with pytest.raises(NonFiniteError, match="^features contains non-finite entries$"):
         step_alone(group, rows, data.train.y[rows], 10, rng)

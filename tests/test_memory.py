@@ -1,8 +1,10 @@
 """Reservoir buffer: size law and uniformity oracles.
 
-The buffer keeps each sample's row in the stream's source, its label and
-its stream position; reading the source at the kept rows gives the
-features the feature-copying buffer (legacy_step) kept.
+The buffer keeps each sample's row in the stream's source and its label;
+reading the source at the kept rows gives the features the
+feature-copying buffer (legacy_step) kept. The samples offered here are
+rows 0, 1, 2, ... of their source in order, so a kept row is also the
+kept sample's stream position.
 """
 
 import numpy as np
@@ -19,14 +21,14 @@ from uer.stream import LabeledData
 
 def samples(n, start=0):
     # the rows and labels of samples start .. start + n - 1 of a source;
-    # callers pass start = samples offered so far, so a sample's row is the
-    # stream position the buffer assigns
+    # callers pass start = samples offered so far, so a sample's row is its
+    # stream position
     rows = np.arange(start, start + n)
     return rows, rows % 3
 
 
 def positions(buf):
-    return sorted(buf.pos[:len(buf)].tolist())
+    return sorted(buf.rows[:len(buf)].tolist())
 
 
 # ------------------------------------------------------------- size law
@@ -58,7 +60,7 @@ def test_fill_exactly_then_replace_within_capacity():
     buffer_update(buf, *samples(10, start=4), make_rng(1))
     assert len(buf) == 4
     assert buf.seen == 14
-    assert all(0 <= p < 14 for p in buf.pos[:len(buf)])
+    assert all(0 <= p < 14 for p in buf.rows[:len(buf)])
 
 
 @given(
@@ -76,9 +78,8 @@ def test_size_law_under_fuzzed_batches(chunks, capacity, seed):
         offered += n
         assert len(buf) == min(offered, capacity)
         assert buf.seen == offered
-        assert buf.rows[:len(buf)].tolist() == buf.pos[:len(buf)].tolist()
         # no duplicate stream positions can ever exist in the buffer
-        assert len(set(buf.pos[:len(buf)].tolist())) == len(buf)
+        assert len(set(buf.rows[:len(buf)].tolist())) == len(buf)
 
 
 @given(chunks=st.lists(st.integers(0, 60), min_size=1, max_size=10),
@@ -88,7 +89,8 @@ def test_size_law_under_fuzzed_batches(chunks, capacity, seed):
 def test_scatter_writes_what_the_per_row_loop_wrote(chunks, capacity, seed):
     # a small buffer and long chunks: many draws land on one slot, and the
     # last of them must win, as when the rows were written one at a time
-    # the rows must read the features the per-row loop copied
+    # the rows must read the features the per-row loop copied; the source
+    # rows are the stream positions, so the kept rows are the loop's positions
     scatter, loop = MemoryBuffer(capacity), legacy_step.MemoryBuffer(capacity)
     rng_s, rng_l = make_rng(seed), make_rng(seed)
     data = make_rng(seed + 1).normal(size=(sum(chunks), 3))
@@ -102,7 +104,7 @@ def test_scatter_writes_what_the_per_row_loop_wrote(chunks, capacity, seed):
         assert (scatter.size, scatter.seen) == (loop.size, loop.seen)
         kept = scatter.rows[:scatter.size]
         assert source.x[kept].tobytes() == loop.x[:loop.size].tobytes()
-        for a, b in ((scatter.y, loop.y), (scatter.pos, loop.pos)):
+        for a, b in ((scatter.y, loop.y), (scatter.rows, loop.pos)):
             assert a.tobytes() == b.tobytes()
         assert rng_s.bit_generator.state == rng_l.bit_generator.state
 
@@ -114,7 +116,7 @@ def test_scatter_keeps_the_last_writer_of_a_shared_slot():
     rng = make_rng(3)
     js = make_rng(3).integers(0, np.arange(2, 42))
     buffer_update(buf, *samples(40, start=1), rng)
-    assert buf.pos[0] == 1 + int(np.flatnonzero(js < 1)[-1])
+    assert buf.rows[0] == 1 + int(np.flatnonzero(js < 1)[-1])
 
 
 def test_batched_updates_match_one_by_one_distribution():
@@ -146,7 +148,7 @@ def test_reservoir_inclusion_frequency_small():
     for _ in range(trials):
         buf = MemoryBuffer(capacity)
         buffer_update(buf, *items, rng)
-        counts[buf.pos[:len(buf)]] += 1
+        counts[buf.rows[:len(buf)]] += 1
     freq = counts / trials
     # sigma = sqrt(.2 * .8 / 4000) ~ 0.0063; allow 4 sigma
     assert np.all(np.abs(freq - capacity / stream) < 0.026)
@@ -159,7 +161,7 @@ def test_retrieve_underfilled_returns_everything():
     buf = MemoryBuffer(10)
     buffer_update(buf, *samples(3), make_rng(0))
     got = buffer_retrieve(buf, 10, make_rng(5))
-    assert sorted(buf.pos[got].tolist()) == [0, 1, 2]
+    assert sorted(buf.rows[got].tolist()) == [0, 1, 2]
 
 
 def test_retrieve_empty_buffer_gives_empty_list():
@@ -178,7 +180,7 @@ def test_retrieve_no_duplicates_and_right_size(n, k, seed):
     buffer_update(buf, *samples(n), make_rng(0))
     got = buffer_retrieve(buf, k, make_rng(seed))
     assert len(got) == min(k, n)
-    pos = buf.pos[got].tolist()
+    pos = buf.rows[got].tolist()
     assert len(set(pos)) == len(pos)
 
 
@@ -192,6 +194,6 @@ def test_retrieve_uniform_frequency():
     counts = np.zeros(1000)
     for _ in range(trials):
         for i in buffer_retrieve(buf, 10, rng):
-            counts[buf.pos[i]] += 1
+            counts[buf.rows[i]] += 1
     freq = counts / trials
     assert np.all(np.abs(freq - 0.01) < 0.002)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import legacy_eval
 from conftest import blas_versions, row_source, step_alone
 from legacy_step import Stage
-from uer import Run, RunGroup, init_state
+from uer import RunGroup, init_run
 from uer.evaluation import BLOCK_ROWS, accuracy, average_posterior, row_blocks, score_stages
 from uer.logits import CosineScale, LogitMode, PredictorParams
 from uer.net import forward_batch, init_extractor
@@ -72,20 +72,20 @@ def test_one_pass_matches_per_stage_passes(test_mode, learn, test_sizes, lr, see
     test = dataset.test
     ends = np.cumsum(test_sizes)
     stream = StreamConfig(stages=len(stages), batch_size_current=4, batch_size_memory=4)
-    state = init_state(method, dataset.train, rng)
-    group = RunGroup([Run(method, state)])
+    run = init_run(method, dataset.train, rng)
+    group = RunGroup([run])
     for t, split in enumerate(splits, 1):
-        state.stage_baseline = state.predictor.copy()
-        state.stream.consumed_in_stage = 0
+        run.stage_baseline = run.predictor.copy()
+        run.stream.consumed_in_stage = 0
         for rows, y_b in iterate_batches(split, stream, rng, dataset):
             step_alone(group, rows, y_b, stream.batch_size_memory, rng)
-        if not forward_batch(state.extractor, test.x[:ends[t - 1]])[0].any():
+        if not forward_batch(run.extractor, test.x[:ends[t - 1]])[0].any():
             # no live feature on any scored row: the run fails instead
             with pytest.raises(FeaturesCollapsed, match=f"^stage {t}: features collapsed"):
-                _collect_stage_metrics(state, stages, t, method, test, ends)
+                _collect_stage_metrics(run, stages, t, test, ends)
             return
-        new = _collect_stage_metrics(state, stages, t, method, test, ends)
-        old = legacy_eval.collect_stage_metrics(state, stages, t, method)
+        new = _collect_stage_metrics(run, stages, t, test, ends)
+        old = legacy_eval.collect_stage_metrics(run, stages, t, method)
         assert new.accuracy_row == old.accuracy_row
         assert new.acc_previous == old.acc_previous
         assert (np.asarray(new.avg_posterior).tobytes()
@@ -101,16 +101,16 @@ def test_wrappers_match_reference(mode, n, seed):
     method = triple_method("probe", "cosine", "mixed", mode.value, hidden_dims=(8,))
     stage = _stages([n], rng)[0]
     dataset, (split,) = _split([stage])
-    state = init_state(method, dataset.train, rng)
-    group = RunGroup([Run(method, state)])
+    run = init_run(method, dataset.train, rng)
+    group = RunGroup([run])
     for rows, y_b in iterate_batches(split, StreamConfig(stages=1, batch_size_current=5), rng,
                                      dataset):
         step_alone(group, rows, y_b, 0, rng)
     scale = CosineScale(10.0)
-    assert accuracy(state, stage.test, mode, scale) == \
-        legacy_eval.accuracy(state, stage.test, mode, scale)
-    assert average_posterior(state, stage.test, mode, scale).tobytes() == \
-        legacy_eval.average_posterior(state, stage.test, mode, scale).tobytes()
+    assert accuracy(run, stage.test, mode, scale) == \
+        legacy_eval.accuracy(run, stage.test, mode, scale)
+    assert average_posterior(run, stage.test, mode, scale).tobytes() == \
+        legacy_eval.average_posterior(run, stage.test, mode, scale).tobytes()
 
 
 # ------------------------------------------------------------- row blocks

@@ -31,7 +31,7 @@ from uer.memory import MemoryBuffer
 from uer.net import init_extractor
 from uer.numeric import make_rng
 from uer.stream import Dataset, LabeledData, StreamConfig, gen_synthetic, make_sphere_spec
-from uer.trainer import (StreamState, _follow, er_method, lucir_method, run_trajectories,
+from uer.trainer import (StreamState, er_method, lucir_method, run_trajectories,
                          train_step, uer_a_method, uer_method)
 
 PREMISE = ("an out= form differs from the allocating form, so the training step's "
@@ -151,7 +151,7 @@ def _group(methods, sources, seed):
     for method, source in zip(methods, sources):
         extractor = init_extractor((source.x.shape[1], *method.hidden_dims), rng)
         stream = StreamState(MemoryBuffer(method.buffer_capacity), extractor.out_dim, source)
-        runs.append(Run(method, _follow(stream, extractor)))
+        runs.append(Run(method, extractor, stream))
     return RunGroup(runs)
 
 

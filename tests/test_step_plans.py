@@ -21,7 +21,7 @@ import legacy_step
 from conftest import losses_of, row_source, step_alone
 import uer.logits
 import uer.trainer
-from uer import Run, RunGroup, init_state
+from uer import RunGroup, init_run
 from uer.evaluation import BLOCK_ROWS, row_blocks, score_stages, stage_metrics_to_dict
 from uer.logits import CosineScale, LogitMode, PredictorParams, loss_rows, step_plan
 from uer.net import GradientTape, FeatureExtractor, LayerParams, init_extractor
@@ -209,10 +209,10 @@ def test_a_trajectory_step_makes_no_row_check(monkeypatch):
     outcomes = run_trajectories(datasets.__getitem__, [(m, 0) for m in _methods()], STREAM)
     assert calls == [] and all(len(o.losses) for o in outcomes)
     data, method = datasets[0], _methods()[0]
-    lone = RunGroup([Run(method, init_state(method, data.train, make_rng(1)))])
+    lone = RunGroup([init_run(method, data.train, make_rng(1))])
     step_alone(lone, np.arange(10), data.train.y[:10], 10, make_rng(2))
     assert calls == [(10,)]
-    group = RunGroup([Run(method, init_state(method, data.train, make_rng(k))) for k in (3, 4)])
+    group = RunGroup([init_run(method, data.train, make_rng(k)) for k in (3, 4)])
     train_step(group, [np.arange(10), np.arange(10, 20)],
                [data.train.y[:10], data.train.y[10:20]], 10, [make_rng(5), make_rng(6)])
     assert calls == [(10,), (10,), (10,)]
@@ -222,7 +222,7 @@ def test_a_trajectory_step_makes_no_row_check(monkeypatch):
 
 
 def test_a_direct_train_step_registers_a_new_label():
-    # a TrainState stepped directly (in a group of its own) is on no
+    # a run stepped directly (in a group of its own) is on no
     # trajectory: every batch is looked up, so a label first seen late
     # still gets its row
     data = _dataset(3, [30, 30, 30])
@@ -233,22 +233,22 @@ def test_a_direct_train_step_registers_a_new_label():
     batches.insert(2, (data.train.x[late[:5]], data.train.y[late[:5]]))
     batches.append((np.concatenate([xs[40:45], data.train.x[late[5:]]]),
                     np.concatenate([ys[40:45], data.train.y[late[5:]]])))
-    # (the state steps the batches' rows in a source, the oracle their features)
+    # (the run steps the batches' rows in a source, the oracle their features)
     source, rows = row_source(batches)
     method = uer_method(hidden_dims=(16,), buffer_capacity=30)
     ours, theirs = make_rng(8), make_rng(8)
-    state = init_state(method, source, ours)
-    group = RunGroup([Run(method, state)])
+    run = init_run(method, source, ours)
+    group = RunGroup([run])
     oracle = legacy_step.init_state(method, data.input_dim, theirs)
     for (x, y), batch_rows in zip(batches, rows):
         got = np.array([step_alone(group, batch_rows, y, 10, ours)])
         want = legacy_step.per_seed_train_step(oracle, x, y, method, 10, theirs)
         assert got.tobytes() == losses_of([want]).tobytes()
-        assert state.predictor.W.tobytes() == oracle.predictor.W.tobytes()
-        assert state.extractor.layers[0].weight.tobytes() == \
+        assert run.predictor.W.tobytes() == oracle.predictor.W.tobytes()
+        assert run.extractor.layers[0].weight.tobytes() == \
             oracle.extractor.layers[0].weight.tobytes()
-    assert state.stream.class_order == oracle.stream.class_order and \
-        sorted(state.stream.class_order) == [0, 1, 2]
+    assert run.stream.class_order == oracle.stream.class_order and \
+        sorted(run.stream.class_order) == [0, 1, 2]
 
 
 def test_a_class_first_seen_in_a_stage_last_batch_gets_its_row(monkeypatch):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import flat_params, row_source, step_alone
-from uer import Run, RunGroup, catch_up, init_state
+from uer import Run, RunGroup, catch_up, init_run
 from uer.logits import LogitMode, dot_logits_batch, loss_dot
 from uer.memory import MemoryBuffer
 from uer.net import GradientTape, backward_batch, forward_batch, init_extractor, sgd_step
 from uer.numeric import make_rng
 from uer.stream import StreamConfig, SyntheticSpec, gen_synthetic
-from uer.trainer import (MethodConfig, ReplayRule, StreamState, TABLE1_GRID, _follow, er_method,
+from uer.trainer import (MethodConfig, ReplayRule, StreamState, TABLE1_GRID, er_method,
                          finetune_method, lucir_method, register_classes, run_experiment,
                          run_trajectories, train_step, trajectory_key, triple_method,
                          uer_a_method, uer_method)
@@ -32,17 +32,17 @@ def no_samples(dim):
     return row_source([(np.zeros((0, dim)), np.zeros(0))])[0]
 
 
-def register(state, labels, rng):
+def register(run, labels, rng):
     """register_classes on the run's stream, then the run catches up."""
-    added = register_classes(state.stream, labels, rng)
-    catch_up(state)
+    added = register_classes(run.stream, labels, rng)
+    catch_up(run)
     return added
 
 
-def label_to_row(state) -> dict[int, int]:
+def label_to_row(run) -> dict[int, int]:
     """The run's registered labels and their scorer rows, in registration
     order."""
-    return {label: row for row, label in enumerate(state.stream.class_order)}
+    return {label: row for row, label in enumerate(run.stream.class_order)}
 
 
 # ---------------------------------------------------------------- presets
@@ -115,52 +115,52 @@ def test_triple_method_effective_alpha():
 
 
 def test_register_classes_growth_law():
-    state = init_state(uer_method(), no_samples(6), make_rng(0))
-    assert state.predictor.num_classes == 0
-    added = register(state, np.array([0, 1, 1, 0]), make_rng(1))
+    run = init_run(uer_method(), no_samples(6), make_rng(0))
+    assert run.predictor.num_classes == 0
+    added = register(run, np.array([0, 1, 1, 0]), make_rng(1))
     assert added == [0, 1]
-    assert state.predictor.num_classes == 2
-    assert register(state, np.array([1, 0]), make_rng(2)) == []
-    assert state.predictor.num_classes == 2
+    assert run.predictor.num_classes == 2
+    assert register(run, np.array([1, 0]), make_rng(2)) == []
+    assert run.predictor.num_classes == 2
 
 
 def test_register_classes_append_only_scores_stable():
     rng = make_rng(3)
-    state = init_state(uer_method(hidden_dims=(5,)), no_samples(4), rng)
-    register(state, np.array([2, 7]), rng)
+    run = init_run(uer_method(hidden_dims=(5,)), no_samples(4), rng)
+    register(run, np.array([2, 7]), rng)
     H = np.abs(make_rng(9).normal(size=(1, 5)))
-    before = dot_logits_batch(state.predictor, H)[0]
-    register(state, np.array([5]), rng)
-    after = dot_logits_batch(state.predictor, H)[0]
+    before = dot_logits_batch(run.predictor, H)[0]
+    register(run, np.array([5]), rng)
+    after = dot_logits_batch(run.predictor, H)[0]
     np.testing.assert_allclose(after[:2], before, atol=1e-12)
-    assert state.stream.class_order == [2, 7, 5]
-    assert label_to_row(state) == {2: 0, 7: 1, 5: 2}
+    assert run.stream.class_order == [2, 7, 5]
+    assert label_to_row(run) == {2: 0, 7: 1, 5: 2}
 
 
 def test_register_classes_row_init_matches_layer_rule():
     # new rows are uniform(-s, s) with s = sqrt(6 / (dim + 1)), bias zero
-    state = init_state(uer_method(hidden_dims=(24,)), no_samples(4), make_rng(0))
+    run = init_run(uer_method(hidden_dims=(24,)), no_samples(4), make_rng(0))
     s = np.sqrt(6.0 / 25.0)
     for seed in range(10):
-        register(state, np.array([seed]), make_rng(seed))
-    assert np.all(np.abs(state.predictor.W) < s)
-    assert np.all(state.predictor.b == 0.0)
+        register(run, np.array([seed]), make_rng(seed))
+    assert np.all(np.abs(run.predictor.W) < s)
+    assert np.all(run.predictor.b == 0.0)
 
 
 def test_register_extends_tape_and_baseline():
     source, (rows,) = row_source([(make_rng(2).normal(size=(4, 6)), np.array([0, 1, 2, 3]))])
     method = uer_method()
-    state = init_state(method, source, make_rng(1))
-    group = RunGroup([Run(method, state)])
-    register(state, np.array([0, 1, 2]), make_rng(1))
-    assert state.stage_baseline.W.shape == state.predictor.W.shape
+    run = init_run(method, source, make_rng(1))
+    group = RunGroup([run])
+    register(run, np.array([0, 1, 2]), make_rng(1))
+    assert run.stage_baseline.W.shape == run.predictor.W.shape
     # baseline carries the same fresh-row values, so registering is motionless
-    np.testing.assert_array_equal(state.stage_baseline.W, state.predictor.W)
+    np.testing.assert_array_equal(run.stage_baseline.W, run.predictor.W)
     # a step that registers label 3 gives the part, whose tape is the
     # run's only one, a tape of the grown scorer's shape
     step_alone(group, rows, source.y, 10, make_rng(3))
-    assert state.predictor.num_classes == 4
-    assert group.parts[0].tape.pred_w.shape == (1, *state.predictor.W.shape)
+    assert run.predictor.num_classes == 4
+    assert group.parts[0].tape.pred_w.shape == (1, *run.predictor.W.shape)
 
 
 @pytest.mark.parametrize("labels", [[3, 0, 3], [0], [5, 1], [7], [-1], [0, -2]])
@@ -168,20 +168,20 @@ def test_register_classes_fast_path_agrees_with_the_loop(labels):
     # a batch of known labels returns at once and draws nothing; anything
     # else (new labels, labels past the lookup, negative labels) takes the
     # per-label loop exactly as before
-    state = init_state(uer_method(hidden_dims=(4,)), no_samples(3), make_rng(0))
-    register(state, np.array([3, 0]), make_rng(1))
+    run = init_run(uer_method(hidden_dims=(4,)), no_samples(3), make_rng(0))
+    register(run, np.array([3, 0]), make_rng(1))
     rng = make_rng(2)
     before = rng.bit_generator.state
     if min(labels) < 0:
         with pytest.raises(ValueError, match="non-negative"):
-            register(state, np.array(labels), rng)
+            register(run, np.array(labels), rng)
         return
-    added = register(state, np.array(labels), rng)
+    added = register(run, np.array(labels), rng)
     new = [c for c in dict.fromkeys(labels) if c not in (3, 0)]
     assert added == new
     assert (rng.bit_generator.state == before) == (not new)
-    assert state.stream.class_order == [3, 0, *new]
-    assert state.predictor.num_classes == len(state.stream.class_order)
+    assert run.stream.class_order == [3, 0, *new]
+    assert run.predictor.num_classes == len(run.stream.class_order)
 
 
 def test_runs_on_one_stream_get_the_same_rows():
@@ -189,19 +189,19 @@ def test_runs_on_one_stream_get_the_same_rows():
     # baseline catch up with the same values
     source, (rows,) = row_source([(make_rng(4).normal(size=(2, 3)), np.array([6, 2]))])
     stream = StreamState(MemoryBuffer(5), 4, source)
-    runs = [_follow(stream, init_extractor((3, 4), make_rng(k))) for k in range(2)]
-    assert register_classes(stream, np.array([2, 6]), make_rng(5)) == [2, 6]
-    lone = init_state(uer_method(hidden_dims=(4,)), no_samples(3), make_rng(0))
-    register(lone, np.array([2, 6]), make_rng(5))
-    runs.append(_follow(stream, init_extractor((3, 4), make_rng(9))))
-    for state in runs:
-        register(state, np.array([6]), make_rng(7))  # known: only catches up
-        assert state.predictor.W.tobytes() == lone.predictor.W.tobytes()
-        assert state.stage_baseline.W.tobytes() == lone.predictor.W.tobytes()
-        assert label_to_row(state) == {2: 0, 6: 1}
-    # after one step the runs' part tape holds a slice of that shape per run
     method = uer_method(hidden_dims=(4,))
-    group = RunGroup([Run(method, state) for state in runs])
+    runs = [Run(method, init_extractor((3, 4), make_rng(k)), stream) for k in range(2)]
+    assert register_classes(stream, np.array([2, 6]), make_rng(5)) == [2, 6]
+    lone = init_run(method, no_samples(3), make_rng(0))
+    register(lone, np.array([2, 6]), make_rng(5))
+    runs.append(Run(method, init_extractor((3, 4), make_rng(9)), stream))
+    for run in runs:
+        register(run, np.array([6]), make_rng(7))  # known: only catches up
+        assert run.predictor.W.tobytes() == lone.predictor.W.tobytes()
+        assert run.stage_baseline.W.tobytes() == lone.predictor.W.tobytes()
+        assert label_to_row(run) == {2: 0, 6: 1}
+    # after one step the runs' part tape holds a slice of that shape per run
+    group = RunGroup(runs)
     train_step(group, [rows], [source.y], 0, [make_rng(8)])
     assert group.parts[0].tape.pred_w.shape == (3, *lone.predictor.W.shape)
 
@@ -214,7 +214,7 @@ def test_train_step_loss_additivity():
     perm = make_rng(23).permutation(len(ds.train.x))
     method = uer_method(buffer_capacity=50, hidden_dims=(8,))
     rng = make_rng([0, 1])
-    group = RunGroup([Run(method, init_state(method, ds.train, rng))])
+    group = RunGroup([init_run(method, ds.train, rng)])
     pairs = [step_alone(group, perm[lo:lo + 10], ds.train.y[perm[lo:lo + 10]], 10, rng)
              for lo in range(0, 120, 10)]
     losses = np.array(pairs)  # a run's loss history: (loss_current, loss_replay) rows
@@ -228,11 +228,10 @@ def test_train_step_cold_start_has_no_replay_loss():
     ds = small_gauss()
     method = uer_method(hidden_dims=(8,))
     rng = make_rng([0, 1])
-    state = init_state(method, ds.train, rng)
-    _, loss_replay = step_alone(RunGroup([Run(method, state)]), np.arange(10),
-                                ds.train.y[:10], 10, rng)
+    run = init_run(method, ds.train, rng)
+    _, loss_replay = step_alone(RunGroup([run]), np.arange(10), ds.train.y[:10], 10, rng)
     assert loss_replay == 0.0
-    assert len(state.stream.buffer) == 10  # the batch was offered after the step
+    assert len(run.stream.buffer) == 10  # the batch was offered after the step
 
 
 def test_replay_disabled_equals_plain_ce_step():
@@ -241,24 +240,24 @@ def test_replay_disabled_equals_plain_ce_step():
 
     ft = finetune_method(hidden_dims=(8,))
     rng_a = make_rng(7)
-    state_a = init_state(ft, ds.train, rng_a)
-    step_alone(RunGroup([Run(ft, state_a)]), np.arange(10), y, 10, rng_a)
+    run_a = init_run(ft, ds.train, rng_a)
+    step_alone(RunGroup([run_a]), np.arange(10), y, 10, rng_a)
 
     # hand-rolled: register rows with the same rng, then one dot-CE step
     rng_b = make_rng(7)
-    state_b = init_state(ft, ds.train, rng_b)
-    register(state_b, y, rng_b)
-    rows = np.array([label_to_row(state_b)[int(v)] for v in y])
-    tape = GradientTape(state_b.extractor, state_b.predictor)
-    H, cache = forward_batch(state_b.extractor, x)
-    _, dH = loss_dot(state_b.predictor, H, rows, tape)
-    backward_batch(state_b.extractor, cache, dH, tape)
-    sgd_step(state_b.extractor, state_b.predictor, tape, ft.lr)
+    run_b = init_run(ft, ds.train, rng_b)
+    register(run_b, y, rng_b)
+    rows = np.array([label_to_row(run_b)[int(v)] for v in y])
+    tape = GradientTape(run_b.extractor, run_b.predictor)
+    H, cache = forward_batch(run_b.extractor, x)
+    _, dH = loss_dot(run_b.predictor, H, rows, tape)
+    backward_batch(run_b.extractor, cache, dH, tape)
+    sgd_step(run_b.extractor, run_b.predictor, tape, ft.lr)
 
-    np.testing.assert_allclose(flat_params(state_a.extractor, state_a.predictor),
-                               flat_params(state_b.extractor, state_b.predictor),
+    np.testing.assert_allclose(flat_params(run_a.extractor, run_a.predictor),
+                               flat_params(run_b.extractor, run_b.predictor),
                                atol=1e-12)
-    assert len(state_a.stream.buffer) == 0  # replay-disabled runs never store
+    assert len(run_a.stream.buffer) == 0  # replay-disabled runs never store
 
 
 def test_finetune_never_touches_buffer_rng():
@@ -267,7 +266,7 @@ def test_finetune_never_touches_buffer_rng():
     ds = small_gauss()
     ft = finetune_method(hidden_dims=(8,))
     rng = make_rng(13)
-    group = RunGroup([Run(ft, init_state(ft, ds.train, rng))])
+    group = RunGroup([init_run(ft, ds.train, rng)])
     before = rng.bit_generator.state["state"]["state"]
     step_alone(group, np.arange(10), ds.train.y[:10], 10, rng)
     mid = rng.bit_generator.state["state"]["state"]
@@ -283,7 +282,7 @@ def test_joint_batch_matches_union_mean():
     perm = make_rng(17).permutation(len(ds.train.x))
     method = er_method(buffer_capacity=50, hidden_dims=(8,))
     rng = make_rng([3, 1])
-    group = RunGroup([Run(method, init_state(method, ds.train, rng))])
+    group = RunGroup([init_run(method, ds.train, rng)])
     pairs = [step_alone(group, perm[lo:lo + 10], ds.train.y[perm[lo:lo + 10]], 10, rng)
              for lo in range(0, 160, 10)]
     losses = np.array(pairs)
@@ -298,17 +297,17 @@ def _snapshot(group, rngs) -> list:
     and every rng's state."""
     out = [r.bit_generator.state for r in rngs]
     for run in group.runs:
-        state, stream = run.state, run.state.stream
+        stream = run.stream
         buf = stream.buffer
-        out += [flat_params(state.extractor, state.predictor).tobytes(), buf.rows.tobytes(),
-                buf.y.tobytes(), buf.pos.tobytes(), buf.size, buf.seen,
+        out += [flat_params(run.extractor, run.predictor).tobytes(), buf.rows.tobytes(),
+                buf.y.tobytes(), buf.size, buf.seen,
                 list(stream.class_order), stream.row_of_label.tobytes(), stream.step,
                 stream.consumed_in_stage]
     return out
 
 
 def _stepped_lone_and_group():
-    """A group of one TrainState and a RunGroup of two streams, stepped
+    """A group of one run and a RunGroup of two streams, stepped
     directly over the first 40 rows of a shuffled small_gauss, so that
     their buffers replay: (dataset, method, row order, lone group, its
     rng, group, its rngs)."""
@@ -316,9 +315,9 @@ def _stepped_lone_and_group():
     method = uer_method(buffer_capacity=20, hidden_dims=(8,))
     perm = make_rng(23).permutation(len(ds.train))
     rng = make_rng(5)
-    lone = RunGroup([Run(method, init_state(method, ds.train, rng))])
+    lone = RunGroup([init_run(method, ds.train, rng)])
     streams = [StreamState(MemoryBuffer(20), 8, ds.train) for _ in range(2)]
-    group = RunGroup([Run(method, _follow(stream, init_extractor((6, 8), make_rng(k))))
+    group = RunGroup([Run(method, init_extractor((6, 8), make_rng(k)), stream)
                       for k, stream in enumerate(streams)])
     rngs = [make_rng(6), make_rng(7)]
     for lo in range(0, 40, 10):  # the buffers fill and replay
@@ -334,7 +333,7 @@ def _stepped_lone_and_group():
 def test_a_row_outside_the_source_raises_and_changes_nothing(bad):
     # a step reads its samples from its stream's source by row: a negative
     # row, or one past the source's 160, raises IndexError before the step
-    # draws or writes anything, in a group of one TrainState and in a group
+    # draws or writes anything, in a group of one run and in a group
     # of two streams whose second batch holds it
     ds, method, perm, lone, rng, group, rngs = _stepped_lone_and_group()
     good, rows = perm[40:50], perm[50:60].copy()
@@ -355,7 +354,7 @@ def test_a_row_outside_the_source_raises_and_changes_nothing(bad):
 def test_an_empty_batch_raises_and_changes_nothing():
     # a step learns the mean over its incoming batch: an empty one raises
     # ValueError naming it before the step draws or writes anything, in a
-    # group of one TrainState and in a group of two streams whose second
+    # group of one run and in a group of two streams whose second
     # batch is empty (it once divided by zero after the replay draw)
     ds, method, perm, lone, rng, group, rngs = _stepped_lone_and_group()
     empty, good = np.zeros(0, dtype=np.int64), perm[40:50]
@@ -376,7 +375,7 @@ def test_rows_and_labels_of_other_lengths_raise_and_change_nothing(n_rows, n_lab
     # each incoming row needs its label: a batch whose rows and labels
     # differ in length raises ValueError naming both counts before the
     # step draws or writes anything (it once raised only after the replay
-    # draw), in a group of one TrainState and in a group of two streams
+    # draw), in a group of one run and in a group of two streams
     # whose second batch is the odd one
     ds, method, perm, lone, rng, group, rngs = _stepped_lone_and_group()
     good, rows, y = perm[40:50], perm[50:50 + n_rows], ds.train.y[perm[50:50 + n_labels]]
