@@ -103,8 +103,9 @@ def _parse_lines(text: str) -> dict[str, tuple[int, str]]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if not key or not all(seg and all(c.isalnum() or c in "_-" for c in seg)
-                              for seg in key.split(".")):
+        # str.isalnum alone also takes letters and digits outside ASCII (é, ²)
+        if not key.isascii() or not all(seg and all(c.isalnum() or c in "_-" for c in seg)
+                                        for seg in key.split(".")):
             raise ConfigError(f"line {lineno}: malformed key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: key {key}: empty value")

@@ -272,13 +272,14 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     """Per-row mixed cross-entropy alpha_i * ce_dot_i + (1 - alpha_i) * ce_cos_i.
 
     alpha and weights are scalars or one value per row. Returns the per-row
-    cross-entropies and, when a tape is given, adds the gradient of
-    sum_i weights_i * ce_i to it and returns the matching d/dH block
-    (otherwise dH is None). Both scores come from one product S = H W^T:
-    dot logits are S + b, cosine logits gamma * S / (||h|| ||w||). A branch
-    runs, over every row, only if some row weights it (some alpha > 0 for
-    dot, some alpha < 1 for cosine), so all-one or all-zero alpha give the
-    pure losses exactly.
+    cross-entropies and, when a tape is given, writes the gradient of
+    sum_i weights_i * ce_i into its class-row and bias blocks (over what
+    they held; a cosine-only call writes +0 biases) and returns the
+    matching d/dH block (otherwise dH is None). Both scores come from one
+    product S = H W^T: dot logits are S + b, cosine logits
+    gamma * S / (||h|| ||w||). A branch runs, over every row, only if some
+    row weights it (some alpha > 0 for dot, some alpha < 1 for cosine), so
+    all-one or all-zero alpha give the pure losses exactly.
 
     With a predictor stacked over slices (one per run), H is (slices,
     batch, dim) and rows (slices, batch); alpha and weights are shared by
@@ -328,7 +329,7 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
         hn = _sum(HH, -1, out=out("hn", rows.shape))
         np.sqrt(hn, out=hn)
         np.maximum(hn, EPS_NORM, out=hn)
-        WW = np.multiply(pp.W, pp.W, out=out("dw", pp.W.shape))  # dW is not formed yet
+        WW = np.multiply(pp.W, pp.W, out=out("dw", pp.W.shape))
         wn = np.maximum(np.sqrt(_sum(WW, -1)), EPS_NORM)
         den = filled(out("den", scores), wn[..., None, :])
         den = np.multiply(filled(spread, hn[..., None]), den, out=den)
@@ -349,7 +350,9 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     if use_dot:
         Pd.reshape(-1)[pick] -= 1.0
         Pd *= filled(spread, plan.dot_grad)
-        tape.pred_b += _sum(Pd, -2)
+        _sum(Pd, -2, out=tape.pred_b, initial=0.0)
+    else:
+        tape.pred_b.fill(0.0)  # cosine scores carry no bias term
     if use_cos:
         # the closed form at module top, per row, with Q = Pc / (|h| |w|)
         # and R = Pc * cos:
@@ -360,11 +363,11 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
         R = np.multiply(Pc, C, out=C)  # neither C nor den is read again
         Q = np.divide(Pc, den, out=den)
         G = np.add(G, Q, out=G) if use_dot else Q
-    dW = np.matmul(G.swapaxes(-1, -2), H, out=out("dw", pp.W.shape))
-    tape.pred_w += dW
+    np.matmul(G.swapaxes(-1, -2), H, out=tape.pred_w)
     dH = np.matmul(G, pp.W, out=out(("g", H.shape[-1]), H.shape))
     if use_cos:
-        tape.pred_w -= np.multiply(filled(dW, (_sum(R, -2) / (wn * wn))[..., None]), pp.W, out=dW)
+        dw = out("dw", pp.W.shape)  # scratch: W * W above, the correction here
+        tape.pred_w -= np.multiply(filled(dw, (_sum(R, -2) / (wn * wn))[..., None]), pp.W, out=dw)
         corr = filled(out(("t", H.shape[-1]), H.shape), (_sum(R, -1) / (hn * hn))[..., None])
         dH -= np.multiply(corr, H, out=corr)
     return ce, dH
@@ -372,8 +375,9 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
 
 def loss_dot(pp: PredictorParams, H: np.ndarray, rows, tape=None,
              grad_weight: float = 1.0):
-    """Mean dot-score cross-entropy over a batch; with a tape, adds the
-    gradient of grad_weight * mean and returns d/dH (else dH is None)."""
+    """Mean dot-score cross-entropy over a batch; with a tape, writes the
+    gradient of grad_weight * mean into it and returns d/dH (else dH is
+    None)."""
     # max(.., 1): loss_rows itself rejects an empty batch
     ce, dH = loss_rows(pp, None, 1.0, H, rows, grad_weight / max(len(H), 1), tape)
     return float(ce.mean()), dH

@@ -2,8 +2,9 @@
 
 ReLU follows every layer, the last one included, so the feature vector
 handed to the scoring layer is elementwise non-negative. Updates are plain
-SGD; gradients accumulate in a GradientTape that mirrors the extractor
-layers and the class scorer, and the tape is zeroed after each step.
+SGD. A step's gradients live in a GradientTape that mirrors the extractor
+layers and the class scorer: loss_rows and backward_batch write each
+block of it (they do not add to it), so nothing needs to zero it.
 
 Parameters may carry a leading axis: a weight (slices, out, in) and a
 bias (slices, out) hold one network per slice (per run). forward_batch,
@@ -15,10 +16,10 @@ rate per slice.
 
 forward_batch and backward_batch write every rows x width result into
 the buffers of a Workspace: the activations (ReLU is applied in place),
-the backward masks, Dz, the gradient passed down and the weight-gradient
-products. Given one, the features forward_batch returns live in it and
-the next call overwrites them; without one, a call uses a Workspace of
-its own.
+the backward masks, Dz and the gradient passed down; the weight and bias
+gradients go straight into the tape. Given one, the features
+forward_batch returns live in it and the next call overwrites them;
+without one, a call uses a Workspace of its own.
 """
 
 from __future__ import annotations
@@ -74,21 +75,15 @@ class FeatureExtractor:
 
 
 class GradientTape:
-    """Per-parameter gradient buffers for one extractor plus one predictor."""
+    """Per-parameter gradient buffers for one extractor plus one predictor.
+    Each step writes every block (loss_rows the scorer's, backward_batch
+    the layers'), so what a block held before is never read."""
 
     def __init__(self, extractor: FeatureExtractor, predictor: PredictorParams):
         self.layer_w = [np.zeros_like(l.weight) for l in extractor.layers]
         self.layer_b = [np.zeros_like(l.bias) for l in extractor.layers]
         self.pred_w = np.zeros_like(predictor.W)
         self.pred_b = np.zeros_like(predictor.b)
-
-    def zero(self) -> None:
-        for g in self.layer_w:
-            g.fill(0.0)
-        for g in self.layer_b:
-            g.fill(0.0)
-        self.pred_w.fill(0.0)
-        self.pred_b.fill(0.0)
 
 
 def init_extractor(dims: Sequence[int], rng: Rng) -> FeatureExtractor:
@@ -146,11 +141,16 @@ def forward_batch(fe: FeatureExtractor, X: np.ndarray,
 
 def backward_batch(fe: FeatureExtractor, acts: list[np.ndarray], dH: np.ndarray,
                    tape: GradientTape, ws: Workspace | None = None) -> np.ndarray:
-    """Add every layer's weight and bias gradient to the tape and return the
-    first layer's pre-activation gradient; acts is what forward_batch
-    returned with the features. The gradient with respect to the input
-    itself is not formed (training never needs it). Every rows x width
-    block is written into ws's buffers."""
+    """Write every layer's weight and bias gradient into the tape (over what
+    it held) and return the first layer's pre-activation gradient; acts is
+    what forward_batch returned with the features. The gradient with
+    respect to the input itself is not formed (training never needs it).
+    Every rows x width block is written into ws's buffers.
+
+    The products and sums land in the tape as a zeroed tape plus them
+    would hold them: a bias sum starts from +0 (initial=0.0), and no
+    product of this build's matmul is -0 (tests/test_lockstep.py checks
+    both)."""
     dH = np.asarray(dH, dtype=np.float64)
     if dH.shape != acts[-1].shape:
         raise ShapeError(f"upstream grad {dH.shape} does not match features "
@@ -162,11 +162,9 @@ def backward_batch(fe: FeatureExtractor, acts: list[np.ndarray], dH: np.ndarray,
         mask = np.greater(acts[k + 1], 0.0, out=out(("mask", width), D.shape, np.bool_))
         Dz = filled(out(("t", width), D.shape), mask)  # the mask as a float block
         np.multiply(D, Dz, out=Dz)
-        tape.layer_w[k] += np.matmul(Dz.swapaxes(-1, -2), acts[k],
-                                     out=out(("gw", k), tape.layer_w[k].shape))
+        np.matmul(Dz.swapaxes(-1, -2), acts[k], out=tape.layer_w[k])
         # Dz.sum(axis=-2) without its wrapper
-        gb = out(("gb", width), tape.layer_b[k].shape)
-        tape.layer_b[k] += np.add.reduce(Dz, axis=-2, out=gb)
+        np.add.reduce(Dz, axis=-2, out=tape.layer_b[k], initial=0.0)
         if k:
             W = fe.layers[k].weight
             D = np.matmul(Dz, W, out=out(("g", W.shape[-1]), (*D.shape[:-1], W.shape[-1])))
@@ -175,8 +173,9 @@ def backward_batch(fe: FeatureExtractor, acts: list[np.ndarray], dH: np.ndarray,
 
 def sgd_step(extractor: FeatureExtractor, predictor: PredictorParams,
              tape: GradientTape, lr) -> None:
-    """θ <- θ - lr * grad for every parameter, then zero the tape. With
-    parameters stacked over slices, lr is one value or one per slice."""
+    """θ <- θ - lr * grad for every parameter, scaling the tape in place
+    (the next step writes it over). With parameters stacked over slices,
+    lr is one value or one per slice."""
     lr_w = lr_b = lr
     if np.ndim(lr):
         lr = np.asarray(lr, dtype=np.float64)
@@ -192,7 +191,7 @@ def sgd_step(extractor: FeatureExtractor, predictor: PredictorParams,
         raise ShapeError(f"tape predictor block {tape.pred_w.shape} does not match "
                          f"{predictor.W.shape}")
     # each gradient is scaled in place (g * lr, the same product as lr * g),
-    # then subtracted; the tape is zeroed after
+    # then subtracted
     for layer, gw, gb in zip(extractor.layers, tape.layer_w, tape.layer_b):
         if gw.shape != layer.weight.shape:
             raise ShapeError(f"tape layer block {gw.shape} does not match {layer.weight.shape}")
@@ -200,4 +199,3 @@ def sgd_step(extractor: FeatureExtractor, predictor: PredictorParams,
         layer.bias -= np.multiply(gb, lr_b, out=gb)
     predictor.W -= np.multiply(tape.pred_w, lr_w, out=tape.pred_w)
     predictor.b -= np.multiply(tape.pred_b, lr_b, out=tape.pred_b)
-    tape.zero()

@@ -48,7 +48,7 @@ slice is computed exactly as its run alone would compute it.
 
 A run (Run) is a method, its parameters and the stream it follows; the
 stream (StreamState) holds the buffer, the label map and the counters,
-and the run's part (_Part) the tape its gradients accumulate in.
+and the run's part (_Part) the tape each step writes its gradients into.
 train_step steps the runs of a RunGroup, and a caller that steps one run
 holds a group of that one run (init_run builds such a run).
 """
@@ -324,10 +324,10 @@ class Run:
     holds its buffer, label map and counters. A run starts with an empty
     scorer that catches up with the rows its stream has registered. Once
     it steps, its extractor and scorer arrays are views of one slice of
-    its part's stacks (_Part), and its gradients accumulate in the part's
-    tape. What it produces is its metrics per stage and, on a trajectory,
-    its loss history: a (steps, 2) float64 array of (loss_current,
-    loss_replay) per step."""
+    its part's stacks (_Part), and each step writes its gradients into
+    the part's tape. What it produces is its metrics per stage and, on a
+    trajectory, its loss history: a (steps, 2) float64 array of
+    (loss_current, loss_replay) per step."""
     method: MethodConfig
     extractor: FeatureExtractor
     stream: StreamState

@@ -5,7 +5,8 @@ verbatim in behaviour, so the fused path in ``uer.trainer`` /
 ``uer.logits`` / ``uer.memory`` can be checked against it: a
 list-of-samples reservoir, three separate scoring losses, and a train step
 that runs one forward/backward for the incoming batch and a second one for
-the replayed batch.
+the replayed batch, each into a tape of its own that the step adds to its
+zeroed tape in pass order.
 
 ``per_seed_train_step`` and ``per_seed_run`` are the fused step and the
 experiment loop as they ran before a method's seeds trained in lockstep:
@@ -403,10 +404,31 @@ def _rows_for(state, labels) -> np.ndarray:
     return np.array([label_to_row[int(y)] for y in labels], dtype=np.int64)
 
 
-def _batch_loss(mode, state, scale, H, rows, weight=1.0):
+def _batch_loss(mode, state, scale, H, rows, tape, weight=1.0):
     if mode is LogitMode.DOT:
-        return loss_dot(state.predictor, H, rows, state.tape, grad_weight=weight)
-    return loss_current(state.predictor, scale, H, rows, state.tape, grad_weight=weight)
+        return loss_dot(state.predictor, H, rows, tape, grad_weight=weight)
+    return loss_current(state.predictor, scale, H, rows, tape, grad_weight=weight)
+
+
+def _blocks(tape) -> list[np.ndarray]:
+    return [*tape.layer_w, *tape.layer_b, tape.pred_w, tape.pred_b]
+
+
+def _zero(tape) -> None:
+    for g in _blocks(tape):
+        g.fill(0.0)
+
+
+def _pass_tape(state) -> GradientTape:
+    """A zero tape for one pass of the step. backward_batch writes its
+    layer blocks over what they held, so each pass fills a tape of its own
+    and the step adds the passes into its tape in pass order."""
+    return GradientTape(state.extractor, state.predictor)
+
+
+def _add_pass(state, tape) -> None:
+    for g, p in zip(_blocks(state.tape), _blocks(tape)):
+        g += p
 
 
 def _joint_partials(state, method, scale, H, rows, n_cur):
@@ -424,7 +446,8 @@ def legacy_train_step(state, x_batch, y_batch, method, memory_batch_size, rng,
     """One step of the two-pass trainer; ``state.stream.buffer`` is a ListBuffer.
 
     ``sgd`` is called in place of ``uer.net.sgd_step`` so a test can look
-    at the gradient tape before the update zeroes it.
+    at the gradient tape before the update scales it. The step's tape is
+    zeroed, then each pass's tape is added to it: (0 + incoming) + replayed.
     """
     register_classes(state.stream, y_batch, rng)
     catch_up(state)
@@ -435,6 +458,7 @@ def legacy_train_step(state, x_batch, y_batch, method, memory_batch_size, rng,
     if _replays(method):
         replayed = list_buffer_retrieve(state.stream.buffer, memory_batch_size, rng)
 
+    _zero(state.tape)
     if method.joint_batch:
         n_cur = len(y_batch)
         if replayed:
@@ -444,25 +468,28 @@ def legacy_train_step(state, x_batch, y_batch, method, memory_batch_size, rng,
         else:
             X, rows = x_batch, rows_cur
         H, cache = forward_batch(state.extractor, X)
-        if method.triple.learn is LogitMode.DOT:
-            _, dH = loss_dot(state.predictor, H, rows, state.tape)
-        else:
-            _, dH = loss_current(state.predictor, scale, H, rows, state.tape)
-        backward_batch(state.extractor, cache, dH, state.tape)
+        tape = _pass_tape(state)
+        _, dH = _batch_loss(method.triple.learn, state, scale, H, rows, tape)
+        backward_batch(state.extractor, cache, dH, tape)
+        _add_pass(state, tape)
         l_c, l_p = _joint_partials(state, method, scale, H, rows, n_cur)
     else:
         H_cur, cache_cur = forward_batch(state.extractor, x_batch)
-        l_c, dH_cur = _batch_loss(method.triple.learn, state, scale, H_cur, rows_cur)
-        backward_batch(state.extractor, cache_cur, dH_cur, state.tape)
+        tape = _pass_tape(state)
+        l_c, dH_cur = _batch_loss(method.triple.learn, state, scale, H_cur, rows_cur, tape)
+        backward_batch(state.extractor, cache_cur, dH_cur, tape)
+        _add_pass(state, tape)
         l_p = 0.0
         if replayed:
             X_mem = np.stack([s.x for s in replayed])
             rows_mem = _rows_for(state, np.array([s.y for s in replayed]))
             H_mem, cache_mem = forward_batch(state.extractor, X_mem)
+            tape = _pass_tape(state)
             l_p, dH_mem = loss_replay(state.predictor, scale,
                                       method.triple.replay.alpha,
-                                      H_mem, rows_mem, state.tape)
-            backward_batch(state.extractor, cache_mem, dH_mem, state.tape)
+                                      H_mem, rows_mem, tape)
+            backward_batch(state.extractor, cache_mem, dH_mem, tape)
+            _add_pass(state, tape)
 
     l_total = l_c + l_p
     sgd(state.extractor, state.predictor, state.tape, method.lr)

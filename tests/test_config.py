@@ -271,6 +271,14 @@ def test_malformed_key_reported():
         parse_config_text("data set.kind = x\n")
 
 
+@pytest.mark.parametrize("key", ["method.uér.lr", "method.uer².lr", "dataset.kïnd"])
+def test_non_ascii_key_reported(key):
+    # a segment is [A-Za-z0-9_-]+: letters and digits outside ASCII are malformed
+    lines = MINIMAL.count("\n")
+    with pytest.raises(ConfigError, match=f"line {lines + 1}: malformed key"):
+        parse_config_text(MINIMAL + f"{key} = 0.1\n")
+
+
 def test_empty_value_reported():
     with pytest.raises(ConfigError, match="empty value"):
         parse_config_text("dataset.kind =\n")

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 import legacy_step
 import uer.trainer
-from conftest import losses_of, overflowing_features, overflowing_scores, step_alone, \
-    step_start, with_train_row
+from conftest import blas_versions, losses_of, overflowing_features, overflowing_scores, \
+    step_alone, step_start, with_train_row
 from uer import RunGroup, init_run
 from uer.evaluation import stage_metrics_to_dict
 from uer.logits import CosineScale, LogitMode, PredictorParams, loss_rows
@@ -35,17 +35,8 @@ from uer.trainer import (er_method, finetune_method, lucir_method, run_experimen
                          run_trajectories, uer_a_method, uer_method)
 
 
-def _versions() -> str:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{blas.get('name')} {blas.get('version')}"
-    except Exception:  # noqa: BLE001 - older NumPy has no dict form
-        blas = "unknown"
-    return f"NumPy {np.__version__}, BLAS {blas}"
-
-
 PREMISE = ("a slice of a stacked call differs from the 2-d call on it, so seeds "
-           f"cannot train in lockstep bitwise on this build ({_versions()})")
+           f"cannot train in lockstep bitwise on this build ({blas_versions()})")
 
 
 def _same(stacked_slice, alone, what):
@@ -236,6 +227,60 @@ def test_stacked_finiteness_check_names_the_seed():
     with pytest.raises(NonFiniteError) as info:
         require_finite(H, "features")
     assert info.value.seeds is None
+
+
+TAPE_PREMISE = ("a gradient written straight into the tape differs from a zeroed tape plus "
+                f"it, so a step that skips the zeroing changes bits on this build "
+                f"({blas_versions()})")
+
+
+def _signed_zeros(rng, shape, share):
+    """Normal entries of which about share are zeros, each entry's sign at
+    random, so the zeros are +0 and -0 alike."""
+    x = np.abs(rng.normal(size=shape))
+    x[rng.random(shape) < share] = 0.0
+    return np.copysign(x, rng.choice([-1.0, 1.0], size=shape))
+
+
+@given(slices=st.integers(0, 3), n=st.integers(1, 24), classes=st.integers(1, 12),
+       dim=st.integers(1, 64), share=st.sampled_from([0.5, 0.9, 1.0]),
+       negative=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(slices=0, n=1, classes=1, dim=1, share=1.0, negative=True, seed=0)
+@example(slices=2, n=20, classes=10, dim=64, share=0.5, negative=True, seed=1)
+@example(slices=1, n=288, classes=10, dim=256, share=0.9, negative=True, seed=2)
+@example(slices=0, n=288, classes=10, dim=256, share=0.9, negative=False, seed=3)
+@settings(max_examples=60, deadline=None)
+def test_tape_writes_equal_a_zeroed_tape_plus_them(slices, n, classes, dim, share, negative,
+                                                   seed):
+    # loss_rows and backward_batch write each gradient into its tape block
+    # (a stale tape is never zeroed), which holds the bits of the old
+    # `+0 += product` only if no product of a Gᵀ·H or G·W shape comes out
+    # -0 and a bias sum started from +0 (initial=0.0) equals +0 plus the
+    # sum. The score gradient G holds ±0 wherever a branch gives a row no
+    # weight; with negative, it is -0 at every zero of H and at its own,
+    # so whole dot products are -0 term by term
+    rng = make_rng(seed)
+    lead = (slices,) if slices else ()
+    G = _signed_zeros(rng, (*lead, n, classes), share)
+    H = _signed_zeros(rng, (*lead, n, dim), share)
+    W = _signed_zeros(rng, (*lead, classes, dim), share)
+    if negative:
+        G[G == 0.0] = -0.0
+        H = np.abs(H)
+        W = np.abs(W)
+    for a, b, shape in ((G.swapaxes(-1, -2), H, (*lead, classes, dim)),
+                        (G, W, (*lead, n, dim))):
+        written = np.full(shape, np.nan)
+        np.matmul(a, b, out=written)
+        zeroed = np.zeros(shape)
+        zeroed += np.matmul(a, b)
+        assert written.tobytes() == zeroed.tobytes(), TAPE_PREMISE
+    for x in (G, H):
+        written = np.full(x.shape[:-2] + x.shape[-1:], np.nan)
+        np.add.reduce(x, axis=-2, out=written, initial=0.0)
+        zeroed = np.zeros_like(written)
+        zeroed += np.add.reduce(x, axis=-2)
+        assert written.tobytes() == zeroed.tobytes(), TAPE_PREMISE
 
 
 # ---------------------------------------------------------- equivalence

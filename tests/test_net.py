@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (assert_grad_close, conditioned_instance, fd_gradient,
                       flat_params, flat_tape)
-from uer.logits import PredictorParams, loss_dot
+from uer.logits import CosineScale, PredictorParams, loss_dot, loss_rows
 from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch,
                      forward_batch, init_extractor, sgd_step)
 from uer.numeric import ShapeError, make_rng
@@ -194,14 +194,39 @@ def test_sgd_step_two_steps_accumulate_linearly():
     assert fe.layers[0].weight[0, 0] == pytest.approx(1.0 - 2 * 0.1 * g, abs=1e-15)
 
 
-def test_sgd_step_zeroes_tape():
-    fe = single_layer([[1.0]], [0.0])
-    pp = PredictorParams(np.ones((1, 1)), np.zeros(1))
-    tape = GradientTape(fe, pp)
-    tape.layer_w[0][0, 0] = 1.0
-    tape.pred_w[0, 0] = 2.0
-    sgd_step(fe, pp, tape, 0.1)
-    assert not flat_tape(tape).any()
+@pytest.mark.parametrize("stacked", [False, True], ids=["2d", "two-slices"])
+@pytest.mark.parametrize("alpha", [1.0, 0.0, 0.5], ids=["dot", "cosine", "mixed"])
+def test_a_step_writes_every_tape_block_over_what_it_held(alpha, stacked):
+    # nothing zeroes the tape between steps: loss_rows and backward_batch
+    # write each block, so a tape full of nan must come out with the bytes
+    # of a fresh one, and a cosine-only step writes its biases as +0
+    rng = make_rng(5)
+    lead = (2,) if stacked else ()
+    dims = (4, 6, 3)
+    fe = FeatureExtractor([LayerParams(rng.normal(size=(*lead, o, i)), rng.normal(size=(*lead, o)))
+                           for i, o in zip(dims, dims[1:])])
+    pp = PredictorParams(rng.normal(size=(*lead, 5, 3)), rng.normal(size=(*lead, 5)))
+    X = rng.normal(size=(*lead, 7, 4))
+    rows = rng.integers(0, 5, size=(*lead, 7))
+    scale = CosineScale(10.0)
+
+    def step(tape):
+        H, acts = forward_batch(fe, X)
+        _, dH = loss_rows(pp, scale, alpha, H, rows, 0.25, tape)
+        backward_batch(fe, acts, dH, tape)
+        return tape
+
+    fresh = step(GradientTape(fe, pp))
+    stale = GradientTape(fe, pp)
+    for g in (*stale.layer_w, *stale.layer_b, stale.pred_w, stale.pred_b):
+        g.fill(np.nan)
+    step(stale)
+    blocks = zip((*stale.layer_w, *stale.layer_b, stale.pred_w, stale.pred_b),
+                 (*fresh.layer_w, *fresh.layer_b, fresh.pred_w, fresh.pred_b))
+    for k, (got, want) in enumerate(blocks):
+        assert got.tobytes() == want.tobytes(), f"tape block {k}"
+    if alpha == 0.0:
+        assert stale.pred_b.tobytes() == np.zeros_like(pp.b).tobytes()
 
 
 def test_sgd_step_validates_lr_and_shapes():
