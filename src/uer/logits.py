@@ -25,19 +25,20 @@ skipped rather than multiplied by zero. loss_dot, loss_current and
 loss_replay are its batch-mean forms. Like the network, loss_rows accepts
 a predictor and features stacked on a leading axis, one slice per run, and
 computes each slice exactly as the 2-d call would; each slice may carry its
-own alpha and weight rows and its own gamma. Slices may take different
-branches, in any order: a branch that some row weights runs over the
-whole call, and a row that gives it no weight gets its terms times an
-exact 0, which leaves its bits as its 2-d call has them (loss_rows names
-the one overflow edge). What loss_rows derives from its scale, alpha and
-weights depends only on the step shape; a caller whose steps repeat a
-shape builds it once as a StepPlan (step_plan) and passes it to every
-call of that shape.
+own alpha and weight rows, and the slices share one gamma. Slices may take
+different branches, in any order: a branch that some row weights runs
+over the whole call, and a row that gives it no weight gets its terms
+times an exact 0, which leaves its bits as its 2-d call has them
+(loss_rows names the one overflow edge). What loss_rows derives from its
+scale, alpha and weights depends only on the step shape; a caller whose
+steps repeat a shape builds it once as a StepPlan (step_plan) and passes
+it to every call of that shape.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,11 +60,13 @@ class LogitMode(enum.Enum):
 
 @dataclass(frozen=True)
 class CosineScale:
-    gamma: float | np.ndarray = 10.0  # or one gamma per slice of a stacked block
+    """The cosine score's gamma: one positive number, which every slice of
+    a stacked block shares."""
+    gamma: float = 10.0
 
     def __post_init__(self):
-        if not np.all(np.asarray(self.gamma) > 0):
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (isinstance(self.gamma, numbers.Real) and self.gamma > 0):
+            raise ValueError(f"gamma must be one positive number, got {self.gamma!r}")
 
 
 @dataclass
@@ -228,7 +231,7 @@ class StepPlan:
     use_cos: bool  # some row has alpha < 1: the cosine branch runs on every row
     starts: np.ndarray  # _row_starts(shape, classes)
     a_cos: np.ndarray  # 1 - alpha
-    gamma: float | np.ndarray  # against a cosine score block
+    gamma: float  # against a cosine score block
     dot_grad: np.ndarray | None  # alpha * w, a column
     cos_grad: np.ndarray | None  # gamma * (1 - alpha) * w, a column
 
@@ -237,7 +240,7 @@ def step_plan(scale: CosineScale | None, alpha, weights, shape: tuple[int, ...],
               classes: int) -> StepPlan:
     """The StepPlan of loss_rows calls whose rows have this shape and whose
     predictor has this many classes. Checks alpha, weights (None: a plan
-    for calls without a tape) and gamma as loss_rows does, with its errors."""
+    for calls without a tape) as loss_rows does, with its errors."""
     shape = tuple(shape)
     a = _per_row(alpha, shape, "alpha")
     lo, hi = _min(a, None), _max(a, None)
@@ -245,16 +248,11 @@ def step_plan(scale: CosineScale | None, alpha, weights, shape: tuple[int, ...],
     if not (0.0 <= lo and hi <= 1.0):
         raise ValueError(f"alpha out of [0,1]: {alpha}")
     use_dot, use_cos = bool(hi > 0.0), bool(lo < 1.0)
-    gamma = g_rows = 1.0
+    gamma = 1.0
     if use_cos:
         if scale is None:
             raise ValueError("cosine scoring needs a CosineScale")
-        gamma = g_rows = scale.gamma
-        if np.ndim(gamma):
-            gamma = np.asarray(gamma, dtype=np.float64)
-            if len(shape) != 2 or gamma.shape != shape[:1]:
-                raise ShapeError(f"{shape[0]} slices but gamma has shape {gamma.shape}")
-            g_rows, gamma = gamma[:, None], gamma[:, None, None]
+        gamma = scale.gamma
     a_cos = 1.0 - a
     w = dot_grad = cos_grad = None
     if weights is not None:
@@ -262,7 +260,7 @@ def step_plan(scale: CosineScale | None, alpha, weights, shape: tuple[int, ...],
         if use_dot:
             dot_grad = _column(a * w)
         if use_cos:
-            cos_grad = _column(g_rows * a_cos * w)
+            cos_grad = _column(gamma * a_cos * w)
     return StepPlan(shape, classes, a, w, use_dot, use_cos, _row_starts(shape, classes), a_cos,
                     gamma, dot_grad, cos_grad)
 
@@ -283,8 +281,8 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
 
     With a predictor stacked over slices (one per run), H is (slices,
     batch, dim) and rows (slices, batch); alpha and weights are shared by
-    every slice or given as (slices, batch), scale.gamma is one value or
-    (slices,), and the per-row results come back as (slices, batch). The
+    every slice or given as (slices, batch), every slice shares the one
+    scale.gamma, and the per-row results come back as (slices, batch). The
     slices may take different branches, in any order: a branch that some
     slice uses runs over them all, and a slice that gives it no weight
     gets its terms times an exact 0, which leaves every bit of that

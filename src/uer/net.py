@@ -12,7 +12,7 @@ backward_batch and sgd_step then take (slices, batch, dim) blocks and run
 every slice with the same calls; each slice is computed exactly as its
 2-d call would compute it, because a stacked product or a reduction over
 the last two axes is the 2-d one per slice. sgd_step takes one learning
-rate per slice.
+rate, which every slice shares.
 
 forward_batch and backward_batch write every rows x width result into
 the buffers of a Workspace: the activations (ReLU is applied in place),
@@ -24,6 +24,7 @@ without one, a call uses a Workspace of its own.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -174,19 +175,10 @@ def backward_batch(fe: FeatureExtractor, acts: list[np.ndarray], dH: np.ndarray,
 def sgd_step(extractor: FeatureExtractor, predictor: PredictorParams,
              tape: GradientTape, lr) -> None:
     """θ <- θ - lr * grad for every parameter, scaling the tape in place
-    (the next step writes it over). With parameters stacked over slices,
-    lr is one value or one per slice."""
-    lr_w = lr_b = lr
-    if np.ndim(lr):
-        lr = np.asarray(lr, dtype=np.float64)
-        if predictor.W.ndim != 3 or lr.shape != predictor.W.shape[:1]:
-            raise ShapeError(f"{lr.shape} learning rates for predictor {predictor.W.shape}")
-        positive = bool((lr > 0).all())
-        lr_w, lr_b = lr[:, None, None], lr[:, None]  # against (slices, out, in) and (slices, out)
-    else:
-        positive = lr > 0
-    if not positive:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    (the next step writes it over). lr is one positive number; with
+    parameters stacked over slices, every slice steps with it."""
+    if not (isinstance(lr, numbers.Real) and lr > 0):
+        raise ValueError(f"learning rate must be one positive number, got {lr!r}")
     if tape.pred_w.shape != predictor.W.shape:
         raise ShapeError(f"tape predictor block {tape.pred_w.shape} does not match "
                          f"{predictor.W.shape}")
@@ -195,7 +187,7 @@ def sgd_step(extractor: FeatureExtractor, predictor: PredictorParams,
     for layer, gw, gb in zip(extractor.layers, tape.layer_w, tape.layer_b):
         if gw.shape != layer.weight.shape:
             raise ShapeError(f"tape layer block {gw.shape} does not match {layer.weight.shape}")
-        layer.weight -= np.multiply(gw, lr_w, out=gw)
-        layer.bias -= np.multiply(gb, lr_b, out=gb)
-    predictor.W -= np.multiply(tape.pred_w, lr_w, out=tape.pred_w)
-    predictor.b -= np.multiply(tape.pred_b, lr_b, out=tape.pred_b)
+        layer.weight -= np.multiply(gw, lr, out=gw)
+        layer.bias -= np.multiply(gb, lr, out=gb)
+    predictor.W -= np.multiply(tape.pred_w, lr, out=tape.pred_w)
+    predictor.b -= np.multiply(tape.pred_b, lr, out=tape.pred_b)

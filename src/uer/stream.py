@@ -9,7 +9,7 @@ Gaussians in 20 dimensions whose means sit on a sphere of radius 3
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -253,56 +253,31 @@ def _parse_lines(path, width: int | None, remap: dict[int, int],
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             parts = line.split(",")
             if len(parts) < 2:
-                raise _line_error(path, xs, lineno, "need a label and at least one feature")
+                raise CsvFormatError(f"{where}: need a label and at least one feature")
             try:
                 label = int(parts[0])
             except ValueError:
-                raise _line_error(path, xs, lineno, f"invalid label {parts[0]!r}") from None
+                raise CsvFormatError(f"{where}: invalid label {parts[0]!r}") from None
             try:
                 feats = [float(p) for p in parts[1:]]
             except ValueError:
-                raise _line_error(path, xs, lineno, "invalid feature value") from None
+                raise CsvFormatError(f"{where}: invalid feature value") from None
             if width is None:
                 width = len(feats)
             elif len(feats) != width:
-                raise _line_error(path, xs, lineno, f"expected {width} features, "
-                                                    f"got {len(feats)}")
+                raise CsvFormatError(f"{where}: expected {width} features, got {len(feats)}")
             if known_labels and label not in remap:
-                raise _line_error(path, xs, lineno, f"label {label} does not occur in the "
-                                                    f"training data")
+                raise CsvFormatError(f"{where}: label {label} does not occur in the training data")
+            if not all(map(math.isfinite, feats)):
+                raise CsvFormatError(f"{where}: non-finite feature value")
             raw_labels.append(label)
             xs.append(feats)
     if not xs:
         raise CsvFormatError(f"{path}: dataset is empty")
-    x = np.array(xs, dtype=np.float64)
-    if (bad := _nonfinite_line(path, x)) is not None:
-        raise CsvFormatError(f"{path}:{bad}: non-finite feature value")
-    return x, raw_labels
-
-
-def _nonfinite_line(path, x: np.ndarray) -> int | None:
-    """The line of the first row of x that holds a non-finite feature."""
-    bad = ~np.isfinite(x).all(axis=1)
-    return _data_lineno(path, int(np.argmax(bad))) if bad.any() else None
-
-
-def _line_error(path, xs: list[list[float]], lineno: int, what: str) -> CsvFormatError:
-    """The error at line lineno, unless a row read before it (xs) holds a
-    non-finite feature: errors are reported in line order, while the
-    features are checked in one pass over the rows, not line by line."""
-    bad = _nonfinite_line(path, np.array(xs, dtype=np.float64, ndmin=2))
-    if bad is not None:
-        lineno, what = bad, "non-finite feature value"
-    return CsvFormatError(f"{path}:{lineno}: {what}")
-
-
-def _data_lineno(path, row: int) -> int:
-    """1-based line number of the row-th (0-based) non-blank line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data_lines = (lineno for lineno, line in enumerate(fh, 1) if line.strip())
-        return next(itertools.islice(data_lines, row, None))
+    return np.array(xs, dtype=np.float64), raw_labels
 
 
 def save_csv_dataset(path, data: LabeledData) -> None:

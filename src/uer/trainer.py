@@ -39,12 +39,13 @@ agree on these follow one trajectory (run_trajectories): one stream
 shuffles each stage's training rows, registers labels, draws the replay
 batch, finds the [incoming; replayed] source rows and updates its one
 buffer, and every run on it reuses them. Only the parameters are per
-run. The runs step in parts: runs whose step and network shapes agree
-run the forward pass, loss_rows, the backward pass and the SGD step
-once, over parameters and one gradient tape stacked on a leading axis,
-with per-run alpha, weights, gamma and lr, whatever each run's rule: a
-loss branch that some run uses runs over the whole part. Each run's
-slice is computed exactly as its run alone would compute it.
+run. The runs step in parts: runs whose step and network shapes agree,
+and whose methods agree on gamma and lr, run the forward pass,
+loss_rows, the backward pass and the SGD step once, over parameters and
+one gradient tape stacked on a leading axis, with per-run alpha and
+weight rows, whatever each run's rule: a loss branch that some run uses
+runs over the whole part. Each run's slice is computed exactly as its
+run alone would compute it.
 
 A run (Run) is a method, its parameters and the stream it follows; the
 stream (StreamState) holds the buffer, the label map and the counters,
@@ -56,7 +57,6 @@ holds a group of that one run (init_run builds such a run).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -301,7 +301,6 @@ def catch_up(run: Run) -> None:
         run.stage_baseline.add_class(row.copy(), 0.0)
 
 
-@lru_cache(maxsize=256)
 def _row_mix(learn_alpha: float, replay_alpha: float, joint: bool,
              n_cur: int, n_mem: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row mix weight alpha and loss weight for [incoming; replayed]."""
@@ -310,7 +309,6 @@ def _row_mix(learn_alpha: float, replay_alpha: float, joint: bool,
         weights = np.full(n_cur + n_mem, 1.0 / (n_cur + n_mem))
     else:
         weights = np.repeat([1.0 / n_cur, 1.0 / max(n_mem, 1)], [n_cur, n_mem])
-    alpha.flags.writeable = weights.flags.writeable = False
     return alpha, weights
 
 
@@ -342,34 +340,24 @@ class Run:
         self.stage_baseline = self.predictor.copy()
         catch_up(self)
         triple = self.method.triple
-        # the _row_mix key of the method
+        # the method's _row_mix arguments, less the step shape
         self.mix = (1.0 if triple.learn is LogitMode.DOT else 0.0,
                     triple.replay.alpha, self.method.joint_batch)
-
-
-def _shared(values: list):
-    """values[0] if every value is the same (equal floats, or one cached
-    row), else the values stacked on a leading axis, read-only."""
-    first = values[0]
-    if all(v is first or (np.ndim(v) == 0 and v == first) for v in values):
-        return first
-    stacked = np.stack(values) if np.ndim(first) else np.array(values)
-    stacked.flags.writeable = False
-    return stacked
 
 
 class _Part:
     """Runs that take their steps together.
 
-    A part's runs agree on the network shape and on the step shape (batch
-    length, replay count, registered class count), and are kept in the
-    order they were given. Whatever their loss branches, each slice gets
-    the bits of its run alone (see loss_rows). The part keeps their
-    parameters and its gradient tape (the only one) stacked on a leading
-    axis, one slice per run (a part of one run has one slice); each run
-    holds views of its parameter slices. Alpha and weight rows, gamma and
-    lr are per slice. A part's step writes into its RunGroup's one
-    workspace. The part keeps the StepPlan of each step shape of its
+    A part's runs agree on the network shape, on their methods' gamma and
+    lr, and on the step shape (batch length, replay count, registered
+    class count), and are kept in the order they were given. Whatever
+    their loss branches, each slice gets the bits of its run alone (see
+    loss_rows). The part keeps their parameters and its gradient tape (the
+    only one) stacked on a leading axis, one slice per run (a part of one
+    run has one slice); each run holds views of its parameter slices. The
+    part holds the one gamma (scale) and lr its runs share; alpha and
+    weight rows are per slice. A part's step writes into its RunGroup's
+    one workspace. The part keeps the StepPlan of each step shape of its
     current class count (plan).
     """
 
@@ -385,10 +373,7 @@ class _Part:
                 layer.weight, layer.bias = both.weight[i], both.bias[i]
             stacked.append(both)
         self.extractor = FeatureExtractor(stacked)
-        # one value serves every slice when the runs agree (the same
-        # arithmetic, one operand instead of a stack of equal ones)
-        self.scale = CosineScale(_shared([run.method.gamma for run in runs]))
-        self.lr = _shared([run.method.lr for run in runs])
+        self.scale, self.lr = runs[0].method.scale(), runs[0].method.lr
         self.stack_predictors()
 
     def stack_predictors(self) -> None:
@@ -402,16 +387,16 @@ class _Part:
 
     def plan(self, n_cur: int, n_mem: int, classes: int) -> StepPlan:
         """The loss plan of a step of this shape: the part's alpha and
-        weight rows ((rows,) when every run has the same, else (runs,
-        rows)), its gammas and the class count, built on the shape's first
-        step. Class counts only grow, so a new one drops the older plans."""
+        weight rows, (runs, rows), its one gamma and the class count, built
+        on the shape's first step. Class counts only grow, so a new one
+        drops the older plans."""
         key = (n_cur, n_mem, classes)
         plan = self._plans.get(key)
         if plan is None:
             if any(k[2] != classes for k in self._plans):
                 self._plans.clear()
-            mixes = [_row_mix(*run.mix, n_cur, n_mem) for run in self.runs]
-            alpha, weights = (_shared([m[j] for m in mixes]) for j in (0, 1))
+            alpha, weights = map(np.stack, zip(*(_row_mix(*run.mix, n_cur, n_mem)
+                                                 for run in self.runs)))
             plan = self._plans[key] = step_plan(self.scale, alpha, weights,
                                                 (len(self.runs), n_cur + n_mem), classes)
         return plan
@@ -438,11 +423,13 @@ class _Part:
 class RunGroup:
     """Runs trained in lockstep, on one or more streams.
 
-    Runs whose next step has the same step shape and whose networks have
-    the same shape step together in one part, whatever their loss
-    branches: one forward pass, one loss_rows, one backward pass and one
-    SGD step over parameters stacked on a leading axis, each loss branch
-    over every slice if any slice uses it. When step shapes diverge, a
+    Runs whose next step has the same step shape, whose networks have the
+    same shape and whose methods agree on gamma and lr step together in
+    one part, whatever their loss branches: one forward pass, one
+    loss_rows, one backward pass and one SGD step over parameters stacked
+    on a leading axis, each loss branch over every slice if any slice
+    uses it. Their alpha and weight rows are per slice, and the part's
+    one gamma and lr serve every slice. When step shapes diverge, a
     part splits and the pieces go on separately; they are not merged
     again. A run's bytes do not depend on which runs share its part, nor
     on their order. runs (in the order train_step reports them) and
@@ -461,11 +448,12 @@ class RunGroup:
     """
 
     def __init__(self, runs):
-        by_shape: dict[tuple, list[Run]] = {}
+        by_key: dict[tuple, list[Run]] = {}
         for run in runs:
-            shape = tuple(layer.weight.shape for layer in run.extractor.layers)
-            by_shape.setdefault(shape, []).append(run)
-        self.set_parts([_Part(group) for group in by_shape.values()])
+            key = (tuple(layer.weight.shape for layer in run.extractor.layers),
+                   run.method.gamma, run.method.lr)
+            by_key.setdefault(key, []).append(run)
+        self.set_parts([_Part(group) for group in by_key.values()])
         self._ws, self._scoring = Workspace(), False
 
     def set_parts(self, parts: list[_Part]) -> None:

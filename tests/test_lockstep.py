@@ -3,8 +3,8 @@
 The premise: every kernel of the training step (forward_batch, loss_rows,
 backward_batch, sgd_step) computes each slice of a block stacked on a
 leading axis exactly as its 2-d call on that slice would, bit for bit,
-also when each slice carries its own alpha and weight rows, gamma and lr,
-and when the slices take different loss branches, in any order.
+also when each slice carries its own alpha and weight rows, and when the
+slices take different loss branches, in any order.
 On top of it, one method's seeds trained together (run_trajectories, one
 stream per seed) must give the very same metrics bytes and losses as
 legacy_step.per_seed_run, which trains each alone, whatever the other
@@ -113,9 +113,9 @@ def test_stacked_kernels_equal_2d_calls_bitwise(seeds, n, dims, classes, alpha, 
 @example(kinds=["cosine", "dot"], n=1, dims=[5, 1, 7], classes=1, seed=3)
 @settings(max_examples=60, deadline=None)
 def test_per_slice_settings_equal_2d_calls_bitwise(kinds, n, dims, classes, seed):
-    # each slice is a run with its own alpha and weight rows, gamma and lr;
-    # the slices take dot only, both or cosine only, in any order, as the
-    # runs of a part do
+    # each slice is a run with its own alpha and weight rows, sharing one
+    # gamma and lr with the others; the slices take dot only, both or
+    # cosine only, in any order, as the runs of a part do
     slices = len(kinds)
     rng = make_rng(seed)
     weights = [rng.normal(size=(slices, o, i)) / np.sqrt(i) for i, o in zip(dims, dims[1:])]
@@ -129,7 +129,7 @@ def test_per_slice_settings_equal_2d_calls_bitwise(kinds, n, dims, classes, seed
     a[[k == "dot" for k in kinds]] = 1.0
     a[[k == "cosine" for k in kinds]] = 0.0
     w = rng.uniform(0.05, 1.0, size=(slices, n))
-    gamma, lr = rng.uniform(1.0, 16.0, size=slices), rng.uniform(0.01, 0.5, size=slices)
+    gamma, lr = float(rng.uniform(1.0, 16.0)), float(rng.uniform(0.01, 0.5))
 
     fe = FeatureExtractor([LayerParams(wk.copy(), bk.copy()) for wk, bk in zip(weights, biases)])
     pp = PredictorParams(W.copy(), b.copy())
@@ -146,15 +146,14 @@ def test_per_slice_settings_equal_2d_calls_bitwise(kinds, n, dims, classes, seed
         pp_s = PredictorParams(W[s].copy(), b[s].copy())
         tape_s = GradientTape(fe_s, pp_s)
         H_s, acts_s = forward_batch(fe_s, X[s])
-        ce_s, dH_s = loss_rows(pp_s, CosineScale(float(gamma[s])), a[s], H_s, rows[s], w[s],
-                               tape_s)
+        ce_s, dH_s = loss_rows(pp_s, CosineScale(gamma), a[s], H_s, rows[s], w[s], tape_s)
         _same(ce[s], ce_s, "loss_rows cross-entropy")
         _same(dH[s], dH_s, "loss_rows dH")
         backward_batch(fe_s, acts_s, dH_s, tape_s)
         grads_s = (*tape_s.layer_w, *tape_s.layer_b, tape_s.pred_w, tape_s.pred_b)
         for k, (g, g_s) in enumerate(zip(grads, grads_s)):
             _same(g[s], g_s, f"gradient block {k}")
-        sgd_step(fe_s, pp_s, tape_s, float(lr[s]))
+        sgd_step(fe_s, pp_s, tape_s, lr)
         for k, (layer, layer_s) in enumerate(zip(fe.layers, fe_s.layers)):
             _same(layer.weight[s], layer_s.weight, f"sgd_step layer {k} weight")
             _same(layer.bias[s], layer_s.bias, f"sgd_step layer {k} bias")
@@ -178,7 +177,7 @@ def test_slices_that_take_different_branches_need_branch_order(alpha):
     pp = PredictorParams(rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3)))
     H = np.abs(rng.normal(size=(2, 2, 4)))
     rows, alpha = np.array([[0, 2], [1, 0]]), np.array(alpha)
-    gamma = np.array([10.0, 4.0])
+    gamma = 4.0
     tape = GradientTape(FeatureExtractor([LayerParams(np.zeros((2, 4, 1)), np.zeros((2, 4)))]),
                         pp)
     ce, dH = loss_rows(pp, CosineScale(gamma), alpha, H, rows, 0.5, tape)
@@ -186,8 +185,7 @@ def test_slices_that_take_different_branches_need_branch_order(alpha):
         pp_s = PredictorParams(pp.W[s], pp.b[s])
         tape_s = GradientTape(FeatureExtractor([LayerParams(np.zeros((4, 1)), np.zeros(4))]),
                               pp_s)
-        ce_s, dH_s = loss_rows(pp_s, CosineScale(float(gamma[s])), alpha[s], H[s], rows[s],
-                               0.5, tape_s)
+        ce_s, dH_s = loss_rows(pp_s, CosineScale(gamma), alpha[s], H[s], rows[s], 0.5, tape_s)
         _same(ce[s], ce_s, "loss_rows cross-entropy")
         _same(dH[s], dH_s, "loss_rows dH")
         _same(tape.pred_w[s], tape_s.pred_w, "class row gradient")
@@ -198,18 +196,17 @@ def test_per_slice_settings_are_checked():
     rng = make_rng(0)
     pp = PredictorParams(rng.normal(size=(2, 3, 4)), np.zeros((2, 3)))
     H, rows = np.abs(rng.normal(size=(2, 2, 4))), np.zeros((2, 2), dtype=np.int64)
-    with pytest.raises(ValueError, match="gamma has shape"):
-        loss_rows(pp, CosineScale(np.array([1.0, 2.0, 3.0])), 0.0, H, rows, 0.5)
+    # alpha may be per slice; gamma and lr are one number for every slice
     with pytest.raises(ValueError, match="alpha has shape"):
         loss_rows(pp, None, np.ones((3, 2)), H, rows, 0.5)
-    with pytest.raises(ValueError, match="gamma must be positive"):
-        CosineScale(np.array([1.0, 0.0]))
+    for gamma in (np.array([1.0, 2.0]), np.array([1.0, 0.0]), np.array(2.0), 0.0):
+        with pytest.raises(ValueError, match="^gamma must be one positive number"):
+            CosineScale(gamma)
     fe = FeatureExtractor([LayerParams(np.ones((2, 4, 4)), np.zeros((2, 4)))])
     tape = GradientTape(fe, pp)
-    with pytest.raises(ValueError, match="learning rates"):
-        sgd_step(fe, pp, tape, np.array([0.1, 0.1, 0.1]))
-    with pytest.raises(ValueError, match="must be positive"):
-        sgd_step(fe, pp, tape, np.array([0.1, -0.1]))
+    for lr in (np.array([0.1, 0.1]), np.array([0.1, -0.1]), np.array(0.1), -0.1):
+        with pytest.raises(ValueError, match="^learning rate must be one positive number"):
+            sgd_step(fe, pp, tape, lr)
 
 
 def test_stacked_finiteness_check_names_the_seed():
@@ -523,6 +520,26 @@ def test_seeds_with_different_network_shapes_step_apart():
     outcomes = run_seed_group(by_seed.__getitem__, method, STREAM, SEEDS)
     for seed, outcome in zip(SEEDS, outcomes):
         _assert_same_run(outcome, legacy_step.per_seed_run(by_seed[seed], method, STREAM, seed))
+
+
+@pytest.mark.parametrize("setting", ["gamma", "lr"])
+def test_runs_step_in_one_part_per_gamma_and_lr(setting):
+    # a part holds one gamma and one lr: runs that differ only in one of
+    # them step apart, one part per value in order of first appearance,
+    # and runs that agree share a part whatever their loss rules
+    source = _datasets()[0].train
+    values = [0.5, 0.25, 0.5, 0.125, 0.25]
+    runs = [init_run(uer_method(hidden_dims=(16,), **{setting: v}), source, make_rng(0))
+            for v in values]
+    group = RunGroup(runs)
+    assert [part.runs for part in group.parts] == \
+        [[runs[0], runs[2]], [runs[1], runs[4]], [runs[3]]]
+    for part in group.parts:
+        method = part.runs[0].method
+        assert (part.scale.gamma, part.lr) == (method.gamma, method.lr)
+    agree = [init_run(method, source, make_rng(0)) for method in _presets().values()]
+    (part,) = RunGroup(agree).parts
+    assert part.runs == agree
 
 
 # ------------------------------------------------------- parts of one run

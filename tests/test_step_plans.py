@@ -291,7 +291,7 @@ def test_a_plan_gives_the_bits_of_a_call_without_one():
     rows = rng.integers(0, 5, size=(3, 6))
     alpha = np.repeat([[1.0], [0.5], [0.0]], 6, axis=1)  # dot, both, cosine
     w = np.full((3, 6), 1 / 6)
-    scale = CosineScale(np.array([2.0, 10.0, 5.0]))
+    scale = CosineScale(5.0)
     fe = FeatureExtractor([LayerParams(np.ones((3, 4, 2)), np.zeros((3, 4)))])
     plan = step_plan(scale, alpha, w, rows.shape, 5)
     for _ in range(2):  # the plan's blocks are read, not written

@@ -18,9 +18,11 @@ import legacy_step
 from conftest import losses_of
 import uer.cli
 import uer.trainer
+from uer import RunGroup, init_run
 from uer.cli import run_grid, sweep_jobs, table1_jobs
 from uer.config import build_dataset, parse_config_text
 from uer.evaluation import stage_metrics_to_dict
+from uer.numeric import make_rng
 from uer.trainer import er_method, run_trajectories, uer_method
 
 SEEDS = "0,1,2"
@@ -161,6 +163,49 @@ def test_presets_in_reverse_match_per_method_groups(tmp_path, monkeypatch):
     rounds, _ = _parts(monkeypatch, cfg)
     assert ("lucir", "uer-a", "uer") * 3 in rounds
     _assert_grid_matches_oracle(cfg, _jobs(cfg))
+
+
+# uer, lucir at lr 0.05, and two custom methods: g4 at gamma 4, and g16 at
+# gamma 16 with lr 0.02
+MIXED_GAMMA_LR = """\
+method.lucir.lr = 0.05
+method.g4.learn = cosine
+method.g4.replay = mixed
+method.g4.test = dot
+method.g4.gamma = 4
+method.g16.learn = dot
+method.g16.replay = cosine
+method.g16.test = cosine
+method.g16.gamma = 16
+method.g16.lr = 0.02
+"""
+
+
+def test_methods_apart_in_gamma_or_lr_step_apart_and_match_per_method_groups(tmp_path,
+                                                                              monkeypatch):
+    # the four methods share each seed's stream and round, but a part holds
+    # one gamma and one lr, so each method's seeds take a fused step of
+    # their own
+    cfg = _config(tmp_path, ["uer", "lucir", "g4", "g16"], seeds="0,1", extra=MIXED_GAMMA_LR)
+    rounds, parts = _parts(monkeypatch, cfg)
+    assert set(rounds) == {("uer", "uer", "lucir", "lucir", "g4", "g4", "g16", "g16")}
+    assert len(rounds) == STEPS
+    assert parts == [(name, name) for name in ("uer", "lucir", "g4", "g16")] * STEPS
+    _assert_grid_matches_oracle(cfg, _jobs(cfg))
+
+
+def test_presets_and_subcommand_grids_share_one_gamma_and_lr(tmp_path):
+    # every preset, table1 triple and sweep-alpha job of a default config
+    # steps in one part with the others of its stream; a job with its own
+    # gamma or lr would split the parts the benchmark workloads run
+    cfg = _config(tmp_path, ["uer", "uer-a", "er", "lucir", "finetune"])
+    methods = [*cfg.methods, *(m for m, _ in table1_jobs(cfg, 30)),
+               *(m for m, _ in sweep_jobs(cfg.methods[0], cfg, [a / 10 for a in range(11)]))]
+    assert {(m.gamma, m.lr) for m in methods} == {(10.0, 0.1)}
+    source = build_dataset(cfg.dataset, 0).train
+    runs = [init_run(m, source, make_rng(0)) for m in methods]
+    (part,) = RunGroup(runs).parts
+    assert part.runs == runs
 
 
 def test_table1_grid_matches_per_method_groups(tmp_path, monkeypatch):
