@@ -143,21 +143,48 @@ def test_run_reproduces_every_output_byte(tmp_path):
     assert first == second
 
 
-# sha256 of every metrics file an invocation writes, in name order, each
-# name then its bytes: the five presets on SMALL's stream, and table1 on
-# UER_ONLY's with --buffer 50. Pinned on NumPy 2.4.6 with scipy-openblas
-# 0.3.31, where the bitwise premises hold.
+# sha256 of each metrics file an invocation writes, keyed by command and
+# file name: the five presets on SMALL's stream, and table1 on UER_ONLY's
+# with --buffer 50. Pinned on NumPy 2.4.6 with scipy-openblas 0.3.31,
+# where the bitwise premises hold.
 PINNED_METRICS = {
-    "run": "169d80b4523667d99964809b1e42dd8f6aa081505afc177a8b5da9de594b79bb",
-    "table1": "4bafdcd3c9c4771859d792f59045d2c7ad710e9a7f350bc32639b82654cc07ff",
+    "run/er_seed0.metrics.jsonl":
+        "76d27ae5167733aee8533168a37a5a2916910c94729cc6be451e79de9d95db04",
+    "run/er_seed1.metrics.jsonl":
+        "dd83c324dc6696b418c560a6b7507fab953e28b4ea785c63356d1c488d9242e6",
+    "run/finetune_seed0.metrics.jsonl":
+        "f22dc1441d3b7704b2fa6bf77fb737e63716f10fd157eebff3f0a80c7d264a30",
+    "run/finetune_seed1.metrics.jsonl":
+        "76b5a2adb7461833db8bc88af0b572123ddbd8d17fcd7e337e54f3b02cae0f90",
+    "run/lucir_seed0.metrics.jsonl":
+        "c86fd79f56c87042a0f02341c35374de3ac22f318f1d87ad6adef5543075d2a2",
+    "run/lucir_seed1.metrics.jsonl":
+        "a72206fe5df04e1271dbb5779884f75cc61b9019d69fab03af496dec29f7d771",
+    "run/uer-a_seed0.metrics.jsonl":
+        "10cbc9d994b9763c6be3a2c5f10b445c0000062c066b5737c0238a0996034517",
+    "run/uer-a_seed1.metrics.jsonl":
+        "f45c9fb9d4dfbf9edcc999cac73b654328d782390e8b15e116b3be7a6829de10",
+    "run/uer_seed0.metrics.jsonl":
+        "73ba870dc4df1cf0c6e91b151bb8bbc50048c0979870ca00a28a5bfaf8ee665c",
+    "run/uer_seed1.metrics.jsonl":
+        "5db50f91f039a950266ccab80d157a42b60af1c063725febdc21229e5125a2e9",
+    "table1/cosine-cosine-cosine_seed0.metrics.jsonl":
+        "c86fd79f56c87042a0f02341c35374de3ac22f318f1d87ad6adef5543075d2a2",
+    "table1/cosine-cosine-dot_seed0.metrics.jsonl":
+        "b2fc175f6056340f2bfe70ca79efaf69371ea0f89b89fad5c4f63d507f16ac1d",
+    "table1/cosine-dot-cosine_seed0.metrics.jsonl":
+        "f60f63459e4b31967bb9d8c4afa69b32b6f20a2925d914a9eb127bf1eaf9191b",
+    "table1/cosine-dot-dot_seed0.metrics.jsonl":
+        "10cbc9d994b9763c6be3a2c5f10b445c0000062c066b5737c0238a0996034517",
+    "table1/dot-cosine-cosine_seed0.metrics.jsonl":
+        "2a315eaff017f56ac1de486202e8193c2692926a76543e45ef88ee4700a46413",
+    "table1/dot-cosine-dot_seed0.metrics.jsonl":
+        "5b530576f0aff1011c9875c5ea18b9c7e9c556c32a0050c53f63c6b4064fa088",
+    "table1/dot-dot-cosine_seed0.metrics.jsonl":
+        "4a709d969d945b25f1f565da9ed5c8a6198c9834978d8b7cf7eb389338ea65a1",
+    "table1/dot-dot-dot_seed0.metrics.jsonl":
+        "c710d6a30d8b6522a5c88788431ca986a0f8130afdc268b543f4d15f98266c99",
 }
-
-
-def _metrics_digest(out: Path) -> str:
-    digest = hashlib.sha256()
-    for path in sorted(out.glob("*.metrics.jsonl")):
-        digest.update(path.name.encode("utf-8") + b"\n" + path.read_bytes())
-    return digest.hexdigest()
 
 
 def test_metrics_bytes_equal_pinned_digests(tmp_path, capsys):
@@ -169,7 +196,8 @@ def test_metrics_bytes_equal_pinned_digests(tmp_path, capsys):
         (tmp_path / command).mkdir()
         cfg_path, out = write_config(tmp_path / command, text)
         assert main([command, "--config", str(cfg_path), *flags]) == 0
-        got[command] = _metrics_digest(out)
+        for path in sorted(out.glob("*.metrics.jsonl")):
+            got[f"{command}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     capsys.readouterr()
     assert got == PINNED_METRICS, f"metrics bytes moved on this build ({blas_versions()})"
 
