@@ -5,8 +5,8 @@ from .config import ConfigError, DatasetSpec, ExperimentConfig, build_dataset, \
 from .evaluation import StageMetrics, StageScores, accuracy, average_accuracy, \
     average_posterior, bias_diagnostics, posterior_group_means, read_metrics, score_stages, \
     write_metrics
-from .logits import CosineScale, LogitMode, PredictorParams, StepPlan, cosine_logits_batch, \
-    dot_logits_batch, loss_current, loss_dot, loss_replay, loss_rows, step_plan
+from .logits import CosineScale, LogitMode, PredictorParams, StepPlan, loss_current, loss_dot, \
+    loss_replay, loss_rows, score_block, step_plan
 from .memory import MemoryBuffer, buffer_retrieve, buffer_update
 from .net import FeatureExtractor, GradientTape, LayerParams, backward_batch, forward_batch, \
     init_extractor, sgd_step

@@ -9,6 +9,10 @@ assigned to each class over the test samples seen so far).
 The diagnostics split the registered classes into "previous" (earlier
 stages) and "current" (the stage just trained). When a group is empty its
 fields are omitted entirely rather than set to zero.
+
+score_stages scores the test rows with logits.score_block, the kernel the
+training losses call, so a run is tested on the scores it trained on, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .logits import CosineScale, LogitMode, PredictorParams, _row_starts, \
-    cosine_logits_batch, dot_logits_batch
+from .logits import CosineScale, LogitMode, PredictorParams, _row_starts, _softmax_at, \
+    score_block
 from .net import forward_batch
-from .numeric import NonFiniteError, Workspace, filled
+from .numeric import NonFiniteError, Workspace
 from .stream import LabeledData
 
 
@@ -60,13 +64,6 @@ class StageMetrics:
     accumulated_param_change: float
     avg_posterior: list[float]
     consumed_samples: int
-
-
-def _scores(predictor: PredictorParams, H: np.ndarray, mode: LogitMode,
-            scale: CosineScale, ws: Workspace) -> np.ndarray:
-    if mode is LogitMode.DOT:
-        return dot_logits_batch(predictor, H, ws)
-    return cosine_logits_batch(predictor, H, scale, ws)
 
 
 @dataclass
@@ -168,21 +165,14 @@ def score_stages(run, test: LabeledData, ends: Sequence[int], mode: LogitMode,
             if not isfinite(top):
                 raise NonFiniteError("features contains non-finite entries")
             collapsed = collapsed and not top > 0.0
-            S = _scores(run.predictor, H, mode, scale, ws)
+            S = score_block(run.predictor, H, (mode,), scale, ws)[0][0]
             best = np.argmax(S, axis=1, out=ws("best", (size,), np.int64))
             label = np.take(class_order, best, out=ws("label", (size,), np.int64), mode="clip")
             np.equal(label, y, out=correct[lo:hi])
-            # the row softmax exp(S - rowmax) / rowsum, into the rows after the
-            # carried sum
+            # the row softmax, into the rows after the carried sum
             carry = carried[:size + 1]
             P = carry[1:]
-            pick = np.add(_row_starts((size,), classes), best,
-                          out=ws("pick", (size,), np.int64))
-            top = np.take(S.reshape(-1), pick, out=ws("top", (size,)), mode="clip")
-            np.subtract(S, filled(ws("spread", S.shape), top[:, None]), out=P)
-            np.exp(P, out=P)
-            rowsum = np.add.reduce(P, axis=1, out=ws("rowsum", (size,)))
-            np.divide(P, filled(ws("spread", S.shape), rowsum[:, None]), out=P)
+            _softmax_at(S, np.add(_row_starts((size,), classes), best, out=best), P, ws)
             if lo:
                 carry[0] = total
             np.add.reduce(carry if lo else P, axis=0, out=total)

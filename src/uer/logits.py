@@ -12,27 +12,28 @@ with the roles of w and h swapped is the gradient with respect to h. Norms
 are floored at EPS_NORM so all-zero features or rows stay finite.
 
 Each formula has one implementation, and it works on a (rows, dim) block
-of features; one sample is a one-row block. dot_logits_batch and
-cosine_logits_batch score a block (stage scoring calls them). Every
-training loss is one kernel, loss_rows, which mixes the two
-cross-entropies per sample with a per-row weight alpha:
+of features; one sample is a one-row block. score_block computes the
+scores, and both stage scoring and training call it: one product
+S = H W^T gives the dot scores S + b and the cosine scores
+gamma * (S / (||h|| ||w||)), so a run is tested on the very scores it
+trained on. Every training loss is one kernel, loss_rows, which mixes the
+two cross-entropies per sample with a per-row weight alpha:
 
     alpha * ce_dot + (1 - alpha) * ce_cos
 
-Both scores come from one product S = H W^T. The endpoints alpha in {0, 1}
-reduce bitwise to the pure losses because a branch no row weights is
-skipped rather than multiplied by zero. loss_dot, loss_current and
-loss_replay are its batch-mean forms. Like the network, loss_rows accepts
-a predictor and features stacked on a leading axis, one slice per run, and
-computes each slice exactly as the 2-d call would; each slice may carry its
-own alpha and weight rows, and the slices share one gamma. Slices may take
-different branches, in any order: a branch that some row weights runs
-over the whole call, and a row that gives it no weight gets its terms
-times an exact 0, which leaves its bits as its 2-d call has them
-(loss_rows names the one overflow edge). What loss_rows derives from its
-scale, alpha and weights depends only on the step shape; a caller whose
-steps repeat a shape builds it once as a StepPlan (step_plan) and passes
-it to every call of that shape.
+The endpoints alpha in {0, 1} reduce bitwise to the pure losses because a
+branch no row weights is skipped rather than multiplied by zero. loss_dot,
+loss_current and loss_replay are its batch-mean forms. Like the network,
+loss_rows accepts a predictor and features stacked on a leading axis, one
+slice per run, and computes each slice exactly as the 2-d call would;
+each slice may carry its own alpha and weight rows, and the slices share
+one gamma. Slices may take different branches, in any order: a branch
+that some row weights runs over the whole call, and a row that gives it
+no weight gets its terms times an exact 0, which leaves its bits as its
+2-d call has them (loss_rows names the one overflow edge). What loss_rows
+derives from its scale, alpha and weights depends only on the step shape;
+a caller whose steps repeat a shape builds it once as a StepPlan
+(step_plan) and passes it to every call of that shape.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import enum
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -111,38 +113,46 @@ class PredictorParams:
         return PredictorParams(self.W.copy(), self.b.copy())
 
 
-def dot_logits_batch(pp: PredictorParams, H: np.ndarray,
-                     ws: Workspace | None = None) -> np.ndarray:
-    """H W^T + b for a (rows, dim) block, written into ws's "s" buffer (and
-    "spread" used as scratch)."""
+def score_block(pp: PredictorParams, H: np.ndarray, modes: tuple[LogitMode, ...],
+                scale: CosineScale | None = None, ws: Workspace | None = None):
+    """The scores of a block of rows under each mode of modes (DOT first,
+    COSINE last), as one (len(modes), ..., rows, classes) block in ws's
+    "l" buffer: dot scores S + b and cosine scores gamma * (S / den), from
+    one product S = H W^T, where den = |h| |w| with both norms floored at
+    EPS_NORM. H is a (rows, dim) block, or stacked (slices, rows, dim)
+    against a stacked predictor.
+
+    Returns the block and, when COSINE is scored, the factors the cosine
+    gradient reads, (|h|, |w|, den, S / den), else None. S goes into ws's
+    "s" buffer and S / den over it; "den", "hn", ("t", dim) and "dw"
+    (W's shape) hold the rest."""
     _check_dim(pp, H)
     out = ws or Workspace()
-    scores = (len(H), pp.num_classes)
-    L = np.matmul(H, pp.W.T, out=out("s", scores))
-    return np.add(L, filled(out("spread", scores), pp.b), out=L)
-
-
-def cosine_logits_batch(pp: PredictorParams, H: np.ndarray, scale: CosineScale,
-                        ws: Workspace | None = None) -> np.ndarray:
-    """gamma * (H W^T) / (|h| |w|) for a (rows, dim) block, norms floored at
-    EPS_NORM, written into ws's "s" buffer ("spread", "den", "hn" and
-    ("t", dim) used as scratch)."""
-    _check_dim(pp, H)
+    rows, classes = H.shape[:-1], pp.num_classes
+    scores = (*rows, classes)
+    # asked for with rows leading, as Workspace.sized expects
+    L = out("l", (len(modes) * prod(rows), classes)).reshape(len(modes), *scores)
+    S = np.matmul(H, pp.W.swapaxes(-1, -2), out=out("s", scores))
+    if modes[0] is LogitMode.DOT:
+        np.add(S, filled(L[0], pp.b[..., None, :]), out=L[0])
+    if modes[-1] is not LogitMode.COSINE:
+        return L, None
     if scale is None:
         raise ValueError("cosine scoring needs a CosineScale")
-    out = ws or Workspace()
-    scores = (len(H), pp.num_classes)
-    # row norms as np.linalg.norm computes them, without its temporaries
-    hn = _sum(np.multiply(H, H, out=out(("t", H.shape[-1]), H.shape)), -1,
-              out=out("hn", scores[:1]))
-    np.maximum(np.sqrt(hn, out=hn), EPS_NORM, out=hn)
-    wn = np.maximum(np.linalg.norm(pp.W, axis=1), EPS_NORM)
-    # hn_i * wn_j, the outer product, spread over two full blocks
-    den = filled(out("den", scores), wn)
-    np.multiply(filled(out("spread", scores), hn[:, None]), den, out=den)
-    S = np.matmul(H, pp.W.T, out=out("s", scores))
-    np.multiply(scale.gamma, S, out=S)
-    return np.divide(S, den, out=S)
+    # row norms as np.linalg.norm computes them, without its dispatch
+    HH = np.multiply(H, H, out=out(("t", H.shape[-1]), H.shape))
+    hn = _sum(HH, -1, out=out("hn", rows))
+    np.sqrt(hn, out=hn)
+    np.maximum(hn, EPS_NORM, out=hn)
+    WW = np.multiply(pp.W, pp.W, out=out("dw", pp.W.shape))
+    wn = np.maximum(np.sqrt(_sum(WW, -1)), EPS_NORM)
+    # hn_i * wn_j, the outer product, spread over two full blocks (the
+    # cosine scores' own block is the second, until they are written)
+    den = filled(out("den", scores), wn[..., None, :])
+    np.multiply(filled(L[-1], hn[..., None]), den, out=den)
+    C = np.divide(S, den, out=S)
+    np.multiply(scale.gamma, C, out=L[-1])
+    return L, (hn, wn, den, C)
 
 
 def _check_dim(pp: PredictorParams, H: np.ndarray) -> None:
@@ -174,22 +184,35 @@ def _row_starts(shape: tuple[int, ...], classes: int) -> np.ndarray:
     return starts
 
 
-def _softmax_ce(L: np.ndarray, pick: np.ndarray,
-                spread: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row softmax of L, exp(L - rowmax) / rowsum, written over L,
-    and the stable cross-entropy -log softmax at the entries of L whose
-    flat indices pick holds, sharing one exp. L is C-contiguous; spread is
-    a scratch block of its shape that takes the row max, then the row sum
-    (see numeric.filled)."""
-    m = _max(L, -1)
-    picked = L.reshape(-1)[pick]
-    E = np.subtract(L, filled(spread, m[..., None]), out=L)
-    np.exp(E, out=E)
-    s = _sum(E, -1)
-    ce = np.log(s)
+def _softmax_at(L: np.ndarray, at: np.ndarray, P: np.ndarray, ws: Workspace):
+    """The row softmax exp(L - rowmax) / rowsum of a C-contiguous block L,
+    written into P (L itself will do), where at holds the flat index of
+    each row's max (its argmax): the max read there is the one
+    np.maximum.reduce takes, nan and signed zeros included. Returns the
+    row max and the row sum, in ws's "top" and "rowsum" buffers; ws's
+    "spread" buffer, of L's shape, spreads them (see numeric.filled)."""
+    top = np.take(L.reshape(-1), at, out=ws("top", at.shape), mode="clip")
+    spread = ws("spread", L.shape)
+    np.subtract(L, filled(spread, top[..., None]), out=P)
+    np.exp(P, out=P)
+    rowsum = _sum(P, -1, out=ws("rowsum", at.shape))
+    np.divide(P, filled(spread, rowsum[..., None]), out=P)
+    return top, rowsum
+
+
+def _softmax_ce(L: np.ndarray, starts: np.ndarray, pick: np.ndarray,
+                ws: Workspace) -> np.ndarray:
+    """Row softmax of L written over L, and the stable cross-entropy
+    -log softmax at the entries of L whose flat indices pick holds, sharing
+    one exp; starts is _row_starts of L's rows. The returned block is ws's
+    "rowsum" buffer."""
+    picked = np.take(L.reshape(-1), pick, out=ws("picked", pick.shape), mode="clip")
+    at = np.argmax(L, -1, out=ws("at", pick.shape, np.int64))
+    m, ce = _softmax_at(L, np.add(starts, at, out=at), L, ws)
+    np.log(ce, out=ce)
     ce += m  # m + log(s), the same sum
     ce -= picked
-    return np.divide(E, filled(spread, s[..., None]), out=E), ce
+    return ce
 
 
 def _per_row(value, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -198,6 +221,12 @@ def _per_row(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     if v.ndim and v.shape not in (shape, shape[-1:]):
         raise ShapeError(f"{shape[-1]} samples but {what} has shape {v.shape}")
     return v
+
+
+def _stacked(shape: tuple[int, ...], parts: list) -> np.ndarray:
+    """One (len(parts), *shape) block of per-row values, each part a
+    scalar or an array that broadcasts to shape."""
+    return np.stack([np.broadcast_to(part, shape) for part in parts])
 
 
 def _column(value: np.ndarray) -> np.ndarray:
@@ -212,13 +241,14 @@ def _column(value: np.ndarray) -> np.ndarray:
 class StepPlan:
     """What loss_rows derives from its scale, alpha and weights for one
     step shape (the rows' shape and the class count), checked and computed
-    once: which branches run, each row's flat offset into a score block,
-    1 - alpha, and the per-row gradient factors. A caller whose steps
-    repeat a shape builds it once (step_plan) and passes it to every
+    once: which branches run, each row's flat offset into their score
+    block, and the per-branch factors of the alpha mix and the gradient,
+    stacked on a leading branch axis as the score block is. A caller whose
+    steps repeat a shape builds it once (step_plan) and passes it to every
     loss_rows call of that shape.
 
-    The factors are kept as columns, which each call spreads over the
-    workspace block it multiplies. Kept spread over whole score blocks
+    The gradient factors are kept as columns, which each call spreads over
+    the workspace block it multiplies. Kept spread over whole score blocks
     instead, they saved two copies a step but, held from step to step
     between the workspace's blocks, raised a widereplay run's peak RSS by
     about 1.4 MiB through the heap's layout.
@@ -227,13 +257,13 @@ class StepPlan:
     classes: int
     alpha: np.ndarray  # checked: a scalar, (batch,) or (slices, batch)
     weights: np.ndarray | None  # likewise; None for a plan without gradients
-    use_dot: bool  # some row has alpha > 0: the dot branch runs on every row
-    use_cos: bool  # some row has alpha < 1: the cosine branch runs on every row
-    starts: np.ndarray  # _row_starts(shape, classes)
-    a_cos: np.ndarray  # 1 - alpha
-    gamma: float  # against a cosine score block
-    dot_grad: np.ndarray | None  # alpha * w, a column
-    cos_grad: np.ndarray | None  # gamma * (1 - alpha) * w, a column
+    # the branches that run on every row, DOT if some row has alpha > 0,
+    # COSINE if some row has alpha < 1
+    modes: tuple[LogitMode, ...]
+    scale: CosineScale | None  # read only when COSINE runs
+    starts: np.ndarray  # _row_starts((branches, *shape), classes)
+    mix: np.ndarray  # (branches, *shape): alpha for DOT, 1 - alpha for COSINE
+    grad: np.ndarray | None  # a column: alpha * w for DOT, gamma * (1 - alpha) * w for COSINE
 
 
 def step_plan(scale: CosineScale | None, alpha, weights, shape: tuple[int, ...],
@@ -247,22 +277,18 @@ def step_plan(scale: CosineScale | None, alpha, weights, shape: tuple[int, ...],
     # a nan anywhere makes both bounds nan, which fails the check
     if not (0.0 <= lo and hi <= 1.0):
         raise ValueError(f"alpha out of [0,1]: {alpha}")
-    use_dot, use_cos = bool(hi > 0.0), bool(lo < 1.0)
-    gamma = 1.0
-    if use_cos:
-        if scale is None:
-            raise ValueError("cosine scoring needs a CosineScale")
-        gamma = scale.gamma
+    modes = (LogitMode.DOT,) * bool(hi > 0.0) + (LogitMode.COSINE,) * bool(lo < 1.0)
+    if modes[-1] is LogitMode.COSINE and scale is None:
+        raise ValueError("cosine scoring needs a CosineScale")
     a_cos = 1.0 - a
-    w = dot_grad = cos_grad = None
+    mix = [a if mode is LogitMode.DOT else a_cos for mode in modes]
+    w = grad = None
     if weights is not None:
         w = _per_row(weights, shape, "weights")
-        if use_dot:
-            dot_grad = _column(a * w)
-        if use_cos:
-            cos_grad = _column(gamma * a_cos * w)
-    return StepPlan(shape, classes, a, w, use_dot, use_cos, _row_starts(shape, classes), a_cos,
-                    gamma, dot_grad, cos_grad)
+        grad = _column(_stacked(shape, [a * w if mode is LogitMode.DOT
+                                        else scale.gamma * a_cos * w for mode in modes]))
+    return StepPlan(shape, classes, a, w, modes, scale,
+                    _row_starts((len(modes), *shape), classes), _stacked(shape, mix), grad)
 
 
 def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarray, rows,
@@ -273,11 +299,13 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     cross-entropies and, when a tape is given, writes the gradient of
     sum_i weights_i * ce_i into its class-row and bias blocks (over what
     they held; a cosine-only call writes +0 biases) and returns the
-    matching d/dH block (otherwise dH is None). Both scores come from one
-    product S = H W^T: dot logits are S + b, cosine logits
-    gamma * S / (||h|| ||w||). A branch runs, over every row, only if some
-    row weights it (some alpha > 0 for dot, some alpha < 1 for cosine), so
-    all-one or all-zero alpha give the pure losses exactly.
+    matching d/dH block (otherwise dH is None). The scores of both
+    branches come from one score_block call. A branch runs, over every
+    row, only if some row weights it (some alpha > 0 for dot, some
+    alpha < 1 for cosine), so all-one or all-zero alpha give the pure
+    losses exactly. The branches that run go through the softmax, the
+    target pick, the gradient scaling and the alpha mix together, as one
+    block with a leading branch axis.
 
     With a predictor stacked over slices (one per run), H is (slices,
     batch, dim) and rows (slices, batch); alpha and weights are shared by
@@ -298,10 +326,10 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     weights are then read from it, not checked again. Without one, each
     call builds its own.
 
-    Every (rows, classes) score block and every block of H's shape (H * H,
-    dH and its cosine correction) is written into the buffers of ws (of a
-    Workspace of the call's own without one), so the dH returned is
-    overwritten by the next call with the same workspace.
+    Every score block and every block of H's shape (H * H, dH and its
+    cosine correction) is written into the buffers of ws (of a Workspace
+    of the call's own without one), so the dH returned is overwritten by
+    the next call with the same workspace.
     """
     H, rows = _batch_targets(pp, H, rows)
     if plan is None:
@@ -311,60 +339,36 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
         raise ShapeError(f"a plan for rows {plan.shape} and {plan.classes} classes, "
                          f"called with rows {rows.shape} and {pp.num_classes} classes")
     out = ws or Workspace()
-    use_dot, use_cos = plan.use_dot, plan.use_cos
-    # each row's target entry as a flat index into a (..., batch, classes) block
-    pick = np.add(plan.starts, rows, out=out("pick", rows.shape, np.int64))
-    scores = (*rows.shape, pp.num_classes)
-    spread = out("spread", scores)
-    S = np.matmul(H, pp.W.swapaxes(-1, -2), out=out("s", scores))
-    if use_dot:
-        G = out("pd", scores)  # becomes the score gradient
-        L = filled(G, pp.b[..., None, :])
-        Pd, ce = _softmax_ce(np.add(S, L, out=L), pick, spread)
-    if use_cos:
-        # row norms as np.linalg.norm computes them, without its dispatch
-        HH = np.multiply(H, H, out=out(("t", H.shape[-1]), H.shape))
-        hn = _sum(HH, -1, out=out("hn", rows.shape))
-        np.sqrt(hn, out=hn)
-        np.maximum(hn, EPS_NORM, out=hn)
-        WW = np.multiply(pp.W, pp.W, out=out("dw", pp.W.shape))
-        wn = np.maximum(np.sqrt(_sum(WW, -1)), EPS_NORM)
-        den = filled(out("den", scores), wn[..., None, :])
-        den = np.multiply(filled(spread, hn[..., None]), den, out=den)
-        C = np.divide(S, den, out=S)  # S is not read again
-        Pc, ce_cos = _softmax_ce(np.multiply(plan.gamma, C, out=out("pc", scores)), pick,
-                                 spread)
-        if use_dot:  # ce = a * ce + a_cos * ce_cos, in place
-            ce *= plan.alpha
-            ce_cos *= plan.a_cos
-            ce += ce_cos
-        else:
-            ce = ce_cos
+    P, cos = score_block(pp, H, plan.modes, plan.scale, out)
+    # each row's target entry, per branch, as a flat index into P
+    pick = np.add(plan.starts, rows, out=out("pick", plan.starts.shape, np.int64))
+    ce = _softmax_ce(P, plan.starts, pick, out)  # P now holds the softmax
+    ce = _sum(np.multiply(ce, plan.mix, out=ce), 0)  # alpha * ce_dot + (1 - alpha) * ce_cos
     require_finite(ce, "cross-entropy", stacked=ce.ndim > 1)
     if tape is None:
         return ce, None
     if plan.weights is None:
         raise ValueError("a plan built without weights gives no gradients")
-    if use_dot:
-        Pd.reshape(-1)[pick] -= 1.0
-        Pd *= filled(spread, plan.dot_grad)
-        _sum(Pd, -2, out=tape.pred_b, initial=0.0)
+    P.reshape(-1)[pick] -= 1.0
+    P *= filled(out("spread", P.shape), plan.grad)
+    if plan.modes[0] is LogitMode.DOT:
+        G = P[0]  # becomes the score gradient
+        _sum(G, -2, out=tape.pred_b, initial=0.0)
     else:
         tape.pred_b.fill(0.0)  # cosine scores carry no bias term
-    if use_cos:
+    if cos:
         # the closed form at module top, per row, with Q = Pc / (|h| |w|)
         # and R = Pc * cos:
         #   dW = Q^T H - colsum(R) / |w|^2 * W,  dH = Q W - rowsum(R) / |h|^2 * H
         # Q joins the dot part, so each product runs once
-        Pc.reshape(-1)[pick] -= 1.0
-        Pc *= filled(spread, plan.cos_grad)
-        R = np.multiply(Pc, C, out=C)  # neither C nor den is read again
-        Q = np.divide(Pc, den, out=den)
-        G = np.add(G, Q, out=G) if use_dot else Q
+        hn, wn, den, C = cos
+        R = np.multiply(P[-1], C, out=C)  # neither C nor den is read again
+        Q = np.divide(P[-1], den, out=den)
+        G = np.add(G, Q, out=G) if len(plan.modes) == 2 else Q
     np.matmul(G.swapaxes(-1, -2), H, out=tape.pred_w)
     dH = np.matmul(G, pp.W, out=out(("g", H.shape[-1]), H.shape))
-    if use_cos:
-        dw = out("dw", pp.W.shape)  # scratch: W * W above, the correction here
+    if cos:
+        dw = out("dw", pp.W.shape)  # scratch: W * W in score_block, the correction here
         tape.pred_w -= np.multiply(filled(dw, (_sum(R, -2) / (wn * wn))[..., None]), pp.W, out=dw)
         corr = filled(out(("t", H.shape[-1]), H.shape), (_sum(R, -1) / (hn * hn))[..., None])
         dH -= np.multiply(corr, H, out=corr)

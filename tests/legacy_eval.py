@@ -9,8 +9,11 @@ posterior (t + 2 passes after stage t). score_stages is the one-pass
 scoring that came next: one forward pass and one softmax over every row at
 once, with full-size temporaries; the row-blocked pass must match it bit
 for bit. forward_batch is the forward pass that checked its own features,
-which both oracles here and in legacy_step call. Nothing in ``src/``
-imports this module.
+which both oracles here and in legacy_step call. scores is one mode's
+score block from the live kernel, ``uer.logits.score_block``, which the
+oracles here and in legacy_step score with; cosine_logits_batch is the
+cosine block stage scoring took before it shared that kernel, which
+rounded in another order. Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from uer.evaluation import StageMetrics, StageScores, average_accuracy, bias_diagnostics
-from uer.logits import CosineScale, LogitMode, PredictorParams, cosine_logits_batch, \
-    dot_logits_batch
+from uer.logits import EPS_NORM, CosineScale, LogitMode, PredictorParams, score_block
 from uer import net
-from uer.numeric import require_finite
+from uer.numeric import Workspace, filled, require_finite
 from uer.stream import LabeledData
 
 
@@ -34,6 +36,32 @@ def forward_batch(fe, X, ws=None):
     return H, acts
 
 
+def scores(pp: PredictorParams, H: np.ndarray, mode: LogitMode,
+           scale: CosineScale | None = None) -> np.ndarray:
+    """The (rows, classes) block of one mode's scores, from the live kernel."""
+    return score_block(pp, H, (mode,), scale)[0][0]
+
+
+def cosine_logits_batch(pp: PredictorParams, H: np.ndarray, scale: CosineScale,
+                        ws: Workspace | None = None) -> np.ndarray:
+    """Stage scoring's cosine block as it was before it shared training's
+    kernel, verbatim: (gamma * S) / (|h| |w|), where training's order is
+    gamma * (S / (|h| |w|)), a few ulp away."""
+    if scale is None:
+        raise ValueError("cosine scoring needs a CosineScale")
+    out = ws or Workspace()
+    scores = (len(H), pp.num_classes)
+    hn = np.add.reduce(np.multiply(H, H, out=out(("t", H.shape[-1]), H.shape)), -1,
+                       out=out("hn", scores[:1]))
+    np.maximum(np.sqrt(hn, out=hn), EPS_NORM, out=hn)
+    wn = np.maximum(np.linalg.norm(pp.W, axis=1), EPS_NORM)
+    den = filled(out("den", scores), wn)
+    np.multiply(filled(out("spread", scores), hn[:, None]), den, out=den)
+    S = np.matmul(H, pp.W.T, out=out("s", scores))
+    np.multiply(scale.gamma, S, out=S)
+    return np.divide(S, den, out=S)
+
+
 def softmax_rows(L: np.ndarray) -> np.ndarray:
     e = np.exp(L - L.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -43,20 +71,14 @@ def predict_batch(pp: PredictorParams, H: np.ndarray, mode: LogitMode,
                   scale: CosineScale | None = None) -> np.ndarray:
     if pp.num_classes == 0:
         raise ValueError("predict with no registered classes")
-    if mode is LogitMode.DOT:
-        L = dot_logits_batch(pp, H)
-    else:
-        if scale is None:
-            raise ValueError("cosine prediction needs a CosineScale")
-        L = cosine_logits_batch(pp, H, scale)
-    return np.argmax(L, axis=1)
+    if mode is LogitMode.COSINE and scale is None:
+        raise ValueError("cosine prediction needs a CosineScale")
+    return np.argmax(scores(pp, H, mode, scale), axis=1)
 
 
 def _scores(state, test, mode, scale):
     H, _ = forward_batch(state.extractor, test.x)
-    if mode is LogitMode.DOT:
-        return dot_logits_batch(state.predictor, H)
-    return cosine_logits_batch(state.predictor, H, scale)
+    return scores(state.predictor, H, mode, scale)
 
 
 def accuracy(state, test, mode, scale) -> float:
@@ -129,10 +151,7 @@ def score_stages(state, test, ends, mode, scale) -> StageScores:
         raise ValueError("predict with no registered classes")
     H = forward_batch(state.extractor, test.x)[0]
     collapsed = not H.any()
-    if mode is LogitMode.DOT:
-        S = dot_logits_batch(state.predictor, H)
-    else:
-        S = cosine_logits_batch(state.predictor, H, scale)
+    S = scores(state.predictor, H, mode, scale)
     labels = np.asarray(state.stream.class_order, dtype=np.int64)[np.argmax(S, axis=1)]
     hits = np.concatenate([[0], np.cumsum(labels == test.y)])
     row = (hits[ends] - hits[starts]) / (ends - starts)

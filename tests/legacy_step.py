@@ -44,10 +44,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from legacy_eval import forward_batch
+from legacy_eval import forward_batch, scores
 from uer.evaluation import StageMetrics
-from uer.logits import (CosineScale, EPS_NORM, LogitMode, PredictorParams, _batch_targets,
-                        cosine_logits_batch, dot_logits_batch, loss_rows)
+from uer.logits import CosineScale, EPS_NORM, LogitMode, PredictorParams, _batch_targets, \
+    loss_rows
 from uer.memory import buffer_retrieve
 from uer.net import FeatureExtractor, LayerParams, backward_batch, init_extractor, sgd_step
 from uer.net import GradientTape as _Tape
@@ -345,7 +345,7 @@ def _ce_rows(L: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def loss_dot(pp, H, rows, tape=None, grad_weight: float = 1.0):
     H, rows = _batch_targets(pp, H, rows)
-    L = dot_logits_batch(pp, H)
+    L = scores(pp, H, LogitMode.DOT)
     ce = _ce_rows(L, rows)
     loss = float(ce.mean())
     require_finite(np.asarray(loss), "dot cross-entropy")
@@ -432,10 +432,7 @@ def _add_pass(state, tape) -> None:
 
 
 def _joint_partials(state, method, scale, H, rows, n_cur):
-    if method.triple.learn is LogitMode.DOT:
-        L = dot_logits_batch(state.predictor, H)
-    else:
-        L = cosine_logits_batch(state.predictor, H, scale)
+    L = scores(state.predictor, H, method.triple.learn, scale)
     ce = _ce_rows(L, rows)
     total = len(rows)
     return float(ce[:n_cur].sum() / total), float(ce[n_cur:].sum() / total)

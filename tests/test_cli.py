@@ -11,12 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import legacy_eval
 import uer.cli
 import uer.config
+import uer.evaluation
 from conftest import blas_versions, child_env
 from uer.cli import _apply_flag_overrides, build_parser, main, run_config
 from uer.config import build_dataset, parse_config_text
 from uer.evaluation import read_metrics, stage_metrics_to_dict
+from uer.logits import LogitMode, score_block
 from uer.stream import LabeledData, save_csv_dataset
 from uer.trainer import TABLE1_GRID, run_experiment, triple_method
 
@@ -157,9 +160,9 @@ PINNED_METRICS = {
     "run/finetune_seed1.metrics.jsonl":
         "76b5a2adb7461833db8bc88af0b572123ddbd8d17fcd7e337e54f3b02cae0f90",
     "run/lucir_seed0.metrics.jsonl":
-        "c86fd79f56c87042a0f02341c35374de3ac22f318f1d87ad6adef5543075d2a2",
+        "37f9342e79b09b18f50c2293911f1f5486c3514708c1692f876db564cd2f9d03",
     "run/lucir_seed1.metrics.jsonl":
-        "a72206fe5df04e1271dbb5779884f75cc61b9019d69fab03af496dec29f7d771",
+        "12b140c939efa31738ff98826585ea94a2275a525ff05f44899cd0a22a71486d",
     "run/uer-a_seed0.metrics.jsonl":
         "10cbc9d994b9763c6be3a2c5f10b445c0000062c066b5737c0238a0996034517",
     "run/uer-a_seed1.metrics.jsonl":
@@ -169,19 +172,19 @@ PINNED_METRICS = {
     "run/uer_seed1.metrics.jsonl":
         "5db50f91f039a950266ccab80d157a42b60af1c063725febdc21229e5125a2e9",
     "table1/cosine-cosine-cosine_seed0.metrics.jsonl":
-        "c86fd79f56c87042a0f02341c35374de3ac22f318f1d87ad6adef5543075d2a2",
+        "37f9342e79b09b18f50c2293911f1f5486c3514708c1692f876db564cd2f9d03",
     "table1/cosine-cosine-dot_seed0.metrics.jsonl":
         "b2fc175f6056340f2bfe70ca79efaf69371ea0f89b89fad5c4f63d507f16ac1d",
     "table1/cosine-dot-cosine_seed0.metrics.jsonl":
-        "f60f63459e4b31967bb9d8c4afa69b32b6f20a2925d914a9eb127bf1eaf9191b",
+        "a3bfe2b57443b5cebec73a9da710edde2169200380e10d9dbce82e1adc31a417",
     "table1/cosine-dot-dot_seed0.metrics.jsonl":
         "10cbc9d994b9763c6be3a2c5f10b445c0000062c066b5737c0238a0996034517",
     "table1/dot-cosine-cosine_seed0.metrics.jsonl":
-        "2a315eaff017f56ac1de486202e8193c2692926a76543e45ef88ee4700a46413",
+        "8a61b1c984e1a69c1acdd8065507f7b72733efba1066fe46951c38f42dd6ff61",
     "table1/dot-cosine-dot_seed0.metrics.jsonl":
         "5b530576f0aff1011c9875c5ea18b9c7e9c556c32a0050c53f63c6b4064fa088",
     "table1/dot-dot-cosine_seed0.metrics.jsonl":
-        "4a709d969d945b25f1f565da9ed5c8a6198c9834978d8b7cf7eb389338ea65a1",
+        "02ae31733d1ccf1ae4b90a221fc006743dc6e163012840962c105ce8aab5cc42",
     "table1/dot-dot-dot_seed0.metrics.jsonl":
         "c710d6a30d8b6522a5c88788431ca986a0f8130afdc268b543f4d15f98266c99",
 }
@@ -200,6 +203,46 @@ def test_metrics_bytes_equal_pinned_digests(tmp_path, capsys):
             got[f"{command}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     capsys.readouterr()
     assert got == PINNED_METRICS, f"metrics bytes moved on this build ({blas_versions()})"
+
+
+def _cosine_in_the_old_order(pp, H, modes, scale=None, ws=None):
+    """score_block with its cosine block rounded as stage scoring rounded
+    it before it shared training's kernel: (gamma * S) / den."""
+    if modes == (LogitMode.COSINE,):
+        return legacy_eval.cosine_logits_batch(pp, H, scale, ws)[None], None
+    return score_block(pp, H, modes, scale, ws)
+
+
+def test_cosine_scores_in_training_order_move_only_cosine_tested_posteriors(
+        tmp_path, capsys, monkeypatch):
+    # every output byte of the five presets and of table1 is as the old
+    # cosine rounding order gave it, except in cosine-tested runs (lucir,
+    # the *-cosine triples), where only avg_posterior may move, and by at
+    # most 1e-15 per entry
+    moved = set()
+    for command, text, flags in (("run", FIVE_PRESETS, []),
+                                 ("table1", UER_ONLY, ["--buffer", "50"])):
+        (tmp_path / command).mkdir()
+        cfg_path, out = write_config(tmp_path / command, text)
+        with monkeypatch.context() as patch:
+            patch.setattr(uer.evaluation, "score_block", _cosine_in_the_old_order)
+            assert main([command, "--config", str(cfg_path), *flags]) == 0
+        old = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main([command, "--config", str(cfg_path), *flags]) == 0
+        new = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(new) == sorted(old)
+        for name, data in new.items():
+            if data == old[name]:
+                continue
+            assert name.startswith("lucir_") or name.endswith("-cosine_seed0.metrics.jsonl"), name
+            moved.add(f"{command}/{name}")
+            assert data.count(b"\n") == old[name].count(b"\n")
+            for got, want in zip(*(map(json.loads, d.splitlines()) for d in (data, old[name]))):
+                post, was = got.pop("avg_posterior"), want.pop("avg_posterior")
+                assert got == want
+                assert np.max(np.abs(np.subtract(post, was))) <= 1e-15
+    capsys.readouterr()
+    assert moved  # the two orders differ on these runs, so the check has teeth
 
 
 def test_run_failure_exit_code(tmp_path, capsys):

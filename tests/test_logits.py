@@ -13,14 +13,23 @@ from hypothesis import strategies as st
 
 from conftest import assert_grad_close, fd_gradient_array, sin_angles
 from uer.evaluation import score_stages
-from uer.logits import (EPS_NORM, CosineScale, LogitMode, PredictorParams,
-                        cosine_logits_batch, dot_logits_batch, loss_current, loss_dot,
-                        loss_replay)
+from uer.logits import (EPS_NORM, CosineScale, LogitMode, PredictorParams, loss_current,
+                        loss_dot, loss_replay, score_block)
 from uer.net import FeatureExtractor, GradientTape, LayerParams, sgd_step
 from uer.numeric import ShapeError, make_rng
 from uer.stream import LabeledData
 
 SCALE = CosineScale(10.0)
+
+
+def dot_logits(pp: PredictorParams, H: np.ndarray) -> np.ndarray:
+    """The shared kernel's dot score block."""
+    return score_block(pp, H, (LogitMode.DOT,))[0][0]
+
+
+def cosine_logits(pp: PredictorParams, H: np.ndarray, scale: CosineScale) -> np.ndarray:
+    """The shared kernel's cosine score block."""
+    return score_block(pp, H, (LogitMode.COSINE,), scale)[0][0]
 
 
 def tape_for(pp: PredictorParams) -> GradientTape:
@@ -85,21 +94,21 @@ def predicted(pp: PredictorParams, h, mode=LogitMode.DOT) -> int:
 
 def test_dot_logits_hand_arithmetic():
     pp = PredictorParams(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, -0.5]))
-    np.testing.assert_allclose(dot_logits_batch(pp, np.array([[2.0, 3.0]])), [[2.5, 2.5]],
+    np.testing.assert_allclose(dot_logits(pp, np.array([[2.0, 3.0]])), [[2.5, 2.5]],
                                atol=1e-15)
 
 
 def test_dot_logits_zero_feature_returns_bias():
     pp = PredictorParams(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.7, -0.2]))
-    np.testing.assert_array_equal(dot_logits_batch(pp, np.zeros((1, 2)))[0], pp.b)
+    np.testing.assert_array_equal(dot_logits(pp, np.zeros((1, 2)))[0], pp.b)
 
 
 def test_dot_logits_linear_in_feature():
     rng = make_rng(1)
     pp = PredictorParams(rng.normal(size=(3, 4)), rng.normal(size=3))
     H = rng.normal(size=(1, 4))
-    np.testing.assert_allclose(dot_logits_batch(pp, 2 * H) - pp.b,
-                               2 * (dot_logits_batch(pp, H) - pp.b), atol=1e-12)
+    np.testing.assert_allclose(dot_logits(pp, 2 * H) - pp.b,
+                               2 * (dot_logits(pp, H) - pp.b), atol=1e-12)
 
 
 def test_dot_logits_dim_mismatch():
@@ -109,30 +118,30 @@ def test_dot_logits_dim_mismatch():
         loss_dot(pp, np.array([[1.0, 2.0]]), [0])
 
 
-@pytest.mark.parametrize("kernel", [dot_logits_batch,
-                                    lambda pp, H: cosine_logits_batch(pp, H, SCALE)],
-                         ids=["dot", "cosine"])
-def test_score_kernels_name_both_widths_on_a_mismatch(kernel):
+@pytest.mark.parametrize("modes", [(LogitMode.DOT,), (LogitMode.COSINE,),
+                                   (LogitMode.DOT, LogitMode.COSINE)],
+                         ids=["dot", "cosine", "both"])
+def test_score_kernel_names_both_widths_on_a_mismatch(modes):
     pp = PredictorParams(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ShapeError, match="feature dim 2 does not match predictor dim 3"):
-        kernel(pp, np.array([[1.0, 2.0]]))
+        score_block(pp, np.array([[1.0, 2.0]]), modes, SCALE)
 
 
 def test_cosine_logits_without_a_scale_fail_as_loss_rows_does():
     pp = PredictorParams(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError, match="cosine scoring needs a CosineScale"):
-        cosine_logits_batch(pp, np.ones((1, 2)), None)
+        score_block(pp, np.ones((1, 2)), (LogitMode.COSINE,), None)
 
 
 def test_cosine_logits_orthogonal_is_zero():
     pp = PredictorParams(np.array([[3.0, 0.0]]), np.array([9.9]))  # bias ignored
-    got = cosine_logits_batch(pp, np.array([[0.0, 5.0]]), SCALE)[0, 0]
+    got = cosine_logits(pp, np.array([[0.0, 5.0]]), SCALE)[0, 0]
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cosine_logits_hand_arithmetic():
     pp = PredictorParams(np.array([[1.0, 0.0]]), np.array([0.0]))
-    got = cosine_logits_batch(pp, np.array([[1.0, 1.0]]), SCALE)[0, 0]
+    got = cosine_logits(pp, np.array([[1.0, 1.0]]), SCALE)[0, 0]
     assert got == pytest.approx(10.0 / np.sqrt(2.0), abs=1e-12)
 
 
@@ -140,13 +149,13 @@ def test_cosine_logits_scale_invariant_in_feature():
     rng = make_rng(2)
     pp = PredictorParams(rng.normal(size=(4, 6)), rng.normal(size=4))
     H = rng.normal(size=(1, 6))
-    np.testing.assert_allclose(cosine_logits_batch(pp, 2.0 * H, SCALE),
-                               cosine_logits_batch(pp, H, SCALE), atol=1e-12)
+    np.testing.assert_allclose(cosine_logits(pp, 2.0 * H, SCALE),
+                               cosine_logits(pp, H, SCALE), atol=1e-12)
 
 
 def test_cosine_logits_zero_feature_finite():
     pp = PredictorParams(np.array([[1.0, 1.0]]), np.array([0.0]))
-    out = cosine_logits_batch(pp, np.zeros((1, 2)), SCALE)
+    out = cosine_logits(pp, np.zeros((1, 2)), SCALE)
     assert np.all(np.isfinite(out))
 
 
@@ -155,7 +164,7 @@ def test_cosine_logits_zero_feature_finite():
 def test_cosine_logits_bounded_by_gamma(seed, gamma):
     rng = make_rng(seed)
     pp = PredictorParams(rng.normal(size=(3, 4)), rng.normal(size=3))
-    out = cosine_logits_batch(pp, rng.normal(size=(1, 4)), CosineScale(gamma))
+    out = cosine_logits(pp, rng.normal(size=(1, 4)), CosineScale(gamma))
     assert np.all(np.abs(out) <= gamma + 1e-9)
 
 
@@ -164,11 +173,11 @@ def test_batch_scores_match_single():
     rng = make_rng(3)
     pp = PredictorParams(rng.normal(size=(5, 7)), rng.normal(size=5))
     H = rng.normal(size=(6, 7))
-    D = dot_logits_batch(pp, H)
-    C = cosine_logits_batch(pp, H, SCALE)
+    D = dot_logits(pp, H)
+    C = cosine_logits(pp, H, SCALE)
     for i in range(6):
-        np.testing.assert_allclose(D[i], dot_logits_batch(pp, H[i:i + 1])[0], atol=1e-12)
-        np.testing.assert_allclose(C[i], cosine_logits_batch(pp, H[i:i + 1], SCALE)[0],
+        np.testing.assert_allclose(D[i], dot_logits(pp, H[i:i + 1])[0], atol=1e-12)
+        np.testing.assert_allclose(C[i], cosine_logits(pp, H[i:i + 1], SCALE)[0],
                                    atol=1e-12)
 
 
@@ -272,7 +281,7 @@ def test_grad_cos_orthogonal_unit_row():
     pp = PredictorParams(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
     tape = tape_for(pp)
     loss_current(pp, SCALE, H, [0], tape)
-    p = probabilities(cosine_logits_batch(pp, H, SCALE)[0])
+    p = probabilities(cosine_logits(pp, H, SCALE)[0])
     # h_hat for row 0 is (h/|h| - cos*w/|w|)/|w| = [0,1]
     np.testing.assert_allclose(tape.pred_w[0], SCALE.gamma * (p[0] - 1.0) * H[0], atol=1e-12)
 
@@ -451,7 +460,7 @@ def test_predict_matches_softmax_argmax():
     for _ in range(20):
         pp = PredictorParams(rng.normal(size=(4, 3)), rng.normal(size=4))
         H = np.abs(rng.normal(size=(1, 3)))
-        p = probabilities(dot_logits_batch(pp, H)[0])
+        p = probabilities(dot_logits(pp, H)[0])
         assert predicted(pp, H[0]) == int(np.argmax(p))
 
 
@@ -459,7 +468,7 @@ def test_predict_invariant_under_monotone_transforms():
     rng = make_rng(21)
     pp = PredictorParams(rng.normal(size=(5, 4)), rng.normal(size=5))
     H = np.abs(rng.normal(size=(1, 4)))
-    scores = dot_logits_batch(pp, H)[0]
+    scores = dot_logits(pp, H)[0]
     base = int(np.argmax(scores))
     assert predicted(pp, H[0]) == base
     for transformed in (np.exp(scores / 10), 3.0 * scores + 7.0):
@@ -470,7 +479,7 @@ def test_predict_batch_modes():
     rng = make_rng(22)
     pp = PredictorParams(rng.normal(size=(3, 4)), rng.normal(size=3))
     H = np.abs(rng.normal(size=(6, 4)))
-    dot, cos = dot_logits_batch(pp, H), cosine_logits_batch(pp, H, SCALE)
+    dot, cos = dot_logits(pp, H), cosine_logits(pp, H, SCALE)
     for i in range(6):
         assert predicted(pp, H[i], LogitMode.DOT) == int(np.argmax(dot[i]))
         assert predicted(pp, H[i], LogitMode.COSINE) == int(np.argmax(cos[i]))
@@ -491,10 +500,10 @@ def test_add_class_appends_without_reordering():
     rng = make_rng(23)
     pp = PredictorParams(rng.normal(size=(2, 3)), rng.normal(size=2))
     H = rng.normal(size=(1, 3))
-    before = dot_logits_batch(pp, H)[0]
+    before = dot_logits(pp, H)[0]
     idx = pp.add_class(rng.normal(size=3), 0.25)
     assert idx == 2 and pp.num_classes == 3
-    after = dot_logits_batch(pp, H)[0]
+    after = dot_logits(pp, H)[0]
     np.testing.assert_allclose(after[:2], before, atol=1e-12)
     assert pp.b[2] == 0.25
 
@@ -513,7 +522,7 @@ def test_gradient_competition_sign_structure():
         pp = PredictorParams(rng.normal(size=(4, 6)), rng.normal(size=4))
         H = np.abs(rng.normal(size=(1, 6))) + 0.01  # strictly positive feature
         y = int(rng.integers(4))
-        p = probabilities(dot_logits_batch(pp, H)[0])
+        p = probabilities(dot_logits(pp, H)[0])
         assert p[y] < 1.0  # not converged
         tape = tape_for(pp)
         loss_dot(pp, H, [y], tape)

@@ -24,11 +24,11 @@ from hypothesis import strategies as st
 
 import legacy_eval
 import uer.evaluation
+import uer.logits
 import uer.trainer
 from conftest import blas_versions
 from uer.evaluation import BLOCK_ROWS, row_blocks, score_stages
-from uer.logits import EPS_NORM, CosineScale, LogitMode, PredictorParams, cosine_logits_batch, \
-    dot_logits_batch
+from uer.logits import EPS_NORM, CosineScale, LogitMode, PredictorParams, score_block
 from uer.net import init_extractor
 from uer.numeric import Workspace, make_rng
 from uer.stream import Dataset, LabeledData, StreamConfig, gen_synthetic, make_sphere_spec
@@ -112,7 +112,7 @@ def _reference_scores(pp, H, mode, gamma):
         return L
     hn = np.maximum(np.linalg.norm(H, axis=1), EPS_NORM)
     wn = np.maximum(np.linalg.norm(pp.W, axis=1), EPS_NORM)
-    return gamma * (H @ pp.W.T) / (hn[:, None] * wn[None, :])
+    return gamma * ((H @ pp.W.T) / (hn[:, None] * wn[None, :]))
 
 
 @given(n=ROW_COUNTS, width=st.sampled_from([1, 8, 64, 256]), classes=st.integers(1, 40),
@@ -130,14 +130,62 @@ def test_workspace_score_blocks_give_the_allocating_bits(n, width, classes, mode
     # a workspace sized for a larger block hands out stale prefix views
     ws = Workspace()
     with ws.sized(n + 3):
-        _stale(ws, rng, [("s", (n, classes)), ("spread", (n, classes)),
-                         ("den", (n, classes)), ("hn", (n,)), (("t", width), (n, width))])
-    for got in ((dot_logits_batch(pp, H, ws) if mode is LogitMode.DOT
-                 else cosine_logits_batch(pp, H, scale, ws)),
-                (dot_logits_batch(pp, H) if mode is LogitMode.DOT
-                 else cosine_logits_batch(pp, H, scale))):
+        _stale(ws, rng, [("l", (n, classes)), ("s", (n, classes)), ("den", (n, classes)),
+                         ("hn", (n,)), (("t", width), (n, width)), ("dw", (classes, width))])
+    for got in (score_block(pp, H, (mode,), scale, ws)[0][0],
+                score_block(pp, H, (mode,), scale)[0][0]):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), PREMISE
+
+
+def _recorded(monkeypatch, module, name, seen):
+    """Wrap module.name so a copy of the score block each call reads (its
+    first argument, or the block it returns) goes into seen."""
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        seen.append((args[0] if name == "_softmax_at" else result[0]).copy())
+        return result
+    monkeypatch.setattr(module, name, recording)
+
+
+@pytest.mark.parametrize("slices", [0, 3])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_stage_scoring_scores_the_cosine_logits_training_reads(monkeypatch, slices, alpha):
+    # the block score_stages scores a cosine-tested run with is, bit for
+    # bit, the cosine block loss_rows trains on, for a 2-d call and each
+    # slice of a stacked one, rows whose norm is floored at EPS_NORM
+    # included (all-zero rows, and rows far below the floor)
+    rng = make_rng([slices, int(10 * alpha)])
+    lead = (slices,) if slices else ()
+    n, dim, classes = 40, 16, 7
+    H = np.abs(rng.normal(size=(*lead, n, dim)))
+    H[..., :4, :] = 0.0
+    H[..., 4:8, :] *= 1e-15
+    assert np.all(np.linalg.norm(H[..., :8, :], axis=-1) < EPS_NORM)
+    pp = PredictorParams(rng.normal(size=(*lead, classes, dim)),
+                         rng.normal(size=(*lead, classes)))
+    scale = CosineScale(10.0)
+    trained, scored = [], []
+    _recorded(monkeypatch, uer.logits, "score_block", trained)
+    _recorded(monkeypatch, uer.evaluation, "_softmax_at", scored)
+    uer.logits.loss_rows(pp, scale, alpha, H, rng.integers(0, classes, size=(*lead, n)), None)
+    (L,) = trained
+    assert L.shape == ((2 if alpha else 1), *lead, n, classes)
+    for i in range(slices or 1):
+        part = PredictorParams(pp.W[i], pp.b[i]) if slices else pp
+        state = SimpleNamespace(extractor=init_extractor((dim, dim), rng), predictor=part,
+                                stream=SimpleNamespace(class_order=list(range(classes))))
+        state.extractor.layers[0].weight[...] = np.eye(dim)  # passes H >= 0 through
+        state.extractor.layers[0].bias[...] = 0.0
+        h = H[i] if slices else H
+        score_stages(state, LabeledData(h, np.zeros(n, dtype=np.int64)), [n], LogitMode.COSINE,
+                     scale)
+        want = L[-1][i] if slices else L[-1]
+        assert scored[-1].shape == (n, classes)
+        assert scored[-1].tobytes() == want.tobytes()
+        assert want.tobytes() == _reference_scores(part, h, LogitMode.COSINE, 10.0).tobytes()
 
 
 def test_workspace_hands_out_prefix_views_and_sizes_new_buffers():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import flat_params, row_source, step_alone
 from uer import Run, RunGroup, catch_up, init_run
-from uer.logits import LogitMode, dot_logits_batch, loss_dot
+from uer.logits import LogitMode, loss_dot, score_block
 from uer.memory import MemoryBuffer
 from uer.net import GradientTape, backward_batch, forward_batch, init_extractor, sgd_step
 from uer.numeric import make_rng
@@ -129,9 +129,9 @@ def test_register_classes_append_only_scores_stable():
     run = init_run(uer_method(hidden_dims=(5,)), no_samples(4), rng)
     register(run, np.array([2, 7]), rng)
     H = np.abs(make_rng(9).normal(size=(1, 5)))
-    before = dot_logits_batch(run.predictor, H)[0]
+    before = score_block(run.predictor, H, (LogitMode.DOT,))[0][0, 0]
     register(run, np.array([5]), rng)
-    after = dot_logits_batch(run.predictor, H)[0]
+    after = score_block(run.predictor, H, (LogitMode.DOT,))[0][0, 0]
     np.testing.assert_allclose(after[:2], before, atol=1e-12)
     assert run.stream.class_order == [2, 7, 5]
     assert label_to_row(run) == {2: 0, 7: 1, 5: 2}
