@@ -7,8 +7,9 @@ Grammar (one assignment per line):
     key      = segment { "." segment }        segment = [A-Za-z0-9_-]+
     value    = scalar { "," scalar }          scalars never contain "," or "#"
 
-Scalars are parsed by the expected type of the key: int, float, bool
-("true"/"false"), or bare string. Lists are comma separated. Keys:
+Scalars are parsed by the expected type of the key: int, float (finite:
+inf and nan are rejected), bool ("true"/"false"), or bare string. Lists
+are comma separated. Keys:
 
     dataset.kind              split-gauss-10 | synthetic | csv   (required)
     dataset.classes           int, synthetic only (default 10)
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from math import isfinite
 
 from .numeric import make_rng
 from .stream import Dataset, StreamConfig, gen_synthetic, load_csv_dataset, \
@@ -169,6 +171,8 @@ class _Entries:
         self.used.add(key)
         lineno, text = self.entries[key]
         value = _convert(key, lineno, text, kind)
+        if kind == "float" and not isfinite(value):
+            raise ConfigError(f"line {lineno}: key {key}: must be finite, got {text!r}")
         if valid is not None and not valid[0](value):
             raise ConfigError(f"line {lineno}: key {key}: {valid[1]}, got {text!r}")
         return value

@@ -62,13 +62,14 @@ class LogitMode(enum.Enum):
 
 @dataclass(frozen=True)
 class CosineScale:
-    """The cosine score's gamma: one positive number, which every slice of
-    a stacked block shares."""
+    """The cosine score's gamma: one positive finite number, which every
+    slice of a stacked block shares."""
     gamma: float = 10.0
 
     def __post_init__(self):
-        if not (isinstance(self.gamma, numbers.Real) and self.gamma > 0):
-            raise ValueError(f"gamma must be one positive number, got {self.gamma!r}")
+        if not (isinstance(self.gamma, numbers.Real) and 0 < self.gamma < np.inf):
+            raise ValueError(f"gamma must be one positive number and finite, got "
+                             f"{self.gamma!r}")
 
 
 @dataclass

@@ -116,10 +116,10 @@ class MethodConfig:
     seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.buffer_capacity < 0:
             raise ValueError(f"buffer capacity must be non-negative, got {self.buffer_capacity}")
         if not self.hidden_dims or any(d < 1 for d in self.hidden_dims):

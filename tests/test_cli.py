@@ -270,6 +270,22 @@ def test_stage_without_test_rows_fails_before_training(tmp_path, capsys, monkeyp
     assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
 
 
+@pytest.mark.parametrize("command", [["run"], ["table1"], ["sweep-alpha", "--alpha", "0,1"]])
+def test_non_finite_config_value_exits_1_before_any_step(tmp_path, capsys, monkeypatch,
+                                                         command):
+    # gamma = inf used to parse, then fail every run at its first step
+    text = SMALL + "method.uer.gamma = inf\n"
+    cfg_path, out = write_config(tmp_path, text)
+    builds = count_calls(monkeypatch, uer.cli, "build_dataset")
+    steps = count_calls(monkeypatch, uer.trainer, "train_step")
+    assert main([command[0], "--config", str(cfg_path), *command[1:]]) == 1
+    lineno = text.format(out=out).count("\n")
+    assert capsys.readouterr().err == (f"config error: line {lineno}: key method.uer.gamma: "
+                                       "must be finite, got 'inf'\n")
+    assert builds == [] and steps == []
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- csv reuse
 
 

@@ -155,6 +155,14 @@ def test_alpha_without_mixed_replay_names_its_line(name, rules):
     ("dataset.train_per_class = 0", "must be at least 1, got '0'"),
     ("dataset.test_per_class = 0", "must be at least 1, got '0'"),
     ("dataset.stddev = -1", "must be positive, got '-1'"),
+    # a float key takes finite values only; each of these used to parse,
+    # then fail the run at its first step
+    ("method.uer.gamma = inf", "must be finite, got 'inf'"),
+    ("method.uer.lr = inf", "must be finite, got 'inf'"),
+    ("dataset.radius = nan", "must be finite, got 'nan'"),
+    ("dataset.radius = inf", "must be finite, got 'inf'"),
+    ("dataset.stddev = inf", "must be finite, got 'inf'"),
+    ("method.uer.alpha = -inf", "must be finite, got '-inf'"),
 ])
 def test_range_errors_name_the_line_and_key(tmp_path, capsys, line, message):
     key = line.split(" = ")[0]

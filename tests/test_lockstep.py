@@ -26,10 +26,11 @@ from conftest import blas_versions, losses_of, overflowing_features, overflowing
     step_alone, step_start, with_train_row
 from uer import RunGroup, init_run
 from uer.evaluation import stage_metrics_to_dict
-from uer.logits import CosineScale, LogitMode, PredictorParams, loss_rows
+from uer.logits import CosineScale, LogitMode, PredictorParams, _row_starts, _softmax_ce, \
+    loss_rows
 from uer.net import (FeatureExtractor, GradientTape, LayerParams, backward_batch,
                      forward_batch, sgd_step)
-from uer.numeric import NonFiniteError, make_rng, require_finite
+from uer.numeric import NonFiniteError, Workspace, make_rng, require_finite
 from uer.stream import Dataset, LabeledData, StreamConfig, gen_synthetic, make_sphere_spec
 from uer.trainer import (er_method, finetune_method, lucir_method, run_experiment,
                          run_trajectories, uer_a_method, uer_method)
@@ -278,6 +279,50 @@ def test_tape_writes_equal_a_zeroed_tape_plus_them(slices, n, classes, dim, shar
         zeroed = np.zeros_like(written)
         zeroed += np.add.reduce(x, axis=-2)
         assert written.tobytes() == zeroed.tobytes(), TAPE_PREMISE
+
+
+ARGMAX_PREMISE = ("the row max read at the argmax differs from np.maximum.reduce's, so the "
+                  f"softmax and cross-entropy change bits on this build ({blas_versions()})")
+
+
+def _softmax_ce_by_maximum(L, pick):
+    """loss_rows' softmax and cross-entropy as they took the row max, with
+    np.maximum.reduce."""
+    m = np.maximum.reduce(L, -1)
+    picked = L.reshape(-1)[pick]
+    E = np.exp(L - m[..., None])
+    s = np.add.reduce(E, -1)
+    ce = np.log(s)
+    ce += m
+    ce -= picked
+    return E / s[..., None], ce
+
+
+@given(lead=st.lists(st.integers(1, 3), max_size=2), n=st.integers(1, 24),
+       classes=st.integers(1, 12), share=st.sampled_from([0.0, 0.3, 0.9]),
+       seed=st.integers(0, 2**32 - 1))
+@example(lead=[1, 9], n=20, classes=10, share=0.3, seed=0)
+@example(lead=[2, 3], n=20, classes=10, share=0.9, seed=1)
+@example(lead=[1], n=768, classes=40, share=0.3, seed=2)
+@settings(max_examples=60, deadline=None)
+def test_the_row_max_read_at_the_argmax_gives_maximum_reduce_bits(lead, n, classes, share,
+                                                                   seed):
+    # _softmax_ce subtracts the entry at each row's argmax, which must be
+    # the max np.maximum.reduce takes, to the bit: rows holding nan, +-inf
+    # and ties of +0 and -0 included
+    rng = make_rng(seed)
+    shape = (*lead, n, classes)
+    L = rng.normal(scale=10.0, size=shape)
+    special = rng.random(shape) < share
+    L[special] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0], size=special.sum())
+    starts = _row_starts(shape[:-1], classes)
+    pick = starts + rng.integers(0, classes, size=shape[:-1])
+    P = L.copy()
+    with np.errstate(invalid="ignore"):
+        want_P, want_ce = _softmax_ce_by_maximum(L, pick)
+        ce = _softmax_ce(P, starts, pick, Workspace())
+    assert P.tobytes() == want_P.tobytes(), ARGMAX_PREMISE
+    assert ce.tobytes() == want_ce.tobytes(), ARGMAX_PREMISE
 
 
 # ---------------------------------------------------------- equivalence

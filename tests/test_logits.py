@@ -186,6 +186,9 @@ def test_cosine_scale_validates_gamma():
         CosineScale(0.0)
     with pytest.raises(ValueError):
         CosineScale(-1.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^gamma must be one positive number and finite"):
+            CosineScale(bad)
 
 
 # ----------------------------------------------------- softmax / entropy

@@ -86,6 +86,11 @@ def test_method_config_validation():
         uer_method(gamma=0.0)
     with pytest.raises(ValueError, match="lr"):
         uer_method(lr=-0.1)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^gamma must be positive and finite"):
+            uer_method(gamma=bad)
+        with pytest.raises(ValueError, match="^lr must be positive and finite"):
+            uer_method(lr=bad)
     with pytest.raises(ValueError, match="buffer"):
         uer_method(buffer_capacity=-5)
     with pytest.raises(ValueError, match="hidden"):
