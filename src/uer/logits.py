@@ -127,7 +127,8 @@ def score_block(pp: PredictorParams, H: np.ndarray, modes: tuple[LogitMode, ...]
     gradient reads, (|h|, |w|, den, S / den), else None. S goes into ws's
     "s" buffer and S / den over it; "den", "hn", ("t", dim) and "dw"
     (W's shape) hold the rest."""
-    _check_dim(pp, H)
+    if H.shape[-1] != pp.dim:
+        raise ShapeError(f"feature dim {H.shape[-1]} does not match predictor dim {pp.dim}")
     out = ws or Workspace()
     rows, classes = H.shape[:-1], pp.num_classes
     scores = (*rows, classes)
@@ -156,11 +157,6 @@ def score_block(pp: PredictorParams, H: np.ndarray, modes: tuple[LogitMode, ...]
     return L, (hn, wn, den, C)
 
 
-def _check_dim(pp: PredictorParams, H: np.ndarray) -> None:
-    if H.shape[-1] != pp.dim:
-        raise ShapeError(f"feature dim {H.shape[-1]} does not match predictor dim {pp.dim}")
-
-
 def _batch_targets(pp: PredictorParams, H: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     H = np.asarray(H, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
@@ -168,7 +164,6 @@ def _batch_targets(pp: PredictorParams, H: np.ndarray, rows) -> tuple[np.ndarray
         raise ValueError(f"expected a non-empty (batch, dim) feature block, got shape {H.shape}")
     if rows.shape != H.shape[:-1]:
         raise ShapeError(f"{H.shape[-2]} samples but {rows.shape} labels")
-    _check_dim(pp, H)
     # one reduction: a negative row reads as a huge unsigned one
     if rows.size and _max(rows.view(np.uint64), None) >= pp.num_classes:
         raise IndexError("label row outside registered classes")
@@ -192,7 +187,7 @@ def _softmax_at(L: np.ndarray, at: np.ndarray, P: np.ndarray, ws: Workspace):
     np.maximum.reduce takes, nan and signed zeros included. Returns the
     row max and the row sum, in ws's "top" and "rowsum" buffers; ws's
     "spread" buffer, of L's shape, spreads them (see numeric.filled)."""
-    top = np.take(L.reshape(-1), at, out=ws("top", at.shape), mode="clip")
+    top = L.reshape(-1).take(at, out=ws("top", at.shape), mode="clip")
     spread = ws("spread", L.shape)
     np.subtract(L, filled(spread, top[..., None]), out=P)
     np.exp(P, out=P)
@@ -207,8 +202,8 @@ def _softmax_ce(L: np.ndarray, starts: np.ndarray, pick: np.ndarray,
     -log softmax at the entries of L whose flat indices pick holds, sharing
     one exp; starts is _row_starts of L's rows. The returned block is ws's
     "rowsum" buffer."""
-    picked = np.take(L.reshape(-1), pick, out=ws("picked", pick.shape), mode="clip")
-    at = np.argmax(L, -1, out=ws("at", pick.shape, np.int64))
+    picked = L.reshape(-1)[pick]
+    at = L.argmax(-1, out=ws("at", pick.shape, np.int64))
     m, ce = _softmax_at(L, np.add(starts, at, out=at), L, ws)
     np.log(ce, out=ce)
     ce += m  # m + log(s), the same sum
@@ -222,20 +217,6 @@ def _per_row(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     if v.ndim and v.shape not in (shape, shape[-1:]):
         raise ShapeError(f"{shape[-1]} samples but {what} has shape {v.shape}")
     return v
-
-
-def _stacked(shape: tuple[int, ...], parts: list) -> np.ndarray:
-    """One (len(parts), *shape) block of per-row values, each part a
-    scalar or an array that broadcasts to shape."""
-    return np.stack([np.broadcast_to(part, shape) for part in parts])
-
-
-def _column(value: np.ndarray) -> np.ndarray:
-    """value (one entry per row on its last axis) as a read-only column,
-    to be spread over the class axis of a score block."""
-    column = value[..., None]
-    column.flags.writeable = False
-    return column
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,15 +237,17 @@ class StepPlan:
     """
     shape: tuple[int, ...]  # the rows' shape: (batch,) or (slices, batch)
     classes: int
-    alpha: np.ndarray  # checked: a scalar, (batch,) or (slices, batch)
-    weights: np.ndarray | None  # likewise; None for a plan without gradients
+    alpha: np.ndarray  # checked, spread to shape
+    weights: np.ndarray | None  # checked, a scalar or per row; None: no gradients
     # the branches that run on every row, DOT if some row has alpha > 0,
     # COSINE if some row has alpha < 1
     modes: tuple[LogitMode, ...]
     scale: CosineScale | None  # read only when COSINE runs
     starts: np.ndarray  # _row_starts((branches, *shape), classes)
-    mix: np.ndarray  # (branches, *shape): alpha for DOT, 1 - alpha for COSINE
-    grad: np.ndarray | None  # a column: alpha * w for DOT, gamma * (1 - alpha) * w for COSINE
+    mix: np.ndarray | None  # [alpha; 1 - alpha], (2, *shape), when both branches run
+    # read-only columns, (branches, *shape, 1): alpha * w for DOT,
+    # gamma * (1 - alpha) * w for COSINE
+    grad: np.ndarray | None
 
 
 def step_plan(scale: CosineScale | None, alpha, weights, shape: tuple[int, ...],
@@ -273,7 +256,7 @@ def step_plan(scale: CosineScale | None, alpha, weights, shape: tuple[int, ...],
     predictor has this many classes. Checks alpha, weights (None: a plan
     for calls without a tape) as loss_rows does, with its errors."""
     shape = tuple(shape)
-    a = _per_row(alpha, shape, "alpha")
+    a = np.broadcast_to(_per_row(alpha, shape, "alpha"), shape)
     lo, hi = _min(a, None), _max(a, None)
     # a nan anywhere makes both bounds nan, which fails the check
     if not (0.0 <= lo and hi <= 1.0):
@@ -282,14 +265,15 @@ def step_plan(scale: CosineScale | None, alpha, weights, shape: tuple[int, ...],
     if modes[-1] is LogitMode.COSINE and scale is None:
         raise ValueError("cosine scoring needs a CosineScale")
     a_cos = 1.0 - a
-    mix = [a if mode is LogitMode.DOT else a_cos for mode in modes]
     w = grad = None
     if weights is not None:
         w = _per_row(weights, shape, "weights")
-        grad = _column(_stacked(shape, [a * w if mode is LogitMode.DOT
-                                        else scale.gamma * a_cos * w for mode in modes]))
+        grad = np.stack([a * w if mode is LogitMode.DOT else scale.gamma * a_cos * w
+                         for mode in modes])[..., None]
+        grad.flags.writeable = False
     return StepPlan(shape, classes, a, w, modes, scale,
-                    _row_starts((len(modes), *shape), classes), _stacked(shape, mix), grad)
+                    _row_starts((len(modes), *shape), classes),
+                    np.stack([a, a_cos]) if len(modes) == 2 else None, grad)
 
 
 def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarray, rows,
@@ -329,8 +313,8 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
 
     Every score block and every block of H's shape (H * H, dH and its
     cosine correction) is written into the buffers of ws (of a Workspace
-    of the call's own without one), so the dH returned is overwritten by
-    the next call with the same workspace.
+    of the call's own without one), so the cross-entropies and the dH
+    returned are overwritten by the next call with the same workspace.
     """
     H, rows = _batch_targets(pp, H, rows)
     if plan is None:
@@ -344,7 +328,10 @@ def loss_rows(pp: PredictorParams, scale: CosineScale | None, alpha, H: np.ndarr
     # each row's target entry, per branch, as a flat index into P
     pick = np.add(plan.starts, rows, out=out("pick", plan.starts.shape, np.int64))
     ce = _softmax_ce(P, plan.starts, pick, out)  # P now holds the softmax
-    ce = _sum(np.multiply(ce, plan.mix, out=ce), 0)  # alpha * ce_dot + (1 - alpha) * ce_cos
+    if plan.mix is not None:  # alpha * ce_dot + (1 - alpha) * ce_cos, in place
+        ce *= plan.mix
+        np.add(ce[0], ce[1], out=ce[0])
+    ce = ce[0]
     require_finite(ce, "cross-entropy", stacked=ce.ndim > 1)
     if tape is None:
         return ce, None
