@@ -124,9 +124,9 @@ def score_block(pp: PredictorParams, H: np.ndarray, modes: tuple[LogitMode, ...]
     against a stacked predictor.
 
     Returns the block and, when COSINE is scored, the factors the cosine
-    gradient reads, (|h|, |w|, den, S / den), else None. S goes into ws's
-    "s" buffer and S / den over it; "den", "hn", ("t", dim) and "dw"
-    (W's shape) hold the rest."""
+    gradient reads, (|h|, |w|, den, S / den), else None. With COSINE, S
+    goes into ws's "s" buffer and S / den over it; "den", "hn", ("t", dim)
+    and "dw" (W's shape) hold the rest."""
     if H.shape[-1] != pp.dim:
         raise ShapeError(f"feature dim {H.shape[-1]} does not match predictor dim {pp.dim}")
     out = ws or Workspace()
@@ -134,10 +134,16 @@ def score_block(pp: PredictorParams, H: np.ndarray, modes: tuple[LogitMode, ...]
     scores = (*rows, classes)
     # asked for with rows leading, as Workspace.sized expects
     L = out("l", (len(modes) * prod(rows), classes)).reshape(len(modes), *scores)
-    S = np.matmul(H, pp.W.swapaxes(-1, -2), out=out("s", scores))
+    cosine = modes[-1] is LogitMode.COSINE
+    # S / den, which the cosine gradient reads, is kept apart from the
+    # scores; dot scores alone are S + b written over S
+    S = np.matmul(H, pp.W.swapaxes(-1, -2), out=out("s", scores) if cosine else L[0])
     if modes[0] is LogitMode.DOT:
-        np.add(S, filled(L[0], pp.b[..., None, :]), out=L[0])
-    if modes[-1] is not LogitMode.COSINE:
+        # the bias is added as forward_batch adds a layer's: spread over a
+        # block for a stacked block, broadcast for a plain one
+        bias = pp.b[..., None, :]
+        np.add(S, filled(out("den", scores), bias) if H.ndim > 2 else bias, out=L[0])
+    if not cosine:
         return L, None
     if scale is None:
         raise ValueError("cosine scoring needs a CosineScale")

@@ -121,7 +121,7 @@ def test_dot_logits_dim_mismatch():
 @pytest.mark.parametrize("modes", [(LogitMode.DOT,), (LogitMode.COSINE,),
                                    (LogitMode.DOT, LogitMode.COSINE)],
                          ids=["dot", "cosine", "both"])
-def test_score_kernel_names_both_widths_on_a_mismatch(modes):
+def test_score_kernels_name_both_widths_on_a_mismatch(modes):
     pp = PredictorParams(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ShapeError, match="feature dim 2 does not match predictor dim 3"):
         score_block(pp, np.array([[1.0, 2.0]]), modes, SCALE)
