@@ -205,6 +205,78 @@ def test_metrics_bytes_equal_pinned_digests(tmp_path, capsys):
     assert got == PINNED_METRICS, f"metrics bytes moved on this build ({blas_versions()})"
 
 
+# Three stages of two classes, ten seeds of uer and er; seed 9 fails to
+# build its data, so every table averages nine passing runs, the count
+# from which NumPy's pairwise mean sums in another order than a loop.
+OUTPUT_CONFIG = """\
+dataset.kind = synthetic
+dataset.classes = 6
+dataset.input_dim = 6
+dataset.train_per_class = 20
+dataset.test_per_class = 5
+stream.stages = 3
+stream.classes_per_stage = 2
+run.methods = uer,er
+run.seeds = 0,1,2,3,4,5,6,7,8,9
+run.out = {out}
+method.uer.hidden = 8
+method.uer.buffer = 30
+method.er.hidden = 8
+method.er.buffer = 30
+"""
+
+# sha256 of what each subcommand prints and of each summary file it
+# writes on OUTPUT_CONFIG, with the output directory written as <out>.
+# Pinned on NumPy 2.4.6 with scipy-openblas 0.3.31, as PINNED_METRICS is.
+PINNED_OUTPUTS = {
+    "diag/stderr":
+        "b9b05d61010c9d595a44e610e7726655451e0d42c58a9fe258c2761a684f939e",
+    "diag/stdout":
+        "95942643343f7d2f5edc388c41e5c20a370923a640cc96b3165ff4ae24aa2c3f",
+    "diag/summary.json":
+        "caa795ed80bf98d17dab260dfb7983c01f46c8854a219f5ccfbe88a16ee96b3d",
+    "run/stderr":
+        "b9b05d61010c9d595a44e610e7726655451e0d42c58a9fe258c2761a684f939e",
+    "run/stdout":
+        "510f65739993bf437b27e3b9d81bed294767def5ebf3b6cd31c568850d895969",
+    "run/summary.json":
+        "caa795ed80bf98d17dab260dfb7983c01f46c8854a219f5ccfbe88a16ee96b3d",
+    "sweep-alpha/alpha_sweep.json":
+        "5cd617fb45ba2db602a788de5c8c3b820b1d9272b58162371ba8f3ed06b90826",
+    "sweep-alpha/stderr":
+        "b06eab5eeefb4d921d8dcf0b2613c0f5be8547149d98f6134f162a9a816fb4a7",
+    "sweep-alpha/stdout":
+        "ceb569857f32a6ef5a51441317e11664e1bb433fe1a23188be0068cf165e8ba2",
+    "table1/stderr":
+        "c9268e2bbfdb40dbceaedcab2536734076421ea4756481dd1a9c5e6d4fa1a875",
+    "table1/stdout":
+        "46fe0d0e503db5a69af16206b0aca0a9955d532bf141caba82f1b019b676a99a",
+}
+
+
+def test_subcommand_outputs_equal_pinned_digests(tmp_path, capsys, monkeypatch):
+    real = uer.cli.build_dataset
+
+    def build(spec, seed):
+        if seed == 9:
+            raise ValueError("no data for seed 9")
+        return real(spec, seed)
+    monkeypatch.setattr(uer.cli, "build_dataset", build)
+    got = {}
+    for command, flags in (("run", []), ("diag", []), ("sweep-alpha", ["--alpha", "0,0.5,1"]),
+                           ("table1", ["--buffer", "30"])):
+        (tmp_path / command).mkdir()
+        cfg_path, out = write_config(tmp_path / command, OUTPUT_CONFIG)
+        assert main([command, "--config", str(cfg_path), *flags]) == 2
+        captured = capsys.readouterr()
+        texts = {"stdout": captured.out, "stderr": captured.err}
+        texts.update((p.name, p.read_text()) for p in out.glob("*.json"))
+        for name, text in texts.items():
+            text = text.replace(str(out), "<out>")
+            got[f"{command}/{name}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert got == PINNED_OUTPUTS, f"output bytes moved on this build ({blas_versions()})"
+
+
 def _cosine_in_the_old_order(pp, H, modes, scale=None, ws=None):
     """score_block with its cosine block rounded as stage scoring rounded
     it before it shared training's kernel: (gamma * S) / den."""
@@ -558,6 +630,7 @@ def test_sweep_alpha_averages_the_runs_that_passed(tmp_path, capsys, monkeypatch
                    "mean_acc_previous": last["acc_previous"],
                    "mean_acc_current": last["acc_current"]}
     assert not (out / "uer_alpha0.5_seed1.metrics.jsonl").exists()
+
 
 
 def test_run_divergence_names_stage_and_step(tmp_path, capsys):

@@ -299,6 +299,31 @@ def test_scoring_allocates_nothing_large_after_its_first_block(monkeypatch, mode
     assert ws("after", (2,)).base is None
 
 
+@pytest.mark.parametrize("mode", [LogitMode.DOT, LogitMode.COSINE])
+@pytest.mark.parametrize("n", [3 * BLOCK_ROWS, 4 * BLOCK_ROWS + 500])
+def test_a_whole_scoring_call_peaks_at_a_few_blocks(mode, n):
+    # the first block sizes every workspace buffer, so it is counted too: a
+    # buffer asked for with a branch or slice axis leading would be padded
+    # to the block's row count along that axis (Workspace.sized), about
+    # BLOCK_ROWS times its size, and 40 classes make that over 180 MiB
+    rng = make_rng(6)
+    state = _scored_state(rng, 20, (64,), 40)
+    test = LabeledData(rng.normal(size=(n + 1000, 20)), rng.choice(state.stream.class_order,
+                                                                   size=n + 1000))
+    rows = rng.permutation(n + 1000)[:n]
+    ends = np.arange(n // 4, n + 1, n // 4)
+    ends[-1] = n
+    largest = max(hi - lo for lo, hi in row_blocks(n))
+    tracemalloc.start()
+    try:
+        score_stages(state, test, ends, mode, CosineScale(10.0), rows, Workspace())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured: 3.4 (dot) to 6.7 (cosine) times one block's activations
+    assert peak < 16 * largest * 64 * 8
+
+
 def test_a_stage_end_shares_one_scoring_workspace_that_training_drops(monkeypatch):
     # two seeds (two streams) of two methods: at each stage end all four
     # runs score into one workspace; the next step takes new step buffers,
