@@ -14,8 +14,13 @@ network widths, buffer capacity and joint batch follow one stream and
 train in lockstep; a method replays exactly when its buffer capacity is
 above 0. A failed run prints one "FAILED <method> seed <s>: <error>" line
 and the others go on. Per-run metrics land in
-"<out>/<method>_seed<seed>.metrics.jsonl" with a "summary.json" next to
-them; reruns with the same config and seeds reproduce every output byte.
+"<out>/<method>_seed<seed>.metrics.jsonl", next to "summary.json" (run,
+diag) or "alpha_sweep.json" (sweep-alpha); reruns with the same config and
+seeds reproduce every output byte. Every mean printed or written is taken
+over the last stage of the runs that passed, by one helper (_last_means);
+a field that no passing run has, such as the previous-class accuracy of a
+one-stage stream, is null in the JSON files and n/a in the tables, and a
+method with no passing run has a null mean and a 0.0 std.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, DatasetSpec, ExperimentConfig, build_dataset, parse_config, \
-    parse_seeds
+    parse_config_text, parse_seeds
 from .evaluation import posterior_group_means, write_metrics
 from .stream import Dataset
 # run_experiment is not called here: it stays importable from this module
@@ -40,29 +45,35 @@ from .trainer import ExperimentResult, MethodConfig, TABLE1_GRID, run_experiment
 
 
 @dataclass
-class RunSummary:
-    """Final average accuracy per method per seed, plus file locations."""
-    methods: dict  # name -> {"per_seed": {seed: A}, "mean": .., "std": .., "files": [..]}
-
-    def to_json(self) -> str:
-        return json.dumps({"methods": self.methods}, indent=2) + "\n"
-
-
-@dataclass
 class RunOutcome:
-    summary: RunSummary
+    summary: dict  # method name -> {"per_seed": {seed: A}, "mean", "std", "files"}
     failures: list[str]
     results: dict  # (method name, seed) -> ExperimentResult
 
 
-def _final_accuracy(result: ExperimentResult) -> float:
-    return result.metrics[-1].average_accuracy
+def _jobs(cfg: ExperimentConfig) -> list[tuple]:
+    """The configured (method, seeds) jobs: a method's own seeds, else the run's."""
+    return [(m, m.seeds if m.seeds is not None else cfg.seeds) for m in cfg.methods]
 
 
-def _seed_std(values: list[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1))
+def _last_means(runs: list[ExperimentResult], names) -> list[float | None]:
+    """Per StageMetrics field, the mean over the runs' last stages; None
+    when no run has the field (no previous classes on a one-stage stream).
+    Each field is reduced on its own with a 1-D np.mean."""
+    means = []
+    for name in names:
+        values = [v for v in (getattr(r.metrics[-1], name) for r in runs) if v is not None]
+        means.append(float(np.mean(values)) if values else None)
+    return means
+
+
+def _cell(value: float | None, width: int, digits: int = 3) -> str:
+    return f"{'n/a':>{width}}" if value is None else f"{value:>{width}.{digits}f}"
+
+
+def _write_json(path: Path, value) -> None:
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(value, indent=2, allow_nan=False) + "\n").encode("utf-8"))
 
 
 def _datasets(spec: DatasetSpec):
@@ -105,14 +116,14 @@ def _round_key(method: MethodConfig) -> tuple:
     return trajectory_key(method, 0)[1:] + (method.joint_batch,)
 
 
-def run_grid(cfg: ExperimentConfig, jobs, echo=print):
-    """Train (method, seeds) jobs on shared trajectories; yield per job.
+def run_grid(cfg: ExperimentConfig, jobs, echo=print) -> list[tuple]:
+    """Train (method, seeds) jobs on shared trajectories; return per job.
 
     The jobs of a round (_round_key) train together in one
     run_trajectories call, each seed's runs on one stream; a round runs
     when the first of its jobs is due, and its data is built per seed
     then. Writes every passing run's metrics file and prints one FAILED
-    line per failed run; yields (method, passing results, failure texts)
+    line per failed run; returns (method, passing results, failure texts)
     per job in job order, results in seed order.
     """
     out = Path(cfg.out_dir)
@@ -123,6 +134,7 @@ def run_grid(cfg: ExperimentConfig, jobs, echo=print):
     for i, (method, _) in enumerate(jobs):
         rounds.setdefault(_round_key(method), []).append(i)
     outcomes: dict[int, list] = {}
+    grid = []
     for i, (method, seeds) in enumerate(jobs):
         if i not in outcomes:
             members = rounds[_round_key(method)]
@@ -138,11 +150,8 @@ def run_grid(cfg: ExperimentConfig, jobs, echo=print):
             else:
                 write_metrics(_metrics_path(out, method.name, seed), outcome.metrics)
                 passed.append(outcome)
-        yield method, passed, failed
-
-
-def _mean_or_nan(values) -> float:
-    return float(np.mean([float("nan") if v is None else v for v in values]))
+        grid.append((method, passed, failed))
+    return grid
 
 
 def run_config(cfg: ExperimentConfig, echo=print) -> RunOutcome:
@@ -151,45 +160,34 @@ def run_config(cfg: ExperimentConfig, echo=print) -> RunOutcome:
     A failing run is reported and skipped; the remaining runs still go.
     """
     out = Path(cfg.out_dir)
-    methods_summary: dict = {}
+    summary: dict = {}
     failures: list[str] = []
     results: dict = {}
-    jobs = [(m, m.seeds if m.seeds is not None else cfg.seeds) for m in cfg.methods]
-    for method, passed, failed in run_grid(cfg, jobs, echo):
+    for method, passed, failed in run_grid(cfg, _jobs(cfg), echo):
         failures += failed
         results.update(((method.name, r.seed), r) for r in passed)
-        values = [_final_accuracy(r) for r in passed]
-        methods_summary[method.name] = {
+        values = [r.metrics[-1].average_accuracy for r in passed]
+        summary[method.name] = {
             "per_seed": {str(r.seed): a for r, a in zip(passed, values)},
-            "mean": float(np.mean(values)) if values else None,
-            "std": _seed_std(values),
+            "mean": _last_means(passed, ["average_accuracy"])[0],
+            "std": float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
             "files": [str(_metrics_path(out, method.name, r.seed)) for r in passed],
         }
-    summary = RunSummary(methods=methods_summary)
-    with open(out / "summary.json", "wb") as fh:
-        fh.write(summary.to_json().encode("utf-8"))
+    _write_json(out / "summary.json", {"methods": summary})
     return RunOutcome(summary=summary, failures=failures, results=results)
-
-
-def _print_summary(summary: RunSummary, echo=print) -> None:
-    echo(f"{'method':<14} {'mean A':>8} {'std':>8}  per-seed")
-    for name, info in summary.methods.items():
-        mean = "n/a" if info["mean"] is None else f"{info['mean']:.4f}"
-        per_seed = " ".join(f"{s}:{a:.4f}" for s, a in info["per_seed"].items())
-        echo(f"{name:<14} {mean:>8} {info['std']:>8.4f}  {per_seed}")
 
 
 def _apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """The --seed, --out and --buffer overrides; a bad value raises
     ConfigError naming its flag before any data is built. --buffer resizes
     every method that replays; a method of capacity 0 (finetune) keeps 0."""
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         seeds = parse_seeds(args.seed, "--seed")
         cfg = replace(cfg, seeds=seeds,
                       methods=tuple(replace(m, seeds=None) for m in cfg.methods))
-    if getattr(args, "out", None):
+    if args.out:
         cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "buffer", None) is not None:
+    if args.buffer is not None:
         if args.buffer < 0:
             raise ConfigError(f"--buffer: expected a non-negative capacity, got {args.buffer}")
         cfg = replace(cfg, methods=tuple(
@@ -201,7 +199,10 @@ def _apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 def cmd_run(args) -> int:
     cfg = _apply_flag_overrides(parse_config(args.config), args)
     outcome = run_config(cfg)
-    _print_summary(outcome.summary)
+    print(f"{'method':<14} {'mean A':>8} {'std':>8}  per-seed")
+    for name, info in outcome.summary.items():
+        per_seed = " ".join(f"{s}:{a:.4f}" for s, a in info["per_seed"].items())
+        print(f"{name:<14} {_cell(info['mean'], 8, 4)} {info['std']:>8.4f}  {per_seed}")
     return 2 if outcome.failures else 0
 
 
@@ -231,7 +232,7 @@ def _alpha_run_name(alpha: float) -> str:
 
 def sweep_jobs(base: MethodConfig, cfg: ExperimentConfig, alphas) -> list[tuple]:
     """sweep-alpha's (method, seeds) jobs: the uer method base at each alpha."""
-    seeds = base.seeds if base.seeds is not None else cfg.seeds
+    seeds = dict(_jobs(cfg))[base]  # base is one of cfg's methods
     return [(uer_method(alpha=alpha, name=_alpha_run_name(alpha), gamma=base.gamma, lr=base.lr,
                         buffer_capacity=base.buffer_capacity, hidden_dims=base.hidden_dims),
              seeds) for alpha in alphas]
@@ -243,25 +244,16 @@ def cmd_sweep_alpha(args) -> int:
     if base is None:
         raise ConfigError("sweep-alpha needs the uer method in run.methods")
     alphas = _parse_alphas(args.alpha)
-    rows, failures = [], []
+    grid = run_grid(cfg, sweep_jobs(base, cfg, alphas))
+    names = ("average_accuracy", "acc_previous", "acc_current")
     # a row averages the runs that passed; an alpha with none has no row
-    for alpha, (_, passed, failed) in zip(alphas, run_grid(cfg, sweep_jobs(base, cfg, alphas))):
-        failures += failed
-        last = [r.metrics[-1] for r in passed]
-        if last:
-            rows.append({
-                "alpha": alpha,
-                "mean_average_accuracy": _mean_or_nan(m.average_accuracy for m in last),
-                "mean_acc_previous": _mean_or_nan(m.acc_previous for m in last),
-                "mean_acc_current": _mean_or_nan(m.acc_current for m in last),
-            })
-    with open(Path(cfg.out_dir) / "alpha_sweep.json", "wb") as fh:
-        fh.write((json.dumps(rows, indent=2) + "\n").encode("utf-8"))
+    rows = [{"alpha": alpha, **{f"mean_{n}": v for n, v in zip(names, _last_means(passed, names))}}
+            for alpha, (_, passed, _) in zip(alphas, grid) if passed]
+    _write_json(Path(cfg.out_dir) / "alpha_sweep.json", rows)
     print(f"{'alpha':>6} {'A':>8} {'prev':>8} {'curr':>8}")
     for r in rows:
-        print(f"{r['alpha']:>6g} {r['mean_average_accuracy']:>8.4f} "
-              f"{r['mean_acc_previous']:>8.4f} {r['mean_acc_current']:>8.4f}")
-    return 2 if failures else 0
+        print(f"{r['alpha']:>6g} " + " ".join(_cell(r[f"mean_{n}"], 8, 4) for n in names))
+    return 2 if any(failed for _, _, failed in grid) else 0
 
 
 _TABLE1_CONFIG = """
@@ -285,51 +277,39 @@ def table1_jobs(cfg: ExperimentConfig, buffer: int) -> list[tuple]:
 
 
 def cmd_table1(args) -> int:
-    if args.config:
-        cfg = parse_config(args.config)
-    else:
-        from .config import parse_config_text
-        cfg = parse_config_text(_TABLE1_CONFIG)
+    cfg = parse_config(args.config) if args.config else parse_config_text(_TABLE1_CONFIG)
     cfg = _apply_flag_overrides(cfg, args)
     buffer = args.buffer if args.buffer is not None else 200
-    header = (f"{'learn':<8} {'replay':<8} {'test':<8} {'A_all':>7} {'A_prev':>7} "
-              f"{'A_curr':>7} {'|W_p|':>7} {'|W_c|':>7} {'w_p':>7} {'w_c':>7} "
-              f"{'b_p':>7} {'b_c':>7}")
-    print(header)
-    failures = []
+    print(f"{'learn':<8} {'replay':<8} {'test':<8} {'A_all':>7} {'A_prev':>7} "
+          f"{'A_curr':>7} {'|W_p|':>7} {'|W_c|':>7} {'w_p':>7} {'w_c':>7} "
+          f"{'b_p':>7} {'b_c':>7}")
+    grid = run_grid(cfg, table1_jobs(cfg, buffer))
     # a row averages the runs that passed; a triple with none has no row
-    for (learn, replay, test), (_, passed, failed) in zip(TABLE1_GRID,
-                                                          run_grid(cfg, table1_jobs(cfg, buffer))):
-        failures += failed
-        if not passed:
-            continue
-        cols = [[m.average_accuracy, m.acc_previous, m.acc_current, m.norm_prev, m.norm_curr,
-                 m.mean_w_prev, m.mean_w_curr, m.mean_b_prev, m.mean_b_curr]
-                for m in (r.metrics[-1] for r in passed)]
-        mean = np.mean(np.asarray(cols, dtype=np.float64), axis=0)
-        print(f"{learn:<8} {replay:<8} {test:<8} " + " ".join(f"{v:>7.3f}" for v in mean))
-    return 2 if failures else 0
+    for (learn, replay, test), (_, passed, _) in zip(TABLE1_GRID, grid):
+        if passed:
+            means = _last_means(passed, ("average_accuracy", "acc_previous", "acc_current",
+                                         "norm_prev", "norm_curr", "mean_w_prev",
+                                         "mean_w_curr", "mean_b_prev", "mean_b_curr"))
+            print(f"{learn:<8} {replay:<8} {test:<8} " + " ".join(_cell(v, 7) for v in means))
+    return 2 if any(failed for _, _, failed in grid) else 0
 
 
 def cmd_diag(args) -> int:
     cfg = _apply_flag_overrides(parse_config(args.config), args)
     outcome = run_config(cfg)
-    for method in cfg.methods:
-        seeds = method.seeds if method.seeds is not None else cfg.seeds
-        seed = int(seeds[0])
-        if (method.name, seed) not in outcome.results:
+    for method, seeds in _jobs(cfg):
+        result = outcome.results.get((method.name, seeds[0]))
+        if result is None:
             continue
-        result = outcome.results[(method.name, seed)]
-        print(f"\n{method.name} (seed {seed})")
+        print(f"\n{method.name} (seed {result.seed})")
         print(f"{'stage':>5} {'dW_L1':>10} {'|W_p|':>7} {'|W_c|':>7} {'b_p':>8} "
               f"{'b_c':>8} {'post_p':>8} {'post_c':>8}")
         for m in result.metrics:
             prev_post, curr_post = posterior_group_means(m)
-            fmt = lambda v, w=7: " " * (w - 3) + "n/a" if v is None else f"{v:>{w}.3f}"
             print(f"{m.stage:>5} {m.accumulated_param_change:>10.3f} "
-                  f"{fmt(m.norm_prev)} {fmt(m.norm_curr)} "
-                  f"{fmt(m.mean_b_prev, 8)} {fmt(m.mean_b_curr, 8)} "
-                  f"{fmt(prev_post, 8)} {curr_post:>8.3f}")
+                  f"{_cell(m.norm_prev, 7)} {_cell(m.norm_curr, 7)} "
+                  f"{_cell(m.mean_b_prev, 8)} {_cell(m.mean_b_curr, 8)} "
+                  f"{_cell(prev_post, 8)} {curr_post:>8.3f}")
     return 2 if outcome.failures else 0
 
 

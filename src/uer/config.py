@@ -288,11 +288,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
                               f"method {name} is not in run.methods")
         raise ConfigError(f"line {e.line_of(key)}: unknown key {key}")
 
-    try:
-        return ExperimentConfig(dataset=dataset, stream=stream, methods=methods,
-                                seeds=seeds, out_dir=out_dir)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    return ExperimentConfig(dataset=dataset, stream=stream, methods=methods, seeds=seeds,
+                            out_dir=out_dir)
 
 
 def parse_config(path) -> ExperimentConfig:

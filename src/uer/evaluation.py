@@ -251,25 +251,11 @@ def posterior_group_means(metrics: StageMetrics) -> tuple[float | None, float]:
     return prev_mean, float(np.mean(curr))
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def stage_metrics_to_dict(m: StageMetrics) -> dict:
-    """Field-ordered dict; fields holding None are dropped, not zeroed."""
-    out = {}
-    for f in fields(StageMetrics):
-        value = getattr(m, f.name)
-        if value is None:
-            continue
-        out[f.name] = _jsonable(value)
-    return out
+    """Field-ordered dict; fields holding None are dropped, not zeroed.
+    Every value is already a plain int, float or list, as JSON writes it."""
+    values = ((f.name, getattr(m, f.name)) for f in fields(StageMetrics))
+    return {name: value for name, value in values if value is not None}
 
 
 def write_metrics(path, metrics: Sequence[StageMetrics]) -> None:

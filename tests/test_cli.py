@@ -633,6 +633,31 @@ def test_sweep_alpha_averages_the_runs_that_passed(tmp_path, capsys, monkeypatch
 
 
 
+def _reject_nan(constant):
+    raise AssertionError(f"{constant} is not JSON")
+
+
+def test_a_one_stage_stream_writes_null_and_prints_na(tmp_path, capsys):
+    # one stage has no previous classes: alpha_sweep.json held NaN, which a
+    # strict JSON parser rejects, and the sweep-alpha and table1 tables printed nan
+    text = UER_ONLY.replace("stream.stages = 2", "stream.stages = 1") \
+        .replace("stream.classes_per_stage = 2", "stream.classes_per_stage = 4")
+    cfg_path, out = write_config(tmp_path, text)
+    assert main(["sweep-alpha", "--config", str(cfg_path), "--alpha", "0.5"]) == 0
+    (row,) = json.loads((out / "alpha_sweep.json").read_text(), parse_constant=_reject_nan)
+    last = read_metrics(out / "uer_alpha0.5_seed0.metrics.jsonl")[-1]
+    assert "acc_previous" not in last
+    assert row == {"alpha": 0.5, "mean_average_accuracy": last["average_accuracy"],
+                   "mean_acc_previous": None, "mean_acc_current": last["acc_current"]}
+    assert capsys.readouterr().out.splitlines()[1].split() == [
+        "0.5", f"{last['average_accuracy']:.4f}", "n/a", f"{last['acc_current']:.4f}"]
+    assert main(["table1", "--config", str(cfg_path), "--buffer", "30"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == len(TABLE1_GRID)
+    # A_prev, |W_p|, w_p and b_p have no previous classes to average
+    assert all([line.split()[i] for i in (4, 6, 8, 10)] == ["n/a"] * 4 for line in lines)
+
+
 def test_run_divergence_names_stage_and_step(tmp_path, capsys):
     # the tiny synthetic configs above do not diverge (their ReLUs die)
     text = ("dataset.kind = split-gauss-10\nstream.stages = 5\nstream.classes_per_stage = 2\n"
