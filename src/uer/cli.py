@@ -268,11 +268,13 @@ run.out = results/table1
 
 def table1_jobs(cfg: ExperimentConfig, buffer: int) -> list[tuple]:
     """table1's (method, seeds) jobs, one per TABLE1_GRID triple. The grid
-    keeps the configured uer method's network and step settings."""
-    base = next((m for m in cfg.methods if m.name == "uer"), None) or uer_method()
+    keeps the configured uer method's network, step settings and seeds."""
+    base = next((m for m in cfg.methods if m.name == "uer"), None)
+    seeds = dict(_jobs(cfg)).get(base, cfg.seeds)
+    base = base or uer_method()
     return [(triple_method(f"{learn}-{replay}-{test}", learn, replay, test,
                            buffer_capacity=buffer, gamma=base.gamma, lr=base.lr,
-                           hidden_dims=base.hidden_dims), cfg.seeds)
+                           hidden_dims=base.hidden_dims), seeds)
             for learn, replay, test in TABLE1_GRID]
 
 

@@ -82,7 +82,10 @@ class StageScores:
 # OpenBLAS 0.3.31 takes a small-matrix kernel, which sums in another
 # order, for products of at most ~1200 entries, and a block's rows must
 # come out bitwise as the rows of one product over all rows
-# (tests/test_stage_scoring.py checks that premise).
+# (tests/test_stage_scoring.py checks that premise). The tail cannot go
+# first: a one-column product (one class, or a layer of width 1) is
+# computed a few rows at a time, so a block that starts or ends off a
+# multiple of that group changes some rows' bits.
 BLOCK_ROWS = 768
 
 

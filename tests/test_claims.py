@@ -87,7 +87,14 @@ def test_uer_keeps_longer_previous_rows_and_beats_er(tmp_path, capsys, stream):
     capsys.readouterr()
     broken = []
     for seed in seeds:
-        uer, er = (read_metrics(out / f"{m}_seed{seed}.metrics.jsonl")[-1] for m in ("uer", "er"))
+        records = [read_metrics(out / f"{m}_seed{seed}.metrics.jsonl") for m in ("uer", "er")]
+        # at every stage end the current stage's classes are the scorer's
+        # last rows, so their scores are the last columns of a score block
+        for record in records[0] + records[1]:
+            current = record["current_classes"]
+            assert sorted(record["class_order"][-len(current):]) == sorted(current), \
+                (seed, record["stage"])
+        uer, er = (stages[-1] for stages in records)
         if not uer["norm_prev"] > uer["norm_curr"]:
             broken.append(f"seed {seed}: uer |W| prev {uer['norm_prev']} <= cur {uer['norm_curr']}")
         if not uer["average_accuracy"] > er["average_accuracy"]:

@@ -16,7 +16,8 @@ import uer.cli
 import uer.config
 import uer.evaluation
 from conftest import blas_versions, child_env
-from uer.cli import _apply_flag_overrides, build_parser, main, run_config
+from uer.cli import _apply_flag_overrides, build_parser, main, run_config, sweep_jobs, \
+    table1_jobs
 from uer.config import build_dataset, parse_config_text
 from uer.evaluation import read_metrics, stage_metrics_to_dict
 from uer.logits import LogitMode, score_block
@@ -720,6 +721,22 @@ def test_table1_uses_configured_uer_settings(tmp_path, monkeypatch, capsys):
     assert [m.name for m in methods] == ["-".join(row) for row in TABLE1_GRID]
     for m in methods:
         assert (m.hidden_dims, m.lr, m.gamma, m.buffer_capacity) == ((5, 3), 0.05, 4.0, 30)
+
+
+def test_table1_takes_the_uer_methods_seeds_as_sweep_alpha_does():
+    # run.seeds = 0 and method.uer.seeds = 3,4: both grids train seeds 3
+    # and 4, --seed overrides both, and with no uer method table1 takes
+    # run.seeds
+    cfg = parse_config_text(UER_ONLY.format(out="results/x") + "method.uer.seeds = 3,4\n")
+    assert {seeds for _, seeds in table1_jobs(cfg, 30)} == {(3, 4)}
+    assert {seeds for _, seeds in sweep_jobs(cfg.methods[0], cfg, [0.0, 1.0])} == {(3, 4)}
+    flagged = _apply_flag_overrides(cfg, argparse.Namespace(seed="7", out=None, buffer=None))
+    assert {seeds for _, seeds in table1_jobs(flagged, 30)} == {(7,)}
+    assert {seeds for _, seeds in sweep_jobs(flagged.methods[0], flagged, [0.0])} == {(7,)}
+    er_only = parse_config_text(UER_ONLY.replace("method.uer.", "method.er.")
+                                .replace("run.methods = uer", "run.methods = er")
+                                .format(out="results/x") + "method.er.seeds = 3,4\n")
+    assert {seeds for _, seeds in table1_jobs(er_only, 30)} == {(0,)}
 
 
 def test_table1_reports_each_failed_run(tmp_path, capsys):

@@ -216,6 +216,25 @@ def test_table1_grid_matches_per_method_groups(tmp_path, monkeypatch):
     _assert_lookups_stop_once_registered(registrations, 3)  # 8 triples x 3 seeds
 
 
+def test_the_built_in_table1_grid_splits_a_part_and_matches_per_method_groups(tmp_path,
+                                                                             monkeypatch):
+    # table1's own config (seeds 0-2, 5 classes per stage): the step shapes
+    # of its seeds diverge inside a part, so the multi-part split runs
+    text = uer.cli._TABLE1_CONFIG.replace("results/table1", str(tmp_path / "out"))
+    cfg = parse_config_text(text)
+    assert cfg.out_dir == str(tmp_path / "out")
+    parts = []
+    real = uer.trainer._Part.split
+
+    def split(self, keys):
+        pieces = real(self, keys)
+        parts.append(len(pieces))
+        return pieces
+    monkeypatch.setattr(uer.trainer._Part, "split", split)
+    _assert_grid_matches_oracle(cfg, table1_jobs(cfg, 200))
+    assert max(parts) > 1
+
+
 def test_eleven_value_alpha_sweep_matches_per_method_groups(tmp_path, monkeypatch):
     cfg = _config(tmp_path, ["uer"])
     registrations = _registrations(monkeypatch)
